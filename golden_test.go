@@ -131,6 +131,87 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("length %d vs %d (common prefix identical)", len(got), len(want))
 }
 
+// goldenFastMathPath pins the opt-in fast numeric mode, which the exact
+// goldens never enter. Regenerate with:
+//
+//	GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFastMath .
+const goldenFastMathPath = "testdata/golden_fastmath.json"
+
+// fastMathGoldenMinVMs is the fleet the fast grid must exceed in every
+// cell: embed.Config's default ExactThreshold, above which the sampled
+// runner (and with it the frozen-peer table) takes over from the dense one.
+const fastMathGoldenMinVMs = 512
+
+func goldenFastMathGrid() *Experiment {
+	static := MustPreset("paper-geo3dc")
+	static.Scale = 0.03
+	static.Seed = 23
+	static.Horizon = HoursOf(8)
+	static.FineStepSec = 600
+	static.FastMath = true
+
+	dynamic := MustPreset("geo5dc-dynamic")
+	dynamic.Scale = 0.02
+	dynamic.Seed = 29
+	dynamic.Horizon = HoursOf(8)
+	dynamic.FineStepSec = 600
+	dynamic.FastMath = true
+
+	return NewExperiment(
+		WithScenarios(static, dynamic),
+		WithPolicies(StandardPolicies(0.9)[0]),
+		WithSeeds(2),
+	)
+}
+
+// TestGoldenFastMath is the fast-mode golden: the Proposed controller with
+// FastMath on both scenario kinds must reproduce the committed ResultSet
+// JSON bit for bit, on fleets large enough that the sampled embedding runs
+// with frozen peers rather than the dense exact mode.
+func TestGoldenFastMath(t *testing.T) {
+	set, err := goldenFastMathGrid().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range set.Scenarios {
+		for ki := range set.SeedOffsets {
+			r := set.At(si, 0, ki).Result
+			if r == nil {
+				t.Fatalf("fast-math cell (%d,%d) missing", si, ki)
+			}
+			if n := len(r.FinalPlacement); n <= fastMathGoldenMinVMs {
+				t.Fatalf("%s seed+%d ends with %d active VMs, not above %d: the golden no longer covers the sampled fast path",
+					set.Scenarios[si], ki, n, fastMathGoldenMinVMs)
+			}
+		}
+	}
+	js, err := set.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(js, '\n')
+
+	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(goldenFastMathPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFastMathPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s (%d bytes)", goldenFastMathPath, len(got))
+		return
+	}
+
+	want, err := os.ReadFile(goldenFastMathPath)
+	if err != nil {
+		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFastMath .", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ResultSet JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
+			goldenFastMathPath, firstDiff(got, want))
+	}
+}
+
 // goldenFaultyPath pins the survivability surface: the geo5dc-faulty preset
 // (reference outage schedule + erasure-coded storage) under the standard
 // policies. Separate from golden_sweep.json so zero-fault scenarios keep
