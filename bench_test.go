@@ -384,8 +384,8 @@ func BenchmarkEpochSweep(b *testing.B) {
 			cellsPerSec = float64(len(set.Cells)) * float64(b.N) / b.Elapsed().Seconds()
 		}
 		// Mean embedding wall time spent on epoch-boundary re-optimization
-		// slots per cell: the quantity the fast mode's warm-restart
-		// amortization targets.
+		// slots per cell: the boundary's boosted iteration budget is where
+		// the fast mode's frozen peers save the most.
 		var boundaryNS int64
 		for _, c := range ctls {
 			boundaryNS += c.BoundaryEmbedNS

@@ -64,7 +64,7 @@ var (
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this path")
 	memProf  = flag.String("memprofile", "", "write a heap profile at exit to this path")
 	traceOut = flag.String("trace", "", "write a runtime/trace of the sweep to this path (inspect shard balance with `go tool trace`)")
-	fastmath = flag.Bool("fastmath", false, "enable the approximate fast-numeric mode (quantized correlation kernel, cached embedding forces; see PERFORMANCE.md)")
+	fastmath = flag.Bool("fastmath", false, "enable the approximate fast-numeric mode (quantized correlation kernel, embedding peers frozen per run; see PERFORMANCE.md)")
 
 	traceDir   = flag.String("tracedir", "", "drive scenarios from this replay trace directory (tracegen -replay format) instead of the synthetic workload")
 	ingestVMs  = flag.String("ingest-vms", "", "drive scenarios from a raw cluster trace: VM lifetime CSV (requires -ingest-cpu)")

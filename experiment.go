@@ -384,8 +384,8 @@ func WithEpochClassWeights(rows ...[]float64) ScenarioOption {
 func WithArrivalWave(a float64) ScenarioOption { return config.WithArrivalWave(a) }
 
 // WithFastMath opts controllers into the approximate fast-numeric mode:
-// the quantized peak-coincidence kernel and the epoch-amortized embedding
-// force caches. Default off — unset runs stay bit-identical to prior
+// the quantized peak-coincidence kernel and frozen sampled peers in the
+// embedding. Default off — unset runs stay bit-identical to prior
 // releases. Results remain deterministic at any worker count; metrics
 // shift within the tolerance documented in PERFORMANCE.md.
 func WithFastMath() ScenarioOption { return config.WithFastMath() }

@@ -271,7 +271,7 @@ func WithEpochs(n int) Option { return func(s *Spec) { s.Epochs = n } }
 
 // WithFastMath opts controllers into their approximate fast-numeric paths:
 // the quantized peak-coincidence kernel (per-pair error bounded by
-// correlation.FastEps) and the epoch-amortized embedding force caches.
+// correlation.FastEps) and frozen sampled peers in the embedding.
 // Default off — unset runs stay bit-identical to prior releases.
 func WithFastMath() Option { return func(s *Spec) { s.FastMath = true } }
 

@@ -86,11 +86,6 @@ type Controller struct {
 	// time.
 	reoptimize bool
 
-	// embedCache retains fast-mode force state between embedding runs so
-	// warm restarts recompute only rows whose correlation inputs changed.
-	// Lazily created on the first fast-mode Place.
-	embedCache *embed.Cache
-
 	// LastEmbedIters and LastEmbedCost record the most recent embedding
 	// run's iteration count and cost trace (diagnostics).
 	LastEmbedIters int
@@ -154,14 +149,6 @@ func (f *field) Force(onto, by int) float64 {
 		fr = f.ps.CPUCorr(onto, by)
 	}
 	return f.alpha*fa + (1-f.alpha)*fr
-}
-
-// Generation implements embed.GenField: a per-VM change counter covering
-// every input a force involving id depends on — its utilization profile
-// and every volume cell touching it. Sums of the two containers'
-// monotonic counters, so any single-input change moves the result.
-func (f *field) Generation(id int) uint64 {
-	return f.ps.Gen(id) + f.vols.Gen(id)
 }
 
 // RepulsionRow implements embed.SplitField: the peak-coincidence term is
@@ -407,10 +394,6 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		cfg.Workers = in.Workers
 		if fast {
 			cfg.FastMath = true
-			if c.embedCache == nil {
-				c.embedCache = embed.NewCache()
-			}
-			cfg.Cache = c.embedCache
 			// Build the quantized tables alongside the sample orders below.
 			in.Profiles.SetFastMath(true)
 		}
@@ -522,12 +505,3 @@ func maxInt(a, b int) int {
 // Positions exposes the controller's current embedding layout (read-only
 // view for diagnostics and visualization tools).
 func (c *Controller) Positions() map[int]embed.Point { return c.positions }
-
-// EmbedCacheStats reports the fast-mode force cache's cumulative reuse
-// counters (zero value when fast mode never ran).
-func (c *Controller) EmbedCacheStats() embed.CacheStats {
-	if c.embedCache == nil {
-		return embed.CacheStats{}
-	}
-	return c.embedCache.Stats
-}

@@ -170,12 +170,6 @@ type ProfileSet struct {
 	// the orders stay exact across any Add/Remove sequence.
 	ord    []uint16
 	ordVal []float64
-	// gen holds one monotonic change counter per id, bumped by every Add,
-	// Remove and Reset touching the id. Consumers (the embedding's force
-	// cache) compare counters across slots to skip recomputing state
-	// derived from unchanged profiles; equal counters guarantee the
-	// profile bytes are unchanged since the counter was read.
-	gen []uint64
 	// Fast-math state (see SetFastMath): when enabled, EnsureOrders also
 	// quantizes every standard arena row to qScale fixed-point ticks —
 	// qrow mirrors the arena in sample order, qord mirrors ordVal in
@@ -228,7 +222,6 @@ func (ps *ProfileSet) Reset() {
 	for _, id := range ps.ids {
 		ps.off[id] = absentRow
 		ps.peaks[id] = 0
-		ps.gen[id]++
 	}
 	ps.ids = ps.ids[:0]
 	ps.arena = ps.arena[:0]
@@ -240,16 +233,6 @@ func (ps *ProfileSet) Reset() {
 	ps.qok = ps.qok[:0]
 	ps.freeStd = ps.freeStd[:0]
 	ps.freeOdd = ps.freeOdd[:0]
-}
-
-// Gen returns id's change counter: it moves exactly when an Add, Remove or
-// Reset touches id, so two equal readings bracket a window in which id's
-// profile (including its absence) was untouched. Unregistered ids read 0.
-func (ps *ProfileSet) Gen(id int) uint64 {
-	if id < 0 || id >= len(ps.gen) {
-		return 0
-	}
-	return ps.gen[id]
 }
 
 // Len returns the number of registered profiles.
@@ -317,7 +300,6 @@ func (ps *ProfileSet) Add(id int, prof []float64) {
 		}
 	}
 	ps.peaks[id] = peak
-	ps.gen[id]++
 }
 
 // Remove forgets id's profile, releasing its storage to the free lists for
@@ -331,7 +313,6 @@ func (ps *ProfileSet) Remove(id int) {
 	ps.freeStorage(ps.off[id])
 	ps.off[id] = absentRow
 	ps.peaks[id] = 0
-	ps.gen[id]++
 	p := ps.idPos[id]
 	last := ps.ids[len(ps.ids)-1]
 	ps.ids[p] = last
@@ -386,9 +367,6 @@ func (ps *ProfileSet) grow(n int) {
 	idPos := make([]int32, n)
 	copy(idPos, ps.idPos)
 	ps.idPos = idPos
-	gen := make([]uint64, n)
-	copy(gen, ps.gen)
-	ps.gen = gen
 }
 
 // Has reports whether a profile for id exists.
@@ -496,9 +474,6 @@ func (ps *ProfileSet) SetFastMath(on bool) {
 		ps.quantizeRow(int32(r * s))
 	}
 }
-
-// FastMath reports whether the quantized tables are enabled.
-func (ps *ProfileSet) FastMath() bool { return ps.fastMath }
 
 // ensureQuantCap sizes the quantized tables to cover rows arena rows.
 func (ps *ProfileSet) ensureQuantCap(rows, need int) {
@@ -882,11 +857,6 @@ type DataMatrix struct {
 	froms []int       // rows touched since the last Reset
 	pairs int
 	max   units.DataSize
-	// gen holds one monotonic change counter per id, bumped whenever a
-	// volume cell touching the id (as sender or receiver) is added,
-	// removed or reset — the matrix-side half of the embedding force
-	// cache's change detection.
-	gen []uint64
 }
 
 type volCell struct {
@@ -903,12 +873,6 @@ func NewDataMatrix() *DataMatrix {
 // rebuild allocates nothing in steady state.
 func (m *DataMatrix) Reset() {
 	for _, from := range m.froms {
-		for _, c := range m.rows[from] {
-			m.gen[c.to]++
-		}
-		if len(m.rows[from]) > 0 {
-			m.gen[from]++
-		}
 		m.rows[from] = m.rows[from][:0]
 	}
 	m.froms = m.froms[:0]
@@ -916,36 +880,11 @@ func (m *DataMatrix) Reset() {
 	m.max = 0
 }
 
-// Gen returns id's change counter: it moves exactly when a cell touching id
-// is added, removed or reset. Unknown ids read 0.
-func (m *DataMatrix) Gen(id int) uint64 {
-	if id < 0 || id >= len(m.gen) {
-		return 0
-	}
-	return m.gen[id]
-}
-
-// bumpGen advances id's change counter, growing the table on first touch.
-func (m *DataMatrix) bumpGen(id int) {
-	if id >= len(m.gen) {
-		n := id + 1
-		if d := 2 * len(m.gen); n < d {
-			n = d
-		}
-		gen := make([]uint64, n)
-		copy(gen, m.gen)
-		m.gen = gen
-	}
-	m.gen[id]++
-}
-
 // Add accumulates volume onto the directed pair (from, to).
 func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 	if vol <= 0 || from == to || from < 0 || to < 0 {
 		return
 	}
-	m.bumpGen(from)
-	m.bumpGen(to)
 	if from >= len(m.rows) {
 		n := from + 1
 		if d := 2 * len(m.rows); n < d {
@@ -999,7 +938,6 @@ func (m *DataMatrix) RemoveVM(id int) {
 				if c.vol > removedMax {
 					removedMax = c.vol
 				}
-				m.bumpGen(c.to)
 			}
 			m.pairs -= len(row)
 			removed = removed || len(row) > 0
@@ -1012,7 +950,6 @@ func (m *DataMatrix) RemoveVM(id int) {
 					}
 					m.pairs--
 					removed = true
-					m.bumpGen(from)
 					continue
 				}
 				row[w] = c
@@ -1029,9 +966,6 @@ func (m *DataMatrix) RemoveVM(id int) {
 			continue
 		}
 		fi++
-	}
-	if removed {
-		m.bumpGen(id)
 	}
 	if removed && removedMax >= m.max {
 		m.max = 0

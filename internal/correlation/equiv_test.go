@@ -65,30 +65,7 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 		if sl > 0 {
 			obs = sl - 1
 		}
-		// Generation-counter contract under real churn: snapshot every live
-		// id's counters, track exactly which ids this slot's events touch,
-		// and afterwards require bumps on touched ids and stillness
-		// everywhere else (the invariant the embedding force cache trusts).
-		psGens := map[int]uint64{}
-		dmGens := map[int]uint64{}
-		for id := range live {
-			psGens[id] = inc.Gen(id)
-			dmGens[id] = incDM.Gen(id)
-		}
-		psTouched := map[int]bool{}
-		dmTouched := map[int]bool{}
 		for _, id := range dep[sl] {
-			psTouched[id] = true
-			dmTouched[id] = true
-			for _, va := range volLog {
-				// Removing id drops its cells: both endpoints' rows change.
-				if va.from == id {
-					dmTouched[va.to] = true
-				}
-				if va.to == id {
-					dmTouched[va.from] = true
-				}
-			}
 			inc.Remove(id)
 			incDM.RemoveVM(id)
 			delete(live, id)
@@ -112,7 +89,6 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 		for _, id := range arr[sl] {
 			p := w.SlotProfile(id, obs, samples)
 			inc.Add(id, p)
-			psTouched[id] = true
 			live[id] = true
 			profiles[id] = p
 			order = append(order, id)
@@ -125,7 +101,6 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 			for _, id := range order {
 				p := w.SlotProfile(id, sl, samples)
 				inc.Add(id, p)
-				psTouched[id] = true
 				profiles[id] = p
 			}
 		}
@@ -139,31 +114,7 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 			}
 			pairSeen[key] = true
 			incDM.Add(e.From, e.To, e.Vol)
-			dmTouched[e.From] = true
-			dmTouched[e.To] = true
 			volLog = append(volLog, volAdd{e.From, e.To, e.Vol})
-		}
-		for id := range live {
-			before, known := psGens[id]
-			if psTouched[id] {
-				if known && inc.Gen(id) <= before {
-					t.Fatalf("slot %d: id %d profile churn did not bump its gen (%d -> %d)",
-						sl, id, before, inc.Gen(id))
-				}
-			} else if known && inc.Gen(id) != before {
-				t.Fatalf("slot %d: untouched id %d profile gen moved (%d -> %d)",
-					sl, id, before, inc.Gen(id))
-			}
-			before, known = dmGens[id]
-			if dmTouched[id] {
-				if known && incDM.Gen(id) <= before {
-					t.Fatalf("slot %d: id %d volume churn did not bump its gen (%d -> %d)",
-						sl, id, before, incDM.Gen(id))
-				}
-			} else if known && incDM.Gen(id) != before {
-				t.Fatalf("slot %d: untouched id %d volume gen moved (%d -> %d)",
-					sl, id, before, incDM.Gen(id))
-			}
 		}
 		if sl%4 == 3 || sl == timeutil.Slot(len(arr))-1 {
 			checkEquiv(t, sl, inc, incDM, order, profiles, volLog, samples)

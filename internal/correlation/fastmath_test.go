@@ -111,152 +111,11 @@ func TestFastKernelDisabledMatchesExact(t *testing.T) {
 	}
 }
 
-// TestProfileSetGenerations pins the change-counter contract the embedding
-// cache validates against: Add/Remove bump exactly the touched id, Reset
-// bumps every stored id, and reads never bump anything.
-func TestProfileSetGenerations(t *testing.T) {
-	ps := NewProfileSet(8)
-	snap := func(ids ...int) []uint64 {
-		g := make([]uint64, len(ids))
-		for k, id := range ids {
-			g[k] = ps.Gen(id)
-		}
-		return g
-	}
-	ps.Add(1, []float64{0.1, 0.2})
-	ps.Add(2, []float64{0.3, 0.4})
-	ps.Add(3, []float64{0.5, 0.6})
-	before := snap(1, 2, 3)
-
-	ps.Add(2, []float64{0.7, 0.8}) // replace
-	after := snap(1, 2, 3)
-	if after[0] != before[0] || after[2] != before[2] {
-		t.Fatalf("replace of 2 moved untouched gens: %v -> %v", before, after)
-	}
-	if after[1] <= before[1] {
-		t.Fatalf("replace of 2 did not bump its gen: %v -> %v", before[1], after[1])
-	}
-
-	before = after
-	ps.Remove(3)
-	after = snap(1, 2, 3)
-	if after[0] != before[0] || after[1] != before[1] {
-		t.Fatalf("remove of 3 moved untouched gens: %v -> %v", before, after)
-	}
-	if after[2] <= before[2] {
-		t.Fatalf("remove of 3 did not bump its gen")
-	}
-
-	ps.EnsureOrders(nil)
-	_ = ps.CPUCorr(1, 2)
-	if got := snap(1, 2, 3); got[0] != after[0] || got[1] != after[1] {
-		t.Fatalf("reads bumped gens: %v -> %v", after, got)
-	}
-
-	before = snap(1, 2)
-	ps.Reset()
-	after = snap(1, 2)
-	for k := range after {
-		if after[k] <= before[k] {
-			t.Fatalf("Reset did not bump stored id %d: %v -> %v", k+1, before, after)
-		}
-	}
-	if ps.Gen(99) != 0 {
-		t.Fatalf("never-seen id has nonzero gen")
-	}
-}
-
-// TestDataMatrixGenerations pins the volume matrix's counters: Add bumps
-// both endpoints and nothing else; RemoveVM bumps the id and every
-// counterpart it communicated with; Reset bumps every stored endpoint.
-func TestDataMatrixGenerations(t *testing.T) {
-	m := NewDataMatrix()
-	snap := func(ids ...int) []uint64 {
-		g := make([]uint64, len(ids))
-		for k, id := range ids {
-			g[k] = m.Gen(id)
-		}
-		return g
-	}
-	m.Add(1, 2, 100)
-	m.Add(2, 3, 50)
-	before := snap(1, 2, 3, 4)
-
-	m.Add(1, 2, 25) // accumulate on an existing cell
-	after := snap(1, 2, 3, 4)
-	if after[0] <= before[0] || after[1] <= before[1] {
-		t.Fatalf("Add(1,2) did not bump both endpoints: %v -> %v", before, after)
-	}
-	if after[2] != before[2] || after[3] != before[3] {
-		t.Fatalf("Add(1,2) moved unrelated gens: %v -> %v", before, after)
-	}
-
-	before = after
-	m.RemoveVM(2)
-	after = snap(1, 2, 3, 4)
-	// 2 communicated with 1 and 3: all three must move, 4 must not.
-	for k, id := range []int{1, 2, 3} {
-		if after[k] <= before[k] {
-			t.Fatalf("RemoveVM(2) did not bump id %d: %v -> %v", id, before, after)
-		}
-	}
-	if after[3] != before[3] {
-		t.Fatalf("RemoveVM(2) moved uninvolved id 4")
-	}
-
-	m.Add(5, 6, 10)
-	before = snap(5, 6)
-	m.Reset()
-	after = snap(5, 6)
-	for k := range after {
-		if after[k] <= before[k] {
-			t.Fatalf("Reset did not bump stored endpoint %d: %v -> %v", k+5, before, after)
-		}
-	}
-}
-
-// BenchmarkCPUCorrInto measures the exact pruned kernel against the
-// quantized fast kernel on the same mixed-length row population, so
-// kernel-level wins are visible without running a full experiment cell.
-func BenchmarkCPUCorrInto(b *testing.B) {
-	const n, samples = 2048, 48
-	build := func(fast bool) (*ProfileSet, []int) {
-		ps := NewProfileSet(samples)
-		ps.SetFastMath(fast)
-		for i := 0; i < n; i++ {
-			ln := samples
-			switch i % 4 {
-			case 1:
-				ln = samples / 2
-			case 3:
-				ln = samples / 6
-			}
-			p := make([]float64, ln)
-			for t := range p {
-				p[t] = rng.Noise01(7, uint64(i), uint64(t))
-			}
-			ps.Add(i, p)
-		}
-		ps.EnsureOrders(nil)
-		js := make([]int, n)
-		for j := range js {
-			js[j] = j
-		}
-		return ps, js
-	}
-	for _, mode := range []string{"exact", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			ps, js := build(mode == "fast")
-			dst := make([]float64, n)
-			kernel := ps.CPUCorrInto
-			if mode == "fast" {
-				kernel = ps.CPUCorrFastInto
-			}
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				kernel(dst, it%n, js)
-			}
-			b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-		})
-	}
+// BenchmarkCPUCorrFastInto measures the quantized fast kernel on
+// BenchmarkCPUCorrInto's row population, so the two kernels compare
+// directly.
+func BenchmarkCPUCorrFastInto(b *testing.B) {
+	ps, js := benchKernelSet()
+	ps.SetFastMath(true)
+	benchKernel(b, ps.CPUCorrFastInto, js)
 }

@@ -159,3 +159,52 @@ func TestPrunedKernelEarlyExitBound(t *testing.T) {
 		t.Fatal("unexpected NaN")
 	}
 }
+
+// BenchmarkCPUCorrInto measures the exact pruned kernel on a mixed-length
+// row population, so kernel-level wins are visible without running a full
+// experiment cell.
+func BenchmarkCPUCorrInto(b *testing.B) {
+	b.Run("exact", func(b *testing.B) {
+		ps, js := benchKernelSet()
+		benchKernel(b, ps.CPUCorrInto, js)
+	})
+}
+
+// benchKernelSet builds the kernel benchmarks' rows — full, half and
+// sixth sample lengths, with sample orders built — and the all-rows
+// partner list.
+func benchKernelSet() (*ProfileSet, []int) {
+	const n, samples = 2048, 48
+	ps := NewProfileSet(samples)
+	for i := 0; i < n; i++ {
+		ln := samples
+		switch i % 4 {
+		case 1:
+			ln = samples / 2
+		case 3:
+			ln = samples / 6
+		}
+		p := make([]float64, ln)
+		for t := range p {
+			p[t] = rng.Noise01(7, uint64(i), uint64(t))
+		}
+		ps.Add(i, p)
+	}
+	ps.EnsureOrders(nil)
+	js := make([]int, n)
+	for j := range js {
+		js[j] = j
+	}
+	return ps, js
+}
+
+// benchKernel times one batched kernel call per op against every row,
+// cycling the anchor row, and reports pair throughput.
+func benchKernel(b *testing.B, kernel func(dst []float64, a int, bs []int), js []int) {
+	dst := make([]float64, len(js))
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		kernel(dst, it%len(js), js)
+	}
+	b.ReportMetric(float64(b.N)*float64(len(js))/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+}

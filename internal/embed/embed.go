@@ -107,24 +107,15 @@ type Config struct {
 	// literal equation is recovered.
 	RepulsionScale float64
 	Seed           uint64 // keys deterministic scatter and sampling
-	// FastMath opts into the approximate fast-numeric run modes (default
-	// off — the exact paths are untouched and bit-identical to prior
-	// releases). Above the exact threshold the sampled mode freezes each
-	// point's hashed repulsion peers for the whole run and evaluates their
-	// forces once into a per-run table, so iterations become pure float
-	// arithmetic; at or below the threshold the exact algorithm runs
-	// unchanged but its dense repulsion build may be served from Cache.
-	// Callers pairing this with a correlation field should also enable the
-	// field's quantized kernel (see correlation.ProfileSet.SetFastMath) —
-	// the combination is the documented fast mode with its FastEps error
-	// budget.
+	// FastMath opts into frozen peers (default off). Above the exact
+	// threshold the sampled mode keeps each point's iteration-0 draw of
+	// hashed repulsion peers for the whole run and evaluates their forces
+	// once into a per-run table, so iterations become pure float
+	// arithmetic; at or below the threshold it changes nothing. Callers
+	// pairing this with a correlation field should also enable the field's
+	// quantized kernel (see correlation.ProfileSet.SetFastMath) — the
+	// combination is the documented fast mode with its FastEps error budget.
 	FastMath bool
-	// Cache, when non-nil and FastMath is set and the Field implements
-	// GenField (and SplitField), retains force state across runs keyed by
-	// generation counters: warm restarts recompute only rows whose inputs
-	// changed. Reuse is exact — hits return bit-identical forces. The
-	// cache must not be shared between concurrent runs.
-	Cache *Cache
 	// Workers optionally lends extra goroutines to the embedding's sharded
 	// passes: the exact mode's dense force-cache build and the sampled
 	// mode's per-point repulsion estimation, both of which write disjoint
@@ -236,10 +227,6 @@ func Run(ids []int, init map[int]Point, field Field, cfg Config) Result {
 		iters, cost := runExact(ids, idx, px, py, field, cfg)
 		return finish(iters, cost)
 	}
-	if cfg.FastMath {
-		iters, cost := runSampledFast(ids, idx, px, py, field, cfg)
-		return finish(iters, cost)
-	}
 	iters, cost := runSampled(ids, idx, px, py, field, cfg)
 	return finish(iters, cost)
 }
@@ -298,25 +285,13 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, cfg Con
 		// (fa + fr, commutative). Rows are sharded in contiguous batches —
 		// each shard writes only its own upper-triangle rows — so the build
 		// is bit-identical to the serial sweep at any worker count.
-		gf, hasGen := field.(GenField)
-		if cfg.FastMath && cfg.Cache != nil && hasGen {
-			// Warm restart: serve unchanged repulsion pairs from the
-			// generation-validated cache instead of recomputing them.
-			cfg.Cache.denseBuild(sf, gf, ids, ft, n, cfg.Workers)
-			par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					copy(ftT[i*n+i+1:i*n+n], ft[i*n+i+1:i*n+n])
-				}
-			})
-		} else {
-			par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					row := ft[i*n+i+1 : i*n+n]
-					sf.RepulsionRow(ids[i], ids[i+1:], row)
-					copy(ftT[i*n+i+1:i*n+n], row)
-				}
-			})
-		}
+		par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				row := ft[i*n+i+1 : i*n+n]
+				sf.RepulsionRow(ids[i], ids[i+1:], row)
+				copy(ftT[i*n+i+1:i*n+n], row)
+			}
+		})
 		sf.EachAttraction(func(onto, by int, fa float64) {
 			i, ok1 := idx[onto]
 			j, ok2 := idx[by]
@@ -430,11 +405,17 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, cfg Con
 }
 
 // runSampled keeps attraction exact over the sparse data-correlated pairs
-// and estimates repulsion from SampleK hashed peers per point per
-// iteration. The cost function is evaluated over the exact attraction pairs
-// (the stable subset), which preserves the stopping rule's intent.
+// and estimates repulsion from SampleK hashed peers per point. By default
+// the peers are redrawn every iteration; with FastMath each point keeps its
+// iteration-0 draw for the whole run, so the forces are evaluated once into
+// a pooled n x SampleK table and every iteration is pure float arithmetic.
+// Both draws go through sampleRow, so the frozen table holds exactly the
+// forces the first per-iteration draw would. The cost function is evaluated
+// over the exact attraction pairs (the stable subset), which preserves the
+// stopping rule's intent.
 func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg Config) (int, []float64) {
 	n := len(ids)
+	K := cfg.SampleK
 	sf, _ := field.(SplitField)
 	apairs, attracted := buildAttraction(ids, idx, field)
 	prevD := make([]float64, len(apairs))
@@ -444,11 +425,72 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 		prevD[k] = math.Sqrt(dx*dx + dy*dy)
 	}
 
+	// sampleRow draws point i's SampleK hashed peers for the given draw
+	// into kj and their forces into f (0 for a self-sample). With a
+	// SplitField the partners are batched through one RepulsionRow call —
+	// hoisting the point's profile state out of the per-sample loop and
+	// skipping the volume probe Force would pay — except the rare partners
+	// that are attraction peers, which keep the full Force evaluation. Each
+	// repulsion value is a pure per-pair function, so both paths are
+	// bit-identical.
+	sampleRow := func(i int, draw uint64, kj []int32, f []float64, scr *sampleScratch) {
+		for k := range kj {
+			kj[k] = int32(rng.Hash(cfg.Seed, uint64(i), draw, uint64(k)) % uint64(n))
+		}
+		if sf == nil {
+			for k, j := range kj {
+				f[k] = 0
+				if int(j) != i {
+					f[k] = field.Force(ids[i], ids[j])
+				}
+			}
+			return
+		}
+		att := attracted[i]
+		js := scr.js[:0]
+		for _, j := range kj {
+			if int(j) != i && !containsIdx(att, j) {
+				js = append(js, ids[j])
+			}
+		}
+		if cap(scr.dst) < len(js) {
+			scr.dst = make([]float64, len(js))
+		}
+		rep := scr.dst[:len(js)]
+		sf.RepulsionRow(ids[i], js, rep)
+		scr.js = js
+		cur := 0
+		for k, j := range kj {
+			switch {
+			case int(j) == i:
+				f[k] = 0
+			case containsIdx(att, j):
+				f[k] = field.Force(ids[i], ids[j])
+			default:
+				f[k] = rep[cur]
+				cur++
+			}
+		}
+	}
+	var frozen *peerRows
+	if cfg.FastMath {
+		frozen = frozenPool.Get().(*peerRows)
+		defer frozenPool.Put(frozen)
+		frozen.ensure(n * K)
+		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
+			scr := samplePool.Get().(*sampleScratch)
+			defer samplePool.Put(scr)
+			for i := lo; i < hi; i++ {
+				sampleRow(i, 0, frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K], scr)
+			}
+		})
+	}
+
 	// Repulsion scale: each point samples SampleK of the n-1 possible
 	// peers; scaling the sampled sum by (n-1)/SampleK estimates the full
 	// Eq. 6 sum, and the repulsion class weight then normalizes it against
 	// the sparse attraction. The two compose to kappa/SampleK.
-	scale := float64(n-1) / float64(cfg.SampleK) * cfg.repulsionWeight(n)
+	scale := float64(n-1) / float64(K) * cfg.repulsionWeight(n)
 	rw := cfg.repulsionWeight(n)
 	weight := func(f float64) float64 {
 		if f > 0 {
@@ -482,78 +524,27 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 			fy[p.j] -= weight(p.fji) * uy
 		}
 		// The sampled repulsion estimate writes only fx[i]/fy[i] and reads
-		// only positions frozen for the whole pass, so sharding the points
-		// leaves every accumulation order — and hence every float — exactly
-		// as in the serial loop. With a SplitField, each point's hashed
-		// partners are batched through one RepulsionRow call — hoisting the
-		// point's profile state out of the per-sample loop and skipping the
-		// volume probe Force would pay — except the rare partners that are
-		// attraction peers, which keep the full Force evaluation. Each
-		// repulsion value is a pure per-pair function and the accumulation
-		// below runs in sample order either way, so both paths are
-		// bit-identical.
+		// only positions frozen for the whole pass, accumulating in sample
+		// order, so sharding the points leaves every float exactly as in
+		// the serial loop.
 		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
 			var scr *sampleScratch
-			if sf != nil {
+			if frozen == nil {
 				scr = samplePool.Get().(*sampleScratch)
 				defer samplePool.Put(scr)
+				scr.ensure(K)
 			}
 			for i := lo; i < hi; i++ {
-				att := attracted[i]
-				var rep []float64 // repulsion per non-attracted sample, in sample order
 				var kj []int32
-				if sf != nil {
-					js := scr.js[:0]
-					kj = scr.kj[:0]
-					if len(att) == 0 {
-						// No attraction peers (the common point): every
-						// non-self sample takes the batched repulsion path.
-						for k := 0; k < cfg.SampleK; k++ {
-							j := int32(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-							kj = append(kj, j)
-							if int(j) != i {
-								js = append(js, ids[j])
-							}
-						}
-					} else {
-						for k := 0; k < cfg.SampleK; k++ {
-							j := int32(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-							kj = append(kj, j)
-							if int(j) != i && !containsIdx(att, j) {
-								js = append(js, ids[j])
-							}
-						}
-					}
-					if cap(scr.dst) < len(js) {
-						scr.dst = make([]float64, len(js))
-					}
-					rep = scr.dst[:len(js)]
-					sf.RepulsionRow(ids[i], js, rep)
-					scr.js, scr.kj = js, kj
+				var f []float64
+				if frozen != nil {
+					kj, f = frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K]
+				} else {
+					kj, f = scr.kj, scr.f
+					sampleRow(i, uint64(iter), kj, f, scr)
 				}
-				cur := 0
-				for k := 0; k < cfg.SampleK; k++ {
-					var j int
-					var f float64
-					if sf != nil {
-						j = int(kj[k])
-						if j == i {
-							continue
-						}
-						if containsIdx(att, int32(j)) {
-							f = field.Force(ids[i], ids[j])
-						} else {
-							f = rep[cur]
-							cur++
-						}
-					} else {
-						j = int(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-						if j == i {
-							continue
-						}
-						f = field.Force(ids[i], ids[j])
-					}
-					if f <= 0 {
+				for k, j := range kj {
+					if f[k] <= 0 {
 						continue // attraction handled exactly above
 					}
 					dx := px[i] - px[j]
@@ -563,8 +554,8 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 						ang := rng.Noise01(cfg.Seed, uint64(i), uint64(j), uint64(iter)) * 2 * math.Pi
 						dx, dy, d = math.Cos(ang), math.Sin(ang), 1
 					}
-					fx[i] += f * scale * dx / d
-					fy[i] += f * scale * dy / d
+					fx[i] += f[k] * scale * dx / d
+					fy[i] += f[k] * scale * dy / d
 				}
 			}
 		})
@@ -591,7 +582,7 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 	return iters, costs
 }
 
-// apair is one exact attraction pair of the sampled modes, with both
+// apair is one exact attraction pair of the sampled mode, with both
 // directed force components.
 type apair struct {
 	i, j int
@@ -602,8 +593,7 @@ type apair struct {
 // buildAttraction collects the unique attraction pairs with their exact
 // directed forces, plus attracted[i] — the point indices declared as
 // attraction peers of i (either direction): exactly the pairs the
-// repulsion-only fast path must not take. Shared by both sampled modes so
-// the exact-attraction subset is identical between them.
+// batched repulsion path must not take.
 func buildAttraction(ids []int, idx map[int]int, field Field) ([]apair, [][]int32) {
 	n := len(ids)
 	var apairs []apair
@@ -659,12 +649,33 @@ func containsIdx(s []int32, v int32) bool {
 	return false
 }
 
-// sampleScratch pools the sampled pass's per-shard batching buffers: the
-// hashed partner per sample (kj), the compacted non-attracted partner ids
-// (js) and their bulk repulsion values (dst).
+// peerRows holds rows of SampleK hashed peers (kj) and their forces (f):
+// one row as a shard's per-iteration scratch, n rows as the frozen table.
+type peerRows struct {
+	kj []int32
+	f  []float64
+}
+
+func (r *peerRows) ensure(m int) {
+	if cap(r.kj) < m {
+		r.kj = make([]int32, m)
+		r.f = make([]float64, m)
+	}
+	r.kj = r.kj[:m]
+	r.f = r.f[:m]
+}
+
+// frozenPool recycles the frozen n x SampleK table across runs. Every
+// entry is rewritten before it is read, so recycled tables need no
+// clearing.
+var frozenPool = sync.Pool{New: func() any { return new(peerRows) }}
+
+// sampleScratch pools the sampled pass's per-shard buffers: one peer row,
+// plus the compacted non-attracted partner ids (js) and their bulk
+// repulsion values (dst).
 type sampleScratch struct {
+	peerRows
 	js  []int
-	kj  []int32
 	dst []float64
 }
 

@@ -3,47 +3,36 @@ package embed
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"geovmp/internal/par"
 	"geovmp/internal/rng"
 )
 
-// genTestField is a deterministic SplitField + GenField stub with
-// controllable per-id generation counters and per-call evaluation
-// accounting, for exercising the fast-math force cache.
-type genTestField struct {
-	gens map[int]uint64
+// countingField is a deterministic, concurrency-safe SplitField stub that
+// counts every repulsion partner evaluated through RepulsionRow — the
+// sampled mode's force evaluations.
+type countingField struct {
+	partners atomic.Int64
 }
 
-func newGenTestField(ids []int) *genTestField {
-	g := &genTestField{gens: map[int]uint64{}}
-	for _, id := range ids {
-		g.gens[id] = 1
+func (c *countingField) pairForce(a, b int) float64 {
+	if a > b {
+		a, b = b, a
 	}
-	return g
+	return 0.1 + 0.9*rng.Noise01(uint64(a*7919+b))
 }
 
-// pairForce is a pure deterministic function of the pair and the two
-// endpoint generations, so bumping a generation genuinely changes the
-// forces the cache must refresh.
-func (g *genTestField) pairForce(a, b int) float64 {
-	return 0.1 + 0.9*rng.Noise01(uint64(a*7919+b), g.gens[a], g.gens[b])
-}
-
-func (g *genTestField) Force(onto, by int) float64 {
-	if onto < by {
-		return g.pairForce(onto, by)
-	}
-	return g.pairForce(by, onto)
-}
-func (g *genTestField) AttractionPeers(int) []int { return nil }
-func (g *genTestField) RepulsionRow(a int, bs []int, dst []float64) {
+func (c *countingField) Force(onto, by int) float64 { return c.pairForce(onto, by) }
+func (c *countingField) AttractionPeers(int) []int  { return nil }
+func (c *countingField) RepulsionRow(a int, bs []int, dst []float64) {
+	c.partners.Add(int64(len(bs)))
 	for k, b := range bs {
-		dst[k] = g.Force(a, b)
+		dst[k] = c.pairForce(a, b)
 	}
 }
-func (g *genTestField) EachAttraction(func(onto, by int, fa float64)) {}
-func (g *genTestField) Generation(id int) uint64                      { return g.gens[id] }
+func (c *countingField) EachAttraction(func(onto, by int, fa float64)) {}
 
 func fastIDs(n int) []int {
 	ids := make([]int, n)
@@ -53,133 +42,62 @@ func fastIDs(n int) []int {
 	return ids
 }
 
-// TestSampledFastCacheReuse pins the sampled-mode cache contract: an
-// unchanged rerun reuses every force row, a targeted generation bump
-// recomputes exactly the rows depending on the changed id, and cached
-// reruns stay bit-identical to a cache-free fast run.
-func TestSampledFastCacheReuse(t *testing.T) {
+// TestFrozenPeerContract pins what FastMath changes in the sampled mode:
+// the iteration-0 draw of hashed peers and their forces is evaluated once
+// per run (so the partner count does not depend on the iteration count),
+// while the default mode redraws them every iteration. Either way the
+// layout is bit-identical at any worker count.
+func TestFrozenPeerContract(t *testing.T) {
 	const n = 600 // past the default ExactThreshold of 512
 	ids := fastIDs(n)
-	field := newGenTestField(ids)
-	cfg := Config{Seed: 9, FastMath: true, MaxIters: 6, SampleK: 16}
-
-	base := Run(ids, nil, field, cfg)
-	cache := NewCache()
-	cfg.Cache = cache
-	first := Run(ids, nil, field, cfg)
-	if !reflect.DeepEqual(first.Pos, base.Pos) {
-		t.Fatal("cache-backed fast run diverged from cache-free fast run")
-	}
-	if cache.Stats.RowsComputed != n || cache.Stats.RowsReused != 0 {
-		t.Fatalf("cold cache: computed %d reused %d, want %d/0",
-			cache.Stats.RowsComputed, cache.Stats.RowsReused, n)
-	}
-
-	second := Run(ids, nil, field, cfg)
-	if !reflect.DeepEqual(second.Pos, first.Pos) {
-		t.Fatal("identical rerun changed positions")
-	}
-	if cache.Stats.RowsComputed != n || cache.Stats.RowsReused != n {
-		t.Fatalf("warm rerun: computed %d reused %d, want %d/%d",
-			cache.Stats.RowsComputed, cache.Stats.RowsReused, n, n)
-	}
-
-	// Bump one id: its own row plus every row sampling it must recompute;
-	// nothing else may.
-	changed := ids[3]
-	field.gens[changed]++
-	prev := cache.Stats
-	third := Run(ids, nil, field, cfg)
-	dependent := 0
-	for i := 0; i < n; i++ {
-		if ids[i] == changed {
-			dependent++
-			continue
+	run := func(fast bool, iters int, w *par.Budget) (Result, int64) {
+		field := &countingField{}
+		// StopFrac < 0 leaves MaxIters as the only halting rule, so the
+		// iteration count is exactly iters.
+		cfg := Config{Seed: 9, FastMath: fast, MaxIters: iters, SampleK: 16, StopFrac: -1, Workers: w}
+		res := Run(ids, nil, field, cfg)
+		if res.Iterations != iters {
+			t.Fatalf("fast=%v: ran %d iterations, want %d", fast, res.Iterations, iters)
 		}
-		for k := 0; k < cfg.SampleK; k++ {
-			if ids[rng.Hash(cfg.Seed, uint64(i), 0, uint64(k))%uint64(n)] == changed {
-				dependent++
-				break
-			}
+		return res, field.partners.Load()
+	}
+
+	_, frozen4 := run(true, 4, nil)
+	_, frozen12 := run(true, 12, nil)
+	if frozen4 == 0 || frozen4 != frozen12 {
+		t.Fatalf("frozen peers evaluated %d partners at 4 iterations and %d at 12, want equal and nonzero", frozen4, frozen12)
+	}
+	_, drawn4 := run(false, 4, nil)
+	_, drawn12 := run(false, 12, nil)
+	if drawn12 <= drawn4 {
+		t.Fatalf("redrawn peers evaluated %d partners at 4 iterations and %d at 12, want growth", drawn4, drawn12)
+	}
+
+	// The frozen table is the iteration-0 draw, so a one-iteration run
+	// cannot tell the modes apart.
+	drawn1, _ := run(false, 1, nil)
+	frozen1, _ := run(true, 1, nil)
+	if !reflect.DeepEqual(drawn1, frozen1) {
+		t.Fatal("one-iteration frozen run differs from the redrawn run: the frozen peers are not the iteration-0 draw")
+	}
+
+	for _, fast := range []bool{false, true} {
+		serial, _ := run(fast, 6, nil)
+		parallel, _ := run(fast, 6, par.NewBudget(4))
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("fast=%v: Workers=NewBudget(4) diverged from the serial run", fast)
 		}
-	}
-	got := cache.Stats.RowsComputed - prev.RowsComputed
-	if got != uint64(dependent) {
-		t.Fatalf("after bumping one id: recomputed %d rows, want exactly the %d dependent rows", got, dependent)
-	}
-	// The changed forces must actually reach the layout.
-	if reflect.DeepEqual(third.Pos, second.Pos) {
-		t.Fatal("generation bump changed forces but not the layout")
-	}
-	// And a cache-free run over the new state must agree bit-for-bit.
-	cfgNoCache := cfg
-	cfgNoCache.Cache = nil
-	if fresh := Run(ids, nil, field, cfgNoCache); !reflect.DeepEqual(fresh.Pos, third.Pos) {
-		t.Fatal("partially-reused run diverged from fresh fast run")
-	}
-}
-
-// TestDenseFastCacheReuse pins the exact-mode (dense) cache contract: with
-// FastMath and a cache the dense repulsion triangle is served from the
-// cache for unchanged pairs — recomputing only pairs with a changed
-// endpoint — and the resulting layout stays bit-identical to the uncached
-// exact mode.
-func TestDenseFastCacheReuse(t *testing.T) {
-	const n = 80
-	ids := fastIDs(n)
-	field := newGenTestField(ids)
-	cfg := Config{Seed: 5, MaxIters: 6}
-
-	exact := Run(ids, nil, field, cfg)
-	cache := NewCache()
-	cfg.FastMath = true
-	cfg.Cache = cache
-	first := Run(ids, nil, field, cfg)
-	if !reflect.DeepEqual(first.Pos, exact.Pos) {
-		t.Fatal("dense cached run diverged from plain exact run")
-	}
-	tri := uint64(n * (n - 1) / 2)
-	if cache.Stats.PairsComputed != tri || cache.Stats.PairsReused != 0 {
-		t.Fatalf("cold dense cache: computed %d reused %d, want %d/0",
-			cache.Stats.PairsComputed, cache.Stats.PairsReused, tri)
-	}
-
-	second := Run(ids, nil, field, cfg)
-	if !reflect.DeepEqual(second.Pos, exact.Pos) {
-		t.Fatal("warm dense rerun changed positions")
-	}
-	if cache.Stats.PairsReused != tri {
-		t.Fatalf("warm dense rerun reused %d pairs, want all %d", cache.Stats.PairsReused, tri)
-	}
-
-	// Bump two ids: recomputed pairs are exactly those touching them.
-	field.gens[ids[10]]++
-	field.gens[ids[50]]++
-	prev := cache.Stats
-	third := Run(ids, nil, field, cfg)
-	unchanged := uint64(n - 2)
-	wantReused := unchanged * (unchanged - 1) / 2
-	if got := cache.Stats.PairsReused - prev.PairsReused; got != wantReused {
-		t.Fatalf("after bumping 2 ids: reused %d pairs, want %d", got, wantReused)
-	}
-	if got := cache.Stats.PairsComputed - prev.PairsComputed; got != tri-wantReused {
-		t.Fatalf("after bumping 2 ids: computed %d pairs, want %d", got, tri-wantReused)
-	}
-	cfgFresh := Config{Seed: 5, MaxIters: 6}
-	if fresh := Run(ids, nil, field, cfgFresh); !reflect.DeepEqual(fresh.Pos, third.Pos) {
-		t.Fatal("partially-rebuilt dense run diverged from plain exact run")
 	}
 }
 
 // TestSampledFastMatchesForceSemantics spot-checks that the frozen-peer
-// fast mode still respects force directions: attracted pairs end closer
-// than repelled ones under the same geometry.
+// fast mode still respects force directions: an all-repulsive field
+// expands the cloud.
 func TestSampledFastMatchesForceSemantics(t *testing.T) {
 	const n = 520
 	ids := fastIDs(n)
-	field := newGenTestField(ids) // all-repulsive
 	cfg := Config{Seed: 2, FastMath: true, MaxIters: 8, SampleK: 24}
-	res := Run(ids, nil, field, cfg)
+	res := Run(ids, nil, &countingField{}, cfg)
 	var spread float64
 	for _, p := range res.Pos {
 		spread += math.Hypot(p.X, p.Y)

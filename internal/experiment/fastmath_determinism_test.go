@@ -15,7 +15,7 @@ import (
 
 // TestFastMathDeterministic extends the worker-budget guarantee to the
 // quantized fast path: with FastMath on — frozen-peer sampled embedding,
-// cached force rows, quantized correlation kernel — the same narrow grid
+// quantized correlation kernel — the same narrow grid
 // must still produce byte-identical ResultSet JSON at Parallelism 1, 2 and
 // GOMAXPROCS+6. Fast mode is approximate versus exact, but it is required
 // to be exactly reproducible at any worker count; the CI race job runs
@@ -25,7 +25,7 @@ func TestFastMathDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Scale = 0.02 // ~630 VMs: the sampled fast path plus cached rows
+	spec.Scale = 0.02 // ~630 VMs: the sampled fast path with frozen peers
 	spec.Seed = 17
 	spec.Horizon = timeutil.Hours(3)
 	spec.FineStepSec = 600

@@ -74,7 +74,7 @@ type Input struct {
 	Workers *par.Budget
 
 	// FastMath opts controllers into their approximate fast-numeric paths
-	// (quantized correlation kernel, epoch-amortized embedding caches).
+	// (quantized correlation kernel, frozen embedding peers).
 	// Default off: every controller must be bit-identical to prior releases
 	// when unset. See correlation.FastEps for the per-pair error budget.
 	FastMath bool

@@ -141,7 +141,7 @@ type Scenario struct {
 	// Results are bit-identical at any worker count.
 	Workers *par.Budget
 	// FastMath opts controllers into their approximate fast-numeric paths
-	// (quantized correlation kernel, epoch-amortized embedding caches);
+	// (quantized correlation kernel, frozen embedding peers);
 	// default off leaves every run bit-identical to prior releases.
 	FastMath bool
 	// Faults injects a deterministic failure schedule (internal/fault):
