@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -187,24 +185,7 @@ func TestGoldenFrontierSet(t *testing.T) {
 	}
 	got := append(js, '\n')
 
-	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenFrontierPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFrontierPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s (%d bytes)", goldenFrontierPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(goldenFrontierPath)
-	if err != nil {
-		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFrontierSet .", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("FrontierSet JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
-			goldenFrontierPath, firstDiff(got, want))
-	}
+	matchGolden(t, goldenFrontierPath, got)
 }
 
 // TestFrontierObjectives covers the extractor surface on one real run:

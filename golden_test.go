@@ -62,25 +62,7 @@ func TestGoldenResultSet(t *testing.T) {
 	// comparing: the dynamic scenario must report per-epoch migrations.
 	assertDynamicCoverage(t, set)
 
-	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s (%d bytes)", goldenPath, len(got))
-		return
-	}
-
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenResultSet .", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("ResultSet JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
-			goldenPath, firstDiff(got, want))
-	}
+	matchGolden(t, goldenPath, got)
 }
 
 // assertDynamicCoverage fails when the dynamic half of the golden grid
@@ -105,6 +87,30 @@ func assertDynamicCoverage(t *testing.T, set *ResultSet) {
 	}
 	if migrations == 0 {
 		t.Fatal("dynamic scenario executed no migrations: the golden no longer covers migration accounting")
+	}
+}
+
+// matchGolden compares got with the committed golden file at path, or
+// rewrites the file when GEOVMP_UPDATE_GOLDEN is set.
+func matchGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run %s .", err, t.Name())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
+			path, firstDiff(got, want))
 	}
 }
 
@@ -191,25 +197,7 @@ func TestGoldenFastMath(t *testing.T) {
 	}
 	got := append(js, '\n')
 
-	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenFastMathPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFastMathPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s (%d bytes)", goldenFastMathPath, len(got))
-		return
-	}
-
-	want, err := os.ReadFile(goldenFastMathPath)
-	if err != nil {
-		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFastMath .", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("ResultSet JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
-			goldenFastMathPath, firstDiff(got, want))
-	}
+	matchGolden(t, goldenFastMathPath, got)
 }
 
 // goldenFaultyPath pins the survivability surface: the geo5dc-faulty preset
@@ -266,23 +254,5 @@ func TestGoldenFaulty(t *testing.T) {
 		t.Fatal("no cell shows loss risk, repair traffic and evacuations: the golden no longer covers the fault path")
 	}
 
-	if os.Getenv("GEOVMP_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenFaultyPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFaultyPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s (%d bytes)", goldenFaultyPath, len(got))
-		return
-	}
-
-	want, err := os.ReadFile(goldenFaultyPath)
-	if err != nil {
-		t.Fatalf("no golden file (%v); generate one with GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFaulty .", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("ResultSet JSON drifted from %s at %s.\nIf the change is intentional, regenerate with GEOVMP_UPDATE_GOLDEN=1 and commit the diff.",
-			goldenFaultyPath, firstDiff(got, want))
-	}
+	matchGolden(t, goldenFaultyPath, got)
 }
