@@ -120,11 +120,20 @@ func main() {
 		fmt.Fprintf(&b, ",vm%d", id)
 	}
 	b.WriteString("\n")
-	steps := timeutil.Horizon{Slots: w.Slots()}.Steps()
-	for st := timeutil.Step(0); st < steps; st += 12 { // one sample per minute
+	var steps []timeutil.Step
+	for st := timeutil.Step(0); st < (timeutil.Horizon{Slots: w.Slots()}).Steps(); st += 12 { // one sample per minute
+		steps = append(steps, st)
+	}
+	grid := trace.NewStepGrid(steps)
+	util := make([][]float64, n)
+	for id := range util {
+		util[id] = make([]float64, grid.Len())
+		trace.FillUtil(util[id], w, id, grid)
+	}
+	for k, st := range steps {
 		fmt.Fprintf(&b, "%d,%.0f", st, st.Seconds())
-		for id := 0; id < n; id++ {
-			fmt.Fprintf(&b, ",%.4f", w.Util(id, st))
+		for id := range util {
+			fmt.Fprintf(&b, ",%.4f", util[id][k])
 		}
 		b.WriteString("\n")
 	}

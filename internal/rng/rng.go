@@ -31,7 +31,7 @@ func New(seed uint64) *Source {
 // stream label. Deriving is stable: the same parent seed and label always
 // produce the same stream regardless of how much the parent has been used.
 func (s *Source) Derive(label string) *Source {
-	h := mix64(s.state ^ 0x9e3779b97f4a7c15)
+	h := mix64(s.state ^ golden)
 	for i := 0; i < len(label); i++ {
 		h = mix64(h ^ uint64(label[i])*0x100000001b3)
 	}
@@ -40,7 +40,7 @@ func (s *Source) Derive(label string) *Source {
 
 // Uint64 returns the next pseudo-random 64-bit value.
 func (s *Source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += golden
 	return mix64(s.state)
 }
 
@@ -170,30 +170,54 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
+// hashSeed is the initial state of Hash; golden is the splitmix64
+// increment every key is offset by before mixing.
+const (
+	hashSeed = 0x2545f4914f6cdd1d
+	golden   = 0x9e3779b97f4a7c15
+)
+
 // Hash combines an arbitrary number of integer keys into a single
 // well-mixed 64-bit hash. It is the basis of the stateless noise functions.
+// Hash(keys..., k) == Fold(Hash(keys...), k), so callers that vary only the
+// last key can hash the fixed keys once and fold the rest.
 func Hash(keys ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
+	h := uint64(hashSeed)
 	for _, k := range keys {
-		h = mix64(h ^ mix64(k+0x9e3779b97f4a7c15))
+		h = Fold(h, k)
 	}
 	return h
 }
+
+// Key pre-mixes one key for folding: Fold(h, k) == FoldKey(h, Key(k)). A key
+// shared by many prefixes (a time step folded into every VM's hash) is
+// mixed once.
+func Key(k uint64) uint64 { return mix64(k + golden) }
+
+// FoldKey folds a pre-mixed key (see Key) into the hash prefix h.
+func FoldKey(h, key uint64) uint64 { return mix64(h ^ key) }
+
+// Fold extends the hash prefix h by one more key.
+func Fold(h, k uint64) uint64 { return FoldKey(h, Key(k)) }
+
+// Unit maps a hash to [0, 1) with 53 bits of precision: Noise01(keys...) ==
+// Unit(Hash(keys...)).
+func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Noise01 returns a deterministic pseudo-uniform value in [0, 1) keyed by
 // the given integers. Calls are stateless: the same keys always give the
 // same value, so lazy trace generators can evaluate "random" samples at any
 // timestamp in any order.
 func Noise01(keys ...uint64) float64 {
-	return float64(Hash(keys...)>>11) / (1 << 53)
+	return Unit(Hash(keys...))
 }
 
 // NoiseNorm returns a deterministic standard-normal value keyed by the given
 // integers, via Box-Muller over two decorrelated hash draws.
 func NoiseNorm(keys ...uint64) float64 {
 	h := Hash(keys...)
-	u1 := 1 - float64(h>>11)/(1<<53)
-	u2 := float64(mix64(h)>>11) / (1 << 53)
+	u1 := 1 - Unit(h)
+	u2 := Unit(mix64(h))
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
@@ -202,18 +226,29 @@ func NoiseNorm(keys ...uint64) float64 {
 // drives slowly-varying trace components (e.g. cloud cover) where white
 // noise would be unphysical.
 //
-// It is allocation-free: the lattice hashes fold the x0 key onto the
-// incrementally-hashed prefix instead of building key slices, producing the
-// same values as Noise01(keys..., x0).
+// It is the composition of its two halves, which callers sampling many
+// points can evaluate separately: Lattice depends on x only, LatticeEnds on
+// the keys and the lattice cell only, and Blend joins them.
 func SmoothNoise(x float64, keys ...uint64) float64 {
-	x0 := math.Floor(x)
-	t := x - x0
-	h := Hash(keys...)
-	h0 := mix64(h ^ mix64(uint64(int64(x0))+0x9e3779b97f4a7c15))
-	h1 := mix64(h ^ mix64(uint64(int64(x0)+1)+0x9e3779b97f4a7c15))
-	a := float64(h0>>11) / (1 << 53)
-	b := float64(h1>>11) / (1 << 53)
-	// Cosine ease curve keeps the derivative continuous at lattice points.
-	w := (1 - math.Cos(math.Pi*t)) / 2
-	return a*(1-w) + b*w
+	cell, ease := Lattice(x)
+	a, b := LatticeEnds(Hash(keys...), cell)
+	return Blend(a, b, ease)
 }
+
+// Lattice returns the lattice cell containing x and the cosine ease weight
+// of x within it. The ease curve keeps SmoothNoise's derivative continuous
+// at lattice points.
+func Lattice(x float64) (cell int64, ease float64) {
+	x0 := math.Floor(x)
+	return int64(x0), (1 - math.Cos(math.Pi*(x-x0))) / 2
+}
+
+// LatticeEnds returns the noise values at both ends of a lattice cell for
+// the hash prefix h: Noise01(keys..., cell) and Noise01(keys..., cell+1)
+// when h == Hash(keys...).
+func LatticeEnds(h uint64, cell int64) (a, b float64) {
+	return Unit(Fold(h, uint64(cell))), Unit(Fold(h, uint64(cell+1)))
+}
+
+// Blend interpolates between lattice end values by an ease weight.
+func Blend(a, b, ease float64) float64 { return a*(1-ease) + b*ease }

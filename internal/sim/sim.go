@@ -372,7 +372,7 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	}
 	var fine *finePlan
 	if fineSteps > 0 {
-		fine = newFinePlan(n, fineSteps, sc.FineStepSec)
+		fine = newFinePlan(n, fineSteps)
 	}
 	// Rolling-horizon engine state; nil on the static path, which must stay
 	// byte-identical to the pre-epoch simulator.
@@ -728,26 +728,29 @@ func (v *allocView) itPowerAt(w trace.Source, d *dc.DC, step timeutil.Step) (uni
 
 // finePlan holds the per-DC per-step IT power and throttled demand of one
 // slot, evaluated in a single pass over the compiled utilization rows. The
-// buffers are reused across slots; the per-server load scratch lives in a
-// pool because the per-DC evaluations may run on concurrent shards.
+// buffers are reused across slots; the per-server scratch lives in a pool
+// because the per-DC evaluations may run on concurrent shards.
 type finePlan struct {
 	steps     int
-	dt        float64
 	itPower   [][]units.Power // [dc][step]
 	throttled [][]float64     // [dc][step]
-	srvLoad   sync.Pool       // *[]float64, [step] scratch for one server
+	scratch   sync.Pool       // *fineScratch
 }
 
-func newFinePlan(n, steps int, dt float64) *finePlan {
+// fineScratch is one shard's per-step scratch: a server's summed load and
+// a synthesized row for VMs the fine table does not cover.
+type fineScratch struct {
+	load, row []float64
+}
+
+func newFinePlan(n, steps int) *finePlan {
 	p := &finePlan{
 		steps:     steps,
-		dt:        dt,
 		itPower:   make([][]units.Power, n),
 		throttled: make([][]float64, n),
 	}
-	p.srvLoad.New = func() any {
-		buf := make([]float64, steps)
-		return &buf
+	p.scratch.New = func() any {
+		return &fineScratch{load: make([]float64, steps), row: make([]float64, steps)}
 	}
 	for i := 0; i < n; i++ {
 		p.itPower[i] = make([]units.Power, steps)
@@ -765,9 +768,9 @@ func newFinePlan(n, steps int, dt float64) *finePlan {
 // produces the serial result.
 func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) {
 	par.For(workers, len(fleet), 1, func(lo, hi int) {
-		buf := p.srvLoad.Get().(*[]float64)
-		load := *buf
-		defer p.srvLoad.Put(buf)
+		buf := p.scratch.Get().(*fineScratch)
+		load := buf.load
+		defer p.scratch.Put(buf)
 		for i := lo; i < hi; i++ {
 			d := fleet[i]
 			itp := p.itPower[i]
@@ -780,16 +783,10 @@ func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fle
 					row := rows.FineRow(id, sl)
 					if row == nil {
 						// A VM the table does not cover (a policy allocating
-						// a never-active id): read the source at the exact
-						// steps the fine loop derives.
-						start := sl.Seconds()
-						k := 0
-						for t := 0.0; t < timeutil.SlotSeconds; t += p.dt {
-							step := timeutil.Step(int64(start+t) / timeutil.StepSeconds)
-							load[k] += c.Util(id, step)
-							k++
-						}
-						continue
+						// a never-active id): synthesize its row at the
+						// slot's fine steps.
+						row = buf.row
+						c.FillFineRow(row, id, sl)
 					}
 					for k := range load {
 						load[k] += row[k]

@@ -89,11 +89,11 @@ type Compiled struct {
 	// Out-of-core state. fineChunk/profChunk are the streamed chunk
 	// widths in slots for tables that exceeded the budget (0 when the
 	// table is resident or absent); cursors compile windows on demand
-	// from the retained active windows and step lists.
+	// from the retained active windows and step grids.
 	fineChunk   int
 	profChunk   int
-	first, last []timeutil.Slot   // per-VM active windows (chunked modes)
-	stepsBySlot [][]timeutil.Step // fine-loop step lists (chunked fine)
+	first, last []timeutil.Slot // per-VM active windows (chunked modes)
+	grids       []StepGrid      // per slot, the fine loop's step grid
 
 	// Footprints recorded for the already-compiled fast path: what the
 	// full tables would cost resident, and the peak one-slot cost that
@@ -130,25 +130,37 @@ func fineStepsPerSlot(dt float64) int {
 	return k
 }
 
-// profileToFine maps, per slot, each profile sample index to the fine-row
-// index that reads the same Util step (the profile grid is start+i*stride,
-// mirroring Workload.FillSlotProfile), or nil for slots where any sample
-// lies outside the fine grid.
-func profileToFine(stepsBySlot [][]timeutil.Step, samples int) [][]int {
-	stride := timeutil.StepsPerSlot / samples
-	if stride < 1 {
-		stride = 1
+// fineGrids builds the per-slot step grids of the simulator's fine loop,
+// replicating its step derivation bit for bit — including its
+// floating-point time accumulation — over one shared backing array.
+func fineGrids(slots timeutil.Slot, dt float64, steps int) []StepGrid {
+	pts := make([]gridPoint, 0, int(slots)*steps)
+	grids := make([]StepGrid, slots)
+	for sl := range grids {
+		lo := len(pts)
+		start := timeutil.Slot(sl).Seconds()
+		for t := 0.0; t < timeutil.SlotSeconds; t += dt {
+			pts = append(pts, newGridPoint(timeutil.Step(int64(start+t)/timeutil.StepSeconds), true))
+		}
+		grids[sl] = StepGrid{pts[lo:len(pts):len(pts)]}
 	}
-	out := make([][]int, len(stepsBySlot))
-	for sl, fs := range stepsBySlot {
+	return grids
+}
+
+// profileToFine maps, per slot, each profile sample index to the fine-row
+// index that reads the same Util step (the profile grid mirrors
+// Workload.FillSlotProfile), or nil for slots where any sample lies outside
+// the fine grid.
+func profileToFine(grids []StepGrid, samples int) [][]int {
+	out := make([][]int, len(grids))
+	for sl, g := range grids {
 		m := make([]int, samples)
 		ok := true
-		start := timeutil.Slot(sl).Start()
 		for i := 0; i < samples; i++ {
-			want := start + timeutil.Step(i*stride)
+			want := profileStep(timeutil.Slot(sl), i, samples)
 			k := -1
-			for j, st := range fs {
-				if st == want {
+			for j, p := range g.pts {
+				if p.step == want {
 					k = j
 					break
 				}
@@ -235,10 +247,9 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	})
 
 	// Fine-step utilization rows over each VM's active window, within the
-	// memory budget. The per-slot step lists are hoisted out of the per-VM
-	// loop; they replicate the simulator's fine loop bit-for-bit,
-	// including its floating-point time accumulation. Past the budget the
-	// table goes out-of-core: the active windows and step lists are
+	// memory budget. The per-slot step grids are built once, shared by
+	// every VM's row fill and retained for the cursors. Past the budget the
+	// table goes out-of-core: the active windows and step grids are
 	// retained and a FineCursor compiles slot-range chunks on demand.
 	steps := fineStepsPerSlot(c.dt)
 	var winPeak int64 // most VM windows overlapping any one slot
@@ -265,17 +276,8 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	}
 	c.fineSlotPeak = winPeak * int64(steps) * 8
 	if opt.MaxFineTableBytes > 0 {
-		stepsBySlot := make([][]timeutil.Step, slots)
-		for sl := timeutil.Slot(0); sl < c.slots; sl++ {
-			row := make([]timeutil.Step, 0, steps)
-			start := sl.Seconds()
-			for t := 0.0; t < timeutil.SlotSeconds; t += c.dt {
-				row = append(row, timeutil.Step(int64(start+t)/timeutil.StepSeconds))
-			}
-			stepsBySlot[sl] = row
-		}
 		c.steps = steps
-		c.stepsBySlot = stepsBySlot
+		c.grids = fineGrids(c.slots, c.dt, steps)
 		if c.fineBytes <= opt.MaxFineTableBytes {
 			c.fineStart = make([]timeutil.Slot, c.numVMs)
 			c.fine = make([][]float64, c.numVMs)
@@ -287,14 +289,8 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 						continue
 					}
 					c.fineStart[id] = first[id]
-					rows := make([]float64, int(last[id]-first[id]+1)*steps)
-					c.fine[id] = rows
-					for sl := first[id]; sl <= last[id]; sl++ {
-						row := rows[int(sl-first[id])*steps:]
-						for k, step := range stepsBySlot[sl] {
-							row[k] = src.Util(id, step)
-						}
-					}
+					c.fine[id] = make([]float64, int(last[id]-first[id]+1)*steps)
+					c.fillFineRows(c.fine[id], id, first[id], last[id])
 				}
 			})
 		} else {
@@ -329,7 +325,7 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 			filler, _ := src.(slotProfileFiller)
 			var profToFine [][]int
 			if _, utilSampled := src.(*Workload); utilSampled && c.fine != nil {
-				profToFine = profileToFine(c.stepsBySlot, c.samples)
+				profToFine = profileToFine(c.grids, c.samples)
 			}
 			c.profStart = make([]timeutil.Slot, c.numVMs)
 			c.prof = make([][]float64, c.numVMs)
@@ -378,6 +374,23 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 		}
 	})
 	return c
+}
+
+// fillFineRows writes the VM's fine rows for slots a..b into dst, one row
+// of c.steps values per slot: the row fill the resident table and the
+// FineCursor share.
+func (c *Compiled) fillFineRows(dst []float64, id int, a, b timeutil.Slot) {
+	for sl := a; sl <= b; sl++ {
+		FillUtil(dst[int(sl-a)*c.steps:], c.src, id, c.grids[sl])
+	}
+}
+
+// FillFineRow synthesizes the VM's utilization at every fine step of slot
+// sl into dst[:steps] (see FineParams): the values FineRow would hold, for
+// (id, sl) pairs the table does not cover. It requires a fine table and a
+// slot within the compiled horizon.
+func (c *Compiled) FillFineRow(dst []float64, id int, sl timeutil.Slot) {
+	FillUtil(dst, c.src, id, c.grids[sl])
 }
 
 // chunkWidth sizes the streamed window of an out-of-core table: the widest

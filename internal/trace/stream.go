@@ -53,9 +53,10 @@ func newChunkCursor(c *Compiled, workers *par.Budget, width, rowLen int) chunkCu
 }
 
 // position sets the window to the chunk containing sl and lays out the
-// per-VM row runs; it reports whether the window changed. fill is then
-// responsible for writing buf.
-func (cur *chunkCursor) position(sl timeutil.Slot) bool {
+// per-VM row runs over each VM's covered slots [a, b] as window reports
+// them (a > b: none); it reports whether the window changed. The caller
+// then writes buf.
+func (cur *chunkCursor) position(sl timeutil.Slot, window func(id int) (a, b timeutil.Slot)) bool {
 	if sl < 0 || sl >= cur.c.slots {
 		return false
 	}
@@ -70,7 +71,8 @@ func (cur *chunkCursor) position(sl timeutil.Slot) bool {
 	}
 	rows := 0
 	for id := 0; id < cur.c.numVMs; id++ {
-		a, b := cur.winFor(id)
+		a, b := window(id)
+		a, b = max(a, cur.lo), min(b, cur.hi-1)
 		if a > b {
 			cur.start[id] = -1
 			continue
@@ -87,19 +89,22 @@ func (cur *chunkCursor) position(sl timeutil.Slot) bool {
 	return true
 }
 
-// winFor intersects the VM's covered slot window with the current chunk.
-func (cur *chunkCursor) winFor(id int) (a, b timeutil.Slot) {
-	if cur.c.first[id] < 0 {
+// activeWindow returns the VM's active slots [first, last] (a > b when it
+// is never active): the slots its fine rows cover.
+func (c *Compiled) activeWindow(id int) (a, b timeutil.Slot) {
+	if c.first[id] < 0 {
 		return 1, 0
 	}
-	a, b = cur.c.first[id], cur.c.last[id]
-	if a < cur.lo {
-		a = cur.lo
+	return c.first[id], c.last[id]
+}
+
+// obsWindow returns the observation slots the VM's profile rows cover,
+// mirroring the resident table's [obsSlot(first), obsSlot(last)] rows.
+func (c *Compiled) obsWindow(id int) (a, b timeutil.Slot) {
+	if c.first[id] < 0 {
+		return 1, 0
 	}
-	if b >= cur.hi {
-		b = cur.hi - 1
-	}
-	return a, b
+	return obsSlot(c.first[id]), obsSlot(c.last[id])
 }
 
 // row returns the buffered row for (id, sl), or nil when uncovered. Pure
@@ -123,9 +128,10 @@ func (cur *chunkCursor) WindowBytes() int64 { return int64(len(cur.buf)) * 8 }
 // FineCursor streams an out-of-core fine table chunk by chunk. One cursor
 // serves one simulation run: Advance is called serially (once per slot, by
 // the run's slot loop) and FineRow is safe for the run's concurrent
-// readers between advances. Rows are filled with the same expression as
-// the resident table — src.Util at the retained per-slot step lists — so
-// the streamed values are byte-identical to the in-core compile.
+// readers between advances. Rows are filled by the same row fill as the
+// resident table — the source's row kernel over the retained per-slot step
+// grids — so the streamed values are byte-identical to the in-core
+// compile.
 type FineCursor struct {
 	chunkCursor
 }
@@ -144,22 +150,14 @@ func (c *Compiled) NewFineCursor(workers *par.Budget) *FineCursor {
 // Advance positions the cursor on the chunk containing sl, compiling it if
 // the window moved. Must not run concurrently with FineRow.
 func (cur *FineCursor) Advance(sl timeutil.Slot) {
-	if !cur.position(sl) {
+	c := cur.c
+	if !cur.position(sl, c.activeWindow) {
 		return
 	}
-	c := cur.c
 	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
-			a := cur.start[id]
-			if a < 0 {
-				continue
-			}
-			rows := cur.buf[cur.off[id]*cur.rowLen:]
-			for sl := a; sl <= cur.end[id]; sl++ {
-				row := rows[int(sl-a)*cur.rowLen:]
-				for k, step := range c.stepsBySlot[sl] {
-					row[k] = c.src.Util(id, step)
-				}
+			if a := cur.start[id]; a >= 0 {
+				c.fillFineRows(cur.buf[cur.off[id]*cur.rowLen:], id, a, cur.end[id])
 			}
 		}
 	})
@@ -190,55 +188,14 @@ func (c *Compiled) NewProfileCursor(workers *par.Budget) *ProfileCursor {
 	return cur
 }
 
-// winFor of the profile cursor covers observation slots, mirroring the
-// resident table's [obsSlot(first), obsSlot(last)] rows.
-func (cur *ProfileCursor) winForObs(id int) (a, b timeutil.Slot) {
-	if cur.c.first[id] < 0 {
-		return 1, 0
-	}
-	a, b = obsSlot(cur.c.first[id]), obsSlot(cur.c.last[id])
-	if a < cur.lo {
-		a = cur.lo
-	}
-	if b >= cur.hi {
-		b = cur.hi - 1
-	}
-	return a, b
-}
-
 // Advance positions the cursor on the chunk containing observation slot
 // obs, compiling it if the window moved. Must not run concurrently with
 // ProfileRow.
 func (cur *ProfileCursor) Advance(obs timeutil.Slot) {
-	if obs < 0 || obs >= cur.c.slots {
-		return
-	}
-	if obs >= cur.lo && obs < cur.hi {
-		return
-	}
-	k := int(obs) / cur.width
-	cur.lo = timeutil.Slot(k * cur.width)
-	cur.hi = cur.lo + timeutil.Slot(cur.width)
-	if cur.hi > cur.c.slots {
-		cur.hi = cur.c.slots
-	}
-	rows := 0
-	for id := 0; id < cur.c.numVMs; id++ {
-		a, b := cur.winForObs(id)
-		if a > b {
-			cur.start[id] = -1
-			continue
-		}
-		cur.start[id], cur.end[id] = a, b
-		cur.off[id] = rows
-		rows += int(b - a + 1)
-	}
-	need := rows * cur.rowLen
-	if cap(cur.buf) < need {
-		cur.buf = make([]float64, need)
-	}
-	cur.buf = cur.buf[:need]
 	c := cur.c
+	if !cur.position(obs, c.obsWindow) {
+		return
+	}
 	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
 			a := cur.start[id]

@@ -462,27 +462,13 @@ func (v *VM) dayFactor(day int) float64 {
 }
 
 // Util returns the VM's CPU demand, in fractions of a reference core, at
-// fine step st. It is a pure function of the workload seed.
+// fine step st. It is a pure function of the workload seed: the one-step
+// case of the row kernel (see FillUtil).
 func (w *Workload) Util(id int, st timeutil.Step) float64 {
-	v := w.vms[id]
-	sec := st.Seconds()
-	day := int(sec / 86400)
-	h := sec/3600 - float64(day)*24
-
-	base := v.mean + v.amp*math.Cos((h-v.peakHour)/24*2*math.Pi)
-	base *= v.dayFactor(day)
-
-	slow := (rng.SmoothNoise(sec/600, v.seed, 0x510) - 0.5) * 2 * v.slowAmp
-	fast := (rng.Noise01(v.seed, 0xFA57, uint64(st)) - 0.5) * 2 * v.fastAmp
-
-	u := base + slow + fast
-	if v.burstAmp > 0 {
-		// Burst windows ~30 min wide covering ~1/4 of the time.
-		if rng.SmoothNoise(sec/1800, v.seed, 0xB057) > 0.75 {
-			u += v.burstAmp
-		}
-	}
-	return units.Clamp(u, 0.02, 1)
+	pt := [1]gridPoint{newGridPoint(st, w.vms[id].burstAmp > 0)}
+	var u [1]float64
+	w.fillUtilRow(u[:], id, StepGrid{pt[:]})
+	return u[0]
 }
 
 // SlotProfile returns n samples of the VM's utilization spread evenly across
@@ -493,44 +479,29 @@ func (w *Workload) SlotProfile(id int, sl timeutil.Slot, n int) []float64 {
 	return prof
 }
 
-// FillSlotProfile is the allocation-free variant of SlotProfile.
-func (w *Workload) FillSlotProfile(dst []float64, id int, sl timeutil.Slot) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
+// profileStep returns the step of sample i of an n-sample profile of slot
+// sl: samples are strided evenly from the slot's first step.
+func profileStep(sl timeutil.Slot, i, n int) timeutil.Step {
 	stride := timeutil.StepsPerSlot / n
 	if stride < 1 {
 		stride = 1
 	}
-	start := sl.Start()
+	return sl.Start() + timeutil.Step(i*stride)
+}
+
+// FillSlotProfile is the allocation-free variant of SlotProfile: one
+// row-kernel pass over the profile's strided step grid.
+func (w *Workload) FillSlotProfile(dst []float64, id int, sl timeutil.Slot) {
+	n := len(dst)
+	var buf [16]gridPoint
+	pts := buf[:0]
+	if n > len(buf) {
+		pts = make([]gridPoint, 0, n)
+	}
 	for i := 0; i < n; i++ {
-		dst[i] = w.Util(id, start+timeutil.Step(i*stride))
+		pts = append(pts, newGridPoint(profileStep(sl, i, n), true))
 	}
-}
-
-// MeanUtil returns the average of a 12-sample profile of slot sl.
-func (w *Workload) MeanUtil(id int, sl timeutil.Slot) float64 {
-	var prof [12]float64
-	w.FillSlotProfile(prof[:], id, sl)
-	var sum float64
-	for _, u := range prof {
-		sum += u
-	}
-	return sum / float64(len(prof))
-}
-
-// PeakUtil returns the maximum of a 12-sample profile of slot sl.
-func (w *Workload) PeakUtil(id int, sl timeutil.Slot) float64 {
-	var prof [12]float64
-	w.FillSlotProfile(prof[:], id, sl)
-	var peak float64
-	for _, u := range prof {
-		if u > peak {
-			peak = u
-		}
-	}
-	return peak
+	w.fillUtilRow(dst, id, StepGrid{pts})
 }
 
 // serviceActivity is the unit-mean time-varying modulation of a service's

@@ -246,12 +246,33 @@ func TestVolumesOnlyBetweenActiveVMs(t *testing.T) {
 	}
 }
 
+// profileMean and profilePeak summarize a 12-sample profile of slot sl.
+func profileMean(w *Workload, id int, sl timeutil.Slot) float64 {
+	var prof [12]float64
+	w.FillSlotProfile(prof[:], id, sl)
+	var sum float64
+	for _, u := range prof {
+		sum += u
+	}
+	return sum / float64(len(prof))
+}
+
+func profilePeak(w *Workload, id int, sl timeutil.Slot) float64 {
+	var prof [12]float64
+	w.FillSlotProfile(prof[:], id, sl)
+	var peak float64
+	for _, u := range prof {
+		peak = max(peak, u)
+	}
+	return peak
+}
+
 func TestMeanAndPeakUtilConsistent(t *testing.T) {
 	w := testWorkload(t, 37)
 	for id := 0; id < 20; id++ {
 		for _, sl := range []timeutil.Slot{0, 5, 20} {
-			mean := w.MeanUtil(id, sl)
-			peak := w.PeakUtil(id, sl)
+			mean := profileMean(w, id, sl)
+			peak := profilePeak(w, id, sl)
 			if mean > peak+1e-12 {
 				t.Fatalf("vm %d slot %d: mean %v > peak %v", id, sl, mean, peak)
 			}
@@ -286,7 +307,7 @@ func TestHPCFlatterThanWebSearch(t *testing.T) {
 				continue
 			}
 			for h := 0; h < 24; h++ {
-				vals = append(vals, w.MeanUtil(id, timeutil.Slot(h)))
+				vals = append(vals, profileMean(w, id, timeutil.Slot(h)))
 			}
 			if len(vals) > 24*20 {
 				break
@@ -316,10 +337,10 @@ func TestDayExtensionPreservesMeanRoughly(t *testing.T) {
 	n := 0
 	for id := 0; id < 100; id++ {
 		for h := 0; h < 24; h++ {
-			day1 += w.MeanUtil(id, timeutil.Slot(h))
+			day1 += profileMean(w, id, timeutil.Slot(h))
 		}
 		for h := 0; h < 168; h++ {
-			week += w.MeanUtil(id, timeutil.Slot(h))
+			week += profileMean(w, id, timeutil.Slot(h))
 		}
 		n++
 	}
