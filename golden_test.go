@@ -138,30 +138,35 @@ func firstDiff(got, want []byte) string {
 }
 
 // goldenFastMathPath pins the opt-in fast numeric mode, which the exact
-// goldens never enter. Regenerate with:
+// goldens never enter, and goldenSampledPath pins the exact sampled
+// embedding on the same grid. Regenerate with:
 //
-//	GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFastMath .
-const goldenFastMathPath = "testdata/golden_fastmath.json"
+//	GEOVMP_UPDATE_GOLDEN=1 go test -run 'TestGoldenFastMath|TestGoldenSampled' .
+const (
+	goldenFastMathPath = "testdata/golden_fastmath.json"
+	goldenSampledPath  = "testdata/golden_sampled.json"
+)
 
-// fastMathGoldenMinVMs is the fleet the fast grid must exceed in every
+// sampledGoldenMinVMs is the fleet the sampled grid must exceed in every
 // cell: embed.Config's default ExactThreshold, above which the sampled
-// runner (and with it the frozen-peer table) takes over from the dense one.
-const fastMathGoldenMinVMs = 512
+// runner (and in fast mode the frozen-peer table) takes over from the dense
+// one.
+const sampledGoldenMinVMs = 512
 
-func goldenFastMathGrid() *Experiment {
+func goldenSampledGrid(fastMath bool) *Experiment {
 	static := MustPreset("paper-geo3dc")
 	static.Scale = 0.03
 	static.Seed = 23
 	static.Horizon = HoursOf(8)
 	static.FineStepSec = 600
-	static.FastMath = true
+	static.FastMath = fastMath
 
 	dynamic := MustPreset("geo5dc-dynamic")
 	dynamic.Scale = 0.02
 	dynamic.Seed = 29
 	dynamic.Horizon = HoursOf(8)
 	dynamic.FineStepSec = 600
-	dynamic.FastMath = true
+	dynamic.FastMath = fastMath
 
 	return NewExperiment(
 		WithScenarios(static, dynamic),
@@ -175,7 +180,21 @@ func goldenFastMathGrid() *Experiment {
 // JSON bit for bit, on fleets large enough that the sampled embedding runs
 // with frozen peers rather than the dense exact mode.
 func TestGoldenFastMath(t *testing.T) {
-	set, err := goldenFastMathGrid().Run(context.Background())
+	matchSampledGolden(t, true, goldenFastMathPath)
+}
+
+// TestGoldenSampled is TestGoldenFastMath's exact twin: the same grid with
+// FastMath off, so the sampled embedding redraws its peers every iteration
+// through the exact peak-coincidence kernel.
+func TestGoldenSampled(t *testing.T) {
+	matchSampledGolden(t, false, goldenSampledPath)
+}
+
+// matchSampledGolden runs the sampled grid in the given mode, checks every
+// cell ends above the exact threshold, and compares the export with path.
+func matchSampledGolden(t *testing.T, fastMath bool, path string) {
+	t.Helper()
+	set, err := goldenSampledGrid(fastMath).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +202,11 @@ func TestGoldenFastMath(t *testing.T) {
 		for ki := range set.SeedOffsets {
 			r := set.At(si, 0, ki).Result
 			if r == nil {
-				t.Fatalf("fast-math cell (%d,%d) missing", si, ki)
+				t.Fatalf("sampled cell (%d,%d) missing", si, ki)
 			}
-			if n := len(r.FinalPlacement); n <= fastMathGoldenMinVMs {
-				t.Fatalf("%s seed+%d ends with %d active VMs, not above %d: the golden no longer covers the sampled fast path",
-					set.Scenarios[si], ki, n, fastMathGoldenMinVMs)
+			if n := len(r.FinalPlacement); n <= sampledGoldenMinVMs {
+				t.Fatalf("%s seed+%d ends with %d active VMs, not above %d: the golden no longer covers the sampled embedding",
+					set.Scenarios[si], ki, n, sampledGoldenMinVMs)
 			}
 		}
 	}
@@ -197,7 +216,7 @@ func TestGoldenFastMath(t *testing.T) {
 	}
 	got := append(js, '\n')
 
-	matchGolden(t, goldenFastMathPath, got)
+	matchGolden(t, path, got)
 }
 
 // goldenFaultyPath pins the survivability surface: the geo5dc-faulty preset
