@@ -28,6 +28,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"geovmp/internal/alloc"
@@ -135,6 +136,11 @@ type field struct {
 	// fast routes the repulsion term through the quantized
 	// peak-coincidence kernel (error bound correlation.FastEps per pair).
 	fast bool
+	// ids and packed hold the embedding run's point order (see Bind):
+	// point i is ids[i], and packed lays the exact kernel's profile rows
+	// out in that order.
+	ids    []int
+	packed *correlation.Packed
 }
 
 // Force implements embed.Field: F_t exerted on `onto` by `by`, combining
@@ -151,18 +157,55 @@ func (f *field) Force(onto, by int) float64 {
 	return f.alpha*fa + (1-f.alpha)*fr
 }
 
+// packedPool recycles the per-run packed profile tables (a few MiB at
+// paper scale) across slots and cells.
+var packedPool = sync.Pool{New: func() any { return new(correlation.Packed) }}
+
+// idsPool recycles fast mode's index -> id translation buffers.
+var idsPool = sync.Pool{New: func() any { return new([]int) }}
+
+// Bind implements embed.SplitField: it packs the slot's profile rows in the
+// run's point order, so the exact kernel resolves a partner with one dense
+// record load. Fast mode keeps its id-addressed quantized tables and only
+// records the order.
+func (f *field) Bind(ids []int) {
+	f.ids = ids
+	if f.fast {
+		return
+	}
+	if f.packed == nil {
+		f.packed = packedPool.Get().(*correlation.Packed)
+	}
+	f.ps.Pack(f.packed, ids)
+}
+
+// release returns the packed table to the pool once the run is over.
+func (f *field) release() {
+	if f.packed != nil {
+		packedPool.Put(f.packed)
+		f.packed = nil
+	}
+}
+
 // RepulsionRow implements embed.SplitField: the peak-coincidence term is
 // symmetric, so the dense cache evaluates it once per unordered pair, one
-// bulk profile-set sweep per row — and the sampled mode batches each
-// point's hashed partners through it, skipping the volume-matrix probe
-// Force pays on non-communicating pairs. For such pairs Force computes
+// bulk profile sweep per row — and the sampled mode batches each point's
+// hashed partners through it, skipping the volume-matrix probe Force pays
+// on non-communicating pairs. For such pairs Force computes
 // alpha*0 + (1-alpha)*fr, which equals this row's (1-alpha)*fr bit for
 // bit, satisfying the SplitField decomposition contract.
-func (f *field) RepulsionRow(a int, bs []int, dst []float64) {
+func (f *field) RepulsionRow(i int, js []int32, dst []float64) {
 	if f.fast {
-		f.ps.CPUCorrFastInto(dst, a, bs)
+		buf := idsPool.Get().(*[]int)
+		bs := (*buf)[:0]
+		for _, j := range js {
+			bs = append(bs, f.ids[j])
+		}
+		f.ps.CPUCorrFastInto(dst, f.ids[i], bs)
+		*buf = bs
+		idsPool.Put(buf)
 	} else {
-		f.ps.CPUCorrInto(dst, a, bs)
+		f.packed.CPUCorrInto(dst, i, js)
 	}
 	w := 1 - f.alpha
 	for k := range dst {
@@ -416,6 +459,7 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		start := time.Now()
 		res := embed.Run(ids, init, f, cfg)
 		ns := time.Since(start).Nanoseconds()
+		f.release()
 		c.EmbedNS += ns
 		if reopt {
 			c.BoundaryEmbedNS += ns

@@ -530,7 +530,9 @@ func (ps *ProfileSet) quantizeRow(off int32) {
 // utilization and vals with the utilizations in that order. Insertion sort,
 // descending by value; the strict comparison keeps equal samples in
 // ascending index order (stable), so the order — and every downstream
-// result — is deterministic.
+// result — is deterministic. NaN samples sort last: they never enter a
+// combined peak, and keeping them out of the descending prefix keeps the
+// pruned kernel's early-exit bound exact.
 func sortRowDesc(row []float64, ord []uint16, vals []float64) {
 	s := len(row)
 	for i := range ord {
@@ -540,7 +542,7 @@ func sortRowDesc(row []float64, ord []uint16, vals []float64) {
 		t := ord[i]
 		v := row[t]
 		j := i - 1
-		for j >= 0 && row[ord[j]] < v {
+		for j >= 0 && sortsAfter(row[ord[j]], v) {
 			ord[j+1] = ord[j]
 			j--
 		}
@@ -549,6 +551,12 @@ func sortRowDesc(row []float64, ord []uint16, vals []float64) {
 	for i, t := range ord {
 		vals[i] = row[t]
 	}
+}
+
+// sortsAfter reports whether sample u belongs strictly after sample v in a
+// descending, NaN-last order.
+func sortsAfter(u, v float64) bool {
+	return u < v || math.IsNaN(u) && !math.IsNaN(v)
 }
 
 // orderAt returns the descending-utilization sample order of the arena row

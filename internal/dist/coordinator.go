@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"geovmp/internal/experiment"
+	"geovmp/internal/httpx"
 	"geovmp/internal/metrics"
 )
 
@@ -286,9 +287,12 @@ func (c *Coordinator) RunGrid(ctx context.Context, g experiment.Grid) (*experime
 	c.run = run
 	c.queueGauge.Set(int64(len(run.queue)))
 	outstanding := run.outstanding
+	// Workers may finish cells as soon as the lock drops, so the preloaded
+	// count is read under it.
+	preloaded := run.doneCount
 	c.mu.Unlock()
 
-	c.logf("dist: serving grid: %d cells (%d preloaded) at %s", len(set.Cells), run.doneCount, c.URL())
+	c.logf("dist: serving grid: %d cells (%d preloaded) at %s", len(set.Cells), preloaded, c.URL())
 	defer func() {
 		c.mu.Lock()
 		c.run = nil
@@ -395,19 +399,19 @@ func (c *Coordinator) finishLocked(run *gridRun, it *item) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad lease request: " + err.Error()})
+		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad lease request: " + err.Error()})
 		return
 	}
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		writeJSON(w, http.StatusOK, leaseResponse{Done: true})
+		httpx.WriteJSON(w, http.StatusOK, leaseResponse{Done: true})
 		return
 	}
 	run := c.run
 	if run == nil {
-		writeJSON(w, http.StatusOK, leaseResponse{WaitMS: c.pollWaitMS()})
+		httpx.WriteJSON(w, http.StatusOK, leaseResponse{WaitMS: c.pollWaitMS()})
 		return
 	}
 	c.expireLocked(run, now)
@@ -428,7 +432,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	run.queue = live
 	c.queueGauge.Set(int64(len(run.queue)))
 	if it == nil {
-		writeJSON(w, http.StatusOK, leaseResponse{WaitMS: c.pollWaitMS()})
+		httpx.WriteJSON(w, http.StatusOK, leaseResponse{WaitMS: c.pollWaitMS()})
 		return
 	}
 	it.attempts++
@@ -447,7 +451,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	item := it.wire
 	item.Lease = l.token
 	item.LeaseMS = c.cfg.LeaseTTL.Milliseconds()
-	writeJSON(w, http.StatusOK, leaseResponse{Item: &item})
+	httpx.WriteJSON(w, http.StatusOK, leaseResponse{Item: &item})
 }
 
 // pollWaitMS is the sleep hint for idle workers: a fraction of the lease
@@ -466,49 +470,49 @@ func (c *Coordinator) pollWaitMS() int64 {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad heartbeat: " + err.Error()})
+		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad heartbeat: " + err.Error()})
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	run := c.run
 	if run == nil {
-		writeJSON(w, http.StatusGone, errorResponse{Error: "no active grid"})
+		httpx.WriteJSON(w, http.StatusGone, errorResponse{Error: "no active grid"})
 		return
 	}
 	l, ok := run.leases[req.Lease]
 	if !ok {
-		writeJSON(w, http.StatusGone, errorResponse{Error: "lease unknown or expired"})
+		httpx.WriteJSON(w, http.StatusGone, errorResponse{Error: "lease unknown or expired"})
 		return
 	}
 	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
-	writeJSON(w, http.StatusOK, okResponse{OK: true})
+	httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad result: " + err.Error()})
+		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad result: " + err.Error()})
 		return
 	}
 	c.mu.Lock()
 	run := c.run
 	if run == nil {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusGone, errorResponse{Error: "no active grid"})
+		httpx.WriteJSON(w, http.StatusGone, errorResponse{Error: "no active grid"})
 		return
 	}
 	it, ok := run.items[req.Cell]
 	if !ok {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown cell %d", req.Cell)})
+		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown cell %d", req.Cell)})
 		return
 	}
 	if req.Fingerprint != it.wire.Fingerprint {
 		c.rejected.Inc()
 		c.mu.Unlock()
 		c.logf("dist: rejected result for cell %d: fingerprint %q != %q", req.Cell, req.Fingerprint, it.wire.Fingerprint)
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "fingerprint mismatch"})
+		httpx.WriteJSON(w, http.StatusConflict, errorResponse{Error: "fingerprint mismatch"})
 		return
 	}
 	// The lease may be gone (expired, cell re-leased elsewhere): the
@@ -526,7 +530,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if it.done {
 		c.duplicates.Inc()
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, okResponse{OK: true})
+		httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
 		return
 	}
 	if req.Error != "" {
@@ -537,12 +541,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.requeueLocked(run, it, req.Error)
 		}
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, okResponse{OK: true})
+		httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
 		return
 	}
 	if req.Row == nil {
 		c.mu.Unlock()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "result carries neither row nor error"})
+		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "result carries neither row nor error"})
 		return
 	}
 	row := *req.Row
@@ -561,7 +565,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		progress(experiment.Progress{Done: doneCount, Total: total, Cell: cell})
 		c.progressMu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, okResponse{OK: true})
+	httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -580,7 +584,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // checkpoint persists the run's completed cells (when configured).
@@ -611,10 +615,4 @@ func (c *Coordinator) checkpointLocked(run *gridRun) {
 	if err := os.Rename(tmp, path); err != nil {
 		c.logf("dist: checkpoint rename: %v", err)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }

@@ -64,10 +64,20 @@ type Field interface {
 // decomposition must satisfy
 // Force(onto, by) == Repulsion(onto, by) + the attraction fa reported for
 // (onto, by), with Repulsion symmetric.
+//
+// Repulsion is addressed by point index, not id: Run calls Bind(ids) once,
+// before any RepulsionRow and before any shard starts, and point i is ids[i]
+// until Run returns. A field can therefore lay its per-point state out in
+// point order for the run, so a partner costs one dense load instead of an
+// id lookup chain.
 type SplitField interface {
+	// Bind fixes the point order of the run about to start: point i is
+	// ids[i]. ids must not be modified until the run ends.
+	Bind(ids []int)
 	// RepulsionRow fills dst[k] with the symmetric repulsive component of
-	// the (a, bs[k]) pair force, already blended by the field's weighting.
-	RepulsionRow(a int, bs []int, dst []float64)
+	// the (i, js[k]) pair force between bound points, already blended by
+	// the field's weighting.
+	RepulsionRow(i int, js []int32, dst []float64)
 	// EachAttraction calls fn for every nonzero directed attraction term:
 	// fa is the (already blended, negative) attractive component of
 	// Force(onto, by).
@@ -223,11 +233,15 @@ func Run(ids []int, init map[int]Point, field Field, cfg Config) Result {
 	if n < 2 {
 		return finish(0, nil)
 	}
+	sf, _ := field.(SplitField)
+	if sf != nil {
+		sf.Bind(ids)
+	}
 	if n <= cfg.ExactThreshold {
-		iters, cost := runExact(ids, idx, px, py, field, cfg)
+		iters, cost := runExact(ids, idx, px, py, field, sf, cfg)
 		return finish(iters, cost)
 	}
-	iters, cost := runSampled(ids, idx, px, py, field, cfg)
+	iters, cost := runSampled(ids, idx, px, py, field, sf, cfg)
 	return finish(iters, cost)
 }
 
@@ -266,7 +280,7 @@ func (s *exactScratch) ensure(n2 int) {
 
 // runExact evaluates all ordered pairs with a dense, once-computed force
 // cache.
-func runExact(ids []int, idx map[int]int, px, py []float64, field Field, cfg Config) (int, []float64) {
+func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf SplitField, cfg Config) (int, []float64) {
 	n := len(ids)
 	scr := exactPool.Get().(*exactScratch)
 	scr.ensure(n * n)
@@ -278,17 +292,22 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, cfg Con
 	// lower triangles are never touched (hence never cleared).
 	ft := scr.ft
 	ftT := scr.ftT
-	if sf, ok := field.(SplitField); ok {
+	if sf != nil {
 		// Structured build: one symmetric repulsion row per point, copied
 		// to both directions, then the sparse attraction edges on top.
 		// Addition order matches the blended Force expression exactly
 		// (fa + fr, commutative). Rows are sharded in contiguous batches —
 		// each shard writes only its own upper-triangle rows — so the build
-		// is bit-identical to the serial sweep at any worker count.
+		// is bit-identical to the serial sweep at any worker count. Row i's
+		// partners are the index range i+1..n-1.
+		seq := make([]int32, n)
+		for i := range seq {
+			seq[i] = int32(i)
+		}
 		par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				row := ft[i*n+i+1 : i*n+n]
-				sf.RepulsionRow(ids[i], ids[i+1:], row)
+				sf.RepulsionRow(i, seq[i+1:], row)
 				copy(ftT[i*n+i+1:i*n+n], row)
 			}
 		})
@@ -413,10 +432,9 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, cfg Con
 // forces the first per-iteration draw would. The cost function is evaluated
 // over the exact attraction pairs (the stable subset), which preserves the
 // stopping rule's intent.
-func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg Config) (int, []float64) {
+func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf SplitField, cfg Config) (int, []float64) {
 	n := len(ids)
 	K := cfg.SampleK
-	sf, _ := field.(SplitField)
 	apairs, attracted := buildAttraction(ids, idx, field)
 	prevD := make([]float64, len(apairs))
 	for k, p := range apairs {
@@ -424,18 +442,27 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 		dy := py[p.i] - py[p.j]
 		prevD[k] = math.Sqrt(dx*dx + dy*dy)
 	}
+	// Peer k of point i's draw is Hash(Seed, i, draw, k) mod n, computed as
+	// the fold of the row's (Seed, i, draw) prefix with the pre-mixed key k
+	// (rng's Hash(keys..., k) == FoldKey(Hash(keys...), Key(k)) identity),
+	// so a row hashes its prefix once instead of K times.
+	sampleKeys := make([]uint64, K)
+	for k := range sampleKeys {
+		sampleKeys[k] = rng.Key(uint64(k))
+	}
 
 	// sampleRow draws point i's SampleK hashed peers for the given draw
 	// into kj and their forces into f (0 for a self-sample). With a
-	// SplitField the partners are batched through one RepulsionRow call —
+	// SplitField the whole draw is batched through one RepulsionRow call —
 	// hoisting the point's profile state out of the per-sample loop and
-	// skipping the volume probe Force would pay — except the rare partners
-	// that are attraction peers, which keep the full Force evaluation. Each
-	// repulsion value is a pure per-pair function, so both paths are
-	// bit-identical.
+	// skipping the volume probe Force would pay — and then the self-sample
+	// and the rare attraction peers have their entries replaced: 0 and the
+	// full Force evaluation. Each repulsion value is a pure per-pair
+	// function, so both paths are bit-identical.
 	sampleRow := func(i int, draw uint64, kj []int32, f []float64, scr *sampleScratch) {
-		for k := range kj {
-			kj[k] = int32(rng.Hash(cfg.Seed, uint64(i), draw, uint64(k)) % uint64(n))
+		prefix := rng.Hash(cfg.Seed, uint64(i), draw)
+		for k, key := range sampleKeys {
+			kj[k] = int32(rng.FoldKey(prefix, key) % uint64(n))
 		}
 		if sf == nil {
 			for k, j := range kj {
@@ -446,29 +473,16 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 			}
 			return
 		}
-		att := attracted[i]
-		js := scr.js[:0]
-		for _, j := range kj {
-			if int(j) != i && !containsIdx(att, j) {
-				js = append(js, ids[j])
-			}
-		}
-		if cap(scr.dst) < len(js) {
-			scr.dst = make([]float64, len(js))
-		}
-		rep := scr.dst[:len(js)]
-		sf.RepulsionRow(ids[i], js, rep)
-		scr.js = js
-		cur := 0
+		sf.RepulsionRow(i, kj, f)
+		// Attraction peers are stamped in the shard's mark table, so
+		// membership is one load instead of a scan of the peer list.
+		stamp := scr.markPeers(attracted[i], n)
 		for k, j := range kj {
 			switch {
 			case int(j) == i:
 				f[k] = 0
-			case containsIdx(att, j):
+			case scr.mark[j] == stamp:
 				f[k] = field.Force(ids[i], ids[j])
-			default:
-				f[k] = rep[cur]
-				cur++
 			}
 		}
 	}
@@ -639,16 +653,6 @@ func displace(px, py, fx, fy []float64, cfg Config) {
 	}
 }
 
-// containsIdx reports membership in a point's (short) attraction-peer list.
-func containsIdx(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // peerRows holds rows of SampleK hashed peers (kj) and their forces (f):
 // one row as a shard's per-iteration scratch, n rows as the frozen table.
 type peerRows struct {
@@ -670,13 +674,33 @@ func (r *peerRows) ensure(m int) {
 // clearing.
 var frozenPool = sync.Pool{New: func() any { return new(peerRows) }}
 
-// sampleScratch pools the sampled pass's per-shard buffers: one peer row,
-// plus the compacted non-attracted partner ids (js) and their bulk
-// repulsion values (dst).
+// sampleScratch pools the sampled pass's per-shard buffers: one peer row
+// and the attraction-peer mark table (see markPeers).
 type sampleScratch struct {
 	peerRows
-	js  []int
-	dst []float64
+	mark  []uint32
+	stamp uint32
+}
+
+// markPeers stamps a point's attraction peers in the n-point mark table
+// with a fresh stamp and returns it: j is a peer exactly when
+// mark[j] == stamp. Stamps only grow, so marks left by earlier rows (or
+// earlier runs) never match; the table is cleared only when the counter
+// wraps.
+func (s *sampleScratch) markPeers(peers []int32, n int) uint32 {
+	if len(s.mark) < n {
+		s.mark = make([]uint32, n)
+		s.stamp = 0
+	}
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.mark)
+		s.stamp = 1
+	}
+	for _, j := range peers {
+		s.mark[j] = s.stamp
+	}
+	return s.stamp
 }
 
 var samplePool = sync.Pool{New: func() any { return new(sampleScratch) }}

@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"geovmp/internal/par"
@@ -14,6 +16,7 @@ import (
 type splitHashField struct {
 	seed uint64
 	n    int
+	ids  []int // bound point order
 }
 
 func (f splitHashField) rep(a, b int) float64 {
@@ -45,13 +48,15 @@ func (f splitHashField) AttractionPeers(id int) []int {
 	return peers
 }
 
-func (f splitHashField) RepulsionRow(a int, bs []int, dst []float64) {
-	for k, b := range bs {
-		dst[k] = f.rep(a, b)
+func (f *splitHashField) Bind(ids []int) { f.ids = ids }
+
+func (f *splitHashField) RepulsionRow(i int, js []int32, dst []float64) {
+	for k, j := range js {
+		dst[k] = f.rep(f.ids[i], f.ids[j])
 	}
 }
 
-func (f splitHashField) EachAttraction(fn func(onto, by int, fa float64)) {
+func (f *splitHashField) EachAttraction(fn func(onto, by int, fa float64)) {
 	for i := 0; i+1 < f.n; i++ {
 		fn(i, i+1, -0.5)
 		fn(i+1, i, -0.5)
@@ -60,10 +65,64 @@ func (f splitHashField) EachAttraction(fn func(onto, by int, fa float64)) {
 
 // forceOnlyField hides the SplitField fast paths, forcing the generic
 // Force-per-pair code.
-type forceOnlyField struct{ f splitHashField }
+type forceOnlyField struct{ f *splitHashField }
 
 func (g forceOnlyField) Force(onto, by int) float64   { return g.f.Force(onto, by) }
 func (g forceOnlyField) AttractionPeers(id int) []int { return g.f.AttractionPeers(id) }
+
+// bindCheckField is a splitHashField that reports a contract violation
+// when RepulsionRow runs before Bind, or after a second Bind in one run.
+type bindCheckField struct {
+	splitHashField
+	t     *testing.T
+	binds atomic.Int32
+}
+
+func (f *bindCheckField) Bind(ids []int) {
+	if f.binds.Add(1) > 1 {
+		f.t.Error("Bind called twice within one Run")
+	}
+	f.splitHashField.Bind(ids)
+}
+
+func (f *bindCheckField) RepulsionRow(i int, js []int32, dst []float64) {
+	if b := f.binds.Load(); b != 1 {
+		f.t.Errorf("RepulsionRow with %d Binds behind it, want exactly 1", b)
+	}
+	f.splitHashField.RepulsionRow(i, js, dst)
+}
+
+// TestBindOncePerRun checks the SplitField binding contract in every mode:
+// Run binds its own ids, in order, exactly once and before the first
+// RepulsionRow, at any worker count.
+func TestBindOncePerRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		cfg  Config
+	}{
+		{"exact", 96, Config{Seed: 3}},
+		{"sampled", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24}},
+		{"sampled-fast", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24, FastMath: true}},
+	} {
+		for _, w := range []*par.Budget{nil, par.NewBudget(3)} {
+			ids := make([]int, tc.n)
+			for i := range ids {
+				ids[i] = tc.n - i // not the identity, so index != id
+			}
+			field := &bindCheckField{splitHashField: splitHashField{seed: 99, n: tc.n + 1}, t: t}
+			cfg := tc.cfg
+			cfg.Workers = w
+			Run(ids, nil, field, cfg)
+			if b := field.binds.Load(); b != 1 {
+				t.Errorf("%s: Run bound %d times, want 1", tc.name, b)
+			}
+			if !reflect.DeepEqual(field.ids, ids) {
+				t.Errorf("%s: Run bound a different point order than its ids", tc.name)
+			}
+		}
+	}
+}
 
 // TestSplitFieldFastPathEquivalence proves the sampled mode's batched
 // repulsion-row fast path changes nothing: the same embedding run against
@@ -71,7 +130,7 @@ func (g forceOnlyField) AttractionPeers(id int) []int { return g.f.AttractionPee
 // yields bit-identical positions and costs.
 func TestSplitFieldFastPathEquivalence(t *testing.T) {
 	const n = 160
-	field := splitHashField{seed: 99, n: n}
+	field := &splitHashField{seed: 99, n: n}
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
@@ -108,7 +167,6 @@ func TestWorkersEquivalence(t *testing.T) {
 		{"sampled", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			field := splitHashField{seed: 99, n: tc.n}
 			ids := make([]int, tc.n)
 			for i := range ids {
 				ids[i] = i
@@ -116,7 +174,7 @@ func TestWorkersEquivalence(t *testing.T) {
 			run := func(w *par.Budget) Result {
 				cfg := tc.cfg
 				cfg.Workers = w
-				return Run(ids, nil, field, cfg)
+				return Run(ids, nil, &splitHashField{seed: 99, n: tc.n}, cfg)
 			}
 			serial := run(nil)
 			for _, extra := range []int{1, 7} {

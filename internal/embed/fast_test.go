@@ -15,6 +15,7 @@ import (
 // sampled mode's force evaluations.
 type countingField struct {
 	partners atomic.Int64
+	ids      []int // bound point order
 }
 
 func (c *countingField) pairForce(a, b int) float64 {
@@ -26,10 +27,11 @@ func (c *countingField) pairForce(a, b int) float64 {
 
 func (c *countingField) Force(onto, by int) float64 { return c.pairForce(onto, by) }
 func (c *countingField) AttractionPeers(int) []int  { return nil }
-func (c *countingField) RepulsionRow(a int, bs []int, dst []float64) {
-	c.partners.Add(int64(len(bs)))
-	for k, b := range bs {
-		dst[k] = c.pairForce(a, b)
+func (c *countingField) Bind(ids []int)             { c.ids = ids }
+func (c *countingField) RepulsionRow(i int, js []int32, dst []float64) {
+	c.partners.Add(int64(len(js)))
+	for k, j := range js {
+		dst[k] = c.pairForce(c.ids[i], c.ids[j])
 	}
 }
 func (c *countingField) EachAttraction(func(onto, by int, fa float64)) {}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 
+	"geovmp/internal/httpx"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/units"
 )
@@ -158,12 +159,6 @@ func (b *bufferedResponse) flush(w http.ResponseWriter) {
 	w.Write(b.body.Bytes())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
 // writeOpError maps daemon errors onto the backpressure contract.
 func writeOpError(w http.ResponseWriter, err error) {
 	switch {
@@ -202,7 +197,7 @@ func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, placeResponse{
+	httpx.WriteJSON(w, http.StatusOK, placeResponse{
 		ID:         dec.ID,
 		DC:         dec.DC,
 		Server:     dec.Server,
@@ -223,7 +218,7 @@ func (d *Daemon) handleDepart(w http.ResponseWriter, r *http.Request) {
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, departResponse{ID: req.ID, Removed: removed})
+	httpx.WriteJSON(w, http.StatusOK, departResponse{ID: req.ID, Removed: removed})
 }
 
 func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -243,12 +238,12 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeOpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (d *Daemon) handleDrain(w http.ResponseWriter, r *http.Request) {
 	d.Drain()
-	writeJSON(w, http.StatusOK, map[string]bool{"drained": true})
+	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"drained": true})
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -262,7 +257,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, healthResponse{
+	httpx.WriteJSON(w, http.StatusOK, healthResponse{
 		Status:    status,
 		Residents: d.NumResidents(),
 		SLOMS:     float64(d.opt.SLO.Nanoseconds()) / 1e6,
