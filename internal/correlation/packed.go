@@ -44,7 +44,11 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 	// Records are padded to whole 64-byte lines, so a partner's samples
 	// span as few lines as possible.
 	p.stride = (s + 1 + 7) &^ 7
-	p.rec = resize(p.rec, len(ids)*p.stride)
+	if n := len(ids) * p.stride; cap(p.rec) < n {
+		p.rec = make([]float64, n)
+	} else {
+		p.rec = p.rec[:n]
+	}
 	for i, id := range ids {
 		r := p.rec[i*p.stride : i*p.stride+p.stride]
 		r[0] = slowRow
@@ -67,15 +71,6 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 			copy(r[1:], row)
 		}
 	}
-}
-
-// resize returns buf resliced to n elements, reallocating only when its
-// capacity is short. Contents are not preserved.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // CPUCorrInto fills dst[k] with CPUCorr(ids[i], ids[js[k]]) for the ids of
