@@ -122,17 +122,17 @@ func (p *Packed) CPUCorrInto(dst []float64, i int, js []int32) {
 		for ; t < len(a); t++ {
 			m0 = max(m0, math.Float64bits(a[t]+b[t]))
 		}
-		// The clamps and the neutral value select bit patterns, which the
+		// The clamp and the neutral value select bit patterns, which the
 		// compiler emits as conditional moves: which case a pair lands in
-		// is data the branch predictor cannot learn.
+		// is data the branch predictor cannot learn. Other kernels also
+		// clamp at 1, but over clean rows every sum is at most
+		// fl(peakA+peakB) = den (rounded addition is monotone), so c never
+		// exceeds 1 here.
 		den := peakA + peakB
 		c := math.Float64frombits(max(m0, m1, m2, m3)) / den
 		bits := math.Float64bits(c)
 		if c < 1e-9 {
 			bits = tinyBits
-		}
-		if c > 1 {
-			bits = oneBits
 		}
 		if !(den > 0) {
 			// A missing profile, or both rows all zero.
@@ -142,10 +142,9 @@ func (p *Packed) CPUCorrInto(dst []float64, i int, js []int32) {
 	}
 }
 
-// Bit patterns of the packed kernel's clamp bounds and neutral value:
-// 1e-9, 1 and 0.5 (TestPackedBitConstants checks them).
+// Bit patterns of the packed kernel's clamp bound and neutral value: 1e-9
+// and 0.5. Constants, so the selects compile to conditional moves.
 const (
 	tinyBits = 0x3e112e0be826d695
-	oneBits  = 0x3ff0000000000000
 	halfBits = 0x3fe0000000000000
 )

@@ -8,20 +8,26 @@ import (
 )
 
 // packedTestRow draws a profile with the shapes the packed kernel must
-// reproduce exactly: exact ties (0 and 0.5 recur across rows), NaN and
-// negative samples, and ordinary utilizations.
-func packedTestRow(src *rng.Source, n int) []float64 {
+// reproduce exactly: exact ties (0 and 0.5 recur across rows) and ordinary
+// utilizations, plus — in dirty rows — NaN, negative and -0 samples.
+func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 	p := make([]float64, n)
 	for t := range p {
-		switch src.Intn(9) {
+		k := src.Intn(8)
+		if !dirty && k >= 5 {
+			k = 4
+		}
+		switch k {
 		case 0:
 			p[t] = 0
 		case 1:
 			p[t] = 0.5
-		case 2:
+		case 5:
 			p[t] = math.NaN()
-		case 3:
+		case 6:
 			p[t] = -src.Float64()
+		case 7:
+			p[t] = math.Copysign(0, -1)
 		default:
 			p[t] = src.Float64()
 		}
@@ -32,8 +38,8 @@ func packedTestRow(src *rng.Source, n int) []float64 {
 // TestPackedKernelMatchesPeakCoincidence is the packed kernel's property
 // test: for every pair of packed points — ids packed in shuffled order,
 // including absent ids, odd-length rows, all-zero rows, equal-peak ties and
-// rows holding NaN or negative samples, at sample counts around the
-// kernel's unconditional head — Packed.CPUCorrInto must equal both
+// rows holding NaN, negative or -0 samples, at sample counts around the
+// kernel's four-way unroll — Packed.CPUCorrInto must equal both
 // PeakCoincidence and CPUCorr bit for bit, with and without sample orders
 // built before the pack.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
@@ -55,12 +61,18 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 					p = make([]float64, samples)
 					p[id%samples] = 0.75
 					p[(id+1)%samples] = 0.75
+				case id%13 == 12:
+					// A peak near the float range: two of them overflow
+					// the peak sum to +Inf, the one case the 1e-9 clamp
+					// catches on non-negative rows.
+					p = make([]float64, samples)
+					p[id%samples] = math.MaxFloat64 / 1.5
 				case id%5 == 4:
-					p = packedTestRow(src, samples+1+src.Intn(3)) // odd-length
+					p = packedTestRow(src, samples+1+src.Intn(3), id%2 == 0) // odd-length
 				case id%11 == 6:
-					p = packedTestRow(src, samples-1) // shorter odd-length
+					p = packedTestRow(src, samples-1, false) // shorter odd-length
 				default:
-					p = packedTestRow(src, samples)
+					p = packedTestRow(src, samples, id%3 == 0)
 				}
 				rows[id] = p
 				ps.Add(id, p)
@@ -99,19 +111,6 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestPackedBitConstants pins the packed kernel's literal bit patterns to
-// the float constants the other kernels clamp with.
-func TestPackedBitConstants(t *testing.T) {
-	for _, c := range []struct {
-		bits uint64
-		want float64
-	}{{tinyBits, 1e-9}, {oneBits, 1}, {halfBits, 0.5}} {
-		if got := math.Float64frombits(c.bits); got != c.want {
-			t.Errorf("bits %#x decode to %v, want %v", c.bits, got, c.want)
 		}
 	}
 }
