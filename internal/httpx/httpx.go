@@ -11,5 +11,7 @@ import (
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	// The status is already sent: an encode error means the client is
+	// gone, and there is no one left to tell.
+	_ = json.NewEncoder(w).Encode(v)
 }
