@@ -22,9 +22,10 @@ type Packed struct {
 // takes the max from 0), so the markers cannot collide. slowRow marks a
 // point whose pairs take ProfileSet.CPUCorr because its row is odd-length
 // or holds a sample the packed kernel's integer max cannot order (see
-// cleanSample). A point without a profile gets an all-zero record with peak
-// -Inf: every pair with it then has a non-positive (or NaN) peak sum and
-// takes the neutral 0.5, as CPUCorr answers, without a branch of its own.
+// cleanSample). A point without a profile gets peak -Inf: every pair with
+// it then has a non-positive (or NaN) peak sum and takes the neutral 0.5,
+// as CPUCorr answers, without a branch of its own (whatever its record's
+// samples hold is scanned and discarded).
 const slowRow = -1
 
 // cleanSample reports whether v is +0, positive or +Inf. Sums of such
@@ -54,7 +55,6 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 		r[0] = slowRow
 		if !ps.Has(id) {
 			r[0] = math.Inf(-1)
-			clear(r[1:])
 			continue
 		}
 		if s <= 0 || ps.off[id] < 0 {
