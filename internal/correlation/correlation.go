@@ -408,7 +408,7 @@ func (ps *ProfileSet) Peak(id int) float64 {
 //
 // Call it after the slot's Adds and before querying from multiple
 // goroutines: it is the only mutating step on the query side, so once it
-// returns, CPUCorr/CPUCorrInto are safe for any number of concurrent
+// returns, CPUCorr and Pack are safe for any number of concurrent
 // readers. Queries without built orders fall back to the unpruned kernel
 // with identical results.
 func (ps *ProfileSet) EnsureOrders(workers *par.Budget) {
@@ -450,7 +450,7 @@ func (ps *ProfileSet) EnsureOrders(workers *par.Budget) {
 // SetFastMath toggles the quantized fast-math tables. Enabling quantizes
 // every row whose sample order is already built and makes EnsureOrders
 // quantize new rows alongside their orders; disabling drops the tables.
-// Toggling never affects CPUCorr/CPUCorrInto results — only the opt-in
+// Toggling never affects CPUCorr or Packed results — only the opt-in
 // CPUCorrFastInto query reads the quantized state, and without it that
 // query degrades to the exact kernels.
 func (ps *ProfileSet) SetFastMath(on bool) {
@@ -594,60 +594,6 @@ func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 	return peakCoincidenceKnown(a, b, ps.peaks[i], ps.peaks[j])
 }
 
-// CPUCorrInto fills dst[k] with CPUCorr(i, js[k]) — the bulk form the
-// embedding's dense force cache uses. Hoisting VM i's profile, peak and
-// sample order out of the O(V) inner loop, and reading partner rows
-// straight out of the arena, is worth ~25% of the whole pairwise sweep
-// versus per-pair CPUCorr calls. Odd-length partner rows ride the same
-// loop: equal-length pairs still reuse the cached peaks (full-row peaks
-// equal common-prefix peaks exactly when lengths match) and only truly
-// mixed-length pairs pay the general PeakCoincidence scan. Results are
-// identical to per-pair CPUCorr calls.
-func (ps *ProfileSet) CPUCorrInto(dst []float64, i int, js []int) {
-	a := ps.Profile(i)
-	if a == nil {
-		for k := range js {
-			dst[k] = 0.5
-		}
-		return
-	}
-	peakA := ps.Peak(i)
-	var ordA []uint16
-	var avA []float64
-	if off := ps.off[i]; off >= 0 {
-		ordA, avA = ps.orderAt(off)
-	}
-	aStd := len(a) == ps.samples
-	for k, j := range js {
-		// The arena row is resolved inline: the overwhelmingly common
-		// standard-row partner costs one offset load instead of the
-		// general Profile switch.
-		if j >= 0 && j < len(ps.off) {
-			if off := ps.off[j]; off >= 0 && aStd {
-				b := ps.arena[off : int(off)+ps.samples]
-				if ordA != nil {
-					dst[k] = peakCoincidenceOrdered(b, ordA, avA, peakA, ps.peaks[j])
-				} else {
-					dst[k] = peakCoincidenceKnown(a, b, peakA, ps.peaks[j])
-				}
-				continue
-			}
-		}
-		b := ps.Profile(j)
-		switch {
-		case b == nil:
-			dst[k] = 0.5
-		case len(b) != len(a):
-			dst[k] = PeakCoincidence(a, b)
-		default:
-			// Only equal-length odd x odd pairs reach here (a standard row
-			// paired with an equal-length partner was handled inline above),
-			// so there is never a sample order to prune with.
-			dst[k] = peakCoincidenceKnown(a, b, peakA, ps.peaks[j])
-		}
-	}
-}
-
 // CPUCorrFast is the scalar form of CPUCorrFastInto.
 func (ps *ProfileSet) CPUCorrFast(i, j int) float64 {
 	var one [1]float64
@@ -656,7 +602,7 @@ func (ps *ProfileSet) CPUCorrFast(i, j int) float64 {
 	return one[0]
 }
 
-// CPUCorrFastInto is the quantized, cache-blocked variant of CPUCorrInto:
+// CPUCorrFastInto is the quantized, cache-blocked bulk variant of CPUCorr:
 // dst[k] approximates CPUCorr(i, js[k]) within FastEps. It walks VM i's
 // samples in the same descending order as the exact pruned kernel, but over
 // the uint16 fixed-point tables built by EnsureOrders under SetFastMath —
@@ -683,7 +629,9 @@ func (ps *ProfileSet) CPUCorrFastInto(dst []float64, i int, js []int) {
 		}
 	}
 	if ordA == nil {
-		ps.CPUCorrInto(dst, i, js)
+		for k, j := range js {
+			dst[k] = ps.CPUCorr(i, j)
+		}
 		return
 	}
 	qpA := int32(qoA[0])

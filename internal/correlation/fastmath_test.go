@@ -72,7 +72,9 @@ func TestFastKernelErrorBudget(t *testing.T) {
 		fast := make([]float64, len(js))
 		worst := 0.0
 		for i := 0; i < n; i++ {
-			ps.CPUCorrInto(exact, i, js)
+			for k, j := range js {
+				exact[k] = ps.CPUCorr(i, j)
+			}
 			ps.CPUCorrFastInto(fast, i, js)
 			for k := range js {
 				if d := math.Abs(fast[k] - exact[k]); d > FastEps {
@@ -112,7 +114,7 @@ func TestFastKernelDisabledMatchesExact(t *testing.T) {
 }
 
 // BenchmarkCPUCorrFastInto measures the quantized fast kernel on
-// BenchmarkCPUCorrInto's row population, so the two kernels compare
+// BenchmarkCPUCorr's row population, so the two kernels compare
 // directly.
 func BenchmarkCPUCorrFastInto(b *testing.B) {
 	ps, js := benchKernelSet()

@@ -6,10 +6,15 @@ import "math"
 // length of one query-heavy pass (one embedding run): point i's record is
 // its peak followed by its samples, one contiguous, line-aligned stretch of
 // memory. Resolving a partner is then one record load instead of the
-// id -> offset -> arena row and id -> peak chain of CPUCorrInto, which at
-// paper scale costs more than the samples the kernel compares. Build one
-// with ProfileSet.Pack; it is read-only afterwards and safe for concurrent
+// id -> offset -> arena row and id -> peak chain of CPUCorr, which at paper
+// scale costs more than the samples the kernel compares. Build one with
+// ProfileSet.Pack; it is read-only afterwards and safe for concurrent
 // readers.
+//
+// A table holds n records of (S+1 rounded up to 8) float64s: 128 B per
+// point at the default 12 samples (1.5 MiB at 12.6k points), and at most
+// 512 B per point (see packedMaxSamples); above that it holds one float64
+// per point.
 type Packed struct {
 	ps     *ProfileSet
 	ids    []int
@@ -28,6 +33,14 @@ type Packed struct {
 // samples hold is scanned and discarded).
 const slowRow = -1
 
+// packedMaxSamples is the widest row Pack lays out. The kernel scans every
+// sample, while CPUCorr's pruned walk stops after a few; on random partner
+// order the full scan wins while a record spans at most 8 cache lines
+// (BenchmarkPackedCPUCorrInto: 1.3-1.6x at 48 and 56 samples) and stops
+// winning from 64 samples on. Wider sets mark every point slowRow, so every
+// pair takes CPUCorr.
+const packedMaxSamples = 56
+
 // cleanSample reports whether v is +0, positive or +Inf. Sums of such
 // samples are never NaN and never carry the sign bit, so their IEEE bit
 // patterns order exactly as their values — which lets the packed kernel take
@@ -43,8 +56,13 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 	s := ps.samples
 	p.ps, p.ids, p.s = ps, ids, s
 	// Records are padded to whole 64-byte lines, so a partner's samples
-	// span as few lines as possible.
+	// span as few lines as possible. Rows too wide to scan get a bare
+	// slowRow marker.
+	wide := s > packedMaxSamples
 	p.stride = (s + 1 + 7) &^ 7
+	if wide {
+		p.stride = 1
+	}
 	if n := len(ids) * p.stride; cap(p.rec) < n {
 		p.rec = make([]float64, n)
 	} else {
@@ -53,6 +71,9 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 	for i, id := range ids {
 		r := p.rec[i*p.stride : i*p.stride+p.stride]
 		r[0] = slowRow
+		if wide {
+			continue
+		}
 		if !ps.Has(id) {
 			r[0] = math.Inf(-1)
 			continue

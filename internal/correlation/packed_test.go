@@ -1,6 +1,7 @@
 package correlation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,12 +40,12 @@ func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 // test: for every pair of packed points — ids packed in shuffled order,
 // including absent ids, odd-length rows, all-zero rows, equal-peak ties and
 // rows holding NaN, negative or -0 samples, at sample counts around the
-// kernel's four-way unroll — Packed.CPUCorrInto must equal both
-// PeakCoincidence and CPUCorr bit for bit, with and without sample orders
-// built before the pack.
+// kernel's four-way unroll and one too wide to pack — Packed.CPUCorrInto
+// must equal both PeakCoincidence and CPUCorr bit for bit, with and without
+// sample orders built before the pack.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(3).Derive("packed-kernel")
-	for _, samples := range []int{1, 2, 3, 4, 5, 12} {
+	for _, samples := range []int{1, 2, 3, 4, 5, 12, packedMaxSamples + 1} {
 		for trial := 0; trial < 12; trial++ {
 			const n = 40
 			ps := NewProfileSet(samples)
@@ -147,49 +148,57 @@ func TestPackedRepack(t *testing.T) {
 }
 
 // BenchmarkPackedCPUCorrInto measures the packed kernel against the
-// id-addressed CPUCorrInto at the embedding's scale: ~12k standard rows of
-// 12 samples, partners in random order as the sampled embedding draws them.
+// pruned per-pair CPUCorr at the embedding's scale: ~12k standard rows,
+// partners in random order as the sampled embedding draws them, at the
+// default 12 samples per row and at larger sample counts, where the packed
+// kernel's full scan reads more of each row than the pruned walk does (96
+// is past packedMaxSamples, so there both arms run CPUCorr).
 // Rows are a per-VM load level plus 10% jitter, like a slot's downsampled
 // utilization, so the pruned walk stops after a few samples as it does in
 // the simulator.
 func BenchmarkPackedCPUCorrInto(b *testing.B) {
-	const n, samples = 12288, 12
-	ps := NewProfileSet(samples)
-	p := make([]float64, samples)
-	for id := 0; id < n; id++ {
-		level := rng.Noise01(5, uint64(id))
-		for t := range p {
-			p[t] = level + 0.1*rng.Noise01(7, uint64(id), uint64(t))
+	const n = 12288
+	for _, samples := range []int{12, 48, 96} {
+		ps := NewProfileSet(samples)
+		p := make([]float64, samples)
+		for id := 0; id < n; id++ {
+			level := rng.Noise01(5, uint64(id))
+			for t := range p {
+				p[t] = level + 0.1*rng.Noise01(7, uint64(id), uint64(t))
+			}
+			ps.Add(id, p)
 		}
-		ps.Add(id, p)
-	}
-	ps.EnsureOrders(nil)
-	src := rng.New(11)
-	ids := src.Perm(n)
-	perm := src.Perm(n)
-	js := make([]int32, n)
-	jids := make([]int, n)
-	for k, j := range perm {
-		js[k] = int32(j)
-		jids[k] = ids[j]
-	}
-	dst := make([]float64, n)
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-	}
-	b.Run("ids", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			ps.CPUCorrInto(dst, ids[it%n], jids)
+		ps.EnsureOrders(nil)
+		src := rng.New(11)
+		ids := src.Perm(n)
+		perm := src.Perm(n)
+		js := make([]int32, n)
+		jids := make([]int, n)
+		for k, j := range perm {
+			js[k] = int32(j)
+			jids[k] = ids[j]
 		}
-		report(b)
-	})
-	b.Run("packed", func(b *testing.B) {
-		var pk Packed
-		ps.Pack(&pk, ids)
-		b.ResetTimer()
-		for it := 0; it < b.N; it++ {
-			pk.CPUCorrInto(dst, it%n, js)
+		dst := make([]float64, n)
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 		}
-		report(b)
-	})
+		b.Run(fmt.Sprintf("S%d/pruned", samples), func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				a := ids[it%n]
+				for k, j := range jids {
+					dst[k] = ps.CPUCorr(a, j)
+				}
+			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("S%d/packed", samples), func(b *testing.B) {
+			var pk Packed
+			ps.Pack(&pk, ids)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				pk.CPUCorrInto(dst, it%n, js)
+			}
+			report(b)
+		})
+	}
 }

@@ -29,8 +29,7 @@ func randProfile(src *rng.Source, n int) []float64 {
 // TestPrunedKernelMatchesPeakCoincidence is the property test of the pruned
 // kernel: over randomized profiles — including all-zero rows and equal-peak
 // ties — every pairwise CPUCorr with built orders must equal the reference
-// PeakCoincidence bit for bit, and CPUCorrInto must agree with per-pair
-// CPUCorr.
+// PeakCoincidence bit for bit.
 func TestPrunedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(7).Derive("pruned-kernel")
 	const samples = 12
@@ -60,22 +59,12 @@ func TestPrunedKernelMatchesPeakCoincidence(t *testing.T) {
 			ps.Add(id, p)
 		}
 		ps.EnsureOrders(nil)
-		dst := make([]float64, n)
-		js := make([]int, n)
-		for j := range js {
-			js[j] = j
-		}
 		for i := 0; i < n; i++ {
-			ps.CPUCorrInto(dst, i, js)
 			for j := 0; j < n; j++ {
 				want := PeakCoincidence(rows[i], rows[j])
 				if got := ps.CPUCorr(i, j); got != want {
 					t.Fatalf("trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
 						trial, i, j, got, want)
-				}
-				if dst[j] != want {
-					t.Fatalf("trial %d: CPUCorrInto(%d)[%d] = %v, want %v",
-						trial, i, j, dst[j], want)
 				}
 			}
 		}
@@ -160,14 +149,16 @@ func TestPrunedKernelEarlyExitBound(t *testing.T) {
 	}
 }
 
-// BenchmarkCPUCorrInto measures the exact pruned kernel on a mixed-length
-// row population, so kernel-level wins are visible without running a full
-// experiment cell.
-func BenchmarkCPUCorrInto(b *testing.B) {
-	b.Run("exact", func(b *testing.B) {
-		ps, js := benchKernelSet()
-		benchKernel(b, ps.CPUCorrInto, js)
-	})
+// BenchmarkCPUCorr measures the exact pruned kernel, one CPUCorr per pair,
+// on a mixed-length row population, so kernel-level wins are visible
+// without running a full experiment cell.
+func BenchmarkCPUCorr(b *testing.B) {
+	ps, js := benchKernelSet()
+	benchKernel(b, func(dst []float64, a int, bs []int) {
+		for k, j := range bs {
+			dst[k] = ps.CPUCorr(a, j)
+		}
+	}, js)
 }
 
 // benchKernelSet builds the kernel benchmarks' rows — full, half and
