@@ -28,7 +28,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"geovmp/internal/alloc"
@@ -140,7 +139,7 @@ type field struct {
 	// point i is ids[i], and packed lays the exact kernel's profile rows
 	// out in that order.
 	ids    []int
-	packed *correlation.Packed
+	packed correlation.Packed
 }
 
 // Force implements embed.Field: F_t exerted on `onto` by `by`, combining
@@ -157,35 +156,21 @@ func (f *field) Force(onto, by int) float64 {
 	return f.alpha*fa + (1-f.alpha)*fr
 }
 
-// packedPool recycles the per-run packed profile tables (a few MiB at
-// paper scale) across slots and cells.
-var packedPool = sync.Pool{New: func() any { return new(correlation.Packed) }}
-
-// idsPool recycles fast mode's index -> id translation buffers.
-var idsPool = sync.Pool{New: func() any { return new([]int) }}
-
 // Bind implements embed.SplitField: it packs the slot's profile rows in the
 // run's point order, so the exact kernel resolves a partner with one dense
 // record load. Fast mode keeps its id-addressed quantized tables and only
-// records the order.
+// records the order. The table lives as long as the field, one Place or
+// reconciliation.
 func (f *field) Bind(ids []int) {
 	f.ids = ids
-	if f.fast {
-		return
+	if !f.fast {
+		f.ps.Pack(&f.packed, ids)
 	}
-	if f.packed == nil {
-		f.packed = packedPool.Get().(*correlation.Packed)
-	}
-	f.ps.Pack(f.packed, ids)
 }
 
-// release returns the packed table to the pool once the run is over.
-func (f *field) release() {
-	if f.packed != nil {
-		packedPool.Put(f.packed)
-		f.packed = nil
-	}
-}
+// fastChunk is how many partners fast mode translates back to ids per
+// CPUCorrFastInto call, in a stack buffer shared by no other shard.
+const fastChunk = 128
 
 // RepulsionRow implements embed.SplitField: the peak-coincidence term is
 // symmetric, so the dense cache evaluates it once per unordered pair, one
@@ -196,14 +181,15 @@ func (f *field) release() {
 // bit, satisfying the SplitField decomposition contract.
 func (f *field) RepulsionRow(i int, js []int32, dst []float64) {
 	if f.fast {
-		buf := idsPool.Get().(*[]int)
-		bs := (*buf)[:0]
-		for _, j := range js {
-			bs = append(bs, f.ids[j])
+		var buf [fastChunk]int
+		for lo := 0; lo < len(js); lo += fastChunk {
+			part := js[lo:min(lo+fastChunk, len(js))]
+			bs := buf[:len(part)]
+			for k, j := range part {
+				bs[k] = f.ids[j]
+			}
+			f.ps.CPUCorrFastInto(dst[lo:lo+len(part)], f.ids[i], bs)
 		}
-		f.ps.CPUCorrFastInto(dst, f.ids[i], bs)
-		*buf = bs
-		idsPool.Put(buf)
 	} else {
 		f.packed.CPUCorrInto(dst, i, js)
 	}
@@ -459,7 +445,6 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		start := time.Now()
 		res := embed.Run(ids, init, f, cfg)
 		ns := time.Since(start).Nanoseconds()
-		f.release()
 		c.EmbedNS += ns
 		if reopt {
 			c.BoundaryEmbedNS += ns

@@ -459,7 +459,7 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 	// and the rare attraction peers have their entries replaced: 0 and the
 	// full Force evaluation. Each repulsion value is a pure per-pair
 	// function, so both paths are bit-identical.
-	sampleRow := func(i int, draw uint64, kj []int32, f []float64, scr *sampleScratch) {
+	sampleRow := func(i int, draw uint64, kj []int32, f []float64) {
 		prefix := rng.Hash(cfg.Seed, uint64(i), draw)
 		for k, key := range sampleKeys {
 			kj[k] = int32(rng.FoldKey(prefix, key) % uint64(n))
@@ -474,14 +474,11 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 			return
 		}
 		sf.RepulsionRow(i, kj, f)
-		// Attraction peers are stamped in the shard's mark table, so
-		// membership is one load instead of a scan of the peer list.
-		stamp := scr.markPeers(attracted[i], n)
 		for k, j := range kj {
 			switch {
 			case int(j) == i:
 				f[k] = 0
-			case scr.mark[j] == stamp:
+			case containsIdx(attracted[i], j):
 				f[k] = field.Force(ids[i], ids[j])
 			}
 		}
@@ -492,10 +489,8 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 		defer frozenPool.Put(frozen)
 		frozen.ensure(n * K)
 		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
-			scr := samplePool.Get().(*sampleScratch)
-			defer samplePool.Put(scr)
 			for i := lo; i < hi; i++ {
-				sampleRow(i, 0, frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K], scr)
+				sampleRow(i, 0, frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K])
 			}
 		})
 	}
@@ -542,9 +537,9 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 		// order, so sharding the points leaves every float exactly as in
 		// the serial loop.
 		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
-			var scr *sampleScratch
+			var scr *peerRows
 			if frozen == nil {
-				scr = samplePool.Get().(*sampleScratch)
+				scr = samplePool.Get().(*peerRows)
 				defer samplePool.Put(scr)
 				scr.ensure(K)
 			}
@@ -555,7 +550,7 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 					kj, f = frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K]
 				} else {
 					kj, f = scr.kj, scr.f
-					sampleRow(i, uint64(iter), kj, f, scr)
+					sampleRow(i, uint64(iter), kj, f)
 				}
 				for k, j := range kj {
 					if f[k] <= 0 {
@@ -674,36 +669,18 @@ func (r *peerRows) ensure(m int) {
 // clearing.
 var frozenPool = sync.Pool{New: func() any { return new(peerRows) }}
 
-// sampleScratch pools the sampled pass's per-shard buffers: one peer row
-// and the attraction-peer mark table (see markPeers).
-type sampleScratch struct {
-	peerRows
-	mark  []uint32
-	stamp uint32
+// containsIdx reports membership in a point's (short) attraction-peer list.
+func containsIdx(s []int32, v int32) bool {
+	for _, x := range s {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
-// markPeers stamps a point's attraction peers in the n-point mark table
-// with a fresh stamp and returns it: j is a peer exactly when
-// mark[j] == stamp. Stamps only grow, so marks left by earlier rows (or
-// earlier runs) never match; the table is cleared only when the counter
-// wraps.
-func (s *sampleScratch) markPeers(peers []int32, n int) uint32 {
-	if len(s.mark) < n {
-		s.mark = make([]uint32, n)
-		s.stamp = 0
-	}
-	s.stamp++
-	if s.stamp == 0 {
-		clear(s.mark)
-		s.stamp = 1
-	}
-	for _, j := range peers {
-		s.mark[j] = s.stamp
-	}
-	return s.stamp
-}
-
-var samplePool = sync.Pool{New: func() any { return new(sampleScratch) }}
+// samplePool recycles the per-shard peer row of the sampled pass.
+var samplePool = sync.Pool{New: func() any { return new(peerRows) }}
 
 func min(a, b int) int {
 	if a < b {
