@@ -22,6 +22,20 @@
 // remaining VMs overflow onto the least-loaded server (tracked in
 // Result.Overflowed — the simulator surfaces it as degraded performance
 // rather than silently dropping load).
+//
+// Hot-sample-first admission. The first-fit scan is dominated by servers
+// that are already full, so every combined-peak server remembers its hot
+// sample t*, the index of its aggregate's largest value, and the scan skips
+// a server without evaluating the full combined peak when
+// aggregate[t*] + prof[t*] > capTop+1e-9. The skip is exact: that sum is one
+// of the sums the combined peak maximizes, with the same operands and the
+// same expression, so the peak is at least the sum and admission would
+// reject; a NaN sum fails the > test and never skips. The chosen server,
+// its Peak bits, its DVFS level and Overflowed are therefore those of the
+// plain scan. The test lives only in the first-fit loops (pack's and
+// Tracker.Probe's): the new-server and overflow paths call the combined
+// peak for its value, not its verdict. PlainFFD admits on the stationary
+// sum of peaks and never skips.
 package alloc
 
 import (
@@ -38,6 +52,7 @@ type ServerAlloc struct {
 	Level     int     // DVFS frequency level index
 	Peak      float64 // admission peak estimate (combined or stationary)
 	aggregate []float64
+	hot       int // index of aggregate's largest sample (see the package doc)
 }
 
 // Result is a DC's local allocation for one slot.
@@ -105,46 +120,46 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 	})
 
 	var res Result
-	// The VM's profile is hoisted out of the first-fit scan: admit runs
-	// once per candidate server, and re-fetching the row there dominated
-	// the packing cost.
-	admit := func(srv *ServerAlloc, id int, prof []float64, profLen int) (float64, bool) {
+	limit := capTop + 1e-9
+	// The VM's profile is hoisted out of the first-fit scan (cut to the
+	// set's sample count): admit runs once per candidate server, and
+	// re-fetching the row there dominated the packing cost.
+	admit := func(srv *ServerAlloc, id int, prof []float64) (float64, bool) {
+		var peak float64
 		if corrAware {
-			peak := 0.0
-			for t := 0; t < profLen; t++ {
-				if s := srv.aggregate[t] + prof[t]; s > peak {
-					peak = s
-				}
-			}
-			return peak, peak <= capTop+1e-9
+			peak = combinedPeak(srv.aggregate, prof)
+		} else {
+			peak = srv.Peak + ps.Peak(id)
 		}
-		peak := srv.Peak + ps.Peak(id)
-		return peak, peak <= capTop+1e-9
+		return peak, peak <= limit
 	}
-	place := func(srv *ServerAlloc, id int, prof []float64, profLen int, peak float64) {
+	place := func(srv *ServerAlloc, id int, prof []float64, peak float64) {
 		srv.VMs = append(srv.VMs, id)
 		srv.Peak = peak
 		if corrAware {
-			for t := 0; t < profLen; t++ {
-				srv.aggregate[t] += prof[t]
+			for t, u := range prof {
+				srv.aggregate[t] += u
 			}
+			_, srv.hot = selfPeak(srv.aggregate)
 		}
 	}
 
 	for _, id := range order {
 		var prof []float64
-		profLen := 0
 		if corrAware {
 			prof = ps.Profile(id)
-			profLen = len(prof)
-			if profLen > samples {
-				profLen = samples
+			if len(prof) > samples {
+				prof = prof[:samples]
 			}
 		}
 		placed := false
 		for s := range res.Servers {
-			if peak, ok := admit(&res.Servers[s], id, prof, profLen); ok {
-				place(&res.Servers[s], id, prof, profLen, peak)
+			srv := &res.Servers[s]
+			if hotRejects(srv.aggregate, srv.hot, prof, limit) {
+				continue
+			}
+			if peak, ok := admit(srv, id, prof); ok {
+				place(srv, id, prof, peak)
 				placed = true
 				break
 			}
@@ -154,8 +169,8 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 		}
 		if len(res.Servers) < maxServers {
 			srv := ServerAlloc{aggregate: make([]float64, samples)}
-			peak, _ := admit(&srv, id, prof, profLen)
-			place(&srv, id, prof, profLen, peak)
+			peak, _ := admit(&srv, id, prof)
+			place(&srv, id, prof, peak)
 			res.Servers = append(res.Servers, srv)
 			continue
 		}
@@ -171,8 +186,8 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 			// open one anyway and flag it.
 			res.Servers = append(res.Servers, ServerAlloc{aggregate: make([]float64, samples)})
 		}
-		peak, _ := admit(&res.Servers[best], id, prof, profLen)
-		place(&res.Servers[best], id, prof, profLen, peak)
+		peak, _ := admit(&res.Servers[best], id, prof)
+		place(&res.Servers[best], id, prof, peak)
 		res.Overflowed++
 	}
 
@@ -183,4 +198,39 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 	}
 	res.Active = len(res.Servers)
 	return res
+}
+
+// combinedPeak returns the admission peak of adding prof to a server whose
+// aggregate profile is agg: the largest agg[t]+prof[t], floored at 0 (a NaN
+// sum never raises it). prof must be no longer than agg. It is the one
+// combined-peak scan both first-fit surfaces share.
+func combinedPeak(agg, prof []float64) float64 {
+	agg = agg[:len(prof)]
+	peak := 0.0
+	for t, u := range prof {
+		if s := agg[t] + u; s > peak {
+			peak = s
+		}
+	}
+	return peak
+}
+
+// hotRejects reports whether adding prof to a server whose aggregate agg
+// has hot sample hot certainly breaks limit: the hot sum is one of the sums
+// combinedPeak maximizes, so when it exceeds limit the combined peak does
+// too. It never rejects on a NaN sum or when prof is too short to reach
+// the hot sample.
+func hotRejects(agg []float64, hot int, prof []float64, limit float64) bool {
+	return hot < len(prof) && agg[hot]+prof[hot] > limit
+}
+
+// selfPeak returns agg's largest value floored at 0, and the index of that
+// value (0 when no value is positive) — the server's hot sample.
+func selfPeak(agg []float64) (peak float64, hot int) {
+	for t, v := range agg {
+		if v > peak {
+			peak, hot = v, t
+		}
+	}
+	return peak, hot
 }

@@ -17,6 +17,13 @@ import (
 // That trades a sliver of packing quality on the skipped servers for a
 // per-arrival cost independent of how many servers the DC has accumulated;
 // departures re-open the cursor, so space freed behind it is found again.
+// Within the window the scan is hot-sample-first, as in CorrelationAware:
+// each server keeps the index of its aggregate's largest sample (updated by
+// Commit and every rebuild), and Probe passes over a server whose hot sum
+// aggregate[t*] + prof[t*] already exceeds capacity without evaluating the
+// full combined peak. That sum is one of the sums the combined peak
+// maximizes, so the skip only passes over servers the full test rejects,
+// and every Probe answer is the plain scan's.
 //
 // All methods are pure functions of the call sequence: the same admissions
 // and departures in the same order produce bit-identical placements at any
@@ -35,6 +42,7 @@ type trackedServer struct {
 	members   []int
 	aggregate []float64
 	peak      float64 // combined peak of the aggregate profile
+	hot       int     // index of the aggregate's largest sample
 }
 
 // packedFrac: a server whose remaining gap (capacity minus aggregate peak)
@@ -88,25 +96,6 @@ func (t *Tracker) UsedFrac() float64 {
 	return used / (float64(t.maxServers) * t.capTop)
 }
 
-// combinedPeak returns the admission peak of adding prof to server s.
-func (t *Tracker) combinedPeak(s *trackedServer, prof []float64) float64 {
-	n := len(prof)
-	if n > t.samples {
-		n = t.samples
-	}
-	var peak float64
-	for i := 0; i < n; i++ {
-		if v := s.aggregate[i] + prof[i]; v > peak {
-			peak = v
-		}
-	}
-	if peak < s.peak {
-		// A profile shorter than the aggregate cannot lower the peak.
-		peak = s.peak
-	}
-	return peak
-}
-
 // Probe finds a server for prof: the first server in the bounded window
 // whose combined peak stays under capacity, else a fresh server while the
 // budget allows. It mutates nothing. srv == Servers() means "open a new
@@ -117,8 +106,22 @@ func (t *Tracker) Probe(prof []float64) (srv int, peak float64, ok bool) {
 	if end > len(t.servers) {
 		end = len(t.servers)
 	}
+	cut := prof
+	if len(cut) > t.samples {
+		cut = cut[:t.samples]
+	}
+	limit := t.capTop + 1e-9
 	for s := t.cursor; s < end; s++ {
-		if p := t.combinedPeak(&t.servers[s], prof); p <= t.capTop+1e-9 {
+		srv := &t.servers[s]
+		if hotRejects(srv.aggregate, srv.hot, cut, limit) {
+			continue
+		}
+		p := combinedPeak(srv.aggregate, cut)
+		if p < srv.peak {
+			// A profile shorter than the aggregate cannot lower the peak.
+			p = srv.peak
+		}
+		if p <= limit {
 			return s, p, true
 		}
 	}
@@ -168,7 +171,7 @@ func (t *Tracker) Commit(srv, id int, prof []float64) {
 	for i := 0; i < n; i++ {
 		s.aggregate[i] += prof[i]
 	}
-	s.peak = selfPeak(s.aggregate)
+	s.peak, s.hot = selfPeak(s.aggregate)
 	t.count++
 	for t.cursor < len(t.servers) && t.capTop-t.servers[t.cursor].peak < packedFrac*t.capTop {
 		t.cursor++
@@ -223,7 +226,7 @@ func (t *Tracker) rebuild(srv int, profile func(id int) []float64) {
 			s.aggregate[i] += prof[i]
 		}
 	}
-	s.peak = selfPeak(s.aggregate)
+	s.peak, s.hot = selfPeak(s.aggregate)
 }
 
 // RebuildAll recomputes every server's aggregate from current profiles and
@@ -237,14 +240,4 @@ func (t *Tracker) RebuildAll(profile func(id int) []float64) {
 	for t.cursor < len(t.servers) && t.capTop-t.servers[t.cursor].peak < packedFrac*t.capTop {
 		t.cursor++
 	}
-}
-
-func selfPeak(agg []float64) float64 {
-	var peak float64
-	for _, v := range agg {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
 }

@@ -154,10 +154,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/result", c.handleResult)
 	mux.HandleFunc("GET /v1/status", c.handleStatus)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(c.board.Snapshot().Text()))
-	})
+	mux.HandleFunc("GET /metrics", httpx.Metrics(c.board))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok\n"))

@@ -351,11 +351,6 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 				wftT[k] = weight(ftT[k])
 				sft[k] = ft[k] + ftT[k]
 			}
-			for j := i + 1; j < n; j++ {
-				dx := px[i] - px[j]
-				dy := py[i] - py[j]
-				prevD[i*n+j] = math.Sqrt(dx*dx + dy*dy)
-			}
 		}
 	})
 
@@ -368,7 +363,8 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 	// the cost (Eq. 7) of the *previous* iteration's displacement — both
 	// need the same pair sweep and the same Euclidean distance, computed
 	// once per pair — so one O(n^2) pass per iteration replaces the former
-	// two.
+	// two. Pass 0 has no previous displacement; it only seeds prevD with
+	// the initial distances.
 	pass := func(iter int, withForces bool) float64 {
 		var cost float64
 		for i := 0; i < n; i++ {
@@ -378,8 +374,8 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 				d := math.Sqrt(dx*dx + dy*dy)
 				if iter > 0 {
 					cost += sft[i*n+j] * (d - prevD[i*n+j])
-					prevD[i*n+j] = d
 				}
+				prevD[i*n+j] = d
 				if !withForces {
 					continue
 				}

@@ -89,7 +89,7 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/depart", d.handleDepart)
 	mux.HandleFunc("POST /v1/observe", d.handleObserve)
 	mux.HandleFunc("POST /v1/drain", d.handleDrain)
-	mux.HandleFunc("GET /metrics", d.handleMetrics)
+	mux.HandleFunc("GET /metrics", httpx.Metrics(d.opt.Board))
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	if d.opt.RequestTimeout <= 0 {
 		return mux
@@ -244,11 +244,6 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleDrain(w http.ResponseWriter, r *http.Request) {
 	d.Drain()
 	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"drained": true})
-}
-
-func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(d.opt.Board.Snapshot().Text()))
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
