@@ -102,7 +102,6 @@ func PlainFFD(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, m
 }
 
 func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxServers int, corrAware bool) Result {
-	capTop := model.MaxCapacity()
 	samples := ps.Samples()
 
 	// First-fit-decreasing order by individual peak; ties by id (a total
@@ -120,7 +119,7 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 	})
 
 	var res Result
-	limit := capTop + 1e-9
+	limit := model.MaxCapacity() + 1e-9
 	// The VM's profile is hoisted out of the first-fit scan (cut to the
 	// set's sample count): admit runs once per candidate server, and
 	// re-fetching the row there dominated the packing cost.
