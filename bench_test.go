@@ -50,11 +50,7 @@ func benchSpec() Spec {
 // compareAll runs the four policies of the paper's evaluation once.
 func compareAll(b *testing.B) []*Result {
 	b.Helper()
-	results, err := Compare(benchSpec(), AllPolicies(0.9, 42)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return results
+	return runPolicies(b, benchSpec(), AllPolicies(0.9, 42)...)
 }
 
 func byName(results []*Result, name string) *Result {
@@ -183,10 +179,7 @@ func BenchmarkFig6EnergyPerformance(b *testing.B) {
 func BenchmarkAblationAlphaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, alpha := range []float64{0.1, 0.9} {
-			res, err := Compare(benchSpec(), Proposed(alpha, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPolicies(b, benchSpec(), Proposed(alpha, 42))
 			b.ReportMetric(res[0].RespSummary.Max(), "worst-resp-alpha-"+fmtAlpha(alpha))
 		}
 	}
@@ -204,16 +197,10 @@ func fmtAlpha(a float64) string {
 // reduce it).
 func BenchmarkAblationNoEmbedding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		with, err := Compare(benchSpec(), Proposed(0.9, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
+		with := runPolicies(b, benchSpec(), Proposed(0.9, 42))
 		noCtl := Proposed(0.9, 42)
 		noCtl.NoEmbedding = true
-		without, err := Compare(benchSpec(), noCtl)
-		if err != nil {
-			b.Fatal(err)
-		}
+		without := runPolicies(b, benchSpec(), noCtl)
 		b.ReportMetric(with[0].CrossBytes.GB(), "crossGB-with-embedding")
 		b.ReportMetric(without[0].CrossBytes.GB(), "crossGB-no-embedding")
 	}
@@ -226,10 +213,7 @@ func BenchmarkAblationQoSSweep(b *testing.B) {
 		for _, q := range []float64{0.90, 0.999} {
 			s := benchSpec()
 			s.QoS = q
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPolicies(b, s, Proposed(0.9, 42))
 			name := "migrations-qos-loose"
 			if q > 0.99 {
 				name = "migrations-qos-tight"
@@ -246,10 +230,7 @@ func BenchmarkAblationBatterySweep(b *testing.B) {
 		for _, scale := range []float64{1e-6, 2} {
 			s := benchSpec()
 			s.BatteryScale = scale
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPolicies(b, s, Proposed(0.9, 42))
 			name := "gridKWh-battery-none"
 			if scale > 1 {
 				name = "gridKWh-battery-double"
@@ -266,10 +247,7 @@ func BenchmarkAblationForecast(b *testing.B) {
 		for _, k := range []ForecastKind{ForecastOracle, ForecastLastValue} {
 			s := benchSpec()
 			s.Forecast = k
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPolicies(b, s, Proposed(0.9, 42))
 			name := "cost-forecast-oracle"
 			if k == ForecastLastValue {
 				name = "cost-forecast-lastvalue"

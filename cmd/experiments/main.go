@@ -69,7 +69,7 @@ var (
 	traceDir   = flag.String("tracedir", "", "drive scenarios from this replay trace directory (tracegen -replay format) instead of the synthetic workload")
 	ingestVMs  = flag.String("ingest-vms", "", "drive scenarios from a raw cluster trace: VM lifetime CSV (requires -ingest-cpu)")
 	ingestCPU  = flag.String("ingest-cpu", "", "per-interval CPU utilization CSV paired with -ingest-vms")
-	fineBudget = flag.Int64("finebudget", 0, "resident bytes budget per compiled workload table; over-budget tables stream in chunks (0 = 256 MiB default, negative disables the fine table)")
+	fineBudget = flag.Int64("finebudget", 0, "resident bytes budget per compiled workload table; over-budget tables stream in chunks (0 = 256 MiB default; must not be negative)")
 	chunkSlots = flag.Int("chunkslots", 0, "pin the streaming-compile chunk width in slots (0 = derive from -finebudget)")
 
 	coordAddr  = flag.String("coordinator", "", "serve the sweep to geovmp-worker processes on this address (e.g. :8341) instead of computing cells locally")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -64,11 +65,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := geovmp.Compare(spec, geovmp.ServePolicy(d2), geovmp.Proposed(0.9, spec.Seed))
+	set, err := geovmp.NewExperiment(
+		geovmp.WithScenarios(spec),
+		geovmp.WithPolicies(
+			geovmp.NewPolicySpec("Serve", func(uint64) geovmp.Policy { return geovmp.ServePolicy(d2) }),
+			geovmp.NewPolicySpec("Proposed", func(seed uint64) geovmp.Policy { return geovmp.Proposed(0.9, seed) }),
+		),
+	).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	serveR, batchR := results[0], results[1]
+	serveR, batchR := set.At(0, 0, 0).Result, set.At(0, 1, 0).Result
 	drift := (float64(serveR.OpCost) - float64(batchR.OpCost)) / float64(batchR.OpCost) * 100
 	fmt.Printf("\noperational cost: serve %.2f EUR vs batch %.2f EUR (drift %+.1f%%)\n",
 		float64(serveR.OpCost), float64(batchR.OpCost), drift)

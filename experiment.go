@@ -331,7 +331,7 @@ func WithUsageTemplates(ts ...UsageTemplate) ScenarioOption {
 // table (fine and profile). Tables over the budget compile chunked and
 // stream through the simulator in bounded slot windows; results stay
 // byte-identical to the unbounded path. 0 keeps the 256 MiB default;
-// negative disables the fine table entirely (legacy behavior).
+// a negative budget fails validation.
 func WithFineTableBudget(bytes int64) ScenarioOption { return config.WithFineTableBudget(bytes) }
 
 // WithChunkSlots pins the chunk width (in slots) used when a compiled

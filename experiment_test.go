@@ -27,10 +27,10 @@ func runGrid(t *testing.T, parallelism int) *ResultSet {
 	return set
 }
 
-// TestExperimentParallelEqualsSerialAndLegacy is the tentpole acceptance
+// TestExperimentParallelEqualsSerialAndLegacy is the engine's acceptance
 // check: a 2-scenario x 4-policy x 3-seed grid run concurrently returns
-// results in deterministic grid order identical to the serial run, and the
-// cells agree with what the legacy Compare path produces.
+// results in deterministic grid order identical to the serial run, and
+// every cell agrees with the single-run primitive the engine grew from.
 func TestExperimentParallelEqualsSerialAndLegacy(t *testing.T) {
 	serial := runGrid(t, 1)
 	parallel := runGrid(t, 8)
@@ -49,18 +49,30 @@ func TestExperimentParallelEqualsSerialAndLegacy(t *testing.T) {
 		t.Fatal("JSON export not byte-identical between parallelism 1 and 8")
 	}
 
-	// Legacy equivalence: Compare on the matching spec must reproduce the
-	// corresponding grid cells exactly.
-	legacy, err := Compare(
-		Spec{Name: "base", Scale: 0.01, Seed: 6, Horizon: HoursOf(6), FineStepSec: 300},
-		AllPolicies(0.9, 6)...)
-	if err != nil {
-		t.Fatal(err)
+	// Single-run oracle: every cell must equal geovmp.Run of a fresh
+	// policy on a fresh scenario built from the cell's spec — the raw
+	// synthetic workload, which the run compiles for itself, against the
+	// engine's shared compiled column.
+	specs := []Spec{
+		NewSpec("base", WithScale(0.01), WithHorizon(HoursOf(6)), WithFineStep(300)),
+		NewSpec("tight-qos", WithScale(0.01), WithHorizon(HoursOf(6)), WithFineStep(300), WithQoS(0.999)),
 	}
-	for pi := range parallel.Policies {
-		cell := parallel.At(0, pi, 1) // scenario "base", seed 5+1
-		if !reflect.DeepEqual(cell.Result, legacy[pi]) {
-			t.Fatalf("engine cell (base, %s, seed 6) differs from legacy Compare", parallel.Policies[pi])
+	for si, spec := range specs {
+		for pi, ps := range StandardPolicies(0.9) {
+			for ki, off := range parallel.SeedOffsets {
+				spec.Seed = 5 + off
+				sc, err := NewScenario(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Run(sc, ps.New(spec.Seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cell := parallel.At(si, pi, ki); !reflect.DeepEqual(cell.Result, want) {
+					t.Fatalf("engine cell (%s, %s, seed %d) differs from a single Run", cell.Scenario, cell.Policy, cell.Seed)
+				}
+			}
 		}
 	}
 }

@@ -33,8 +33,10 @@
 //     plants with WCMA forecasting, lithium-ion batteries at 50% DoD,
 //     two-level tariffs, the full-mesh 100 Gb/s backbone with stochastic
 //     BERs, and the synthetic multi-class workload.
-//   - NewScenario and Run remain the single-run primitives under the
-//     engine.
+//   - NewScenario and Run are the single-run primitives under the
+//     engine. Run reads the workload and the site models only through
+//     compiled tables, compiling a raw workload itself, so a single Run
+//     equals the matching engine cell bit for bit.
 //   - WithEpochs and WithMigrationBudget turn a scenario into a
 //     rolling-horizon run: the placement re-optimizes at every epoch
 //     boundary, migrations are revised under a per-epoch budget, each
@@ -53,14 +55,9 @@
 //
 // Everything is deterministic in the seeds: a sweep's ResultSet — and its
 // JSON export — is byte-identical at any parallelism.
-//
-// Compare, CompareSeeds and AggregateFigure are deprecated shims over the
-// engine, kept for one release for the pre-engine callers.
 package geovmp
 
 import (
-	"context"
-
 	"geovmp/internal/config"
 	"geovmp/internal/core"
 	"geovmp/internal/policy"
@@ -138,37 +135,10 @@ func NetAware() Policy { return policy.NetAware{} }
 // comparing.
 func NewScenario(spec Spec) (*Scenario, error) { return config.Build(spec) }
 
-// Run simulates pol over sc and returns its metrics.
+// Run simulates pol over sc and returns its metrics. A workload that is
+// not already compiled at the scenario's profile sampling and fine step is
+// compiled first (see CompileWorkload).
 func Run(sc *Scenario, pol Policy) (*Result, error) { return sim.Run(sc, pol) }
-
-// Compare evaluates each policy on an identical fresh replica of the
-// scenario described by spec — same workload, same network draws, same
-// initial battery state — and returns the results in input order. Each
-// policy value is run exactly once, so passing the same stateful instance
-// twice is not supported.
-//
-// Deprecated: Compare is a shim over the Experiment engine. Use
-// NewExperiment(WithScenarios(spec), WithPolicies(...)).Run(ctx), which
-// adds parallelism, cancellation, multi-scenario grids and structured
-// results.
-func Compare(spec Spec, pols ...Policy) ([]*Result, error) {
-	if len(pols) == 0 {
-		return []*Result{}, nil
-	}
-	specs := make([]PolicySpec, len(pols))
-	for i, p := range pols {
-		specs[i] = PolicySpec{Name: p.Name(), New: func(uint64) Policy { return p }}
-	}
-	set, err := NewExperiment(WithScenarios(spec), WithPolicies(specs...)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(pols))
-	for pi := range pols {
-		out[pi] = set.At(0, pi, 0).Result
-	}
-	return out, nil
-}
 
 // AllPolicies returns the paper's four methods in evaluation order:
 // Proposed, Ener-aware, Pri-aware, Net-aware.
@@ -269,58 +239,3 @@ type ProposedController = core.Controller
 func EmbeddingSVG(ctrl *ProposedController, title string, groupOf func(id int) int, groups []string) string {
 	return viz.Plane(title, ctrl.Positions(), groupOf, groups)
 }
-
-// CompareSeeds repeats Compare over `seeds` consecutive seeds starting at
-// spec.Seed, building fresh policies per seed via mkPolicies (stateful
-// policies cannot be reused across runs). It returns one result set per
-// seed, ready for AggregateFigure.
-//
-// Deprecated: CompareSeeds is a shim over the Experiment engine. Use
-// NewExperiment(WithScenarios(spec), WithPolicies(...), WithSeeds(n)) and
-// the returned ResultSet, which add parallelism and cancellation.
-func CompareSeeds(spec Spec, seeds int, mkPolicies func(seed uint64) []Policy) ([][]*Result, error) {
-	// Parallelism 1 plus per-seed memoization preserves the legacy
-	// contract exactly: mkPolicies is called once per seed, from one
-	// goroutine at a time, so impure factories behave as they always did.
-	cache := map[uint64][]Policy{}
-	pols := func(seed uint64) []Policy {
-		ps, ok := cache[seed]
-		if !ok {
-			ps = mkPolicies(seed)
-			cache[seed] = ps
-		}
-		return ps
-	}
-	if seeds <= 0 {
-		return nil, nil
-	}
-	protos := pols(spec.Seed)
-	if len(protos) == 0 {
-		out := make([][]*Result, seeds)
-		for k := range out {
-			out[k] = []*Result{}
-		}
-		return out, nil
-	}
-	specs := make([]PolicySpec, len(protos))
-	for i := range protos {
-		specs[i] = PolicySpec{
-			Name: protos[i].Name(),
-			New:  func(seed uint64) Policy { return pols(seed)[i] },
-		}
-	}
-	set, err := NewExperiment(
-		WithScenarios(spec), WithPolicies(specs...), WithSeeds(seeds),
-		WithParallelism(1),
-	).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return set.SeedRuns(set.Scenarios[0]), nil
-}
-
-// AggregateFigure summarizes multi-seed runs into mean +/- std per policy
-// and headline metric.
-//
-// Deprecated: use ResultSet.Aggregate from an Experiment run instead.
-func AggregateFigure(runs [][]*Result) *Figure { return report.Aggregate(runs) }

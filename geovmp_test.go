@@ -1,6 +1,7 @@
 package geovmp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,28 @@ func testSpec() Spec {
 	return Spec{Scale: 0.01, Seed: 5, Horizon: HoursOf(8), FineStepSec: 300}
 }
 
-func TestCompareRunsAllPolicies(t *testing.T) {
-	results, err := Compare(testSpec(), AllPolicies(0.9, 5)...)
-	if err != nil {
-		t.Fatal(err)
+// runPolicies evaluates each policy once on its own fresh replica of the
+// scenario spec describes, through the experiment engine, and returns the
+// results in input order.
+func runPolicies(tb testing.TB, spec Spec, pols ...Policy) []*Result {
+	tb.Helper()
+	specs := make([]PolicySpec, len(pols))
+	for i, p := range pols {
+		specs[i] = NewPolicySpec(p.Name(), func(uint64) Policy { return p })
 	}
+	set, err := NewExperiment(WithScenarios(spec), WithPolicies(specs...)).Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([]*Result, len(pols))
+	for pi := range pols {
+		out[pi] = set.At(0, pi, 0).Result
+	}
+	return out
+}
+
+func TestCompareRunsAllPolicies(t *testing.T) {
+	results := runPolicies(t, testSpec(), AllPolicies(0.9, 5)...)
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -29,12 +47,9 @@ func TestCompareRunsAllPolicies(t *testing.T) {
 }
 
 func TestCompareIsFairAndDeterministic(t *testing.T) {
-	// Running the same policy twice through Compare must give identical
+	// Running the same policy twice in one grid must give identical
 	// results: each run gets a fresh identical scenario.
-	results, err := Compare(testSpec(), EnerAware(), EnerAware())
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runPolicies(t, testSpec(), EnerAware(), EnerAware())
 	if results[0].OpCost != results[1].OpCost ||
 		results[0].TotalEnergy != results[1].TotalEnergy {
 		t.Fatal("identical policies diverged — scenario replicas are not identical")
@@ -56,10 +71,7 @@ func TestRunSingle(t *testing.T) {
 }
 
 func TestSummarizeAndFigures(t *testing.T) {
-	results, err := Compare(testSpec(), AllPolicies(0.9, 5)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runPolicies(t, testSpec(), AllPolicies(0.9, 5)...)
 	sum := Summarize(results)
 	for _, name := range []string{"Proposed", "Ener-aware", "Pri-aware", "Net-aware"} {
 		if !strings.Contains(sum, name) {
@@ -113,10 +125,7 @@ func TestHeadlineShapeHolds(t *testing.T) {
 		t.Skip("shape check needs a longer horizon")
 	}
 	spec := Spec{Scale: 0.03, Seed: 42, Horizon: Days(1), FineStepSec: 300}
-	results, err := Compare(spec, AllPolicies(0.9, 42)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runPolicies(t, spec, AllPolicies(0.9, 42)...)
 	prop := results[0]
 	for _, r := range results[1:] {
 		if float64(prop.OpCost) >= float64(r.OpCost) {
@@ -174,21 +183,25 @@ func TestReplayedWorkloadDrivesSimulation(t *testing.T) {
 	}
 }
 
-func TestCompareSeedsAndAggregate(t *testing.T) {
-	runs, err := CompareSeeds(testSpec(), 2, func(seed uint64) []Policy {
-		return []Policy{Proposed(0.9, seed), NetAware()}
-	})
+// TestMultiSeedAggregate sweeps two seeds through the engine and
+// aggregates them per policy.
+func TestMultiSeedAggregate(t *testing.T) {
+	set, err := NewExperiment(
+		WithScenarios(testSpec()),
+		WithPolicies(
+			NewPolicySpec("Proposed", func(seed uint64) Policy { return Proposed(0.9, seed) }),
+			NewPolicySpec("Net-aware", func(uint64) Policy { return NetAware() }),
+		),
+		WithSeeds(2),
+	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 || len(runs[0]) != 2 {
-		t.Fatalf("runs shape = %dx%d", len(runs), len(runs[0]))
-	}
 	// Different seeds must actually differ.
-	if runs[0][1].OpCost == runs[1][1].OpCost {
+	if set.At(0, 1, 0).Result.OpCost == set.At(0, 1, 1).Result.OpCost {
 		t.Fatal("seed increment had no effect")
 	}
-	fig := AggregateFigure(runs)
+	fig := set.Aggregate(set.Scenarios[0])
 	if len(fig.Rows) != 2 {
 		t.Fatalf("aggregate rows = %d", len(fig.Rows))
 	}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,36 +46,61 @@ func runWith(t *testing.T, spec Spec, w trace.Source, env *sim.Environment) *sim
 	return res
 }
 
-// TestCompiledMatchesSynthesized is the compiled-trace oracle: simulating
-// over trace.Compile(w) must reproduce the exact Result — cost, energy,
-// response samples, migrations, series, placements — of simulating over the
-// live synthetic workload, across presets and seeds. The compiled
-// environment tables must be equally invisible.
+// TestCompiledMatchesSynthesized is the compiled-trace oracle: a run handed
+// the raw workload — which the simulator compiles for itself — must
+// reproduce the exact Result (cost, energy, response samples, migrations,
+// series, placements) of a run over the experiment engine's column: the
+// spec's compiled workload plus its compiled environment, both used as
+// handed over. Covered across presets and seeds, plus a source longer than
+// the horizon (compiled through a window), a compiled trace at a
+// mismatched fine step (recompiled), the faulty preset, and a scenario
+// whose controllers get empty profiles.
 func TestCompiledMatchesSynthesized(t *testing.T) {
+	type tc struct {
+		name string
+		spec Spec
+		raw  trace.Source // nil: the spec's synthetic workload
+	}
+	var cases []tc
 	for _, preset := range []string{"paper-geo3dc", "geo5dc"} {
 		for _, seed := range []uint64{7, 19} {
-			spec := compileSpec(t, preset, seed)
+			cases = append(cases, tc{name: fmt.Sprintf("%s seed %d", preset, seed), spec: compileSpec(t, preset, seed)})
+		}
+	}
+	long := compileSpec(t, "paper-geo3dc", 23)
+	long.Horizon = timeutil.Hours(16)
+	longSrc, err := NewWorkload(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{name: "source longer than the horizon", spec: compileSpec(t, "paper-geo3dc", 23), raw: longSrc})
+	mismatched := compileSpec(t, "geo5dc", 29)
+	src, err := NewWorkload(mismatched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{name: "mismatched fine step", spec: mismatched,
+		raw: trace.Compile(src, trace.CompileOptions{Samples: 12, FineStepSec: 600})})
+	cases = append(cases, tc{name: "faulty preset", spec: compileSpec(t, "geo5dc-faulty", 31)})
+	blind := compileSpec(t, "paper-geo3dc", 37)
+	blind.ProfileSamples = -1
+	cases = append(cases, tc{name: "no profiles", spec: blind})
 
-			live := runWith(t, spec, nil, nil)
-			compiled, err := CompileWorkload(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromCompiled := runWith(t, spec, compiled, nil)
-			if !reflect.DeepEqual(live, fromCompiled) {
-				t.Errorf("%s seed %d: compiled-trace run differs from live workload run", preset, seed)
-			}
-
-			// Environment tables on top must not change a single bit either.
-			sc, err := Build(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := sim.CompileEnvironment(sc.Fleet, sc.Horizon, spec.FineStepSec, nil)
-			withEnv := runWith(t, spec, compiled, env)
-			if !reflect.DeepEqual(live, withEnv) {
-				t.Errorf("%s seed %d: compiled-environment run differs from live run", preset, seed)
-			}
+	for _, c := range cases {
+		live := runWith(t, c.spec, c.raw, nil)
+		spec := c.spec
+		spec.Workload = c.raw
+		compiled, err := CompileWorkload(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := sim.CompileEnvironment(sc.Fleet, sc.Horizon, spec.FineStepSec, nil)
+		if got := runWith(t, c.spec, compiled, env); !reflect.DeepEqual(live, got) {
+			t.Errorf("%s: column run differs from the raw-source run", c.name)
 		}
 	}
 }

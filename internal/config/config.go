@@ -111,8 +111,8 @@ type Spec struct {
 	Templates []trace.UsageTemplate
 	// MaxFineTableBytes bounds each compiled utilization table
 	// (trace.CompileOptions.MaxFineTableBytes): 0 selects the compiler's
-	// 256 MiB default, negative disables the fine table. Tables over the
-	// budget stream through chunk cursors instead of residing in memory.
+	// 256 MiB default; negative is invalid. Tables over the budget stream
+	// through chunk cursors instead of residing in memory.
 	MaxFineTableBytes int64
 	// FineChunkSlots pins the streamed chunk width in slots for
 	// out-of-core tables (0 derives it from the budget).
@@ -230,6 +230,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Epochs < 0 {
 		return fmt.Errorf("config: negative epoch count %d", s.Epochs)
+	}
+	if s.MaxFineTableBytes < 0 {
+		return fmt.Errorf("config: negative fine-table budget %d", s.MaxFineTableBytes)
 	}
 	if !(s.ArrivalWave >= 0 && s.ArrivalWave < 1) {
 		return fmt.Errorf("config: ArrivalWave %v outside [0, 1)", s.ArrivalWave)
@@ -460,15 +463,7 @@ func CompileWorkload(spec Spec, workers *par.Budget) (*trace.Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples := sim.ResolveProfileSamples(spec.ProfileSamples)
-	if samples == 0 {
-		samples = -1 // resolved "no profiles": tell Compile to skip the table
-	}
-	return trace.Compile(w, trace.CompileOptions{
-		Samples:           samples,
-		FineStepSec:       sim.ResolveFineStep(spec.FineStepSec),
-		MaxFineTableBytes: spec.MaxFineTableBytes,
-		ChunkSlots:        spec.FineChunkSlots,
-		Workers:           workers,
-	}), nil
+	opt := sim.CompileOptions(sim.ResolveProfileSamples(spec.ProfileSamples), sim.ResolveFineStep(spec.FineStepSec))
+	opt.MaxFineTableBytes, opt.ChunkSlots, opt.Workers = spec.MaxFineTableBytes, spec.FineChunkSlots, workers
+	return trace.Compile(w, opt), nil
 }

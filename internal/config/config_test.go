@@ -192,3 +192,22 @@ func TestFineBudgetSpecReachesCompile(t *testing.T) {
 		t.Fatalf("pinned chunk width = %d, want 2", got)
 	}
 }
+
+// TestValidateRejectsNegativeFineBudget: the fine table is always built, so
+// a negative budget names no mode and fails validation and Build alike; 0
+// (the default) and positive budgets pass.
+func TestValidateRejectsNegativeFineBudget(t *testing.T) {
+	spec := Spec{Scale: 0.01, Seed: 1, Horizon: timeutil.Hours(2), MaxFineTableBytes: -1}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted a negative fine-table budget")
+	}
+	if _, err := Build(spec); err == nil {
+		t.Fatal("Build accepted a negative fine-table budget")
+	}
+	for _, budget := range []int64{0, 1, 4 << 20} {
+		spec.MaxFineTableBytes = budget
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("budget %d rejected: %v", budget, err)
+		}
+	}
+}

@@ -18,13 +18,14 @@ import (
 // CI runs this as a short -fuzztime smoke job; `go test` replays the seed
 // corpus as a regular regression test.
 func FuzzSpecValidate(f *testing.F) {
-	f.Add(0.02, uint64(42), 8, 7.0, 300.0, 0.98, 4, 0.3, 10, 512.0, 0.5, 0.4, 0.2, 4)
-	f.Add(0.01, uint64(7), 2, 1.0, 600.0, -1.0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0)
-	f.Add(-1.0, uint64(0), -3, math.NaN(), 0.0, 2.0, -2, math.Inf(1), -5, -1.0, -1.0, -0.5, 1.0, 2)
-	f.Add(0.015, uint64(3), 5, 2.0, 450.0, 0.9, 3, 0.99, 1, 64.0, 0.1, 0.25, 0.25, 3)
+	f.Add(0.02, uint64(42), 8, 7.0, 300.0, 0.98, 4, 0.3, 10, 512.0, 0.5, 0.4, 0.2, 4, int64(0))
+	f.Add(0.01, uint64(7), 2, 1.0, 600.0, -1.0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0, int64(1))
+	f.Add(-1.0, uint64(0), -3, math.NaN(), 0.0, 2.0, -2, math.Inf(1), -5, -1.0, -1.0, -0.5, 1.0, 2, int64(0))
+	f.Add(0.015, uint64(3), 5, 2.0, 450.0, 0.9, 3, 0.99, 1, 64.0, 0.1, 0.25, 0.25, 3, int64(4<<20))
+	f.Add(0.01, uint64(5), 4, 2.0, 300.0, 0.98, 0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0, int64(-1))
 	f.Fuzz(func(t *testing.T, scale float64, seed uint64, hours int, vmsPerServer,
 		fineStep, qos float64, epochs int, wave float64, maxMoves int,
-		energyPerGB, downtime, wA, wB float64, mixRows int) {
+		energyPerGB, downtime, wA, wB float64, mixRows int, fineBudget int64) {
 		// Size clamps only — keep every accepted spec cheap to Build.
 		if scale > 0.03 {
 			scale = math.Mod(scale, 0.03)
@@ -42,14 +43,15 @@ func FuzzSpecValidate(f *testing.F) {
 			mixRows = mixRows % 8
 		}
 		spec := Spec{
-			Scale:        scale,
-			Seed:         seed,
-			Horizon:      timeutil.Hours(hours),
-			VMsPerServer: vmsPerServer,
-			FineStepSec:  fineStep,
-			QoS:          qos,
-			Epochs:       epochs,
-			ArrivalWave:  wave,
+			Scale:             scale,
+			Seed:              seed,
+			Horizon:           timeutil.Hours(hours),
+			VMsPerServer:      vmsPerServer,
+			FineStepSec:       fineStep,
+			QoS:               qos,
+			Epochs:            epochs,
+			ArrivalWave:       wave,
+			MaxFineTableBytes: fineBudget,
 			Migration: sim.MigrationBudget{
 				MaxMovesPerEpoch: maxMoves,
 				EnergyPerGB:      energyPerGB,
@@ -63,6 +65,9 @@ func FuzzSpecValidate(f *testing.F) {
 			}
 		}
 		verr := spec.Validate()
+		if fineBudget < 0 && verr == nil {
+			t.Fatalf("Validate accepted the negative fine-table budget %d", fineBudget)
+		}
 		sc, berr := Build(spec)
 		if verr == nil && berr != nil {
 			t.Fatalf("Validate accepted a spec Build rejects: %v (spec %+v)", berr, spec)

@@ -250,8 +250,8 @@ func WithUsageTemplates(ts ...trace.UsageTemplate) Option {
 
 // WithFineTableBudget bounds each compiled utilization table in bytes;
 // tables over the budget stream through chunk cursors instead of residing
-// in memory (trace.CompileOptions.MaxFineTableBytes; negative disables the
-// fine table).
+// in memory (trace.CompileOptions.MaxFineTableBytes; 0 selects the 256 MiB
+// default, negative is invalid).
 func WithFineTableBudget(bytes int64) Option {
 	return func(s *Spec) { s.MaxFineTableBytes = bytes }
 }

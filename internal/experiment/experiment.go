@@ -169,9 +169,8 @@ func (s *Set) scenarioIndex(name string) int {
 
 // Results returns the completed results for one scenario and policy across
 // all seeds, in seed-offset order. Failed or cancelled cells are skipped.
-// Policy names may repeat in a grid (the deprecated shims rely on
-// positional access); name lookup resolves to the first match — use At for
-// positional access when names collide.
+// Policy names may repeat in a grid; name lookup resolves to the first
+// match — use At for positional access when names collide.
 func (s *Set) Results(scenario, policyName string) []*sim.Result {
 	si := s.scenarioIndex(scenario)
 	if si < 0 {
@@ -190,30 +189,6 @@ func (s *Set) Results(scenario, policyName string) []*sim.Result {
 		break
 	}
 	return out
-}
-
-// SeedRuns returns one scenario's results in the legacy [][]*Result shape —
-// one row per seed offset, one column per policy — ready for
-// report.Aggregate and report.All. Rows with missing cells keep nil holes
-// removed; a fully-failed row is dropped.
-func (s *Set) SeedRuns(scenario string) [][]*sim.Result {
-	si := s.scenarioIndex(scenario)
-	if si < 0 {
-		return nil
-	}
-	var runs [][]*sim.Result
-	for ki := range s.SeedOffsets {
-		var row []*sim.Result
-		for pi := range s.Policies {
-			if c := s.At(si, pi, ki); c.Result != nil {
-				row = append(row, c.Result)
-			}
-		}
-		if len(row) > 0 {
-			runs = append(runs, row)
-		}
-	}
-	return runs
 }
 
 // Group buckets the completed cells by an arbitrary key — for example by
@@ -585,8 +560,7 @@ func Run(ctx context.Context, g Grid) (*Set, error) {
 			for ki, off := range offsets {
 				if col := g.Columns(set.Scenarios[si], g.Scenarios[si].Seed+off); col != nil {
 					s := &shared[si*len(offsets)+ki]
-					s.src, s.env = col.src, col.env
-					s.external = true
+					s.col, s.external = col, true
 				}
 			}
 		}
@@ -701,12 +675,24 @@ func CompileColumn(spec config.Spec, seed uint64, workers *par.Budget) (*Column,
 	return &Column{src: src, env: env, fp: fp}, nil
 }
 
-// RunOnColumn evaluates one cell over a pre-compiled column — the dist
-// worker's execution path. It is runCell minus the lazy column bookkeeping:
-// fresh mutable scenario state per call over the column's immutable tables,
-// so results are bit-identical to the in-process engine's.
+// RunOnColumn evaluates one cell over a pre-compiled column — the engine's
+// own cell evaluator and the dist worker's execution path: fresh mutable
+// scenario state and a fresh policy instance per call over the column's
+// immutable tables, so results are bit-identical wherever it runs.
 func RunOnColumn(ctx context.Context, spec config.Spec, ps PolicySpec, seed uint64, col *Column, workers *par.Budget) (*sim.Result, error) {
-	return runOn(ctx, spec, ps, seed, col.src, col.env, workers)
+	spec.Seed = seed
+	spec.Workload = col.src
+	sc, err := config.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	sc.Env = col.env
+	sc.Workers = workers
+	pol := ps.New(seed)
+	if pol == nil {
+		return nil, fmt.Errorf("experiment: policy %q constructor returned nil", ps.Name)
+	}
+	return sim.RunCtx(ctx, sc, pol)
 }
 
 // compiles counts workload/environment compilations engine-wide — the lazy
@@ -728,38 +714,25 @@ func CompileCount() int64 { return compiles.Load() }
 type sharedWorkload struct {
 	once      sync.Once
 	mu        sync.Mutex
-	src       *trace.Compiled
-	env       *sim.Environment
+	col       *Column
 	err       error
 	external  bool         // pre-filled by the caller; owned elsewhere
 	remaining atomic.Int64 // cells of the column not yet finished
 }
 
-func (s *sharedWorkload) get(spec config.Spec, workers *par.Budget) (*trace.Compiled, *sim.Environment, error) {
+func (s *sharedWorkload) get(spec config.Spec, workers *par.Budget) (*Column, error) {
 	s.once.Do(func() {
 		if s.external {
 			return
 		}
-		compiles.Add(1)
-		src, err := config.CompileWorkload(spec, workers)
-		if err != nil {
-			s.err = err
-			return
-		}
-		spec.Workload = src
-		sc, err := config.Build(spec)
-		if err != nil {
-			s.err = err
-			return
-		}
-		env := sim.CompileEnvironment(sc.Fleet, sc.Horizon, sc.FineStepSec, workers)
+		col, err := CompileColumn(spec, spec.Seed, workers)
 		s.mu.Lock()
-		s.src, s.env = src, env
+		s.col, s.err = col, err
 		s.mu.Unlock()
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.src, s.env, s.err
+	return s.col, s.err
 }
 
 // done marks one of the column's cells finished, releasing the compiled
@@ -768,7 +741,7 @@ func (s *sharedWorkload) get(spec config.Spec, workers *par.Budget) (*trace.Comp
 func (s *sharedWorkload) done() {
 	if s.remaining.Add(-1) == 0 && !s.external {
 		s.mu.Lock()
-		s.src, s.env = nil, nil
+		s.col = nil
 		s.mu.Unlock()
 	}
 }
@@ -779,28 +752,9 @@ func (s *sharedWorkload) done() {
 func runCell(ctx context.Context, spec config.Spec, ps PolicySpec, seed uint64, wl *sharedWorkload, workers *par.Budget) (*sim.Result, error) {
 	defer wl.done()
 	spec.Seed = seed
-	w, env, err := wl.get(spec, workers)
+	col, err := wl.get(spec, workers)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(ctx, spec, ps, seed, w, env, workers)
-}
-
-// runOn is the shared cell evaluator behind runCell and RunOnColumn: fresh
-// mutable scenario state and a fresh policy instance over an
-// already-compiled workload and environment.
-func runOn(ctx context.Context, spec config.Spec, ps PolicySpec, seed uint64, w *trace.Compiled, env *sim.Environment, workers *par.Budget) (*sim.Result, error) {
-	spec.Seed = seed
-	spec.Workload = w
-	sc, err := config.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	sc.Env = env
-	sc.Workers = workers
-	pol := ps.New(seed)
-	if pol == nil {
-		return nil, fmt.Errorf("experiment: policy %q constructor returned nil", ps.Name)
-	}
-	return sim.RunCtx(ctx, sc, pol)
+	return RunOnColumn(ctx, spec, ps, seed, col, workers)
 }

@@ -10,7 +10,9 @@ import (
 	"geovmp/internal/config"
 	"geovmp/internal/core"
 	"geovmp/internal/policy"
+	"geovmp/internal/sim"
 	"geovmp/internal/timeutil"
+	"geovmp/internal/units"
 )
 
 func testSpec(name string, seed uint64) config.Spec {
@@ -157,10 +159,6 @@ func TestGroupingAndAggregate(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("Results = %d, want 3 (one per seed)", len(res))
 	}
-	runs := set.SeedRuns("b")
-	if len(runs) != 3 || len(runs[0]) != 2 {
-		t.Fatalf("SeedRuns shape = %dx%d, want 3x2", len(runs), len(runs[0]))
-	}
 	byPolicy := set.Group(func(c *Cell) string { return c.Policy })
 	if len(byPolicy["Proposed"]) != 6 {
 		t.Fatalf("group Proposed = %d cells, want 6", len(byPolicy["Proposed"]))
@@ -168,6 +166,43 @@ func TestGroupingAndAggregate(t *testing.T) {
 	fig := set.Aggregate("a")
 	if len(fig.Rows) != 2 {
 		t.Fatalf("aggregate rows = %d, want 2", len(fig.Rows))
+	}
+}
+
+// TestAggregateMeanStd pins Aggregate's statistics: per policy the mean
+// and population standard deviation across seeds, in grid policy order,
+// over live and flattened cells alike; an unknown scenario or an empty set
+// yields no rows.
+func TestAggregateMeanStd(t *testing.T) {
+	set := &Set{Scenarios: []string{"s"}, Policies: []string{"Proposed", "Net-aware"}, SeedOffsets: []uint64{0, 1}}
+	cost := [][]float64{{100, 120}, {150, 150}}
+	for pi := range set.Policies {
+		for ki := range set.SeedOffsets {
+			c := Cell{Policy: set.Policies[pi], Data: &CellData{CostEUR: cost[pi][ki]}}
+			if pi == 0 && ki == 0 {
+				c = Cell{Policy: set.Policies[pi], Result: &sim.Result{OpCost: units.Money(cost[pi][ki])}}
+			}
+			set.Cells = append(set.Cells, c)
+		}
+	}
+	f := set.Aggregate("s")
+	if len(f.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(f.Rows))
+	}
+	if f.Rows[0][0] != "Proposed" {
+		t.Fatalf("order lost: %v", f.Rows[0])
+	}
+	if f.Rows[0][1] != "110.00" || f.Rows[0][2] != "10.00" {
+		t.Fatalf("Proposed cost mean/std = %s/%s, want 110.00/10.00", f.Rows[0][1], f.Rows[0][2])
+	}
+	if f.Rows[1][1] != "150.00" || f.Rows[1][2] != "0.00" {
+		t.Fatalf("Net-aware cost mean/std = %s/%s, want 150.00/0.00", f.Rows[1][1], f.Rows[1][2])
+	}
+	if rows := set.Aggregate("missing").Rows; len(rows) != 0 {
+		t.Fatalf("unknown scenario aggregated %d rows", len(rows))
+	}
+	if rows := (&Set{}).Aggregate("s").Rows; len(rows) != 0 {
+		t.Fatalf("empty set aggregated %d rows", len(rows))
 	}
 }
 

@@ -413,43 +413,3 @@ func All(fleet dc.Fleet, results []*sim.Result) []*Figure {
 		Fig6(results),
 	}
 }
-
-// Aggregate summarizes repeated runs (one result set per seed) into
-// mean +/- population standard deviation per policy and metric — the
-// multi-seed robustness view a single-seed comparison lacks.
-func Aggregate(runs [][]*sim.Result) *Figure {
-	f := &Figure{
-		ID:      "aggregate",
-		Title:   fmt.Sprintf("Multi-seed aggregate over %d runs", len(runs)),
-		Headers: []string{"method", "cost mean (EUR)", "cost std", "energy mean (GJ)", "energy std", "worst resp mean (s)", "worst resp std"},
-	}
-	if len(runs) == 0 {
-		return f
-	}
-	order := make([]string, 0, len(runs[0]))
-	cost := map[string]*metrics.Summary{}
-	energy := map[string]*metrics.Summary{}
-	resp := map[string]*metrics.Summary{}
-	for _, results := range runs {
-		for _, r := range results {
-			if cost[r.Policy] == nil {
-				order = append(order, r.Policy)
-				cost[r.Policy] = &metrics.Summary{}
-				energy[r.Policy] = &metrics.Summary{}
-				resp[r.Policy] = &metrics.Summary{}
-			}
-			cost[r.Policy].Add(float64(r.OpCost))
-			energy[r.Policy].Add(r.TotalEnergy.GJ())
-			resp[r.Policy].Add(r.RespSummary.Max())
-		}
-	}
-	for _, name := range order {
-		f.Rows = append(f.Rows, []string{
-			name,
-			f2(cost[name].Mean()), f2(cost[name].Std()),
-			f4(energy[name].Mean()), f4(energy[name].Std()),
-			f2(resp[name].Mean()), f2(resp[name].Std()),
-		})
-	}
-	return f
-}

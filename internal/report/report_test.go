@@ -266,27 +266,3 @@ func TestSaveSVGs(t *testing.T) {
 		}
 	}
 }
-
-func TestAggregate(t *testing.T) {
-	runA := fakeResults()
-	runB := fakeResults()
-	// Perturb the second run's proposed cost to create variance.
-	runB[0].OpCost = 120
-	f := Aggregate([][]*sim.Result{runA, runB})
-	if len(f.Rows) != 4 {
-		t.Fatalf("rows = %d", len(f.Rows))
-	}
-	if f.Rows[0][0] != "Proposed" {
-		t.Fatalf("order lost: %v", f.Rows[0])
-	}
-	if f.Rows[0][1] != "110.00" {
-		t.Fatalf("mean cost = %s, want 110.00", f.Rows[0][1])
-	}
-	if f.Rows[0][2] != "10.00" {
-		t.Fatalf("std cost = %s, want 10.00", f.Rows[0][2])
-	}
-	empty := Aggregate(nil)
-	if len(empty.Rows) != 0 {
-		t.Fatal("empty aggregate should have no rows")
-	}
-}

@@ -79,6 +79,9 @@ type healthResponse struct {
 //	GET  /metrics     text exposition of the operational counters
 //	GET  /healthz     liveness + SLO snapshot
 //
+// Request bodies are validated before they reach the daemon: VM ids (and
+// flow peers, volume endpoints) must lie in [0, MaxWireID], and profile
+// samples and volumes must be non-negative; anything else answers 400.
 // Saturation of the bounded admission queue answers 429 with Retry-After;
 // a draining daemon answers 503. Every request additionally runs under
 // Options.RequestTimeout: a request that misses the deadline is answered
@@ -174,14 +177,53 @@ func writeOpError(w http.ResponseWriter, err error) {
 	}
 }
 
+// MaxWireID is the largest VM id a request may name. The daemon's profile
+// and volume tables are dense in the id, so an unbounded id from the wire
+// would size them; 2^20 ids is far past the paper's ~12.6k-VM fleet.
+const MaxWireID = 1<<20 - 1
+
+func validID(id int) bool { return id >= 0 && id <= MaxWireID }
+
+func nonNegative(vs ...float64) bool {
+	for _, v := range vs {
+		if v < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// valid reports whether the VM and its flow peers have in-range ids and
+// the profile is non-empty, with non-negative samples, image and volumes.
+func (r *placeRequest) valid() bool {
+	ok := validID(r.ID) && len(r.Profile) > 0 && nonNegative(r.Image) && nonNegative(r.Profile...)
+	for _, fl := range r.Flows {
+		ok = ok && validID(fl.Peer) && nonNegative(fl.ToPeer, fl.FromPeer)
+	}
+	return ok
+}
+
+// valid reports whether every named VM has an in-range id and every sample
+// and volume is non-negative.
+func (r *observeRequest) valid() bool {
+	ok := true
+	for _, v := range r.VMs {
+		ok = ok && validID(v.ID) && nonNegative(v.Profile...)
+	}
+	for _, v := range r.Volumes {
+		ok = ok && validID(v.From) && validID(v.To) && nonNegative(v.Vol)
+	}
+	return ok
+}
+
 func (d *Daemon) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req placeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.ID < 0 || len(req.Profile) == 0 {
-		http.Error(w, "bad request: id >= 0 and a non-empty profile are required", http.StatusBadRequest)
+	if !req.valid() {
+		http.Error(w, "bad request: ids in [0, MaxWireID], a non-empty profile and non-negative samples and flows are required", http.StatusBadRequest)
 		return
 	}
 	vm := VM{ID: req.ID, Profile: req.Profile, Image: units.DataSize(req.Image)}
@@ -225,6 +267,10 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req observeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !req.valid() {
+		http.Error(w, "bad request: ids in [0, MaxWireID] and non-negative samples and volumes are required", http.StatusBadRequest)
 		return
 	}
 	obs := Observation{Slot: timeutil.Slot(req.Slot)}

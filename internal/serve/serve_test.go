@@ -14,7 +14,7 @@ import (
 	"geovmp/internal/timeutil"
 )
 
-func testScenario(t *testing.T, scale float64) *sim.Scenario {
+func testScenario(t testing.TB, scale float64) *sim.Scenario {
 	t.Helper()
 	spec, err := config.Preset("geo5dc-dynamic")
 	if err != nil {

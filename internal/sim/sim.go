@@ -18,9 +18,9 @@
 //
 // The hot loops are allocation-free in steady state: per-slot containers
 // (profile sets, volume matrices, placement buffers) are reused across
-// slots, and when the workload is a compiled trace (trace.Compile) the
-// per-step utilization reads become slice indexing instead of trace
-// synthesis.
+// slots, and the workload and site models are read from compiled tables
+// (trace.Compile, CompileEnvironment), so the per-step reads are slice
+// indexing instead of trace synthesis.
 package sim
 
 import (
@@ -96,8 +96,13 @@ func ResolveFineStep(sec float64) float64 {
 // shared between runs — it only needs to be safe for concurrent readers,
 // which both the synthetic Workload and a compiled trace are.
 type Scenario struct {
-	Name     string
-	Fleet    dc.Fleet
+	Name  string
+	Fleet dc.Fleet
+	// Workload feeds the run. The simulator reads it through compiled
+	// tables (trace.Compile): a *trace.Compiled at the scenario's
+	// ProfileSamples and FineStepSec is used as handed over, any other
+	// source is compiled at the start of the run over the horizon's slots,
+	// at the default fine-table budget.
 	Workload trace.Source
 	Topo     *network.Topology
 	Horizon  timeutil.Horizon
@@ -128,10 +133,10 @@ type Scenario struct {
 	// Setting any field activates the engine even at Epochs <= 1.
 	Migration MigrationBudget
 	// Env optionally supplies the fleet's precomputed PUE / renewable / PV
-	// series (CompileEnvironment). Runs whose horizon and fine step the
-	// table covers read it instead of re-evaluating the site models; a
-	// mismatched or nil table is ignored. The experiment engine shares one
-	// per scenario x seed.
+	// series (CompileEnvironment). A table compiled for this fleet that
+	// covers the horizon at the run's fine step is used as handed over;
+	// when it is nil or mismatched the run compiles its own. The experiment
+	// engine shares one per scenario x seed.
 	Env *Environment
 	// Workers optionally lends the run extra goroutines for its sharded
 	// passes (the fine-plan evaluation, and the controller's embedding and
@@ -289,36 +294,22 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	w := sc.Workload
+	w := compileWorkload(sc)
 	fleet := sc.Fleet
 	n := len(fleet)
 	numVMs := w.NumVMs()
 	net := network.NewState(sc.Topo, rng.New(sc.Seed).Derive("network"))
 	constraint := (1 - sc.QoS) * timeutil.SlotSeconds
 
-	// Compiled fast paths: profile rows shared without copying when the
-	// sampling matches, and fine-step utilization rows when the fine table
-	// matches the scenario's step. Out-of-core tables serve the same rows
-	// through per-run chunk cursors, advanced once per slot below; the
-	// streamed values are byte-identical to the resident tables'.
-	compiled, _ := w.(*trace.Compiled)
-	useProfiles := compiled != nil && compiled.Samples() == sc.ProfileSamples
-	fineSteps := 0
-	var fineCur *trace.FineCursor
-	var profCur *trace.ProfileCursor
-	if compiled != nil {
-		if dt, steps := compiled.FineParams(); steps > 0 && dt == sc.FineStepSec {
-			fineSteps = steps
-			fineCur = compiled.NewFineCursor(sc.Workers)
-		}
-		if useProfiles {
-			profCur = compiled.NewProfileCursor(sc.Workers)
-		}
-	}
-	env := sc.Env
-	if !env.matches(fleet, sc.Horizon.Slots, sc.FineStepSec) {
-		env = nil
-	}
+	// Profile rows are shared without copying and fine-step utilization
+	// rows feed the vectorized IT-power pass. Out-of-core tables serve the
+	// same rows through per-run chunk cursors, advanced once per slot
+	// below; the streamed values are byte-identical to the resident
+	// tables'.
+	_, fineSteps := w.FineParams()
+	fineCur := w.NewFineCursor(sc.Workers)
+	profCur := w.NewProfileCursor(sc.Workers)
+	env := runEnvironment(sc)
 
 	res := &Result{
 		Policy:      pol.Name(),
@@ -370,16 +361,23 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	for i := range vol {
 		vol[i] = make([]units.DataSize, n)
 	}
-	var fine *finePlan
-	if fineSteps > 0 {
-		fine = newFinePlan(n, fineSteps)
-	}
+	fine := newFinePlan(n, fineSteps)
 	// Rolling-horizon engine state; nil on the static path, which must stay
 	// byte-identical to the pre-epoch simulator.
 	epoch := newEpochRun(sc, n)
 	// Fault engine state; nil on fault-free runs, which must likewise
 	// stay byte-identical.
 	fr := newFaultRun(sc, n)
+	if fr != nil {
+		// Restore the fleet's healthy sizes on every exit, cancelled and
+		// failed runs included: the caller's scenario outlives the run.
+		defer func() {
+			for i, d := range fleet {
+				d.Servers = fr.baseServers[i]
+			}
+			net.SetDegrade(nil)
+		}()
+	}
 
 	for sl := timeutil.Slot(0); sl < sc.Horizon.Slots; sl++ {
 		if err := ctx.Err(); err != nil {
@@ -421,27 +419,21 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			obsSlot = sl - 1
 		}
 		ps.Reset()
-		if useProfiles {
+		if profCur != nil {
+			profCur.Advance(obsSlot)
+		}
+		for _, id := range ids {
+			var row []float64
 			if profCur != nil {
-				profCur.Advance(obsSlot)
+				row = profCur.ProfileRow(id, obsSlot)
+			} else {
+				row = w.ProfileRow(id, obsSlot)
 			}
-			for _, id := range ids {
-				var row []float64
-				if profCur != nil {
-					row = profCur.ProfileRow(id, obsSlot)
-				} else {
-					row = compiled.ProfileRow(id, obsSlot)
-				}
-				if row != nil {
-					ps.Add(id, row)
-				} else {
-					ps.Add(id, w.SlotProfile(id, obsSlot, sc.ProfileSamples))
-				}
+			if row == nil {
+				// Zero-length profiles, or an id the table does not cover.
+				row = w.SlotProfile(id, obsSlot, sc.ProfileSamples)
 			}
-		} else {
-			for _, id := range ids {
-				ps.Add(id, w.SlotProfile(id, obsSlot, sc.ProfileSamples))
-			}
+			ps.Add(id, row)
 		}
 		dm.Reset()
 		for _, e := range w.PlannedVolumes(obsSlot, sl) {
@@ -507,47 +499,27 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			allocs[i].reset(a)
 		}
 
-		// Fine loop over [sl, sl+1). With a compiled trace the per-step IT
-		// power is evaluated in one vectorized pass over the fine rows;
-		// otherwise each step synthesizes utilizations on demand. Both
-		// paths accumulate in the same order, so results are identical.
-		if fine != nil {
-			var rows trace.FineRows = compiled
-			if fineCur != nil {
-				fineCur.Advance(sl)
-				rows = fineCur
-			}
-			fine.evaluate(rows, compiled, fleet, allocs, sl, sc.Workers)
+		// Fine loop over [sl, sl+1): the per-step IT power comes from one
+		// vectorized pass over the slot's fine rows, PUE and renewable
+		// power from the environment table.
+		var rows trace.FineRows = w
+		if fineCur != nil {
+			fineCur.Advance(sl)
+			rows = fineCur
 		}
+		fine.evaluate(rows, w, fleet, allocs, sl, sc.Workers)
 		clear(slotEnergy)
 		var slotCost units.Money
 		dt := sc.FineStepSec
 		start := sl.Seconds()
-		envBase := 0
-		if env != nil {
-			envBase = int(sl) * env.steps
-		}
+		envBase := int(sl) * env.steps
 		k := 0
 		for t := 0.0; t < timeutil.SlotSeconds; t += dt {
 			at := start + t
-			step := timeutil.Step(int64(at) / timeutil.StepSeconds)
 			for i, d := range fleet {
-				var it units.Power
-				var throttled float64
-				if fine != nil {
-					it, throttled = fine.itPower[i][k], fine.throttled[i][k]
-				} else {
-					it, throttled = allocs[i].itPowerAt(w, d, step)
-				}
-				var pue float64
-				var renew units.Power
-				if env != nil {
-					pue = env.pue[i][envBase+k]
-					renew = env.renew[i][envBase+k]
-				} else {
-					pue = d.Cooling.PUEAt(at)
-					renew = d.Plant.PowerAt(at)
-				}
+				it, throttled := fine.itPower[i][k], fine.throttled[i][k]
+				pue := env.pue[i][envBase+k]
+				renew := env.renew[i][envBase+k]
 				if fr != nil {
 					// PV dropout: the plant produces, the DC cannot take it.
 					renew = units.Power(float64(renew) * fr.pv[i])
@@ -645,12 +617,7 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 
 		// Learn: forecasters see the slot's realized PV intake.
 		for i, d := range fleet {
-			pvE := units.Energy(0)
-			if env != nil {
-				pvE = env.pv[i][sl]
-			} else {
-				pvE = d.Plant.SlotEnergy(sl)
-			}
+			pvE := env.pv[i][sl]
 			if fr != nil {
 				pvE = units.Energy(float64(pvE) * fr.pv[i])
 			}
@@ -670,18 +637,54 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	}
 	if fr != nil {
 		res.DataLossProb = fr.lossProb()
-		// Restore the fleet's healthy sizes: the caller's scenario object
-		// outlives the run.
-		for i, d := range fleet {
-			d.Servers = fr.baseServers[i]
-		}
-		net.SetDegrade(nil)
 	}
 	res.FinalPlacement = make(map[int]int, len(current))
 	for id, d := range current {
 		res.FinalPlacement[id] = d
 	}
 	return res, nil
+}
+
+// CompileOptions returns the compile options whose tables a run reads as
+// handed over, given its resolved profile length and fine step
+// (ResolveProfileSamples, ResolveFineStep): no profile table for zero
+// samples, and the default fine-table budget.
+func CompileOptions(samples int, fineStepSec float64) trace.CompileOptions {
+	if samples == 0 {
+		samples = -1 // no profiles: tell Compile to skip the table
+	}
+	return trace.CompileOptions{Samples: samples, FineStepSec: fineStepSec}
+}
+
+// compileWorkload returns the run's workload as compiled tables:
+// sc.Workload itself when it is a trace compiled with the scenario's
+// CompileOptions, otherwise a compile of it at the default fine-table
+// budget on the run's workers. A source longer than the horizon is
+// compiled through a window over the horizon, so the cost follows the run
+// rather than the source.
+func compileWorkload(sc *Scenario) *trace.Compiled {
+	opt := CompileOptions(sc.ProfileSamples, sc.FineStepSec)
+	if c, ok := sc.Workload.(*trace.Compiled); ok {
+		if dt, _ := c.FineParams(); dt == opt.FineStepSec && c.Samples() == opt.Samples {
+			return c
+		}
+	}
+	src := sc.Workload
+	if src.Slots() > sc.Horizon.Slots {
+		src = trace.Window(src, 0, sc.Horizon.Slots)
+	}
+	opt.Workers = sc.Workers
+	return trace.Compile(src, opt)
+}
+
+// runEnvironment returns sc.Env when it was compiled for the fleet and
+// covers the horizon at the run's fine step, and otherwise compiles the
+// environment on the run's workers.
+func runEnvironment(sc *Scenario) *Environment {
+	if sc.Env.matches(sc.Fleet, sc.Horizon.Slots, sc.FineStepSec) {
+		return sc.Env
+	}
+	return CompileEnvironment(sc.Fleet, sc.Horizon, sc.FineStepSec, sc.Workers)
 }
 
 // allocView caches an allocation in a form the fine loop can evaluate
@@ -704,26 +707,6 @@ func (v *allocView) reset(a alloc.Result) {
 	for s, srv := range a.Servers {
 		v.servers[s] = serverView{vms: srv.VMs, level: srv.Level}
 	}
-}
-
-// itPowerAt returns the DC's IT power at the fine step plus the throttled
-// demand (reference cores beyond the packed servers' capacity) — the
-// synthesize-on-demand path for non-compiled workloads.
-func (v *allocView) itPowerAt(w trace.Source, d *dc.DC, step timeutil.Step) (units.Power, float64) {
-	var total units.Power
-	var throttled float64
-	for _, srv := range v.servers {
-		var load float64
-		for _, id := range srv.vms {
-			load += w.Util(id, step)
-		}
-		capS := d.Model.Capacity(srv.level)
-		if load > capS {
-			throttled += load - capS
-		}
-		total += d.Model.Power(srv.level, load)
-	}
-	return total, throttled
 }
 
 // finePlan holds the per-DC per-step IT power and throttled demand of one
@@ -761,11 +744,11 @@ func newFinePlan(n, steps int) *finePlan {
 
 // evaluate fills the plan for slot sl. Per server it accumulates the member
 // VMs' fine rows — read from rows, the resident table or a chunk cursor
-// positioned on sl — then folds capacity and the power model per step: the
-// same additions in the same order as the per-step itPowerAt path, so the
-// two produce bit-identical results. DCs are sharded over the run's worker
-// budget: each shard writes only its own DCs' rows, so any worker count
-// produces the serial result.
+// positioned on sl — in allocation order, then folds capacity and the
+// power model per step: at every step the same additions in the same order
+// as summing Util over the server's VMs at that step. DCs are sharded over
+// the run's worker budget: each shard writes only its own DCs' rows, so any
+// worker count produces the serial result.
 func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) {
 	par.For(workers, len(fleet), 1, func(lo, hi int) {
 		buf := p.scratch.Get().(*fineScratch)

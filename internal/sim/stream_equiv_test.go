@@ -12,9 +12,9 @@ import (
 )
 
 // budgetScenario builds the tiny test world over a *compiled* workload
-// with an explicit fine-table budget / chunk width — Build leaves the raw
-// synthetic workload in place, so the compile is explicit here, exactly
-// like the experiment engine's column compile.
+// with an explicit fine-table budget / chunk width — a raw workload would
+// be compiled by the run itself at the default budget, so the compile is
+// explicit here, exactly like the experiment engine's column compile.
 func budgetScenario(t *testing.T, seed uint64, budget int64, chunkSlots int) *sim.Scenario {
 	t.Helper()
 	spec := config.Spec{
@@ -67,25 +67,5 @@ func TestChunkedRunBitIdentical(t *testing.T) {
 					got.Migrations, want.Migrations, got.WorstResp(), want.WorstResp())
 			}
 		}
-	}
-}
-
-// TestChunkedRunDisabledFineTable pins the legacy escape hatch: a negative
-// budget still runs (no fine table at all, per-step fallback) and stays
-// deterministic.
-func TestChunkedRunDisabledFineTable(t *testing.T) {
-	a, err := sim.Run(budgetScenario(t, 7, -1, 0), policy.EnerAware{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sim.Run(budgetScenario(t, 7, -1, 0), policy.EnerAware{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("disabled-fine-table run not deterministic")
-	}
-	if a.TotalEnergy <= 0 {
-		t.Fatal("disabled-fine-table run consumed no energy")
 	}
 }

@@ -19,13 +19,12 @@ type CompileOptions struct {
 	// k-th iteration of `for t := 0.0; t < 3600; t += FineStepSec`.
 	FineStepSec float64
 	// MaxFineTableBytes bounds each resident utilization table — fine
-	// steps and per-slot profiles alike (default 256 MiB; negative
-	// disables the fine table entirely and keeps the legacy
-	// always-resident profiles). A table that would exceed the budget is
-	// not skipped: it is compiled out-of-core, streamed in fixed
-	// slot-range chunks through a FineCursor/ProfileCursor so peak memory
-	// is bounded by one chunk window while the values stay byte-identical
-	// to the in-core path. Volumes always materialize.
+	// steps and per-slot profiles alike (any non-positive value selects
+	// the 256 MiB default). A table that would exceed the budget is not
+	// skipped: it is compiled out-of-core, streamed in fixed slot-range
+	// chunks through a FineCursor/ProfileCursor so peak memory is bounded
+	// by one chunk window while the values stay byte-identical to the
+	// in-core path. Volumes always materialize.
 	MaxFineTableBytes int64
 	// ChunkSlots overrides the streamed chunk width in slots for tables
 	// that exceed MaxFineTableBytes. Zero derives the widest window whose
@@ -50,7 +49,7 @@ func (o *CompileOptions) applyDefaults() {
 	if o.FineStepSec <= 0 {
 		o.FineStepSec = timeutil.StepSeconds
 	}
-	if o.MaxFineTableBytes == 0 {
+	if o.MaxFineTableBytes <= 0 {
 		o.MaxFineTableBytes = defaultMaxFineTableBytes
 	}
 }
@@ -73,7 +72,7 @@ type Compiled struct {
 	numVMs  int
 	samples int
 	dt      float64
-	steps   int // fine steps per slot; 0 when the fine table is absent
+	steps   int // fine steps per slot
 
 	images []units.DataSize
 
@@ -88,8 +87,8 @@ type Compiled struct {
 
 	// Out-of-core state. fineChunk/profChunk are the streamed chunk
 	// widths in slots for tables that exceeded the budget (0 when the
-	// table is resident or absent); cursors compile windows on demand
-	// from the retained active windows and step grids.
+	// table is resident, or absent for profiles); cursors compile windows
+	// on demand from the retained active windows and step grids.
 	fineChunk   int
 	profChunk   int
 	first, last []timeutil.Slot // per-VM active windows (chunked modes)
@@ -275,27 +274,25 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 		}
 	}
 	c.fineSlotPeak = winPeak * int64(steps) * 8
-	if opt.MaxFineTableBytes > 0 {
-		c.steps = steps
-		c.grids = fineGrids(c.slots, c.dt, steps)
-		if c.fineBytes <= opt.MaxFineTableBytes {
-			c.fineStart = make([]timeutil.Slot, c.numVMs)
-			c.fine = make([][]float64, c.numVMs)
-			// Each VM owns its rows — disjoint writes, so the sharded fill
-			// is byte-identical to the serial one.
-			par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-				for id := lo; id < hi; id++ {
-					if first[id] < 0 {
-						continue
-					}
-					c.fineStart[id] = first[id]
-					c.fine[id] = make([]float64, int(last[id]-first[id]+1)*steps)
-					c.fillFineRows(c.fine[id], id, first[id], last[id])
+	c.steps = steps
+	c.grids = fineGrids(c.slots, c.dt, steps)
+	if c.fineBytes <= opt.MaxFineTableBytes {
+		c.fineStart = make([]timeutil.Slot, c.numVMs)
+		c.fine = make([][]float64, c.numVMs)
+		// Each VM owns its rows — disjoint writes, so the sharded fill is
+		// byte-identical to the serial one.
+		par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
+			for id := lo; id < hi; id++ {
+				if first[id] < 0 {
+					continue
 				}
-			})
-		} else {
-			c.fineChunk = chunkWidth(opt, c.fineSlotPeak, c.slots)
-		}
+				c.fineStart[id] = first[id]
+				c.fine[id] = make([]float64, int(last[id]-first[id]+1)*steps)
+				c.fillFineRows(c.fine[id], id, first[id], last[id])
+			}
+		})
+	} else {
+		c.fineChunk = chunkWidth(opt, c.fineSlotPeak, c.slots)
 	}
 	// Window slices are tiny (two slots per VM); cursors need them, and
 	// the fast path consults the recorded footprints.
@@ -315,13 +312,12 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 			}
 		}
 		c.profSlotPeak = winPeak * int64(c.samples) * 8
-		switch {
-		case opt.MaxFineTableBytes > 0 && c.profBytes > opt.MaxFineTableBytes:
+		if c.profBytes > opt.MaxFineTableBytes {
 			// Out-of-core: a ProfileCursor synthesizes chunk windows on
 			// demand; rows come out byte-identical because both paths
 			// evaluate the source's profile at the same sample steps.
 			c.profChunk = chunkWidth(opt, c.profSlotPeak, c.slots)
-		default:
+		} else {
 			filler, _ := src.(slotProfileFiller)
 			var profToFine [][]int
 			if _, utilSampled := src.(*Workload); utilSampled && c.fine != nil {
@@ -387,8 +383,8 @@ func (c *Compiled) fillFineRows(dst []float64, id int, a, b timeutil.Slot) {
 
 // FillFineRow synthesizes the VM's utilization at every fine step of slot
 // sl into dst[:steps] (see FineParams): the values FineRow would hold, for
-// (id, sl) pairs the table does not cover. It requires a fine table and a
-// slot within the compiled horizon.
+// (id, sl) pairs the table does not cover. It requires a slot within the
+// compiled horizon.
 func (c *Compiled) FillFineRow(dst []float64, id int, sl timeutil.Slot) {
 	FillUtil(dst, c.src, id, c.grids[sl])
 }
@@ -419,24 +415,17 @@ func chunkWidth(opt CompileOptions, slotPeakBytes int64, slots timeutil.Slot) in
 // chunked) table back to a caller that asked for a larger or unbounded
 // one.
 func (c *Compiled) tablesCompatible(opt CompileOptions) bool {
-	switch {
-	case opt.MaxFineTableBytes < 0: // fine table disabled
-		if c.steps != 0 {
-			return false
-		}
-	case c.fineBytes <= opt.MaxFineTableBytes: // resident fine table
+	if c.fineBytes <= opt.MaxFineTableBytes { // resident fine table
 		if c.fine == nil {
 			return false
 		}
-	default: // chunk-streamed fine table of the same geometry
-		if c.fineChunk == 0 || c.fineChunk != chunkWidth(opt, c.fineSlotPeak, c.slots) {
-			return false
-		}
+	} else if c.fineChunk == 0 || c.fineChunk != chunkWidth(opt, c.fineSlotPeak, c.slots) {
+		return false // not a chunk-streamed table of the same geometry
 	}
 	if c.samples <= 0 {
 		return true
 	}
-	if opt.MaxFineTableBytes > 0 && c.profBytes > opt.MaxFineTableBytes {
+	if c.profBytes > opt.MaxFineTableBytes {
 		return c.profChunk == chunkWidth(opt, c.profSlotPeak, c.slots)
 	}
 	return c.prof != nil
@@ -452,9 +441,6 @@ const (
 	volumeSlotGrain = 4
 )
 
-// Source returns the workload the trace was compiled from.
-func (c *Compiled) Source() Source { return c.src }
-
 // NumVMs implements Source.
 func (c *Compiled) NumVMs() int { return c.numVMs }
 
@@ -469,10 +455,6 @@ func (c *Compiled) Image(id int) units.DataSize {
 	return c.images[id]
 }
 
-// Images returns the materialized per-VM image sizes, indexed by id. The
-// slice is shared; callers must not modify it.
-func (c *Compiled) Images() []units.DataSize { return c.images }
-
 // ActiveVMs implements Source (the underlying source's index is already
 // materialized).
 func (c *Compiled) ActiveVMs(sl timeutil.Slot) []int { return c.src.ActiveVMs(sl) }
@@ -486,9 +468,8 @@ func (c *Compiled) Util(id int, st timeutil.Step) float64 { return c.src.Util(id
 func (c *Compiled) Samples() int { return c.samples }
 
 // FineParams returns the fine-loop period the utilization rows were sampled
-// at and the number of steps per slot; steps is 0 only when the fine table
-// was disabled outright. A chunk-streamed table reports its steps here but
-// serves rows through a FineCursor, not FineRow.
+// at and the number of steps per slot. A chunk-streamed table reports its
+// steps here but serves rows through a FineCursor, not FineRow.
 func (c *Compiled) FineParams() (dt float64, steps int) { return c.dt, c.steps }
 
 // FineChunked reports whether the fine table is out-of-core: rows are
@@ -500,10 +481,9 @@ func (c *Compiled) FineChunked() bool { return c.fineChunk > 0 }
 // rows are served by a per-run ProfileCursor instead of ProfileRow.
 func (c *Compiled) ProfileChunked() bool { return c.profChunk > 0 }
 
-// FineChunkSlots and ProfileChunkSlots return the streamed window widths in
-// slots (0 when the corresponding table is resident or absent).
-func (c *Compiled) FineChunkSlots() int    { return c.fineChunk }
-func (c *Compiled) ProfileChunkSlots() int { return c.profChunk }
+// FineChunkSlots returns the fine table's streamed window width in slots
+// (0 when the table is resident).
+func (c *Compiled) FineChunkSlots() int { return c.fineChunk }
 
 // TableBytes returns the resident cost the full fine and profile tables
 // would have — what an unbounded compile allocates, and what the chunked
@@ -514,7 +494,7 @@ func (c *Compiled) TableBytes() (fine, prof int64) { return c.fineBytes, c.profB
 // k is Util at the k-th iteration of the simulator's fine loop — or nil
 // when the table does not cover (id, sl). The row is shared and read-only.
 func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 {
-	if c.steps == 0 || c.fine == nil || id < 0 || id >= c.numVMs || c.fine[id] == nil {
+	if c.fine == nil || id < 0 || id >= c.numVMs || c.fine[id] == nil {
 		return nil
 	}
 	off := int(sl - c.fineStart[id])

@@ -118,19 +118,25 @@ func TestCompiledSlotProfileOwnership(t *testing.T) {
 	}
 }
 
-// TestCompiledFineTableBudget asserts the memory budget disables the fine
-// table without breaking the Source view.
+// TestCompiledFineTableBudget asserts a budget below the fine table moves
+// it out of core without breaking the Source view: FineRow serves nothing
+// (rows come from a FineCursor), Util still delegates, and the cursor's
+// rows equal the unbounded table's.
 func TestCompiledFineTableBudget(t *testing.T) {
 	w := New(Config{Seed: 9, Horizon: timeutil.Hours(3), InitialVMs: 20})
-	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: -1})
-	if _, steps := c.FineParams(); steps != 0 {
-		t.Fatal("fine table should be disabled")
-	}
-	if c.FineRow(w.ActiveVMs(0)[0], 0) != nil {
-		t.Fatal("disabled fine table should return nil rows")
+	resident := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
+	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1})
+	id := w.ActiveVMs(0)[0]
+	if c.FineRow(id, 0) != nil {
+		t.Fatal("an out-of-core fine table should not serve FineRow")
 	}
 	if c.Util(0, 3) != w.Util(0, 3) {
 		t.Fatal("Util must still delegate")
+	}
+	cur := c.NewFineCursor(nil)
+	cur.Advance(0)
+	if !reflect.DeepEqual(cur.FineRow(id, 0), resident.FineRow(id, 0)) {
+		t.Fatal("streamed fine row differs from the resident one")
 	}
 }
 

@@ -137,7 +137,7 @@ type FineCursor struct {
 }
 
 // NewFineCursor returns a streaming cursor over the chunked fine table, or
-// nil when the table is resident or absent (use FineRow directly then).
+// nil when the table is resident (use FineRow directly then).
 // workers optionally lends goroutines to each chunk fill; the rows are
 // disjoint, so the chunk content is identical at any worker count.
 func (c *Compiled) NewFineCursor(workers *par.Budget) *FineCursor {

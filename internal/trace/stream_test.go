@@ -136,13 +136,4 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 	if again := Compile(chunked, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1}); again != chunked {
 		t.Fatal("identical budgeted options must reuse the compiled trace")
 	}
-
-	// Disabled fine table is a third mode, distinct from both.
-	disabled := Compile(chunked, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: -1})
-	if disabled == chunked || disabled == resident {
-		t.Fatal("disabling the fine table must recompile")
-	}
-	if _, steps := disabled.FineParams(); steps != 0 {
-		t.Fatal("negative budget should disable the fine table")
-	}
 }

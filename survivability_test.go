@@ -2,8 +2,15 @@ package geovmp
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
+
+	"geovmp/internal/battery"
+	"geovmp/internal/policy"
+	"geovmp/internal/sim"
+	"geovmp/internal/timeutil"
 )
 
 // faultySpec reduces the geo5dc-faulty preset to test size and swaps in the
@@ -113,6 +120,92 @@ func TestSurvivabilityFrontier(t *testing.T) {
 		p := sf.Points[pi]
 		if p.V[idx] <= 0 {
 			t.Errorf("front point %s has non-positive repair_gb %v", p.Name, p.V[idx])
+		}
+	}
+}
+
+// stopAtSlot wraps a policy and, when asked to place slot `at`, records
+// the fleet's server counts and then stops the run: it cancels the run's
+// context (the next slot check returns), or with a nil cancel it leaves
+// every VM unplaced (the run fails at once).
+type stopAtSlot struct {
+	Policy
+	at      timeutil.Slot
+	cancel  func()
+	servers []int
+}
+
+func (p *stopAtSlot) Place(in *policy.Input) policy.Placement {
+	if in.Slot != p.at {
+		return p.Policy.Place(in)
+	}
+	for _, d := range in.DCs {
+		p.servers = append(p.servers, d.Servers)
+	}
+	if p.cancel == nil {
+		return policy.Placement{DCOf: map[int]int{}}
+	}
+	p.cancel()
+	return p.Policy.Place(in)
+}
+
+// TestStoppedFaultyRunRestoresFleet: a faulty run that is cancelled or
+// fails mid-outage hands the scenario back with its healthy server counts,
+// so a rerun on the same scenario equals a run on a fresh one. Battery
+// charge and forecaster history are per-run state a reused scenario
+// carries by design (one Scenario per Run), so the test resets the banks
+// itself and uses the stateless oracle forecaster, leaving the fleet the
+// fault engine shrinks as the only state under test.
+func TestStoppedFaultyRunRestoresFleet(t *testing.T) {
+	spec := faultySpec(t, "faulty-stop", StorageConfig{})
+	spec.Faults = ReferenceFaults()
+	spec.Forecast = ForecastOracle
+	fresh, err := NewScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(fresh, EnerAware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancelled := range []bool{true, false} {
+		sc, err := NewScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var healthy []int
+		var banks []battery.Bank
+		for _, d := range sc.Fleet {
+			healthy = append(healthy, d.Servers)
+			banks = append(banks, *d.Bank)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := &stopAtSlot{Policy: EnerAware(), at: 8}
+		if cancelled {
+			stop.cancel = cancel
+		}
+		_, err = sim.RunCtx(ctx, sc, stop)
+		cancel()
+		if cancelled != errors.Is(err, context.Canceled) || err == nil {
+			t.Fatalf("cancelled=%v: run returned %v", cancelled, err)
+		}
+		if slices.Equal(stop.servers, healthy) {
+			t.Fatalf("cancelled=%v: fleet not degraded at the stop slot %v", cancelled, stop.servers)
+		}
+		var after []int
+		for i, d := range sc.Fleet {
+			after = append(after, d.Servers)
+			*d.Bank = banks[i]
+		}
+		if !slices.Equal(after, healthy) {
+			t.Fatalf("cancelled=%v: servers after the stopped run %v, healthy %v", cancelled, after, healthy)
+		}
+		got, err := Run(sc, EnerAware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cancelled=%v: rerun on the stopped scenario differs from a fresh run", cancelled)
 		}
 	}
 }
