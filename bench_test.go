@@ -1,7 +1,7 @@
 // Benchmarks regenerating each of the paper's tables and figures plus the
-// DESIGN.md ablations, on a reduced but structurally identical scenario
-// (see EXPERIMENTS.md for the full-scale numbers; cmd/experiments runs
-// them). Every benchmark reports the figure's headline quantities through
+// README's ablations A1-A7, on a reduced but structurally identical
+// scenario (cmd/experiments runs them at full scale; PERFORMANCE.md holds
+// the measured numbers). Every benchmark reports the figure's headline quantities through
 // b.ReportMetric so `go test -bench=.` doubles as a regression harness for
 // the reproduction's *shape*: who wins, and by roughly how much.
 package geovmp

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section (Table I, Figs. 1-6) plus the ablation studies listed
-// in DESIGN.md, printing each as text and writing CSVs under -out. Every
+// evaluation section (Table I, Figs. 1-6) plus the ablations A1-A7 listed
+// in the README, printing each as text and writing CSVs under -out. Every
 // experiment is an Experiment-engine sweep: cells run in parallel and
 // Ctrl-C cancels the remainder.
 //

@@ -73,7 +73,7 @@ func (c *Config) applyDefaults() {
 
 // Result is the clustering outcome.
 type Result struct {
-	Assign    map[int]int   // item id -> cluster index
+	Assign    []int         // cluster index per item, in item order
 	Centroids []embed.Point // final centroids
 	LoadPer   []float64     // total assigned load per cluster
 	Iters     int
@@ -108,24 +108,28 @@ func Run(items []Item, cfg Config) Result {
 
 	// Assign in descending load order so the big consumers grab capacity
 	// near their preferred centroid first (the standard capped-clustering
-	// device; ties broken by id for determinism).
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
+	// device; ties broken by id for determinism). The sort runs over
+	// compact keys rather than whole items, and the assignment walk reads
+	// them in place of the items.
+	type key struct {
+		load     float64
+		id       int
+		idx, cur int32
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		ia, ib := items[a], items[b]
+	order := make([]key, len(items))
+	for i, it := range items {
+		order[i] = key{it.Load, it.ID, int32(i), int32(it.Current)}
+	}
+	slices.SortFunc(order, func(a, b key) int {
 		switch {
-		case ia.Load > ib.Load:
+		case a.load > b.load:
 			return -1
-		case ia.Load < ib.Load:
+		case a.load < b.load:
 			return 1
 		}
-		return cmp.Compare(ia.ID, ib.ID)
+		return cmp.Compare(a.id, b.id)
 	})
 
-	// Assignments are tracked in a slice keyed by item index during the
-	// iterations; the id-keyed result map is materialized once at the end.
 	assign := make([]int, len(items))
 	// Per-iteration item-to-centroid distances, hoisted out of the serial
 	// assignment loop: distances depend on positions and centroids but not
@@ -158,16 +162,16 @@ func Run(items []Item, cfg Config) Result {
 			}
 		})
 		loads = make([]float64, cfg.K)
-		for _, idx := range order {
-			it := items[idx]
+		for _, o := range order {
+			idx := int(o.idx)
 			best := -1
 			bestD := math.Inf(1)
 			for c := 0; c < cfg.K; c++ {
-				if loads[c]+it.Load > cfg.Caps[c] {
+				if loads[c]+o.load > cfg.Caps[c] {
 					continue
 				}
 				d := dists[idx*cfg.K+c]
-				if cfg.Stick > 0 && cfg.Stick < 1 && c == it.Current {
+				if cfg.Stick > 0 && cfg.Stick < 1 && c == int(o.cur) {
 					d *= cfg.Stick
 				}
 				if d < bestD {
@@ -186,7 +190,7 @@ func Run(items []Item, cfg Config) Result {
 				}
 			}
 			assign[idx] = best
-			loads[best] += it.Load
+			loads[best] += o.load
 		}
 
 		// Recompute centroids; empty clusters keep their position.
@@ -213,10 +217,7 @@ func Run(items []Item, cfg Config) Result {
 			break
 		}
 	}
-	res.Assign = make(map[int]int, len(items))
-	for i, it := range items {
-		res.Assign[it.ID] = assign[i]
-	}
+	res.Assign = assign
 	res.Centroids = cents
 	res.LoadPer = loads
 	return res
@@ -225,15 +226,16 @@ func Run(items []Item, cfg Config) Result {
 // distPool recycles Run's per-call distance buffers across slots.
 var distPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// CentroidsOf recomputes centroids for an externally-supplied assignment —
-// the hook for carrying "last position of points available in that cluster"
+// CentroidsOf recomputes centroids for an externally-supplied assignment,
+// assign[i] being item i's cluster (out-of-range entries are skipped) — the
+// hook for carrying "last position of points available in that cluster"
 // into the next slot's Config.Init.
-func CentroidsOf(items []Item, assign map[int]int, k int, fallback []embed.Point) []embed.Point {
+func CentroidsOf(items []Item, assign []int, k int, fallback []embed.Point) []embed.Point {
 	cents := make([]embed.Point, k)
 	counts := make([]int, k)
-	for _, it := range items {
-		c, ok := assign[it.ID]
-		if !ok || c < 0 || c >= k {
+	for i, it := range items {
+		c := assign[i]
+		if c < 0 || c >= k {
 			continue
 		}
 		cents[c].X += it.Pos.X

@@ -189,7 +189,7 @@ func TestCentroidsOf(t *testing.T) {
 		{ID: 1, Pos: embed.Point{X: 2, Y: 2}},
 		{ID: 2, Pos: embed.Point{X: 10, Y: 0}},
 	}
-	assign := map[int]int{0: 0, 1: 0, 2: 1}
+	assign := []int{0, 0, 1}
 	cents := CentroidsOf(items, assign, 3, []embed.Point{{}, {}, {X: -7}})
 	if cents[0] != (embed.Point{X: 1, Y: 1}) {
 		t.Fatalf("centroid 0 = %v", cents[0])
@@ -205,7 +205,7 @@ func TestCentroidsOf(t *testing.T) {
 
 func TestCentroidsOfIgnoresBadAssignments(t *testing.T) {
 	items := []Item{{ID: 0, Pos: embed.Point{X: 5}}}
-	cents := CentroidsOf(items, map[int]int{0: 99}, 2, nil)
+	cents := CentroidsOf(items, []int{99}, 2, nil)
 	if cents[0] != (embed.Point{}) || cents[1] != (embed.Point{}) {
 		t.Fatal("out-of-range assignment leaked into centroids")
 	}

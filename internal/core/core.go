@@ -75,7 +75,10 @@ type Controller struct {
 	// (default 0.8; negative disables smoothing).
 	CapSmooth float64
 
-	positions map[int]embed.Point
+	// ids and pos are the last slot's layout: pos[k] is the final position
+	// of ids[k], ids ascending.
+	ids       []int
+	pos       []embed.Point
 	centroids []embed.Point
 	prevCaps  []float64
 	// reoptimize is armed by StartEpoch and consumed by the next Place: the
@@ -124,28 +127,34 @@ func (c *Controller) StartEpoch(epoch int, start timeutil.Slot) {
 	c.reoptimize = true
 }
 
-// field adapts a slot's correlation data to the embedding's force model
-// (Eq. 5).
-type field struct {
+// Field adapts a slot's correlation data to the embedding's force model
+// (Eq. 5): id-addressed as an embed.Field, and index-addressed as an
+// embed.SplitField once bound to a point order.
+type Field struct {
 	alpha float64
 	ps    *correlation.ProfileSet
 	vols  *correlation.DataMatrix
 	ref   units.DataSize
+	// peers is the id-addressed adjacency AttractionPeers serves; nil
+	// unless the caller maintains one (the serving refinement).
 	peers map[int][]int
 	// fast routes the repulsion term through the quantized
 	// peak-coincidence kernel (error bound correlation.FastEps per pair).
 	fast bool
-	// ids and packed hold the embedding run's point order (see Bind):
-	// point i is ids[i], and packed lays the exact kernel's profile rows
-	// out in that order.
+	// ids, packed, adj, on and by hold the bound point order (see Bind):
+	// point i is ids[i], packed lays the exact kernel's profile rows out in
+	// that order, adj is the data adjacency between the points and on/by
+	// are each adjacency edge's blended attraction terms.
 	ids    []int
 	packed correlation.Packed
+	adj    correlation.Adjacency
+	on, by []float64
 }
 
 // Force implements embed.Field: F_t exerted on `onto` by `by`, combining
 // the attraction of the data `by` sends toward `onto` with peak-coincidence
 // repulsion.
-func (f *field) Force(onto, by int) float64 {
+func (f *Field) Force(onto, by int) float64 {
 	fa := correlation.NormalizeData(f.vols.Vol(by, onto), f.ref)
 	var fr float64
 	if f.fast {
@@ -156,15 +165,35 @@ func (f *field) Force(onto, by int) float64 {
 	return f.alpha*fa + (1-f.alpha)*fr
 }
 
-// Bind implements embed.SplitField: it packs the slot's profile rows in the
-// run's point order, so the exact kernel resolves a partner with one dense
-// record load. Fast mode keeps its id-addressed quantized tables and only
-// records the order. The table lives as long as the field, one Place or
+// Bind implements embed.SplitField: it builds the data adjacency between
+// the points (see bindAdjacency) and packs the slot's profile rows in point
+// order, so the exact kernel resolves a partner with one dense record
+// load. Fast mode keeps its id-addressed quantized tables and only records
+// the order. The tables live as long as the field, one Place or
 // reconciliation.
-func (f *field) Bind(ids []int) {
-	f.ids = ids
+func (f *Field) Bind(ids []int) {
+	f.bindAdjacency(ids)
 	if !f.fast {
 		f.ps.Pack(&f.packed, ids)
+	}
+}
+
+// bindAdjacency fixes the point order to ids and builds the adjacency and
+// its blended attraction terms with one volume-matrix walk, unless the
+// field is already bound to this very slice: the controller binds it
+// before seeding new VMs from the adjacency, and the embedding's Bind then
+// finds it built.
+func (f *Field) bindAdjacency(ids []int) {
+	if len(ids) > 0 && len(ids) == len(f.ids) && &ids[0] == &f.ids[0] {
+		return
+	}
+	f.ids = ids
+	f.vols.Adjacency(&f.adj, ids)
+	f.on = make([]float64, len(f.adj.Peer))
+	f.by = make([]float64, len(f.adj.Peer))
+	for e := range f.adj.Peer {
+		f.on[e] = f.alpha * correlation.NormalizeData(f.adj.In[e], f.ref)
+		f.by[e] = f.alpha * correlation.NormalizeData(f.adj.Out[e], f.ref)
 	}
 }
 
@@ -179,7 +208,7 @@ const fastChunk = 128
 // on non-communicating pairs. For such pairs Force computes
 // alpha*0 + (1-alpha)*fr, which equals this row's (1-alpha)*fr bit for
 // bit, satisfying the SplitField decomposition contract.
-func (f *field) RepulsionRow(i int, js []int32, dst []float64) {
+func (f *Field) RepulsionRow(i int, js []int32, dst []float64) {
 	if f.fast {
 		var buf [fastChunk]int
 		for lo := 0; lo < len(js); lo += fastChunk {
@@ -199,60 +228,28 @@ func (f *field) RepulsionRow(i int, js []int32, dst []float64) {
 	}
 }
 
-// EachAttraction implements embed.SplitField over the sparse volume matrix:
-// the data `by` sends toward `onto` attracts `onto`.
-func (f *field) EachAttraction(fn func(onto, by int, fa float64)) {
-	f.vols.Each(func(from, to int, vol units.DataSize) {
-		if fa := f.alpha * correlation.NormalizeData(vol, f.ref); fa != 0 {
-			fn(to, from, fa)
-		}
-	})
+// AttractionRow implements embed.SplitField over the bound adjacency: the
+// data a partner sends toward point i attracts i, alpha*NormalizeData of
+// it being exactly Force's attraction term.
+func (f *Field) AttractionRow(i int) ([]int32, []float64, []float64) {
+	lo, hi := f.adj.Row(i)
+	return f.adj.Peer[lo:hi], f.on[lo:hi], f.by[lo:hi]
 }
 
 // AttractionPeers implements embed.Field.
-func (f *field) AttractionPeers(id int) []int { return f.peers[id] }
-
-func buildField(alpha float64, in *policy.Input) *field {
-	// Reference volume for attraction normalization: the mean pair volume.
-	// The volume distribution is heavy-tailed (log-normal), so normalizing
-	// by the maximum would flatten typical pairs to nothing; the mean
-	// clamps heavy hitters at -1 and keeps ordinary service chatter
-	// strongly attractive.
-	return newField(alpha, in.Profiles, in.Volumes, in.Volumes.Mean(), nil)
-}
+func (f *Field) AttractionPeers(id int) []int { return f.peers[id] }
 
 // NewField adapts one snapshot of correlation state to the embedding's
 // force model (Eq. 5) — the same field the proposed controller embeds with,
 // exported so the streaming daemon's incremental refinement and background
 // reconciliation exert bit-identical forces to the batch global phase. ref
-// is the attraction normalization volume (typically the matrix mean); peers
-// may be nil to derive the data adjacency from the volume matrix, or an
-// incrementally maintained adjacency so construction stays O(1) on a
-// serving hot path.
-func NewField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataMatrix, ref units.DataSize, peers map[int][]int) embed.Field {
-	return newField(alpha, ps, vols, ref, peers)
-}
-
-func newField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataMatrix, ref units.DataSize, peers map[int][]int) *field {
-	f := &field{alpha: alpha, ps: ps, vols: vols, ref: ref, peers: peers}
-	if f.peers != nil {
-		return f
-	}
-	f.peers = make(map[int][]int)
-	seen := make(map[[2]int]bool)
-	vols.Each(func(from, to int, _ units.DataSize) {
-		// Volume from->to attracts both endpoints; register each direction
-		// once.
-		if !seen[[2]int{to, from}] {
-			f.peers[to] = append(f.peers[to], from)
-			seen[[2]int{to, from}] = true
-		}
-		if !seen[[2]int{from, to}] {
-			f.peers[from] = append(f.peers[from], to)
-			seen[[2]int{from, to}] = true
-		}
-	})
-	return f
+// is the attraction normalization volume (typically the matrix mean).
+// peers is the id-addressed adjacency AttractionPeers answers from (nil
+// answers nil): RefineOne needs one, maintained incrementally so
+// construction stays O(1) on a serving hot path, while Run derives its
+// index-addressed adjacency from the volume matrix at Bind.
+func NewField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataMatrix, ref units.DataSize, peers map[int][]int) *Field {
+	return &Field{alpha: alpha, ps: ps, vols: vols, ref: ref, peers: peers}
 }
 
 // roundTripEff is the assumed battery round-trip efficiency used to price
@@ -363,12 +360,11 @@ func (c *Controller) caps(in *policy.Input) []float64 {
 	return caps
 }
 
-// Caps exposes the cap computation for tests and the ablation benches.
-func (c *Controller) Caps(in *policy.Input) []float64 { return c.caps(in) }
-
-// Place implements policy.Policy: the full global phase.
+// Place implements policy.Policy: the full global phase. Point k of every
+// step is in.ActiveVMs[k]: the adjacency, the embedding, the clustering and
+// the revision all address VMs by that index.
 func (c *Controller) Place(in *policy.Input) policy.Placement {
-	ids := in.ActiveVMs
+	ids := append(make([]int, 0, len(in.ActiveVMs)), in.ActiveVMs...)
 	n := len(in.DCs)
 
 	reopt := c.reoptimize
@@ -379,43 +375,56 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		c.prevCaps = nil
 	}
 
-	// Step 1: embedding. Inherited positions persist; a VM seen for the
-	// first time starts at the centroid of its data-correlated peers (its
-	// service lives there already — scattering it across the plane would
-	// fragment the service until enough migration budget accrues to fix
-	// it), falling back to the deterministic scatter. Departed VMs are
-	// pruned lazily by rebuilding the map from this slot's result.
-	f := buildField(c.Alpha, in)
+	// Step 1: embedding. Inherited positions persist (one merge walk of the
+	// last slot's and this slot's ascending ids); a VM seen for the first
+	// time starts at the centroid of its data-correlated peers that carry
+	// a position (its service lives there already — scattering it across
+	// the plane would fragment the service until enough migration budget
+	// accrues to fix it), falling back to the deterministic scatter.
+	// Departed VMs drop out with the last slot's layout. Attraction is
+	// normalized by the mean pair volume: volumes are heavy-tailed
+	// (log-normal), so the maximum would flatten typical pairs to nothing,
+	// while the mean clamps heavy hitters at -1 and keeps ordinary service
+	// chatter strongly attractive.
 	fast := c.Embed.FastMath || in.FastMath
-	f.fast = fast
-	init := make(map[int]embed.Point, len(ids))
-	for _, id := range ids {
-		if p, ok := c.positions[id]; ok {
-			init[id] = p
+	f := &Field{alpha: c.Alpha, ps: in.Profiles, vols: in.Volumes, ref: in.Volumes.Mean(), fast: fast}
+	f.bindAdjacency(ids)
+	init := make([]embed.Point, len(ids))
+	inherited := make([]bool, len(ids))
+	for k, p := 0, 0; k < len(ids); k++ {
+		for p < len(c.ids) && c.ids[p] < ids[k] {
+			p++
+		}
+		if p < len(c.ids) && c.ids[p] == ids[k] {
+			init[k], inherited[k] = c.pos[p], true
+		}
+	}
+	known := append([]bool(nil), inherited...)
+	for k, id := range ids {
+		if known[k] {
 			continue
 		}
 		var cx, cy float64
-		known := 0
-		for _, peer := range f.peers[id] {
-			if p, ok := c.positions[peer]; ok {
-				cx += p.X
-				cy += p.Y
-				known++
+		seen := 0
+		js, _, _ := f.AttractionRow(k)
+		for _, j := range js {
+			if inherited[j] {
+				cx += init[j].X
+				cy += init[j].Y
+				seen++
 			}
 		}
-		if known > 0 {
+		if seen > 0 {
 			jit := embed.InitialPosition(id, 0.5, c.Embed.Seed)
-			init[id] = embed.Point{X: cx/float64(known) + jit.X, Y: cy/float64(known) + jit.Y}
+			init[k] = embed.Point{X: cx/float64(seen) + jit.X, Y: cy/float64(seen) + jit.Y}
+			known[k] = true
 		}
 	}
-	var pos map[int]embed.Point
+	pos := init
 	if c.NoEmbedding {
-		pos = make(map[int]embed.Point, len(ids))
-		for _, id := range ids {
-			if p, ok := init[id]; ok {
-				pos[id] = p
-			} else {
-				pos[id] = embed.InitialPosition(id, 10, c.Embed.Seed)
+		for k, id := range ids {
+			if !known[k] {
+				pos[k] = embed.InitialPosition(id, 10, c.Embed.Seed)
 			}
 		}
 	} else {
@@ -431,19 +440,19 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		// sharded) makes the profile set read-only for the rest of the
 		// slot.
 		in.Profiles.EnsureOrders(in.Workers)
-		if c.positions == nil {
+		if c.ids == nil {
 			// Cold start: "initially, at time slot 0, all the points are
 			// distributed in the 2D plane" — give the layout room to
 			// converge before the first clustering; later slots only
 			// refine.
-			cfg.MaxIters = 5 * maxInt(cfg.MaxIters, 20)
+			cfg.MaxIters = 5 * max(cfg.MaxIters, 20)
 		} else if reopt {
 			// Epoch boundary: warm-started re-optimization toward the new
 			// regime's correlation geometry.
-			cfg.MaxIters = reoptBoost * maxInt(cfg.MaxIters, 20)
+			cfg.MaxIters = reoptBoost * max(cfg.MaxIters, 20)
 		}
 		start := time.Now()
-		res := embed.Run(ids, init, f, cfg)
+		res := embed.Run(ids, init, known, f, cfg)
 		ns := time.Since(start).Nanoseconds()
 		c.EmbedNS += ns
 		if reopt {
@@ -453,17 +462,20 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		c.LastEmbedCost = res.Cost
 		pos = res.Pos
 	}
-	c.positions = pos
+	c.ids, c.pos = ids, pos
 
 	// Step 2+3: caps and capacity-capped k-means.
 	caps := c.caps(in)
 	items := make([]cluster.Item, len(ids))
+	loads := make([]float64, n)
 	for k, id := range ids {
 		cur, ok := in.Current[id]
 		if !ok {
 			cur = -1
+		} else {
+			loads[cur] += in.VMEnergy[id]
 		}
-		items[k] = cluster.Item{ID: id, Pos: pos[id], Load: in.VMEnergy[id], Current: cur}
+		items[k] = cluster.Item{ID: id, Pos: pos[k], Load: in.VMEnergy[id], Current: cur}
 	}
 	iters := c.KMeansIters
 	if iters == 0 {
@@ -483,26 +495,16 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	})
 
 	// Step 4: migration revision (Algorithm 2).
-	loads := make([]float64, n)
-	for _, id := range ids {
-		if cur, ok := in.Current[id]; ok {
-			loads[cur] += in.VMEnergy[id]
-		}
-	}
 	cands := make([]migrate.Candidate, len(ids))
-	for k, id := range ids {
-		cur, ok := in.Current[id]
-		if !ok {
-			cur = -1
-		}
-		target := kres.Assign[id]
+	for k, it := range items {
+		target := kres.Assign[k]
 		cands[k] = migrate.Candidate{
-			ID:      id,
-			Current: cur,
+			ID:      it.ID,
+			Current: it.Current,
 			Target:  target,
-			Load:    in.VMEnergy[id],
-			Image:   in.Image[id],
-			Dist:    kres.DistToCentroid(pos[id], target),
+			Load:    it.Load,
+			Image:   in.Image[it.ID],
+			Dist:    kres.DistToCentroid(it.Pos, target),
 		}
 	}
 	mres := migrate.Run(cands, migrate.Config{
@@ -514,7 +516,7 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	})
 
 	// Carry centroids of the *final* placement into the next slot.
-	c.centroids = cluster.CentroidsOf(items, mres.Placement, n, kres.Centroids)
+	c.centroids = cluster.CentroidsOf(items, mres.DC, n, kres.Centroids)
 
 	return policy.Placement{DCOf: mres.Placement, Moves: mres.Moves, Rejected: mres.Rejected}
 }
@@ -524,13 +526,12 @@ func (c *Controller) Allocate(d *dc.DC, ids []int, ps *correlation.ProfileSet) a
 	return alloc.CorrelationAware(ids, ps, d.Model, d.Servers)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// Positions returns the last slot's embedding layout by VM id, built on
+// demand for diagnostics and visualization tools.
+func (c *Controller) Positions() map[int]embed.Point {
+	m := make(map[int]embed.Point, len(c.ids))
+	for k, id := range c.ids {
+		m[id] = c.pos[k]
 	}
-	return b
+	return m
 }
-
-// Positions exposes the controller's current embedding layout (read-only
-// view for diagnostics and visualization tools).
-func (c *Controller) Positions() map[int]embed.Point { return c.positions }

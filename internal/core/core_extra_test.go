@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"geovmp/internal/policy"
@@ -19,7 +20,7 @@ func TestCapsRespectCeilings(t *testing.T) {
 	}
 	// Monstrous demand so the budget does not bind first.
 	in.LastEnergy[0] = units.Energy(1e15)
-	caps := c.Caps(in)
+	caps := c.caps(in)
 	for i, d := range in.DCs {
 		ceil := float64(d.SlotEnergyCeiling(in.Slot))
 		if caps[i] > ceil+1 {
@@ -32,7 +33,7 @@ func TestCapsColdStartUsesVMEnergies(t *testing.T) {
 	c := New(0.9, 7)
 	c.CapSmooth = -1
 	in := buildInput(t, 10, nil) // LastEnergy all zero
-	caps := c.Caps(in)
+	caps := c.caps(in)
 	var sum float64
 	for _, v := range caps {
 		sum += v
@@ -59,8 +60,8 @@ func TestDemandHeadroomConfigurable(t *testing.T) {
 		}
 		return s
 	}
-	ra := sum(a.Caps(inA))
-	rb := sum(b.Caps(inB))
+	ra := sum(a.caps(inA))
+	rb := sum(b.caps(inB))
 	if math.Abs(rb/ra-2) > 0.01 {
 		t.Fatalf("headroom not linear: %v vs %v", ra, rb)
 	}
@@ -141,7 +142,7 @@ func TestRejectedWishesReported(t *testing.T) {
 
 func TestFieldForceSemantics(t *testing.T) {
 	in := buildInput(t, 4, nil)
-	f := buildField(0.5, in)
+	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean(), nil)
 	// Pair (0,1) communicates; (0,2) does not. The communicating pair's
 	// force must be lower (more attractive) than the silent pair's.
 	f01 := f.Force(0, 1)
@@ -157,21 +158,21 @@ func TestFieldForceSemantics(t *testing.T) {
 
 func TestAttractionPeersSymmetric(t *testing.T) {
 	in := buildInput(t, 6, nil)
-	f := buildField(0.5, in)
-	has := func(list []int, v int) bool {
-		for _, x := range list {
-			if x == v {
-				return true
+	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean(), nil)
+	f.Bind(in.ActiveVMs)
+	edges := 0
+	for i := range in.ActiveVMs {
+		js, _, _ := f.AttractionRow(i)
+		for _, j := range js {
+			back, _, _ := f.AttractionRow(int(j))
+			if !slices.Contains(back, int32(i)) {
+				t.Fatalf("attraction rows not symmetric: %d <-> %d", i, j)
 			}
+			edges++
 		}
-		return false
 	}
-	for id := 0; id < 6; id++ {
-		for _, peer := range f.AttractionPeers(id) {
-			if !has(f.AttractionPeers(peer), id) {
-				t.Fatalf("peer lists not symmetric: %d <-> %d", id, peer)
-			}
-		}
+	if edges == 0 {
+		t.Fatal("no attraction edges to check")
 	}
 }
 

@@ -133,7 +133,7 @@ func TestCapsWaterFilling(t *testing.T) {
 	// Give DC1 (expensive Zurich) a renewable forecast covering everything:
 	// merit order must hand it the whole budget despite its tariff.
 	in.RenewForecast[1] = units.Energy(1e6)
-	caps := c.Caps(in)
+	caps := c.caps(in)
 	if caps[1] < caps[0] || caps[1] < caps[2] {
 		t.Fatalf("renewable-rich DC not favored: %v", caps)
 	}
@@ -145,7 +145,7 @@ func TestCapsGridGoesToCheapest(t *testing.T) {
 	in := buildInput(t, 6, nil)
 	// No free energy anywhere: grid water-filling should favor DC2
 	// (cheapest price 0.16).
-	caps := c.Caps(in)
+	caps := c.caps(in)
 	if !(caps[2] > caps[0] && caps[2] > caps[1]) {
 		t.Fatalf("cheapest DC not favored: %v", caps)
 	}
@@ -170,7 +170,7 @@ func TestCapsBatteryPricedByOffPeak(t *testing.T) {
 	for i := range in.BatteryAvail {
 		in.BatteryAvail[i] = units.Energy(1e6)
 	}
-	caps := c.Caps(in)
+	caps := c.caps(in)
 	if !(caps[2] > caps[0] && caps[2] > caps[1]) {
 		t.Fatalf("cheapest battery not favored: %v", caps)
 	}
@@ -180,12 +180,12 @@ func TestCapsSmoothingDampsSwings(t *testing.T) {
 	c := New(0.9, 7)
 	in := buildInput(t, 6, nil)
 	in.RenewForecast[0] = units.Energy(1e6)
-	first := append([]float64(nil), c.Caps(in)...)
+	first := append([]float64(nil), c.caps(in)...)
 	// Flip the free energy to DC2 and recompute: smoothing keeps DC0's cap
 	// from collapsing instantly.
 	in.RenewForecast[0] = 0
 	in.RenewForecast[2] = units.Energy(1e6)
-	second := c.Caps(in)
+	second := c.caps(in)
 	if second[0] <= 0.1*first[0] {
 		t.Fatalf("cap collapsed despite smoothing: %v -> %v", first[0], second[0])
 	}

@@ -572,26 +572,24 @@ func (ps *ProfileSet) orderAt(off int32) ([]uint16, []float64) {
 
 // CPUCorr returns the peak-coincidence CPU-load correlation of two
 // registered VMs; pairs with a missing profile return the neutral 0.5.
-// Equal-length profiles — the only shape the simulator produces — reuse the
-// peaks computed at Add time, and after EnsureOrders the pair is evaluated
-// by the pruned kernel, which walks the samples in descending order of VM
-// i's utilization and stops at the exact bound a[t]+peakB <= best. Results
-// are identical to PeakCoincidence in every case.
+// After EnsureOrders a standard-length pair — the only shape the simulator
+// produces — is evaluated by the pruned kernel with the peaks computed at
+// Add time: it walks the samples in descending order of VM i's utilization
+// and stops at the exact bound a[t]+peakB <= best. Other pairs take
+// PeakCoincidence itself. Results are identical to PeakCoincidence in
+// every case.
 func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 	a := ps.Profile(i)
 	b := ps.Profile(j)
 	if a == nil || b == nil {
 		return 0.5
 	}
-	if len(a) != len(b) {
-		return PeakCoincidence(a, b)
-	}
-	if off := ps.off[i]; off >= 0 {
+	if off := ps.off[i]; off >= 0 && len(a) == len(b) {
 		if ord, av := ps.orderAt(off); ord != nil {
 			return peakCoincidenceOrdered(b, ord, av, ps.peaks[i], ps.peaks[j])
 		}
 	}
-	return peakCoincidenceKnown(a, b, ps.peaks[i], ps.peaks[j])
+	return PeakCoincidence(a, b)
 }
 
 // CPUCorrFast is the scalar form of CPUCorrFastInto.
@@ -693,65 +691,10 @@ func fastPeakCoincidence(qb []uint16, ordA, qoA []uint16, qpB, den int32) float6
 	return c
 }
 
-// peakCoincidenceKnown is PeakCoincidence over equal-length profiles with
-// the individual peaks already known. The element-wise max runs two
-// independent chains (max is order-insensitive, so the result is
-// unchanged): this kernel executes O(V^2) times per slot.
-func peakCoincidenceKnown(a, b []float64, peakA, peakB float64) float64 {
-	n := len(a)
-	if n == 0 {
-		return 0.5
-	}
-	b = b[:n]
-	var p0, p1, p2, p3 float64
-	t := 0
-	for ; t+3 < n; t += 4 {
-		if s := a[t] + b[t]; s > p0 {
-			p0 = s
-		}
-		if s := a[t+1] + b[t+1]; s > p1 {
-			p1 = s
-		}
-		if s := a[t+2] + b[t+2]; s > p2 {
-			p2 = s
-		}
-		if s := a[t+3] + b[t+3]; s > p3 {
-			p3 = s
-		}
-	}
-	for ; t < n; t++ {
-		if s := a[t] + b[t]; s > p0 {
-			p0 = s
-		}
-	}
-	if p1 > p0 {
-		p0 = p1
-	}
-	if p3 > p2 {
-		p2 = p3
-	}
-	peakAB := p0
-	if p2 > peakAB {
-		peakAB = p2
-	}
-	den := peakA + peakB
-	if den <= 0 {
-		return 0.5
-	}
-	c := peakAB / den
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
-// peakCoincidenceOrdered is the pruned form of peakCoincidenceKnown: it
-// walks the samples in descending order of a's utilization (ord and av,
-// built by EnsureOrders: av[s] == a[ord[s]]) and stops at the exact
-// early-exit bound
+// peakCoincidenceOrdered is the pruned form of PeakCoincidence over a
+// standard-length pair with known peaks: it walks the samples in
+// descending order of a's utilization (ord and av, built by EnsureOrders:
+// av[s] == a[ord[s]]) and stops at the exact early-exit bound
 //
 //	a[t] + peakB <= best  =>  stop:
 //
@@ -760,9 +703,8 @@ func peakCoincidenceKnown(a, b []float64, peakA, peakB float64) float64 {
 // floating point too: rounded addition is monotone, so every unvisited
 // candidate fl(a[t']+b[t']) <= fl(a[t]+peakB) <= best.) The combined peak
 // is an exact max of the same a[t]+b[t] sums either way, so the result is
-// bit-identical to peakCoincidenceKnown — but a typical pair touches a
-// handful of samples instead of all S, which is what makes the O(V^2) pair
-// sweep of the global phase subquadratic in sample touches in practice.
+// bit-identical to PeakCoincidence — but a typical pair touches a handful
+// of samples instead of all S.
 func peakCoincidenceOrdered(b []float64, ord []uint16, av []float64, peakA, peakB float64) float64 {
 	den := peakA + peakB
 	if den <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -395,7 +396,7 @@ func (c *Coordinator) finishLocked(run *gridRun, it *item) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad lease request: " + err.Error()})
 		return
 	}
@@ -466,7 +467,7 @@ func (c *Coordinator) pollWaitMS() int64 {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad heartbeat: " + err.Error()})
 		return
 	}
@@ -488,7 +489,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad result: " + err.Error()})
 		return
 	}
@@ -505,11 +506,22 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown cell %d", req.Cell)})
 		return
 	}
-	if req.Fingerprint != it.wire.Fingerprint {
+	// A row is merged under its cell's identity, so it must carry that
+	// identity as well as the cell's fingerprint; a mismatch leaves the
+	// cell pending.
+	cell := &run.set.Cells[it.idx]
+	mismatch := ""
+	switch row := req.Row; {
+	case req.Fingerprint != it.wire.Fingerprint:
+		mismatch = fmt.Sprintf("fingerprint %q != %q", req.Fingerprint, it.wire.Fingerprint)
+	case req.Error == "" && row != nil && (row.Scenario != cell.Scenario || row.Policy != cell.Policy || row.Seed != cell.Seed):
+		mismatch = fmt.Sprintf("row %s/%s/%d != cell %s/%s/%d", row.Scenario, row.Policy, row.Seed, cell.Scenario, cell.Policy, cell.Seed)
+	}
+	if mismatch != "" {
 		c.rejected.Inc()
 		c.mu.Unlock()
-		c.logf("dist: rejected result for cell %d: fingerprint %q != %q", req.Cell, req.Fingerprint, it.wire.Fingerprint)
-		httpx.WriteJSON(w, http.StatusConflict, errorResponse{Error: "fingerprint mismatch"})
+		c.logf("dist: rejected result for cell %d: %s", req.Cell, mismatch)
+		httpx.WriteJSON(w, http.StatusConflict, errorResponse{Error: "mismatch: " + mismatch})
 		return
 	}
 	// The lease may be gone (expired, cell re-leased elsewhere): the
@@ -553,7 +565,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.checkpointLocked(run)
 	c.finishLocked(run, it)
 	doneCount, total := run.doneCount, len(run.set.Cells)
-	cell := &run.set.Cells[it.idx]
 	progress := run.grid.Progress
 	c.mu.Unlock()
 
@@ -563,6 +574,15 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.progressMu.Unlock()
 	}
 	httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
+}
+
+// decodeBody decodes a request body holding exactly one JSON value into v.
+func decodeBody(r *http.Request, v any) error {
+	b, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	return err
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {

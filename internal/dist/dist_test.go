@@ -19,7 +19,7 @@ import (
 // testGrid is the dist regression grid: two presets x two policies x two
 // seeds, tiny and short — the same worlds the golden grid pins, so cell
 // runtimes stay test-sized.
-func testGrid(t *testing.T) experiment.Grid {
+func testGrid(t testing.TB) experiment.Grid {
 	t.Helper()
 	static, err := config.Preset("paper-geo3dc")
 	if err != nil {

@@ -18,13 +18,16 @@
 // evaluated once into a dense cache and the iterations are pure float
 // arithmetic. Above the threshold each point's repulsion is estimated from
 // SampleK deterministic random peers per iteration while attraction stays
-// exact over the sparse data pairs; this approximation (documented in
-// DESIGN.md) keeps the paper-scale problem real-time, matching the paper's
-// "low computational overhead" claim.
+// exact over the sparse data pairs; this approximation (README, "Deviations
+// from the paper", item 4) keeps the paper-scale problem real-time, as the
+// paper's "low computational overhead" claim requires. A run addresses
+// points by index: point i is ids[i], forces come from a SplitField bound
+// to that order, and positions go in and come out as slices.
 package embed
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"geovmp/internal/par"
@@ -41,35 +44,26 @@ func Dist(a, b Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Field supplies pairwise forces. Implementations are provided by the core
-// controller, which knows the slot's correlation data.
+// Field supplies pairwise forces between VM ids: the id-addressed force
+// model RefineOne seats a single arrival with. Implementations are provided
+// by the core controller, which knows the slot's correlation data.
 type Field interface {
 	// Force returns F_t exerted on point `onto` by point `by` (Eq. 5):
 	// negative values attract `onto` toward `by`, positive repel.
 	Force(onto, by int) float64
 	// AttractionPeers returns the ids that exert non-zero attraction on id
-	// (its data-correlated peers). Used to keep sparse attraction exact in
-	// sampled mode; may return nil.
+	// (its data-correlated peers); may return nil.
 	AttractionPeers(id int) []int
 }
 
-// SplitField is an optional Field extension exposing Eq. 5's structure: a
-// symmetric repulsive term per pair plus sparse directed attraction edges.
-// The exact mode uses it to build its dense force cache from one repulsion
-// evaluation per unordered pair plus one pass over the attraction edges,
-// instead of two full Force evaluations (each probing the volume matrix)
-// per pair; the sampled mode batches each point's hashed repulsion partners
-// through one RepulsionRow call, skipping the volume probe that dominates
-// Force on the (overwhelmingly common) non-communicating pairs. The
-// decomposition must satisfy
-// Force(onto, by) == Repulsion(onto, by) + the attraction fa reported for
-// (onto, by), with Repulsion symmetric.
-//
-// Repulsion is addressed by point index, not id: Run calls Bind(ids) once,
-// before any RepulsionRow and before any shard starts, and point i is ids[i]
-// until Run returns. A field can therefore lay its per-point state out in
-// point order for the run, so a partner costs one dense load instead of an
-// id lookup chain.
+// SplitField is the index-addressed form of a Field that Run consumes,
+// exposing Eq. 5's structure: a symmetric repulsive term per pair plus
+// sparse directed attraction. Run calls Bind(ids) once, before any other
+// method and before any shard starts, and point i is ids[i] until Run
+// returns, so per-point state can be laid out in point order. The
+// decomposition must satisfy Force(ids[i], ids[j]) == RepulsionRow(i, {j})
+// + on, where on is the attraction AttractionRow(i) reports for partner j
+// (0 when j is not a partner), with the repulsion symmetric in i and j.
 type SplitField interface {
 	// Bind fixes the point order of the run about to start: point i is
 	// ids[i]. ids must not be modified until the run ends.
@@ -78,10 +72,11 @@ type SplitField interface {
 	// the (i, js[k]) pair force between bound points, already blended by
 	// the field's weighting.
 	RepulsionRow(i int, js []int32, dst []float64)
-	// EachAttraction calls fn for every nonzero directed attraction term:
-	// fa is the (already blended, negative) attractive component of
-	// Force(onto, by).
-	EachAttraction(fn func(onto, by int, fa float64))
+	// AttractionRow returns point i's data-correlated partners js, each
+	// once, with on[k] the (already blended, non-positive) attractive
+	// component of the force on i by js[k] and by[k] that of the force on
+	// js[k] by i. Rows are symmetric: j lists i whenever i lists j.
+	AttractionRow(i int) (js []int32, on, by []float64)
 }
 
 // Config tunes the embedding.
@@ -190,11 +185,20 @@ func (c Config) repulsionWeight(n int) float64 {
 	return w
 }
 
+// weighted applies the repulsion class weight rw to a repulsive force;
+// attraction passes through.
+func weighted(f, rw float64) float64 {
+	if f > 0 {
+		return f * rw
+	}
+	return f
+}
+
 // Result reports the embedding outcome.
 type Result struct {
-	Pos        map[int]Point // final positions for every input id
-	Iterations int           // iterations actually executed
-	Cost       []float64     // CostAR per iteration (Eq. 7)
+	Pos        []Point   // final position of every point, in point order
+	Iterations int       // iterations actually executed
+	Cost       []float64 // CostAR per iteration (Eq. 7)
 }
 
 // InitialPosition returns the deterministic scatter position used for a
@@ -206,43 +210,37 @@ func InitialPosition(id int, radius float64, seed uint64) Point {
 	return Point{X: r * math.Cos(ang), Y: r * math.Sin(ang)}
 }
 
-// Run executes the embedding over ids. init provides inherited positions
-// (the paper carries positions across slots); ids absent from init are
-// scattered deterministically.
-func Run(ids []int, init map[int]Point, field Field, cfg Config) Result {
+// Run executes the embedding over ids, point i being ids[i]. Point i
+// starts at init[i] when known[i] (the paper carries positions across
+// slots; a nil known marks every init entry known) and is scattered
+// deterministically otherwise.
+func Run(ids []int, init []Point, known []bool, field SplitField, cfg Config) Result {
 	cfg.applyDefaults()
 	n := len(ids)
 	px := make([]float64, n)
 	py := make([]float64, n)
-	idx := make(map[int]int, n)
-	for k, id := range ids {
-		idx[id] = k
-		p, ok := init[id]
-		if !ok {
+	for i, id := range ids {
+		var p Point
+		if i < len(init) && (known == nil || known[i]) {
+			p = init[i]
+		} else {
 			p = InitialPosition(id, cfg.InitRadius, cfg.Seed)
 		}
-		px[k], py[k] = p.X, p.Y
+		px[i], py[i] = p.X, p.Y
 	}
-	finish := func(iters int, cost []float64) Result {
-		pos := make(map[int]Point, n)
-		for k, id := range ids {
-			pos[id] = Point{X: px[k], Y: py[k]}
+	res := Result{Pos: make([]Point, n)}
+	if n >= 2 {
+		field.Bind(ids)
+		if n <= cfg.ExactThreshold {
+			res.Iterations, res.Cost = runExact(px, py, field, cfg)
+		} else {
+			res.Iterations, res.Cost = runSampled(px, py, field, cfg)
 		}
-		return Result{Pos: pos, Iterations: iters, Cost: cost}
 	}
-	if n < 2 {
-		return finish(0, nil)
+	for i := range res.Pos {
+		res.Pos[i] = Point{X: px[i], Y: py[i]}
 	}
-	sf, _ := field.(SplitField)
-	if sf != nil {
-		sf.Bind(ids)
-	}
-	if n <= cfg.ExactThreshold {
-		iters, cost := runExact(ids, idx, px, py, field, sf, cfg)
-		return finish(iters, cost)
-	}
-	iters, cost := runSampled(ids, idx, px, py, field, sf, cfg)
-	return finish(iters, cost)
+	return res
 }
 
 // Shard grains of the parallel passes. Fixed constants keep shard
@@ -280,8 +278,8 @@ func (s *exactScratch) ensure(n2 int) {
 
 // runExact evaluates all ordered pairs with a dense, once-computed force
 // cache.
-func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf SplitField, cfg Config) (int, []float64) {
-	n := len(ids)
+func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
+	n := len(px)
 	scr := exactPool.Get().(*exactScratch)
 	scr.ensure(n * n)
 	defer exactPool.Put(scr)
@@ -292,54 +290,39 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 	// lower triangles are never touched (hence never cleared).
 	ft := scr.ft
 	ftT := scr.ftT
-	if sf != nil {
-		// Structured build: one symmetric repulsion row per point, copied
-		// to both directions, then the sparse attraction edges on top.
-		// Addition order matches the blended Force expression exactly
-		// (fa + fr, commutative). Rows are sharded in contiguous batches —
-		// each shard writes only its own upper-triangle rows — so the build
-		// is bit-identical to the serial sweep at any worker count. Row i's
-		// partners are the index range i+1..n-1.
-		seq := make([]int32, n)
-		for i := range seq {
-			seq[i] = int32(i)
-		}
-		par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := ft[i*n+i+1 : i*n+n]
-				sf.RepulsionRow(i, seq[i+1:], row)
-				copy(ftT[i*n+i+1:i*n+n], row)
-			}
-		})
-		sf.EachAttraction(func(onto, by int, fa float64) {
-			i, ok1 := idx[onto]
-			j, ok2 := idx[by]
-			if !ok1 || !ok2 || i == j {
-				return
-			}
-			if i < j {
-				ft[i*n+j] += fa
-			} else {
-				ftT[j*n+i] += fa
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				ft[i*n+j] = field.Force(ids[i], ids[j])
-				ftT[i*n+j] = field.Force(ids[j], ids[i])
-			}
-		}
+	// One symmetric repulsion row per point, copied to both directions,
+	// then the sparse attraction terms on top. Addition order matches the
+	// blended Force expression exactly (fa + fr, commutative). Rows are
+	// sharded in contiguous batches — each shard writes only its own
+	// upper-triangle rows — so the build is bit-identical to the serial
+	// sweep at any worker count. Row i's partners are the index range
+	// i+1..n-1.
+	seq := make([]int32, n)
+	for i := range seq {
+		seq[i] = int32(i)
 	}
+	par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := ft[i*n+i+1 : i*n+n]
+			sf.RepulsionRow(i, seq[i+1:], row)
+			copy(ftT[i*n+i+1:i*n+n], row)
+			js, on, by := sf.AttractionRow(i)
+			for k, j := range js {
+				if int(j) <= i {
+					continue
+				}
+				if on[k] != 0 {
+					ft[i*n+int(j)] += on[k]
+				}
+				if by[k] != 0 {
+					ftT[i*n+int(j)] += by[k]
+				}
+			}
+		}
+	})
 	// Iteration caches: the repulsion class weight applied once instead of
 	// per iteration, and the symmetric pair sum the cost function reads.
 	rw := cfg.repulsionWeight(n)
-	weight := func(f float64) float64 {
-		if f > 0 {
-			return f * rw
-		}
-		return f
-	}
 	wft := scr.wft
 	wftT := scr.wftT
 	sft := scr.sft
@@ -347,8 +330,8 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 	par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for k := i*n + i + 1; k < i*n+n; k++ {
-				wft[k] = weight(ft[k])
-				wftT[k] = weight(ftT[k])
+				wft[k] = weighted(ft[k], rw)
+				wftT[k] = weighted(ftT[k], rw)
 				sft[k] = ft[k] + ftT[k]
 			}
 		}
@@ -428,10 +411,10 @@ func runExact(ids []int, idx map[int]int, px, py []float64, field Field, sf Spli
 // forces the first per-iteration draw would. The cost function is evaluated
 // over the exact attraction pairs (the stable subset), which preserves the
 // stopping rule's intent.
-func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf SplitField, cfg Config) (int, []float64) {
-	n := len(ids)
+func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
+	n := len(px)
 	K := cfg.SampleK
-	apairs, attracted := buildAttraction(ids, idx, field)
+	apairs := buildAttraction(n, sf, cfg.Workers)
 	prevD := make([]float64, len(apairs))
 	for k, p := range apairs {
 		dx := px[p.i] - px[p.j]
@@ -448,34 +431,26 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 	}
 
 	// sampleRow draws point i's SampleK hashed peers for the given draw
-	// into kj and their forces into f (0 for a self-sample). With a
-	// SplitField the whole draw is batched through one RepulsionRow call —
-	// hoisting the point's profile state out of the per-sample loop and
-	// skipping the volume probe Force would pay — and then the self-sample
-	// and the rare attraction peers have their entries replaced: 0 and the
-	// full Force evaluation. Each repulsion value is a pure per-pair
-	// function, so both paths are bit-identical.
+	// into kj and their forces into f (0 for a self-sample). The whole draw
+	// is batched through one RepulsionRow call — hoisting the point's
+	// profile state out of the per-sample loop and skipping the volume
+	// probe Force would pay — and then the self-sample and the rare
+	// attraction partners have their entries corrected: 0, and the
+	// repulsion plus the attraction term, which is Force by the SplitField
+	// contract. Each value is a pure per-pair function, so the draw is
+	// bit-identical to per-pair Force evaluation.
 	sampleRow := func(i int, draw uint64, kj []int32, f []float64) {
 		prefix := rng.Hash(cfg.Seed, uint64(i), draw)
 		for k, key := range sampleKeys {
 			kj[k] = int32(rng.FoldKey(prefix, key) % uint64(n))
 		}
-		if sf == nil {
-			for k, j := range kj {
-				f[k] = 0
-				if int(j) != i {
-					f[k] = field.Force(ids[i], ids[j])
-				}
-			}
-			return
-		}
 		sf.RepulsionRow(i, kj, f)
+		js, on, _ := sf.AttractionRow(i)
 		for k, j := range kj {
-			switch {
-			case int(j) == i:
+			if int(j) == i {
 				f[k] = 0
-			case containsIdx(attracted[i], j):
-				f[k] = field.Force(ids[i], ids[j])
+			} else if e := slices.Index(js, j); e >= 0 {
+				f[k] += on[e]
 			}
 		}
 	}
@@ -497,12 +472,6 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 	// the sparse attraction. The two compose to kappa/SampleK.
 	scale := float64(n-1) / float64(K) * cfg.repulsionWeight(n)
 	rw := cfg.repulsionWeight(n)
-	weight := func(f float64) float64 {
-		if f > 0 {
-			return f * rw
-		}
-		return f
-	}
 
 	fx := make([]float64, n)
 	fy := make([]float64, n)
@@ -523,10 +492,10 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, sf Sp
 				dx, dy, d = math.Cos(ang), math.Sin(ang), 1
 			}
 			ux, uy := dx/d, dy/d
-			fx[p.i] += weight(p.fij) * ux
-			fy[p.i] += weight(p.fij) * uy
-			fx[p.j] -= weight(p.fji) * ux
-			fy[p.j] -= weight(p.fji) * uy
+			fx[p.i] += weighted(p.fij, rw) * ux
+			fy[p.i] += weighted(p.fij, rw) * uy
+			fx[p.j] -= weighted(p.fji, rw) * ux
+			fy[p.j] -= weighted(p.fji, rw) * uy
 		}
 		// The sampled repulsion estimate writes only fx[i]/fy[i] and reads
 		// only positions frozen for the whole pass, accumulating in sample
@@ -595,36 +564,41 @@ type apair struct {
 	fji  float64 // on j by i
 }
 
-// buildAttraction collects the unique attraction pairs with their exact
-// directed forces, plus attracted[i] — the point indices declared as
-// attraction peers of i (either direction): exactly the pairs the
-// batched repulsion path must not take.
-func buildAttraction(ids []int, idx map[int]int, field Field) ([]apair, [][]int32) {
-	n := len(ids)
-	var apairs []apair
-	attracted := make([][]int32, n)
-	seen := make(map[[2]int]bool)
-	for i, id := range ids {
-		for _, peer := range field.AttractionPeers(id) {
-			j, ok := idx[peer]
-			if !ok || i == j {
-				continue
+// buildAttraction collects the unique attraction pairs with their directed
+// forces, pair {i, j} (i < j) in the order point i's attraction row lists
+// j. Each force is the pair's repulsion, batched per point through
+// RepulsionRow, plus its attraction term — Force by the SplitField
+// contract. Each point fills only its own pairs, so the sharded fill is
+// bit-identical to the serial one at any worker count.
+func buildAttraction(n int, sf SplitField, workers *par.Budget) []apair {
+	off := make([]int, n+1)
+	var pj, pk []int32 // partner and its attraction-row entry, per pair
+	for i := 0; i < n; i++ {
+		js, _, _ := sf.AttractionRow(i)
+		for k, j := range js {
+			if int(j) > i {
+				pj = append(pj, j)
+				pk = append(pk, int32(k))
 			}
-			key := [2]int{min(i, j), max(i, j)}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			attracted[key[0]] = append(attracted[key[0]], int32(key[1]))
-			attracted[key[1]] = append(attracted[key[1]], int32(key[0]))
-			apairs = append(apairs, apair{
-				i: key[0], j: key[1],
-				fij: field.Force(ids[key[0]], ids[key[1]]),
-				fji: field.Force(ids[key[1]], ids[key[0]]),
-			})
 		}
+		off[i+1] = len(pj)
 	}
-	return apairs, attracted
+	apairs := make([]apair, len(pj))
+	rep := make([]float64, len(pj))
+	par.For(workers, n, sampledPointGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a, b := off[i], off[i+1]
+			if a == b {
+				continue
+			}
+			sf.RepulsionRow(i, pj[a:b], rep[a:b])
+			_, on, by := sf.AttractionRow(i)
+			for m := a; m < b; m++ {
+				apairs[m] = apair{i: i, j: int(pj[m]), fij: rep[m] + on[pk[m]], fji: rep[m] + by[pk[m]]}
+			}
+		}
+	})
+	return apairs
 }
 
 // displace applies Eq. 6's 1/2*F*t^2 step with the per-point clamp and the
@@ -665,29 +639,5 @@ func (r *peerRows) ensure(m int) {
 // clearing.
 var frozenPool = sync.Pool{New: func() any { return new(peerRows) }}
 
-// containsIdx reports membership in a point's (short) attraction-peer list.
-func containsIdx(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // samplePool recycles the per-shard peer row of the sampled pass.
 var samplePool = sync.Pool{New: func() any { return new(peerRows) }}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -36,7 +36,7 @@ func TestGravityBoundsRadius(t *testing.T) {
 			f.set(0, 0, 1.0, i, j)
 		}
 	}
-	res := Run(ids, nil, f, Config{Seed: 5, MaxIters: 300, Gravity: 0.05, StopFrac: -1})
+	res := runMap(ids, nil, f, Config{Seed: 5, MaxIters: 300, Gravity: 0.05, StopFrac: -1})
 	for _, id := range ids {
 		if r := math.Hypot(res.Pos[id].X, res.Pos[id].Y); r > 200 {
 			t.Fatalf("point %d escaped to radius %v", id, r)
@@ -50,7 +50,7 @@ func TestStopFracStopsEarly(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -1.0, 1, 2)
 	init := map[int]Point{1: {X: -20}, 2: {X: 20}}
-	res := Run([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 500, StopFrac: 0.15})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 500, StopFrac: 0.15})
 	if res.Iterations >= 500 {
 		t.Fatalf("did not stop early: %d iterations", res.Iterations)
 	}
@@ -62,7 +62,7 @@ func TestStopFracStopsEarly(t *testing.T) {
 func TestStopFracDisabledRunsToCap(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -1.0, 1, 2)
-	res := Run([]int{1, 2}, map[int]Point{1: {X: -9}, 2: {X: 9}}, f,
+	res := runMap([]int{1, 2}, map[int]Point{1: {X: -9}, 2: {X: 9}}, f,
 		Config{Seed: 1, MaxIters: 25, StopFrac: -1, Gravity: -1})
 	if res.Iterations != 25 {
 		t.Fatalf("StopFrac -1 should run to MaxIters: %d", res.Iterations)
@@ -84,7 +84,7 @@ func TestExactAndSampledModesAgreeOnPairSign(t *testing.T) {
 		return f
 	}
 	check := func(name string, cfg Config) {
-		res := Run([]int{0, 1, 2, 3}, nil, build(), cfg)
+		res := runMap([]int{0, 1, 2, 3}, nil, build(), cfg)
 		intra := Dist(res.Pos[0], res.Pos[1]) + Dist(res.Pos[2], res.Pos[3])
 		inter := Dist(res.Pos[0], res.Pos[2]) + Dist(res.Pos[1], res.Pos[3])
 		if intra >= inter {
@@ -99,13 +99,14 @@ func TestRunIsPureFunctionOfInputs(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.4, 1, 2)
 	f.set(0, 0, 0.6, 1, 3)
-	init := map[int]Point{1: {X: 1, Y: 1}}
-	a := Run([]int{1, 2, 3}, init, f, Config{Seed: 4})
-	// The init map must not be mutated.
-	if init[1] != (Point{X: 1, Y: 1}) {
-		t.Fatal("Run mutated the init map")
+	init := []Point{{X: 1, Y: 1}, {}, {}}
+	known := []bool{true, false, false}
+	a := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4})
+	// The init slice must not be mutated.
+	if init[0] != (Point{X: 1, Y: 1}) || init[1] != (Point{}) {
+		t.Fatal("Run mutated the init slice")
 	}
-	b := Run([]int{1, 2, 3}, init, f, Config{Seed: 4})
+	b := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4})
 	for id := range a.Pos {
 		if a.Pos[id] != b.Pos[id] {
 			t.Fatal("repeat run diverged")

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -16,7 +17,8 @@ import (
 type splitHashField struct {
 	seed uint64
 	n    int
-	ids  []int // bound point order
+	ids  []int     // bound point order
+	rows [][]int32 // bound attraction rows
 }
 
 func (f splitHashField) rep(a, b int) float64 {
@@ -48,7 +50,21 @@ func (f splitHashField) AttractionPeers(id int) []int {
 	return peers
 }
 
-func (f *splitHashField) Bind(ids []int) { f.ids = ids }
+func (f *splitHashField) Bind(ids []int) {
+	f.ids = ids
+	at := make(map[int]int32, len(ids))
+	for i, id := range ids {
+		at[id] = int32(i)
+	}
+	f.rows = make([][]int32, len(ids))
+	for i, id := range ids {
+		for _, p := range f.AttractionPeers(id) {
+			if j, ok := at[p]; ok {
+				f.rows[i] = append(f.rows[i], j)
+			}
+		}
+	}
+}
 
 func (f *splitHashField) RepulsionRow(i int, js []int32, dst []float64) {
 	for k, j := range js {
@@ -56,19 +72,13 @@ func (f *splitHashField) RepulsionRow(i int, js []int32, dst []float64) {
 	}
 }
 
-func (f *splitHashField) EachAttraction(fn func(onto, by int, fa float64)) {
-	for i := 0; i+1 < f.n; i++ {
-		fn(i, i+1, -0.5)
-		fn(i+1, i, -0.5)
+func (f *splitHashField) AttractionRow(i int) ([]int32, []float64, []float64) {
+	fa := make([]float64, len(f.rows[i]))
+	for k := range fa {
+		fa[k] = -0.5
 	}
+	return f.rows[i], fa, fa
 }
-
-// forceOnlyField hides the SplitField fast paths, forcing the generic
-// Force-per-pair code.
-type forceOnlyField struct{ f *splitHashField }
-
-func (g forceOnlyField) Force(onto, by int) float64   { return g.f.Force(onto, by) }
-func (g forceOnlyField) AttractionPeers(id int) []int { return g.f.AttractionPeers(id) }
 
 // bindCheckField is a splitHashField that reports a contract violation
 // when RepulsionRow runs before Bind, or after a second Bind in one run.
@@ -113,7 +123,7 @@ func TestBindOncePerRun(t *testing.T) {
 			field := &bindCheckField{splitHashField: splitHashField{seed: 99, n: tc.n + 1}, t: t}
 			cfg := tc.cfg
 			cfg.Workers = w
-			Run(ids, nil, field, cfg)
+			Run(ids, nil, nil, field, cfg)
 			if b := field.binds.Load(); b != 1 {
 				t.Errorf("%s: Run bound %d times, want 1", tc.name, b)
 			}
@@ -124,31 +134,37 @@ func TestBindOncePerRun(t *testing.T) {
 	}
 }
 
-// TestSplitFieldFastPathEquivalence proves the sampled mode's batched
-// repulsion-row fast path changes nothing: the same embedding run against
-// the bare Force interface and against the SplitField implementation
-// yields bit-identical positions and costs.
+// TestSplitFieldFastPathEquivalence proves the index-addressed attraction
+// pairs change nothing: against the id-addressed oracle (AttractionPeers
+// through an id map, a pair set, and two Force calls per pair) every pair,
+// its order and both directed forces match bit for bit, and each point's
+// attraction row holds exactly its oracle peers — at any worker count and
+// in any point order.
 func TestSplitFieldFastPathEquivalence(t *testing.T) {
 	const n = 160
-	field := &splitHashField{seed: 99, n: n}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
+	ident, rev := make([]int, n), make([]int, n)
+	for i := range ident {
+		ident[i], rev[i] = i, n-i
 	}
-	cfg := Config{Seed: 5, ExactThreshold: 32, SampleK: 24}
-	fast := Run(ids, nil, field, cfg)
-	slow := Run(ids, nil, forceOnlyField{f: field}, cfg)
-	if fast.Iterations != slow.Iterations {
-		t.Fatalf("iterations %d != %d", fast.Iterations, slow.Iterations)
-	}
-	for _, id := range ids {
-		if fast.Pos[id] != slow.Pos[id] {
-			t.Fatalf("position of %d differs: %v != %v", id, fast.Pos[id], slow.Pos[id])
+	for _, ids := range [][]int{ident, rev} {
+		field := &splitHashField{seed: 99, n: n + 1}
+		want, attracted := OracleAttraction(ids, field)
+		field.Bind(ids)
+		for _, w := range []*par.Budget{nil, par.NewBudget(3)} {
+			if got := buildAttraction(n, field, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("attraction pairs differ from the oracle (%d vs %d pairs)", len(got), len(want))
+			}
 		}
-	}
-	for k := range slow.Cost {
-		if fast.Cost[k] != slow.Cost[k] {
-			t.Fatalf("cost[%d] differs: %v != %v", k, fast.Cost[k], slow.Cost[k])
+		for i := range ids {
+			js, _, _ := field.AttractionRow(i)
+			if len(js) != len(attracted[i]) {
+				t.Fatalf("point %d: row %v, oracle %v", i, js, attracted[i])
+			}
+			for _, j := range attracted[i] {
+				if !slices.Contains(js, j) {
+					t.Fatalf("point %d: row %v lacks oracle peer %d", i, js, j)
+				}
+			}
 		}
 	}
 }
@@ -174,7 +190,7 @@ func TestWorkersEquivalence(t *testing.T) {
 			run := func(w *par.Budget) Result {
 				cfg := tc.cfg
 				cfg.Workers = w
-				return Run(ids, nil, &splitHashField{seed: 99, n: tc.n}, cfg)
+				return Run(ids, nil, nil, &splitHashField{seed: 99, n: tc.n}, cfg)
 			}
 			serial := run(nil)
 			for _, extra := range []int{1, 7} {

@@ -2,18 +2,74 @@ package embed
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
-// tableField returns forces from a symmetric matrix keyed by (onto, by).
+// tableField returns forces from a symmetric matrix keyed by (onto, by):
+// positive entries are repulsion, negative ones attraction between peers.
 type tableField struct {
 	f     map[[2]int]float64
 	peers map[int][]int
+
+	ids    []int // bound point order
+	rows   [][]int32
+	on, by [][]float64
 }
 
-func (t *tableField) Force(onto, by int) float64 { return t.f[[2]int{onto, by}] }
-func (t *tableField) AttractionPeers(id int) []int {
-	return t.peers[id]
+func (t *tableField) Bind(ids []int) {
+	t.ids = ids
+	at := make(map[int]int32, len(ids))
+	for i, id := range ids {
+		at[id] = int32(i)
+	}
+	t.rows = make([][]int32, len(ids))
+	t.on = make([][]float64, len(ids))
+	t.by = make([][]float64, len(ids))
+	for i, id := range ids {
+		for _, p := range t.peers[id] {
+			j, ok := at[p]
+			if !ok || int(j) == i || slices.Contains(t.rows[i], j) {
+				continue
+			}
+			t.rows[i] = append(t.rows[i], j)
+			t.on[i] = append(t.on[i], math.Min(t.f[[2]int{id, p}], 0))
+			t.by[i] = append(t.by[i], math.Min(t.f[[2]int{p, id}], 0))
+		}
+	}
+}
+
+func (t *tableField) RepulsionRow(i int, js []int32, dst []float64) {
+	for k, j := range js {
+		dst[k] = math.Max(t.f[[2]int{t.ids[i], t.ids[j]}], 0)
+	}
+}
+
+func (t *tableField) AttractionRow(i int) ([]int32, []float64, []float64) {
+	return t.rows[i], t.on[i], t.by[i]
+}
+
+// mapResult is a Result keyed by id.
+type mapResult struct {
+	Pos        map[int]Point
+	Iterations int
+	Cost       []float64
+}
+
+// runMap is Run over an id-keyed init map (absent ids unknown), returning
+// positions by id.
+func runMap(ids []int, init map[int]Point, f SplitField, cfg Config) mapResult {
+	pts := make([]Point, len(ids))
+	known := make([]bool, len(ids))
+	for k, id := range ids {
+		pts[k], known[k] = init[id]
+	}
+	res := Run(ids, pts, known, f, cfg)
+	out := mapResult{Pos: make(map[int]Point, len(ids)), Iterations: res.Iterations, Cost: res.Cost}
+	for k, id := range ids {
+		out.Pos[id] = res.Pos[k]
+	}
+	return out
 }
 
 func newTableField() *tableField {
@@ -35,7 +91,7 @@ func TestAttractionPullsTogether(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.8, 1, 2)
 	init := map[int]Point{1: {X: -5, Y: 0}, 2: {X: 5, Y: 0}}
-	res := Run([]int{1, 2}, init, f, Config{Seed: 1})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1})
 	d0 := Dist(init[1], init[2])
 	d1 := Dist(res.Pos[1], res.Pos[2])
 	if d1 >= d0 {
@@ -47,7 +103,7 @@ func TestRepulsionPushesApart(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, 0.9, 1, 2)
 	init := map[int]Point{1: {X: -1, Y: 0}, 2: {X: 1, Y: 0}}
-	res := Run([]int{1, 2}, init, f, Config{Seed: 1})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1})
 	d0 := Dist(init[1], init[2])
 	d1 := Dist(res.Pos[1], res.Pos[2])
 	if d1 <= d0 {
@@ -65,7 +121,7 @@ func TestMixedForcesSeparateGroups(t *testing.T) {
 			f.set(0, 0, 0.7, a, b)
 		}
 	}
-	res := Run([]int{1, 2, 3, 4}, nil, f, Config{Seed: 7, MaxIters: 50})
+	res := runMap([]int{1, 2, 3, 4}, nil, f, Config{Seed: 7, MaxIters: 50})
 	intra := Dist(res.Pos[1], res.Pos[2]) + Dist(res.Pos[3], res.Pos[4])
 	inter := Dist(res.Pos[1], res.Pos[3]) + Dist(res.Pos[2], res.Pos[4])
 	if intra >= inter {
@@ -77,7 +133,7 @@ func TestDeterministic(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.5, 1, 2)
 	f.set(0, 0, 0.5, 2, 3)
-	run := func() Result { return Run([]int{1, 2, 3}, nil, f, Config{Seed: 42}) }
+	run := func() mapResult { return runMap([]int{1, 2, 3}, nil, f, Config{Seed: 42}) }
 	a, b := run(), run()
 	for _, id := range []int{1, 2, 3} {
 		if a.Pos[id] != b.Pos[id] {
@@ -92,7 +148,7 @@ func TestDeterministic(t *testing.T) {
 func TestRespectsMaxIters(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, 0.9, 1, 2)
-	res := Run([]int{1, 2}, nil, f, Config{Seed: 1, MaxIters: 5})
+	res := runMap([]int{1, 2}, nil, f, Config{Seed: 1, MaxIters: 5})
 	if res.Iterations > 5 {
 		t.Fatalf("ran %d iterations, cap 5", res.Iterations)
 	}
@@ -113,7 +169,7 @@ func TestDisplacementClamped(t *testing.T) {
 		init[id] = Point{} // all coincident
 	}
 	cfg := Config{Seed: 3, MaxIters: 1, MaxDisplace: 2}
-	res := Run(ids, init, f, cfg)
+	res := runMap(ids, init, f, cfg)
 	for _, id := range ids {
 		if d := Dist(res.Pos[id], Point{}); d > 2+1e-9 {
 			t.Fatalf("point %d moved %v > clamp 2", id, d)
@@ -124,7 +180,7 @@ func TestDisplacementClamped(t *testing.T) {
 func TestInheritedPositionsUsed(t *testing.T) {
 	f := newTableField() // no forces (and no gravity): nothing moves
 	init := map[int]Point{7: {X: 3, Y: 4}}
-	res := Run([]int{7, 8}, init, f, Config{Seed: 9, Gravity: -1})
+	res := runMap([]int{7, 8}, init, f, Config{Seed: 9, Gravity: -1})
 	if res.Pos[7] != (Point{X: 3, Y: 4}) {
 		t.Fatalf("inherited position not kept: %v", res.Pos[7])
 	}
@@ -137,14 +193,14 @@ func TestInheritedPositionsUsed(t *testing.T) {
 
 func TestSinglePointNoop(t *testing.T) {
 	f := newTableField()
-	res := Run([]int{5}, nil, f, Config{Seed: 1})
+	res := runMap([]int{5}, nil, f, Config{Seed: 1})
 	if len(res.Pos) != 1 || res.Iterations != 0 {
 		t.Fatal("single point should not iterate")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	res := Run(nil, nil, newTableField(), Config{})
+	res := runMap(nil, nil, newTableField(), Config{})
 	if len(res.Pos) != 0 {
 		t.Fatal("empty input should return empty result")
 	}
@@ -152,14 +208,14 @@ func TestEmptyInput(t *testing.T) {
 
 func TestSampledModeStillSeparates(t *testing.T) {
 	// Force sampled mode with a low threshold; attraction stays exact via
-	// AttractionPeers so the pair must still converge.
+	// AttractionRow so the pair must still converge.
 	f := newTableField()
 	ids := make([]int, 30)
 	for i := range ids {
 		ids[i] = i
 	}
 	f.set(0, 0, -0.9, 0, 1)
-	res := Run(ids, nil, f, Config{Seed: 11, ExactThreshold: 4, SampleK: 8, MaxIters: 40, Gravity: -1})
+	res := runMap(ids, nil, f, Config{Seed: 11, ExactThreshold: 4, SampleK: 8, MaxIters: 40, Gravity: -1})
 	d := Dist(res.Pos[0], res.Pos[1])
 	// The attracted pair should sit closer than the average pair.
 	var sum float64
@@ -178,7 +234,7 @@ func TestSampledModeStillSeparates(t *testing.T) {
 func TestCostHistoryRecorded(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.5, 1, 2)
-	res := Run([]int{1, 2}, map[int]Point{1: {X: -4}, 2: {X: 4}}, f, Config{Seed: 1, MaxIters: 10})
+	res := runMap([]int{1, 2}, map[int]Point{1: {X: -4}, 2: {X: 4}}, f, Config{Seed: 1, MaxIters: 10})
 	if len(res.Cost) != res.Iterations {
 		t.Fatalf("cost history %d entries, %d iterations", len(res.Cost), res.Iterations)
 	}

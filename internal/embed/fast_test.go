@@ -25,16 +25,14 @@ func (c *countingField) pairForce(a, b int) float64 {
 	return 0.1 + 0.9*rng.Noise01(uint64(a*7919+b))
 }
 
-func (c *countingField) Force(onto, by int) float64 { return c.pairForce(onto, by) }
-func (c *countingField) AttractionPeers(int) []int  { return nil }
-func (c *countingField) Bind(ids []int)             { c.ids = ids }
+func (c *countingField) Bind(ids []int) { c.ids = ids }
 func (c *countingField) RepulsionRow(i int, js []int32, dst []float64) {
 	c.partners.Add(int64(len(js)))
 	for k, j := range js {
 		dst[k] = c.pairForce(c.ids[i], c.ids[j])
 	}
 }
-func (c *countingField) EachAttraction(func(onto, by int, fa float64)) {}
+func (c *countingField) AttractionRow(int) ([]int32, []float64, []float64) { return nil, nil, nil }
 
 func fastIDs(n int) []int {
 	ids := make([]int, n)
@@ -57,7 +55,7 @@ func TestFrozenPeerContract(t *testing.T) {
 		// StopFrac < 0 leaves MaxIters as the only halting rule, so the
 		// iteration count is exactly iters.
 		cfg := Config{Seed: 9, FastMath: fast, MaxIters: iters, SampleK: 16, StopFrac: -1, Workers: w}
-		res := Run(ids, nil, field, cfg)
+		res := Run(ids, nil, nil, field, cfg)
 		if res.Iterations != iters {
 			t.Fatalf("fast=%v: ran %d iterations, want %d", fast, res.Iterations, iters)
 		}
@@ -99,7 +97,7 @@ func TestSampledFastMatchesForceSemantics(t *testing.T) {
 	const n = 520
 	ids := fastIDs(n)
 	cfg := Config{Seed: 2, FastMath: true, MaxIters: 8, SampleK: 24}
-	res := Run(ids, nil, &countingField{}, cfg)
+	res := Run(ids, nil, nil, &countingField{}, cfg)
 	var spread float64
 	for _, p := range res.Pos {
 		spread += math.Hypot(p.X, p.Y)

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"slices"
 
 	"geovmp/internal/rng"
 )
@@ -54,16 +55,12 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config,
 			if !ok || peer == id {
 				continue
 			}
-			f := field.Force(id, peer)
-			if f > 0 {
-				f *= rw
-			}
-			pull(q, f)
+			pull(q, weighted(field.Force(id, peer), rw))
 		}
 		// Sampled repulsion over the rest of the fleet.
 		for k := 0; k < cfg.SampleK; k++ {
 			j := others[rng.Hash(cfg.Seed, uint64(id), uint64(iter), uint64(k))%uint64(len(others))]
-			if j == id || containsPeer(peers, j) {
+			if j == id || slices.Contains(peers, j) {
 				continue // self, or already handled exactly above
 			}
 			q, ok := pos[j]
@@ -88,14 +85,4 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config,
 		p.Y += dy
 	}
 	return p
-}
-
-// containsPeer reports membership in a point's (short) attraction-peer list.
-func containsPeer(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -504,10 +504,3 @@ func (s *Schedule) apply(o Outage) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -70,8 +70,10 @@ type Move struct {
 
 // Result is the plan after revision.
 type Result struct {
-	// Placement maps every candidate id to its final DC.
+	// Placement maps every candidate id to its final DC; DC holds the same
+	// per candidate, in candidate order.
 	Placement map[int]int
+	DC        []int
 	Moves     []Move
 	// Rejected counts migration wishes dropped for latency or budget.
 	Rejected int
@@ -81,8 +83,10 @@ type Result struct {
 	Loads []float64
 }
 
-// queue entries, kept small for cache friendliness.
+// queue entries, kept small for cache friendliness: c indexes the
+// candidate, id breaks distance ties.
 type qent struct {
+	c    int
 	id   int
 	dist float64
 }
@@ -90,7 +94,7 @@ type qent struct {
 // Run executes Algorithm 2 over the candidates.
 func Run(cands []Candidate, cfg Config) Result {
 	res := Result{
-		Placement:   make(map[int]int, len(cands)),
+		DC:          make([]int, len(cands)),
 		LinkSeconds: make([][]float64, cfg.NDC),
 	}
 	for i := range res.LinkSeconds {
@@ -98,24 +102,24 @@ func Run(cands []Candidate, cfg Config) Result {
 	}
 	loads := append([]float64(nil), cfg.Loads...)
 
-	byID := make(map[int]*Candidate, len(cands))
 	qin := make([][]qent, cfg.NDC)  // per destination DC
 	qout := make([][]qent, cfg.NDC) // per source DC
+	live := 0                       // queued candidates not yet dropped
 	for i := range cands {
 		c := &cands[i]
-		byID[c.ID] = c
 		switch {
 		case c.Current < 0:
 			// New VM: placed at its k-means DC without latency checks.
-			res.Placement[c.ID] = c.Target
+			res.DC[i] = c.Target
 			loads[c.Target] += c.Load
 		case c.Target == c.Current:
-			res.Placement[c.ID] = c.Current
+			res.DC[i] = c.Current
 		default:
 			// Wants to move: provisionally stays, queued for revision.
-			res.Placement[c.ID] = c.Current
-			qin[c.Target] = append(qin[c.Target], qent{id: c.ID, dist: c.Dist})
-			qout[c.Current] = append(qout[c.Current], qent{id: c.ID, dist: c.Dist})
+			res.DC[i] = c.Current
+			qin[c.Target] = append(qin[c.Target], qent{c: i, id: c.ID, dist: c.Dist})
+			qout[c.Current] = append(qout[c.Current], qent{c: i, id: c.ID, dist: c.Dist})
+			live++
 		}
 	}
 	// Qin ascending by distance to the destination centroid (admit best
@@ -137,26 +141,20 @@ func Run(cands []Candidate, cfg Config) Result {
 		})
 	}
 
-	dropped := make(map[int]bool) // ids erased from queues
+	// A candidate leaves both its queues the first time either pops it;
+	// the walk ends once no queued candidate is left.
+	dropped := make([]bool, len(cands))
 	pop := func(q []qent) (int, []qent) {
 		for len(q) > 0 {
 			head := q[0]
 			q = q[1:]
-			if !dropped[head.id] {
-				return head.id, q
+			if !dropped[head.c] {
+				dropped[head.c] = true
+				live--
+				return head.c, q
 			}
 		}
 		return -1, q
-	}
-	empty := func() bool {
-		for d := 0; d < cfg.NDC; d++ {
-			for _, e := range qin[d] {
-				if !dropped[e.id] {
-					return false
-				}
-			}
-		}
-		return true
 	}
 	// feasible checks the move-count budget and the latency constraint for
 	// moving c from->to, given the budget already burned on that link pair.
@@ -173,8 +171,9 @@ func Run(cands []Candidate, cfg Config) Result {
 		}
 		return t, false
 	}
-	execute := func(c *Candidate, from, to int, t float64) {
-		res.Placement[c.ID] = to
+	execute := func(ci, from, to int, t float64) {
+		c := &cands[ci]
+		res.DC[ci] = to
 		res.Moves = append(res.Moves, Move{ID: c.ID, From: from, To: to, Image: c.Image, Seconds: t})
 		res.LinkSeconds[from][to] += t
 		loads[from] -= c.Load
@@ -185,40 +184,39 @@ func Run(cands []Candidate, cfg Config) Result {
 	// cycling in degenerate configurations (it is never hit in tests).
 	i := 0
 	maxSteps := 4 * (len(cands) + cfg.NDC)
-	for step := 0; step < maxSteps && !empty(); step++ {
+	for step := 0; step < maxSteps && live > 0; step++ {
 		if loads[i] < cfg.Caps[i] {
-			var id int
-			id, qin[i] = pop(qin[i])
-			if id < 0 {
+			var ci int
+			ci, qin[i] = pop(qin[i])
+			if ci < 0 {
 				i = (i + 1) % cfg.NDC
 				continue
 			}
-			c := byID[id]
-			from := c.Current
-			if t, ok := feasible(c, from, i); ok {
-				execute(c, from, i, t)
+			from := cands[ci].Current
+			if t, ok := feasible(&cands[ci], from, i); ok {
+				execute(ci, from, i, t)
 			} else {
 				res.Rejected++
 			}
-			dropped[id] = true
 		} else {
-			var id int
-			id, qout[i] = pop(qout[i])
-			if id < 0 {
+			var ci int
+			ci, qout[i] = pop(qout[i])
+			if ci < 0 {
 				i = (i + 1) % cfg.NDC
 				continue
 			}
-			c := byID[id]
-			to := c.Target
-			if t, ok := feasible(c, i, to); ok {
-				execute(c, i, to, t)
-				dropped[id] = true
+			to := cands[ci].Target
+			if t, ok := feasible(&cands[ci], i, to); ok {
+				execute(ci, i, to, t)
 				i = to // follow the evicted VM, per Algorithm 2 line 20
 			} else {
 				res.Rejected++
-				dropped[id] = true
 			}
 		}
+	}
+	res.Placement = make(map[int]int, len(cands))
+	for ci, c := range cands {
+		res.Placement[c.ID] = res.DC[ci]
 	}
 	res.Loads = loads
 	return res

@@ -40,7 +40,7 @@ type ServerModel struct {
 // E5410 returns the paper's server: Intel Xeon E5410, 8 cores, two frequency
 // levels. The power constants follow the linear Pedram-style model with
 // published E5410-class idle/full draws (the exact testbed numbers are not
-// in the paper; the substitution is recorded in DESIGN.md).
+// in the paper; README, "Deviations from the paper", item 2).
 func E5410() *ServerModel {
 	return &ServerModel{
 		Name:  "Intel Xeon E5410",

@@ -23,7 +23,7 @@ type Tariff struct {
 }
 
 // Presets for the paper's three sites. Rates approximate 2015-era industrial
-// tariffs with deliberate regional spread (see DESIGN.md substitution 6).
+// tariffs with regional spread (README, "Deviations from the paper", item 3).
 func LisbonTariff() Tariff {
 	return Tariff{Name: "Lisbon", Zone: timeutil.ZoneLisbon, Peak: 0.22, OffPeak: 0.11, PeakStart: 8, PeakEnd: 22}
 }

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 
 	"geovmp/internal/alloc"
 	"geovmp/internal/correlation"
@@ -43,7 +43,7 @@ func (p *SimPolicy) Place(in *policy.Input) policy.Placement {
 	p.d.observeAt(p.d.take(), obs)
 
 	for _, id := range p.d.Residents() {
-		if !containsSorted(in.ActiveVMs, id) {
+		if _, ok := slices.BinarySearch(in.ActiveVMs, id); !ok {
 			p.d.departAt(p.d.take(), id)
 		}
 	}
@@ -70,9 +70,4 @@ func (p *SimPolicy) Place(in *policy.Input) policy.Placement {
 // global (streaming vs batch) decision path.
 func (p *SimPolicy) Allocate(d *dc.DC, ids []int, ps *correlation.ProfileSet) alloc.Result {
 	return alloc.CorrelationAware(ids, ps, d.Model, d.Servers)
-}
-
-func containsSorted(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"slices"
+
 	"geovmp/internal/core"
 	"geovmp/internal/correlation"
 	"geovmp/internal/embed"
@@ -23,7 +25,8 @@ import (
 // reconcileJob is one in-flight background re-embedding.
 type reconcileJob struct {
 	landSeq uint64
-	ch      chan map[int]embed.Point
+	ids     []int              // the snapshot's point order
+	ch      chan []embed.Point // the re-embedded positions, in that order
 }
 
 // maybeTrigger launches a background reconciliation when the operation
@@ -41,7 +44,8 @@ func (d *Daemon) maybeTrigger(seq uint64) {
 	snap := d.st.snapshot()
 	job := &reconcileJob{
 		landSeq: seq + uint64(d.opt.ReconcileLag),
-		ch:      make(chan map[int]embed.Point, 1),
+		ids:     snap.ids,
+		ch:      make(chan []embed.Point, 1),
 	}
 	d.recon = job
 	opt := &d.opt
@@ -55,8 +59,8 @@ func (d *Daemon) landDue(seq uint64) {
 		return
 	}
 	pos := <-d.recon.ch
+	d.st.adoptPositions(d.recon.ids, pos)
 	d.recon = nil
-	d.st.adoptPositions(pos)
 	d.mReconciles.Inc()
 }
 
@@ -65,7 +69,7 @@ func (d *Daemon) landDue(seq uint64) {
 // live state.
 type reconSnap struct {
 	ids  []int
-	init map[int]embed.Point
+	init []embed.Point // init[k] is ids[k]'s live position
 	ps   *correlation.ProfileSet
 	dm   *correlation.DataMatrix
 	ref  units.DataSize
@@ -73,16 +77,16 @@ type reconSnap struct {
 
 func (s *state) snapshot() *reconSnap {
 	ids := append([]int(nil), s.active...)
-	sortInts(ids)
+	slices.Sort(ids)
 	ps := correlation.NewProfileSet(s.opt.Samples)
 	for _, id := range ids {
 		ps.Add(id, s.ps.Profile(id)) // standard-length rows are copied
 	}
 	dm := correlation.NewDataMatrix()
 	s.dm.Each(dm.Add)
-	init := make(map[int]embed.Point, len(ids))
-	for _, id := range ids {
-		init[id] = s.pos[id]
+	init := make([]embed.Point, len(ids))
+	for k, id := range ids {
+		init[k] = s.pos[id]
 	}
 	return &reconSnap{ids: ids, init: init, ps: ps, dm: dm, ref: s.ref}
 }
@@ -90,7 +94,7 @@ func (s *state) snapshot() *reconSnap {
 // run executes the batch global embedding over the snapshot — the same
 // field and tuning the batch controller uses, warm-started from the live
 // layout.
-func (r *reconSnap) run(opt *Options) map[int]embed.Point {
+func (r *reconSnap) run(opt *Options) []embed.Point {
 	var budget *par.Budget
 	if opt.Workers > 1 {
 		budget = par.NewBudget(opt.Workers - 1)
@@ -104,17 +108,17 @@ func (r *reconSnap) run(opt *Options) map[int]embed.Point {
 		RepulsionScale: 4,
 		Workers:        budget,
 	}
-	return embed.Run(r.ids, r.init, f, cfg).Pos
+	return embed.Run(r.ids, r.init, nil, f, cfg).Pos
 }
 
 // adoptPositions merges a reconciled layout: VMs still resident take their
 // refreshed positions (arrivals since the snapshot keep their refined
 // seats), and the per-DC centroid accumulators are rebuilt in active order
 // so the sums stay bit-deterministic.
-func (s *state) adoptPositions(pos map[int]embed.Point) {
-	for id, p := range pos {
+func (s *state) adoptPositions(ids []int, pos []embed.Point) {
+	for k, id := range ids {
 		if _, ok := s.actPos[id]; ok {
-			s.pos[id] = p
+			s.pos[id] = pos[k]
 		}
 	}
 	for i := range s.posSum {

@@ -31,6 +31,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -485,7 +486,7 @@ func (d *Daemon) Residents() []int {
 	d.mu.RLock()
 	ids := append([]int(nil), d.st.active...)
 	d.mu.RUnlock()
-	sortInts(ids)
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 
 	"geovmp/internal/alloc"
 	"geovmp/internal/core"
@@ -27,6 +27,7 @@ type state struct {
 	dm    *correlation.DataMatrix
 	ref   units.DataSize
 	peers map[int][]int // data adjacency, both directions, dedup
+	adj   correlation.Adjacency
 
 	// Embedding layout and per-DC centroid accumulators (posSum/resCount),
 	// maintained incrementally so the locality score never scans the fleet.
@@ -234,7 +235,7 @@ func (s *state) setFault(dcI int, down bool) []int {
 			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		s.reseat(id)
 	}
@@ -502,10 +503,10 @@ func (s *state) observe(o *Observation) {
 // link registers a data pair in the adjacency (both directions, dedup) —
 // the incremental counterpart of the batch field's derivation.
 func (s *state) link(a, b int) {
-	if !containsInt(s.peers[a], b) {
+	if !slices.Contains(s.peers[a], b) {
 		s.peers[a] = append(s.peers[a], b)
 	}
-	if !containsInt(s.peers[b], a) {
+	if !slices.Contains(s.peers[b], a) {
 		s.peers[b] = append(s.peers[b], a)
 	}
 }
@@ -530,22 +531,22 @@ func (s *state) unlink(id int) {
 	delete(s.peers, id)
 }
 
-// rebuildPeers re-derives the adjacency from the volume matrix — the same
-// registration order the batch field uses, so reconciliation and refinement
-// see identical peer lists.
+// rebuildPeers re-derives the adjacency from the volume matrix through the
+// same first-encounter walk the batch field binds, so reconciliation and
+// refinement see identical peer lists. The lists share one backing array,
+// each capped at its length so link's appends copy out.
 func (s *state) rebuildPeers() {
+	s.dm.IDAdjacency(&s.adj)
 	s.peers = make(map[int][]int, len(s.peers))
-	seen := make(map[[2]int]bool)
-	s.dm.Each(func(from, to int, _ units.DataSize) {
-		if !seen[[2]int{to, from}] {
-			s.peers[to] = append(s.peers[to], from)
-			seen[[2]int{to, from}] = true
+	all := make([]int, len(s.adj.Peer))
+	for e, j := range s.adj.Peer {
+		all[e] = int(j)
+	}
+	for id := 0; id+1 < len(s.adj.Off); id++ {
+		if lo, hi := s.adj.Row(id); lo < hi {
+			s.peers[id] = all[lo:hi:hi]
 		}
-		if !seen[[2]int{from, to}] {
-			s.peers[from] = append(s.peers[from], to)
-			seen[[2]int{from, to}] = true
-		}
-	})
+	}
 }
 
 // normalizeProfile fits a profile to the daemon's sample count: returned
@@ -559,14 +560,3 @@ func normalizeProfile(prof []float64, samples int) []float64 {
 	copy(out, prof)
 	return out
 }
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func sortInts(s []int) { sort.Ints(s) }

@@ -243,8 +243,8 @@ func (r *epochRun) revise(p policy.Placement, in *policy.Input, net *network.Sta
 		Net:        net,
 		MaxMoves:   maxMoves,
 	})
-	for id, d := range mres.Placement {
-		p.DCOf[id] = d
+	for k, c := range r.cands {
+		p.DCOf[c.ID] = mres.DC[k]
 	}
 	p.Moves = mres.Moves
 	p.Rejected += mres.Rejected

@@ -169,8 +169,8 @@ func (r *faultRun) evacuate(p policy.Placement, in *policy.Input, net *network.S
 				MaxMoves:   r.evacBudget,
 				Forbidden:  r.down,
 			})
-			for id, d := range mres.Placement {
-				p.DCOf[id] = d
+			for k, c := range r.cands {
+				p.DCOf[c.ID] = mres.DC[k]
 			}
 			p.Moves = append(p.Moves, mres.Moves...)
 			if measured {

@@ -7,7 +7,7 @@
 // 5 seconds for one day and extends the day to a week "by adding statistical
 // variance with the same mean as the original traces". Real traces are not
 // available, so this package synthesizes the properties the algorithms
-// actually exploit (see DESIGN.md substitution 1):
+// actually exploit (README, "Deviations from the paper", item 1):
 //
 //   - Scale-out VMs (web-search-, MapReduce-like) have strong diurnal peaks
 //     with fast client-driven variability. VMs of the same service share the
