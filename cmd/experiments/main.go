@@ -8,12 +8,18 @@
 //
 //	experiments [-exp all|table1|fig1..fig6|figs|alpha|noembed|qos|battery|forecast|epochs|frontier|failures]
 //	            [-scale 0.05] [-seed 42] [-seeds 1] [-days 7] [-finestep 60]
+//	            [-alpha 0.9] [-fastmath]
 //	            [-par 0] [-out results] [-json results/cells.json]
 //	            [-coordinator host:port] [-checkpoint sweep.ckpt.json]
 //	            [-resume sweep.ckpt.json]
 //	            [-tracedir replaydir | -ingest-vms vms.csv -ingest-cpu cpu.csv]
 //	            [-finebudget bytes] [-chunkslots n]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
+//
+// The scenario flags (-scale, -seed, -days, -finestep, -fastmath and the
+// workload flags -tracedir, -ingest-vms/-ingest-cpu, -finebudget,
+// -chunkslots) apply to every experiment's scenarios, including the
+// preset-based epochs and failures sweeps.
 //
 // -coordinator runs the sweep distributed: instead of computing cells in
 // this process, the grid is served over the worker lease protocol on the
@@ -31,7 +37,7 @@
 //
 // The paper's full configuration is -scale 1 -days 7 -finestep 5; the
 // defaults trade fleet size for wall-clock time while preserving the
-// comparison structure (see EXPERIMENTS.md).
+// comparison structure (see README "Deviations from the paper").
 package main
 
 import (
@@ -149,34 +155,26 @@ func startProfiles() (stop func(), err error) {
 	return stop, nil
 }
 
-// baseOpts are the scenario options shared by every experiment.
-func baseOpts() []geovmp.ScenarioOption {
-	opts := []geovmp.ScenarioOption{
-		geovmp.WithScale(*scale),
-		geovmp.WithSeed(*seed),
-		geovmp.WithHorizon(geovmp.Days(*days)),
-		geovmp.WithFineStep(*fineStep),
-	}
-	if *fastmath {
-		opts = append(opts, geovmp.WithFastMath())
-	}
-	if *traceDir != "" {
-		opts = append(opts, geovmp.WithReplayDir(*traceDir))
-	}
-	if *ingestVMs != "" || *ingestCPU != "" {
-		opts = append(opts, geovmp.WithTraceFile(*ingestVMs, *ingestCPU))
-	}
-	if *fineBudget != 0 {
-		opts = append(opts, geovmp.WithFineTableBudget(*fineBudget))
-	}
-	if *chunkSlots != 0 {
-		opts = append(opts, geovmp.WithChunkSlots(*chunkSlots))
-	}
-	return opts
+// applyFlags is the one flag-to-Spec mapping, shared by base and preset
+// specs alike.
+func applyFlags(s *geovmp.Spec) {
+	s.Scale, s.Seed, s.Horizon, s.FineStepSec = *scale, *seed, geovmp.Days(*days), *fineStep
+	s.FastMath = *fastmath
+	s.ReplayDir = *traceDir
+	s.TraceVMsFile, s.TraceCPUFile = *ingestVMs, *ingestCPU
+	s.MaxFineTableBytes, s.FineChunkSlots = *fineBudget, *chunkSlots
 }
 
 func baseSpec(name string, extra ...geovmp.ScenarioOption) geovmp.Spec {
-	return geovmp.NewSpec(name, append(baseOpts(), extra...)...)
+	return geovmp.NewSpec(name, append([]geovmp.ScenarioOption{applyFlags}, extra...)...)
+}
+
+// presetSpec is the named preset under the scenario flags, renamed.
+func presetSpec(preset, name string) geovmp.Spec {
+	spec := geovmp.MustPreset(preset)
+	spec.Name = name
+	applyFlags(&spec)
+	return spec
 }
 
 // sweep runs one experiment grid, bailing out on cancellation. With
@@ -195,11 +193,43 @@ func sweep(ctx context.Context, opts ...geovmp.ExperimentOption) (*geovmp.Result
 	return exp.Run(ctx)
 }
 
-// refPolicy is NewRefPolicySpec for knobbed variants that must travel to
-// workers; the local constructor resolves from the same registry, so the
-// in-process path is unchanged.
-func refPolicy(name string, ref geovmp.PolicyRef) (geovmp.PolicySpec, error) {
-	return geovmp.NewRefPolicySpec(name, ref)
+// namedRef is a policy's display name and wire form. Policies built from
+// refs travel to workers, and their local constructor resolves from the
+// same registry, so both paths construct the same policy.
+type namedRef struct {
+	name string
+	ref  geovmp.PolicyRef
+}
+
+func refPolicies(refs []namedRef) ([]geovmp.PolicySpec, error) {
+	pols := make([]geovmp.PolicySpec, len(refs))
+	for i, r := range refs {
+		ps, err := geovmp.NewRefPolicySpec(r.name, r.ref)
+		if err != nil {
+			return nil, err
+		}
+		pols[i] = ps
+	}
+	return pols, nil
+}
+
+// step is one -exp value beyond the figures.
+type step struct {
+	exp string
+	run func(context.Context) error
+}
+
+// steps is the -exp dispatch table beyond the figures, in -exp all order:
+// the ablations, with the frontier run before A7.
+func steps() []step {
+	var out []step
+	for _, a := range ablations() {
+		if a.exp == "failures" {
+			out = append(out, step{"frontier", runFrontier})
+		}
+		out = append(out, step{a.exp, a.run})
+	}
+	return out
 }
 
 func main() {
@@ -250,40 +280,33 @@ func main() {
 		fmt.Printf("coordinator: serving cells at %s — connect workers with:\n  geovmp-worker -connect %s\n", coord.URL(), coord.URL())
 	}
 	start := time.Now()
+	found := true
 	switch *expName {
 	case "all":
 		err = runFigures(ctx, true)
-		for _, ab := range []func(context.Context) error{runAlphaSweep, runNoEmbed, runQoSSweep, runBatterySweep, runForecast, runEpochSweep, runFrontier, runFailures} {
+		for _, s := range steps() {
 			if err != nil {
 				break
 			}
 			fmt.Println()
-			err = ab(ctx)
+			err = s.run(ctx)
 		}
 	case "figs", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6":
-		err = runFigures(ctx, *expName == "figs" || *expName == "all")
-	case "alpha":
-		err = runAlphaSweep(ctx)
-	case "noembed":
-		err = runNoEmbed(ctx)
-	case "qos":
-		err = runQoSSweep(ctx)
-	case "battery":
-		err = runBatterySweep(ctx)
-	case "forecast":
-		err = runForecast(ctx)
-	case "epochs":
-		err = runEpochSweep(ctx)
-	case "frontier":
-		err = runFrontier(ctx)
-	case "failures":
-		err = runFailures(ctx)
+		err = runFigures(ctx, *expName == "figs")
 	default:
-		shutdown()
+		found = false
+		for _, s := range steps() {
+			if s.exp == *expName {
+				found = true
+				err = s.run(ctx)
+			}
+		}
+	}
+	shutdown()
+	if !found {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expName)
 		os.Exit(2)
 	}
-	shutdown()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -358,213 +381,6 @@ func runFigures(ctx context.Context, all bool) error {
 	return nil
 }
 
-// runAlphaSweep is ablation A1: the Eq. 5 energy-performance weight, swept
-// on the policy axis of one grid.
-func runAlphaSweep(ctx context.Context) error {
-	fmt.Println("ablation A1: alpha sweep (energy-performance weighting)")
-	alphas := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	pols := make([]geovmp.PolicySpec, len(alphas))
-	for i, a := range alphas {
-		ps, err := refPolicy(fmt.Sprintf("alpha=%.1f", a),
-			geovmp.PolicyRef{Kind: geovmp.PolicyKindProposed, Alpha: a})
-		if err != nil {
-			return err
-		}
-		pols[i] = ps
-	}
-	set, err := sweep(ctx, geovmp.WithScenarios(baseSpec("paper-geo3dc")), geovmp.WithPolicies(pols...))
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-alpha",
-		Title:   "Alpha sweep: Eq. 5 energy/performance weighting",
-		Headers: []string{"alpha", "cost (EUR)", "energy (GJ)", "worst resp (s)", "mean resp (s)", "cross-DC (GB)"},
-	}
-	for i, a := range alphas {
-		row := set.At(0, i, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			fmt.Sprintf("%.1f", a),
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.4f", row.EnergyGJ),
-			fmt.Sprintf("%.2f", row.WorstRespS),
-			fmt.Sprintf("%.2f", row.MeanRespS),
-			fmt.Sprintf("%.1f", row.CrossGB),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
-// runNoEmbed is ablation A2: clustering without the force-directed plane,
-// swept as two policy variants of one grid.
-func runNoEmbed(ctx context.Context) error {
-	fmt.Println("ablation A2: embedding on/off")
-	withEmb, err := refPolicy("with embedding",
-		geovmp.PolicyRef{Kind: geovmp.PolicyKindProposed, Alpha: *alpha})
-	if err != nil {
-		return err
-	}
-	noEmb, err := refPolicy("no embedding",
-		geovmp.PolicyRef{Kind: geovmp.PolicyKindProposed, Alpha: *alpha, NoEmbedding: true})
-	if err != nil {
-		return err
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(baseSpec("paper-geo3dc")),
-		geovmp.WithPolicies(withEmb, noEmb),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-noembed",
-		Title:   "Force-directed embedding on/off",
-		Headers: []string{"variant", "cost (EUR)", "energy (GJ)", "worst resp (s)", "mean resp (s)", "cross-DC (GB)"},
-	}
-	for pi, name := range set.Policies {
-		row := set.At(0, pi, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			name,
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.4f", row.EnergyGJ),
-			fmt.Sprintf("%.2f", row.WorstRespS),
-			fmt.Sprintf("%.2f", row.MeanRespS),
-			fmt.Sprintf("%.1f", row.CrossGB),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
-// runQoSSweep is ablation A3: the migration latency constraint, swept on
-// the scenario axis.
-func runQoSSweep(ctx context.Context) error {
-	fmt.Println("ablation A3: migration QoS constraint sweep")
-	qos := []float64{0.90, 0.95, 0.98, 0.995, 0.999}
-	specs := make([]geovmp.Spec, len(qos))
-	for i, q := range qos {
-		specs[i] = baseSpec(fmt.Sprintf("qos=%.3f", q), geovmp.WithQoS(q))
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(specs...),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)[:1]...),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-qos",
-		Title:   "Migration QoS sweep (constraint = (1-QoS) x slot)",
-		Headers: []string{"QoS", "cost (EUR)", "worst resp (s)", "migrations", "rejected"},
-	}
-	for si, q := range qos {
-		row := set.At(si, 0, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			fmt.Sprintf("%.3f", q),
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.2f", row.WorstRespS),
-			fmt.Sprintf("%d", row.Migrations),
-			fmt.Sprintf("%d", row.MigRejected),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
-// runBatterySweep is ablation A4: battery bank sizing, swept on the
-// scenario axis.
-func runBatterySweep(ctx context.Context) error {
-	fmt.Println("ablation A4: battery size scaling")
-	sizes := []float64{geovmp.BatteryZero, 0.5, 1, 2}
-	labels := []string{"~0", "0.5", "1.0", "2.0"}
-	specs := make([]geovmp.Spec, len(sizes))
-	for i, b := range sizes {
-		specs[i] = baseSpec("battery-x"+labels[i], geovmp.WithBatteryScale(b))
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(specs...),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)[:1]...),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-battery",
-		Title:   "Battery capacity scaling x{~0, 0.5, 1, 2}",
-		Headers: []string{"battery scale", "cost (EUR)", "grid (kWh)", "PV used (kWh)", "PV lost (kWh)"},
-	}
-	for si := range sizes {
-		row := set.At(si, 0, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			labels[si],
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.1f", row.GridKWh),
-			fmt.Sprintf("%.1f", row.RenewableUsedKWh),
-			fmt.Sprintf("%.1f", row.RenewableLostKWh),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
-// runEpochSweep is the rolling-horizon ablation: the geo5dc-dynamic
-// workload (shifting class mix, waving arrivals) under 1, 2, 4 and 8
-// re-optimization epochs, swept on the scenario axis. Epochs=1 is the
-// static placement going stale against the drifting regime; more epochs
-// buy re-convergence at the price of migration energy and downtime, both
-// of which the engine charges into the metrics shown.
-func runEpochSweep(ctx context.Context) error {
-	fmt.Println("ablation A6: rolling-horizon epoch count on the dynamic workload")
-	counts := []int{1, 2, 4, 8}
-	specs := make([]geovmp.Spec, len(counts))
-	for i, n := range counts {
-		spec := geovmp.MustPreset("geo5dc-dynamic")
-		spec.Name = fmt.Sprintf("epochs=%d", n)
-		spec.Scale = *scale
-		spec.Seed = *seed
-		spec.Horizon = geovmp.Days(*days)
-		spec.FineStepSec = *fineStep
-		spec.FastMath = *fastmath
-		spec.Epochs = n
-		// Explicit default charging so the epochs=1 row runs the engine too
-		// (single epoch, no boundary re-optimization) and every row pays
-		// for its moves — the comparison isolates the epoch count.
-		spec.Migration = geovmp.MigrationBudget{
-			EnergyPerGB: geovmp.DefaultMigEnergyPerGB,
-			DowntimeSec: geovmp.DefaultMigDowntimeSec,
-		}
-		specs[i] = spec
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(specs...),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)[:1]...),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-epochs",
-		Title:   "Rolling-horizon epochs on geo5dc-dynamic",
-		Headers: []string{"epochs", "cost (EUR)", "energy (GJ)", "worst resp (s)", "migrations", "rejected", "mig energy (kWh)", "downtime (s)"},
-	}
-	for si := range counts {
-		row := set.At(si, 0, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			fmt.Sprintf("%d", counts[si]),
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.4f", row.EnergyGJ),
-			fmt.Sprintf("%.2f", row.WorstRespS),
-			fmt.Sprintf("%d", row.Migrations),
-			fmt.Sprintf("%d", row.MigRejected),
-			fmt.Sprintf("%.3f", row.MigEnergyKWh),
-			fmt.Sprintf("%.1f", row.MigDowntimeS),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
 // runFrontier resolves the cost / mean-response trade-off frontier of the
 // base scenario with the adaptive driver: a coarse alpha grid first, then
 // refinement waves bisecting the largest hypervolume gaps, with the
@@ -574,20 +390,13 @@ func runEpochSweep(ctx context.Context) error {
 // JSON land under -out.
 func runFrontier(ctx context.Context) error {
 	fmt.Println("frontier: adaptive alpha sweep vs baselines (cost vs mean response)")
-	baselines := make([]geovmp.PolicySpec, 0, 3)
-	for _, b := range []struct {
-		name string
-		ref  geovmp.PolicyRef
-	}{
+	baselines, err := refPolicies([]namedRef{
 		{"Pareto-search", geovmp.PolicyRef{Kind: geovmp.PolicyKindParetoSearch}},
 		{"Net-aware", geovmp.PolicyRef{Kind: geovmp.PolicyKindNetAware}},
 		{"Ener-aware", geovmp.PolicyRef{Kind: geovmp.PolicyKindEnerAware}},
-	} {
-		ps, err := refPolicy(b.name, b.ref)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, ps)
+	})
+	if err != nil {
+		return err
 	}
 	opts := []geovmp.FrontierOption{
 		geovmp.FrontierScenarios(baseSpec("paper-geo3dc")),
@@ -622,104 +431,4 @@ func runFrontier(ctx context.Context) error {
 		fmt.Printf("front SVG written to %s\n", svgPath)
 	}
 	return fs.WriteJSON(filepath.Join(*outDir, "frontier.json"))
-}
-
-// runFailures is ablation A7: durability schemes under the pinned
-// geo5dc-faulty outage schedule (a full-DC blackout, correlated server
-// failures across the surviving sites, a degraded backbone link and a PV
-// dropout, plus the stochastic background rates). The three rows share the
-// exact same world and incident sequence; only the storage layer changes —
-// no durable volumes, 2x replication, and RS(2,2) erasure coding at the
-// same 2.0x capacity overhead — so the loss-probability and repair-traffic
-// columns isolate what the coding scheme buys.
-func runFailures(ctx context.Context) error {
-	fmt.Println("ablation A7: durability schemes under the reference outage schedule")
-	schemes := []struct {
-		name string
-		st   geovmp.StorageConfig
-	}{
-		{"none", geovmp.StorageConfig{}},
-		{"replicated x2", geovmp.StorageConfig{Scheme: geovmp.StorageReplicated, Replicas: 2}},
-		{"erasure RS(2,2)", geovmp.StorageConfig{Scheme: geovmp.StorageErasure, K: 2, M: 2}},
-	}
-	specs := make([]geovmp.Spec, len(schemes))
-	for i, s := range schemes {
-		spec := geovmp.MustPreset("geo5dc-faulty")
-		spec.Name = "faults-" + s.name
-		spec.Scale = *scale
-		spec.Seed = *seed
-		spec.Horizon = geovmp.Days(*days)
-		spec.FineStepSec = *fineStep
-		spec.FastMath = *fastmath
-		spec.Storage = s.st
-		specs[i] = spec
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(specs...),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)[:1]...),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-failures",
-		Title:   "Durability under the geo5dc-faulty outage schedule",
-		Headers: []string{"storage", "data-loss prob", "repair (GB)", "evacuations", "stranded slots", "cost (EUR)", "worst resp (s)"},
-	}
-	for si, s := range schemes {
-		row := set.At(si, 0, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			s.name,
-			fmt.Sprintf("%.4f", row.DataLossProb),
-			fmt.Sprintf("%.1f", row.RepairGB),
-			fmt.Sprintf("%d", row.Evacuations),
-			fmt.Sprintf("%d", row.StrandedVMSlots),
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.2f", row.WorstRespS),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
-}
-
-// runForecast is ablation A5: renewable forecaster quality, swept on the
-// scenario axis.
-func runForecast(ctx context.Context) error {
-	fmt.Println("ablation A5: renewable forecast quality")
-	kinds := []struct {
-		kind geovmp.ForecastKind
-		name string
-	}{
-		{geovmp.ForecastOracle, "oracle"},
-		{geovmp.ForecastWCMA, "wcma"},
-		{geovmp.ForecastEWMA, "ewma"},
-		{geovmp.ForecastLastValue, "last-value"},
-	}
-	specs := make([]geovmp.Spec, len(kinds))
-	for i, k := range kinds {
-		specs[i] = baseSpec("forecast-"+k.name, geovmp.WithForecast(k.kind))
-	}
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(specs...),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)[:1]...),
-	)
-	if err != nil {
-		return err
-	}
-	fig := &report.Figure{
-		ID:      "ablation-forecast",
-		Title:   "Forecaster quality: oracle vs WCMA vs EWMA vs last-value",
-		Headers: []string{"forecaster", "cost (EUR)", "grid (kWh)", "PV used (kWh)"},
-	}
-	for si, k := range kinds {
-		row := set.At(si, 0, 0).Export()
-		fig.Rows = append(fig.Rows, []string{
-			k.name,
-			fmt.Sprintf("%.2f", row.CostEUR),
-			fmt.Sprintf("%.1f", row.GridKWh),
-			fmt.Sprintf("%.1f", row.RenewableUsedKWh),
-		})
-	}
-	fmt.Print(fig.Render())
-	return fig.WriteCSV(*outDir)
 }

@@ -87,6 +87,16 @@ func NewRefPolicySpec(name string, ref PolicyRef) (PolicySpec, error) {
 	return dist.PolicySpecFromRef(name, ref)
 }
 
+// builtinPolicySpec is NewRefPolicySpec for the registry's own kinds, which
+// always resolve.
+func builtinPolicySpec(name string, ref PolicyRef) PolicySpec {
+	ps, err := dist.PolicySpecFromRef(name, ref)
+	if err != nil {
+		panic(err)
+	}
+	return ps
+}
+
 // LoadCheckpoint reads a checkpoint (or any ResultSet JSON export) for
 // WithResume. Rows that recorded an error are dropped — failed cells are
 // recomputed, not resumed.

@@ -11,7 +11,6 @@ import (
 	"geovmp/internal/network"
 	"geovmp/internal/sim"
 	"geovmp/internal/storage"
-	"geovmp/internal/trace"
 )
 
 // Experiment declares a sweep grid — scenarios x policies x seeds — and
@@ -183,41 +182,32 @@ func NewPolicySpec(name string, mk func(seed uint64) Policy) PolicySpec {
 
 // StandardPolicies returns the paper's four methods as per-cell factories
 // in evaluation order: Proposed (at the given alpha, seeded per cell),
-// Ener-aware, Pri-aware, Net-aware. Every spec carries its wire form, so
-// the standard grid distributes as-is.
+// Ener-aware, Pri-aware, Net-aware. Every spec carries its wire form, and
+// its constructor is resolved from that form, so the standard grid
+// distributes as-is.
 func StandardPolicies(alpha float64) []PolicySpec {
 	return []PolicySpec{
-		{
-			Name: "Proposed",
-			New:  func(seed uint64) Policy { return Proposed(alpha, seed) },
-			Ref:  &PolicyRef{Kind: "proposed", Alpha: alpha},
-		},
-		{
-			Name: "Ener-aware",
-			New:  func(uint64) Policy { return EnerAware() },
-			Ref:  &PolicyRef{Kind: "ener"},
-		},
-		{
-			Name: "Pri-aware",
-			New:  func(uint64) Policy { return PriAware() },
-			Ref:  &PolicyRef{Kind: "pri"},
-		},
-		{
-			Name: "Net-aware",
-			New:  func(uint64) Policy { return NetAware() },
-			Ref:  &PolicyRef{Kind: "net"},
-		},
+		builtinPolicySpec("Proposed", PolicyRef{Kind: PolicyKindProposed, Alpha: alpha}),
+		builtinPolicySpec("Ener-aware", PolicyRef{Kind: PolicyKindEnerAware}),
+		builtinPolicySpec("Pri-aware", PolicyRef{Kind: PolicyKindPriAware}),
+		builtinPolicySpec("Net-aware", PolicyRef{Kind: PolicyKindNetAware}),
 	}
 }
 
 // ScenarioOption customizes a Spec during NewSpec construction: fleet scale
 // and sites, topology, workload mix, horizon, forecaster, QoS, warmup and
-// profile-sampling knobs.
-type ScenarioOption = config.Option
+// profile-sampling knobs. Each option sets one Spec field.
+type ScenarioOption func(*Spec)
 
 // NewSpec builds a named scenario spec from options; the empty option set
 // is the paper's Table I world.
-func NewSpec(name string, opts ...ScenarioOption) Spec { return config.NewSpec(name, opts...) }
+func NewSpec(name string, opts ...ScenarioOption) Spec {
+	s := Spec{Name: name}
+	for _, o := range opts {
+		o(&s)
+	}
+	return s
+}
 
 // Preset returns a registered named scenario spec: "paper-geo3dc" (the
 // Table I world), "paper-geo3dc-nobattery" (batteries removed), "geo5dc"
@@ -256,75 +246,80 @@ func MeshTopology(sites []Site) *Topology { return config.MeshTopology(sites) }
 // BatteryZero is the battery-free ablation value for WithBatteryScale.
 const BatteryZero = config.BatteryZero
 
-// Scenario-axis options, re-exported from the config layer.
-
 // WithScale multiplies fleet sizes and energy sources (1.0 = Table I).
-func WithScale(scale float64) ScenarioOption { return config.WithScale(scale) }
+func WithScale(scale float64) ScenarioOption { return func(s *Spec) { s.Scale = scale } }
 
 // WithSeed sets the scenario's base randomness seed.
-func WithSeed(seed uint64) ScenarioOption { return config.WithSeed(seed) }
+func WithSeed(seed uint64) ScenarioOption { return func(s *Spec) { s.Seed = seed } }
 
 // WithHorizon sets the experiment duration (Week, Days, HoursOf).
-func WithHorizon(h Horizon) ScenarioOption { return config.WithHorizon(h) }
+func WithHorizon(h Horizon) ScenarioOption { return func(s *Spec) { s.Horizon = h } }
 
 // WithVMsPerServer sizes the workload relative to the fleet (default 7).
-func WithVMsPerServer(v float64) ScenarioOption { return config.WithVMsPerServer(v) }
+func WithVMsPerServer(v float64) ScenarioOption { return func(s *Spec) { s.VMsPerServer = v } }
 
 // WithFineStep sets the green-controller period in seconds (paper: 5).
-func WithFineStep(sec float64) ScenarioOption { return config.WithFineStep(sec) }
+func WithFineStep(sec float64) ScenarioOption { return func(s *Spec) { s.FineStepSec = sec } }
 
 // WithQoS sets the migration latency guarantee (paper: 0.98).
-func WithQoS(q float64) ScenarioOption { return config.WithQoS(q) }
+func WithQoS(q float64) ScenarioOption { return func(s *Spec) { s.QoS = q } }
 
 // WithForecast selects the renewable forecaster.
-func WithForecast(k ForecastKind) ScenarioOption { return config.WithForecast(k) }
+func WithForecast(k ForecastKind) ScenarioOption { return func(s *Spec) { s.Forecast = k } }
 
 // WithBatteryScale additionally scales battery capacity; BatteryZero gives
 // the battery-free ablation.
-func WithBatteryScale(b float64) ScenarioOption { return config.WithBatteryScale(b) }
+func WithBatteryScale(b float64) ScenarioOption { return func(s *Spec) { s.BatteryScale = b } }
 
-// WithSites replaces the Table I fleet with a custom site list; the
-// topology defaults to a great-circle mesh over the sites' coordinates.
-func WithSites(sites ...Site) ScenarioOption { return config.WithSites(sites...) }
+// WithSites replaces the Table I fleet with a custom site list (copied).
+// Unless WithTopology is also given, the topology is a great-circle mesh
+// over the sites' coordinates.
+func WithSites(sites ...Site) ScenarioOption {
+	return func(s *Spec) { s.Sites = append([]Site(nil), sites...) }
+}
 
 // WithTopology overrides the inter-DC network topology.
-func WithTopology(t *Topology) ScenarioOption { return config.WithTopology(t) }
+func WithTopology(t *Topology) ScenarioOption { return func(s *Spec) { s.Topo = t } }
 
 // WithClassWeights overrides the workload class mix in class order
-// (websearch, mapreduce, hpc, batch).
+// (websearch, mapreduce, hpc, batch). The weights are copied.
 func WithClassWeights(weights ...float64) ScenarioOption {
-	return config.WithClassWeights(weights...)
+	return func(s *Spec) { s.ClassWeights = append([]float64(nil), weights...) }
 }
 
 // WithWarmupSlots sets how many leading slots are excluded from metrics
 // (default 6; negative disables warmup).
-func WithWarmupSlots(n int) ScenarioOption { return config.WithWarmupSlots(n) }
+func WithWarmupSlots(n int) ScenarioOption { return func(s *Spec) { s.WarmupSlots = n } }
 
 // WithProfileSamples sets the per-slot CPU-profile length policies observe
 // (default 12).
-func WithProfileSamples(n int) ScenarioOption { return config.WithProfileSamples(n) }
+func WithProfileSamples(n int) ScenarioOption { return func(s *Spec) { s.ProfileSamples = n } }
 
 // WithWorkload installs a pre-built workload (for example one returned by
 // LoadWorkload) instead of the synthetic generator. The source must be safe
 // for concurrent readers when used in a parallel sweep.
-func WithWorkload(w Workload) ScenarioOption { return config.WithWorkload(trace.Source(w)) }
+func WithWorkload(w Workload) ScenarioOption { return func(s *Spec) { s.Workload = w } }
 
 // WithReplayDir drives the scenario from a replay trace directory
 // (vms.csv / profiles.csv / volumes.csv, as written by ExportWorkload)
 // instead of the synthetic generator. The directory is loaded at scenario
-// build time, so errors surface from NewScenario / Experiment.Run.
-func WithReplayDir(dir string) ScenarioOption { return config.WithReplayDir(dir) }
+// build time, so errors surface from NewScenario / Experiment.Run. For
+// multi-seed sweeps prefer LoadWorkload once plus WithWorkload, so the
+// files are not re-read per seed.
+func WithReplayDir(dir string) ScenarioOption { return func(s *Spec) { s.ReplayDir = dir } }
 
 // WithTraceFile drives the scenario from a raw Azure/Google-style cluster
 // trace: a VM lifetime CSV plus a per-interval CPU-utilization CSV,
 // streamed through IngestCluster at scenario build time.
-func WithTraceFile(vmCSV, cpuCSV string) ScenarioOption { return config.WithTraceFile(vmCSV, cpuCSV) }
+func WithTraceFile(vmCSV, cpuCSV string) ScenarioOption {
+	return func(s *Spec) { s.TraceVMsFile, s.TraceCPUFile = vmCSV, cpuCSV }
+}
 
 // WithUsageTemplates calibrates the synthetic generator to fitted usage
 // templates (see FitTemplates): services draw their class and utilization
 // parameters from the templates instead of the built-in class ranges.
 func WithUsageTemplates(ts ...UsageTemplate) ScenarioOption {
-	return config.WithUsageTemplates(ts...)
+	return func(s *Spec) { s.Templates = ts }
 }
 
 // WithFineTableBudget bounds the resident bytes of each compiled workload
@@ -332,13 +327,15 @@ func WithUsageTemplates(ts ...UsageTemplate) ScenarioOption {
 // stream through the simulator in bounded slot windows; results stay
 // byte-identical to the unbounded path. 0 keeps the 256 MiB default;
 // a negative budget fails validation.
-func WithFineTableBudget(bytes int64) ScenarioOption { return config.WithFineTableBudget(bytes) }
+func WithFineTableBudget(bytes int64) ScenarioOption {
+	return func(s *Spec) { s.MaxFineTableBytes = bytes }
+}
 
 // WithChunkSlots pins the chunk width (in slots) used when a compiled
 // table exceeds the fine-table budget, overriding the width derived from
 // the budget. 0 derives it; useful to make streaming-compile benchmarks
 // reproducible across fleets.
-func WithChunkSlots(n int) ScenarioOption { return config.WithChunkSlots(n) }
+func WithChunkSlots(n int) ScenarioOption { return func(s *Spec) { s.FineChunkSlots = n } }
 
 // MigrationBudget parameterizes the rolling-horizon engine's migration
 // accounting: a per-epoch executed-move budget plus the transfer energy
@@ -364,31 +361,39 @@ const (
 // the carried state), the per-epoch migration budget resets, and Result /
 // ResultSet JSON gain a per-epoch breakdown. WithEpochs(1) is the static
 // path — byte-identical to not setting it.
-func WithEpochs(n int) ScenarioOption { return config.WithEpochs(n) }
+func WithEpochs(n int) ScenarioOption { return func(s *Spec) { s.Epochs = n } }
 
 // WithMigrationBudget sets the rolling engine's migration budget and
 // charging model. Setting it activates the engine even at WithEpochs(1).
-func WithMigrationBudget(b MigrationBudget) ScenarioOption { return config.WithMigrationBudget(b) }
+func WithMigrationBudget(b MigrationBudget) ScenarioOption {
+	return func(s *Spec) { s.Migration = b }
+}
 
 // WithEpochClassWeights schedules synthetic workload class-mix regimes
 // (class order: websearch, mapreduce, hpc, batch): the horizon splits into
 // len(rows) equal phases, shifting the fleet's composition across the
-// horizon. Pair the row count with WithEpochs to align regime shifts with
-// the engine's re-optimization boundaries.
+// horizon. The rows are copied. The row count is independent of
+// WithEpochs; pair the two to align regime shifts with the engine's
+// re-optimization boundaries.
 func WithEpochClassWeights(rows ...[]float64) ScenarioOption {
-	return config.WithEpochClassWeights(rows...)
+	return func(s *Spec) {
+		s.EpochClassWeights = make([][]float64, len(rows))
+		for i, row := range rows {
+			s.EpochClassWeights[i] = append([]float64(nil), row...)
+		}
+	}
 }
 
 // WithArrivalWave modulates the synthetic arrival rate diurnally with
 // amplitude a in [0, 1).
-func WithArrivalWave(a float64) ScenarioOption { return config.WithArrivalWave(a) }
+func WithArrivalWave(a float64) ScenarioOption { return func(s *Spec) { s.ArrivalWave = a } }
 
 // WithFastMath opts controllers into the approximate fast-numeric mode:
-// the quantized peak-coincidence kernel and frozen sampled peers in the
-// embedding. Default off — unset runs stay bit-identical to prior
+// the quantized peak-coincidence kernel (bounded per-pair error) and
+// frozen sampled peers in the embedding. Default off — unset runs stay bit-identical to prior
 // releases. Results remain deterministic at any worker count; metrics
 // shift within the tolerance documented in PERFORMANCE.md.
-func WithFastMath() ScenarioOption { return config.WithFastMath() }
+func WithFastMath() ScenarioOption { return func(s *Spec) { s.FastMath = true } }
 
 // FaultConfig declares a failure schedule: explicit outage windows plus
 // per-day stochastic rates for server-batch, whole-DC, link and PV
@@ -426,12 +431,15 @@ const (
 	StorageErasure    = storage.SchemeErasure
 )
 
-// WithFaults injects a failure schedule into the scenario. The zero
-// config keeps the run byte-identical to a spec without faults.
-func WithFaults(f FaultConfig) ScenarioOption { return config.WithFaults(f) }
+// WithFaults injects a failure schedule into the scenario: explicit outage
+// windows plus per-day stochastic rates, compiled deterministically per
+// scenario seed. The zero config keeps the run byte-identical to a spec
+// without faults.
+func WithFaults(f FaultConfig) ScenarioOption { return func(s *Spec) { s.Faults = f } }
 
-// WithStorage attaches the durable data-placement model.
-func WithStorage(st StorageConfig) ScenarioOption { return config.WithStorage(st) }
+// WithStorage attaches the durable data-placement model, adding data-loss
+// risk and repair-traffic accounting under faults.
+func WithStorage(st StorageConfig) ScenarioOption { return func(s *Spec) { s.Storage = st } }
 
 // ReferenceFaults is the pinned incident schedule of the geo5dc-faulty
 // preset: a whole-DC outage, degraded fleets at the surviving sites, a

@@ -261,3 +261,67 @@ func TestResultSetAccessors(t *testing.T) {
 		}
 	}
 }
+
+// stubWorkload is a comparable Workload stand-in for option tests; it is
+// never run.
+type stubWorkload struct{ Workload }
+
+// TestScenarioOptionsSetFields checks that each ScenarioOption sets its own
+// Spec field, that together they cover every field, and that the
+// slice-taking options copy their arguments.
+func TestScenarioOptionsSetFields(t *testing.T) {
+	sites := TableISites()[:2]
+	weights := []float64{0.4, 0.3, 0.2, 0.1}
+	regimes := [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}}
+	topo := PaperTopology()
+	tmpl := []UsageTemplate{{Name: "t0", Weight: 1, Mean: 0.3}}
+	wl := stubWorkload{}
+	mig := MigrationBudget{MaxMovesPerEpoch: 5, EnergyPerGB: 1e6, DowntimeSec: 2}
+	faults := ReferenceFaults()
+	st := StorageConfig{Scheme: StorageErasure, K: 2, M: 2}
+
+	got := NewSpec("all-options",
+		WithScale(0.5), WithSeed(9), WithHorizon(Days(2)), WithVMsPerServer(4),
+		WithFineStep(30), WithQoS(0.95), WithForecast(ForecastEWMA), WithBatteryScale(2),
+		WithSites(sites...), WithTopology(topo), WithClassWeights(weights...),
+		WithWarmupSlots(3), WithProfileSamples(24), WithWorkload(wl), WithReplayDir("replay"),
+		WithTraceFile("vms.csv", "cpu.csv"), WithUsageTemplates(tmpl...),
+		WithFineTableBudget(1<<20), WithChunkSlots(4), WithEpochs(2),
+		WithMigrationBudget(mig), WithEpochClassWeights(regimes...), WithArrivalWave(0.25),
+		WithFastMath(), WithFaults(faults), WithStorage(st),
+	)
+	wantRegimes := [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}}
+	want := Spec{
+		Name: "all-options", Scale: 0.5, Seed: 9, Horizon: Days(2), VMsPerServer: 4,
+		FineStepSec: 30, QoS: 0.95, Forecast: ForecastEWMA, BatteryScale: 2,
+		Sites: TableISites()[:2], Topo: topo, ClassWeights: []float64{0.4, 0.3, 0.2, 0.1},
+		WarmupSlots: 3, ProfileSamples: 24, Workload: wl, ReplayDir: "replay",
+		TraceVMsFile: "vms.csv", TraceCPUFile: "cpu.csv", Templates: tmpl,
+		MaxFineTableBytes: 1 << 20, FineChunkSlots: 4, Epochs: 2, Migration: mig,
+		EpochClassWeights: wantRegimes, ArrivalWave: 0.25, FastMath: true,
+		Faults: ReferenceFaults(), Storage: st,
+	}
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		if wv.Field(i).IsZero() {
+			t.Errorf("Spec.%s: no option under test sets it", name)
+		}
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("Spec.%s = %v, want %v", name, gv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+
+	sites[0].Servers = -1
+	weights[0] = -1
+	regimes[0][0] = -1
+	if got.Sites[0].Servers != want.Sites[0].Servers {
+		t.Error("WithSites aliases the caller's slice")
+	}
+	if got.ClassWeights[0] != want.ClassWeights[0] {
+		t.Error("WithClassWeights aliases the caller's slice")
+	}
+	if got.EpochClassWeights[0][0] != want.EpochClassWeights[0][0] {
+		t.Error("WithEpochClassWeights aliases the caller's rows")
+	}
+}

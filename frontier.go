@@ -185,6 +185,10 @@ type Frontier struct {
 	errs        []error
 }
 
+// alphaKnobRef is the default knob's wire form: the proposed controller at
+// alpha t. The default local constructor resolves from it too.
+func alphaKnobRef(t float64) PolicyRef { return PolicyRef{Kind: PolicyKindProposed, Alpha: t} }
+
 // FrontierOption configures a Frontier under construction.
 type FrontierOption func(*Frontier)
 
@@ -200,8 +204,10 @@ func NewFrontier(opts ...FrontierOption) *Frontier {
 		knobName: "alpha",
 		knobLo:   0,
 		knobHi:   1,
-		knobMk:   func(t float64, seed uint64) Policy { return Proposed(t, seed) },
-		knobRef:  func(t float64) PolicyRef { return PolicyRef{Kind: "proposed", Alpha: t} },
+		knobRef:  alphaKnobRef,
+		knobMk: func(t float64, seed uint64) Policy {
+			return builtinPolicySpec("", alphaKnobRef(t)).New(seed)
+		},
 	}
 	for _, o := range opts {
 		o(f)

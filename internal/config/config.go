@@ -41,8 +41,9 @@ const (
 )
 
 // Spec parameterizes scenario construction. Zero values select the paper's
-// Table I world; NewSpec plus Options is the composable way to build
-// variants, and Preset returns registered named specs.
+// Table I world; geovmp.NewSpec plus its ScenarioOptions is the
+// composable way to build variants, and Preset returns registered named
+// specs.
 type Spec struct {
 	// Name labels the scenario in results and reports (default
 	// "paper-geo3dc", or the preset's name).

@@ -166,9 +166,9 @@ func TestReplayDirSpecDrivesWorkload(t *testing.T) {
 	if err := trace.ExportReplay(src.Workload, dir, 4, 12); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Build(NewSpec("replayed",
-		WithScale(0.01), WithSeed(4), WithHorizon(timeutil.Hours(4)),
-		WithFineStep(300), WithReplayDir(dir)))
+	sc, err := Build(Spec{Name: "replayed",
+		Scale: 0.01, Seed: 4, Horizon: timeutil.Hours(4),
+		FineStepSec: 300, ReplayDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestReplayDirSpecDrivesWorkload(t *testing.T) {
 }
 
 func TestFineBudgetSpecReachesCompile(t *testing.T) {
-	spec := NewSpec("budgeted",
-		WithScale(0.01), WithSeed(2), WithHorizon(timeutil.Hours(4)),
-		WithFineStep(300), WithFineTableBudget(1), WithChunkSlots(2))
+	spec := Spec{Name: "budgeted",
+		Scale: 0.01, Seed: 2, Horizon: timeutil.Hours(4),
+		FineStepSec: 300, MaxFineTableBytes: 1, FineChunkSlots: 2}
 	c, err := CompileWorkload(spec, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func runSpec(t *testing.T, spec Spec) *sim.Result {
 }
 
 // TestEpochsOneMatchesStatic is the rolling-horizon engine's equivalence
-// contract: WithEpochs(1) — one epoch spanning the horizon, no migration
+// contract: Epochs = 1 — one epoch spanning the horizon, no migration
 // budget — must reproduce the static path's Result byte for byte, across
 // presets and seeds. Anyone routing Epochs=1 through new engine machinery
 // must keep this green without touching the expectation.

@@ -9,11 +9,9 @@ import (
 	"geovmp/internal/fault"
 	"geovmp/internal/network"
 	"geovmp/internal/price"
-	"geovmp/internal/sim"
 	"geovmp/internal/solar"
 	"geovmp/internal/storage"
 	"geovmp/internal/timeutil"
-	"geovmp/internal/trace"
 	"geovmp/internal/units"
 )
 
@@ -166,150 +164,6 @@ func haversineM(lat1, lon1, lat2, lon2 float64) float64 {
 		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * r * math.Asin(math.Min(1, math.Sqrt(a)))
 }
-
-// Option mutates a Spec during NewSpec construction — the composable way to
-// describe scenario variants.
-type Option func(*Spec)
-
-// NewSpec builds a named Spec from options. The zero option set is the
-// paper's Table I world.
-func NewSpec(name string, opts ...Option) Spec {
-	s := Spec{Name: name}
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
-}
-
-// WithScale multiplies Table I fleet sizes and energy sources.
-func WithScale(scale float64) Option { return func(s *Spec) { s.Scale = scale } }
-
-// WithSeed sets the scenario's base randomness seed.
-func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = seed } }
-
-// WithHorizon sets the experiment duration.
-func WithHorizon(h timeutil.Horizon) Option { return func(s *Spec) { s.Horizon = h } }
-
-// WithVMsPerServer sizes the workload relative to the fleet.
-func WithVMsPerServer(v float64) Option { return func(s *Spec) { s.VMsPerServer = v } }
-
-// WithFineStep sets the green-controller period in seconds (paper: 5).
-func WithFineStep(sec float64) Option { return func(s *Spec) { s.FineStepSec = sec } }
-
-// WithQoS sets the migration latency guarantee (paper: 0.98).
-func WithQoS(q float64) Option { return func(s *Spec) { s.QoS = q } }
-
-// WithForecast selects the renewable forecaster.
-func WithForecast(k ForecastKind) Option { return func(s *Spec) { s.Forecast = k } }
-
-// WithBatteryScale additionally scales battery capacity; use BatteryZero
-// for the battery-free ablation.
-func WithBatteryScale(b float64) Option { return func(s *Spec) { s.BatteryScale = b } }
-
-// WithSites replaces the Table I fleet with a custom site list. Unless
-// WithTopology is also given, the inter-DC mesh is derived from the sites'
-// coordinates.
-func WithSites(sites ...Site) Option {
-	return func(s *Spec) { s.Sites = append([]Site(nil), sites...) }
-}
-
-// WithTopology overrides the inter-DC network topology.
-func WithTopology(t *network.Topology) Option { return func(s *Spec) { s.Topo = t } }
-
-// WithClassWeights overrides the workload class mix in class order
-// (websearch, mapreduce, hpc, batch).
-func WithClassWeights(weights ...float64) Option {
-	return func(s *Spec) { s.ClassWeights = append([]float64(nil), weights...) }
-}
-
-// WithWarmupSlots sets how many leading slots are simulated but excluded
-// from metrics (default 6; negative disables warmup).
-func WithWarmupSlots(n int) Option { return func(s *Spec) { s.WarmupSlots = n } }
-
-// WithProfileSamples sets the per-slot downsampled CPU-profile length the
-// policies observe (default 12).
-func WithProfileSamples(n int) Option { return func(s *Spec) { s.ProfileSamples = n } }
-
-// WithReplayDir loads the workload from a replay-format CSV directory
-// (trace.LoadReplay) at build time. For multi-seed sweeps prefer loading
-// once and passing the result to WithWorkload.
-func WithReplayDir(dir string) Option { return func(s *Spec) { s.ReplayDir = dir } }
-
-// WithTraceFile ingests an Azure/Google-style cluster trace at build time:
-// a VM lifetime CSV plus a per-interval CPU readings CSV
-// (trace.IngestCluster).
-func WithTraceFile(vmCSV, cpuCSV string) Option {
-	return func(s *Spec) { s.TraceVMsFile, s.TraceCPUFile = vmCSV, cpuCSV }
-}
-
-// WithUsageTemplates calibrates the synthetic generator to usage templates
-// fitted from a real trace (trace.FitTemplates).
-func WithUsageTemplates(ts ...trace.UsageTemplate) Option {
-	return func(s *Spec) { s.Templates = ts }
-}
-
-// WithFineTableBudget bounds each compiled utilization table in bytes;
-// tables over the budget stream through chunk cursors instead of residing
-// in memory (trace.CompileOptions.MaxFineTableBytes; 0 selects the 256 MiB
-// default, negative is invalid).
-func WithFineTableBudget(bytes int64) Option {
-	return func(s *Spec) { s.MaxFineTableBytes = bytes }
-}
-
-// WithChunkSlots pins the streamed chunk width in slots for out-of-core
-// compiled tables (0 derives it from the budget).
-func WithChunkSlots(n int) Option { return func(s *Spec) { s.FineChunkSlots = n } }
-
-// WithWorkload installs a pre-built workload (for example a replayed
-// trace) instead of the synthetic generator. The source must be safe for
-// concurrent readers when the spec is used in a parallel sweep.
-func WithWorkload(w trace.Source) Option { return func(s *Spec) { s.Workload = w } }
-
-// WithEpochs splits the horizon into n rolling-horizon re-optimization
-// epochs (1 = the static path, byte-identical to not setting it).
-func WithEpochs(n int) Option { return func(s *Spec) { s.Epochs = n } }
-
-// WithFastMath opts controllers into their approximate fast-numeric paths:
-// the quantized peak-coincidence kernel (per-pair error bounded by
-// correlation.FastEps) and frozen sampled peers in the embedding.
-// Default off — unset runs stay bit-identical to prior releases.
-func WithFastMath() Option { return func(s *Spec) { s.FastMath = true } }
-
-// WithMigrationBudget parameterizes the epoch engine's migration
-// accounting: per-epoch move budget, per-GB transfer energy, per-move
-// downtime. Setting it activates the engine even at Epochs <= 1.
-func WithMigrationBudget(b sim.MigrationBudget) Option {
-	return func(s *Spec) { s.Migration = b }
-}
-
-// WithEpochClassWeights schedules synthetic class-mix regimes (class order
-// as WithClassWeights): the horizon splits into len(rows) equal phases,
-// shifting the workload's composition across the horizon. Presets pair the
-// row count with WithEpochs so regime shifts land on re-optimization
-// boundaries, but the two are independent.
-func WithEpochClassWeights(rows ...[]float64) Option {
-	return func(s *Spec) {
-		s.EpochClassWeights = make([][]float64, len(rows))
-		for i, row := range rows {
-			s.EpochClassWeights[i] = append([]float64(nil), row...)
-		}
-	}
-}
-
-// WithArrivalWave modulates the synthetic arrival rate diurnally with
-// amplitude a in [0, 1).
-func WithArrivalWave(a float64) Option { return func(s *Spec) { s.ArrivalWave = a } }
-
-// WithFaults injects a failure schedule: explicit outage windows plus
-// per-day stochastic failure rates, compiled deterministically per
-// scenario seed. The zero config keeps the run byte-identical to a spec
-// without faults.
-func WithFaults(f fault.Config) Option { return func(s *Spec) { s.Faults = f } }
-
-// WithStorage attaches the replicated / erasure-coded data-placement
-// model, adding data-loss risk and repair-traffic accounting under
-// faults.
-func WithStorage(st storage.Config) Option { return func(s *Spec) { s.Storage = st } }
 
 // ReferenceFaults is the pinned outage schedule of the geo5dc-faulty
 // preset, shared by the failure ablation and the acceptance tests so
