@@ -478,8 +478,8 @@ func BenchmarkCompileStream(b *testing.B) {
 			c := trace.Compile(benchTraceWorkload(), budgeted)
 			fineCur := c.NewFineCursor(nil)
 			profCur := c.NewProfileCursor(nil)
-			if fineCur == nil || profCur == nil {
-				b.Fatal("4 MiB budget did not chunk the tables")
+			if _, profBytes := c.TableBytes(); c.FineChunkSlots() == 0 || profBytes <= budgeted.MaxFineTableBytes {
+				b.Fatal("4 MiB budget did not stream the tables")
 			}
 			chunkSlots = c.FineChunkSlots()
 			for sl := timeutil.Slot(0); sl < c.Slots(); sl++ {

@@ -13,13 +13,13 @@
 //	            [-coordinator host:port] [-checkpoint sweep.ckpt.json]
 //	            [-resume sweep.ckpt.json]
 //	            [-tracedir replaydir | -ingest-vms vms.csv -ingest-cpu cpu.csv]
-//	            [-finebudget bytes] [-chunkslots n]
+//	            [-finebudget bytes]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
 //
 // The scenario flags (-scale, -seed, -days, -finestep, -fastmath and the
-// workload flags -tracedir, -ingest-vms/-ingest-cpu, -finebudget,
-// -chunkslots) apply to every experiment's scenarios, including the
-// preset-based epochs and failures sweeps.
+// workload flags -tracedir, -ingest-vms/-ingest-cpu, -finebudget) apply to
+// every experiment's scenarios, including the preset-based epochs and
+// failures sweeps.
 //
 // -coordinator runs the sweep distributed: instead of computing cells in
 // this process, the grid is served over the worker lease protocol on the
@@ -76,7 +76,6 @@ var (
 	ingestVMs  = flag.String("ingest-vms", "", "drive scenarios from a raw cluster trace: VM lifetime CSV (requires -ingest-cpu)")
 	ingestCPU  = flag.String("ingest-cpu", "", "per-interval CPU utilization CSV paired with -ingest-vms")
 	fineBudget = flag.Int64("finebudget", 0, "resident bytes budget per compiled workload table; over-budget tables stream in chunks (0 = 256 MiB default; must not be negative)")
-	chunkSlots = flag.Int("chunkslots", 0, "pin the streaming-compile chunk width in slots (0 = derive from -finebudget)")
 
 	coordAddr  = flag.String("coordinator", "", "serve the sweep to geovmp-worker processes on this address (e.g. :8341) instead of computing cells locally")
 	ckptPath   = flag.String("checkpoint", "", "coordinator mode: persist completed cells to this file after every result (resume with -resume)")
@@ -162,7 +161,7 @@ func applyFlags(s *geovmp.Spec) {
 	s.FastMath = *fastmath
 	s.ReplayDir = *traceDir
 	s.TraceVMsFile, s.TraceCPUFile = *ingestVMs, *ingestCPU
-	s.MaxFineTableBytes, s.FineChunkSlots = *fineBudget, *chunkSlots
+	s.MaxFineTableBytes = *fineBudget
 }
 
 func baseSpec(name string, extra ...geovmp.ScenarioOption) geovmp.Spec {

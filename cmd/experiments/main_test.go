@@ -22,7 +22,6 @@ func TestScenarioFlagsReachEverySpec(t *testing.T) {
 		"ingest-vms": "vms.csv",
 		"ingest-cpu": "cpu.csv",
 		"finebudget": "4096",
-		"chunkslots": "3",
 	}
 	for name, v := range set {
 		f := flag.Lookup(name)
@@ -45,8 +44,8 @@ func TestScenarioFlagsReachEverySpec(t *testing.T) {
 		if s.ReplayDir != "replay-dir" || s.TraceVMsFile != "vms.csv" || s.TraceCPUFile != "cpu.csv" {
 			t.Errorf("%s: tracedir/ingest = %q/%q/%q", where, s.ReplayDir, s.TraceVMsFile, s.TraceCPUFile)
 		}
-		if s.MaxFineTableBytes != 4096 || s.FineChunkSlots != 3 {
-			t.Errorf("%s: finebudget/chunkslots = %d/%d", where, s.MaxFineTableBytes, s.FineChunkSlots)
+		if s.MaxFineTableBytes != 4096 {
+			t.Errorf("%s: finebudget = %d", where, s.MaxFineTableBytes)
 		}
 	}
 	check("figures/frontier base", baseSpec("paper-geo3dc"))

@@ -331,12 +331,6 @@ func WithFineTableBudget(bytes int64) ScenarioOption {
 	return func(s *Spec) { s.MaxFineTableBytes = bytes }
 }
 
-// WithChunkSlots pins the chunk width (in slots) used when a compiled
-// table exceeds the fine-table budget, overriding the width derived from
-// the budget. 0 derives it; useful to make streaming-compile benchmarks
-// reproducible across fleets.
-func WithChunkSlots(n int) ScenarioOption { return func(s *Spec) { s.FineChunkSlots = n } }
-
 // MigrationBudget parameterizes the rolling-horizon engine's migration
 // accounting: a per-epoch executed-move budget plus the transfer energy
 // (J/GB, split between source and destination DC) and per-move service

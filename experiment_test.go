@@ -286,7 +286,7 @@ func TestScenarioOptionsSetFields(t *testing.T) {
 		WithSites(sites...), WithTopology(topo), WithClassWeights(weights...),
 		WithWarmupSlots(3), WithProfileSamples(24), WithWorkload(wl), WithReplayDir("replay"),
 		WithTraceFile("vms.csv", "cpu.csv"), WithUsageTemplates(tmpl...),
-		WithFineTableBudget(1<<20), WithChunkSlots(4), WithEpochs(2),
+		WithFineTableBudget(1<<20), WithEpochs(2),
 		WithMigrationBudget(mig), WithEpochClassWeights(regimes...), WithArrivalWave(0.25),
 		WithFastMath(), WithFaults(faults), WithStorage(st),
 	)
@@ -297,7 +297,7 @@ func TestScenarioOptionsSetFields(t *testing.T) {
 		Sites: TableISites()[:2], Topo: topo, ClassWeights: []float64{0.4, 0.3, 0.2, 0.1},
 		WarmupSlots: 3, ProfileSamples: 24, Workload: wl, ReplayDir: "replay",
 		TraceVMsFile: "vms.csv", TraceCPUFile: "cpu.csv", Templates: tmpl,
-		MaxFineTableBytes: 1 << 20, FineChunkSlots: 4, Epochs: 2, Migration: mig,
+		MaxFineTableBytes: 1 << 20, Epochs: 2, Migration: mig,
 		EpochClassWeights: wantRegimes, ArrivalWave: 0.25, FastMath: true,
 		Faults: ReferenceFaults(), Storage: st,
 	}

@@ -113,11 +113,9 @@ type Spec struct {
 	// MaxFineTableBytes bounds each compiled utilization table
 	// (trace.CompileOptions.MaxFineTableBytes): 0 selects the compiler's
 	// 256 MiB default; negative is invalid. Tables over the budget stream
-	// through chunk cursors instead of residing in memory.
+	// through cursors, in windows the budget sizes, instead of residing in
+	// memory.
 	MaxFineTableBytes int64
-	// FineChunkSlots pins the streamed chunk width in slots for
-	// out-of-core tables (0 derives it from the budget).
-	FineChunkSlots int
 	// Epochs splits the horizon into rolling-horizon re-optimization
 	// epochs: the controllers are signalled at each interior boundary, the
 	// per-epoch migration budget resets, and results carry a per-epoch
@@ -465,6 +463,6 @@ func CompileWorkload(spec Spec, workers *par.Budget) (*trace.Compiled, error) {
 		return nil, err
 	}
 	opt := sim.CompileOptions(sim.ResolveProfileSamples(spec.ProfileSamples), sim.ResolveFineStep(spec.FineStepSec))
-	opt.MaxFineTableBytes, opt.ChunkSlots, opt.Workers = spec.MaxFineTableBytes, spec.FineChunkSlots, workers
+	opt.MaxFineTableBytes, opt.Workers = spec.MaxFineTableBytes, workers
 	return trace.Compile(w, opt), nil
 }

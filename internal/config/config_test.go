@@ -180,16 +180,13 @@ func TestReplayDirSpecDrivesWorkload(t *testing.T) {
 func TestFineBudgetSpecReachesCompile(t *testing.T) {
 	spec := Spec{Name: "budgeted",
 		Scale: 0.01, Seed: 2, Horizon: timeutil.Hours(4),
-		FineStepSec: 300, MaxFineTableBytes: 1, FineChunkSlots: 2}
+		FineStepSec: 300, MaxFineTableBytes: 1}
 	c, err := CompileWorkload(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.FineChunked() {
-		t.Fatal("1-byte budget did not chunk the fine table")
-	}
-	if got := c.FineChunkSlots(); got != 2 {
-		t.Fatalf("pinned chunk width = %d, want 2", got)
+	if got := c.FineChunkSlots(); got != 1 {
+		t.Fatalf("1-byte budget streams %d-slot windows, want 1", got)
 	}
 }
 

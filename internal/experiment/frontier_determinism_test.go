@@ -166,8 +166,8 @@ func TestChunkedColumnsSharedAndIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !col.src.FineChunked() {
-			t.Fatal("column's fine table is not chunked under a 1-byte budget")
+		if col.src.FineChunkSlots() == 0 {
+			t.Fatal("column's fine table is not streamed under a 1-byte budget")
 		}
 		columns[chunked.Seed+off] = col
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // EvaluateFinePlan runs the simulator's fine-plan pass for slot sl over the
-// given per-DC allocations, reading the fine rows the way RunCtx does (the
-// resident table, or a fresh chunk cursor positioned on sl), and returns
-// the per-DC per-step IT power and throttled demand.
+// given per-DC allocations, reading the fine rows the way RunCtx does (a
+// fresh cursor positioned on sl), and returns the per-DC per-step IT power
+// and throttled demand.
 func EvaluateFinePlan(c *trace.Compiled, fleet dc.Fleet, allocs []alloc.Result, sl timeutil.Slot, workers *par.Budget) ([][]units.Power, [][]float64) {
 	views := make([]allocView, len(fleet))
 	for i, a := range allocs {
@@ -20,12 +20,9 @@ func EvaluateFinePlan(c *trace.Compiled, fleet dc.Fleet, allocs []alloc.Result, 
 	}
 	_, steps := c.FineParams()
 	p := newFinePlan(len(fleet), steps)
-	var rows trace.FineRows = c
-	if cur := c.NewFineCursor(workers); cur != nil {
-		cur.Advance(sl)
-		rows = cur
-	}
-	p.evaluate(rows, c, fleet, views, sl, workers)
+	cur := c.NewFineCursor(workers)
+	cur.Advance(sl)
+	p.evaluate(cur, c, fleet, views, sl, workers)
 	return p.itPower, p.throttled
 }
 

@@ -122,8 +122,8 @@ func TestFinePlanMatchesPerStepOracle(t *testing.T) {
 			throttled := false
 			for _, budget := range []int64{0, 1} {
 				c := trace.Compile(window, trace.CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: budget})
-				if (budget == 1) != c.FineChunked() {
-					t.Fatalf("budget %d: chunked = %v", budget, c.FineChunked())
+				if streamed := c.FineChunkSlots() > 0; (budget == 1) != streamed {
+					t.Fatalf("budget %d: streamed = %v", budget, streamed)
 				}
 				for _, workers := range []*par.Budget{nil, par.NewBudget(2)} {
 					for sl := timeutil.Slot(0); sl < hours; sl++ {

@@ -302,10 +302,10 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	constraint := (1 - sc.QoS) * timeutil.SlotSeconds
 
 	// Profile rows are shared without copying and fine-step utilization
-	// rows feed the vectorized IT-power pass. Out-of-core tables serve the
-	// same rows through per-run chunk cursors, advanced once per slot
-	// below; the streamed values are byte-identical to the resident
-	// tables'.
+	// rows feed the vectorized IT-power pass, both read through per-run
+	// cursors advanced once per slot below: over a resident table a cursor
+	// shares the compiled rows, over a streamed one it refills a bounded
+	// window with byte-identical values.
 	_, fineSteps := w.FineParams()
 	fineCur := w.NewFineCursor(sc.Workers)
 	profCur := w.NewProfileCursor(sc.Workers)
@@ -419,16 +419,9 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			obsSlot = sl - 1
 		}
 		ps.Reset()
-		if profCur != nil {
-			profCur.Advance(obsSlot)
-		}
+		profCur.Advance(obsSlot)
 		for _, id := range ids {
-			var row []float64
-			if profCur != nil {
-				row = profCur.ProfileRow(id, obsSlot)
-			} else {
-				row = w.ProfileRow(id, obsSlot)
-			}
+			row := profCur.ProfileRow(id, obsSlot)
 			if row == nil {
 				// Zero-length profiles, or an id the table does not cover.
 				row = w.SlotProfile(id, obsSlot, sc.ProfileSamples)
@@ -502,12 +495,8 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 		// Fine loop over [sl, sl+1): the per-step IT power comes from one
 		// vectorized pass over the slot's fine rows, PUE and renewable
 		// power from the environment table.
-		var rows trace.FineRows = w
-		if fineCur != nil {
-			fineCur.Advance(sl)
-			rows = fineCur
-		}
-		fine.evaluate(rows, w, fleet, allocs, sl, sc.Workers)
+		fineCur.Advance(sl)
+		fine.evaluate(fineCur, w, fleet, allocs, sl, sc.Workers)
 		clear(slotEnergy)
 		var slotCost units.Money
 		dt := sc.FineStepSec
@@ -743,13 +732,13 @@ func newFinePlan(n, steps int) *finePlan {
 }
 
 // evaluate fills the plan for slot sl. Per server it accumulates the member
-// VMs' fine rows — read from rows, the resident table or a chunk cursor
-// positioned on sl — in allocation order, then folds capacity and the
-// power model per step: at every step the same additions in the same order
-// as summing Util over the server's VMs at that step. DCs are sharded over
-// the run's worker budget: each shard writes only its own DCs' rows, so any
-// worker count produces the serial result.
-func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) {
+// VMs' fine rows — read through rows, a cursor positioned on sl — in
+// allocation order, then folds capacity and the power model per step: at
+// every step the same additions in the same order as summing Util over the
+// server's VMs at that step. DCs are sharded over the run's worker budget:
+// each shard writes only its own DCs' rows, so any worker count produces
+// the serial result.
+func (p *finePlan) evaluate(rows *trace.FineCursor, c *trace.Compiled, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) {
 	par.For(workers, len(fleet), 1, func(lo, hi int) {
 		buf := p.scratch.Get().(*fineScratch)
 		load := buf.load

@@ -21,15 +21,12 @@ type CompileOptions struct {
 	// MaxFineTableBytes bounds each resident utilization table — fine
 	// steps and per-slot profiles alike (any non-positive value selects
 	// the 256 MiB default). A table that would exceed the budget is not
-	// skipped: it is compiled out-of-core, streamed in fixed slot-range
-	// chunks through a FineCursor/ProfileCursor so peak memory is bounded
-	// by one chunk window while the values stay byte-identical to the
-	// in-core path. Volumes always materialize.
+	// skipped: it is compiled out-of-core, streamed through a
+	// FineCursor/ProfileCursor in the widest slot window whose peak bytes
+	// fit the budget (at least one slot), so peak memory is bounded by one
+	// window while the values stay byte-identical to the resident table.
+	// Volumes always materialize.
 	MaxFineTableBytes int64
-	// ChunkSlots overrides the streamed chunk width in slots for tables
-	// that exceed MaxFineTableBytes. Zero derives the widest window whose
-	// peak resident bytes fit the budget (at least one slot).
-	ChunkSlots int
 	// Workers optionally lends extra goroutines to the compilation: the
 	// per-VM fine and profile tables and the per-slot volume lists are
 	// sharded (each shard writes disjoint rows) and the active-window scan
@@ -65,7 +62,7 @@ func (o *CompileOptions) applyDefaults() {
 //
 // Memory is proportional to active VM-slots: profiles cost
 // Samples x 8 bytes per VM-slot and the fine table FineSteps x 8 bytes per
-// VM-slot (bounded by CompileOptions.MaxFineTableBytes).
+// VM-slot, each bounded by CompileOptions.MaxFineTableBytes.
 type Compiled struct {
 	src     Source
 	slots   timeutil.Slot
@@ -76,29 +73,16 @@ type Compiled struct {
 
 	images []units.DataSize
 
-	profStart []timeutil.Slot
-	prof      [][]float64 // per VM, rows flattened at samples per slot
-
-	fineStart []timeutil.Slot
-	fine      [][]float64 // per VM, rows flattened at steps per slot
+	// The fine and profile tables (see table): resident ones span the
+	// horizon and are filled here; streamed ones are refilled by each
+	// run's cursor from the retained active windows and step grids.
+	fine, prof  table
+	first, last []timeutil.Slot // per-VM active windows
+	grids       []StepGrid      // per slot, the fine loop's step grid
+	profToFine  [][]int         // per slot, see profileToFine (nil: no gather)
 
 	vols    [][]VolumeEntry // realized, per slot
 	planned [][]VolumeEntry // PlannedVolumes(obsSlot(sl), sl), per slot
-
-	// Out-of-core state. fineChunk/profChunk are the streamed chunk
-	// widths in slots for tables that exceeded the budget (0 when the
-	// table is resident, or absent for profiles); cursors compile windows
-	// on demand from the retained active windows and step grids.
-	fineChunk   int
-	profChunk   int
-	first, last []timeutil.Slot // per-VM active windows (chunked modes)
-	grids       []StepGrid      // per slot, the fine loop's step grid
-
-	// Footprints recorded for the already-compiled fast path: what the
-	// full tables would cost resident, and the peak one-slot cost that
-	// sizes chunk windows.
-	fineBytes, fineSlotPeak int64
-	profBytes, profSlotPeak int64
 }
 
 var _ Source = (*Compiled)(nil)
@@ -245,116 +229,31 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 		}
 	})
 
-	// Fine-step utilization rows over each VM's active window, within the
-	// memory budget. The per-slot step grids are built once, shared by
-	// every VM's row fill and retained for the cursors. Past the budget the
-	// table goes out-of-core: the active windows and step grids are
-	// retained and a FineCursor compiles slot-range chunks on demand.
-	steps := fineStepsPerSlot(c.dt)
-	var winPeak int64 // most VM windows overlapping any one slot
-	{
-		diff := make([]int64, slots+1)
-		for id := 0; id < c.numVMs; id++ {
-			if first[id] >= 0 {
-				diff[first[id]]++
-				diff[last[id]+1]--
-			}
-		}
-		var run int64
-		for _, d := range diff {
-			run += d
-			if run > winPeak {
-				winPeak = run
-			}
-		}
-	}
-	for id := 0; id < c.numVMs; id++ {
-		if first[id] >= 0 {
-			c.fineBytes += int64(last[id]-first[id]+1) * int64(steps) * 8
-		}
-	}
-	c.fineSlotPeak = winPeak * int64(steps) * 8
-	c.steps = steps
-	c.grids = fineGrids(c.slots, c.dt, steps)
-	if c.fineBytes <= opt.MaxFineTableBytes {
-		c.fineStart = make([]timeutil.Slot, c.numVMs)
-		c.fine = make([][]float64, c.numVMs)
-		// Each VM owns its rows — disjoint writes, so the sharded fill is
-		// byte-identical to the serial one.
-		par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				if first[id] < 0 {
-					continue
-				}
-				c.fineStart[id] = first[id]
-				c.fine[id] = make([]float64, int(last[id]-first[id]+1)*steps)
-				c.fillFineRows(c.fine[id], id, first[id], last[id])
-			}
-		})
-	} else {
-		c.fineChunk = chunkWidth(opt, c.fineSlotPeak, c.slots)
-	}
-	// Window slices are tiny (two slots per VM); cursors need them, and
-	// the fast path consults the recorded footprints.
+	// The tables cover each VM's windows: fine rows its active slots,
+	// profile rows its observation slots. The controller acting at sl
+	// observes obsSlot(sl), so a VM active over [first, last] needs
+	// profiles for [obsSlot(first), obsSlot(last)]. Each table is resident
+	// when it fits the budget and streamed otherwise, its window sized by
+	// its own busiest slot.
 	c.first, c.last = first, last
-
-	// Profiles: the controller acting at sl observes obsSlot(sl), so a VM
-	// active over [first, last] needs rows for [max(0, first-1), last-1]
-	// (slot 0 observes itself, which that window covers). Where the
-	// profile's sampling grid is a subset of a compiled fine row's — the
-	// common case for the synthetic workload, whose profiles are Util
-	// sampled at strided steps — the row is assembled from the fine table
-	// instead of re-synthesizing the trace.
+	c.steps = fineStepsPerSlot(c.dt)
+	c.grids = fineGrids(c.slots, c.dt, c.steps)
+	c.fine = c.sizeTable(c.steps, c.activeWindow, opt.MaxFineTableBytes)
+	if !c.streamed(&c.fine) {
+		c.NewFineCursor(opt.Workers).Advance(0)
+	}
 	if c.samples > 0 {
-		for id := 0; id < c.numVMs; id++ {
-			if first[id] >= 0 {
-				c.profBytes += int64(obsSlot(last[id])-obsSlot(first[id])+1) * int64(c.samples) * 8
-			}
+		// Where the profile's sampling grid is a subset of a resident fine
+		// row's — the common case for the synthetic workload, whose
+		// profiles are Util sampled at strided steps — profile rows are
+		// gathered from the fine table instead of re-synthesizing the
+		// trace.
+		if _, utilSampled := src.(*Workload); utilSampled && !c.streamed(&c.fine) {
+			c.profToFine = profileToFine(c.grids, c.samples)
 		}
-		c.profSlotPeak = winPeak * int64(c.samples) * 8
-		if c.profBytes > opt.MaxFineTableBytes {
-			// Out-of-core: a ProfileCursor synthesizes chunk windows on
-			// demand; rows come out byte-identical because both paths
-			// evaluate the source's profile at the same sample steps.
-			c.profChunk = chunkWidth(opt, c.profSlotPeak, c.slots)
-		} else {
-			filler, _ := src.(slotProfileFiller)
-			var profToFine [][]int
-			if _, utilSampled := src.(*Workload); utilSampled && c.fine != nil {
-				profToFine = profileToFine(c.grids, c.samples)
-			}
-			c.profStart = make([]timeutil.Slot, c.numVMs)
-			c.prof = make([][]float64, c.numVMs)
-			// Per-VM rows again; the fine table above is complete before
-			// this pass starts, so its reads are safe from any shard.
-			par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-				for id := lo; id < hi; id++ {
-					if first[id] < 0 {
-						continue
-					}
-					start := obsSlot(first[id])
-					end := obsSlot(last[id])
-					c.profStart[id] = start
-					rows := make([]float64, int(end-start+1)*c.samples)
-					c.prof[id] = rows
-					for sl := start; sl <= end; sl++ {
-						row := rows[int(sl-start)*c.samples : int(sl-start+1)*c.samples]
-						if profToFine != nil && profToFine[sl] != nil {
-							if fr := c.FineRow(id, sl); fr != nil {
-								for i, k := range profToFine[sl] {
-									row[i] = fr[k]
-								}
-								continue
-							}
-						}
-						if filler != nil {
-							filler.FillSlotProfile(row, id, sl)
-						} else {
-							copy(row, src.SlotProfile(id, sl, c.samples))
-						}
-					}
-				}
-			})
+		c.prof = c.sizeTable(c.samples, c.obsWindow, opt.MaxFineTableBytes)
+		if !c.streamed(&c.prof) {
+			c.NewProfileCursor(opt.Workers).Advance(0)
 		}
 	}
 
@@ -372,12 +271,35 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	return c
 }
 
-// fillFineRows writes the VM's fine rows for slots a..b into dst, one row
-// of c.steps values per slot: the row fill the resident table and the
-// FineCursor share.
-func (c *Compiled) fillFineRows(dst []float64, id int, a, b timeutil.Slot) {
+// fillFine writes the VM's fine rows for slots a..b into dst, one row of
+// c.steps values per slot.
+func (c *Compiled) fillFine(dst []float64, id int, a, b timeutil.Slot) {
 	for sl := a; sl <= b; sl++ {
 		FillUtil(dst[int(sl-a)*c.steps:], c.src, id, c.grids[sl])
+	}
+}
+
+// fillProfile writes the VM's profiles for observation slots a..b into
+// dst, one row of c.samples values per slot, gathered from the resident
+// fine table where profToFine maps the slot and synthesized through the
+// source's profile sampling otherwise — the same values either way.
+func (c *Compiled) fillProfile(dst []float64, id int, a, b timeutil.Slot) {
+	filler, _ := c.src.(slotProfileFiller)
+	for sl := a; sl <= b; sl++ {
+		row := dst[int(sl-a)*c.samples : int(sl-a+1)*c.samples]
+		if c.profToFine != nil && c.profToFine[sl] != nil {
+			if fr := c.FineRow(id, sl); fr != nil {
+				for i, k := range c.profToFine[sl] {
+					row[i] = fr[k]
+				}
+				continue
+			}
+		}
+		if filler != nil {
+			filler.FillSlotProfile(row, id, sl)
+		} else {
+			copy(row, c.src.SlotProfile(id, sl, c.samples))
+		}
 	}
 }
 
@@ -389,46 +311,37 @@ func (c *Compiled) FillFineRow(dst []float64, id int, sl timeutil.Slot) {
 	FillUtil(dst, c.src, id, c.grids[sl])
 }
 
-// chunkWidth sizes the streamed window of an out-of-core table: the widest
-// slot range whose peak resident bytes fit the budget, at least one slot,
-// unless CompileOptions.ChunkSlots pins it explicitly.
-func chunkWidth(opt CompileOptions, slotPeakBytes int64, slots timeutil.Slot) int {
-	w := opt.ChunkSlots
-	if w <= 0 {
-		if slotPeakBytes <= 0 {
-			slotPeakBytes = 1
+// sizeTable returns an empty table of rowLen-float rows over the VMs'
+// windows, with its footprints and the window width budget gives it (see
+// widthFor).
+func (c *Compiled) sizeTable(rowLen int, window func(id int) (a, b timeutil.Slot), budget int64) table {
+	// The busiest slot comes from a diff array over the windows.
+	var rows, peak int64
+	diff := make([]int64, c.slots+1)
+	for id := 0; id < c.numVMs; id++ {
+		if a, b := window(id); a <= b {
+			diff[a]++
+			diff[b+1]--
+			rows += int64(b - a + 1)
 		}
-		w = int(opt.MaxFineTableBytes / slotPeakBytes)
 	}
-	if w < 1 {
-		w = 1
+	var run int64
+	for _, d := range diff {
+		run += d
+		peak = max(peak, run)
 	}
-	if slots > 0 && timeutil.Slot(w) > slots {
-		w = int(slots)
-	}
-	return w
+	t := table{rowLen: rowLen, bytes: rows * int64(rowLen) * 8, slotPeak: peak * int64(rowLen) * 8}
+	t.width = t.widthFor(budget, c.slots)
+	return t
 }
 
-// tablesCompatible reports whether the receiver's materialized tables are
-// what Compile would produce under opt's fine-table configuration. Without
-// this check the already-compiled fast path would hand a budget-capped (or
-// chunked) table back to a caller that asked for a larger or unbounded
-// one.
+// tablesCompatible reports whether the receiver's tables are what Compile
+// would produce under opt's budget. Without this check the
+// already-compiled fast path would hand a budget-capped (streamed) table
+// back to a caller that asked for a larger or unbounded one.
 func (c *Compiled) tablesCompatible(opt CompileOptions) bool {
-	if c.fineBytes <= opt.MaxFineTableBytes { // resident fine table
-		if c.fine == nil {
-			return false
-		}
-	} else if c.fineChunk == 0 || c.fineChunk != chunkWidth(opt, c.fineSlotPeak, c.slots) {
-		return false // not a chunk-streamed table of the same geometry
-	}
-	if c.samples <= 0 {
-		return true
-	}
-	if c.profBytes > opt.MaxFineTableBytes {
-		return c.profChunk == chunkWidth(opt, c.profSlotPeak, c.slots)
-	}
-	return c.prof != nil
+	return c.fine.width == c.fine.widthFor(opt.MaxFineTableBytes, c.slots) &&
+		c.prof.width == c.prof.widthFor(opt.MaxFineTableBytes, c.slots)
 }
 
 // Shard grains of Compile's parallel passes (see internal/par: fixed
@@ -468,55 +381,35 @@ func (c *Compiled) Util(id int, st timeutil.Step) float64 { return c.src.Util(id
 func (c *Compiled) Samples() int { return c.samples }
 
 // FineParams returns the fine-loop period the utilization rows were sampled
-// at and the number of steps per slot. A chunk-streamed table reports its
-// steps here but serves rows through a FineCursor, not FineRow.
+// at and the number of steps per slot. A streamed table reports its steps
+// here but serves rows through a FineCursor, not FineRow.
 func (c *Compiled) FineParams() (dt float64, steps int) { return c.dt, c.steps }
-
-// FineChunked reports whether the fine table is out-of-core: rows are
-// served by a per-run FineCursor instead of FineRow, in windows of
-// FineChunkSlots slots.
-func (c *Compiled) FineChunked() bool { return c.fineChunk > 0 }
-
-// ProfileChunked reports whether the per-slot profile table is out-of-core:
-// rows are served by a per-run ProfileCursor instead of ProfileRow.
-func (c *Compiled) ProfileChunked() bool { return c.profChunk > 0 }
 
 // FineChunkSlots returns the fine table's streamed window width in slots
 // (0 when the table is resident).
-func (c *Compiled) FineChunkSlots() int { return c.fineChunk }
+func (c *Compiled) FineChunkSlots() int {
+	if c.streamed(&c.fine) {
+		return c.fine.width
+	}
+	return 0
+}
 
 // TableBytes returns the resident cost the full fine and profile tables
-// would have — what an unbounded compile allocates, and what the chunked
-// modes avoid.
-func (c *Compiled) TableBytes() (fine, prof int64) { return c.fineBytes, c.profBytes }
+// would have — what an unbounded compile allocates, and what the streamed
+// tables avoid.
+func (c *Compiled) TableBytes() (fine, prof int64) { return c.fine.bytes, c.prof.bytes }
 
 // FineRow returns the VM's utilization at every fine step of slot sl — row
 // k is Util at the k-th iteration of the simulator's fine loop — or nil
-// when the table does not cover (id, sl). The row is shared and read-only.
-func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 {
-	if c.fine == nil || id < 0 || id >= c.numVMs || c.fine[id] == nil {
-		return nil
-	}
-	off := int(sl - c.fineStart[id])
-	if off < 0 || (off+1)*c.steps > len(c.fine[id]) {
-		return nil
-	}
-	return c.fine[id][off*c.steps : (off+1)*c.steps]
-}
+// when the resident table does not cover (id, sl), or the table is
+// streamed. The row is shared and read-only.
+func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 { return c.fine.row(id, sl) }
 
 // ProfileRow returns the VM's compiled profile for slot sl, or nil when the
-// table does not cover (id, sl). The row is shared and read-only — hand it
-// to a correlation.ProfileSet without copying.
-func (c *Compiled) ProfileRow(id int, sl timeutil.Slot) []float64 {
-	if c.samples <= 0 || c.prof == nil || id < 0 || id >= c.numVMs || c.prof[id] == nil {
-		return nil
-	}
-	off := int(sl - c.profStart[id])
-	if off < 0 || (off+1)*c.samples > len(c.prof[id]) {
-		return nil
-	}
-	return c.prof[id][off*c.samples : (off+1)*c.samples]
-}
+// resident table does not cover (id, sl), or the table is streamed or
+// absent. The row is shared and read-only — hand it to a
+// correlation.ProfileSet without copying.
+func (c *Compiled) ProfileRow(id int, sl timeutil.Slot) []float64 { return c.prof.row(id, sl) }
 
 // SlotProfile implements Source. Covered (id, slot, n=Samples) queries copy
 // the compiled row (callers own the result, per the Source contract);

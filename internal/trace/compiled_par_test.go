@@ -21,14 +21,8 @@ func TestCompileParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial.images, parallel.images) {
 		t.Fatal("images differ")
 	}
-	if !reflect.DeepEqual(serial.profStart, parallel.profStart) {
-		t.Fatal("profile windows differ")
-	}
 	if !reflect.DeepEqual(serial.prof, parallel.prof) {
 		t.Fatal("profile tables differ")
-	}
-	if !reflect.DeepEqual(serial.fineStart, parallel.fineStart) {
-		t.Fatal("fine windows differ")
 	}
 	if !reflect.DeepEqual(serial.fine, parallel.fine) {
 		t.Fatal("fine tables differ")

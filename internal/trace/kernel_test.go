@@ -132,9 +132,9 @@ func TestFineRowsMatchOracle(t *testing.T) {
 	w := kernelWorkloads(t)["builtin"]
 	const dt = 7
 	resident := Compile(w, CompileOptions{Samples: 12, FineStepSec: dt})
-	streamed := Compile(w, CompileOptions{Samples: 12, FineStepSec: dt, MaxFineTableBytes: 1 << 20, ChunkSlots: 5})
+	streamed := Compile(w, CompileOptions{Samples: 12, FineStepSec: dt, MaxFineTableBytes: 5 * resident.fine.slotPeak})
 	cur := streamed.NewFineCursor(nil)
-	if resident.FineChunked() || cur == nil {
+	if resident.FineChunkSlots() != 0 || streamed.FineChunkSlots() != 5 {
 		t.Fatal("expected one resident and one streamed fine table")
 	}
 	row := make([]float64, resident.steps)

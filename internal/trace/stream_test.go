@@ -2,75 +2,64 @@ package trace
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"geovmp/internal/timeutil"
 )
 
-// chunkedPair compiles the same workload twice: unbounded (resident
-// tables) and with a 1-byte budget pinned to `width`-slot chunks (both
-// tables streamed).
-func chunkedPair(t *testing.T, width int) (*Workload, *Compiled, *Compiled) {
-	t.Helper()
+// streamedPair compiles the same workload twice: unbounded (resident
+// tables) and under the budget that budget derives from the resident
+// compile.
+func streamedPair(budget func(res *Compiled) int64) (*Workload, *Compiled, *Compiled) {
 	w := New(Config{Seed: 21, Horizon: timeutil.Hours(9), InitialVMs: 30, MeanLifeSlots: 3})
 	res := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
-	chk := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1, ChunkSlots: width})
-	if !chk.FineChunked() || !chk.ProfileChunked() {
-		t.Fatalf("1-byte budget should chunk both tables (fine=%v prof=%v)",
-			chk.FineChunked(), chk.ProfileChunked())
-	}
-	if res.FineChunked() || res.ProfileChunked() {
-		t.Fatal("unbounded compile should stay resident")
-	}
+	chk := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: budget(res)})
 	return w, res, chk
 }
 
 // TestFineCursorMatchesResident asserts the streamed fine rows are
-// byte-identical to the resident table at every (vm, slot), for chunk
-// widths that divide, straddle and exceed the horizon.
+// byte-identical to the resident table at every (vm, slot), for window
+// widths that divide and straddle the horizon, each derived from a budget
+// of k slot peaks.
 func TestFineCursorMatchesResident(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 64} {
-		w, res, chk := chunkedPair(t, width)
-		if got := chk.FineChunkSlots(); got != min(width, int(w.Slots())) {
-			t.Fatalf("width %d: FineChunkSlots = %d", width, got)
+	for _, k := range []int{1, 2, 3} {
+		w, res, chk := streamedPair(func(res *Compiled) int64 { return int64(k) * res.fine.slotPeak })
+		if got := chk.FineChunkSlots(); got != k {
+			t.Fatalf("budget of %d slot peaks: FineChunkSlots = %d", k, got)
+		}
+		if res.FineChunkSlots() != 0 {
+			t.Fatal("unbounded compile should stay resident")
 		}
 		cur := chk.NewFineCursor(nil)
-		if cur == nil {
-			t.Fatal("chunked table must hand out a cursor")
-		}
-		if res.NewFineCursor(nil) != nil {
-			t.Fatal("resident table must not hand out a cursor")
-		}
 		for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
 			cur.Advance(sl)
 			for _, id := range w.ActiveVMs(sl) {
 				got := cur.FineRow(id, sl)
 				want := res.FineRow(id, sl)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("width %d: fine row (%d,%d) = %v, want %v", width, id, sl, got, want)
+					t.Fatalf("width %d: fine row (%d,%d) = %v, want %v", k, id, sl, got, want)
 				}
 			}
 		}
-		// The chunked compile keeps no resident fine rows.
+		// The streamed compile keeps no resident fine rows.
 		if chk.FineRow(w.ActiveVMs(0)[0], 0) != nil {
-			t.Fatal("chunked FineRow should be nil on the Compiled itself")
+			t.Fatal("streamed FineRow should be nil on the Compiled itself")
 		}
 	}
 }
 
 // TestProfileCursorMatchesResident asserts the streamed observation-slot
 // profiles are byte-identical to the resident table over the simulator's
-// access pattern (obs = max(sl-1, 0) for ids active at sl).
+// access pattern (obs = max(sl-1, 0) for ids active at sl), at widths
+// derived from budgets of k profile slot peaks.
 func TestProfileCursorMatchesResident(t *testing.T) {
-	for _, width := range []int{1, 3, 64} {
-		w, res, chk := chunkedPair(t, width)
+	for _, k := range []int{1, 3} {
+		w, res, chk := streamedPair(func(res *Compiled) int64 { return int64(k) * res.prof.slotPeak })
+		if !chk.streamed(&chk.prof) || chk.prof.width != k {
+			t.Fatalf("budget of %d slot peaks: profile width %d, streamed %v", k, chk.prof.width, chk.streamed(&chk.prof))
+		}
 		cur := chk.NewProfileCursor(nil)
-		if cur == nil {
-			t.Fatal("chunked table must hand out a cursor")
-		}
-		if res.NewProfileCursor(nil) != nil {
-			t.Fatal("resident table must not hand out a cursor")
-		}
 		for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
 			obs := obsSlot(sl)
 			cur.Advance(obs)
@@ -78,16 +67,88 @@ func TestProfileCursorMatchesResident(t *testing.T) {
 				got := cur.ProfileRow(id, obs)
 				want := res.ProfileRow(id, obs)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("width %d: profile row (%d,%d) = %v, want %v", width, id, obs, got, want)
+					t.Fatalf("width %d: profile row (%d,%d) = %v, want %v", k, id, obs, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestChunkWidthFromBudget asserts the derived chunk width scales with the
-// budget: a budget covering k slot-peaks yields a k-slot window, floored
-// at one slot.
+// TestResidentCursorSharesTable pins that no run copies or re-synthesizes
+// a resident table: every row a cursor over one is the compiled row itself,
+// for cursors of concurrent runs alike, and advancing one across the
+// horizon allocates nothing.
+func TestResidentCursorSharesTable(t *testing.T) {
+	w := New(Config{Seed: 21, Horizon: timeutil.Hours(9), InitialVMs: 30, MeanLifeSlots: 3})
+	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fine, prof := c.NewFineCursor(nil), c.NewProfileCursor(nil)
+			for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
+				obs := obsSlot(sl)
+				fine.Advance(sl)
+				prof.Advance(obs)
+				for _, id := range w.ActiveVMs(sl) {
+					if got, want := fine.FineRow(id, sl), c.FineRow(id, sl); len(want) == 0 || &got[0] != &want[0] {
+						t.Errorf("fine row (%d,%d) is not the compiled row", id, sl)
+						return
+					}
+					if got, want := prof.ProfileRow(id, obs), c.ProfileRow(id, obs); len(want) == 0 || &got[0] != &want[0] {
+						t.Errorf("profile row (%d,%d) is not the compiled row", id, obs)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fine, prof := c.NewFineCursor(nil), c.NewProfileCursor(nil)
+	allocs := testing.AllocsPerRun(5, func() {
+		for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
+			fine.Advance(sl)
+			prof.Advance(sl)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("advancing resident cursors allocated %v times per pass", allocs)
+	}
+}
+
+// TestStreamedWindowsWithinBudget asserts the budget bounds every window
+// either cursor visits whenever it covers the table's busiest slot, over
+// churn-heavy workloads whose profile (observation-slot) windows overlap
+// more at slot 0 than the active ones: each table's window is sized by its
+// own busiest slot.
+func TestStreamedWindowsWithinBudget(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		w := New(Config{Seed: seed, Horizon: timeutil.Hours(12), InitialVMs: 40, MeanLifeSlots: 2})
+		res := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
+		for _, peak := range []int64{res.fine.slotPeak, res.prof.slotPeak} {
+			for k := int64(1); k <= 3; k++ {
+				budget := k * peak
+				c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: budget})
+				fine, prof := c.NewFineCursor(nil), c.NewProfileCursor(nil)
+				for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
+					fine.Advance(sl)
+					prof.Advance(sl)
+					if fb := fine.WindowBytes(); budget >= res.fine.slotPeak && fb > budget {
+						t.Fatalf("seed %d budget %d: slot %d fine window %d B", seed, budget, sl, fb)
+					}
+					if pb := prof.WindowBytes(); budget >= res.prof.slotPeak && pb > budget {
+						t.Fatalf("seed %d budget %d: slot %d profile window %d B", seed, budget, sl, pb)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChunkWidthFromBudget asserts the derived window width scales with
+// the budget: a budget below the full table yields a window narrower than
+// the horizon, floored at one slot.
 func TestChunkWidthFromBudget(t *testing.T) {
 	w := New(Config{Seed: 3, Horizon: timeutil.Hours(8), InitialVMs: 25})
 	base := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
@@ -95,18 +156,15 @@ func TestChunkWidthFromBudget(t *testing.T) {
 	if fineBytes <= 0 {
 		t.Fatal("expected a non-empty fine table")
 	}
-	// Half the full table forces chunking with a window of >= 1 slot.
+	// Half the full table streams with a window of >= 1 slot.
 	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: fineBytes / 2})
-	if !c.FineChunked() {
-		t.Fatal("half budget should chunk the fine table")
-	}
 	if got := c.FineChunkSlots(); got < 1 || got >= int(w.Slots()) {
-		t.Fatalf("chunk width %d out of (0, slots)", got)
+		t.Fatalf("window width %d out of (0, slots)", got)
 	}
 	// A 1-byte budget bottoms out at one slot, never zero.
 	c1 := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1})
 	if got := c1.FineChunkSlots(); got != 1 {
-		t.Fatalf("1-byte budget chunk width = %d, want 1", got)
+		t.Fatalf("1-byte budget window width = %d, want 1", got)
 	}
 }
 
@@ -124,16 +182,16 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 	}
 
 	// Tiny budget: the resident compile is incompatible.
-	chunked := Compile(resident, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1})
-	if chunked == resident {
+	streamed := Compile(resident, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1})
+	if streamed == resident {
 		t.Fatal("budgeted recompile returned the unbounded table")
 	}
-	if !chunked.FineChunked() {
-		t.Fatal("budgeted recompile should be chunked")
+	if streamed.FineChunkSlots() == 0 {
+		t.Fatal("budgeted recompile should stream")
 	}
 
-	// Same budget again: the chunked compile is compatible with itself.
-	if again := Compile(chunked, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1}); again != chunked {
+	// Same budget again: the streamed compile is compatible with itself.
+	if again := Compile(streamed, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1}); again != streamed {
 		t.Fatal("identical budgeted options must reuse the compiled trace")
 	}
 }
