@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"geovmp/internal/par"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/units"
@@ -28,10 +30,11 @@ type CompileOptions struct {
 	// Volumes always materialize.
 	MaxFineTableBytes int64
 	// Workers optionally lends extra goroutines to the compilation: the
-	// per-VM fine and profile tables and the per-slot volume lists are
-	// sharded (each shard writes disjoint rows) and the active-window scan
-	// reduces per-slot shards in fixed order, so the compiled tables are
-	// byte-identical at any worker count. Requires src to be safe for
+	// fine and profile tables (by VM, or by service for the synthetic
+	// Workload) and the per-slot volume lists are sharded (each shard
+	// writes disjoint rows) and the active-window scan reduces per-slot
+	// shards in fixed order, so the compiled tables are byte-identical
+	// at any worker count. Requires src to be safe for
 	// concurrent readers — the contract workloads already carry for
 	// parallel sweeps. Nil compiles serially.
 	Workers *par.Budget
@@ -65,6 +68,7 @@ func (o *CompileOptions) applyDefaults() {
 // VM-slot, each bounded by CompileOptions.MaxFineTableBytes.
 type Compiled struct {
 	src     Source
+	synth   Source // what the tables are filled from: src, or the Workload it windows
 	slots   timeutil.Slot
 	numVMs  int
 	samples int
@@ -79,6 +83,7 @@ type Compiled struct {
 	fine, prof  table
 	first, last []timeutil.Slot // per-VM active windows
 	grids       []StepGrid      // per slot, the fine loop's step grid
+	profGrids   []StepGrid      // per slot, the profile's grid (nil: per-VM profile fill)
 	profToFine  [][]int         // per slot, see profileToFine (nil: no gather)
 
 	vols    [][]VolumeEntry // realized, per slot
@@ -113,49 +118,49 @@ func fineStepsPerSlot(dt float64) int {
 	return k
 }
 
-// fineGrids builds the per-slot step grids of the simulator's fine loop,
-// replicating its step derivation bit for bit — including its
-// floating-point time accumulation — over one shared backing array.
-func fineGrids(slots timeutil.Slot, dt float64, steps int) []StepGrid {
-	pts := make([]gridPoint, 0, int(slots)*steps)
+// slotGrids builds one step grid per slot, holding step(sl, k) for k < n,
+// over one shared backing array.
+func slotGrids(slots timeutil.Slot, n int, step func(sl timeutil.Slot, k int) timeutil.Step) []StepGrid {
+	pts := make([]gridPoint, 0, int(slots)*n)
 	grids := make([]StepGrid, slots)
 	for sl := range grids {
 		lo := len(pts)
-		start := timeutil.Slot(sl).Seconds()
-		for t := 0.0; t < timeutil.SlotSeconds; t += dt {
-			pts = append(pts, newGridPoint(timeutil.Step(int64(start+t)/timeutil.StepSeconds), true))
+		for k := 0; k < n; k++ {
+			pts = append(pts, newGridPoint(step(timeutil.Slot(sl), k), true))
 		}
 		grids[sl] = StepGrid{pts[lo:len(pts):len(pts)]}
 	}
 	return grids
 }
 
+// fineGrids builds the per-slot step grids of the simulator's fine loop,
+// replicating its step derivation bit for bit — including its
+// floating-point time accumulation, which restarts at 0 every slot.
+func fineGrids(slots timeutil.Slot, dt float64, steps int) []StepGrid {
+	offs := make([]float64, 0, steps)
+	for t := 0.0; t < timeutil.SlotSeconds; t += dt {
+		offs = append(offs, t)
+	}
+	return slotGrids(slots, steps, func(sl timeutil.Slot, k int) timeutil.Step {
+		return timeutil.Step(int64(sl.Seconds()+offs[k]) / timeutil.StepSeconds)
+	})
+}
+
 // profileToFine maps, per slot, each profile sample index to the fine-row
 // index that reads the same Util step (the profile grid mirrors
-// Workload.FillSlotProfile), or nil for slots where any sample lies outside
-// the fine grid.
+// Workload.FillSlotProfile), or returns nil when any sample of any slot
+// lies outside the fine grid.
 func profileToFine(grids []StepGrid, samples int) [][]int {
 	out := make([][]int, len(grids))
 	for sl, g := range grids {
-		m := make([]int, samples)
-		ok := true
-		for i := 0; i < samples; i++ {
+		out[sl] = make([]int, samples)
+		for i := range out[sl] {
 			want := profileStep(timeutil.Slot(sl), i, samples)
-			k := -1
-			for j, p := range g.pts {
-				if p.step == want {
-					k = j
-					break
-				}
-			}
+			k := slices.IndexFunc(g.pts, func(p gridPoint) bool { return p.step == want })
 			if k < 0 {
-				ok = false
-				break
+				return nil
 			}
-			m[i] = k
-		}
-		if ok {
-			out[sl] = m
+			out[sl][i] = k
 		}
 	}
 	return out
@@ -175,12 +180,21 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	}
 	c := &Compiled{
 		src:     src,
+		synth:   src,
 		slots:   src.Slots(),
 		numVMs:  src.NumVMs(),
 		samples: opt.Samples,
 		dt:      opt.FineStepSec,
 	}
 	slots := int(c.slots)
+	// A start-0 window over a Workload reads the Workload's own values at
+	// every in-window step, so its tables fill through the row kernel the
+	// view lacks.
+	if v, ok := src.(*windowSource); ok && v.start == 0 {
+		if w, ok := v.src.(*Workload); ok {
+			c.synth = w
+		}
+	}
 
 	c.images = make([]units.DataSize, c.numVMs)
 	for id := range c.images {
@@ -247,9 +261,17 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 		// row's — the common case for the synthetic workload, whose
 		// profiles are Util sampled at strided steps — profile rows are
 		// gathered from the fine table instead of re-synthesizing the
-		// trace.
-		if _, utilSampled := src.(*Workload); utilSampled && !c.streamed(&c.fine) {
-			c.profToFine = profileToFine(c.grids, c.samples)
+		// trace. Otherwise they are synthesized service-major over
+		// per-slot profile grids.
+		if _, utilSampled := c.synth.(*Workload); utilSampled {
+			if !c.streamed(&c.fine) {
+				c.profToFine = profileToFine(c.grids, c.samples)
+			}
+			if c.profToFine == nil {
+				c.profGrids = slotGrids(c.slots, c.samples, func(sl timeutil.Slot, i int) timeutil.Step {
+					return profileStep(sl, i, c.samples)
+				})
+			}
 		}
 		c.prof = c.sizeTable(c.samples, c.obsWindow, opt.MaxFineTableBytes)
 		if !c.streamed(&c.prof) {
@@ -275,19 +297,20 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 // c.steps values per slot.
 func (c *Compiled) fillFine(dst []float64, id int, a, b timeutil.Slot) {
 	for sl := a; sl <= b; sl++ {
-		FillUtil(dst[int(sl-a)*c.steps:], c.src, id, c.grids[sl])
+		FillUtil(dst[int(sl-a)*c.steps:], c.synth, id, c.grids[sl])
 	}
 }
 
 // fillProfile writes the VM's profiles for observation slots a..b into
 // dst, one row of c.samples values per slot, gathered from the resident
-// fine table where profToFine maps the slot and synthesized through the
-// source's profile sampling otherwise — the same values either way.
+// fine table where profToFine is set and the VM is active in the slot, and
+// synthesized through the source's profile sampling otherwise — the same
+// values either way.
 func (c *Compiled) fillProfile(dst []float64, id int, a, b timeutil.Slot) {
-	filler, _ := c.src.(slotProfileFiller)
+	filler, _ := c.synth.(slotProfileFiller)
 	for sl := a; sl <= b; sl++ {
 		row := dst[int(sl-a)*c.samples : int(sl-a+1)*c.samples]
-		if c.profToFine != nil && c.profToFine[sl] != nil {
+		if c.profToFine != nil {
 			if fr := c.FineRow(id, sl); fr != nil {
 				for i, k := range c.profToFine[sl] {
 					row[i] = fr[k]
@@ -298,7 +321,7 @@ func (c *Compiled) fillProfile(dst []float64, id int, a, b timeutil.Slot) {
 		if filler != nil {
 			filler.FillSlotProfile(row, id, sl)
 		} else {
-			copy(row, c.src.SlotProfile(id, sl, c.samples))
+			copy(row, c.synth.SlotProfile(id, sl, c.samples))
 		}
 	}
 }
@@ -308,7 +331,7 @@ func (c *Compiled) fillProfile(dst []float64, id int, a, b timeutil.Slot) {
 // (id, sl) pairs the table does not cover. It requires a slot within the
 // compiled horizon.
 func (c *Compiled) FillFineRow(dst []float64, id int, sl timeutil.Slot) {
-	FillUtil(dst, c.src, id, c.grids[sl])
+	FillUtil(dst, c.synth, id, c.grids[sl])
 }
 
 // sizeTable returns an empty table of rowLen-float rows over the VMs'
@@ -351,6 +374,7 @@ func (c *Compiled) tablesCompatible(opt CompileOptions) bool {
 const (
 	windowSlotGrain = 32
 	vmRowGrain      = 64
+	serviceGrain    = 16 // ~64 member VMs at the default five per service
 	volumeSlotGrain = 4
 )
 

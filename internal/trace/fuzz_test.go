@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,6 +83,49 @@ func FuzzLoadReplay(f *testing.F) {
 							t.Fatalf("compiled profile diverges at vm %d slot %d: %v vs %v", id, sl, row, want)
 						}
 					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzFillUtil fills two VMs of one service from one shared diurnal row —
+// the service-major fill's contract — over a strided grid at an arbitrary
+// start, and a FillSlotProfile of either length class, and pins all of
+// them to the per-point oracle bit for bit.
+func FuzzFillUtil(f *testing.F) {
+	f.Add(uint64(42), uint16(0), uint16(1), int64(0), uint16(720), uint16(1))
+	f.Add(uint64(5), uint16(17), uint16(3), int64(16560), uint16(200), uint16(7))
+	f.Add(uint64(8), uint16(99), uint16(0), int64(17270), uint16(64), uint16(60))
+	f.Add(uint64(1<<63), uint16(65535), uint16(65535), int64(-1), uint16(1), uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, a, b uint16, start int64, n, stride uint16) {
+		w := New(Config{Seed: seed, Horizon: timeutil.Days(2), InitialVMs: 30})
+		vm := w.VM(int(a) % w.NumVMs())
+		s := w.Service(vm.Service)
+		ids := []int{vm.ID, s.Members[int(b)%len(s.Members)]}
+
+		span := int64(timeutil.Days(3).Steps())
+		first := timeutil.Step((start%span + span) % span)
+		steps := make([]timeutil.Step, int(n)%1024+1)
+		for k := range steps {
+			steps[k] = first + timeutil.Step(k*(int(stride)%900+1))
+		}
+		g := NewStepGrid(steps)
+		diurnal := make([]float64, g.Len())
+		diurnalRow(diurnal, s.PeakHour, g)
+		row := make([]float64, g.Len())
+		for _, id := range ids {
+			w.fillUtilRow(row, id, g, diurnal)
+			checkRow(t, "shared diurnal row", w, id, g, row)
+		}
+
+		sl := first.Slot()
+		prof := make([]float64, int(n)%40+1)
+		for _, id := range ids {
+			w.FillSlotProfile(prof, id, sl)
+			for i, u := range prof {
+				if want := oracleUtil(w, id, profileStep(sl, i, len(prof))); math.Float64bits(u) != math.Float64bits(want) {
+					t.Fatalf("vm %d slot %d profile[%d] = %v, oracle %v", id, sl, i, u, want)
 				}
 			}
 		}

@@ -13,10 +13,13 @@ import (
 // weights, the step's white-noise key — and terms the VM fixes: its noise
 // hash prefixes, its day factor and the lattice values of the current
 // cells. A StepGrid holds the first half for a list of steps and is shared
-// by every VM; fillUtilRow carries the second half along one VM's row and
-// refreshes it only when the day or a lattice cell changes, leaving one
-// cos and one hash fold per step. Util is the one-step case, so the
-// arithmetic has a single definition.
+// by every VM. The diurnal cosine depends only on the step and the
+// service's peak hour, so the compiled fills take one diurnalRow per
+// service and slot for every member VM, leaving one cosine per
+// service-slot. fillUtilRow carries the VM terms along one VM's row and
+// refreshes them only when the day or a lattice cell changes, leaving one
+// hash fold per step. Util is the one-step case, so the arithmetic has a
+// single definition.
 
 // Smooth-noise lattice periods in seconds, and the hash tags of the
 // per-VM noise streams.
@@ -83,11 +86,21 @@ func (g StepGrid) Len() int { return len(g.pts) }
 // values are the same either way.
 func FillUtil(dst []float64, src Source, id int, g StepGrid) {
 	if w, ok := src.(*Workload); ok {
-		w.fillUtilRow(dst, id, g)
+		diurnalRow(dst, w.vms[id].peakHour, g) // overwritten in place
+		w.fillUtilRow(dst, id, g, dst)
 		return
 	}
 	for k := range g.pts {
 		dst[k] = src.Util(id, g.pts[k].step)
+	}
+}
+
+// diurnalRow writes the diurnal cosine of a service peaking at hour peak
+// at every step of g into dst[:g.Len()] — the one term of Util that every
+// member VM of the service shares.
+func diurnalRow(dst []float64, peak float64, g StepGrid) {
+	for k := range g.pts {
+		dst[k] = math.Cos((g.pts[k].hour - peak) / 24 * 2 * math.Pi)
 	}
 }
 
@@ -116,8 +129,9 @@ func (l *latticeRow) at(cell int64, ease float64) float64 {
 }
 
 // fillUtilRow is the Workload's row kernel: dst[k] = Util(id, step k of g)
-// for every step of g, bit for bit.
-func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid) {
+// for every step of g, bit for bit, given diurnal = diurnalRow over g for
+// the VM's service. diurnal may alias dst: step k reads it before writing.
+func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid, diurnal []float64) {
 	pts := g.pts
 	if len(pts) == 0 {
 		return
@@ -138,7 +152,7 @@ func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid) {
 			day = p.day
 			dayF = v.dayFactor(day)
 		}
-		base := v.mean + v.amp*math.Cos((p.hour-v.peakHour)/24*2*math.Pi)
+		base := v.mean + v.amp*diurnal[k]
 		base *= dayF
 
 		slow := (slowNoise.at(p.slowCell, p.slowEase) - 0.5) * 2 * v.slowAmp

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"geovmp/internal/par"
 	"geovmp/internal/rng"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/units"
@@ -155,6 +157,149 @@ func TestFineRowsMatchOracle(t *testing.T) {
 	}
 }
 
+// serviceMajorWorkloads returns the two kernelWorkloads families and a
+// Phases workload at 200+ short-lived VMs over 26 hours, so the
+// service-major fill spans several service shards and slots on both sides
+// of a day boundary while the tables stay small.
+func serviceMajorWorkloads(t *testing.T) map[string]*Workload {
+	t.Helper()
+	templates := FitTemplates(New(Config{Seed: 6, Horizon: timeutil.Hours(24), InitialVMs: 40}), 3, 12)
+	cfg := func(seed uint64) Config {
+		return Config{Seed: seed, Horizon: timeutil.Hours(26), InitialVMs: 40, ArrivalPerSlot: 8, MeanLifeSlots: 6}
+	}
+	builtin, calibrated, phased := cfg(5), cfg(8), cfg(9)
+	calibrated.Templates = templates
+	phased.Phases = []PhaseMix{
+		{FromSlot: 8, Weights: []float64{0, 1, 0, 0}},
+		{FromSlot: 20, Weights: []float64{0, 0, 0.5, 0.5}},
+	}
+	ws := map[string]*Workload{"builtin": New(builtin), "templates": New(calibrated), "phases": New(phased)}
+	for name, w := range ws {
+		if w.NumVMs() < 200 || w.NumServices() <= serviceGrain {
+			t.Fatalf("%s: %d VMs in %d services fill a single shard", name, w.NumVMs(), w.NumServices())
+		}
+	}
+	return ws
+}
+
+// sameRow asserts two rows of (id, sl) are both present and equal bit for
+// bit.
+func sameRow(t *testing.T, name string, id int, sl timeutil.Slot, want, got []float64) {
+	t.Helper()
+	if want == nil || got == nil {
+		t.Fatalf("%s: vm %d slot %d row missing (want nil %v, got nil %v)", name, id, sl, want == nil, got == nil)
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: vm %d slot %d [%d] = %v, want %v", name, id, sl, k, got[k], want[k])
+		}
+	}
+}
+
+// sameRows asserts got serves every row the simulator reads over got's
+// horizon — each active VM's fine row and its observation-slot profile —
+// equal to want's, reading got through cursors on the given workers.
+func sameRows(t *testing.T, name string, want, got *Compiled, workers *par.Budget) {
+	t.Helper()
+	wf, wp := want.NewFineCursor(nil), want.NewProfileCursor(nil)
+	gf, gp := got.NewFineCursor(workers), got.NewProfileCursor(workers)
+	for sl := timeutil.Slot(0); sl < got.Slots(); sl++ {
+		obs := obsSlot(sl)
+		wf.Advance(sl)
+		gf.Advance(sl)
+		wp.Advance(obs)
+		gp.Advance(obs)
+		for _, id := range got.ActiveVMs(sl) {
+			sameRow(t, name+" fine", id, sl, wf.FineRow(id, sl), gf.FineRow(id, sl))
+			sameRow(t, name+" profile", id, obs, wp.ProfileRow(id, obs), gp.ProfileRow(id, obs))
+		}
+	}
+}
+
+// checkTablesOracle asserts every resident fine and profile row of c
+// equals the oracle.
+func checkTablesOracle(t *testing.T, name string, w *Workload, c *Compiled) {
+	t.Helper()
+	prof := make([]timeutil.Step, c.samples)
+	for sl := timeutil.Slot(0); sl < c.slots; sl++ {
+		for i := range prof {
+			prof[i] = profileStep(sl, i, c.samples)
+		}
+		pg := NewStepGrid(prof)
+		for _, id := range w.ActiveVMs(sl) {
+			checkRow(t, name+" fine", w, id, c.grids[sl], c.FineRow(id, sl))
+			if row := c.ProfileRow(id, sl); row != nil {
+				checkRow(t, name+" profile", w, id, pg, row)
+			}
+		}
+	}
+}
+
+// TestServiceMajorFillMatchesOracle is the service-major fill's oracle
+// twin: the resident tables match the per-point oracle, and every table
+// compiled under budgets of 1, 2 and 3 busiest-slot footprints (streamed)
+// or none (resident), on nil, 2 and 8 workers, serves the same rows — at
+// 5 s steps (a streamed fine table beside a service-major profile table),
+// 300 s (profiles gathered from the resident fine table, or both tables
+// streamed) and 900 s (profile samples off the fine grid, so profiles are
+// synthesized service-major even beside a resident fine table).
+func TestServiceMajorFillMatchesOracle(t *testing.T) {
+	for name, w := range serviceMajorWorkloads(t) {
+		for _, dt := range []float64{5, 300, 900} {
+			ref := Compile(w, CompileOptions{Samples: 12, FineStepSec: dt})
+			if gather := ref.profToFine != nil; gather != (dt < 900) {
+				t.Fatalf("%s dt %v: profile gather %v", name, dt, gather)
+			}
+			checkTablesOracle(t, name, w, ref)
+			for _, peaks := range []int64{0, 1, 2, 3} {
+				for _, n := range []int{0, 2, 8} {
+					var workers *par.Budget
+					if n > 0 {
+						workers = par.NewBudget(n)
+					}
+					opt := CompileOptions{Samples: 12, FineStepSec: dt, MaxFineTableBytes: peaks * ref.fine.slotPeak, Workers: workers}
+					c := Compile(w, opt)
+					if got := c.FineChunkSlots(); got != int(peaks) {
+						t.Fatalf("%s dt %v: %d-peak budget streams %d-slot windows", name, dt, peaks, got)
+					}
+					sameRows(t, fmt.Sprintf("%s dt %v peaks %d workers %d", name, dt, peaks, n), ref, c, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCompileSeesThroughStartZeroWindow pins the compile of a start-0
+// window over a Workload — the simulator's view of a source longer than
+// its horizon — to the row kernel, and its rows to the direct compile's
+// for every slot of the window, resident and under a 1-byte budget.
+func TestCompileSeesThroughStartZeroWindow(t *testing.T) {
+	w := kernelWorkloads(t)["builtin"]
+	direct := Compile(w, CompileOptions{})
+	view := Window(w, 0, w.Slots()-6)
+	for _, budget := range []int64{0, 1} {
+		c := Compile(view, CompileOptions{MaxFineTableBytes: budget})
+		if c.synth != Source(w) || c.src != view {
+			t.Fatal("the windowed compile does not fill from the workload's kernel")
+		}
+		sameRows(t, fmt.Sprintf("window budget %d", budget), direct, c, nil)
+	}
+
+	// A window past slot 0 is offset, so it keeps filling through its own
+	// per-step Util.
+	late := Window(w, 5, 12)
+	c := Compile(late, CompileOptions{})
+	if c.synth != late {
+		t.Fatal("a window past slot 0 fills from the workload's kernel")
+	}
+	for sl := timeutil.Slot(0); sl < c.Slots(); sl++ {
+		for _, id := range c.ActiveVMs(sl) {
+			sameRow(t, "late window fine", id, sl, c.FineRow(id, sl), late.SlotProfile(id, sl, timeutil.StepsPerSlot))
+			sameRow(t, "late window profile", id, sl, c.ProfileRow(id, obsSlot(sl)), late.SlotProfile(id, obsSlot(sl), 12))
+		}
+	}
+}
+
 // TestFillUtilFallsBackToUtil covers sources without a row kernel: a
 // window view fills through per-step Util.
 func TestFillUtilFallsBackToUtil(t *testing.T) {
@@ -186,9 +331,10 @@ func TestFillSlotProfileAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkFillUtil compares per-step Util with one row-kernel pass over a
-// shared grid, per value, on a day of 400 initial VMs at the paper's 5 s
-// step.
+// BenchmarkFillUtil compares per-step Util, one row-kernel pass per VM
+// over a shared grid, and the service-major window fill that shares one
+// diurnal row per service and slot, per value, on a day of 400 initial
+// VMs at the paper's 5 s step.
 func BenchmarkFillUtil(b *testing.B) {
 	w := New(Config{Seed: 42, Horizon: timeutil.Days(1), InitialVMs: 400})
 	steps := fineStepsPerSlot(timeutil.StepSeconds)
@@ -215,5 +361,18 @@ func BenchmarkFillUtil(b *testing.B) {
 	})
 	b.Run("kernel", func(b *testing.B) {
 		bench(b, func(id int, g StepGrid) { FillUtil(row, w, id, g) })
+	})
+	// The compiled path: the resident table's whole-horizon window,
+	// unpositioned and refilled service-major each iteration.
+	b.Run("service-major", func(b *testing.B) {
+		cur := Compile(w, CompileOptions{Samples: -1}).NewFineCursor(nil)
+		b.ResetTimer()
+		values := 0
+		for i := 0; i < b.N; i++ {
+			cur.t.lo, cur.t.hi = 0, 0
+			cur.Advance(0)
+			values += len(cur.t.buf)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
 	})
 }

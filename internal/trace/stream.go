@@ -107,19 +107,21 @@ type cursor struct {
 	workers *par.Budget
 	window  func(id int) (a, b timeutil.Slot) // the slots each VM's rows cover
 	fill    func(dst []float64, id int, a, b timeutil.Slot)
+	grids   []StepGrid // per slot, the rows' step grid (nil: a Workload's rows fill per VM too)
 }
 
-func (c *Compiled) newCursor(t *table, workers *par.Budget, window func(id int) (a, b timeutil.Slot), fill func(dst []float64, id int, a, b timeutil.Slot)) cursor {
+func (c *Compiled) newCursor(t *table, workers *par.Budget, window func(id int) (a, b timeutil.Slot), fill func(dst []float64, id int, a, b timeutil.Slot), grids []StepGrid) cursor {
 	if c.streamed(t) {
 		t = &table{width: t.width, rowLen: t.rowLen}
 	}
-	return cursor{c: c, t: t, workers: workers, window: window, fill: fill}
+	return cursor{c: c, t: t, workers: workers, window: window, fill: fill, grids: grids}
 }
 
 // Advance positions the cursor on the window containing sl, filling it if
-// the window moved; workers optionally shard the fill over VMs (disjoint
-// rows, so the content is identical at any worker count). Must not run
-// concurrently with the cursor's row reads.
+// the window moved; workers optionally shard the fill over VMs, or over
+// services for the synthetic Workload (disjoint rows, so the content is
+// identical at any worker count). Must not run concurrently with the
+// cursor's row reads.
 func (cur *cursor) Advance(sl timeutil.Slot) {
 	t, c := cur.t, cur.c
 	if t.width == 0 || sl < 0 || sl >= c.slots || (sl >= t.lo && sl < t.hi) {
@@ -149,10 +151,39 @@ func (cur *cursor) Advance(sl timeutil.Slot) {
 		t.buf = make([]float64, need)
 	}
 	t.buf = t.buf[:need]
+	if w, ok := c.synth.(*Workload); ok && cur.grids != nil {
+		cur.fillServices(w)
+		return
+	}
 	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
 			if a := t.start[id]; a >= 0 {
 				cur.fill(t.buf[t.off[id]*t.rowLen:], id, a, t.end[id])
+			}
+		}
+	})
+}
+
+// fillServices fills the window service-major from w's row kernel: per
+// slot, one diurnal row serves every member VM the window covers there,
+// since members share their service's peak hour. Each shard's only
+// scratch is that row.
+func (cur *cursor) fillServices(w *Workload) {
+	t := cur.t
+	par.For(cur.workers, len(w.services), serviceGrain, func(lo, hi int) {
+		diurnal := make([]float64, t.rowLen)
+		for _, s := range w.services[lo:hi] {
+			for sl := t.lo; sl < t.hi; sl++ {
+				shared := false
+				for _, id := range s.Members {
+					if row := t.row(id, sl); row != nil {
+						if !shared {
+							diurnalRow(diurnal, s.PeakHour, cur.grids[sl])
+							shared = true
+						}
+						w.fillUtilRow(row, id, cur.grids[sl], diurnal)
+					}
+				}
 			}
 		}
 	})
@@ -171,7 +202,7 @@ type FineCursor struct {
 // NewFineCursor returns a cursor over the fine table. workers optionally
 // lends goroutines to each window fill of a streamed table.
 func (c *Compiled) NewFineCursor(workers *par.Budget) *FineCursor {
-	return &FineCursor{c.newCursor(&c.fine, workers, c.activeWindow, c.fillFine)}
+	return &FineCursor{c.newCursor(&c.fine, workers, c.activeWindow, c.fillFine, c.grids)}
 }
 
 // FineRow implements FineRows from the current window.
@@ -187,7 +218,7 @@ type ProfileCursor struct {
 // NewProfileCursor returns a cursor over the profile table. workers
 // optionally lends goroutines to each window fill of a streamed table.
 func (c *Compiled) NewProfileCursor(workers *par.Budget) *ProfileCursor {
-	return &ProfileCursor{c.newCursor(&c.prof, workers, c.obsWindow, c.fillProfile)}
+	return &ProfileCursor{c.newCursor(&c.prof, workers, c.obsWindow, c.fillProfile, c.profGrids)}
 }
 
 // ProfileRow returns the VM's profile for observation slot sl from the

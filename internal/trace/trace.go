@@ -467,7 +467,7 @@ func (v *VM) dayFactor(day int) float64 {
 func (w *Workload) Util(id int, st timeutil.Step) float64 {
 	pt := [1]gridPoint{newGridPoint(st, w.vms[id].burstAmp > 0)}
 	var u [1]float64
-	w.fillUtilRow(u[:], id, StepGrid{pt[:]})
+	FillUtil(u[:], w, id, StepGrid{pt[:]})
 	return u[0]
 }
 
@@ -501,7 +501,7 @@ func (w *Workload) FillSlotProfile(dst []float64, id int, sl timeutil.Slot) {
 	for i := 0; i < n; i++ {
 		pts = append(pts, newGridPoint(profileStep(sl, i, n), true))
 	}
-	w.fillUtilRow(dst, id, StepGrid{pts})
+	FillUtil(dst, w, id, StepGrid{pts})
 }
 
 // serviceActivity is the unit-mean time-varying modulation of a service's
