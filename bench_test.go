@@ -933,7 +933,7 @@ func benchLargeSpec() Spec {
 // BenchmarkGlobalPhase measures the paper's global phase at scale: a single
 // Proposed-only cell on the geo5dc-large preset. The serial variant pins
 // Parallelism to 1 — no intra-cell sharding, so gains over older commits
-// isolate the pruned peak-coincidence kernel — and the parallel variant
+// isolate the packed peak-coincidence kernel — and the parallel variant
 // lends the cell the full GOMAXPROCS budget, so the same slots additionally
 // scale across the intra-cell shards (embedding passes, k-means distances,
 // fine plans, workload compilation). Reported: simulated slots per second

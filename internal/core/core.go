@@ -432,14 +432,13 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		cfg.Workers = in.Workers
 		if fast {
 			cfg.FastMath = true
-			// Build the quantized tables alongside the sample orders below.
+			// The embedding queries CPU correlations from concurrent
+			// shards; building the quantized tables here (itself sharded)
+			// makes the profile set read-only for the rest of the slot.
+			// The exact kernels read only what Add stored.
 			in.Profiles.SetFastMath(true)
+			in.Profiles.EnsureOrders(in.Workers)
 		}
-		// The embedding queries CPU correlations from concurrent shards;
-		// precomputing the pruned kernel's sample orders here (itself
-		// sharded) makes the profile set read-only for the rest of the
-		// slot.
-		in.Profiles.EnsureOrders(in.Workers)
 		if c.ids == nil {
 			// Cold start: "initially, at time slot 0, all the points are
 			// distributed in the 2D plane" — give the layout room to

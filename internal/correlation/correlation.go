@@ -10,13 +10,14 @@
 //     two VMs exchange, normalized against a reference volume. It feeds the
 //     attraction force; zero-volume pairs have no attraction at all (0).
 //
-// The package also offers classic Pearson correlation for analysis and the
-// ProfileSet container the controllers use to evaluate many pairwise
-// correlations against per-slot downsampled utilization profiles.
+// The package also offers the ProfileSet container the controllers use to
+// evaluate many pairwise correlations against per-slot downsampled
+// utilization profiles.
 package correlation
 
 import (
 	"math"
+	"slices"
 
 	"geovmp/internal/par"
 	"geovmp/internal/units"
@@ -54,8 +55,13 @@ func PeakCoincidence(a, b []float64) float64 {
 	if den <= 0 {
 		return 0.5
 	}
-	c := peakAB / den
-	// Floor slightly above zero to respect the documented (0,1] range.
+	return clampCorr(peakAB / den)
+}
+
+// clampCorr clamps a combined-peak ratio to the documented (0, 1] range,
+// flooring slightly above zero. Every kernel ends in it, which keeps them
+// bit-identical.
+func clampCorr(c float64) float64 {
 	if c < 1e-9 {
 		c = 1e-9
 	}
@@ -63,65 +69,6 @@ func PeakCoincidence(a, b []float64) float64 {
 		c = 1
 	}
 	return c
-}
-
-// CombinedPeak returns max_t of the element-wise sum of the profiles — the
-// worst-case simultaneous demand. Server packers use it as the
-// correlation-aware capacity check: packing by CombinedPeak instead of the
-// sum of individual peaks is exactly what lets anti-correlated VMs share a
-// server.
-func CombinedPeak(profiles [][]float64) float64 {
-	if len(profiles) == 0 {
-		return 0
-	}
-	n := len(profiles[0])
-	for _, p := range profiles {
-		if len(p) < n {
-			n = len(p)
-		}
-	}
-	var peak float64
-	for t := 0; t < n; t++ {
-		var s float64
-		for _, p := range profiles {
-			s += p[t]
-		}
-		if s > peak {
-			peak = s
-		}
-	}
-	return peak
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// profiles, or 0 when either has zero variance or the profiles are empty.
-func Pearson(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	var ma, mb float64
-	for t := 0; t < n; t++ {
-		ma += a[t]
-		mb += b[t]
-	}
-	ma /= float64(n)
-	mb /= float64(n)
-	var cov, va, vb float64
-	for t := 0; t < n; t++ {
-		da := a[t] - ma
-		db := b[t] - mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va <= 0 || vb <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
 }
 
 // NormalizeData maps a directed transfer volume to the attraction-force
@@ -160,23 +107,20 @@ type ProfileSet struct {
 	// the arena does not grow past the peak population.
 	freeStd []int32
 	freeOdd []int32
-	// ord mirrors the arena at one uint16 per sample: for every built row,
-	// the sample indices sorted by descending utilization — the walk order
-	// of the pruned peak-coincidence kernel. ordVal holds the utilization
-	// at each ord entry, so the kernel's own-profile reads are sequential
-	// instead of gathered. Built on demand by EnsureOrders;
-	// len(ord)/samples rows are valid. Adds that land inside the built
-	// region (overwrites and free-list reuse) re-sort their row inline, so
-	// the orders stay exact across any Add/Remove sequence.
-	ord    []uint16
-	ordVal []float64
-	// Fast-math state (see SetFastMath): when enabled, EnsureOrders also
-	// quantizes every standard arena row to qScale fixed-point ticks —
-	// qrow mirrors the arena in sample order, qord mirrors ordVal in
-	// descending order, and qok flags the rows whose samples all fit the
-	// uint16 range. The quantized tables are 4x denser than the float
-	// arena, which is what the cache-blocked CPUCorrFastInto kernel walks.
+	// Fast-math state (see SetFastMath), built by EnsureOrders only while
+	// fast math is on. ord mirrors the arena at one uint16 per sample: for
+	// every built row, the sample indices sorted by descending utilization
+	// — the walk order of the quantized kernel. Each standard row is also
+	// quantized to qScale fixed-point ticks: qrow mirrors the arena in
+	// sample order, qord holds the quantized samples in ord's order, and
+	// qok flags the rows whose samples all fit the uint16 range. The
+	// quantized tables are 4x denser than the float arena, which is what
+	// the cache-blocked CPUCorrFastInto kernel walks. len(ord)/samples
+	// rows are built; Adds that land inside the built region (overwrites
+	// and free-list reuse) rebuild their row inline, so the tables stay
+	// exact across any Add/Remove sequence.
 	fastMath bool
+	ord      []uint16
 	qrow     []uint16
 	qord     []uint16
 	qok      []bool
@@ -227,7 +171,6 @@ func (ps *ProfileSet) Reset() {
 	ps.arena = ps.arena[:0]
 	ps.odd = ps.odd[:0]
 	ps.ord = ps.ord[:0]
-	ps.ordVal = ps.ordVal[:0]
 	ps.qrow = ps.qrow[:0]
 	ps.qord = ps.qord[:0]
 	ps.qok = ps.qok[:0]
@@ -271,9 +214,9 @@ func (ps *ProfileSet) Add(id int, prof []float64) {
 		}
 		if off >= 0 {
 			copy(ps.arena[off:int(off)+ps.samples], prof)
-			// The reused row may sit inside the already-built order region;
-			// re-sorting it inline keeps the pruned kernel exact.
-			ps.rebuildOrder(off)
+			// The reused row may sit inside the built fast-math region;
+			// rebuilding it inline keeps the quantized kernel's tables exact.
+			ps.rebuildFastRow(off)
 		} else {
 			off = int32(len(ps.arena))
 			ps.arena = append(ps.arena, prof...)
@@ -321,9 +264,9 @@ func (ps *ProfileSet) Remove(id int) {
 }
 
 // freeStorage returns a row's backing storage to the matching free list.
-// Freed arena rows keep stale floats (and possibly stale orders) until
-// reused, at which point Add overwrites both; no query ever resolves to a
-// freed row because no off entry points at it.
+// Freed arena rows keep stale floats (and possibly stale fast-math tables)
+// until reused, at which point Add overwrites both; no query ever resolves
+// to a freed row because no off entry points at it.
 func (ps *ProfileSet) freeStorage(off int32) {
 	if off >= 0 {
 		ps.freeStd = append(ps.freeStd, off)
@@ -334,19 +277,17 @@ func (ps *ProfileSet) freeStorage(off int32) {
 	ps.freeOdd = append(ps.freeOdd, k)
 }
 
-// rebuildOrder re-sorts the descending-utilization order of the arena row
-// at off, if orders have been built that far (otherwise EnsureOrders will
+// rebuildFastRow re-sorts and re-quantizes the arena row at off, if the
+// fast-math tables have been built that far (otherwise EnsureOrders will
 // cover it from the current arena contents later).
-func (ps *ProfileSet) rebuildOrder(off int32) {
+func (ps *ProfileSet) rebuildFastRow(off int32) {
 	s := ps.samples
 	end := int(off) + s
 	if s <= 0 || end > len(ps.ord) {
 		return
 	}
-	sortRowDesc(ps.arena[off:end], ps.ord[off:end], ps.ordVal[off:end])
-	if ps.fastMath && end <= len(ps.qrow) {
-		ps.quantizeRow(off)
-	}
+	sortRowDesc(ps.arena[off:end], ps.ord[off:end])
+	ps.quantizeRow(off)
 }
 
 func (ps *ProfileSet) grow(n int) {
@@ -399,21 +340,21 @@ func (ps *ProfileSet) Peak(id int) float64 {
 	return ps.peaks[id]
 }
 
-// EnsureOrders precomputes, for every standard-length profile registered so
-// far, its descending-by-utilization sample order — the walk order of the
-// pruned peak-coincidence kernel (see CPUCorr). The build is incremental
-// (only rows added since the last call are sorted), costs O(S log S) per
-// profile once per slot, and is sharded over rows via workers (nil runs
-// serially).
+// EnsureOrders builds the fast-math tables (see SetFastMath) for every
+// standard-length profile registered so far: its descending-by-utilization
+// sample order and its quantized mirrors. The build is incremental (only
+// rows added since the last call are built), costs O(S log S) per profile
+// once per slot, and is sharded over rows via workers (nil runs serially).
+// Without fast math it does nothing: the exact kernels need no per-row
+// state beyond the peaks Add stores.
 //
-// Call it after the slot's Adds and before querying from multiple
-// goroutines: it is the only mutating step on the query side, so once it
-// returns, CPUCorr and Pack are safe for any number of concurrent
-// readers. Queries without built orders fall back to the unpruned kernel
-// with identical results.
+// Under fast math, call it after the slot's Adds and before querying from
+// multiple goroutines: it is the only mutating step on the query side, so
+// once it returns, CPUCorrFastInto is safe for any number of concurrent
+// readers. Queries on rows not yet built take the exact kernel.
 func (ps *ProfileSet) EnsureOrders(workers *par.Budget) {
 	s := ps.samples
-	if s <= 0 || s > math.MaxUint16 {
+	if !ps.fastMath || s <= 0 || s > math.MaxUint16 {
 		return
 	}
 	rows := len(ps.arena) / s
@@ -422,78 +363,31 @@ func (ps *ProfileSet) EnsureOrders(workers *par.Budget) {
 		return
 	}
 	need := rows * s
-	if cap(ps.ord) < need {
-		grown := make([]uint16, need)
-		copy(grown, ps.ord)
-		ps.ord = grown
-		vals := make([]float64, need)
-		copy(vals, ps.ordVal)
-		ps.ordVal = vals
-	} else {
-		ps.ord = ps.ord[:need]
-		ps.ordVal = ps.ordVal[:need]
-	}
-	if ps.fastMath {
-		ps.ensureQuantCap(rows, need)
-	}
+	ps.ord = slices.Grow(ps.ord, need-len(ps.ord))[:need]
+	ps.qrow = slices.Grow(ps.qrow, need-len(ps.qrow))[:need]
+	ps.qord = slices.Grow(ps.qord, need-len(ps.qord))[:need]
+	ps.qok = slices.Grow(ps.qok, rows-len(ps.qok))[:rows]
 	const rowGrain = 256
 	par.For(workers, rows-built, rowGrain, func(lo, hi int) {
 		for r := built + lo; r < built+hi; r++ {
-			sortRowDesc(ps.arena[r*s:(r+1)*s], ps.ord[r*s:(r+1)*s], ps.ordVal[r*s:(r+1)*s])
-			if ps.fastMath {
-				ps.quantizeRow(int32(r * s))
-			}
+			sortRowDesc(ps.arena[r*s:(r+1)*s], ps.ord[r*s:(r+1)*s])
+			ps.quantizeRow(int32(r * s))
 		}
 	})
 }
 
-// SetFastMath toggles the quantized fast-math tables. Enabling quantizes
-// every row whose sample order is already built and makes EnsureOrders
-// quantize new rows alongside their orders; disabling drops the tables.
+// SetFastMath toggles the quantized fast-math tables. Enabling makes
+// EnsureOrders build them for every row from then on; disabling drops them.
 // Toggling never affects CPUCorr or Packed results — only the opt-in
 // CPUCorrFastInto query reads the quantized state, and without it that
 // query degrades to the exact kernels.
 func (ps *ProfileSet) SetFastMath(on bool) {
-	if ps.fastMath == on {
-		return
-	}
 	ps.fastMath = on
 	if !on {
+		ps.ord = ps.ord[:0]
 		ps.qrow = ps.qrow[:0]
 		ps.qord = ps.qord[:0]
 		ps.qok = ps.qok[:0]
-		return
-	}
-	s := ps.samples
-	if s <= 0 {
-		return
-	}
-	rows := len(ps.ord) / s
-	ps.ensureQuantCap(rows, rows*s)
-	for r := 0; r < rows; r++ {
-		ps.quantizeRow(int32(r * s))
-	}
-}
-
-// ensureQuantCap sizes the quantized tables to cover rows arena rows.
-func (ps *ProfileSet) ensureQuantCap(rows, need int) {
-	if cap(ps.qrow) < need {
-		qr := make([]uint16, need)
-		copy(qr, ps.qrow)
-		ps.qrow = qr
-		qo := make([]uint16, need)
-		copy(qo, ps.qord)
-		ps.qord = qo
-	} else {
-		ps.qrow = ps.qrow[:need]
-		ps.qord = ps.qord[:need]
-	}
-	if cap(ps.qok) < rows {
-		qk := make([]bool, rows)
-		copy(qk, ps.qok)
-		ps.qok = qk
-	} else {
-		ps.qok = ps.qok[:rows]
 	}
 }
 
@@ -527,13 +421,11 @@ func (ps *ProfileSet) quantizeRow(off int32) {
 }
 
 // sortRowDesc fills ord with row's sample indices sorted by descending
-// utilization and vals with the utilizations in that order. Insertion sort,
-// descending by value; the strict comparison keeps equal samples in
-// ascending index order (stable), so the order — and every downstream
-// result — is deterministic. NaN samples sort last: they never enter a
-// combined peak, and keeping them out of the descending prefix keeps the
-// pruned kernel's early-exit bound exact.
-func sortRowDesc(row []float64, ord []uint16, vals []float64) {
+// utilization. Insertion sort, descending by value; the strict comparison
+// keeps equal samples in ascending index order (stable), so the order —
+// and every downstream result — is deterministic. Only quantizable rows'
+// orders are read, and those hold no NaN.
+func sortRowDesc(row []float64, ord []uint16) {
 	s := len(row)
 	for i := range ord {
 		ord[i] = uint16(i)
@@ -542,54 +434,39 @@ func sortRowDesc(row []float64, ord []uint16, vals []float64) {
 		t := ord[i]
 		v := row[t]
 		j := i - 1
-		for j >= 0 && sortsAfter(row[ord[j]], v) {
+		for j >= 0 && row[ord[j]] < v {
 			ord[j+1] = ord[j]
 			j--
 		}
 		ord[j+1] = t
 	}
-	for i, t := range ord {
-		vals[i] = row[t]
-	}
-}
-
-// sortsAfter reports whether sample u belongs strictly after sample v in a
-// descending, NaN-last order.
-func sortsAfter(u, v float64) bool {
-	return u < v || math.IsNaN(u) && !math.IsNaN(v)
-}
-
-// orderAt returns the descending-utilization sample order of the arena row
-// at offset off and the utilizations in that order, or nils when orders
-// have not been built that far.
-func (ps *ProfileSet) orderAt(off int32) ([]uint16, []float64) {
-	end := int(off) + ps.samples
-	if end > len(ps.ord) {
-		return nil, nil
-	}
-	return ps.ord[off:end], ps.ordVal[off:end]
 }
 
 // CPUCorr returns the peak-coincidence CPU-load correlation of two
-// registered VMs; pairs with a missing profile return the neutral 0.5.
-// After EnsureOrders a standard-length pair — the only shape the simulator
-// produces — is evaluated by the pruned kernel with the peaks computed at
-// Add time: it walks the samples in descending order of VM i's utilization
-// and stops at the exact bound a[t]+peakB <= best. Other pairs take
-// PeakCoincidence itself. Results are identical to PeakCoincidence in
-// every case.
+// registered VMs; pairs with a missing profile return the neutral 0.5. A
+// standard-length pair — the only shape the simulator produces — is one
+// full scan over the two arena rows with the peaks computed at Add time;
+// other pairs take PeakCoincidence itself. Results are identical to
+// PeakCoincidence in every case: the stored peaks are its own >-from-0
+// maxima, and the clamps are shared.
 func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 	a := ps.Profile(i)
 	b := ps.Profile(j)
 	if a == nil || b == nil {
 		return 0.5
 	}
-	if off := ps.off[i]; off >= 0 && len(a) == len(b) {
-		if ord, av := ps.orderAt(off); ord != nil {
-			return peakCoincidenceOrdered(b, ord, av, ps.peaks[i], ps.peaks[j])
+	den := ps.peaks[i] + ps.peaks[j]
+	if ps.off[i] < 0 || ps.off[j] < 0 || den <= 0 {
+		return PeakCoincidence(a, b)
+	}
+	b = b[:len(a)]
+	var peakAB float64
+	for t, at := range a {
+		if s := at + b[t]; s > peakAB {
+			peakAB = s
 		}
 	}
-	return PeakCoincidence(a, b)
+	return clampCorr(peakAB / den)
 }
 
 // CPUCorrFast is the scalar form of CPUCorrFastInto.
@@ -602,11 +479,11 @@ func (ps *ProfileSet) CPUCorrFast(i, j int) float64 {
 
 // CPUCorrFastInto is the quantized, cache-blocked bulk variant of CPUCorr:
 // dst[k] approximates CPUCorr(i, js[k]) within FastEps. It walks VM i's
-// samples in the same descending order as the exact pruned kernel, but over
-// the uint16 fixed-point tables built by EnsureOrders under SetFastMath —
-// 4x denser rows, integer compares, and a strip-blocked early exit (the
-// exact bound a[t]+peakB <= best checked once per strip of 8, conservative
-// by monotonicity of the descending walk, so stopping is never wrong).
+// samples in descending order over the uint16 fixed-point tables built by
+// EnsureOrders under SetFastMath — 4x denser rows, integer compares, and a
+// strip-blocked early exit (the bound a[t]+peakB <= best checked once per
+// strip of 8: every unvisited sample of a is <= a[t], so stopping is never
+// wrong).
 //
 // Pairs the quantized tables cannot represent keep the exact result: odd
 // or missing rows, rows flagged unquantizable (negative or >16.0 samples),
@@ -681,55 +558,7 @@ func fastPeakCoincidence(qb []uint16, ordA, qoA []uint16, qpB, den int32) float6
 			}
 		}
 	}
-	c := float64(best) / float64(den)
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
-// peakCoincidenceOrdered is the pruned form of PeakCoincidence over a
-// standard-length pair with known peaks: it walks the samples in
-// descending order of a's utilization (ord and av, built by EnsureOrders:
-// av[s] == a[ord[s]]) and stops at the exact early-exit bound
-//
-//	a[t] + peakB <= best  =>  stop:
-//
-// every unvisited sample of a is <= a[t], so no unvisited combined sample
-// can exceed best, and best already is the final combined peak. (Exact in
-// floating point too: rounded addition is monotone, so every unvisited
-// candidate fl(a[t']+b[t']) <= fl(a[t]+peakB) <= best.) The combined peak
-// is an exact max of the same a[t]+b[t] sums either way, so the result is
-// bit-identical to PeakCoincidence — but a typical pair touches a handful
-// of samples instead of all S.
-func peakCoincidenceOrdered(b []float64, ord []uint16, av []float64, peakA, peakB float64) float64 {
-	den := peakA + peakB
-	if den <= 0 {
-		// Covers empty and all-zero profiles: the neutral value, exactly as
-		// the unpruned kernels return.
-		return 0.5
-	}
-	best := math.Inf(-1)
-	for s, t := range ord {
-		at := av[s]
-		if at+peakB <= best {
-			break
-		}
-		if sum := at + b[t]; sum > best {
-			best = sum
-		}
-	}
-	c := best / den
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return clampCorr(float64(best) / float64(den))
 }
 
 // Mean returns the average utilization of id's profile (0 when absent).

@@ -50,21 +50,6 @@ func TestPeakCoincidenceScaleInvariant(t *testing.T) {
 	}
 }
 
-func TestPearsonShiftInvariant(t *testing.T) {
-	a := []float64{1, 2, 3, 2, 1}
-	b := []float64{2, 4, 6, 4, 2}
-	shifted := make([]float64, len(b))
-	for i := range b {
-		shifted[i] = b[i] + 100
-	}
-	if math.Abs(Pearson(a, b)-Pearson(a, shifted)) > 1e-12 {
-		t.Fatal("Pearson not shift invariant")
-	}
-	if math.Abs(Pearson(a, b)-1) > 1e-12 {
-		t.Fatal("linear relation should give r=1")
-	}
-}
-
 func TestProfileSetOwnership(t *testing.T) {
 	ps := NewProfileSet(3)
 	prof := []float64{0.5, 0.6, 0.7}
@@ -85,11 +70,5 @@ func TestProfileSetOwnership(t *testing.T) {
 	ps.Add(2, odd)
 	if oddGot := ps.Profile(2); &oddGot[0] != &odd[0] {
 		t.Fatal("odd-length profile should be retained, not copied")
-	}
-}
-
-func TestCombinedPeakSingleProfile(t *testing.T) {
-	if got := CombinedPeak([][]float64{{0.3, 0.9, 0.1}}); got != 0.9 {
-		t.Fatalf("single profile combined peak = %v", got)
 	}
 }

@@ -87,63 +87,6 @@ func TestPeakCoincidenceUnequalLengthsUsesPrefix(t *testing.T) {
 	}
 }
 
-func TestCombinedPeak(t *testing.T) {
-	profs := [][]float64{
-		{0.9, 0.1, 0.1},
-		{0.1, 0.1, 0.8},
-		{0.1, 0.2, 0.1},
-	}
-	// Sums: 1.1, 0.4, 1.0 -> peak 1.1.
-	if got := CombinedPeak(profs); math.Abs(got-1.1) > 1e-12 {
-		t.Fatalf("combined peak = %v, want 1.1", got)
-	}
-	if CombinedPeak(nil) != 0 {
-		t.Fatal("empty set combined peak should be 0")
-	}
-}
-
-func TestCombinedPeakBelowSumOfPeaks(t *testing.T) {
-	// The anti-correlation packing headroom: combined peak <= sum of peaks.
-	src := rng.New(11)
-	for trial := 0; trial < 30; trial++ {
-		var profs [][]float64
-		var sumPeaks float64
-		for v := 0; v < 4; v++ {
-			p := make([]float64, 16)
-			var pk float64
-			for i := range p {
-				p[i] = src.Float64()
-				if p[i] > pk {
-					pk = p[i]
-				}
-			}
-			profs = append(profs, p)
-			sumPeaks += pk
-		}
-		if CombinedPeak(profs) > sumPeaks+1e-12 {
-			t.Fatal("combined peak exceeded sum of peaks")
-		}
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if got := Pearson(a, a); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("self correlation = %v", got)
-	}
-	b := []float64{4, 3, 2, 1}
-	if got := Pearson(a, b); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("anti correlation = %v", got)
-	}
-	flat := []float64{2, 2, 2, 2}
-	if got := Pearson(a, flat); got != 0 {
-		t.Fatalf("zero-variance correlation = %v", got)
-	}
-	if Pearson(nil, nil) != 0 {
-		t.Fatal("empty Pearson not 0")
-	}
-}
-
 func TestNormalizeData(t *testing.T) {
 	ref := 100 * units.Megabyte
 	tests := []struct {

@@ -48,6 +48,9 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 	arr, dep := trace.Diffs(w, 24)
 
 	inc := correlation.NewProfileSet(samples)
+	// Fast math on, so the telemetry replaces below also exercise the
+	// inline rebuild of built fast-math tables.
+	inc.SetFastMath(true)
 	incDM := correlation.NewDataMatrix()
 
 	// The from-scratch oracle's replay log: surviving ids in chronological
@@ -95,7 +98,7 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 		}
 		// Telemetry-replace path: every third slot every live profile is
 		// re-Added with fresh samples, exercising in-place arena overwrite,
-		// freelist reuse and the inline order re-sort under built orders.
+		// freelist reuse and the inline rebuild of built fast-math tables.
 		if sl%3 == 2 {
 			inc.EnsureOrders(nil)
 			for _, id := range order {
@@ -154,8 +157,10 @@ func checkEquiv(t *testing.T, sl timeutil.Slot, inc *correlation.ProfileSet, inc
 			t.Fatalf("slot %d: id %d Mean: %v vs %v", sl, id, inc.Mean(id), fresh.Mean(id))
 		}
 	}
-	// CPU correlation through the pruned ordered kernel on both sides.
+	// CPU correlation through the exact and the fast kernel on both sides;
+	// inc's fast-math tables were built incrementally.
 	inc.EnsureOrders(nil)
+	fresh.SetFastMath(true)
 	fresh.EnsureOrders(nil)
 	n := len(order)
 	if n > 40 {
@@ -166,6 +171,9 @@ func checkEquiv(t *testing.T, sl timeutil.Slot, inc *correlation.ProfileSet, inc
 			a, b := order[i], order[j]
 			if ci, cf := inc.CPUCorr(a, b), fresh.CPUCorr(a, b); ci != cf {
 				t.Fatalf("slot %d: CPUCorr(%d,%d): %v vs %v", sl, a, b, ci, cf)
+			}
+			if ci, cf := inc.CPUCorrFast(a, b), fresh.CPUCorrFast(a, b); ci != cf {
+				t.Fatalf("slot %d: CPUCorrFast(%d,%d): %v vs %v", sl, a, b, ci, cf)
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package correlation
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"geovmp/internal/par"
 	"geovmp/internal/rng"
 )
 
@@ -113,11 +115,97 @@ func TestFastKernelDisabledMatchesExact(t *testing.T) {
 	}
 }
 
+// TestEnsureOrdersIncrementalAndParallel checks the fast-math tables: they
+// survive incremental Adds (including in-place overwrites inside the built
+// region), a parallel build equals the serial one, orders are descending
+// and stable, and Reset, SetFastMath(false) and exact mode leave none.
+func TestEnsureOrdersIncrementalAndParallel(t *testing.T) {
+	src := rng.New(11).Derive("orders")
+	const samples = 16
+	serial := NewProfileSet(samples)
+	parallel := NewProfileSet(samples)
+	serial.SetFastMath(true)
+	parallel.SetFastMath(true)
+	rows := make([][]float64, 600)
+	for id := range rows {
+		rows[id] = randProfile(src, samples)
+	}
+	for id := 0; id < 300; id++ {
+		serial.Add(id, rows[id])
+		parallel.Add(id, rows[id])
+	}
+	serial.EnsureOrders(nil)
+	parallel.EnsureOrders(par.NewBudget(8))
+	// Overwrite built rows in place: the inline rebuild must match a
+	// fresh build of the new contents.
+	for id := 0; id < 300; id += 7 {
+		rows[id] = randProfile(src, samples)
+		serial.Add(id, rows[id])
+		parallel.Add(id, rows[id])
+	}
+	for id := 300; id < 600; id++ {
+		serial.Add(id, rows[id])
+		parallel.Add(id, rows[id])
+	}
+	serial.EnsureOrders(nil)
+	parallel.EnsureOrders(par.NewBudget(8))
+	fresh := NewProfileSet(samples)
+	fresh.SetFastMath(true)
+	for id := range rows {
+		fresh.Add(id, rows[id])
+	}
+	fresh.EnsureOrders(nil)
+	if len(serial.ord) != 600*samples || len(parallel.ord) != 600*samples {
+		t.Fatalf("ord lengths = %d / %d, want %d", len(serial.ord), len(parallel.ord), 600*samples)
+	}
+	for _, ps := range []*ProfileSet{parallel, fresh} {
+		if !slices.Equal(serial.ord, ps.ord) || !slices.Equal(serial.qrow, ps.qrow) ||
+			!slices.Equal(serial.qord, ps.qord) || !slices.Equal(serial.qok, ps.qok) {
+			t.Fatal("fast-math tables differ from the serial incremental build")
+		}
+	}
+	// Orders must be descending by value with ascending-index ties.
+	for r := 0; r < 600; r++ {
+		row := rows[r]
+		ord := serial.ord[r*samples : (r+1)*samples]
+		for k := 1; k < samples; k++ {
+			prev, cur := ord[k-1], ord[k]
+			if row[prev] < row[cur] || (row[prev] == row[cur] && prev > cur) {
+				t.Fatalf("row %d: order not descending-stable at %d", r, k)
+			}
+		}
+	}
+	serial.Reset()
+	if len(serial.ord) != 0 || len(serial.qrow) != 0 {
+		t.Fatal("Reset kept stale fast-math tables")
+	}
+	// Queries after Reset+Add without EnsureOrders take the exact kernel.
+	serial.Add(0, rows[0])
+	serial.Add(1, rows[1])
+	want := PeakCoincidence(rows[0], rows[1])
+	if got := serial.CPUCorrFast(0, 1); got != want {
+		t.Fatalf("unbuilt fast query after Reset = %v, want %v", got, want)
+	}
+	parallel.SetFastMath(false)
+	if len(parallel.ord) != 0 || len(parallel.qrow) != 0 || len(parallel.qord) != 0 || len(parallel.qok) != 0 {
+		t.Fatal("SetFastMath(false) kept the fast-math tables")
+	}
+	exact := NewProfileSet(samples)
+	for id := range rows {
+		exact.Add(id, rows[id])
+	}
+	exact.EnsureOrders(par.NewBudget(8))
+	if len(exact.ord) != 0 || len(exact.qrow) != 0 {
+		t.Fatal("EnsureOrders built tables without fast math")
+	}
+}
+
 // BenchmarkCPUCorrFastInto measures the quantized fast kernel on
 // BenchmarkCPUCorr's row population, so the two kernels compare
 // directly.
 func BenchmarkCPUCorrFastInto(b *testing.B) {
 	ps, js := benchKernelSet()
 	ps.SetFastMath(true)
+	ps.EnsureOrders(nil)
 	benchKernel(b, ps.CPUCorrFastInto, js)
 }

@@ -12,9 +12,7 @@ import "math"
 // readers.
 //
 // A table holds n records of (S+1 rounded up to 8) float64s: 128 B per
-// point at the default 12 samples (1.5 MiB at 12.6k points), and at most
-// 512 B per point (see packedMaxSamples); above that it holds one float64
-// per point.
+// point at the default 12 samples (1.5 MiB at 12.6k points).
 type Packed struct {
 	ps     *ProfileSet
 	ids    []int
@@ -33,14 +31,6 @@ type Packed struct {
 // samples hold is scanned and discarded).
 const slowRow = -1
 
-// packedMaxSamples is the widest row Pack lays out. The kernel scans every
-// sample, while CPUCorr's pruned walk stops after a few; on random partner
-// order the full scan wins while a record spans at most 8 cache lines
-// (BenchmarkPackedCPUCorrInto: 1.3-1.6x at 48 and 56 samples) and stops
-// winning from 64 samples on. Wider sets mark every point slowRow, so every
-// pair takes CPUCorr.
-const packedMaxSamples = 56
-
 // cleanSample reports whether v is +0, positive or +Inf. Sums of such
 // samples are never NaN and never carry the sign bit, so their IEEE bit
 // patterns order exactly as their values — which lets the packed kernel take
@@ -56,13 +46,8 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 	s := ps.samples
 	p.ps, p.ids, p.s = ps, ids, s
 	// Records are padded to whole 64-byte lines, so a partner's samples
-	// span as few lines as possible. Rows too wide to scan get a bare
-	// slowRow marker.
-	wide := s > packedMaxSamples
+	// span as few lines as possible.
 	p.stride = (s + 1 + 7) &^ 7
-	if wide {
-		p.stride = 1
-	}
 	if n := len(ids) * p.stride; cap(p.rec) < n {
 		p.rec = make([]float64, n)
 	} else {
@@ -71,9 +56,6 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 	for i, id := range ids {
 		r := p.rec[i*p.stride : i*p.stride+p.stride]
 		r[0] = slowRow
-		if wide {
-			continue
-		}
 		if !ps.Has(id) {
 			r[0] = math.Inf(-1)
 			continue
@@ -95,12 +77,10 @@ func (ps *ProfileSet) Pack(p *Packed, ids []int) {
 }
 
 // CPUCorrInto fills dst[k] with CPUCorr(ids[i], ids[js[k]]) for the ids of
-// the last Pack, bit for bit. Unlike CPUCorr's pruned walk it scans every
-// sample: the combined peak is the exact maximum either way, and over clean
-// records (see cleanSample) a max of bit patterns is branch-free, so a full
-// scan of S sequential samples costs less than a few pruned steps whose
-// data-dependent exits the CPU cannot predict. Pairs with a slow point go
-// through CPUCorr.
+// the last Pack, bit for bit. Like CPUCorr it scans every sample, but over
+// clean records (see cleanSample) it takes the combined peak as a
+// branch-free max of bit patterns, so no pair pays a data-dependent branch
+// the CPU cannot predict. Pairs with a slow point go through CPUCorr.
 func (p *Packed) CPUCorrInto(dst []float64, i int, js []int32) {
 	s, w := p.s, p.stride
 	ra := p.rec[i*w : i*w+w]

@@ -40,12 +40,12 @@ func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 // test: for every pair of packed points — ids packed in shuffled order,
 // including absent ids, odd-length rows, all-zero rows, equal-peak ties and
 // rows holding NaN, negative or -0 samples, at sample counts around the
-// kernel's four-way unroll and one too wide to pack — Packed.CPUCorrInto
-// must equal both PeakCoincidence and CPUCorr bit for bit, with and without
-// sample orders built before the pack.
+// kernel's four-way unroll and records of 8 to 13 cache lines —
+// Packed.CPUCorrInto must equal both PeakCoincidence and CPUCorr bit for
+// bit, with and without the fast-math tables built before the pack.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(3).Derive("packed-kernel")
-	for _, samples := range []int{1, 2, 3, 4, 5, 12, packedMaxSamples + 1} {
+	for _, samples := range []int{1, 2, 3, 4, 5, 12, 57, 64, 96} {
 		for trial := 0; trial < 12; trial++ {
 			const n = 40
 			ps := NewProfileSet(samples)
@@ -79,6 +79,7 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 				ps.Add(id, p)
 			}
 			if trial%2 == 0 {
+				ps.SetFastMath(true)
 				ps.EnsureOrders(nil)
 			}
 			// Pack every id plus two that were never seen, in shuffled
@@ -127,7 +128,6 @@ func TestPackedRepack(t *testing.T) {
 		rows[id] = randProfile(src, samples)
 		ps.Add(id, rows[id])
 	}
-	ps.EnsureOrders(nil)
 	var pk Packed
 	ps.Pack(&pk, src.Perm(n))
 	ids := src.Perm(n)[:n/2]
@@ -148,14 +148,11 @@ func TestPackedRepack(t *testing.T) {
 }
 
 // BenchmarkPackedCPUCorrInto measures the packed kernel against the
-// pruned per-pair CPUCorr at the embedding's scale: ~12k standard rows,
-// partners in random order as the sampled embedding draws them, at the
-// default 12 samples per row and at larger sample counts, where the packed
-// kernel's full scan reads more of each row than the pruned walk does (96
-// is past packedMaxSamples, so there both arms run CPUCorr).
-// Rows are a per-VM load level plus 10% jitter, like a slot's downsampled
-// utilization, so the pruned walk stops after a few samples as it does in
-// the simulator.
+// per-pair CPUCorr at the embedding's scale: ~12k standard rows, partners
+// in random order as the sampled embedding draws them, at the default 12
+// samples per row and at larger sample counts, where each partner record
+// spans more cache lines. Rows are a per-VM load level plus 10% jitter,
+// like a slot's downsampled utilization.
 func BenchmarkPackedCPUCorrInto(b *testing.B) {
 	const n = 12288
 	for _, samples := range []int{12, 48, 96} {
@@ -168,7 +165,6 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 			}
 			ps.Add(id, p)
 		}
-		ps.EnsureOrders(nil)
 		src := rng.New(11)
 		ids := src.Perm(n)
 		perm := src.Perm(n)
@@ -182,7 +178,7 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 		report := func(b *testing.B) {
 			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 		}
-		b.Run(fmt.Sprintf("S%d/pruned", samples), func(b *testing.B) {
+		b.Run(fmt.Sprintf("S%d/cpucorr", samples), func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				a := ids[it%n]
 				for k, j := range jids {

@@ -62,7 +62,6 @@ func TestAttractionMatchesOracle(t *testing.T) {
 					for _, id := range ids {
 						ps.Add(id, w.SlotProfile(id, obs, 12))
 					}
-					ps.EnsureOrders(nil)
 					dm := correlation.NewDataMatrix()
 					for _, e := range w.PlannedVolumes(obs, sl) {
 						dm.Add(e.From, e.To, e.Vol)

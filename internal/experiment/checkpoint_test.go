@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"geovmp/internal/config"
@@ -234,4 +236,77 @@ func TestColumnFingerprintMatchesSpec(t *testing.T) {
 	if col.Fingerprint() != want {
 		t.Fatalf("column fingerprint %q != spec fingerprint %q", col.Fingerprint(), want)
 	}
+}
+
+// TestLoadCheckpointRejectsMalformed: a damaged resume source fails to load
+// instead of resuming an empty or partial grid.
+func TestLoadCheckpointRejectsMalformed(t *testing.T) {
+	good := []byte(`{"cells":[{"scenario":"s","policy":"p","seed":1,"cost_eur":1}]}`)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"empty", nil},
+		{"not json", []byte("scenario,policy,seed\ns,p,1\n")},
+		{"cells not an array", []byte(`{"cells":{"scenario":"s","policy":"p","seed":1}}`)},
+		{"cells a string", []byte(`{"cells":"s"}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.json")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if ck, err := LoadCheckpoint(path); err == nil {
+				t.Fatalf("LoadCheckpoint accepted it: loaded=%d skipped=%d", ck.Loaded, ck.Skipped)
+			}
+		})
+	}
+	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("LoadCheckpoint accepted a missing file")
+	}
+	// The intact document still loads, so the cases above fail for their
+	// damage alone.
+	if _, err := ParseCheckpoint(good); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzParseCheckpoint: parsing an arbitrary document never panics, every
+// parsed row is counted exactly once as loaded or skipped, and draining the
+// checkpoint never yields a row that recorded an error.
+func FuzzParseCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"cells":[{"scenario":"s","policy":"p","seed":1,"error":"boom"},{"scenario":"s","policy":"p","seed":1,"cost_eur":1}]}`))
+	f.Add([]byte(`{"scenarios":["s"],"cells":[{"scenario":"s","policy":"p","seed":2},{"scenario":"s","policy":"p","seed":2}]}`))
+	f.Add([]byte(`{"cells":[{"scenario":"s","policy":"p","seed":3,"epochs":[{"epoch":0}]}`))
+	f.Add([]byte(`{"cells":null}`))
+	f.Add([]byte(`{"cells":{}}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := ParseCheckpoint(data)
+		if err != nil {
+			return
+		}
+		var doc struct {
+			Cells []CellData `json:"cells"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("ParseCheckpoint accepted a document json rejects: %v", err)
+		}
+		if ck.Loaded+ck.Skipped != len(doc.Cells) {
+			t.Fatalf("loaded %d + skipped %d != %d parsed rows", ck.Loaded, ck.Skipped, len(doc.Cells))
+		}
+		taken := 0
+		for _, c := range doc.Cells {
+			for row := ck.take(c.Scenario, c.Policy, c.Seed); row != nil; row = ck.take(c.Scenario, c.Policy, c.Seed) {
+				if row.Error != "" {
+					t.Fatalf("resumed an error row: %+v", *row)
+				}
+				taken++
+			}
+		}
+		if taken != ck.Loaded {
+			t.Fatalf("drained %d rows, want the %d loaded", taken, ck.Loaded)
+		}
+	})
 }

@@ -99,7 +99,6 @@ func (r *reconSnap) run(opt *Options) []embed.Point {
 	if opt.Workers > 1 {
 		budget = par.NewBudget(opt.Workers - 1)
 	}
-	r.ps.EnsureOrders(budget)
 	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref, nil)
 	cfg := embed.Config{
 		Seed:           opt.Seed,

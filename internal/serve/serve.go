@@ -15,7 +15,7 @@
 //   - fit: bounded combined-peak probe over each DC's incremental packer
 //     (internal/alloc.Tracker) — the capacity/constraint gate;
 //   - score: correlation against the candidate server's residents (the
-//     pruned peak-coincidence kernel's math), cross-DC traffic to the VM's
+//     exact peak-coincidence kernel's math), cross-DC traffic to the VM's
 //     data peers, embedding locality, and an energy term from tariffs and
 //     fleet load, blended by the paper's alpha;
 //   - reserve: an optimistic two-phase commit — fit and score run against a

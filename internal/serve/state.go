@@ -410,7 +410,6 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 func (s *state) commit(vm *VM, c candidate) Decision {
 	id := vm.ID
 	s.ps.Add(id, c.prof)
-	s.ps.EnsureOrders(nil) // incremental: sorts only the new/changed row
 	if len(vm.Flows) > 0 {
 		for _, fl := range vm.Flows {
 			if fl.ToPeer > 0 {
@@ -487,7 +486,6 @@ func (s *state) observe(o *Observation) {
 	for _, v := range o.VMs {
 		s.ps.Add(v.ID, normalizeProfile(v.Profile, s.opt.Samples))
 	}
-	s.ps.EnsureOrders(nil)
 	s.dm.Reset()
 	for _, ve := range o.Volumes {
 		s.dm.Add(ve.From, ve.To, ve.Vol)
