@@ -138,12 +138,13 @@ type Field struct {
 	// peers is the id-addressed adjacency AttractionPeers serves; nil
 	// unless the caller maintains one (the serving refinement).
 	peers map[int][]int
-	// fast routes the repulsion term through the quantized
-	// peak-coincidence kernel (error bound correlation.FastEps per pair).
+	// fast makes Bind pack the quantized records, so RepulsionRow takes
+	// the fast peak-coincidence kernel (error bound correlation.FastEps per
+	// pair). Force stays exact.
 	fast bool
 	// ids, packed, adj, on and by hold the bound point order (see Bind):
-	// point i is ids[i], packed lays the exact kernel's profile rows out in
-	// that order, adj is the data adjacency between the points and on/by
+	// point i is ids[i], packed lays the kernel's profile rows out in that
+	// order, adj is the data adjacency between the points and on/by
 	// are each adjacency edge's blended attraction terms.
 	ids    []int
 	packed correlation.Packed
@@ -156,26 +157,17 @@ type Field struct {
 // repulsion.
 func (f *Field) Force(onto, by int) float64 {
 	fa := correlation.NormalizeData(f.vols.Vol(by, onto), f.ref)
-	var fr float64
-	if f.fast {
-		fr = f.ps.CPUCorrFast(onto, by)
-	} else {
-		fr = f.ps.CPUCorr(onto, by)
-	}
-	return f.alpha*fa + (1-f.alpha)*fr
+	return f.alpha*fa + (1-f.alpha)*f.ps.CPUCorr(onto, by)
 }
 
 // Bind implements embed.SplitField: it builds the data adjacency between
 // the points (see bindAdjacency) and packs the slot's profile rows in point
-// order, so the exact kernel resolves a partner with one dense record
-// load. Fast mode keeps its id-addressed quantized tables and only records
-// the order. The tables live as long as the field, one Place or
-// reconciliation.
+// order — float records, or quantized ones in fast mode — so the kernel
+// resolves a partner with one dense record load. The tables live as long
+// as the field, one Place or reconciliation.
 func (f *Field) Bind(ids []int) {
 	f.bindAdjacency(ids)
-	if !f.fast {
-		f.ps.Pack(&f.packed, ids)
-	}
+	f.ps.Pack(&f.packed, ids, f.fast)
 }
 
 // bindAdjacency fixes the point order to ids and builds the adjacency and
@@ -197,31 +189,16 @@ func (f *Field) bindAdjacency(ids []int) {
 	}
 }
 
-// fastChunk is how many partners fast mode translates back to ids per
-// CPUCorrFastInto call, in a stack buffer shared by no other shard.
-const fastChunk = 128
-
 // RepulsionRow implements embed.SplitField: the peak-coincidence term is
 // symmetric, so the dense cache evaluates it once per unordered pair, one
 // bulk profile sweep per row — and the sampled mode batches each point's
 // hashed partners through it, skipping the volume-matrix probe Force pays
 // on non-communicating pairs. For such pairs Force computes
 // alpha*0 + (1-alpha)*fr, which equals this row's (1-alpha)*fr bit for
-// bit, satisfying the SplitField decomposition contract.
+// bit, satisfying the SplitField decomposition contract; in fast mode the
+// row's fr is the quantized one, within correlation.FastEps of Force's.
 func (f *Field) RepulsionRow(i int, js []int32, dst []float64) {
-	if f.fast {
-		var buf [fastChunk]int
-		for lo := 0; lo < len(js); lo += fastChunk {
-			part := js[lo:min(lo+fastChunk, len(js))]
-			bs := buf[:len(part)]
-			for k, j := range part {
-				bs[k] = f.ids[j]
-			}
-			f.ps.CPUCorrFastInto(dst[lo:lo+len(part)], f.ids[i], bs)
-		}
-	} else {
-		f.packed.CPUCorrInto(dst, i, js)
-	}
+	f.packed.CPUCorrInto(dst, i, js)
 	w := 1 - f.alpha
 	for k := range dst {
 		dst[k] *= w
@@ -386,8 +363,7 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	// (log-normal), so the maximum would flatten typical pairs to nothing,
 	// while the mean clamps heavy hitters at -1 and keeps ordinary service
 	// chatter strongly attractive.
-	fast := c.Embed.FastMath || in.FastMath
-	f := &Field{alpha: c.Alpha, ps: in.Profiles, vols: in.Volumes, ref: in.Volumes.Mean(), fast: fast}
+	f := &Field{alpha: c.Alpha, ps: in.Profiles, vols: in.Volumes, ref: in.Volumes.Mean(), fast: in.FastMath}
 	f.bindAdjacency(ids)
 	init := make([]embed.Point, len(ids))
 	inherited := make([]bool, len(ids))
@@ -430,14 +406,8 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	} else {
 		cfg := c.Embed
 		cfg.Workers = in.Workers
-		if fast {
+		if in.FastMath {
 			cfg.FastMath = true
-			// The embedding queries CPU correlations from concurrent
-			// shards; building the quantized tables here (itself sharded)
-			// makes the profile set read-only for the rest of the slot.
-			// The exact kernels read only what Add stored.
-			in.Profiles.SetFastMath(true)
-			in.Profiles.EnsureOrders(in.Workers)
 		}
 		if c.ids == nil {
 			// Cold start: "initially, at time slot 0, all the points are

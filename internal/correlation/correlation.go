@@ -15,13 +15,7 @@
 // utilization profiles.
 package correlation
 
-import (
-	"math"
-	"slices"
-
-	"geovmp/internal/par"
-	"geovmp/internal/units"
-)
+import "geovmp/internal/units"
 
 // PeakCoincidence returns the paper's CPU-load correlation of two
 // utilization profiles sampled over the same slot: the combined worst-case
@@ -107,31 +101,15 @@ type ProfileSet struct {
 	// the arena does not grow past the peak population.
 	freeStd []int32
 	freeOdd []int32
-	// Fast-math state (see SetFastMath), built by EnsureOrders only while
-	// fast math is on. ord mirrors the arena at one uint16 per sample: for
-	// every built row, the sample indices sorted by descending utilization
-	// — the walk order of the quantized kernel. Each standard row is also
-	// quantized to qScale fixed-point ticks: qrow mirrors the arena in
-	// sample order, qord holds the quantized samples in ord's order, and
-	// qok flags the rows whose samples all fit the uint16 range. The
-	// quantized tables are 4x denser than the float arena, which is what
-	// the cache-blocked CPUCorrFastInto kernel walks. len(ord)/samples
-	// rows are built; Adds that land inside the built region (overwrites
-	// and free-list reuse) rebuild their row inline, so the tables stay
-	// exact across any Add/Remove sequence.
-	fastMath bool
-	ord      []uint16
-	qrow     []uint16
-	qord     []uint16
-	qok      []bool
 }
 
-// Fixed-point parameters of the fast peak-coincidence kernel.
+// Fixed-point parameters of the fast peak-coincidence kernel (a Packed
+// table built with fast).
 const (
 	// qScale is the tick size: 4096 ticks per unit of utilization, so a
 	// uint16 covers utilizations up to 16.0 with 2.4e-4 resolution. Rows
-	// holding negative or >16.0 samples are flagged unquantizable and fall
-	// back to the exact kernel pair by pair.
+	// holding negative or >16.0 samples are packed as qSlow and fall back
+	// to the exact kernel pair by pair.
 	qScale = 4096
 	// qMinDen is the minimum quantized peak sum (numerator of Eq. 5's
 	// denominator) the fast kernel accepts: 512 ticks = 1/8 of one core.
@@ -170,10 +148,6 @@ func (ps *ProfileSet) Reset() {
 	ps.ids = ps.ids[:0]
 	ps.arena = ps.arena[:0]
 	ps.odd = ps.odd[:0]
-	ps.ord = ps.ord[:0]
-	ps.qrow = ps.qrow[:0]
-	ps.qord = ps.qord[:0]
-	ps.qok = ps.qok[:0]
 	ps.freeStd = ps.freeStd[:0]
 	ps.freeOdd = ps.freeOdd[:0]
 }
@@ -214,9 +188,6 @@ func (ps *ProfileSet) Add(id int, prof []float64) {
 		}
 		if off >= 0 {
 			copy(ps.arena[off:int(off)+ps.samples], prof)
-			// The reused row may sit inside the built fast-math region;
-			// rebuilding it inline keeps the quantized kernel's tables exact.
-			ps.rebuildFastRow(off)
 		} else {
 			off = int32(len(ps.arena))
 			ps.arena = append(ps.arena, prof...)
@@ -264,9 +235,9 @@ func (ps *ProfileSet) Remove(id int) {
 }
 
 // freeStorage returns a row's backing storage to the matching free list.
-// Freed arena rows keep stale floats (and possibly stale fast-math tables)
-// until reused, at which point Add overwrites both; no query ever resolves
-// to a freed row because no off entry points at it.
+// Freed arena rows keep stale floats until reused, at which point Add
+// overwrites them; no query ever resolves to a freed row because no off
+// entry points at it.
 func (ps *ProfileSet) freeStorage(off int32) {
 	if off >= 0 {
 		ps.freeStd = append(ps.freeStd, off)
@@ -275,19 +246,6 @@ func (ps *ProfileSet) freeStorage(off int32) {
 	k := oddRow - off
 	ps.odd[k] = nil
 	ps.freeOdd = append(ps.freeOdd, k)
-}
-
-// rebuildFastRow re-sorts and re-quantizes the arena row at off, if the
-// fast-math tables have been built that far (otherwise EnsureOrders will
-// cover it from the current arena contents later).
-func (ps *ProfileSet) rebuildFastRow(off int32) {
-	s := ps.samples
-	end := int(off) + s
-	if s <= 0 || end > len(ps.ord) {
-		return
-	}
-	sortRowDesc(ps.arena[off:end], ps.ord[off:end])
-	ps.quantizeRow(off)
 }
 
 func (ps *ProfileSet) grow(n int) {
@@ -340,108 +298,6 @@ func (ps *ProfileSet) Peak(id int) float64 {
 	return ps.peaks[id]
 }
 
-// EnsureOrders builds the fast-math tables (see SetFastMath) for every
-// standard-length profile registered so far: its descending-by-utilization
-// sample order and its quantized mirrors. The build is incremental (only
-// rows added since the last call are built), costs O(S log S) per profile
-// once per slot, and is sharded over rows via workers (nil runs serially).
-// Without fast math it does nothing: the exact kernels need no per-row
-// state beyond the peaks Add stores.
-//
-// Under fast math, call it after the slot's Adds and before querying from
-// multiple goroutines: it is the only mutating step on the query side, so
-// once it returns, CPUCorrFastInto is safe for any number of concurrent
-// readers. Queries on rows not yet built take the exact kernel.
-func (ps *ProfileSet) EnsureOrders(workers *par.Budget) {
-	s := ps.samples
-	if !ps.fastMath || s <= 0 || s > math.MaxUint16 {
-		return
-	}
-	rows := len(ps.arena) / s
-	built := len(ps.ord) / s
-	if built >= rows {
-		return
-	}
-	need := rows * s
-	ps.ord = slices.Grow(ps.ord, need-len(ps.ord))[:need]
-	ps.qrow = slices.Grow(ps.qrow, need-len(ps.qrow))[:need]
-	ps.qord = slices.Grow(ps.qord, need-len(ps.qord))[:need]
-	ps.qok = slices.Grow(ps.qok, rows-len(ps.qok))[:rows]
-	const rowGrain = 256
-	par.For(workers, rows-built, rowGrain, func(lo, hi int) {
-		for r := built + lo; r < built+hi; r++ {
-			sortRowDesc(ps.arena[r*s:(r+1)*s], ps.ord[r*s:(r+1)*s])
-			ps.quantizeRow(int32(r * s))
-		}
-	})
-}
-
-// SetFastMath toggles the quantized fast-math tables. Enabling makes
-// EnsureOrders build them for every row from then on; disabling drops them.
-// Toggling never affects CPUCorr or Packed results — only the opt-in
-// CPUCorrFastInto query reads the quantized state, and without it that
-// query degrades to the exact kernels.
-func (ps *ProfileSet) SetFastMath(on bool) {
-	ps.fastMath = on
-	if !on {
-		ps.ord = ps.ord[:0]
-		ps.qrow = ps.qrow[:0]
-		ps.qord = ps.qord[:0]
-		ps.qok = ps.qok[:0]
-	}
-}
-
-// quantizeRow fills the quantized mirrors of the arena row at off from the
-// float row and its (already built) sample order. Rounding is half-up —
-// monotone in the sample value, so the quantized descending order is the
-// float descending order and qord[0] is the row's quantized peak. Rows with
-// negative samples or samples past the uint16 range (utilization > 16.0)
-// are flagged unquantizable and keep taking the exact kernel.
-func (ps *ProfileSet) quantizeRow(off int32) {
-	s := ps.samples
-	r := int(off) / s
-	row := ps.arena[off : int(off)+s]
-	ord := ps.ord[off : int(off)+s]
-	qr := ps.qrow[off : int(off)+s]
-	qo := ps.qord[off : int(off)+s]
-	for t, v := range row {
-		q := v*qScale + 0.5
-		// The negated form also rejects NaN samples, whose uint16
-		// conversion would be unspecified.
-		if !(v >= 0 && q < 65536) {
-			ps.qok[r] = false
-			return
-		}
-		qr[t] = uint16(q)
-	}
-	for k, t := range ord {
-		qo[k] = qr[t]
-	}
-	ps.qok[r] = true
-}
-
-// sortRowDesc fills ord with row's sample indices sorted by descending
-// utilization. Insertion sort, descending by value; the strict comparison
-// keeps equal samples in ascending index order (stable), so the order —
-// and every downstream result — is deterministic. Only quantizable rows'
-// orders are read, and those hold no NaN.
-func sortRowDesc(row []float64, ord []uint16) {
-	s := len(row)
-	for i := range ord {
-		ord[i] = uint16(i)
-	}
-	for i := 1; i < s; i++ {
-		t := ord[i]
-		v := row[t]
-		j := i - 1
-		for j >= 0 && row[ord[j]] < v {
-			ord[j+1] = ord[j]
-			j--
-		}
-		ord[j+1] = t
-	}
-}
-
 // CPUCorr returns the peak-coincidence CPU-load correlation of two
 // registered VMs; pairs with a missing profile return the neutral 0.5. A
 // standard-length pair — the only shape the simulator produces — is one
@@ -467,98 +323,6 @@ func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 		}
 	}
 	return clampCorr(peakAB / den)
-}
-
-// CPUCorrFast is the scalar form of CPUCorrFastInto.
-func (ps *ProfileSet) CPUCorrFast(i, j int) float64 {
-	var one [1]float64
-	js := [1]int{j}
-	ps.CPUCorrFastInto(one[:], i, js[:])
-	return one[0]
-}
-
-// CPUCorrFastInto is the quantized, cache-blocked bulk variant of CPUCorr:
-// dst[k] approximates CPUCorr(i, js[k]) within FastEps. It walks VM i's
-// samples in descending order over the uint16 fixed-point tables built by
-// EnsureOrders under SetFastMath — 4x denser rows, integer compares, and a
-// strip-blocked early exit (the bound a[t]+peakB <= best checked once per
-// strip of 8: every unvisited sample of a is <= a[t], so stopping is never
-// wrong).
-//
-// Pairs the quantized tables cannot represent keep the exact result: odd
-// or missing rows, rows flagged unquantizable (negative or >16.0 samples),
-// pairs whose quantized peak sum is under qMinDen ticks, and every query
-// before SetFastMath(true)/EnsureOrders. The error-budget property test in
-// fastmath_test.go holds this contract over adversarial profiles.
-func (ps *ProfileSet) CPUCorrFastInto(dst []float64, i int, js []int) {
-	s := ps.samples
-	var offA = absentRow
-	if i >= 0 && i < len(ps.off) {
-		offA = ps.off[i]
-	}
-	var ordA, qoA []uint16
-	if ps.fastMath && offA >= 0 && s > 0 {
-		if end := int(offA) + s; end <= len(ps.qord) && ps.qok[int(offA)/s] {
-			ordA = ps.ord[offA:end]
-			qoA = ps.qord[offA:end]
-		}
-	}
-	if ordA == nil {
-		for k, j := range js {
-			dst[k] = ps.CPUCorr(i, j)
-		}
-		return
-	}
-	qpA := int32(qoA[0])
-	for k, j := range js {
-		if j >= 0 && j < len(ps.off) {
-			if offB := ps.off[j]; offB >= 0 {
-				if endB := int(offB) + s; endB <= len(ps.qord) && ps.qok[int(offB)/s] {
-					// Partner's quantized peak: the head of its own
-					// descending order.
-					den := qpA + int32(ps.qord[offB])
-					if den >= qMinDen {
-						dst[k] = fastPeakCoincidence(ps.qrow[offB:endB], ordA, qoA, den-qpA, den)
-						continue
-					}
-				}
-			}
-		}
-		dst[k] = ps.CPUCorr(i, j)
-	}
-}
-
-// fastStrip is the blocking factor of the fast kernel's ordered walk: the
-// early-exit bound is tested once per strip, and a strip of 8 uint16 loads
-// spans one 16-byte vector lane pair, keeping the inner loop branch-light.
-const fastStrip = 8
-
-// fastPeakCoincidence is the quantized pruned kernel: qb is the partner row
-// in sample order, ordA/qoA the anchor's descending sample order and
-// quantized values, qpB the partner's quantized peak and den the quantized
-// peak sum (>= qMinDen). The combined peak is an exact integer max over the
-// quantized samples, so the only error versus the exact kernel is the ±1
-// tick rounding of numerator and denominator — the FastEps budget.
-func fastPeakCoincidence(qb []uint16, ordA, qoA []uint16, qpB, den int32) float64 {
-	n := len(ordA)
-	best := int32(-1)
-	for st := 0; st < n; st += fastStrip {
-		// Strip-level early exit: every unvisited anchor sample is
-		// <= qoA[st], so no unvisited sum can beat best.
-		if int32(qoA[st])+qpB <= best {
-			break
-		}
-		end := st + fastStrip
-		if end > n {
-			end = n
-		}
-		for k := st; k < end; k++ {
-			if sum := int32(qoA[k]) + int32(qb[ordA[k]]); sum > best {
-				best = sum
-			}
-		}
-	}
-	return clampCorr(float64(best) / float64(den))
 }
 
 // Mean returns the average utilization of id's profile (0 when absent).

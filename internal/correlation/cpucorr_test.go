@@ -29,8 +29,9 @@ func randProfile(src *rng.Source, n int) []float64 {
 // TestCPUCorrMatchesPeakCoincidence is the property test of CPUCorr's
 // stored-peak scan: over randomized profiles — including all-zero rows,
 // equal-peak ties and odd-length rows — every pairwise CPUCorr must equal
-// the reference PeakCoincidence bit for bit, with the fast-math tables off
-// and (odd trials) built, since toggling them must never move CPUCorr.
+// the reference PeakCoincidence bit for bit, before and (odd trials) after
+// a fast table is packed from the set, since packing must never move
+// CPUCorr.
 func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(7).Derive("pruned-kernel")
 	const samples = 12
@@ -60,8 +61,12 @@ func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 			ps.Add(id, p)
 		}
 		if trial%2 == 1 {
-			ps.SetFastMath(true)
-			ps.EnsureOrders(nil)
+			ids := make([]int, n)
+			for id := range ids {
+				ids[id] = id
+			}
+			var pk Packed
+			ps.Pack(&pk, ids, true)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -77,7 +82,9 @@ func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 
 // fuzzSample maps one fuzz byte to a profile sample, weighting ordinary
 // utilizations but reaching every value the kernels treat specially: +0,
-// -0, NaN, +Inf, negatives, exact ties and a peak whose pair sum overflows.
+// -0, NaN, +Inf, negatives, exact ties, a peak whose pair sum overflows,
+// and the last quantizable value and the first past the uint16 tick range.
+// Ordinary values start at 8/256, so rows of them can pair under qMinDen.
 func fuzzSample(b byte) float64 {
 	switch b % 16 {
 	case 0:
@@ -94,16 +101,21 @@ func fuzzSample(b byte) float64 {
 		return 0.5
 	case 6:
 		return math.MaxFloat64 / 1.5
+	case 7:
+		return tickEdge - 0.25/qScale
+	case 9:
+		return tickEdge
 	}
 	return float64(b) / 256
 }
 
-// FuzzCPUCorr holds both exact kernels — ProfileSet.CPUCorr and
-// Packed.CPUCorrInto — to PeakCoincidence bit for bit over arbitrary row
-// widths (0-96), odd-length rows, absent ids and adversarial samples. Each
-// row takes one header byte (low two bits: 0/1 a standard row, 2 absent, 3
-// an odd row whose length is the rest of the byte) and then one byte per
-// sample.
+// FuzzCPUCorr holds both exact kernels — ProfileSet.CPUCorr and an exact
+// Packed table — to PeakCoincidence bit for bit, and a fast Packed table
+// to the quantized oracle bit for bit and to PeakCoincidence within
+// FastEps, over arbitrary row widths (0-96), odd-length rows, absent ids
+// and adversarial samples. Each row takes one header byte (low two bits:
+// 0/1 a standard row, 2 absent, 3 an odd row whose length is the rest of
+// the byte) and then one byte per sample.
 func FuzzCPUCorr(f *testing.F) {
 	f.Add(uint8(12), []byte{0, 7, 9, 200, 31, 5, 5, 18, 77, 0, 1, 12, 99, 1, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51})
 	f.Add(uint8(57), []byte{0, 2, 3, 0x13, 9, 1, 250, 6, 6, 2, 8, 0})
@@ -119,6 +131,23 @@ func FuzzCPUCorr(f *testing.F) {
 		row[w] = 0xf8
 		f.Add(w, append(row, row...))
 	}
+	// Near-idle rows (8/256 and 10/256: tick peaks summing under qMinDen)
+	// against a busy one, an all-zero pair, and rows either side of the
+	// tick edge, at widths that fill one 16-lane fast record (14) and
+	// spill past it (15, 30).
+	f.Add(uint8(14), []byte{0, 8, 8, 10, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 1, 10, 10, 8, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10,
+		0, 200, 13, 14, 15, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5})
+	// A NaN in an otherwise ordinary row, opposite the partner's peak.
+	f.Add(uint8(4), []byte{0, 2, 5, 5, 5, 0, 255, 8, 8, 8})
+	f.Add(uint8(15), append(append([]byte{0}, make([]byte, 15)...), append([]byte{1}, make([]byte, 15)...)...))
+	var edge []byte
+	for _, r := range []struct{ fill, at, v byte }{{13, 0, 7}, {5, 1, 9}, {5, 29, 7}} {
+		row := bytes.Repeat([]byte{r.fill}, 31)
+		row[0] = 0 // header: a standard row
+		row[1+r.at] = r.v
+		edge = append(edge, row...)
+	}
+	f.Add(uint8(30), edge)
 	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
 		s := int(width) % 97
 		next := func() byte {
@@ -161,19 +190,25 @@ func FuzzCPUCorr(f *testing.F) {
 			}
 			return nil
 		}
-		var pk Packed
-		ps.Pack(&pk, ids)
+		var pk, fast Packed
+		ps.Pack(&pk, ids, false)
+		ps.Pack(&fast, ids, true)
+		o := newFastOracle(ps)
 		dst := make([]float64, len(js))
+		fdst := make([]float64, len(js))
 		for i, a := range ids {
 			pk.CPUCorrInto(dst, i, js)
+			fast.CPUCorrInto(fdst, i, js)
 			for k, b := range ids {
-				want := math.Float64bits(PeakCoincidence(row(a), row(b)))
+				exact := PeakCoincidence(row(a), row(b))
+				want := math.Float64bits(exact)
 				if got := math.Float64bits(ps.CPUCorr(a, b)); got != want {
 					t.Fatalf("S=%d: CPUCorr(%d, %d) = %#x, want PeakCoincidence %#x", s, a, b, got, want)
 				}
 				if got := math.Float64bits(dst[k]); got != want {
 					t.Fatalf("S=%d: packed(%d, %d) = %#x, want PeakCoincidence %#x", s, a, b, got, want)
 				}
+				checkFast(t, o, a, b, fdst[k], exact)
 			}
 		}
 	})

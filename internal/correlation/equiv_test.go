@@ -16,7 +16,8 @@ import (
 // telemetry replace must be *bit-equal*, under every observable query, to
 // containers compiled from scratch over the surviving VM set. It drives
 // both containers with real workload churn (two presets x two seeds) and
-// checks at periodic checkpoints.
+// checks at periodic checkpoints, including exact and fast Packed tables
+// packed from each side.
 func TestIncrementalEquivalence(t *testing.T) {
 	for _, preset := range []string{"paper-geo3dc", "geo5dc-dynamic"} {
 		for _, seed := range []uint64{1, 2} {
@@ -48,9 +49,6 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 	arr, dep := trace.Diffs(w, 24)
 
 	inc := correlation.NewProfileSet(samples)
-	// Fast math on, so the telemetry replaces below also exercise the
-	// inline rebuild of built fast-math tables.
-	inc.SetFastMath(true)
 	incDM := correlation.NewDataMatrix()
 
 	// The from-scratch oracle's replay log: surviving ids in chronological
@@ -97,10 +95,9 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 			order = append(order, id)
 		}
 		// Telemetry-replace path: every third slot every live profile is
-		// re-Added with fresh samples, exercising in-place arena overwrite,
-		// freelist reuse and the inline rebuild of built fast-math tables.
+		// re-Added with fresh samples, exercising in-place arena overwrite
+		// and freelist reuse.
 		if sl%3 == 2 {
-			inc.EnsureOrders(nil)
 			for _, id := range order {
 				p := w.SlotProfile(id, sl, samples)
 				inc.Add(id, p)
@@ -157,23 +154,33 @@ func checkEquiv(t *testing.T, sl timeutil.Slot, inc *correlation.ProfileSet, inc
 			t.Fatalf("slot %d: id %d Mean: %v vs %v", sl, id, inc.Mean(id), fresh.Mean(id))
 		}
 	}
-	// CPU correlation through the exact and the fast kernel on both sides;
-	// inc's fast-math tables were built incrementally.
-	inc.EnsureOrders(nil)
-	fresh.SetFastMath(true)
-	fresh.EnsureOrders(nil)
-	n := len(order)
-	if n > 40 {
-		n = 40
-	}
+	// CPU correlation through CPUCorr and through exact and fast tables
+	// packed from each side over the first survivors.
+	n := min(len(order), 40)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			a, b := order[i], order[j]
 			if ci, cf := inc.CPUCorr(a, b), fresh.CPUCorr(a, b); ci != cf {
 				t.Fatalf("slot %d: CPUCorr(%d,%d): %v vs %v", sl, a, b, ci, cf)
 			}
-			if ci, cf := inc.CPUCorrFast(a, b), fresh.CPUCorrFast(a, b); ci != cf {
-				t.Fatalf("slot %d: CPUCorrFast(%d,%d): %v vs %v", sl, a, b, ci, cf)
+		}
+	}
+	js := make([]int32, n)
+	for k := range js {
+		js[k] = int32(k)
+	}
+	ri, rf := make([]float64, n), make([]float64, n)
+	for _, fast := range []bool{false, true} {
+		var pi, pf correlation.Packed
+		inc.Pack(&pi, order[:n], fast)
+		fresh.Pack(&pf, order[:n], fast)
+		for i := 0; i < n; i++ {
+			pi.CPUCorrInto(ri, i, js)
+			pf.CPUCorrInto(rf, i, js)
+			for k := range js {
+				if ri[k] != rf[k] {
+					t.Fatalf("slot %d: packed (fast %v) (%d,%d): %v vs %v", sl, fast, order[i], order[k], ri[k], rf[k])
+				}
 			}
 		}
 	}

@@ -42,7 +42,8 @@ func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 // rows holding NaN, negative or -0 samples, at sample counts around the
 // kernel's four-way unroll and records of 8 to 13 cache lines —
 // Packed.CPUCorrInto must equal both PeakCoincidence and CPUCorr bit for
-// bit, with and without the fast-math tables built before the pack.
+// bit, into a fresh table and (even trials) into one that last held a
+// fast layout.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(3).Derive("packed-kernel")
 	for _, samples := range []int{1, 2, 3, 4, 5, 12, 57, 64, 96} {
@@ -78,15 +79,14 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 				rows[id] = p
 				ps.Add(id, p)
 			}
-			if trial%2 == 0 {
-				ps.SetFastMath(true)
-				ps.EnsureOrders(nil)
-			}
 			// Pack every id plus two that were never seen, in shuffled
 			// order.
 			ids := append(src.Perm(n), n+3, -1)
 			var pk Packed
-			ps.Pack(&pk, ids)
+			if trial%2 == 0 {
+				ps.Pack(&pk, ids, true)
+			}
+			ps.Pack(&pk, ids, false)
 			js := make([]int32, len(ids))
 			for k, j := range src.Perm(len(ids)) {
 				js[k] = int32(j)
@@ -129,9 +129,9 @@ func TestPackedRepack(t *testing.T) {
 		ps.Add(id, rows[id])
 	}
 	var pk Packed
-	ps.Pack(&pk, src.Perm(n))
+	ps.Pack(&pk, src.Perm(n), false)
 	ids := src.Perm(n)[:n/2]
-	ps.Pack(&pk, ids)
+	ps.Pack(&pk, ids, false)
 	js := make([]int32, len(ids))
 	for k := range js {
 		js[k] = int32(k)
@@ -147,11 +147,11 @@ func TestPackedRepack(t *testing.T) {
 	}
 }
 
-// BenchmarkPackedCPUCorrInto measures the packed kernel against the
-// per-pair CPUCorr at the embedding's scale: ~12k standard rows, partners
-// in random order as the sampled embedding draws them, at the default 12
-// samples per row and at larger sample counts, where each partner record
-// spans more cache lines. Rows are a per-VM load level plus 10% jitter,
+// BenchmarkPackedCPUCorrInto measures the exact and the fast packed kernel
+// against the per-pair CPUCorr at the embedding's scale: ~12k standard
+// rows, partners in random order as the sampled embedding draws them, at
+// the default 12 samples per row and at larger sample counts, where each
+// partner record spans more cache lines. Rows are a per-VM load level plus 10% jitter,
 // like a slot's downsampled utilization.
 func BenchmarkPackedCPUCorrInto(b *testing.B) {
 	const n = 12288
@@ -187,14 +187,20 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 			}
 			report(b)
 		})
-		b.Run(fmt.Sprintf("S%d/packed", samples), func(b *testing.B) {
-			var pk Packed
-			ps.Pack(&pk, ids)
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				pk.CPUCorrInto(dst, it%n, js)
+		for _, fast := range []bool{false, true} {
+			name := "packed"
+			if fast {
+				name = "fast"
 			}
-			report(b)
-		})
+			b.Run(fmt.Sprintf("S%d/%s", samples, name), func(b *testing.B) {
+				var pk Packed
+				ps.Pack(&pk, ids, fast)
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					pk.CPUCorrInto(dst, it%n, js)
+				}
+				report(b)
+			})
+		}
 	}
 }

@@ -112,14 +112,14 @@ type Config struct {
 	// literal equation is recovered.
 	RepulsionScale float64
 	Seed           uint64 // keys deterministic scatter and sampling
-	// FastMath opts into frozen peers (default off). Above the exact
+	// FastMath opts into frozen peers only (default off). Above the exact
 	// threshold the sampled mode keeps each point's iteration-0 draw of
 	// hashed repulsion peers for the whole run and evaluates their forces
 	// once into a per-run table, so iterations become pure float
-	// arithmetic; at or below the threshold it changes nothing. Callers
-	// pairing this with a correlation field should also enable the field's
-	// quantized kernel (see correlation.ProfileSet.SetFastMath) — the
-	// combination is the documented fast mode with its FastEps error budget.
+	// arithmetic; at or below the threshold it changes nothing. It leaves
+	// the field's kernel alone: the documented fast mode, with its FastEps
+	// error budget, is policy.Input.FastMath, which sets this and packs the
+	// controller's field with quantized records (correlation.Packed).
 	FastMath bool
 	// Workers optionally lends extra goroutines to the embedding's sharded
 	// passes: the exact mode's dense force-cache build and the sampled

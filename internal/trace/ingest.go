@@ -91,15 +91,15 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 	var lives []vmLife
 	idCol, startCol, endCol, imgCol := -1, -1, -1, -1
 	minStart := math.Inf(1)
-	err := forEachCSVRowWithHeader(vmPath, func(h []string) error {
+	err := forEachCSVRow(vmPath, func(h []string) (int, error) {
 		idCol = columnIndex(h, "vmid", "vm_id", "id", "machine_id", "instance_id")
 		startCol = columnIndex(h, "vmcreated", "created", "start_time", "starttime", "start", "creation_time")
 		endCol = columnIndex(h, "vmdeleted", "deleted", "end_time", "endtime", "end", "deletion_time")
 		imgCol = columnIndex(h, "image_gb", "imagegb", "image")
 		if idCol < 0 || startCol < 0 || endCol < 0 {
-			return fmt.Errorf("trace: %s: header %v lacks id/created/deleted columns", vmPath, h)
+			return 0, fmt.Errorf("trace: %s: header %v lacks id/created/deleted columns", vmPath, h)
 		}
-		return nil
+		return max(idCol, startCol, endCol) + 1, nil
 	}, func(row []string) error {
 		key := row[idCol]
 		if _, dup := idOf[key]; dup {
@@ -166,14 +166,14 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 	}
 	acc := make([]bins, len(lives))
 	tsCol, rdIDCol, cpuCol := -1, -1, -1
-	err = forEachCSVRowWithHeader(cpuPath, func(h []string) error {
+	err = forEachCSVRow(cpuPath, func(h []string) (int, error) {
 		tsCol = columnIndex(h, "timestamp", "ts", "time")
 		rdIDCol = columnIndex(h, "vmid", "vm_id", "id", "machine_id", "instance_id")
 		cpuCol = columnIndex(h, "avgcpu", "avg_cpu", "cpu", "cpu_usage", "cpuusage", "util", "avg_cpu_pct", "cpu_rate")
 		if tsCol < 0 || rdIDCol < 0 || cpuCol < 0 {
-			return fmt.Errorf("trace: %s: header %v lacks timestamp/id/cpu columns", cpuPath, h)
+			return 0, fmt.Errorf("trace: %s: header %v lacks timestamp/id/cpu columns", cpuPath, h)
 		}
-		return nil
+		return max(tsCol, rdIDCol, cpuCol) + 1, nil
 	}, func(row []string) error {
 		id, ok := idOf[row[rdIDCol]]
 		if !ok {
@@ -257,17 +257,4 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 		}
 	}
 	return r, nil
-}
-
-// forEachCSVRowWithHeader streams path like forEachCSVRow but hands the
-// header row to onHeader first (for column mapping by name).
-func forEachCSVRowWithHeader(path string, onHeader func([]string) error, fn func(row []string) error) error {
-	sawHeader := false
-	return forEachCSVRowRaw(path, func(row []string) error {
-		if !sawHeader {
-			sawHeader = true
-			return onHeader(row)
-		}
-		return fn(row)
-	})
 }

@@ -104,6 +104,8 @@ func TestIngestClusterErrors(t *testing.T) {
 		{"reading outside lifetime", goodVMs, "timestamp,vmid,avgcpu\n99999,a,50\n", "outside"},
 		{"missing cpu columns", goodVMs, "a,b\n1,2\n", "lacks"},
 		{"junk cpu number", goodVMs, "timestamp,vmid,avgcpu\n100,a,fifty\n", "invalid syntax"},
+		{"short lifetime row", "vmid,vmcreated,vmdeleted\na,0\n", goodCPU, "columns"},
+		{"short reading row", goodVMs, "timestamp,vmid,avgcpu\n100,a\n", "columns"},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

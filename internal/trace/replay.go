@@ -327,7 +327,7 @@ func LoadReplay(dir string) (*Replay, error) {
 	}
 	var vms []vmRow
 	seen := map[int]bool{}
-	err := forEachCSVRow(filepath.Join(dir, "vms.csv"), 4, func(row []string) error {
+	err := forEachCSVRow(filepath.Join(dir, "vms.csv"), skipHeader(4), func(row []string) error {
 		id, err1 := strconv.Atoi(row[0])
 		arr, err2 := strconv.ParseInt(row[1], 10, 64)
 		dep, err3 := strconv.ParseInt(row[2], 10, 64)
@@ -367,7 +367,7 @@ func LoadReplay(dir string) (*Replay, error) {
 
 	// segments.csv (optional) — explicit activity runs for gapped VMs.
 	segs := map[int][]slotSpan{}
-	err = forEachCSVRow(filepath.Join(dir, "segments.csv"), 3, func(row []string) error {
+	err = forEachCSVRow(filepath.Join(dir, "segments.csv"), skipHeader(3), func(row []string) error {
 		id, err1 := strconv.Atoi(row[0])
 		start, err2 := strconv.ParseInt(row[1], 10, 64)
 		end, err3 := strconv.ParseInt(row[2], 10, 64)
@@ -401,7 +401,7 @@ func LoadReplay(dir string) (*Replay, error) {
 
 	// profiles.csv
 	r.profiles = make([][][]float64, maxID+1)
-	err = forEachCSVRow(filepath.Join(dir, "profiles.csv"), 3, func(row []string) error {
+	err = forEachCSVRow(filepath.Join(dir, "profiles.csv"), skipHeader(3), func(row []string) error {
 		id, err1 := strconv.Atoi(row[0])
 		sl, err2 := strconv.ParseInt(row[1], 10, 64)
 		if err := firstErr(err1, err2); err != nil {
@@ -443,7 +443,7 @@ func LoadReplay(dir string) (*Replay, error) {
 	// volumes.csv (optional). A row outside the declared horizon would be
 	// silently unreachable by the simulator, so it is a load error.
 	r.volumes = make([][]VolumeEntry, r.slots)
-	err = forEachCSVRow(filepath.Join(dir, "volumes.csv"), 4, func(row []string) error {
+	err = forEachCSVRow(filepath.Join(dir, "volumes.csv"), skipHeader(4), func(row []string) error {
 		sl, err1 := strconv.ParseInt(row[0], 10, 64)
 		from, err2 := strconv.Atoi(row[1])
 		to, err3 := strconv.Atoi(row[2])
@@ -479,28 +479,12 @@ func LoadReplay(dir string) (*Replay, error) {
 	return r, nil
 }
 
-// forEachCSVRow streams a CSV file row by row, skipping the header and
-// enforcing a minimum column count. The row slice is reused between calls;
-// fn must not retain it. Unlike a whole-file load, memory stays bounded by
-// one record regardless of trace size.
-func forEachCSVRow(path string, minCols int, fn func(row []string) error) error {
-	first := true
-	return forEachCSVRowRaw(path, func(row []string) error {
-		if first {
-			first = false
-			return nil
-		}
-		if len(row) < minCols {
-			return fmt.Errorf("trace: %s: row %v has %d columns, want >= %d",
-				filepath.Base(path), row, len(row), minCols)
-		}
-		return fn(row)
-	})
-}
-
-// forEachCSVRowRaw streams every row of path, header included. The row
-// slice is reused between calls; fn must not retain it.
-func forEachCSVRowRaw(path string, fn func(row []string) error) error {
+// forEachCSVRow streams a CSV file row by row. The header row goes to
+// onHeader, which maps columns and returns the column count every data
+// row must reach; fn gets each data row. The row slice is reused between
+// calls; fn must not retain it. Unlike a whole-file load, memory stays
+// bounded by one record regardless of trace size.
+func forEachCSVRow(path string, onHeader func(header []string) (minCols int, err error), fn func(row []string) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -509,6 +493,7 @@ func forEachCSVRowRaw(path string, fn func(row []string) error) error {
 	cr := csv.NewReader(f)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
+	minCols := -1 // header not read yet
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -517,8 +502,23 @@ func forEachCSVRowRaw(path string, fn func(row []string) error) error {
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", filepath.Base(path), err)
 		}
-		if err := fn(row); err != nil {
+		switch {
+		case minCols < 0:
+			minCols, err = onHeader(row)
+		case len(row) < minCols:
+			err = fmt.Errorf("trace: %s: row %v has %d columns, want >= %d",
+				filepath.Base(path), row, len(row), minCols)
+		default:
+			err = fn(row)
+		}
+		if err != nil {
 			return err
 		}
 	}
+}
+
+// skipHeader is the onHeader of a file with fixed columns: it ignores the
+// header row and asks every data row for at least n columns.
+func skipHeader(n int) func([]string) (int, error) {
+	return func([]string) (int, error) { return n, nil }
 }
