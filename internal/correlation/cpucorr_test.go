@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geovmp/internal/rng"
+	"geovmp/internal/simd"
 )
 
 // randProfile synthesizes a deterministic pseudo-random profile. Values are
@@ -110,7 +111,8 @@ func fuzzSample(b byte) float64 {
 }
 
 // FuzzCPUCorr holds both exact kernels — ProfileSet.CPUCorr and an exact
-// Packed table — to PeakCoincidence bit for bit, and a fast Packed table
+// Packed table, the latter on its kernel scan and on simd's Go oracle — to
+// PeakCoincidence bit for bit, and a fast Packed table
 // to the quantized oracle bit for bit and to PeakCoincidence within
 // FastEps, over arbitrary row widths (0-96), odd-length rows, absent ids
 // and adversarial samples. Each row takes one header byte (low two bits:
@@ -177,12 +179,15 @@ func FuzzCPUCorr(f *testing.F) {
 			ps.Add(id, p)
 			rows = append(rows, p)
 		}
-		// Every row plus one id never seen.
+		// Every row plus one id never seen, as partners in order and then
+		// reversed, so the exact scan stops at and resumes past slow
+		// partners from both sides.
 		ids := make([]int, len(rows)+1)
-		js := make([]int32, len(ids))
+		js := make([]int32, 2*len(ids))
 		for k := range ids {
 			ids[k] = k
 			js[k] = int32(k)
+			js[len(js)-1-k] = int32(k)
 		}
 		row := func(id int) []float64 {
 			if id < len(rows) {
@@ -195,11 +200,14 @@ func FuzzCPUCorr(f *testing.F) {
 		ps.Pack(&fast, ids, true)
 		o := newFastOracle(ps)
 		dst := make([]float64, len(js))
+		gdst := make([]float64, len(js))
 		fdst := make([]float64, len(js))
 		for i, a := range ids {
 			pk.CPUCorrInto(dst, i, js)
+			pk.cpuCorrInto(gdst, i, js, simd.PeakCorrGo)
 			fast.CPUCorrInto(fdst, i, js)
-			for k, b := range ids {
+			for k, j := range js {
+				b := ids[j]
 				exact := PeakCoincidence(row(a), row(b))
 				want := math.Float64bits(exact)
 				if got := math.Float64bits(ps.CPUCorr(a, b)); got != want {
@@ -207,6 +215,9 @@ func FuzzCPUCorr(f *testing.F) {
 				}
 				if got := math.Float64bits(dst[k]); got != want {
 					t.Fatalf("S=%d: packed(%d, %d) = %#x, want PeakCoincidence %#x", s, a, b, got, want)
+				}
+				if got := math.Float64bits(gdst[k]); got != want {
+					t.Fatalf("S=%d: packed Go scan (%d, %d) = %#x, want PeakCoincidence %#x", s, a, b, got, want)
 				}
 				checkFast(t, o, a, b, fdst[k], exact)
 			}

@@ -3,6 +3,8 @@ package correlation
 import (
 	"math"
 	"slices"
+
+	"geovmp/internal/simd"
 )
 
 // Packed is a ProfileSet's rows laid out in a caller's point order for the
@@ -36,7 +38,7 @@ type Packed struct {
 // it then has a non-positive (or NaN) peak sum and takes the neutral 0.5,
 // as CPUCorr answers, without a branch of its own (whatever its record's
 // samples hold is scanned and discarded).
-const slowRow = -1
+const slowRow = simd.SlowRow
 
 // cleanSample reports whether v is +0, positive or +Inf. Sums of such
 // samples are never NaN and never carry the sign bit, so their IEEE bit
@@ -128,86 +130,40 @@ func tickPeak(r []uint16) int32 { return int32(uint32(r[0]) | uint32(r[1])<<16) 
 //
 // Over an exact table it equals CPUCorr bit for bit. Like CPUCorr it scans
 // every sample, but over clean records (see cleanSample) it takes the
-// combined peak as a branch-free max of bit patterns, so no pair pays a
-// data-dependent branch the CPU cannot predict. Pairs with a slow point go
-// through CPUCorr.
+// combined peak as a branch-free max of bit patterns (simd.PeakCorr, an AVX2
+// kernel where the CPU has one), so no pair pays a data-dependent branch
+// the CPU cannot predict. Pairs with a slow point go through CPUCorr.
 //
 // Over a fast table dst[k] is within FastEps of CPUCorr: the combined peak
 // is an exact integer max over the ticks, so the only error is the ±1-tick
 // rounding of numerator and denominator. Pairs with a qSlow point or a
 // tick peak sum under qMinDen take CPUCorr.
 func (p *Packed) CPUCorrInto(dst []float64, i int, js []int32) {
+	p.cpuCorrInto(dst, i, js, simd.PeakCorr)
+}
+
+// cpuCorrInto is CPUCorrInto with the exact table's scan passed in:
+// simd.PeakCorr, or its Go oracle in tests.
+func (p *Packed) cpuCorrInto(dst []float64, i int, js []int32, scan func(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int) {
 	if p.fast {
 		p.ticksInto(dst, i, js)
 		return
 	}
 	s, w := p.s, p.stride
 	ra := p.rec[i*w : i*w+w]
-	peakA := ra[0]
-	if peakA == slowRow {
+	if ra[0] == slowRow {
 		for k, j := range js {
 			dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[j])
 		}
 		return
 	}
-	a := ra[1 : s+1]
-	// Partner records are loaded one pair ahead: the next partner's peak is
-	// read before this pair's scan, so its cache miss overlaps the scan
-	// instead of following it.
-	var next float64
-	if len(js) > 0 {
-		next = p.rec[int(js[0])*w]
-	}
-	for k, j := range js {
-		peakB := next
-		if k+1 < len(js) {
-			next = p.rec[int(js[k+1])*w]
+	for k := 0; k < len(js); k++ {
+		k += scan(dst[k:], ra[1:s+1], ra[0], p.rec, w, js[k:])
+		if k < len(js) {
+			dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[js[k]])
 		}
-		if peakB == slowRow {
-			dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[j])
-			continue
-		}
-		b := p.rec[int(j)*w+1 : int(j)*w+1+s]
-		b = b[:len(a)]
-		// Four independent maxima (max is order-insensitive), starting
-		// from +0 like PeakCoincidence's.
-		var m0, m1, m2, m3 uint64
-		t := 0
-		for ; t+3 < len(a); t += 4 {
-			m0 = max(m0, math.Float64bits(a[t]+b[t]))
-			m1 = max(m1, math.Float64bits(a[t+1]+b[t+1]))
-			m2 = max(m2, math.Float64bits(a[t+2]+b[t+2]))
-			m3 = max(m3, math.Float64bits(a[t+3]+b[t+3]))
-		}
-		for ; t < len(a); t++ {
-			m0 = max(m0, math.Float64bits(a[t]+b[t]))
-		}
-		// The clamp and the neutral value select bit patterns, which the
-		// compiler emits as conditional moves: which case a pair lands in
-		// is data the branch predictor cannot learn. Other kernels also
-		// clamp at 1, but over clean rows every sum is at most
-		// fl(peakA+peakB) = den (rounded addition is monotone), so c never
-		// exceeds 1 here.
-		den := peakA + peakB
-		c := math.Float64frombits(max(m0, m1, m2, m3)) / den
-		bits := math.Float64bits(c)
-		if c < 1e-9 {
-			bits = tinyBits
-		}
-		if !(den > 0) {
-			// A missing profile, or both rows all zero.
-			bits = halfBits
-		}
-		dst[k] = math.Float64frombits(bits)
 	}
 }
-
-// Bit patterns of the packed kernel's clamp bound and neutral value: 1e-9
-// and 0.5. Constants, so the selects compile to conditional moves.
-const (
-	tinyBits = 0x3e112e0be826d695
-	halfBits = 0x3fe0000000000000
-)
 
 // ticksInto is CPUCorrInto over a fast table: max_t(qa[t]+qb[t]) over the
 // tick peak sum, one full scan per pair.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geovmp/internal/rng"
+	"geovmp/internal/simd"
 )
 
 // packedTestRow draws a profile with the shapes the packed kernel must
@@ -41,9 +42,9 @@ func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 // including absent ids, odd-length rows, all-zero rows, equal-peak ties and
 // rows holding NaN, negative or -0 samples, at sample counts around the
 // kernel's four-way unroll and records of 8 to 13 cache lines —
-// Packed.CPUCorrInto must equal both PeakCoincidence and CPUCorr bit for
-// bit, into a fresh table and (even trials) into one that last held a
-// fast layout.
+// Packed.CPUCorrInto, on its kernel scan and on simd's Go oracle, must
+// equal both PeakCoincidence and CPUCorr bit for bit, into a fresh table
+// and (even trials) into one that last held a fast layout.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(3).Derive("packed-kernel")
 	for _, samples := range []int{1, 2, 3, 4, 5, 12, 57, 64, 96} {
@@ -92,6 +93,7 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 				js[k] = int32(j)
 			}
 			dst := make([]float64, len(js))
+			gdst := make([]float64, len(js))
 			row := func(id int) []float64 {
 				if id < 0 || id >= n {
 					return nil
@@ -100,12 +102,17 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 			}
 			for i, a := range ids {
 				pk.CPUCorrInto(dst, i, js)
+				pk.cpuCorrInto(gdst, i, js, simd.PeakCorrGo)
 				for k, j := range js {
 					b := ids[j]
 					want := PeakCoincidence(row(a), row(b))
 					if math.Float64bits(dst[k]) != math.Float64bits(want) {
 						t.Fatalf("S=%d trial %d: packed(%d, %d) = %v, want PeakCoincidence %v",
 							samples, trial, a, b, dst[k], want)
+					}
+					if math.Float64bits(gdst[k]) != math.Float64bits(want) {
+						t.Fatalf("S=%d trial %d: packed Go scan (%d, %d) = %v, want PeakCoincidence %v",
+							samples, trial, a, b, gdst[k], want)
 					}
 					if got := ps.CPUCorr(a, b); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("S=%d trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
@@ -149,10 +156,13 @@ func TestPackedRepack(t *testing.T) {
 
 // BenchmarkPackedCPUCorrInto measures the exact and the fast packed kernel
 // against the per-pair CPUCorr at the embedding's scale: ~12k standard
-// rows, partners in random order as the sampled embedding draws them, at
-// the default 12 samples per row and at larger sample counts, where each
-// partner record spans more cache lines. Rows are a per-VM load level plus 10% jitter,
-// like a slot's downsampled utilization.
+// rows, at the default 12 samples per row and at larger sample counts,
+// where each partner record spans more cache lines. Rows are a per-VM load
+// level plus 10% jitter, like a slot's downsampled utilization. Partners
+// come in random order, as the sampled embedding draws them; the exact
+// table's scan is also timed over sequential partners, as the exact
+// embedding's dense build reads them, and on both its paths: simd's Go
+// oracle and, where the CPU has it, the AVX2 kernel.
 func BenchmarkPackedCPUCorrInto(b *testing.B) {
 	const n = 12288
 	for _, samples := range []int{12, 48, 96} {
@@ -169,9 +179,11 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 		ids := src.Perm(n)
 		perm := src.Perm(n)
 		js := make([]int32, n)
+		seq := make([]int32, n)
 		jids := make([]int, n)
 		for k, j := range perm {
 			js[k] = int32(j)
+			seq[k] = int32(k)
 			jids[k] = ids[j]
 		}
 		dst := make([]float64, n)
@@ -187,20 +199,33 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 			}
 			report(b)
 		})
-		for _, fast := range []bool{false, true} {
-			name := "packed"
-			if fast {
-				name = "fast"
+		var pk Packed
+		ps.Pack(&pk, ids, false)
+		exact := func(path string, scan func(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int) {
+			for _, order := range []struct {
+				name string
+				js   []int32
+			}{{"seq", seq}, {"rand", js}} {
+				b.Run(fmt.Sprintf("S%d/exact/%s/%s", samples, path, order.name), func(b *testing.B) {
+					for it := 0; it < b.N; it++ {
+						pk.cpuCorrInto(dst, it%n, order.js, scan)
+					}
+					report(b)
+				})
 			}
-			b.Run(fmt.Sprintf("S%d/%s", samples, name), func(b *testing.B) {
-				var pk Packed
-				ps.Pack(&pk, ids, fast)
-				b.ResetTimer()
-				for it := 0; it < b.N; it++ {
-					pk.CPUCorrInto(dst, it%n, js)
-				}
-				report(b)
-			})
 		}
+		exact("go", simd.PeakCorrGo)
+		if simd.AVX2 {
+			exact("avx2", simd.PeakCorr)
+		}
+		b.Run(fmt.Sprintf("S%d/fast", samples), func(b *testing.B) {
+			var fast Packed
+			ps.Pack(&fast, ids, true)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				fast.CPUCorrInto(dst, it%n, js)
+			}
+			report(b)
+		})
 	}
 }

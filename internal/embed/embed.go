@@ -8,21 +8,27 @@
 // combines the attraction F_a in [-1,0) from data correlation and the
 // repulsion F_r in (0,1] from CPU-load correlation. Per iteration the
 // resultant force on each point is resolved into X/Y components (Eq. 6) and
-// the point is displaced by 1/2*F*t^2. Iteration stops when the alignment
-// cost CostAR_k = sum F_t*(d_k - d_{k-1}) (Eq. 7) drops below its previous
-// value — movement has stopped helping — or when MaxIters is reached. The
-// final layout seeds both the k-means step and the next slot's embedding.
+// the point is displaced by 1/2*F*t^2. Each iteration also evaluates the
+// alignment cost CostAR_k = sum F_t*(d_k - d_{k-1}) (Eq. 7) of its
+// displacement. The paper stops at the first iteration whose cost is lower
+// than the previous one; here iteration stops once the cost falls below
+// Config.StopFrac of its peak so far — movement has stopped helping — or
+// when MaxIters is reached (StopFrac documents why the literal rule is not
+// used). The final layout seeds both the k-means step and the next slot's
+// embedding.
 //
 // Pair force magnitudes depend only on the slot's correlation data, not on
 // positions, so in exact mode (up to Config.ExactThreshold points) they are
 // evaluated once into a dense cache and the iterations are pure float
-// arithmetic. Above the threshold each point's repulsion is estimated from
-// SampleK deterministic random peers per iteration while attraction stays
-// exact over the sparse data pairs; this approximation (README, "Deviations
-// from the paper", item 4) keeps the paper-scale problem real-time, as the
-// paper's "low computational overhead" claim requires. A run addresses
-// points by index: point i is ids[i], forces come from a SplitField bound
-// to that order, and positions go in and come out as slices.
+// arithmetic, one pair pass per iteration on internal/simd's row kernel
+// (AVX2 where the CPU has it, bit-identical to the Go loop). Above the
+// threshold each point's repulsion is estimated from SampleK deterministic
+// random peers per iteration while attraction stays exact over the sparse
+// data pairs; this approximation (README, "Deviations from the paper", item
+// 4) keeps the paper-scale problem real-time, as the paper's "low
+// computational overhead" claim requires. A run addresses points by index:
+// point i is ids[i], forces come from a SplitField bound to that order, and
+// positions go in and come out as slices.
 package embed
 
 import (
@@ -32,6 +38,7 @@ import (
 
 	"geovmp/internal/par"
 	"geovmp/internal/rng"
+	"geovmp/internal/simd"
 )
 
 // Point is a 2D location.
@@ -253,27 +260,114 @@ const (
 )
 
 // exactScratch pools runExact's O(n^2) caches so per-slot embeddings reuse
-// them instead of allocating ~4 n^2 floats each. Only i != j entries are
-// ever read, so recycled buffers need no clearing.
-type exactScratch struct{ ft, ftT, wft, wftT, sft, prevD []float64 }
+// them instead of allocating 4 n^2 floats each. Only the upper triangles
+// (i < j) are ever read, so recycled buffers need no clearing.
+type exactScratch struct{ wft, wftT, sft, prevD []float64 }
 
 var exactPool = sync.Pool{New: func() any { return new(exactScratch) }}
 
 func (s *exactScratch) ensure(n2 int) {
-	if cap(s.ft) < n2 {
-		s.ft = make([]float64, n2)
-		s.ftT = make([]float64, n2)
+	if cap(s.wft) < n2 {
 		s.wft = make([]float64, n2)
 		s.wftT = make([]float64, n2)
 		s.sft = make([]float64, n2)
 		s.prevD = make([]float64, n2)
 	}
-	s.ft = s.ft[:n2]
-	s.ftT = s.ftT[:n2]
 	s.wft = s.wft[:n2]
 	s.wftT = s.wftT[:n2]
 	s.sft = s.sft[:n2]
 	s.prevD = s.prevD[:n2]
+}
+
+// rowPool recycles the dense build's per-shard row of both force
+// directions, 2n floats.
+var rowPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// build fills the iteration caches from the field. Both force directions
+// of each unordered pair live at the same row-major upper-triangle index —
+// wft[i*n+j] is the weighted force on ids[i] by ids[j] and wftT[i*n+j] the
+// one on ids[j] by ids[i], i < j, with sft[i*n+j] their unweighted sum the
+// cost function reads — so the build and every pass run on sequential
+// memory; the lower triangles are never touched (hence never cleared).
+//
+// Row i's forces are its symmetric repulsion row copied to both
+// directions, then the sparse attraction terms on top (the addition order
+// matches the blended Force expression exactly: fa + fr, commutative),
+// assembled in a per-shard row buffer and written out with the repulsion
+// class weight rw applied once. Rows are sharded in contiguous batches —
+// each shard writes only its own rows — so the build is bit-identical to
+// the serial sweep at any worker count.
+func (s *exactScratch) build(n int, sf SplitField, rw float64, workers *par.Budget) {
+	seq := make([]int32, n)
+	for i := range seq {
+		seq[i] = int32(i)
+	}
+	par.For(workers, n, exactRowGrain, func(lo, hi int) {
+		buf := rowPool.Get().(*[]float64)
+		defer rowPool.Put(buf)
+		*buf = slices.Grow((*buf)[:0], 2*n)[:2*n]
+		for i := lo; i < hi; i++ {
+			m := n - i - 1
+			ft, ftT := (*buf)[:m], (*buf)[n:n+m] // partner k is point i+1+k
+			sf.RepulsionRow(i, seq[i+1:], ft)
+			copy(ftT, ft)
+			js, on, by := sf.AttractionRow(i)
+			for k, j := range js {
+				if int(j) <= i {
+					continue
+				}
+				if on[k] != 0 {
+					ft[int(j)-i-1] += on[k]
+				}
+				if by[k] != 0 {
+					ftT[int(j)-i-1] += by[k]
+				}
+			}
+			o := i*n + i + 1
+			for k := range ft {
+				s.wft[o+k] = weighted(ft[k], rw)
+				s.wftT[o+k] = weighted(ftT[k], rw)
+				s.sft[o+k] = ft[k] + ftT[k]
+			}
+		}
+	})
+}
+
+// pass sweeps every pair once over the current positions: it adds the
+// pair forces into fx/fy and returns the cost (Eq. 7) of the displacement
+// since the previous pass, then stores the distances for the next one.
+// Fusing the two — both need the same pair sweep and the same Euclidean
+// distance, computed once per pair — halves the O(n^2) work. Pass 0 has no
+// previous displacement (prevD holds whatever the recycled buffer held),
+// so its cost is meaningless and callers drop it.
+//
+// Each row i runs on exact, the simd row kernel or (in tests) its Go
+// oracle, which carries the cost and fx[i]/fy[i] across the row in
+// ascending partner order; the group it stops before goes through Pairs,
+// which gives a coincident pair (d < 1e-9) a hashed direction.
+func (s *exactScratch) pass(px, py, fx, fy []float64, seed uint64, iter int, exact func(*simd.Row, int) int) float64 {
+	n := len(px)
+	var cost float64
+	r := new(simd.Row)
+	for i := 0; i < n; i++ {
+		o, e := i*n+i+1, i*n+n
+		*r = simd.Row{
+			X: px[i], Y: py[i],
+			Px: px[i+1:], Py: py[i+1:], Fx: fx[i+1:], Fy: fy[i+1:],
+			Sft: s.sft[o:e], PrevD: s.prevD[o:e], Wft: s.wft[o:e], WftT: s.wftT[o:e],
+			Cost: cost, FX: fx[i], FY: fy[i],
+		}
+		dir := func(k int) (float64, float64) {
+			ang := rng.Noise01(seed, uint64(i), uint64(i+1+k), uint64(iter)) * 2 * math.Pi
+			return math.Cos(ang), math.Sin(ang)
+		}
+		for k, m := 0, n-i-1; k < m; {
+			k = exact(r, k)
+			k = r.Pairs(k, min(k+4, m), dir)
+		}
+		cost, fx[i], fy[i] = r.Cost, r.FX, r.FY
+	}
+	return cost
 }
 
 // runExact evaluates all ordered pairs with a dense, once-computed force
@@ -283,100 +377,13 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 	scr := exactPool.Get().(*exactScratch)
 	scr.ensure(n * n)
 	defer exactPool.Put(scr)
-	// Both force directions of each unordered pair live at the same
-	// row-major upper-triangle index — ft[i*n+j] is the force on ids[i] by
-	// ids[j] and ftT[i*n+j] the force on ids[j] by ids[i], i < j — so the
-	// build and every per-iteration sweep run on sequential memory; the
-	// lower triangles are never touched (hence never cleared).
-	ft := scr.ft
-	ftT := scr.ftT
-	// One symmetric repulsion row per point, copied to both directions,
-	// then the sparse attraction terms on top. Addition order matches the
-	// blended Force expression exactly (fa + fr, commutative). Rows are
-	// sharded in contiguous batches — each shard writes only its own
-	// upper-triangle rows — so the build is bit-identical to the serial
-	// sweep at any worker count. Row i's partners are the index range
-	// i+1..n-1.
-	seq := make([]int32, n)
-	for i := range seq {
-		seq[i] = int32(i)
-	}
-	par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := ft[i*n+i+1 : i*n+n]
-			sf.RepulsionRow(i, seq[i+1:], row)
-			copy(ftT[i*n+i+1:i*n+n], row)
-			js, on, by := sf.AttractionRow(i)
-			for k, j := range js {
-				if int(j) <= i {
-					continue
-				}
-				if on[k] != 0 {
-					ft[i*n+int(j)] += on[k]
-				}
-				if by[k] != 0 {
-					ftT[i*n+int(j)] += by[k]
-				}
-			}
-		}
-	})
-	// Iteration caches: the repulsion class weight applied once instead of
-	// per iteration, and the symmetric pair sum the cost function reads.
-	rw := cfg.repulsionWeight(n)
-	wft := scr.wft
-	wftT := scr.wftT
-	sft := scr.sft
-	prevD := scr.prevD
-	par.For(cfg.Workers, n, exactRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for k := i*n + i + 1; k < i*n+n; k++ {
-				wft[k] = weighted(ft[k], rw)
-				wftT[k] = weighted(ftT[k], rw)
-				sft[k] = ft[k] + ftT[k]
-			}
-		}
-	})
+	scr.build(n, sf, cfg.repulsionWeight(n), cfg.Workers)
 
 	fx := make([]float64, n)
 	fy := make([]float64, n)
 	var costs []float64
 	peak := 0.0
 	iters := 0
-	// Each pass fuses the force evaluation over the current positions with
-	// the cost (Eq. 7) of the *previous* iteration's displacement — both
-	// need the same pair sweep and the same Euclidean distance, computed
-	// once per pair — so one O(n^2) pass per iteration replaces the former
-	// two. Pass 0 has no previous displacement; it only seeds prevD with
-	// the initial distances.
-	pass := func(iter int, withForces bool) float64 {
-		var cost float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				dx := px[i] - px[j]
-				dy := py[i] - py[j]
-				d := math.Sqrt(dx*dx + dy*dy)
-				if iter > 0 {
-					cost += sft[i*n+j] * (d - prevD[i*n+j])
-				}
-				prevD[i*n+j] = d
-				if !withForces {
-					continue
-				}
-				if d < 1e-9 {
-					ang := rng.Noise01(cfg.Seed, uint64(i), uint64(j), uint64(iter)) * 2 * math.Pi
-					dx, dy, d = math.Cos(ang), math.Sin(ang), 1
-				}
-				ux, uy := dx/d, dy/d
-				fij := wft[i*n+j]  // on i by j: positive pushes i along (j->i)
-				fji := wftT[i*n+j] // on j by i: positive pushes j along (i->j)
-				fx[i] += fij * ux
-				fy[i] += fij * uy
-				fx[j] -= fji * ux
-				fy[j] -= fji * uy
-			}
-		}
-		return cost
-	}
 	record := func(cost float64) bool {
 		costs = append(costs, cost)
 		if cost > peak {
@@ -388,7 +395,7 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		for i := range fx {
 			fx[i], fy[i] = 0, 0
 		}
-		cost := pass(iter, true)
+		cost := scr.pass(px, py, fx, fy, cfg.Seed, iter, (*simd.Row).Exact)
 		if iter > 0 && record(cost) {
 			break
 		}
@@ -397,7 +404,8 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 	}
 	if len(costs) < iters {
 		// MaxIters displacements executed: the last one's cost is pending.
-		record(pass(iters, false))
+		// The pass's forces go unused.
+		record(scr.pass(px, py, fx, fy, cfg.Seed, iters, (*simd.Row).Exact))
 	}
 	return iters, costs
 }

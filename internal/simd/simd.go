@@ -1,0 +1,187 @@
+// Package simd holds the two exact hot loops of the global phase in a
+// vectorised form: the embedding's dense pair pass (one row of Eq. 6/7's
+// all-pairs sweep) and the packed CPU-load correlation scan. Each comes as a
+// pure-Go reference loop (ExactGo, PeakCorrGo), which is both the portable
+// fallback and the bit-for-bit oracle, and a dispatcher (Row.Exact,
+// PeakCorr) that runs an AVX2 kernel on amd64 CPUs that support it.
+//
+// The kernels keep every scalar operation of the reference loops in the same
+// order — no FMA, no reassociated sums — so they agree with them bit for bit;
+// they only give back to the caller the cases the loops treat specially (a
+// coincident pair, a slow-row partner). The CPU is probed once at start-up;
+// building with the purego tag leaves the Go loops as the only path.
+package simd
+
+import "math"
+
+// Row is one row i of the exact embedding's pair pass: point i at (X, Y)
+// against its partners j > i, partner k of the row being point i+1+k. The
+// pair slices hold the row's upper-triangle entries of the dense caches,
+// the partner slices the partners' positions and force accumulators; every
+// slice is at least len(Px) long. Cost, FX and FY carry the pass cost and
+// point i's force across calls and rows.
+type Row struct {
+	X, Y   float64
+	Px, Py []float64 // partner positions
+	Fx, Fy []float64 // partner force accumulators
+	Sft    []float64 // symmetric pair force, the cost weight of Eq. 7
+	PrevD  []float64 // pair distance at the previous pass, replaced by this one's
+	Wft    []float64 // weighted force on point i by the partner
+	WftT   []float64 // weighted force on the partner by point i
+
+	Cost, FX, FY float64
+}
+
+// Exact runs the row's pairs from k on, as ExactGo does, but may stop
+// sooner: the AVX2 kernel runs whole groups of four pairs and returns before
+// a group that holds a coincident pair and before a tail of fewer than four.
+// The pairs it runs are bit-identical to ExactGo's; the caller finishes a
+// group it stops before with Pairs and calls it again.
+func (r *Row) Exact(k int) int { return r.exact(k) }
+
+// ExactGo runs the row's pairs from k on in ascending order and returns the
+// index of the first pair it did not run: the first coincident pair
+// (distance under 1e-9), whose direction the caller must supply through
+// Pairs, or len(r.Px). It is the reference loop of Exact.
+//
+// A pair at distance d adds Sft*(d-PrevD) to Cost, stores d in PrevD, and,
+// along the unit direction (ux, uy) from the partner to point i, adds
+// Wft*(ux, uy) to (FX, FY) and takes WftT*(ux, uy) off the partner's force.
+func (r *Row) ExactGo(k int) int { return r.run(k, len(r.Px)) }
+
+// run is ExactGo stopping at end.
+func (r *Row) run(k, end int) int {
+	if end > r.rowLen() {
+		panic("simd: pair index past the row")
+	}
+	// Locals of one length, so the loop neither reloads the slice headers
+	// after every store nor checks bounds.
+	px := r.Px[:end]
+	x, y, py, fx, fy := r.X, r.Y, r.Py[:len(px)], r.Fx[:len(px)], r.Fy[:len(px)]
+	sft, prevD, wft, wftT := r.Sft[:len(px)], r.PrevD[:len(px)], r.Wft[:len(px)], r.WftT[:len(px)]
+	cost, fx0, fy0 := r.Cost, r.FX, r.FY
+	for ; k < len(px); k++ {
+		dx := x - px[k]
+		dy := y - py[k]
+		d := math.Sqrt(dx*dx + dy*dy)
+		if d < 1e-9 {
+			break
+		}
+		ux, uy := dx/d, dy/d
+		cost += sft[k] * (d - prevD[k])
+		prevD[k] = d
+		fij, fji := wft[k], wftT[k]
+		fx0 += fij * ux
+		fy0 += fij * uy
+		fx[k] -= fji * ux
+		fy[k] -= fji * uy
+	}
+	r.Cost, r.FX, r.FY = cost, fx0, fy0
+	return k
+}
+
+// Pairs runs pairs k..end-1 of the row as ExactGo does, except that a
+// coincident pair, instead of stopping the run, takes its unit direction
+// from dir. It returns end.
+func (r *Row) Pairs(k, end int, dir func(k int) (ux, uy float64)) int {
+	for k = r.run(k, end); k < end; k = r.run(k+1, end) {
+		dx := r.X - r.Px[k]
+		dy := r.Y - r.Py[k]
+		d := math.Sqrt(dx*dx + dy*dy)
+		ux, uy := dir(k)
+		r.Cost += r.Sft[k] * (d - r.PrevD[k])
+		r.PrevD[k] = d
+		r.FX += r.Wft[k] * ux
+		r.FY += r.Wft[k] * uy
+		r.Fx[k] -= r.WftT[k] * ux
+		r.Fy[k] -= r.WftT[k] * uy
+	}
+	return end
+}
+
+// rowLen returns the row's pair count, panicking if a slice is short of it:
+// the kernel and run's bounds-check-free loop trust the lengths.
+func (r *Row) rowLen() int {
+	m := len(r.Px)
+	for _, s := range [...][]float64{r.Py, r.Fx, r.Fy, r.Sft, r.PrevD, r.Wft, r.WftT} {
+		if len(s) < m {
+			panic("simd: Row slice shorter than Px")
+		}
+	}
+	return m
+}
+
+// SlowRow is the peak of a packed record whose pairs PeakCorr leaves to the
+// caller. Real peaks are never negative, so it cannot collide with one.
+const SlowRow = -1
+
+// Bit patterns of the peak coincidence's clamp bound and neutral value:
+// 1e-9 and 0.5.
+const (
+	tinyBits = 0x3e112e0be826d695
+	halfBits = 0x3fe0000000000000
+)
+
+// PeakCorr fills dst[k] with the CPU-load peak coincidence of row a, whose
+// peak is peakA, and the packed record of partner js[k]: rec[j*stride] holds
+// the partner's peak and the len(a) entries after it its samples, stride >
+// len(a). The combined peak is taken as an integer max of bit patterns, so
+// samples must be clean (+0, positive or +Inf) unless a peak is -Inf, which
+// makes the pair's value the neutral 0.5 whatever the samples hold. It
+// stops before a partner whose peak is SlowRow and returns the number of
+// partners done.
+func PeakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
+	return peakCorr(dst[:len(js)], a, peakA, rec, stride, js)
+}
+
+// PeakCorrGo is the reference loop of PeakCorr.
+func PeakCorrGo(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
+	// Partner records are loaded one pair ahead: the next partner's peak is
+	// read before this pair's scan, so its cache miss overlaps the scan
+	// instead of following it.
+	var next float64
+	if len(js) > 0 {
+		next = rec[int(js[0])*stride]
+	}
+	for k, j := range js {
+		peakB := next
+		if k+1 < len(js) {
+			next = rec[int(js[k+1])*stride]
+		}
+		if peakB == SlowRow {
+			return k
+		}
+		b := rec[int(j)*stride+1 : int(j)*stride+1+len(a)]
+		// Four independent maxima (max is order-insensitive), starting
+		// from +0 like PeakCoincidence's.
+		var m0, m1, m2, m3 uint64
+		t := 0
+		for ; t+3 < len(a); t += 4 {
+			m0 = max(m0, math.Float64bits(a[t]+b[t]))
+			m1 = max(m1, math.Float64bits(a[t+1]+b[t+1]))
+			m2 = max(m2, math.Float64bits(a[t+2]+b[t+2]))
+			m3 = max(m3, math.Float64bits(a[t+3]+b[t+3]))
+		}
+		for ; t < len(a); t++ {
+			m0 = max(m0, math.Float64bits(a[t]+b[t]))
+		}
+		// The clamp and the neutral value select bit patterns, which the
+		// compiler emits as conditional moves: which case a pair lands in
+		// is data the branch predictor cannot learn. Other kernels also
+		// clamp at 1, but over clean rows every sum is at most
+		// fl(peakA+peakB) = den (rounded addition is monotone), so c never
+		// exceeds 1 here.
+		den := peakA + peakB
+		c := math.Float64frombits(max(m0, m1, m2, m3)) / den
+		bits := math.Float64bits(c)
+		if c < 1e-9 {
+			bits = tinyBits
+		}
+		if !(den > 0) {
+			// A missing profile, or both rows all zero.
+			bits = halfBits
+		}
+		dst[k] = math.Float64frombits(bits)
+	}
+	return len(js)
+}

@@ -1,0 +1,50 @@
+//go:build amd64 && !purego
+
+package simd
+
+// AVX2 reports whether the dispatchers run the AVX2 kernels: the CPU has
+// AVX2 and the operating system saves the YMM registers.
+var AVX2 = hasAVX2()
+
+// hasAVX2 probes the CPU once: CPUID leaf 1 for OSXSAVE and AVX, XGETBV for
+// the OS-enabled XMM and YMM state, CPUID leaf 7 for AVX2.
+func hasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func exactAVX2(r *Row, k, m int) int
+
+//go:noescape
+func peakCorrAVX2(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int
+
+func (r *Row) exact(k int) int {
+	if !AVX2 {
+		return r.ExactGo(k)
+	}
+	return exactAVX2(r, k, r.rowLen())
+}
+
+func peakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
+	if !AVX2 || stride <= len(a) {
+		return PeakCorrGo(dst, a, peakA, rec, stride, js)
+	}
+	return peakCorrAVX2(dst, a, peakA, rec, stride, js)
+}

@@ -1,0 +1,13 @@
+//go:build !amd64 || purego
+
+package simd
+
+// AVX2 reports whether the dispatchers run the AVX2 kernels: never in this
+// build.
+const AVX2 = false
+
+func (r *Row) exact(k int) int { return r.ExactGo(k) }
+
+func peakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
+	return PeakCorrGo(dst, a, peakA, rec, stride, js)
+}

@@ -1,0 +1,264 @@
+package simd
+
+import (
+	"math"
+	"testing"
+
+	"geovmp/internal/rng"
+)
+
+// testDir is the coincident-pair direction the row drivers hand to Pairs.
+func testDir(k int) (float64, float64) {
+	ang := float64(k) * 0.7
+	return math.Cos(ang), math.Sin(ang)
+}
+
+// runRow drives a whole row the way the embedding does: the kernel as far
+// as it goes, then Pairs over the group it stopped before, until the row
+// ends. It returns the kernel's stopping points.
+func runRow(r *Row, exact func(*Row, int) int) []int {
+	var stops []int
+	m := len(r.Px)
+	for k := 0; k < m; {
+		k = exact(r, k)
+		stops = append(stops, k)
+		k = r.Pairs(k, min(k+4, m), testDir)
+	}
+	return stops
+}
+
+// cloneRow deep-copies a row, so both paths start from the same state.
+func cloneRow(r *Row) *Row {
+	c := *r
+	for _, s := range []*[]float64{&c.Px, &c.Py, &c.Fx, &c.Fy, &c.Sft, &c.PrevD, &c.Wft, &c.WftT} {
+		*s = append([]float64(nil), *s...)
+	}
+	return &c
+}
+
+// sameBits reports whether a and b have the same bits, all NaNs counting
+// as one: IEEE 754 leaves open which payload a NaN result of two NaN
+// operands carries, and the Go compiler swaps the operands of commutative
+// operations as register allocation suits it — differently, for one, in
+// the coverage-instrumented build the fuzzer runs — so the reference loop
+// has no fixed NaN payload to match. Every other value, signed zeros and
+// infinities included, must match exactly.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// sameRow fails the test unless two rows agree bit for bit (see sameBits)
+// in every output and carried sum.
+func sameRow(t *testing.T, label string, got, want *Row) {
+	t.Helper()
+	eq := func(name string, k int, a, b float64) {
+		if !sameBits(a, b) {
+			t.Fatalf("%s: %s[%d] = %v (%#x), want %v (%#x)", label, name, k, a, math.Float64bits(a), b, math.Float64bits(b))
+		}
+	}
+	eq("Cost", 0, got.Cost, want.Cost)
+	eq("FX", 0, got.FX, want.FX)
+	eq("FY", 0, got.FY, want.FY)
+	for k := range want.Px {
+		eq("PrevD", k, got.PrevD[k], want.PrevD[k])
+		eq("Fx", k, got.Fx[k], want.Fx[k])
+		eq("Fy", k, got.Fy[k], want.Fy[k])
+	}
+}
+
+// checkRow runs r on both paths and compares them. The kernel must stop at
+// least as often as the reference loop, and only at group boundaries.
+func checkRow(t *testing.T, label string, r *Row) {
+	t.Helper()
+	got, want := cloneRow(r), cloneRow(r)
+	stops := runRow(got, (*Row).Exact)
+	goStops := runRow(want, (*Row).ExactGo)
+	sameRow(t, label, got, want)
+	if len(stops) < len(goStops) {
+		t.Fatalf("%s: kernel stopped %d times, the Go loop %d", label, len(stops), len(goStops))
+	}
+	for _, k := range stops {
+		if k%4 != 0 && AVX2 && k != len(r.Px) {
+			t.Fatalf("%s: kernel stopped mid-group at %d", label, k)
+		}
+	}
+}
+
+// randRow draws a row of m ordinary pairs around the row point, with a
+// coincident partner at each index in coincide.
+func randRow(src *rng.Source, m int, coincide ...int) *Row {
+	r := &Row{X: src.Float64()*20 - 10, Y: src.Float64()*20 - 10, Cost: src.Float64(), FX: src.Float64(), FY: -src.Float64()}
+	for range m {
+		r.Px = append(r.Px, src.Float64()*20-10)
+		r.Py = append(r.Py, src.Float64()*20-10)
+		r.Fx = append(r.Fx, src.Float64()-0.5)
+		r.Fy = append(r.Fy, src.Float64()-0.5)
+		r.Sft = append(r.Sft, src.Float64()*2-1)
+		r.PrevD = append(r.PrevD, src.Float64()*30)
+		r.Wft = append(r.Wft, src.Float64()*2-1)
+		r.WftT = append(r.WftT, src.Float64()*2-1)
+	}
+	for _, k := range coincide {
+		r.Px[k], r.Py[k] = r.X, r.Y
+	}
+	return r
+}
+
+// TestExactMatchesGo is the row kernel's property test: at every row
+// length up to 40 (every tail), with no coincident partner and with one in
+// every lane position, the kernel path must equal the Go loop bit for bit.
+func TestExactMatchesGo(t *testing.T) {
+	src := rng.New(17).Derive("exact-row")
+	for m := 0; m <= 40; m++ {
+		checkRow(t, "clean", randRow(src, m))
+		for c := 0; c < m; c++ {
+			checkRow(t, "coincident", randRow(src, m, c))
+		}
+		if m >= 9 {
+			checkRow(t, "two coincident", randRow(src, m, 1, m-2))
+		}
+	}
+}
+
+// fuzzVal maps a fuzz byte to a float the row kernel must treat like the Go
+// loop: ordinary values near base, base itself (a coincident partner when
+// base is the row point), a point within 1e-9 of it, NaNs of two payloads,
+// both infinities, -0 and huge magnitudes.
+func fuzzVal(b byte, base float64) float64 {
+	switch b % 16 {
+	case 0:
+		return base
+	case 1:
+		return base + 1e-12
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Float64frombits(0xfff8000000000000) // x86's default NaN
+	case 4:
+		return math.Inf(1)
+	case 5:
+		return math.Inf(-1)
+	case 6:
+		return math.Copysign(0, -1)
+	case 7:
+		return 1e300
+	}
+	return base + (float64(b)-128)/16
+}
+
+// FuzzExactRow holds the row kernel to the Go loop bit for bit (see
+// sameBits) on every output and carried sum, over row lengths 0-95 (all
+// tails), coincident partners in any lane, NaN and infinite positions and
+// forces, and garbage previous distances like those a recycled buffer holds
+// on a run's first pass. Each pair takes four bytes: partner x, y, previous distance, and
+// one byte for the three force caches.
+func FuzzExactRow(f *testing.F) {
+	f.Add(uint8(9), []byte{8, 9, 10, 11, 0, 0, 12, 13, 20, 30, 40, 50, 60, 70, 80, 90})
+	f.Add(uint8(4), []byte{1, 1, 2, 3, 4, 5, 6, 7, 0, 16, 8, 8, 99, 100, 101, 102})
+	f.Add(uint8(37), []byte{200, 201, 3, 4, 5, 2, 2, 7, 7, 7, 7, 7, 0, 0, 0, 0, 8, 9, 10, 11})
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 8
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		m := int(n) % 96
+		r := &Row{X: fuzzVal(next(), 1), Y: fuzzVal(next(), -2), Cost: fuzzVal(next(), 0), FX: fuzzVal(next(), 0), FY: fuzzVal(next(), 0)}
+		for range m {
+			r.Px = append(r.Px, fuzzVal(next(), r.X))
+			r.Py = append(r.Py, fuzzVal(next(), r.Y))
+			r.PrevD = append(r.PrevD, fuzzVal(next(), 3))
+			fb := next()
+			r.Sft = append(r.Sft, fuzzVal(fb, 0.5))
+			r.Wft = append(r.Wft, fuzzVal(fb>>2, -0.25))
+			r.WftT = append(r.WftT, fuzzVal(fb>>4, 0.125))
+			r.Fx = append(r.Fx, float64(fb)/64)
+			r.Fy = append(r.Fy, -float64(fb)/32)
+		}
+		checkRow(t, "fuzz", r)
+	})
+}
+
+// packedRows lays out n records of s samples at the given stride — the
+// peak, then the samples, then padding holding a huge value that would
+// change any combined peak a scan read it into.
+func packedRows(src *rng.Source, n, s, stride int) []float64 {
+	rec := make([]float64, n*stride)
+	for j := range n {
+		r := rec[j*stride : (j+1)*stride]
+		peak := 0.0
+		for t := 1; t <= s; t++ {
+			switch src.Intn(6) {
+			case 0:
+				r[t] = 0
+			case 1:
+				r[t] = 0.5
+			default:
+				r[t] = src.Float64()
+			}
+			peak = max(peak, r[t])
+		}
+		for t := s + 1; t < stride; t++ {
+			r[t] = 1e300
+		}
+		switch j % 7 {
+		case 3:
+			peak = SlowRow
+		case 5:
+			peak = math.Inf(-1)
+		case 6:
+			clear(r[1 : s+1])
+			peak = 0 // an all-zero row
+		}
+		r[0] = peak
+	}
+	return rec
+}
+
+// TestPeakCorrMatchesGo is the packed scan's property test: at every width
+// from 0 to 20 and at 57 and 96, with and without record padding, over
+// partners in random order including repeats, SlowRow and -Inf-peak
+// partners and all-zero rows, the kernel path must equal the Go loop bit
+// for bit and stop where it stops.
+func TestPeakCorrMatchesGo(t *testing.T) {
+	src := rng.New(23).Derive("peak-corr")
+	widths := []int{57, 96}
+	for s := 0; s <= 20; s++ {
+		widths = append(widths, s)
+	}
+	for _, s := range widths {
+		for _, stride := range []int{s + 1, (s + 1 + 7) &^ 7} {
+			const n = 29
+			rec := packedRows(src, n, s, stride)
+			js := make([]int32, 3*n)
+			for k := range js {
+				js[k] = int32(src.Intn(n))
+			}
+			for i := range n {
+				if rec[i*stride] == SlowRow {
+					continue
+				}
+				a, peakA := rec[i*stride+1:i*stride+1+s], rec[i*stride]
+				for lo := 0; lo < len(js); {
+					got := make([]float64, len(js)-lo)
+					want := make([]float64, len(js)-lo)
+					k := PeakCorr(got, a, peakA, rec, stride, js[lo:])
+					wk := PeakCorrGo(want, a, peakA, rec, stride, js[lo:])
+					if k != wk {
+						t.Fatalf("S=%d stride %d row %d from %d: kernel stopped at %d, Go at %d", s, stride, i, lo, k, wk)
+					}
+					for q := range k {
+						if math.Float64bits(got[q]) != math.Float64bits(want[q]) {
+							t.Fatalf("S=%d stride %d row %d partner %d: kernel %v, Go %v", s, stride, i, js[lo+q], got[q], want[q])
+						}
+					}
+					lo += k + 1 // past the SlowRow partner
+				}
+			}
+		}
+	}
+}
