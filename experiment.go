@@ -383,9 +383,9 @@ func WithEpochClassWeights(rows ...[]float64) ScenarioOption {
 func WithArrivalWave(a float64) ScenarioOption { return func(s *Spec) { s.ArrivalWave = a } }
 
 // WithFastMath opts controllers into the approximate fast-numeric mode:
-// the quantized peak-coincidence kernel (bounded per-pair error) and
-// frozen sampled peers in the embedding. Default off — unset runs stay bit-identical to prior
-// releases. Results remain deterministic at any worker count; metrics
+// peak coincidence over profiles quantized to fixed-point ticks (bounded
+// per-pair error) and frozen sampled peers in the embedding. Default off —
+// unset runs stay bit-identical to prior releases. Results remain deterministic at any worker count; metrics
 // shift within the tolerance documented in PERFORMANCE.md.
 func WithFastMath() ScenarioOption { return func(s *Spec) { s.FastMath = true } }
 

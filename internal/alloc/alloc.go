@@ -120,9 +120,9 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 
 	var res Result
 	limit := model.MaxCapacity() + 1e-9
-	// The VM's profile is hoisted out of the first-fit scan (cut to the
-	// set's sample count): admit runs once per candidate server, and
-	// re-fetching the row there dominated the packing cost.
+	// The VM's profile is hoisted out of the first-fit scan: admit runs
+	// once per candidate server, and re-fetching the row there dominated
+	// the packing cost.
 	admit := func(srv *ServerAlloc, id int, prof []float64) (float64, bool) {
 		var peak float64
 		if corrAware {
@@ -147,9 +147,6 @@ func pack(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxSe
 		var prof []float64
 		if corrAware {
 			prof = ps.Profile(id)
-			if len(prof) > samples {
-				prof = prof[:samples]
-			}
 		}
 		placed := false
 		for s := range res.Servers {

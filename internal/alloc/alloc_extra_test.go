@@ -7,20 +7,22 @@ import (
 	"geovmp/internal/power"
 )
 
+// TestShortProfilesHandled checks that a profile shorter than the set's
+// sample count never reaches the packer: the set refuses it at Add.
 func TestShortProfilesHandled(t *testing.T) {
-	// A profile shorter than the set's sample count must not panic and
-	// must still be packed.
-	m := power.E5410()
 	ps := correlation.NewProfileSet(8)
-	ps.Add(0, []float64{3, 3})          // short
-	ps.Add(1, []float64{2, 2, 2, 2, 2}) // short, different length
-	res := CorrelationAware([]int{0, 1}, ps, m, 4)
-	placed := 0
-	for _, srv := range res.Servers {
-		placed += len(srv.VMs)
+	for _, row := range [][]float64{{3, 3}, {2, 2, 2, 2, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Add of a %d-sample row to an 8-sample set did not panic", len(row))
+				}
+			}()
+			ps.Add(0, row)
+		}()
 	}
-	if placed != 2 {
-		t.Fatalf("placed %d of 2 with short profiles", placed)
+	if ps.Len() != 0 {
+		t.Fatalf("rejected rows registered: %d profiles", ps.Len())
 	}
 }
 

@@ -152,8 +152,8 @@ var dirtySamples = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysig
 // genCase builds a DC from a byte stream (next returns 0 once a finite
 // stream is exhausted). Utilizations come in 256 levels up to half a
 // server, so peaks tie often and servers fill after a handful of VMs; a
-// dirty case mixes NaN, ±Inf, negative and -0 samples in, and rows may be
-// short or over-long.
+// dirty case mixes NaN, ±Inf, negative and -0 samples in, and rows may end
+// in a zero tail of any length.
 func genCase(next func() byte, samples, budgetClass int) oracleCase {
 	n := int(next())
 	dirty := next()%3 == 0
@@ -162,15 +162,12 @@ func genCase(next func() byte, samples, budgetClass int) oracleCase {
 	id := 0
 	for range n {
 		id += 1 + int(next()%3)
-		rowLen := samples
-		switch next() % 8 {
-		case 0:
-			rowLen = int(next()) % samples
-		case 1:
-			rowLen = samples + 1 + int(next()%3)
+		drawn := samples
+		if next()%8 == 0 {
+			drawn = int(next()) % samples
 		}
-		row := make([]float64, rowLen)
-		for t := range row {
+		row := make([]float64, samples)
+		for t := range row[:drawn] {
 			b := next()
 			if dirty && b < 24 {
 				row[t] = dirtySamples[int(b)%len(dirtySamples)]

@@ -139,7 +139,7 @@ type Spec struct {
 	// given amplitude in [0, 1); 0 keeps arrivals stationary.
 	ArrivalWave float64
 	// FastMath opts controllers into their approximate fast-numeric paths
-	// (quantized correlation kernel, frozen embedding peers).
+	// (peak coincidence over quantized profiles, frozen embedding peers).
 	// Default off: unset runs stay bit-identical to prior releases. The
 	// per-pair kernel error is bounded by correlation.FastEps; see
 	// PERFORMANCE.md for the end-to-end metric tolerance.

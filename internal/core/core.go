@@ -138,9 +138,10 @@ type Field struct {
 	// peers is the id-addressed adjacency AttractionPeers serves; nil
 	// unless the caller maintains one (the serving refinement).
 	peers map[int][]int
-	// fast makes Bind pack the quantized records, so RepulsionRow takes
-	// the fast peak-coincidence kernel (error bound correlation.FastEps per
-	// pair). Force stays exact.
+	// fast makes Bind pack the rows' fixed-point tick counts instead of
+	// their samples (see correlation.ProfileSet.Pack), so RepulsionRow's
+	// peak coincidence is quantized, within correlation.FastEps per pair.
+	// Force stays exact.
 	fast bool
 	// ids, packed, adj, on and by hold the bound point order (see Bind):
 	// point i is ids[i], packed lays the kernel's profile rows out in that
@@ -162,7 +163,7 @@ func (f *Field) Force(onto, by int) float64 {
 
 // Bind implements embed.SplitField: it builds the data adjacency between
 // the points (see bindAdjacency) and packs the slot's profile rows in point
-// order — float records, or quantized ones in fast mode — so the kernel
+// order — samples, or their tick counts in fast mode — so the kernel
 // resolves a partner with one dense record load. The tables live as long
 // as the field, one Place or reconciliation.
 func (f *Field) Bind(ids []int) {

@@ -15,7 +15,11 @@
 // utilization profiles.
 package correlation
 
-import "geovmp/internal/units"
+import (
+	"fmt"
+
+	"geovmp/internal/units"
+)
 
 // PeakCoincidence returns the paper's CPU-load correlation of two
 // utilization profiles sampled over the same slot: the combined worst-case
@@ -82,53 +86,48 @@ func NormalizeData(vol, ref units.DataSize) float64 {
 // ProfileSet holds per-VM downsampled utilization profiles for one slot and
 // answers pairwise queries. It is slice-backed and indexed by the workload's
 // compact VM ids, so the O(V^2) pairwise queries of the clustering phase are
-// array loads instead of map lookups — and standard-length profiles are
-// copied into one contiguous arena in insertion order, so the pairwise sweep
-// touches a few cache-resident kilobytes instead of rows scattered across
-// the workload's tables. Build one per slot via Add (or Reset and refill to
-// reuse the backing arrays across slots), then query.
+// array loads instead of map lookups — and every row, Samples() values
+// long, is copied into one contiguous arena in insertion order, so the
+// pairwise sweep touches a few cache-resident kilobytes instead of rows
+// scattered across the workload's tables. Build one per slot via Add (or
+// Reset and refill to reuse the backing arrays across slots), then query.
 type ProfileSet struct {
 	samples int
-	arena   []float64   // contiguous samples-length rows, insertion order
-	off     []int32     // indexed by id: arena offset, or absentRow/oddRow-k
-	odd     [][]float64 // rows whose length differs from samples (retained)
-	peaks   []float64   // indexed by id; valid only where a row exists
-	ids     []int       // ids currently registered
-	idPos   []int32     // indexed by id: position in ids, valid where a row exists
-	// freeStd and freeOdd hold storage released by Remove (arena row
-	// offsets and odd-table slots respectively), reused LIFO by later Adds
-	// so a long-running arrival/departure stream stays allocation-free and
-	// the arena does not grow past the peak population.
+	arena   []float64 // contiguous samples-length rows, insertion order
+	off     []int32   // indexed by id: arena offset, or absentRow
+	peaks   []float64 // indexed by id; valid only where a row exists
+	ids     []int     // ids currently registered
+	idPos   []int32   // indexed by id: position in ids, valid where a row exists
+	// freeStd holds the arena rows released by Remove, reused LIFO by
+	// later Adds so a long-running arrival/departure stream stays
+	// allocation-free and the arena does not grow past the peak population.
 	freeStd []int32
-	freeOdd []int32
 }
 
-// Fixed-point parameters of the fast peak-coincidence kernel (a Packed
-// table built with fast).
+// Fixed-point parameters of fast mode's peak coincidence (a Packed table
+// built with fast).
 const (
-	// qScale is the tick size: 4096 ticks per unit of utilization, so a
-	// uint16 covers utilizations up to 16.0 with 2.4e-4 resolution. Rows
-	// holding negative or >16.0 samples are packed as qSlow and fall back
-	// to the exact kernel pair by pair.
+	// qScale is the tick size: 4096 ticks per unit of utilization, so the
+	// 65536 tick counts of a uint16 cover utilizations up to 16.0 with
+	// 2.4e-4 resolution. Rows holding a negative or NaN sample, or one
+	// that rounds to 65536 ticks or more, are packed as slowRow and fall
+	// back to the exact kernel pair by pair.
 	qScale = 4096
 	// qMinDen is the minimum quantized peak sum (numerator of Eq. 5's
-	// denominator) the fast kernel accepts: 512 ticks = 1/8 of one core.
+	// denominator) a fast table scans: 512 ticks = 1/8 of one core.
 	// Near-idle pairs below it fall back to the exact kernel, which caps
 	// the relative quantization error (see FastEps).
 	qMinDen = 512
 )
 
-// FastEps bounds the absolute error of the fast kernel against the exact
-// one, per pair: numerator and denominator are each within ±1 tick of the
+// FastEps bounds the absolute error of a fast table against the exact
+// kernel, per pair: numerator and denominator are each within ±1 tick of the
 // scaled exact values, the denominator is at least qMinDen ticks, and the
 // ratio is <= 1, so |fast - exact| <= 2/qMinDen. The clamps to [1e-9, 1]
 // are shared and 1-Lipschitz, so they never widen the gap.
 const FastEps = 2.0 / qMinDen
 
-const (
-	absentRow = int32(-1)
-	oddRow    = int32(-2) // off = oddRow - k addresses odd[k]
-)
+const absentRow = int32(-1)
 
 // NewProfileSet creates a set expecting profiles of the given sample count.
 func NewProfileSet(samples int) *ProfileSet {
@@ -147,66 +146,43 @@ func (ps *ProfileSet) Reset() {
 	}
 	ps.ids = ps.ids[:0]
 	ps.arena = ps.arena[:0]
-	ps.odd = ps.odd[:0]
 	ps.freeStd = ps.freeStd[:0]
-	ps.freeOdd = ps.freeOdd[:0]
 }
 
 // Len returns the number of registered profiles.
 func (ps *ProfileSet) Len() int { return len(ps.ids) }
 
-// Add registers a VM's profile. Rows of the expected sample count are
-// copied into the set's arena; other lengths are retained as-is and must
-// not be mutated afterwards. Adding an id that already has a profile
-// replaces it (the streaming controller's telemetry-refresh path), reusing
-// the old storage where the lengths allow. Any Add/Remove sequence leaves
-// queries equal to a set built from scratch over the surviving profiles.
+// Add registers a VM's profile, copying it into the set's arena; it panics
+// unless the row holds exactly Samples() values. Adding an id that already
+// has a profile replaces it in place (the streaming controller's
+// telemetry-refresh path). Any Add/Remove sequence leaves queries equal to
+// a set built from scratch over the surviving profiles.
 func (ps *ProfileSet) Add(id int, prof []float64) {
+	if len(prof) != ps.samples {
+		panic(fmt.Sprintf("correlation: profile of %d samples added to a set of %d", len(prof), ps.samples))
+	}
 	if id < 0 {
 		return
 	}
 	if id >= len(ps.off) {
 		ps.grow(id + 1)
 	}
-	prev := ps.off[id]
-	if prev == absentRow {
+	off := ps.off[id]
+	if off == absentRow {
 		ps.idPos[id] = int32(len(ps.ids))
 		ps.ids = append(ps.ids, id)
+		if n := len(ps.freeStd); n > 0 {
+			off = ps.freeStd[n-1]
+			ps.freeStd = ps.freeStd[:n-1]
+		}
 	}
-	if len(prof) == ps.samples {
-		off := absentRow
-		if prev >= 0 {
-			off = prev // overwrite the existing arena row in place
-		} else {
-			if prev <= oddRow {
-				ps.freeStorage(prev)
-			}
-			if n := len(ps.freeStd); n > 0 {
-				off = ps.freeStd[n-1]
-				ps.freeStd = ps.freeStd[:n-1]
-			}
-		}
-		if off >= 0 {
-			copy(ps.arena[off:int(off)+ps.samples], prof)
-		} else {
-			off = int32(len(ps.arena))
-			ps.arena = append(ps.arena, prof...)
-		}
-		ps.off[id] = off
+	if off >= 0 {
+		copy(ps.arena[off:int(off)+ps.samples], prof)
 	} else {
-		if prev != absentRow {
-			ps.freeStorage(prev)
-		}
-		if n := len(ps.freeOdd); n > 0 {
-			k := ps.freeOdd[n-1]
-			ps.freeOdd = ps.freeOdd[:n-1]
-			ps.odd[k] = prof
-			ps.off[id] = oddRow - k
-		} else {
-			ps.off[id] = oddRow - int32(len(ps.odd))
-			ps.odd = append(ps.odd, prof)
-		}
+		off = int32(len(ps.arena))
+		ps.arena = append(ps.arena, prof...)
 	}
+	ps.off[id] = off
 	var peak float64
 	for _, u := range prof {
 		if u > peak {
@@ -216,7 +192,7 @@ func (ps *ProfileSet) Add(id int, prof []float64) {
 	ps.peaks[id] = peak
 }
 
-// Remove forgets id's profile, releasing its storage to the free lists for
+// Remove forgets id's profile, releasing its arena row to the free list for
 // later Adds — the departure amendment of the streaming controller, which
 // adjusts the set per VM arrival/departure instead of rebuilding the world.
 // Removing an absent id is a no-op.
@@ -224,7 +200,9 @@ func (ps *ProfileSet) Remove(id int) {
 	if id < 0 || id >= len(ps.off) || ps.off[id] == absentRow {
 		return
 	}
-	ps.freeStorage(ps.off[id])
+	// The freed row keeps stale floats until a later Add overwrites it; no
+	// query resolves to it because no off entry points at it.
+	ps.freeStd = append(ps.freeStd, ps.off[id])
 	ps.off[id] = absentRow
 	ps.peaks[id] = 0
 	p := ps.idPos[id]
@@ -232,20 +210,6 @@ func (ps *ProfileSet) Remove(id int) {
 	ps.ids[p] = last
 	ps.idPos[last] = p
 	ps.ids = ps.ids[:len(ps.ids)-1]
-}
-
-// freeStorage returns a row's backing storage to the matching free list.
-// Freed arena rows keep stale floats until reused, at which point Add
-// overwrites them; no query ever resolves to a freed row because no off
-// entry points at it.
-func (ps *ProfileSet) freeStorage(off int32) {
-	if off >= 0 {
-		ps.freeStd = append(ps.freeStd, off)
-		return
-	}
-	k := oddRow - off
-	ps.odd[k] = nil
-	ps.freeOdd = append(ps.freeOdd, k)
 }
 
 func (ps *ProfileSet) grow(n int) {
@@ -281,11 +245,8 @@ func (ps *ProfileSet) Profile(id int) []float64 {
 		return nil
 	}
 	off := ps.off[id]
-	switch {
-	case off == absentRow:
+	if off == absentRow {
 		return nil
-	case off <= oddRow:
-		return ps.odd[oddRow-off]
 	}
 	return ps.arena[off : int(off)+ps.samples]
 }
@@ -299,12 +260,10 @@ func (ps *ProfileSet) Peak(id int) float64 {
 }
 
 // CPUCorr returns the peak-coincidence CPU-load correlation of two
-// registered VMs; pairs with a missing profile return the neutral 0.5. A
-// standard-length pair — the only shape the simulator produces — is one
-// full scan over the two arena rows with the peaks computed at Add time;
-// other pairs take PeakCoincidence itself. Results are identical to
-// PeakCoincidence in every case: the stored peaks are its own >-from-0
-// maxima, and the clamps are shared.
+// registered VMs; pairs with a missing profile, or whose peaks are both
+// zero, return the neutral 0.5. It is one full scan over the two arena rows
+// with the peaks computed at Add time, identical to PeakCoincidence: the
+// stored peaks are its own >-from-0 maxima, and the clamps are shared.
 func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 	a := ps.Profile(i)
 	b := ps.Profile(j)
@@ -312,8 +271,8 @@ func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 		return 0.5
 	}
 	den := ps.peaks[i] + ps.peaks[j]
-	if ps.off[i] < 0 || ps.off[j] < 0 || den <= 0 {
-		return PeakCoincidence(a, b)
+	if den <= 0 {
+		return 0.5
 	}
 	b = b[:len(a)]
 	var peakAB float64

@@ -54,21 +54,30 @@ func TestProfileSetOwnership(t *testing.T) {
 	ps := NewProfileSet(3)
 	prof := []float64{0.5, 0.6, 0.7}
 	ps.Add(1, prof)
-	// Standard-length rows are copied into the set's contiguous arena (the
-	// documented cache-locality contract): the caller keeps its slice and
-	// later mutations do not leak into the set.
+	// Rows are copied into the set's contiguous arena (the documented
+	// cache-locality contract): the caller keeps its slice and later
+	// mutations do not leak into the set.
 	got := ps.Profile(1)
 	if &got[0] == &prof[0] {
-		t.Fatal("standard-length profile should be copied into the arena")
+		t.Fatal("profile should be copied into the arena")
 	}
 	prof[0] = 99
 	if ps.Profile(1)[0] != 0.5 {
 		t.Fatal("caller mutation leaked into the set")
 	}
-	// Odd-length rows are retained as-is.
-	odd := []float64{0.1, 0.2}
-	ps.Add(2, odd)
-	if oddGot := ps.Profile(2); &oddGot[0] != &odd[0] {
-		t.Fatal("odd-length profile should be retained, not copied")
+	// Rows of any other length are refused: Add panics on a short and on
+	// a long row and leaves the set as it was.
+	for _, n := range []int{2, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Add of a %d-sample row to a 3-sample set did not panic", n)
+				}
+			}()
+			ps.Add(2, make([]float64, n))
+		}()
+		if ps.Has(2) || ps.Len() != 1 {
+			t.Fatalf("refused %d-sample row was registered", n)
+		}
 	}
 }

@@ -29,10 +29,10 @@ func randProfile(src *rng.Source, n int) []float64 {
 
 // TestCPUCorrMatchesPeakCoincidence is the property test of CPUCorr's
 // stored-peak scan: over randomized profiles — including all-zero rows,
-// equal-peak ties and odd-length rows — every pairwise CPUCorr must equal
-// the reference PeakCoincidence bit for bit, before and (odd trials) after
-// a fast table is packed from the set, since packing must never move
-// CPUCorr.
+// equal-peak ties and rows a packed table marks slow (a negative or NaN
+// sample) — every pairwise CPUCorr must equal the reference
+// PeakCoincidence bit for bit, before and (odd trials) after a fast table
+// is packed from the set, since packing must never move CPUCorr.
 func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(7).Derive("pruned-kernel")
 	const samples = 12
@@ -52,9 +52,11 @@ func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 				p[id%samples] = 0.75
 				p[(id+5)%samples] = 0.75
 			case id%5 == 4:
-				p = randProfile(src, samples/2) // odd-length rows
+				p = randProfile(src, samples)
+				p[id%samples] = -src.Float64() // a negative sample
 			case id%11 == 10:
-				p = randProfile(src, samples+6) // longer odd rows
+				p = randProfile(src, samples)
+				p[id%samples] = math.NaN()
 			default:
 				p = randProfile(src, samples)
 			}
@@ -84,8 +86,10 @@ func TestCPUCorrMatchesPeakCoincidence(t *testing.T) {
 // fuzzSample maps one fuzz byte to a profile sample, weighting ordinary
 // utilizations but reaching every value the kernels treat specially: +0,
 // -0, NaN, +Inf, negatives, exact ties, a peak whose pair sum overflows,
-// and the last quantizable value and the first past the uint16 tick range.
-// Ordinary values start at 8/256, so rows of them can pair under qMinDen.
+// the last quantizable value and the first past the uint16 tick range, and
+// values just over the whole tick counts around qMinDen/2 (248-263 ticks),
+// so two row peaks can sum to either side of qMinDen. Ordinary values start at 10/256, so rows
+// of them can pair under qMinDen.
 func fuzzSample(b byte) float64 {
 	switch b % 16 {
 	case 0:
@@ -104,6 +108,8 @@ func fuzzSample(b byte) float64 {
 		return math.MaxFloat64 / 1.5
 	case 7:
 		return tickEdge - 0.25/qScale
+	case 8:
+		return (float64(qMinDen/2-8+int(b>>4)) + 0.3) / qScale
 	case 9:
 		return tickEdge
 	}
@@ -111,13 +117,13 @@ func fuzzSample(b byte) float64 {
 }
 
 // FuzzCPUCorr holds both exact kernels — ProfileSet.CPUCorr and an exact
-// Packed table, the latter on its kernel scan and on simd's Go oracle — to
-// PeakCoincidence bit for bit, and a fast Packed table
-// to the quantized oracle bit for bit and to PeakCoincidence within
-// FastEps, over arbitrary row widths (0-96), odd-length rows, absent ids
-// and adversarial samples. Each row takes one header byte (low two bits:
-// 0/1 a standard row, 2 absent, 3 an odd row whose length is the rest of
-// the byte) and then one byte per sample.
+// Packed table — to PeakCoincidence bit for bit, and a fast Packed table to
+// the quantized oracle bit for bit and to PeakCoincidence within FastEps,
+// each packed table on its kernel scan and on simd's Go oracle, over
+// arbitrary row widths (0-96), absent ids and adversarial samples. Each
+// row takes one header byte (low two bits: 0/1 a row, 2 absent, 3 a row
+// whose sample at the rest of the byte, modulo the width, is NaN) and then
+// one byte per sample.
 func FuzzCPUCorr(f *testing.F) {
 	f.Add(uint8(12), []byte{0, 7, 9, 200, 31, 5, 5, 18, 77, 0, 1, 12, 99, 1, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51})
 	f.Add(uint8(57), []byte{0, 2, 3, 0x13, 9, 1, 250, 6, 6, 2, 8, 0})
@@ -125,18 +131,17 @@ func FuzzCPUCorr(f *testing.F) {
 	f.Add(uint8(96), []byte{0, 255, 254, 253, 1, 3, 3, 3, 2, 0, 5, 5, 5})
 	f.Add(uint8(0), []byte{0, 3, 0x0f, 1, 2, 3})
 	f.Add(uint8(5), []byte{0, 1, 2, 3, 4, 5, 3, 0x17, 6, 6, 6, 0, 0, 16, 17, 18, 19})
-	// Two clean wide rows (header and samples 8, i.e. 8/256) whose peaks
-	// coincide on the last sample only, so a scan that stops short of the
-	// row's end is caught.
+	// Two clean wide rows (header 8 and samples of 248 ticks) whose peaks
+	// (263 ticks) coincide on the last sample only, so a scan that stops
+	// short of the row's end is caught.
 	for _, w := range []uint8{57, 64, 96} {
 		row := bytes.Repeat([]byte{8}, int(w)+1)
 		row[w] = 0xf8
 		f.Add(w, append(row, row...))
 	}
-	// Near-idle rows (8/256 and 10/256: tick peaks summing under qMinDen)
+	// Near-idle rows (tick peaks of 248, summing under qMinDen)
 	// against a busy one, an all-zero pair, and rows either side of the
-	// tick edge, at widths that fill one 16-lane fast record (14) and
-	// spill past it (15, 30).
+	// tick edge, at widths 14, 15 and 30.
 	f.Add(uint8(14), []byte{0, 8, 8, 10, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 1, 10, 10, 8, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10,
 		0, 200, 13, 14, 15, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5})
 	// A NaN in an otherwise ordinary row, opposite the partner's peak.
@@ -150,6 +155,9 @@ func FuzzCPUCorr(f *testing.F) {
 		edge = append(edge, row...)
 	}
 	f.Add(uint8(30), edge)
+	// Rows whose tick peaks are 248 (byte 8), 249 (24) and 263 (248): the
+	// pairs sum to 511, one tick under qMinDen, and to 512, on it.
+	f.Add(uint8(7), []byte{0, 8, 0, 0, 0, 0, 0, 10, 1, 0, 0, 248, 0, 0, 0, 0, 0, 24, 0, 0, 0, 0, 0, 10})
 	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
 		s := int(width) % 97
 		next := func() byte {
@@ -164,24 +172,23 @@ func FuzzCPUCorr(f *testing.F) {
 		var rows [][]float64
 		for id := 0; id < 8 && len(data) > 0; id++ {
 			hdr := next()
-			n := s
-			switch hdr & 3 {
-			case 2:
+			if hdr&3 == 2 {
 				rows = append(rows, nil)
 				continue
-			case 3:
-				n = int(hdr>>2) % 97
 			}
-			p := make([]float64, n)
+			p := make([]float64, s)
 			for k := range p {
 				p[k] = fuzzSample(next())
+			}
+			if hdr&3 == 3 && s > 0 {
+				p[int(hdr>>2)%s] = math.NaN()
 			}
 			ps.Add(id, p)
 			rows = append(rows, p)
 		}
 		// Every row plus one id never seen, as partners in order and then
-		// reversed, so the exact scan stops at and resumes past slow
-		// partners from both sides.
+		// reversed, so the scan stops at and resumes past slow partners
+		// from both sides.
 		ids := make([]int, len(rows)+1)
 		js := make([]int32, 2*len(ids))
 		for k := range ids {
@@ -202,10 +209,12 @@ func FuzzCPUCorr(f *testing.F) {
 		dst := make([]float64, len(js))
 		gdst := make([]float64, len(js))
 		fdst := make([]float64, len(js))
+		fgdst := make([]float64, len(js))
 		for i, a := range ids {
 			pk.CPUCorrInto(dst, i, js)
 			pk.cpuCorrInto(gdst, i, js, simd.PeakCorrGo)
 			fast.CPUCorrInto(fdst, i, js)
+			fast.cpuCorrInto(fgdst, i, js, simd.PeakCorrGo)
 			for k, j := range js {
 				b := ids[j]
 				exact := PeakCoincidence(row(a), row(b))
@@ -220,6 +229,7 @@ func FuzzCPUCorr(f *testing.F) {
 					t.Fatalf("S=%d: packed Go scan (%d, %d) = %#x, want PeakCoincidence %#x", s, a, b, got, want)
 				}
 				checkFast(t, o, a, b, fdst[k], exact)
+				checkFast(t, o, a, b, fgdst[k], exact)
 			}
 		}
 	})

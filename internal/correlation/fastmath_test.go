@@ -148,8 +148,8 @@ const tickEdge = 65535.5 / qScale
 
 // fastProfiles builds an adversarial mix of profile shapes: random loads,
 // near-idle rows (forcing the quantized denominator fallback), constant
-// ties, single-sample rows, saturated rows above the quantizable range,
-// exact-zero rows, and rows either side of the tick edge.
+// ties, rows with a negative sample, saturated rows above the quantizable
+// range, exact-zero rows, and rows either side of the tick edge.
 func fastProfiles(seed uint64, n, samples int) [][]float64 {
 	profs := make([][]float64, n)
 	for i := range profs {
@@ -169,8 +169,11 @@ func fastProfiles(seed uint64, n, samples int) [][]float64 {
 			for t := range p {
 				p[t] = c
 			}
-		case 3: // short row: prefix semantics against full-length partners
-			p = []float64{rng.Noise01(seed, k)}
+		case 3: // a negative sample: a slow row in both layouts
+			for t := range p {
+				p[t] = rng.Noise01(seed, k, uint64(t))
+			}
+			p[i%samples] = -rng.Noise01(seed, k)
 		case 4: // saturated beyond the uint16 fixed-point range
 			for t := range p {
 				p[t] = 20 * rng.Noise01(seed, k, uint64(t))
@@ -233,13 +236,13 @@ func TestFastKernelErrorBudget(t *testing.T) {
 }
 
 // TestFastKernelDisabledMatchesExact verifies the fast table degrades to
-// the exact kernel where quantization is rejected: odd-length rows, a
-// sample past the uint16 range, and a NaN or negative sample.
+// the exact kernel where quantization is rejected: samples on and past the
+// end of the uint16 range, and a NaN or negative sample.
 func TestFastKernelDisabledMatchesExact(t *testing.T) {
 	ps := NewProfileSet(2)
-	ps.Add(1, []float64{0.2, 0.9, 0.4}) // odd-length
-	ps.Add(2, []float64{0.5, 0.1, 0.8}) // odd-length
-	ps.Add(3, []float64{25.0, 0.1})     // > uint16 range
+	ps.Add(1, []float64{0.2, 16.0})        // 65536 ticks: one past the range
+	ps.Add(2, []float64{0.5, math.Inf(1)}) // clean, but not quantizable
+	ps.Add(3, []float64{25.0, 0.1})        // > uint16 range
 	ps.Add(4, []float64{math.NaN(), 0.5})
 	ps.Add(5, []float64{-0.25, 0.5})
 	ps.Add(6, []float64{1.0, 0.25}) // quantizable

@@ -16,139 +16,113 @@ import (
 // ProfileSet.Pack; it is read-only afterwards and safe for concurrent
 // readers.
 //
-// An exact table holds n records of (S+1 rounded up to 8) float64s: 128 B
-// per point at the default 12 samples (1.5 MiB at 12.6k points). A fast
-// table holds the same rows quantized to qScale ticks, n records of (S+2
-// rounded up to 16) uint16s: 32 B per point at 12 samples.
+// A table holds n records of (S+1 rounded up to 8) float64s: 128 B per
+// point at the default 12 samples (1.5 MiB at 12.6k points). An exact table
+// holds the rows themselves; a fast table holds the same rows quantized to
+// qScale ticks, each tick count stored as an integer-valued float64 (see
+// Pack).
 type Packed struct {
 	ps     *ProfileSet
 	ids    []int
 	s      int // samples per row
 	fast   bool
 	stride int       // record length: peak, samples, padding
-	rec    []float64 // exact: per point, peak (or slowRow), then the s samples
-	q      []uint16  // fast: per point, the int32 tick peak (or qSlow) in two lanes, then s ticks
+	rec    []float64 // per point, peak (or slowRow), then the s samples
 }
 
 // Record markers in the peak slot. Real peaks are never negative (Add
 // takes the max from 0), so the markers cannot collide. slowRow marks a
-// point whose pairs take ProfileSet.CPUCorr because its row is odd-length
-// or holds a sample the packed kernel's integer max cannot order (see
-// cleanSample). A point without a profile gets peak -Inf: every pair with
-// it then has a non-positive (or NaN) peak sum and takes the neutral 0.5,
-// as CPUCorr answers, without a branch of its own (whatever its record's
-// samples hold is scanned and discarded).
+// point whose pairs take ProfileSet.CPUCorr because its row holds a sample
+// the packed kernel's integer max cannot order (see cleanRow) or, in a
+// fast table, one that does not quantize. A point without a profile gets
+// peak -Inf: every pair with it then has a non-positive (or NaN) peak sum
+// and takes the neutral 0.5, as CPUCorr answers, without a branch of its
+// own (whatever its record's samples hold is scanned and discarded).
 const slowRow = simd.SlowRow
 
-// cleanSample reports whether v is +0, positive or +Inf. Sums of such
-// samples are never NaN and never carry the sign bit, so their IEEE bit
-// patterns order exactly as their values — which lets the packed kernel take
-// the combined peak with branch-free integer maxima.
-func cleanSample(v float64) bool {
-	return math.Float64bits(v) <= math.Float64bits(math.Inf(1))
+// cleanRow reports whether every sample of row is +0, positive or +Inf.
+// Sums of such samples are never NaN and never carry the sign bit, so their
+// IEEE bit patterns order exactly as their values — which lets the packed
+// kernel take the combined peak with branch-free integer maxima.
+func cleanRow(row []float64) bool {
+	for _, v := range row {
+		if math.Float64bits(v) > math.Float64bits(math.Inf(1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Pack lays out ids' rows in p, point i holding ids[i]'s row, reusing p's
-// backing arrays: float records for the exact kernel or, with fast, tick
-// records for the quantized one (see CPUCorrInto). ids is retained until
-// the next Pack; the set must not change while p is queried.
+// backing arrays. Without fast a record holds the row's samples and peak;
+// with fast it holds their qScale tick counts, rounded half-up (monotone in
+// the sample, so the largest tick is the quantized peak), and a row with a
+// sample that does not quantize — negative, NaN, or 65536 ticks or more —
+// is slowRow. ids is retained until the next Pack; the set must not change
+// while p is queried.
 func (ps *ProfileSet) Pack(p *Packed, ids []int, fast bool) {
 	s := ps.samples
 	p.ps, p.ids, p.s, p.fast = ps, ids, s, fast
-	if fast {
-		ps.packTicks(p)
-		return
-	}
 	// Records are padded to whole 64-byte lines, so a partner's samples
 	// span as few lines as possible.
 	p.stride = (s + 1 + 7) &^ 7
 	p.rec = slices.Grow(p.rec[:0], len(ids)*p.stride)[:len(ids)*p.stride]
 	for i, id := range ids {
 		r := p.rec[i*p.stride : i*p.stride+p.stride]
-		r[0] = slowRow
 		if !ps.Has(id) {
 			r[0] = math.Inf(-1)
 			continue
 		}
-		if s <= 0 || ps.off[id] < 0 {
-			continue
-		}
-		off := int(ps.off[id])
-		row := ps.arena[off : off+s]
-		clean := true
-		for _, v := range row {
-			clean = clean && cleanSample(v)
-		}
-		if clean {
+		row := ps.Profile(id)
+		switch {
+		case fast:
+			r[0] = quantize(r[1:s+1], row)
+		case cleanRow(row):
 			r[0] = ps.peaks[id]
 			copy(r[1:], row)
+		default:
+			r[0] = slowRow
 		}
 	}
 }
 
-// qSlow is the tick-peak marker of a point whose pairs take CPUCorr: its
-// row is missing or odd-length, or holds a negative, NaN or >16.0 sample
-// (past the uint16 range). Any peak sum with it is below qMinDen, so the
-// quantized kernel's denominator test catches both fallbacks at once.
-const qSlow = -1 << 16
-
-// packTicks fills p's fast records. Samples are rounded half-up to qScale
-// ticks — monotone in the sample value, so the row's largest tick is its
-// quantized peak, stored as an int32 across the record's first two lanes.
-// Records are padded to whole 32-byte vectors of sixteen lanes.
-func (ps *ProfileSet) packTicks(p *Packed) {
-	s := ps.samples
-	p.stride = (s + 2 + 15) &^ 15
-	p.q = slices.Grow(p.q[:0], len(p.ids)*p.stride)[:len(p.ids)*p.stride]
-	for i, id := range p.ids {
-		r := p.q[i*p.stride : i*p.stride+p.stride]
-		peak := int32(qSlow)
-		if ps.Has(id) && ps.off[id] >= 0 {
-			peak = 0
-			off := int(ps.off[id])
-			for t, v := range ps.arena[off : off+s] {
-				q := v*qScale + 0.5
-				// The negated form also rejects NaN samples, whose uint16
-				// conversion would be unspecified.
-				if !(v >= 0 && q < 65536) {
-					peak = qSlow
-					break
-				}
-				r[2+t] = uint16(q)
-				peak = max(peak, int32(r[2+t]))
-			}
+// quantize writes row's tick counts to q and returns the tick peak, or
+// slowRow when a sample does not quantize.
+func quantize(q, row []float64) float64 {
+	var peak float64
+	for t, v := range row {
+		x := v*qScale + 0.5
+		// The negated form also rejects NaN samples, whose uint16
+		// conversion would be unspecified.
+		if !(v >= 0 && x < 65536) {
+			return slowRow
 		}
-		r[0], r[1] = uint16(peak), uint16(peak>>16)
+		q[t] = float64(uint16(x))
+		peak = max(peak, q[t])
 	}
+	return peak
 }
-
-// tickPeak reads a fast record's int32 peak from its first two lanes.
-func tickPeak(r []uint16) int32 { return int32(uint32(r[0]) | uint32(r[1])<<16) }
 
 // CPUCorrInto fills dst[k] with the CPU-load correlation of ids[i] and
 // ids[js[k]] for the ids of the last Pack.
 //
-// Over an exact table it equals CPUCorr bit for bit. Like CPUCorr it scans
-// every sample, but over clean records (see cleanSample) it takes the
-// combined peak as a branch-free max of bit patterns (simd.PeakCorr, an AVX2
-// kernel where the CPU has one), so no pair pays a data-dependent branch
-// the CPU cannot predict. Pairs with a slow point go through CPUCorr.
+// Both layouts run one scan. Like CPUCorr it reads every sample, but over
+// clean records (see cleanRow) it takes the combined peak as a
+// branch-free max of bit patterns (simd.PeakCorr, an AVX2 kernel where the
+// CPU has one), so no pair pays a data-dependent branch the CPU cannot
+// predict. Pairs with a slow point go through CPUCorr.
 //
-// Over a fast table dst[k] is within FastEps of CPUCorr: the combined peak
-// is an exact integer max over the ticks, so the only error is the ±1-tick
-// rounding of numerator and denominator. Pairs with a qSlow point or a
-// tick peak sum under qMinDen take CPUCorr.
+// Over an exact table dst[k] equals CPUCorr bit for bit. Over a fast table
+// it is within FastEps of CPUCorr: tick sums and their max are exact in
+// float64, so the only error is the ±1-tick rounding of numerator and
+// denominator. Pairs whose tick peaks sum under qMinDen take CPUCorr.
 func (p *Packed) CPUCorrInto(dst []float64, i int, js []int32) {
 	p.cpuCorrInto(dst, i, js, simd.PeakCorr)
 }
 
-// cpuCorrInto is CPUCorrInto with the exact table's scan passed in:
+// cpuCorrInto is CPUCorrInto with the table's scan passed in:
 // simd.PeakCorr, or its Go oracle in tests.
 func (p *Packed) cpuCorrInto(dst []float64, i int, js []int32, scan func(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int) {
-	if p.fast {
-		p.ticksInto(dst, i, js)
-		return
-	}
 	s, w := p.s, p.stride
 	ra := p.rec[i*w : i*w+w]
 	if ra[0] == slowRow {
@@ -163,34 +137,15 @@ func (p *Packed) cpuCorrInto(dst []float64, i int, js []int32, scan func(dst, a 
 			dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[js[k]])
 		}
 	}
-}
-
-// ticksInto is CPUCorrInto over a fast table: max_t(qa[t]+qb[t]) over the
-// tick peak sum, one full scan per pair.
-func (p *Packed) ticksInto(dst []float64, i int, js []int32) {
-	s, w := p.s, p.stride
-	ra := p.q[i*w : i*w+w]
-	peakA := tickPeak(ra)
-	a := ra[2 : 2+s]
-	for k, j := range js {
-		rb := p.q[int(j)*w : int(j)*w+w]
-		den := peakA + tickPeak(rb)
-		if den < qMinDen {
-			dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[j])
-			continue
+	// A pair whose tick peaks sum under qMinDen, where one tick is a large
+	// share of the peak, takes CPUCorr. Tick peaks are never negative, so
+	// only a near-idle anchor has such partners; a missing partner's 0.5
+	// from the scan is already CPUCorr's.
+	if p.fast && ra[0] < qMinDen {
+		for k, j := range js {
+			if ra[0]+p.rec[int(j)*w] < qMinDen {
+				dst[k] = p.ps.CPUCorr(p.ids[i], p.ids[j])
+			}
 		}
-		b := rb[2 : 2+len(a)]
-		var m0, m1, m2, m3 uint32
-		t := 0
-		for ; t+3 < len(a); t += 4 {
-			m0 = max(m0, uint32(a[t])+uint32(b[t]))
-			m1 = max(m1, uint32(a[t+1])+uint32(b[t+1]))
-			m2 = max(m2, uint32(a[t+2])+uint32(b[t+2]))
-			m3 = max(m3, uint32(a[t+3])+uint32(b[t+3]))
-		}
-		for ; t < len(a); t++ {
-			m0 = max(m0, uint32(a[t])+uint32(b[t]))
-		}
-		dst[k] = clampCorr(float64(max(m0, m1, m2, m3)) / float64(den))
 	}
 }

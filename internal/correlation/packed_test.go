@@ -39,12 +39,15 @@ func packedTestRow(src *rng.Source, n int, dirty bool) []float64 {
 
 // TestPackedKernelMatchesPeakCoincidence is the packed kernel's property
 // test: for every pair of packed points — ids packed in shuffled order,
-// including absent ids, odd-length rows, all-zero rows, equal-peak ties and
-// rows holding NaN, negative or -0 samples, at sample counts around the
-// kernel's four-way unroll and records of 8 to 13 cache lines —
-// Packed.CPUCorrInto, on its kernel scan and on simd's Go oracle, must
-// equal both PeakCoincidence and CPUCorr bit for bit, into a fresh table
-// and (even trials) into one that last held a fast layout.
+// including absent ids, all-zero rows, equal-peak ties, rows holding NaN,
+// negative or -0 samples, rows of 65535 and 65536 ticks and rows whose
+// tick peaks sum to 511 and 512, at sample counts around the kernel's
+// four-way unroll and records of 8 to 13 cache lines — Packed.CPUCorrInto,
+// on its kernel scan and on simd's Go oracle, must equal both
+// PeakCoincidence and CPUCorr bit for bit over an exact table, and the
+// quantized oracle bit for bit and PeakCoincidence within FastEps over a
+// fast one. Each layout is packed into a fresh table on one trial and into
+// one that last held the other layout on the next.
 func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 	src := rng.New(3).Derive("packed-kernel")
 	for _, samples := range []int{1, 2, 3, 4, 5, 12, 57, 64, 96} {
@@ -59,6 +62,18 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 					continue // absent: never added
 				case id < 2:
 					p = make([]float64, samples) // all-zero rows
+				case id >= 2 && id <= 4:
+					// Tick peaks of 256, 256 and 255 off the tick grid,
+					// on different samples: pairs of them sum to 512 (on
+					// qMinDen) and 511 (under it).
+					p = make([]float64, samples)
+					p[(id+1)%samples] = 100.3 / qScale
+					p[id%samples] = [...]float64{255.7, 255.8, 254.7}[id-2] / qScale
+				case id == 6 || id == 7:
+					// 65535 ticks, the largest that quantizes, and 65536,
+					// the first that does not.
+					p = packedTestRow(src, samples, false)
+					p[id%samples] = float64(65529+id) / qScale
 				case id%7 == 3:
 					// Equal-peak ties on VM-dependent samples.
 					p = make([]float64, samples)
@@ -71,9 +86,11 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 					p = make([]float64, samples)
 					p[id%samples] = math.MaxFloat64 / 1.5
 				case id%5 == 4:
-					p = packedTestRow(src, samples+1+src.Intn(3), id%2 == 0) // odd-length
+					p = packedTestRow(src, samples, id%2 == 0)
+					p[id%samples] = -src.Float64() // a slow row in both layouts
 				case id%11 == 6:
-					p = packedTestRow(src, samples-1, false) // shorter odd-length
+					p = packedTestRow(src, samples, false)
+					p[id%samples] = math.NaN()
 				default:
 					p = packedTestRow(src, samples, id%3 == 0)
 				}
@@ -83,11 +100,7 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 			// Pack every id plus two that were never seen, in shuffled
 			// order.
 			ids := append(src.Perm(n), n+3, -1)
-			var pk Packed
-			if trial%2 == 0 {
-				ps.Pack(&pk, ids, true)
-			}
-			ps.Pack(&pk, ids, false)
+			o := newFastOracle(ps)
 			js := make([]int32, len(ids))
 			for k, j := range src.Perm(len(ids)) {
 				js[k] = int32(j)
@@ -100,23 +113,32 @@ func TestPackedKernelMatchesPeakCoincidence(t *testing.T) {
 				}
 				return rows[id]
 			}
-			for i, a := range ids {
-				pk.CPUCorrInto(dst, i, js)
-				pk.cpuCorrInto(gdst, i, js, simd.PeakCorrGo)
-				for k, j := range js {
-					b := ids[j]
-					want := PeakCoincidence(row(a), row(b))
-					if math.Float64bits(dst[k]) != math.Float64bits(want) {
-						t.Fatalf("S=%d trial %d: packed(%d, %d) = %v, want PeakCoincidence %v",
-							samples, trial, a, b, dst[k], want)
-					}
-					if math.Float64bits(gdst[k]) != math.Float64bits(want) {
-						t.Fatalf("S=%d trial %d: packed Go scan (%d, %d) = %v, want PeakCoincidence %v",
-							samples, trial, a, b, gdst[k], want)
-					}
-					if got := ps.CPUCorr(a, b); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("S=%d trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
-							samples, trial, a, b, got, want)
+			var pk Packed
+			for _, fast := range []bool{trial%2 == 0, trial%2 == 1} {
+				ps.Pack(&pk, ids, fast)
+				for i, a := range ids {
+					pk.CPUCorrInto(dst, i, js)
+					pk.cpuCorrInto(gdst, i, js, simd.PeakCorrGo)
+					for k, j := range js {
+						b := ids[j]
+						want := PeakCoincidence(row(a), row(b))
+						if fast {
+							checkFast(t, o, a, b, dst[k], want)
+							checkFast(t, o, a, b, gdst[k], want)
+							continue
+						}
+						if math.Float64bits(dst[k]) != math.Float64bits(want) {
+							t.Fatalf("S=%d trial %d: packed(%d, %d) = %v, want PeakCoincidence %v",
+								samples, trial, a, b, dst[k], want)
+						}
+						if math.Float64bits(gdst[k]) != math.Float64bits(want) {
+							t.Fatalf("S=%d trial %d: packed Go scan (%d, %d) = %v, want PeakCoincidence %v",
+								samples, trial, a, b, gdst[k], want)
+						}
+						if got := ps.CPUCorr(a, b); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("S=%d trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
+								samples, trial, a, b, got, want)
+						}
 					}
 				}
 			}
@@ -154,15 +176,15 @@ func TestPackedRepack(t *testing.T) {
 	}
 }
 
-// BenchmarkPackedCPUCorrInto measures the exact and the fast packed kernel
-// against the per-pair CPUCorr at the embedding's scale: ~12k standard
-// rows, at the default 12 samples per row and at larger sample counts,
-// where each partner record spans more cache lines. Rows are a per-VM load
-// level plus 10% jitter, like a slot's downsampled utilization. Partners
-// come in random order, as the sampled embedding draws them; the exact
-// table's scan is also timed over sequential partners, as the exact
-// embedding's dense build reads them, and on both its paths: simd's Go
-// oracle and, where the CPU has it, the AVX2 kernel.
+// BenchmarkPackedCPUCorrInto measures the exact and the fast packed table
+// against the per-pair CPUCorr at the embedding's scale: ~12k rows, at the
+// default 12 samples per row and at larger sample counts, where each
+// partner record spans more cache lines. Rows are a per-VM load level plus
+// 10% jitter, like a slot's downsampled utilization. Both tables run on
+// both scan paths — simd's Go oracle and, where the CPU has it, the AVX2
+// kernel — over partners in random order, as the sampled embedding draws
+// them; the exact table is also timed over sequential partners, as the
+// exact embedding's dense build reads them.
 func BenchmarkPackedCPUCorrInto(b *testing.B) {
 	const n = 12288
 	for _, samples := range []int{12, 48, 96} {
@@ -218,14 +240,19 @@ func BenchmarkPackedCPUCorrInto(b *testing.B) {
 		if simd.AVX2 {
 			exact("avx2", simd.PeakCorr)
 		}
-		b.Run(fmt.Sprintf("S%d/fast", samples), func(b *testing.B) {
-			var fast Packed
-			ps.Pack(&fast, ids, true)
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				fast.CPUCorrInto(dst, it%n, js)
-			}
-			report(b)
-		})
+		var fast Packed
+		ps.Pack(&fast, ids, true)
+		fastArm := func(path string, scan func(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int) {
+			b.Run(fmt.Sprintf("S%d/fast/%s/rand", samples, path), func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					fast.cpuCorrInto(dst, it%n, js, scan)
+				}
+				report(b)
+			})
+		}
+		fastArm("go", simd.PeakCorrGo)
+		if simd.AVX2 {
+			fastArm("avx2", simd.PeakCorr)
+		}
 	}
 }

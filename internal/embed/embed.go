@@ -126,7 +126,7 @@ type Config struct {
 	// arithmetic; at or below the threshold it changes nothing. It leaves
 	// the field's kernel alone: the documented fast mode, with its FastEps
 	// error budget, is policy.Input.FastMath, which sets this and packs the
-	// controller's field with quantized records (correlation.Packed).
+	// controller's field with tick-count records (correlation.Packed).
 	FastMath bool
 	// Workers optionally lends extra goroutines to the embedding's sharded
 	// passes: the exact mode's dense force-cache build and the sampled

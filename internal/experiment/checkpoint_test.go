@@ -149,6 +149,72 @@ func TestResumePartialRecomputesOnlyMissing(t *testing.T) {
 	}
 }
 
+// TestResumeDuplicateIdentitiesFIFO: a grid naming two different policies
+// alike has two cells per (scenario, policy, seed) identity. Its own export
+// resumes it without a compile and byte-identically, and a checkpoint
+// holding one row for the doubled identity resumes the first cell, in grid
+// order, and recomputes the second.
+func TestResumeDuplicateIdentitiesFIFO(t *testing.T) {
+	g := ckTestGrid(t)
+	g.Policies[1].Name = g.Policies[0].Name
+	g.SeedOffsets = []uint64{0}
+	set, err := Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := set.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := set.At(0, 0, 0).Result, set.At(0, 1, 0).Result; a.OpCost == b.OpCost && a.TotalEnergy == b.TotalEnergy {
+		t.Fatal("the two same-named policies gave equal rows: the test cannot tell them apart")
+	}
+
+	g2 := g
+	if g2.Resume, err = ParseCheckpoint(want); err != nil {
+		t.Fatal(err)
+	}
+	before := CompileCount()
+	set2, err := Run(context.Background(), g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta := CompileCount() - before; delta != 0 {
+		t.Fatalf("resumed run compiled %d columns, want 0", delta)
+	}
+	if got, err := set2.JSON(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed export differs from original (err %v)", err)
+	}
+
+	// Keep the first of the two rows only.
+	var doc map[string]any
+	if err := json.Unmarshal(want, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["cells"] = doc["cells"].([]any)[:1]
+	first, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3 := g
+	if g3.Resume, err = ParseCheckpoint(first); err != nil {
+		t.Fatal(err)
+	}
+	set3, err := Run(context.Background(), g3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := set3.At(0, 0, 0); c.Data == nil {
+		t.Fatal("first cell of the doubled identity was not resumed")
+	}
+	if c := set3.At(0, 1, 0); c.Result == nil {
+		t.Fatal("second cell of the doubled identity was not recomputed")
+	}
+	if got, err := set3.JSON(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("partially-resumed export differs from original (err %v)", err)
+	}
+}
+
 // TestCheckpointSkipsErrorRows: rows that recorded an error must be
 // recomputed, not resumed.
 func TestCheckpointSkipsErrorRows(t *testing.T) {

@@ -74,9 +74,9 @@ type Input struct {
 	Workers *par.Budget
 
 	// FastMath opts controllers into their approximate fast-numeric paths
-	// (quantized correlation kernel, frozen embedding peers); it is the
-	// proposed controller's only fast-mode switch, so its embedding field
-	// packs quantized records exactly when this is set. Default off: every
+	// (peak coincidence over quantized profiles, frozen embedding peers);
+	// it is the proposed controller's only fast-mode switch, so its
+	// embedding field packs tick-count records exactly when this is set. Default off: every
 	// controller must be bit-identical to prior releases when unset. See
 	// correlation.FastEps for the per-pair error budget.
 	FastMath bool

@@ -80,7 +80,7 @@ func (s *state) snapshot() *reconSnap {
 	slices.Sort(ids)
 	ps := correlation.NewProfileSet(s.opt.Samples)
 	for _, id := range ids {
-		ps.Add(id, s.ps.Profile(id)) // standard-length rows are copied
+		ps.Add(id, s.ps.Profile(id)) // rows are copied
 	}
 	dm := correlation.NewDataMatrix()
 	s.dm.Each(dm.Add)

@@ -548,8 +548,9 @@ func (s *state) rebuildPeers() {
 }
 
 // normalizeProfile fits a profile to the daemon's sample count: returned
-// as-is when it already matches (ProfileSet.Add copies standard-length rows
-// into its arena), truncated or zero-padded otherwise.
+// as-is when it already matches (ProfileSet.Add copies rows into its
+// arena), truncated or zero-padded otherwise: the set takes rows of exactly
+// its sample count.
 func normalizeProfile(prof []float64, samples int) []float64 {
 	if len(prof) == samples {
 		return prof

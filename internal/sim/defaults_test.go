@@ -1,10 +1,14 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
+	"geovmp/internal/core"
 	"geovmp/internal/policy"
 	"geovmp/internal/sim"
+	"geovmp/internal/timeutil"
+	"geovmp/internal/trace"
 )
 
 // TestResolveDefaults pins the unset-vs-override convention: zero selects
@@ -65,5 +69,45 @@ func TestNegativeProfileSamplesRunsBlind(t *testing.T) {
 	}
 	if res.TotalEnergy <= 0 {
 		t.Fatal("blind run consumed no energy")
+	}
+}
+
+// nEchoSource is a Source whose SlotProfile ignores the requested sample
+// count and counts its calls.
+type nEchoSource struct {
+	trace.Source
+	calls int
+}
+
+func (s *nEchoSource) SlotProfile(id int, sl timeutil.Slot, _ int) []float64 {
+	s.calls++
+	return s.Source.SlotProfile(id, sl, sim.DefaultProfileSamples)
+}
+
+// TestBlindRunAsksNoProfiles checks that a ProfileSamples < 0 run never asks
+// its Source for a profile, so a Source that ignores the requested length
+// cannot hand the blind controllers one: the run over such a Source equals
+// the run over the unwrapped one.
+func TestBlindRunAsksNoProfiles(t *testing.T) {
+	want := tinyScenario(t, 6)
+	want.ProfileSamples = -1
+	got := tinyScenario(t, 6)
+	got.ProfileSamples = -1
+	src := &nEchoSource{Source: got.Workload}
+	got.Workload = src
+	wantRes, err := sim.Run(want, core.New(0.9, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRes, err := sim.Run(got, core.New(0.9, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.calls != 0 {
+		t.Errorf("blind run asked the Source for %d profiles", src.calls)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("blind run over a length-ignoring Source diverged: cost %v vs %v, energy %v vs %v",
+			gotRes.OpCost, wantRes.OpCost, gotRes.TotalEnergy, wantRes.TotalEnergy)
 	}
 }

@@ -146,7 +146,7 @@ type Scenario struct {
 	// Results are bit-identical at any worker count.
 	Workers *par.Budget
 	// FastMath opts controllers into their approximate fast-numeric paths
-	// (quantized correlation kernel, frozen embedding peers);
+	// (peak coincidence over quantized profiles, frozen embedding peers);
 	// default off leaves every run bit-identical to prior releases.
 	FastMath bool
 	// Faults injects a deterministic failure schedule (internal/fault):
@@ -421,12 +421,9 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 		ps.Reset()
 		profCur.Advance(obsSlot)
 		for _, id := range ids {
-			row := profCur.ProfileRow(id, obsSlot)
-			if row == nil {
-				// Zero-length profiles, or an id the table does not cover.
-				row = w.SlotProfile(id, obsSlot, sc.ProfileSamples)
-			}
-			ps.Add(id, row)
+			// The row is nil only in a run without a profile table
+			// (ProfileSamples < 0), whose controllers get empty profiles.
+			ps.Add(id, profCur.ProfileRow(id, obsSlot))
 		}
 		dm.Reset()
 		for _, e := range w.PlannedVolumes(obsSlot, sl) {

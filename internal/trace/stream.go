@@ -224,7 +224,7 @@ func (c *Compiled) NewProfileCursor(workers *par.Budget) *ProfileCursor {
 // ProfileRow returns the VM's profile for observation slot sl from the
 // current window, or nil when uncovered. A streamed window's buffer is
 // reused by the next Advance; consumers that retain rows must copy them
-// (ProfileSet.Add already copies standard-length rows).
+// (ProfileSet.Add already copies rows).
 func (cur *ProfileCursor) ProfileRow(id int, sl timeutil.Slot) []float64 {
 	return cur.t.row(id, sl)
 }
