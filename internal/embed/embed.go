@@ -26,9 +26,13 @@
 // random peers per iteration while attraction stays exact over the sparse
 // data pairs; this approximation (README, "Deviations from the paper", item
 // 4) keeps the paper-scale problem real-time, as the paper's "low
-// computational overhead" claim requires. A run addresses points by index:
-// point i is ids[i], forces come from a SplitField bound to that order, and
-// positions go in and come out as slices.
+// computational overhead" claim requires. Each point's draw is hashed,
+// batched through one RepulsionRow call (the controller's packed
+// correlation scan) and corrected for drawn attraction partners through a
+// stamp table; its forces then run on internal/simd's sampled kernel, four
+// peers per step, again bit-identical to the Go loop. A run addresses
+// points by index: point i is ids[i], forces come from a SplitField bound
+// to that order, and positions go in and come out as slices.
 package embed
 
 import (
@@ -129,8 +133,9 @@ type Config struct {
 	// controller's field with tick-count records (correlation.Packed).
 	FastMath bool
 	// Workers optionally lends extra goroutines to the embedding's sharded
-	// passes: the exact mode's dense force-cache build and the sampled
-	// mode's per-point repulsion estimation, both of which write disjoint
+	// passes: the exact mode's dense force-cache build, and the sampled
+	// mode's attraction-pair build (buildAttraction), frozen-table build
+	// and per-point repulsion estimation, all of which write disjoint
 	// outputs per point and are therefore bit-identical to serial execution
 	// at any worker count. When set, the Field (and SplitField) must be
 	// safe for concurrent readers — the controller's correlation field is.
@@ -415,13 +420,12 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 // the peers are redrawn every iteration; with FastMath each point keeps its
 // iteration-0 draw for the whole run, so the forces are evaluated once into
 // a pooled n x SampleK table and every iteration is pure float arithmetic.
-// Both draws go through sampleRow, so the frozen table holds exactly the
+// Both draws go through sampler.draw, so the frozen table holds exactly the
 // forces the first per-iteration draw would. The cost function is evaluated
 // over the exact attraction pairs (the stable subset), which preserves the
 // stopping rule's intent.
 func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 	n := len(px)
-	K := cfg.SampleK
 	apairs := buildAttraction(n, sf, cfg.Workers)
 	prevD := make([]float64, len(apairs))
 	for k, p := range apairs {
@@ -429,56 +433,12 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		dy := py[p.i] - py[p.j]
 		prevD[k] = math.Sqrt(dx*dx + dy*dy)
 	}
-	// Peer k of point i's draw is Hash(Seed, i, draw, k) mod n, computed as
-	// the fold of the row's (Seed, i, draw) prefix with the pre-mixed key k
-	// (rng's Hash(keys..., k) == FoldKey(Hash(keys...), Key(k)) identity),
-	// so a row hashes its prefix once instead of K times.
-	sampleKeys := make([]uint64, K)
-	for k := range sampleKeys {
-		sampleKeys[k] = rng.Key(uint64(k))
-	}
-
-	// sampleRow draws point i's SampleK hashed peers for the given draw
-	// into kj and their forces into f (0 for a self-sample). The whole draw
-	// is batched through one RepulsionRow call — hoisting the point's
-	// profile state out of the per-sample loop and skipping the volume
-	// probe Force would pay — and then the self-sample and the rare
-	// attraction partners have their entries corrected: 0, and the
-	// repulsion plus the attraction term, which is Force by the SplitField
-	// contract. Each value is a pure per-pair function, so the draw is
-	// bit-identical to per-pair Force evaluation.
-	sampleRow := func(i int, draw uint64, kj []int32, f []float64) {
-		prefix := rng.Hash(cfg.Seed, uint64(i), draw)
-		for k, key := range sampleKeys {
-			kj[k] = int32(rng.FoldKey(prefix, key) % uint64(n))
-		}
-		sf.RepulsionRow(i, kj, f)
-		js, on, _ := sf.AttractionRow(i)
-		for k, j := range kj {
-			if int(j) == i {
-				f[k] = 0
-			} else if e := slices.Index(js, j); e >= 0 {
-				f[k] += on[e]
-			}
-		}
-	}
-	var frozen *peerRows
+	s := newSampler(n, sf, cfg)
 	if cfg.FastMath {
-		frozen = frozenPool.Get().(*peerRows)
-		defer frozenPool.Put(frozen)
-		frozen.ensure(n * K)
-		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sampleRow(i, 0, frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K])
-			}
-		})
+		s.frozen = frozenPool.Get().(*peerRows)
+		defer frozenPool.Put(s.frozen)
+		s.freeze(cfg.Workers)
 	}
-
-	// Repulsion scale: each point samples SampleK of the n-1 possible
-	// peers; scaling the sampled sum by (n-1)/SampleK estimates the full
-	// Eq. 6 sum, and the repulsion class weight then normalizes it against
-	// the sparse attraction. The two compose to kappa/SampleK.
-	scale := float64(n-1) / float64(K) * cfg.repulsionWeight(n)
 	rw := cfg.repulsionWeight(n)
 
 	fx := make([]float64, n)
@@ -505,42 +465,7 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 			fx[p.j] -= weighted(p.fji, rw) * ux
 			fy[p.j] -= weighted(p.fji, rw) * uy
 		}
-		// The sampled repulsion estimate writes only fx[i]/fy[i] and reads
-		// only positions frozen for the whole pass, accumulating in sample
-		// order, so sharding the points leaves every float exactly as in
-		// the serial loop.
-		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
-			var scr *peerRows
-			if frozen == nil {
-				scr = samplePool.Get().(*peerRows)
-				defer samplePool.Put(scr)
-				scr.ensure(K)
-			}
-			for i := lo; i < hi; i++ {
-				var kj []int32
-				var f []float64
-				if frozen != nil {
-					kj, f = frozen.kj[i*K:(i+1)*K], frozen.f[i*K:(i+1)*K]
-				} else {
-					kj, f = scr.kj, scr.f
-					sampleRow(i, uint64(iter), kj, f)
-				}
-				for k, j := range kj {
-					if f[k] <= 0 {
-						continue // attraction handled exactly above
-					}
-					dx := px[i] - px[j]
-					dy := py[i] - py[j]
-					d := math.Sqrt(dx*dx + dy*dy)
-					if d < 1e-9 {
-						ang := rng.Noise01(cfg.Seed, uint64(i), uint64(j), uint64(iter)) * 2 * math.Pi
-						dx, dy, d = math.Cos(ang), math.Sin(ang), 1
-					}
-					fx[i] += f[k] * scale * dx / d
-					fy[i] += f[k] * scale * dy / d
-				}
-			}
-		})
+		s.pass(px, py, fx, fy, iter, cfg.Workers, (*simd.Draw).Sampled)
 		displace(px, py, fx, fy, cfg)
 
 		var cost float64
@@ -562,6 +487,124 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		}
 	}
 	return iters, costs
+}
+
+// sampler is the sampled mode's repulsion estimate: the hashed peer draws
+// and the per-point force pass over them.
+type sampler struct {
+	sf   SplitField
+	n, k int // points, peers per draw
+	seed uint64
+	// keys[k] is sample key k pre-mixed: peer k of point i's draw is
+	// Hash(Seed, i, draw, k) mod n, computed as the fold of the row's
+	// (Seed, i, draw) prefix with keys[k] (rng's Hash(keys..., k) ==
+	// FoldKey(Hash(keys...), Key(k)) identity), so a row hashes its prefix
+	// once instead of SampleK times.
+	keys []uint64
+	// scale turns a sampled force into its share of the estimate: each
+	// point samples SampleK of the n-1 possible peers, so (n-1)/SampleK
+	// estimates the full Eq. 6 sum, and the repulsion class weight then
+	// normalizes it against the sparse attraction. The two compose to
+	// kappa/SampleK.
+	scale  float64
+	frozen *peerRows // the FastMath n x SampleK table, or nil
+}
+
+func newSampler(n int, sf SplitField, cfg Config) *sampler {
+	s := &sampler{sf: sf, n: n, k: cfg.SampleK, seed: cfg.Seed, keys: make([]uint64, cfg.SampleK)}
+	for k := range s.keys {
+		s.keys[k] = rng.Key(uint64(k))
+	}
+	s.scale = float64(n-1) / float64(cfg.SampleK) * cfg.repulsionWeight(n)
+	return s
+}
+
+// draw fills kj with point i's SampleK hashed peers for the given draw and
+// f with their forces (0 for a self-sample). The whole draw is batched
+// through one RepulsionRow call — hoisting the point's profile state out of
+// the per-sample loop and skipping the volume probe Force would pay — and
+// then the self-sample and the rare attraction partners have their entries
+// corrected: 0, and the repulsion plus the attraction term, which is Force
+// by the SplitField contract. Each value is a pure per-pair function, so
+// the draw is bit-identical to per-pair Force evaluation.
+//
+// Partners are found through the stamp table mark, n entries that are all
+// zero on entry and on return: point i's partners are marked with their
+// attraction-row entry plus one, each drawn peer looks its mark up, and
+// only the marks set are cleared. Marking in descending order lets a
+// partner listed twice keep its first entry, so the lookup finds what a
+// scan of the row would.
+func (s *sampler) draw(i int, draw uint64, kj []int32, f []float64, mark []int32) {
+	prefix, n := rng.Hash(s.seed, uint64(i), draw), uint64(s.n)
+	for k, key := range s.keys {
+		kj[k] = int32(rng.FoldKey(prefix, key) % n)
+	}
+	s.sf.RepulsionRow(i, kj, f)
+	js, on, _ := s.sf.AttractionRow(i)
+	for e := len(js) - 1; e >= 0; e-- {
+		mark[js[e]] = int32(e + 1)
+	}
+	for k, j := range kj {
+		if int(j) == i {
+			f[k] = 0
+		} else if e := mark[j]; e > 0 {
+			f[k] += on[e-1]
+		}
+	}
+	for _, j := range js {
+		mark[j] = 0
+	}
+}
+
+// pass adds every point's sampled repulsion estimate to fx/fy over the
+// current positions, drawing the peers of iteration iter unless they are
+// frozen. Point i writes only fx[i]/fy[i] and reads only positions frozen
+// for the whole pass, accumulating in sample order, so sharding the points
+// leaves every float exactly as in the serial loop. Each point runs on
+// sampled, the simd kernel or (in tests) its Go oracle; the group it stops
+// before goes through Pairs, which gives a coincident peer (d < 1e-9) a
+// hashed direction.
+func (s *sampler) pass(px, py, fx, fy []float64, iter int, workers *par.Budget, sampled func(*simd.Draw, int) int) {
+	par.For(workers, s.n, sampledPointGrain, func(lo, hi int) {
+		var scr *peerRows
+		if s.frozen == nil {
+			scr = samplePool.Get().(*peerRows)
+			defer samplePool.Put(scr)
+			scr.ensure(s.k, s.n)
+		}
+		d := new(simd.Draw)
+		for i := lo; i < hi; i++ {
+			*d = simd.Draw{X: px[i], Y: py[i], Px: px, Py: py, Scale: s.scale, FX: fx[i], FY: fy[i]}
+			if s.frozen != nil {
+				d.J, d.F = s.frozen.kj[i*s.k:(i+1)*s.k], s.frozen.f[i*s.k:(i+1)*s.k]
+			} else {
+				d.J, d.F = scr.kj, scr.f
+				s.draw(i, uint64(iter), scr.kj, scr.f, scr.mark)
+			}
+			dir := func(k int) (float64, float64) {
+				ang := rng.Noise01(s.seed, uint64(i), uint64(d.J[k]), uint64(iter)) * 2 * math.Pi
+				return math.Cos(ang), math.Sin(ang)
+			}
+			for k := 0; k < s.k; {
+				k = sampled(d, k)
+				k = d.Pairs(k, min(k+4, s.k), dir)
+			}
+			fx[i], fy[i] = d.FX, d.FY
+		}
+	})
+}
+
+// freeze fills the frozen table with every point's iteration-0 draw.
+func (s *sampler) freeze(workers *par.Budget) {
+	s.frozen.ensure(s.n*s.k, 0)
+	par.For(workers, s.n, sampledPointGrain, func(lo, hi int) {
+		scr := samplePool.Get().(*peerRows)
+		defer samplePool.Put(scr)
+		scr.ensure(0, s.n)
+		for i := lo; i < hi; i++ {
+			s.draw(i, 0, s.frozen.kj[i*s.k:(i+1)*s.k], s.frozen.f[i*s.k:(i+1)*s.k], scr.mark)
+		}
+	})
 }
 
 // apair is one exact attraction pair of the sampled mode, with both
@@ -628,18 +671,27 @@ func displace(px, py, fx, fy []float64, cfg Config) {
 
 // peerRows holds rows of SampleK hashed peers (kj) and their forces (f):
 // one row as a shard's per-iteration scratch, n rows as the frozen table.
+// A shard's scratch also holds the n-entry stamp table of sampler.draw,
+// all zero between draws.
 type peerRows struct {
-	kj []int32
-	f  []float64
+	kj   []int32
+	f    []float64
+	mark []int32
 }
 
-func (r *peerRows) ensure(m int) {
+// ensure sizes the rows to m peers and the stamp table to n points; a
+// grown table is zero and a kept one was left zero by every draw.
+func (r *peerRows) ensure(m, n int) {
 	if cap(r.kj) < m {
 		r.kj = make([]int32, m)
 		r.f = make([]float64, m)
 	}
+	if cap(r.mark) < n {
+		r.mark = make([]int32, n)
+	}
 	r.kj = r.kj[:m]
 	r.f = r.f[:m]
+	r.mark = r.mark[:n]
 }
 
 // frozenPool recycles the frozen n x SampleK table across runs. Every
@@ -647,5 +699,6 @@ func (r *peerRows) ensure(m int) {
 // clearing.
 var frozenPool = sync.Pool{New: func() any { return new(peerRows) }}
 
-// samplePool recycles the per-shard peer row of the sampled pass.
+// samplePool recycles the per-shard peer row and stamp table of the
+// sampled pass and the frozen table's build.
 var samplePool = sync.Pool{New: func() any { return new(peerRows) }}

@@ -1,9 +1,11 @@
-// Package simd holds the two exact hot loops of the global phase in a
+// Package simd holds the three hot loops of the global phase in a
 // vectorised form: the embedding's dense pair pass (one row of Eq. 6/7's
-// all-pairs sweep) and the packed CPU-load correlation scan. Each comes as a
-// pure-Go reference loop (ExactGo, PeakCorrGo), which is both the portable
-// fallback and the bit-for-bit oracle, and a dispatcher (Row.Exact,
-// PeakCorr) that runs an AVX2 kernel on amd64 CPUs that support it.
+// all-pairs sweep), the sampled mode's repulsion pass (one point's drawn
+// peers) and the packed CPU-load correlation scan. Each comes as a pure-Go
+// reference loop (ExactGo, SampledGo, PeakCorrGo), which is both the
+// portable fallback and the bit-for-bit oracle, and a dispatcher
+// (Row.Exact, Draw.Sampled, PeakCorr) that runs an AVX2 kernel on amd64
+// CPUs that support it.
 //
 // The kernels keep every scalar operation of the reference loops in the same
 // order — no FMA, no reassociated sums — so they agree with them bit for bit;
@@ -111,6 +113,82 @@ func (r *Row) rowLen() int {
 	return m
 }
 
+// Draw is one point's sampled repulsion row: the point at (X, Y) against
+// its drawn peers J, peer k being point J[k] at (Px[J[k]], Py[J[k]]) with
+// force F[k]. Only forces that are not <= 0 repel (a NaN force does), each
+// scaled by Scale; FX and FY carry the point's force across calls. F is at
+// least len(J) long and Py at least len(Px).
+type Draw struct {
+	X, Y   float64
+	Px, Py []float64 // every point's position, indexed by peer
+	J      []int32   // the drawn peers
+	F      []float64 // their forces
+	Scale  float64
+	FX, FY float64
+}
+
+// Sampled runs the draw's peers from k on, as SampledGo does, but may stop
+// sooner: the AVX2 kernel runs whole groups of four peers and returns before
+// a group that holds a coincident repelling peer or a peer outside Px, and
+// before a tail of fewer than four. The peers it runs are bit-identical to
+// SampledGo's; the caller finishes a group it stops before with Pairs and
+// calls it again.
+func (d *Draw) Sampled(k int) int { return d.sampled(k) }
+
+// SampledGo runs the draw's peers from k on in ascending order and returns
+// the index of the first peer it did not run: the first repelling peer at
+// distance under 1e-9, whose direction the caller must supply through
+// Pairs, or len(d.J). It is the reference loop of Sampled.
+//
+// A repelling peer at distance r along (dx, dy) from the peer to the point
+// adds ((F*Scale)*dx)/r to FX and ((F*Scale)*dy)/r to FY.
+func (d *Draw) SampledGo(k int) int { return d.run(k, len(d.J)) }
+
+// run is SampledGo stopping at end.
+func (d *Draw) run(k, end int) int {
+	j := d.J[:end]
+	f := d.F[:len(j)]
+	x, y, px, py, scale := d.X, d.Y, d.Px, d.Py[:len(d.Px)], d.Scale
+	fx, fy := d.FX, d.FY
+	for ; k < len(j); k++ {
+		if f[k] <= 0 {
+			continue
+		}
+		dx := x - px[j[k]]
+		dy := y - py[j[k]]
+		r := math.Sqrt(dx*dx + dy*dy)
+		if r < 1e-9 {
+			break
+		}
+		fx += f[k] * scale * dx / r
+		fy += f[k] * scale * dy / r
+	}
+	d.FX, d.FY = fx, fy
+	return k
+}
+
+// Pairs runs peers k..end-1 of the draw as SampledGo does, except that a
+// coincident repelling peer, instead of stopping the run, takes its unit
+// direction from dir (at the unit distance, so its division drops out). It
+// returns end.
+func (d *Draw) Pairs(k, end int, dir func(k int) (ux, uy float64)) int {
+	for k = d.run(k, end); k < end; k = d.run(k+1, end) {
+		ux, uy := dir(k)
+		d.FX += d.F[k] * d.Scale * ux
+		d.FY += d.F[k] * d.Scale * uy
+	}
+	return end
+}
+
+// drawLen returns the draw's peer count, panicking if F or Py is short:
+// the kernel trusts the lengths.
+func (d *Draw) drawLen() int {
+	if len(d.F) < len(d.J) || len(d.Py) < len(d.Px) {
+		panic("simd: Draw slice shorter than J or Px")
+	}
+	return len(d.J)
+}
+
 // SlowRow is the peak of a packed record whose pairs PeakCorr leaves to the
 // caller. Real peaks are never negative, so it cannot collide with one.
 const SlowRow = -1
@@ -129,7 +207,9 @@ const (
 // samples must be clean (+0, positive or +Inf) unless a peak is -Inf, which
 // makes the pair's value the neutral 0.5 whatever the samples hold. It
 // stops before a partner whose peak is SlowRow and returns the number of
-// partners done.
+// partners done. The AVX2 kernel runs four partners per step and, since
+// js is known before the scan starts, prefetches records a few partners
+// ahead of the one it scans.
 func PeakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
 	return peakCorr(dst[:len(js)], a, peakA, rec, stride, js)
 }

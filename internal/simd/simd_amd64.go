@@ -33,6 +33,9 @@ func xgetbv() (eax, edx uint32)
 func exactAVX2(r *Row, k, m int) int
 
 //go:noescape
+func sampledAVX2(d *Draw, k, m int) int
+
+//go:noescape
 func peakCorrAVX2(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int
 
 func (r *Row) exact(k int) int {
@@ -42,9 +45,21 @@ func (r *Row) exact(k int) int {
 	return exactAVX2(r, k, r.rowLen())
 }
 
+func (d *Draw) sampled(k int) int {
+	if !AVX2 {
+		return d.SampledGo(k)
+	}
+	return sampledAVX2(d, k, d.drawLen())
+}
+
+// peakCorr runs the kernel as far as it goes and the rest on the Go loop:
+// the kernel stops before a group of fewer than four partners or one that
+// holds a partner outside rec or a SlowRow one, and the Go loop stops
+// before (or panics at) that partner.
 func peakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
 	if !AVX2 || stride <= len(a) {
 		return PeakCorrGo(dst, a, peakA, rec, stride, js)
 	}
-	return peakCorrAVX2(dst, a, peakA, rec, stride, js)
+	k := peakCorrAVX2(dst, a, peakA, rec, stride, js)
+	return k + PeakCorrGo(dst[k:], a, peakA, rec, stride, js[k:])
 }

@@ -8,6 +8,8 @@ const AVX2 = false
 
 func (r *Row) exact(k int) int { return r.ExactGo(k) }
 
+func (d *Draw) sampled(k int) int { return d.SampledGo(k) }
+
 func peakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int {
 	return PeakCorrGo(dst, a, peakA, rec, stride, js)
 }

@@ -262,3 +262,148 @@ func TestPeakCorrMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// runDraw drives a whole draw the way the sampled embedding does: the kernel
+// as far as it goes, then Pairs over the group it stopped before, until the
+// draw ends. It returns the kernel's stopping points.
+func runDraw(d *Draw, sampled func(*Draw, int) int) []int {
+	var stops []int
+	m := len(d.J)
+	for k := 0; k < m; {
+		k = sampled(d, k)
+		stops = append(stops, k)
+		k = d.Pairs(k, min(k+4, m), testDir)
+	}
+	return stops
+}
+
+// checkDraw runs d on both paths and compares the carried forces bit for
+// bit (see sameBits). The kernel must stop at least as often as the
+// reference loop, and only at group boundaries.
+func checkDraw(t *testing.T, label string, d *Draw) {
+	t.Helper()
+	got, want := *d, *d
+	stops := runDraw(&got, (*Draw).Sampled)
+	goStops := runDraw(&want, (*Draw).SampledGo)
+	if !sameBits(got.FX, want.FX) || !sameBits(got.FY, want.FY) {
+		t.Fatalf("%s: kernel force (%v, %v), Go loop (%v, %v)", label, got.FX, got.FY, want.FX, want.FY)
+	}
+	if len(stops) < len(goStops) {
+		t.Fatalf("%s: kernel stopped %d times, the Go loop %d", label, len(stops), len(goStops))
+	}
+	for _, k := range stops {
+		if k%4 != 0 && AVX2 && k != len(d.J) {
+			t.Fatalf("%s: kernel stopped mid-group at %d", label, k)
+		}
+	}
+}
+
+// randDraw draws m peers among n scattered points around the draw's point,
+// with forces that repel, attract, are zero or NaN; the peer at each index
+// in coincide sits on the point and repels.
+func randDraw(src *rng.Source, n, m int, coincide ...int) *Draw {
+	d := &Draw{X: src.Float64()*20 - 10, Y: src.Float64()*20 - 10, Scale: 1 + src.Float64(), FX: src.Float64(), FY: -src.Float64()}
+	for range n {
+		d.Px = append(d.Px, src.Float64()*20-10)
+		d.Py = append(d.Py, src.Float64()*20-10)
+	}
+	for range m {
+		d.J = append(d.J, int32(src.Intn(n)))
+		var f float64
+		switch src.Intn(8) {
+		case 0:
+			f = -src.Float64()
+		case 1:
+			f = 0
+		case 2:
+			f = math.NaN()
+		default:
+			f = src.Float64()
+		}
+		d.F = append(d.F, f)
+	}
+	for _, k := range coincide {
+		// A fresh point, so the move cannot make another peer coincident.
+		d.J[k] = int32(len(d.Px))
+		d.Px = append(d.Px, d.X)
+		d.Py = append(d.Py, d.Y)
+		d.F[k] = 0.5
+	}
+	return d
+}
+
+// TestSampledMatchesGo is the sampled kernel's property test: at every draw
+// length up to 40 (every tail), with no coincident peer, with a repelling
+// one in every lane position, with a non-repelling one there and with no
+// repelling peer at all on a -0 force, the kernel path must equal the Go
+// loop bit for bit.
+func TestSampledMatchesGo(t *testing.T) {
+	src := rng.New(19).Derive("sampled-row")
+	for m := 0; m <= 40; m++ {
+		checkDraw(t, "clean", randDraw(src, 29, m))
+		for c := 0; c < m; c++ {
+			checkDraw(t, "coincident", randDraw(src, 29, m, c))
+			d := randDraw(src, 29, m, c)
+			d.F[c] = 0
+			checkDraw(t, "coincident, not repelling", d)
+		}
+		if m >= 9 {
+			checkDraw(t, "two coincident", randDraw(src, 29, m, 1, m-2))
+		}
+		// Non-repelling lanes must leave a -0 force as it is.
+		d := randDraw(src, 29, m)
+		d.FX, d.FY = math.Copysign(0, -1), math.Copysign(0, -1)
+		for k := range d.F {
+			d.F[k] = -math.Abs(d.F[k])
+		}
+		checkDraw(t, "signed zero", d)
+	}
+}
+
+// FuzzSampledRow holds the sampled kernel to the Go loop bit for bit (see
+// sameBits) on the carried forces, over draw lengths 0-95 (every tail),
+// coincident peers in any lane, repeated and self peers, NaN and infinite
+// positions, forces and scales, and non-repelling peers outside Px (which
+// the Go loop skips without reading). The first bytes set the point count
+// (1-16), the draw's point and scale; each peer then takes two bytes, its
+// index and its force.
+func FuzzSampledRow(f *testing.F) {
+	f.Add(uint8(9), []byte{4, 8, 9, 10, 0, 0, 12, 13, 20, 1, 40, 2, 60, 3, 80, 90, 0, 12})
+	f.Add(uint8(5), []byte{1, 0, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12})
+	f.Add(uint8(38), []byte{16, 200, 201, 3, 4, 5, 2, 2, 7, 7, 7, 7, 7, 0, 0, 0, 0, 8, 9, 10, 11, 250, 3})
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, m uint8, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 8
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		n := int(next())%16 + 1
+		d := &Draw{X: fuzzVal(next(), 1), Y: fuzzVal(next(), -2), Scale: fuzzVal(next(), 2), FX: fuzzVal(next(), 0), FY: fuzzVal(next(), 0)}
+		for range n {
+			d.Px = append(d.Px, fuzzVal(next(), d.X))
+			d.Py = append(d.Py, fuzzVal(next(), d.Y))
+		}
+		for range int(m) % 96 {
+			jb, fb := next(), next()
+			j, f := int32(int(jb)%n), fuzzVal(fb, 0.25)
+			if jb >= 240 {
+				// Outside Px: the Go loop must skip it, so it must not
+				// repel.
+				j, f = int32(n)+int32(jb)-240, -math.Abs(f)
+				if jb == 255 {
+					j = -1
+				}
+				if math.IsNaN(f) {
+					f = 0
+				}
+			}
+			d.J = append(d.J, j)
+			d.F = append(d.F, f)
+		}
+		checkDraw(t, "fuzz", d)
+	})
+}
