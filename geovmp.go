@@ -229,8 +229,8 @@ func Figures(sc *Scenario, results []*Result) []*Figure {
 }
 
 // ProposedController is the concrete type behind Proposed, exposing the
-// controller's tunables (Alpha, Stick, NoEmbedding, ...) and its embedding
-// layout via Positions.
+// controller's settings (Alpha, NoEmbedding and the embedding's Embed
+// config) and its embedding layout via Positions.
 type ProposedController = core.Controller
 
 // EmbeddingSVG renders a Proposed controller's current 2D point layout as

@@ -49,7 +49,6 @@ type Config struct {
 	Caps     []float64     // per-cluster capacity caps, Joules (len K)
 	Init     []embed.Point // initial centroids (len K); zero value -> spread
 	MaxIters int           // default 20
-	Converge float64       // centroid movement threshold (default 1e-3)
 	// Stick in (0, 1] multiplies an item's distance to its Current
 	// cluster's centroid, making staying cheaper than moving — migration
 	// hysteresis. 0 or 1 disables the bias.
@@ -66,10 +65,11 @@ func (c *Config) applyDefaults() {
 	if c.MaxIters == 0 {
 		c.MaxIters = 20
 	}
-	if c.Converge == 0 {
-		c.Converge = 1e-3
-	}
 }
+
+// converge ends the iteration once the centroids, summed over clusters,
+// move less than this far in one iteration.
+const converge = 1e-3
 
 // Result is the clustering outcome.
 type Result struct {
@@ -213,7 +213,7 @@ func Run(items []Item, cfg Config) Result {
 			moved += embed.Dist(next[c], cents[c])
 		}
 		cents = next
-		if moved < cfg.Converge {
+		if moved < converge {
 			break
 		}
 	}

@@ -56,24 +56,13 @@ type Controller struct {
 	// geometry can afford to favor data locality (the ablation bench
 	// sweeps the full range).
 	Alpha float64
-	// DemandHeadroom scales the predicted fleet demand when sizing caps
-	// (default 1.10): slight over-provisioning absorbs forecast error.
-	DemandHeadroom float64
 	// NoEmbedding disables the force-directed phase (ablation A2): points
 	// keep inherited/scattered positions, so k-means sees no correlation
 	// geometry.
 	NoEmbedding bool
-	// Embed tunes the force-directed layout.
+	// Embed tunes the force-directed layout. The rest of the method's
+	// tuning is fixed: demandHeadroom, capSmooth, kmeansIters and stick.
 	Embed embed.Config
-	// KMeans iteration cap (default 12).
-	KMeansIters int
-	// Stick is the k-means stay-bias in (0,1]: the distance from a VM to
-	// its current DC's centroid is multiplied by it, making staying
-	// cheaper than moving (default 0.7; 1 disables).
-	Stick float64
-	// CapSmooth is the EMA weight on the previous slot's caps in [0,1)
-	// (default 0.8; negative disables smoothing).
-	CapSmooth float64
 
 	// ids and pos are the last slot's layout: pos[k] is the final position
 	// of ids[k], ids ascending.
@@ -109,7 +98,7 @@ func New(alpha float64, seed uint64) *Controller {
 	}
 	return &Controller{
 		Alpha: alpha,
-		Embed: embed.Config{Seed: seed, MaxIters: 20, MaxDisplace: 1.0, RepulsionScale: 4},
+		Embed: embed.Config{Seed: seed, MaxIters: 20},
 	}
 }
 
@@ -230,9 +219,25 @@ func NewField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataM
 	return &Field{alpha: alpha, ps: ps, vols: vols, ref: ref, peers: peers}
 }
 
-// roundTripEff is the assumed battery round-trip efficiency used to price
-// stored energy in the cap computation (charged off-peak, delivered later).
-const roundTripEff = 0.90
+// The controller's fixed tuning. capSmooth is typed so that 1-capSmooth
+// rounds like float64 arithmetic (0.19999999999999996, not an exact 0.2).
+const (
+	// roundTripEff is the assumed battery round-trip efficiency used to
+	// price stored energy in the cap computation (charged off-peak,
+	// delivered later).
+	roundTripEff = 0.90
+	// demandHeadroom scales the predicted fleet demand when sizing caps:
+	// slight over-provisioning absorbs forecast error.
+	demandHeadroom = 1.10
+	// capSmooth is the EMA weight on the previous slot's caps: tariff
+	// windows are hours wide, so chasing them within a few slots is fast
+	// enough, and the heavier weight on history damps day/night whipsaw.
+	capSmooth   float64 = 0.8
+	kmeansIters         = 12 // iteration cap of the capacity-capped k-means
+	// stick is the k-means stay-bias: it multiplies a VM's distance to its
+	// current DC's centroid, making staying cheaper than moving.
+	stick = 0.7
+)
 
 // caps computes the per-DC energy capacity caps (step 2 of the global
 // phase). The budget — predicted fleet demand (last-value predictor on the
@@ -269,11 +274,7 @@ func (c *Controller) caps(in *policy.Input) []float64 {
 			demand += e
 		}
 	}
-	headroom := c.DemandHeadroom
-	if headroom <= 0 {
-		headroom = 1.10
-	}
-	budget := demand * headroom
+	budget := demand * demandHeadroom
 
 	type tier struct {
 		dc     int
@@ -320,18 +321,10 @@ func (c *Controller) caps(in *policy.Input) []float64 {
 	}
 
 	// Smooth against the previous slot's caps to avoid fleet-wide churn at
-	// tariff boundaries (heavier weight on history: tariff windows are
-	// hours wide, so chasing them within a few slots is fast enough).
-	smooth := c.CapSmooth
-	if smooth == 0 {
-		smooth = 0.8
-	}
-	if smooth < 0 || smooth >= 1 {
-		smooth = 0
-	}
+	// tariff boundaries.
 	if c.prevCaps != nil && len(c.prevCaps) == n {
 		for i := range caps {
-			caps[i] = (1-smooth)*caps[i] + smooth*c.prevCaps[i]
+			caps[i] = (1-capSmooth)*caps[i] + capSmooth*c.prevCaps[i]
 		}
 	}
 	c.prevCaps = append(c.prevCaps[:0], caps...)
@@ -401,7 +394,7 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	if c.NoEmbedding {
 		for k, id := range ids {
 			if !known[k] {
-				pos[k] = embed.InitialPosition(id, 10, c.Embed.Seed)
+				pos[k] = embed.InitialPosition(id, embed.InitRadius, c.Embed.Seed)
 			}
 		}
 	} else {
@@ -447,19 +440,11 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		}
 		items[k] = cluster.Item{ID: id, Pos: pos[k], Load: in.VMEnergy[id], Current: cur}
 	}
-	iters := c.KMeansIters
-	if iters == 0 {
-		iters = 12
-	}
-	stick := c.Stick
-	if stick == 0 {
-		stick = 0.7
-	}
 	kres := cluster.Run(items, cluster.Config{
 		K:        n,
 		Caps:     caps,
 		Init:     c.centroids,
-		MaxIters: iters,
+		MaxIters: kmeansIters,
 		Stick:    stick,
 		Workers:  in.Workers,
 	})

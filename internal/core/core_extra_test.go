@@ -11,7 +11,6 @@ import (
 
 func TestCapsRespectCeilings(t *testing.T) {
 	c := New(0.9, 7)
-	c.CapSmooth = -1
 	in := buildInput(t, 6, nil)
 	// Monstrous free energy everywhere: caps must clamp to each DC's
 	// physical ceiling.
@@ -31,7 +30,6 @@ func TestCapsRespectCeilings(t *testing.T) {
 
 func TestCapsColdStartUsesVMEnergies(t *testing.T) {
 	c := New(0.9, 7)
-	c.CapSmooth = -1
 	in := buildInput(t, 10, nil) // LastEnergy all zero
 	caps := c.caps(in)
 	var sum float64
@@ -44,26 +42,52 @@ func TestCapsColdStartUsesVMEnergies(t *testing.T) {
 	}
 }
 
-func TestDemandHeadroomConfigurable(t *testing.T) {
-	a := New(0.9, 7)
-	a.CapSmooth = -1
-	a.DemandHeadroom = 1.0
-	b := New(0.9, 7)
-	b.CapSmooth = -1
-	b.DemandHeadroom = 2.0
-	inA := buildInput(t, 10, nil)
-	inB := buildInput(t, 10, nil)
-	sum := func(caps []float64) float64 {
-		var s float64
-		for _, v := range caps {
-			s += v
+// TestCapsBudgetIsDemandTimesHeadroom pins the shipped headroom: with
+// every DC far below its ceiling, the caps sum to the last slot's energy
+// times 1.10.
+func TestCapsBudgetIsDemandTimesHeadroom(t *testing.T) {
+	for _, demand := range []float64{1000, 5000} {
+		c := New(0.9, 7)
+		in := buildInput(t, 10, nil)
+		in.LastEnergy[0] = units.Energy(demand)
+		var sum float64
+		for _, v := range c.caps(in) {
+			sum += v
 		}
-		return s
+		if want := demand * 1.10; math.Abs(sum-want) > 1e-9*want {
+			t.Fatalf("demand %v: caps sum %v, want %v", demand, sum, want)
+		}
 	}
-	ra := sum(a.caps(inA))
-	rb := sum(b.caps(inB))
-	if math.Abs(rb/ra-2) > 0.01 {
-		t.Fatalf("headroom not linear: %v vs %v", ra, rb)
+}
+
+// TestCapsSmoothingArithmeticPinned pins the caps EMA bit for bit to its
+// runtime formula: the second slot's caps are (1-s)*raw + s*prev with the
+// weight s held in a float64 variable, which is what the constant computes
+// only while it stays typed (an untyped 1-0.8 folds to 0.2 exactly; the
+// float64 difference is 0.19999999999999996).
+func TestCapsSmoothingArithmeticPinned(t *testing.T) {
+	s := 0.8
+	first := func(in *policy.Input) []float64 { return New(0.9, 7).caps(in) }
+	in1 := buildInput(t, 6, nil)
+	in1.RenewForecast[0] = units.Energy(3e4)
+	in2 := buildInput(t, 6, nil)
+	in2.RenewForecast[2] = units.Energy(7e3)
+	in2.LastEnergy[1] = units.Energy(9137)
+	prev, raw := first(in1), first(in2)
+
+	c := New(0.9, 7)
+	c.caps(in1)
+	got := c.caps(in2)
+	differs := false
+	for i := range got {
+		want := (1-s)*raw[i] + s*prev[i]
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("DC %d: smoothed cap %v, want %v", i, got[i], want)
+		}
+		differs = differs || want != 0.2*raw[i]+0.8*prev[i]
+	}
+	if !differs {
+		t.Fatal("no cap tells 1-s from 0.2: the case checks too little")
 	}
 }
 

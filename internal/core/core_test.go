@@ -141,7 +141,6 @@ func TestCapsWaterFilling(t *testing.T) {
 
 func TestCapsGridGoesToCheapest(t *testing.T) {
 	c := New(0.9, 7)
-	c.CapSmooth = -1 // isolate a single computation
 	in := buildInput(t, 6, nil)
 	// No free energy anywhere: grid water-filling should favor DC2
 	// (cheapest price 0.16).
@@ -163,7 +162,6 @@ func TestCapsGridGoesToCheapest(t *testing.T) {
 
 func TestCapsBatteryPricedByOffPeak(t *testing.T) {
 	c := New(0.9, 7)
-	c.CapSmooth = -1
 	in := buildInput(t, 6, nil)
 	// Batteries only; Helsinki's off-peak (0.08) is the cheapest refill, so
 	// its battery tier wins the budget.

@@ -12,8 +12,8 @@
 // alignment cost CostAR_k = sum F_t*(d_k - d_{k-1}) (Eq. 7) of its
 // displacement. The paper stops at the first iteration whose cost is lower
 // than the previous one; here iteration stops once the cost falls below
-// Config.StopFrac of its peak so far — movement has stopped helping — or
-// when MaxIters is reached (StopFrac documents why the literal rule is not
+// stopFrac of its peak so far — movement has stopped helping — or when
+// MaxIters is reached (stopFrac documents why the literal rule is not
 // used). The final layout seeds both the k-means step and the next slot's
 // embedding.
 //
@@ -90,39 +90,18 @@ type SplitField interface {
 	AttractionRow(i int) (js []int32, on, by []float64)
 }
 
-// Config tunes the embedding.
+// Config tunes one embedding run: the settings its callers differ in, and
+// the two regime seams. The rest of the tuning is the constants below.
 type Config struct {
-	TimeStep       float64 // t in Eq. 6 (default 1)
-	MaxIters       int     // iteration cap (default 30)
-	MaxDisplace    float64 // per-iteration displacement clamp (default 4)
-	ExactThreshold int     // max N for exact all-pairs forces (default 512)
-	SampleK        int     // sampled repulsion peers above the threshold (default 96)
-	InitRadius     float64 // scatter radius for points without a position (default 10)
-	// Gravity pulls every point toward the origin with force Gravity x
-	// distance per iteration (default 0.02; negative disables). Eq. 6
-	// alone lets the dense repulsion field expand the cloud without bound
-	// across slots; a weak centering force caps the radius while leaving
-	// relative structure — the quantity k-means consumes — intact.
-	Gravity float64
-	// StopFrac ends the iteration once the alignment cost CostAR (Eq. 7)
-	// falls below this fraction of its peak value (default 0.15; negative
-	// disables, leaving only MaxIters). The paper stops at the first
-	// iteration whose cost is lower than the previous one; with clamped
-	// displacements productivity declines monotonically from iteration
-	// one, so the literal rule would always stop after three iterations —
-	// the fraction-of-peak test preserves the rule's intent ("stop when
-	// movement stops helping") and actually converges.
-	StopFrac float64
-	// RepulsionScale (kappa, default 8; negative disables) normalizes the
-	// dense repulsion field: repulsive pair forces are weighted by
-	// min(1, kappa/(n-1)) so a point's total repulsion stays comparable to
-	// its total attraction at any fleet size. Eq. 6's raw sums are
-	// scale-dependent — with thousands of points the O(n) repulsion sum
-	// drowns the O(degree) attraction and no data-locality structure can
-	// form; at the paper's problem sizes the weight saturates at 1 and the
-	// literal equation is recovered.
-	RepulsionScale float64
-	Seed           uint64 // keys deterministic scatter and sampling
+	Seed     uint64 // keys deterministic scatter and sampling
+	MaxIters int    // iteration cap (default 30)
+	// ExactThreshold is the largest fleet embedded with exact all-pairs
+	// forces (default 512) and SampleK the number of sampled repulsion
+	// peers per point above it (default 96). No production caller sets
+	// either: they are the regime seams through which tests reach the
+	// sampled mode on small fleets.
+	ExactThreshold int
+	SampleK        int
 	// FastMath opts into frozen peers only (default off). Above the exact
 	// threshold the sampled mode keeps each point's iteration-0 draw of
 	// hashed repulsion peers for the whole run and evaluates their forces
@@ -144,14 +123,8 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.TimeStep == 0 {
-		c.TimeStep = 1
-	}
 	if c.MaxIters == 0 {
 		c.MaxIters = 30
-	}
-	if c.MaxDisplace == 0 {
-		c.MaxDisplace = 4
 	}
 	if c.ExactThreshold == 0 {
 		c.ExactThreshold = 512
@@ -159,42 +132,53 @@ func (c *Config) applyDefaults() {
 	if c.SampleK == 0 {
 		c.SampleK = 96
 	}
-	if c.InitRadius == 0 {
-		c.InitRadius = 10
-	}
-	switch {
-	case c.Gravity == 0:
-		c.Gravity = 0.02
-	case c.Gravity < 0:
-		c.Gravity = 0
-	}
-	if c.RepulsionScale == 0 {
-		c.RepulsionScale = 8
-	}
-	switch {
-	case c.StopFrac == 0:
-		c.StopFrac = 0.15
-	case c.StopFrac < 0:
-		c.StopFrac = 0
-	}
 }
 
+// The embedding's one tuning, shared by every caller. Typed, so constant
+// expressions over them round as they would over float64 variables.
+const (
+	timeStep    float64 = 1 // t in Eq. 6's 1/2*F*t^2 displacement
+	maxDisplace float64 = 1 // clamp on a point's displacement per iteration
+	// InitRadius is the radius of the deterministic scatter disc that
+	// points without a position start on (InitialPosition).
+	InitRadius float64 = 10
+	// gravity pulls every point toward the origin with force gravity x
+	// distance per iteration. Eq. 6 alone lets the dense repulsion field
+	// expand the cloud without bound across slots; a weak centering force
+	// caps the radius while leaving relative structure — the quantity
+	// k-means consumes — intact.
+	gravity float64 = 0.02
+	// stopFrac ends the iteration once the alignment cost CostAR (Eq. 7)
+	// falls below this fraction of its peak value. The paper stops at the
+	// first iteration whose cost is lower than the previous one; with
+	// clamped displacements productivity declines monotonically from
+	// iteration one, so the literal rule would always stop after three
+	// iterations — the fraction-of-peak test preserves the rule's intent
+	// ("stop when movement stops helping") and actually converges.
+	stopFrac float64 = 0.15
+	// repulsionScale (kappa) normalizes the dense repulsion field:
+	// repulsive pair forces are weighted by min(1, kappa/(n-1)) so a
+	// point's total repulsion stays comparable to its total attraction at
+	// any fleet size. Eq. 6's raw sums are scale-dependent — with
+	// thousands of points the O(n) repulsion sum drowns the O(degree)
+	// attraction and no data-locality structure can form; at the paper's
+	// problem sizes the weight saturates at 1 and the literal equation is
+	// recovered.
+	repulsionScale float64 = 4
+)
+
 // stopNow evaluates the halting rule given the cost history peak.
-func (c Config) stopNow(iter int, cost, peak float64) bool {
-	return iter >= 2 && c.StopFrac > 0 && peak > 0 && cost < c.StopFrac*peak
+func stopNow(iter int, cost, peak float64) bool {
+	return iter >= 2 && peak > 0 && cost < stopFrac*peak
 }
 
 // repulsionWeight returns the class weight for repulsive pair forces at
 // fleet size n.
-func (c Config) repulsionWeight(n int) float64 {
-	if c.RepulsionScale < 0 || n <= 1 {
+func repulsionWeight(n int) float64 {
+	if n <= 1 {
 		return 1
 	}
-	w := c.RepulsionScale / float64(n-1)
-	if w > 1 {
-		return 1
-	}
-	return w
+	return min(1, repulsionScale/float64(n-1))
 }
 
 // weighted applies the repulsion class weight rw to a repulsive force;
@@ -236,7 +220,7 @@ func Run(ids []int, init []Point, known []bool, field SplitField, cfg Config) Re
 		if i < len(init) && (known == nil || known[i]) {
 			p = init[i]
 		} else {
-			p = InitialPosition(id, cfg.InitRadius, cfg.Seed)
+			p = InitialPosition(id, InitRadius, cfg.Seed)
 		}
 		px[i], py[i] = p.X, p.Y
 	}
@@ -382,7 +366,7 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 	scr := exactPool.Get().(*exactScratch)
 	scr.ensure(n * n)
 	defer exactPool.Put(scr)
-	scr.build(n, sf, cfg.repulsionWeight(n), cfg.Workers)
+	scr.build(n, sf, repulsionWeight(n), cfg.Workers)
 
 	fx := make([]float64, n)
 	fy := make([]float64, n)
@@ -394,7 +378,7 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		if cost > peak {
 			peak = cost
 		}
-		return cfg.stopNow(iters-1, cost, peak)
+		return stopNow(iters-1, cost, peak)
 	}
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		for i := range fx {
@@ -404,7 +388,7 @@ func runExact(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		if iter > 0 && record(cost) {
 			break
 		}
-		displace(px, py, fx, fy, cfg)
+		displace(px, py, fx, fy)
 		iters = iter + 1
 	}
 	if len(costs) < iters {
@@ -439,7 +423,7 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		defer frozenPool.Put(s.frozen)
 		s.freeze(cfg.Workers)
 	}
-	rw := cfg.repulsionWeight(n)
+	rw := repulsionWeight(n)
 
 	fx := make([]float64, n)
 	fy := make([]float64, n)
@@ -466,7 +450,7 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 			fy[p.j] -= weighted(p.fji, rw) * uy
 		}
 		s.pass(px, py, fx, fy, iter, cfg.Workers, (*simd.Draw).Sampled)
-		displace(px, py, fx, fy, cfg)
+		displace(px, py, fx, fy)
 
 		var cost float64
 		for k, p := range apairs {
@@ -482,7 +466,7 @@ func runSampled(px, py []float64, sf SplitField, cfg Config) (int, []float64) {
 		if cost > peak {
 			peak = cost
 		}
-		if cfg.stopNow(iter, cost, peak) {
+		if stopNow(iter, cost, peak) {
 			break
 		}
 	}
@@ -515,7 +499,7 @@ func newSampler(n int, sf SplitField, cfg Config) *sampler {
 	for k := range s.keys {
 		s.keys[k] = rng.Key(uint64(k))
 	}
-	s.scale = float64(n-1) / float64(cfg.SampleK) * cfg.repulsionWeight(n)
+	s.scale = float64(n-1) / float64(cfg.SampleK) * repulsionWeight(n)
 	return s
 }
 
@@ -652,21 +636,25 @@ func buildAttraction(n int, sf SplitField, workers *par.Budget) []apair {
 	return apairs
 }
 
-// displace applies Eq. 6's 1/2*F*t^2 step with the per-point clamp and the
-// centering gravity.
-func displace(px, py, fx, fy []float64, cfg Config) {
-	half := 0.5 * cfg.TimeStep * cfg.TimeStep
+// displace applies Eq. 6's displacement step to every point.
+func displace(px, py, fx, fy []float64) {
 	for i := range px {
-		dx := half*fx[i] - cfg.Gravity*px[i]
-		dy := half*fy[i] - cfg.Gravity*py[i]
-		if m := math.Sqrt(dx*dx + dy*dy); m > cfg.MaxDisplace {
-			s := cfg.MaxDisplace / m
-			dx *= s
-			dy *= s
-		}
-		px[i] += dx
-		py[i] += dy
+		px[i], py[i] = step(px[i], py[i], fx[i], fy[i])
 	}
+}
+
+// step moves the point at (x, y) under the force (fx, fy) by Eq. 6's
+// 1/2*F*t^2, with the per-iteration clamp and the centering gravity.
+func step(x, y, fx, fy float64) (float64, float64) {
+	const half = 0.5 * timeStep * timeStep
+	dx := half*fx - gravity*x
+	dy := half*fy - gravity*y
+	if m := math.Sqrt(dx*dx + dy*dy); m > maxDisplace {
+		s := maxDisplace / m
+		dx *= s
+		dy *= s
+	}
+	return x + dx, y + dy
 }
 
 // peerRows holds rows of SampleK hashed peers (kj) and their forces (f):

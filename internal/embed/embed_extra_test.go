@@ -5,24 +5,58 @@ import (
 	"testing"
 )
 
+// TestRepulsionWeightSaturatesForSmallFleets pins the shipped kappa: the
+// weight is 1 (literal Eq. 6) up to kappa+1 points and kappa/(n-1) above,
+// bit-equal to the formula over a runtime kappa.
 func TestRepulsionWeightSaturatesForSmallFleets(t *testing.T) {
-	cfg := Config{RepulsionScale: 8}
-	cfg.applyDefaults()
-	if w := cfg.repulsionWeight(5); w != 1 {
-		t.Fatalf("small-fleet weight = %v, want 1 (literal Eq. 6)", w)
-	}
-	if w := cfg.repulsionWeight(9); w != 1 {
-		t.Fatalf("n=9 weight = %v, want 1", w)
-	}
-	if w := cfg.repulsionWeight(801); math.Abs(w-0.01) > 1e-12 {
-		t.Fatalf("n=801 weight = %v, want 0.01", w)
+	kappa := 4.0
+	for _, n := range []int{2, 5, 9, 801} {
+		want := min(1, kappa/float64(n-1))
+		if w := repulsionWeight(n); math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("n=%d weight = %v, want %v", n, w, want)
+		}
 	}
 }
 
-func TestRepulsionWeightDisabled(t *testing.T) {
-	cfg := Config{RepulsionScale: -1}
-	if w := cfg.repulsionWeight(10000); w != 1 {
-		t.Fatalf("disabled scale weight = %v, want 1", w)
+// TestStopRuleThresholdPinned pins the shipped stop rule to a runtime
+// fraction: from iteration 2 on, a cost just below frac*peak stops and
+// frac*peak itself does not; a zero peak never stops.
+func TestStopRuleThresholdPinned(t *testing.T) {
+	frac := 0.15
+	for _, peak := range []float64{1, 0.7, 3.3, 1e-3, 123.456} {
+		thr := frac * peak
+		if !stopNow(2, math.Nextafter(thr, math.Inf(-1)), peak) {
+			t.Fatalf("peak %v: cost below %v did not stop", peak, thr)
+		}
+		if stopNow(2, thr, peak) {
+			t.Fatalf("peak %v: cost %v stopped", peak, thr)
+		}
+		if stopNow(1, 0, peak) {
+			t.Fatalf("peak %v: stopped before iteration 2", peak)
+		}
+	}
+	if stopNow(5, -1, 0) {
+		t.Fatal("zero peak stopped")
+	}
+}
+
+// TestStepPinned pins the shipped displacement step to the same arithmetic
+// over runtime t, clamp and gravity, on both sides of the clamp.
+func TestStepPinned(t *testing.T) {
+	ts, clamp, g := 1.0, 1.0, 0.02
+	for _, c := range [][4]float64{{3, -4, 0.3, 0.1}, {0.7, 0.2, -0.9, 1.3}, {-12, 5, 40, -7}, {0, 0, 0, 0}} {
+		x, y, fx, fy := c[0], c[1], c[2], c[3]
+		half := 0.5 * ts * ts
+		dx, dy := half*fx-g*x, half*fy-g*y
+		if m := math.Sqrt(dx*dx + dy*dy); m > clamp {
+			s := clamp / m
+			dx *= s
+			dy *= s
+		}
+		gx, gy := step(x, y, fx, fy)
+		if math.Float64bits(gx) != math.Float64bits(x+dx) || math.Float64bits(gy) != math.Float64bits(y+dy) {
+			t.Fatalf("step(%v) = (%v, %v), want (%v, %v)", c, gx, gy, x+dx, y+dy)
+		}
 	}
 }
 
@@ -36,7 +70,7 @@ func TestGravityBoundsRadius(t *testing.T) {
 			f.set(0, 0, 1.0, i, j)
 		}
 	}
-	res := runMap(ids, nil, f, Config{Seed: 5, MaxIters: 300, Gravity: 0.05, StopFrac: -1})
+	res := runMap(ids, nil, f, Config{Seed: 5, MaxIters: 300})
 	for _, id := range ids {
 		if r := math.Hypot(res.Pos[id].X, res.Pos[id].Y); r > 200 {
 			t.Fatalf("point %d escaped to radius %v", id, r)
@@ -50,22 +84,12 @@ func TestStopFracStopsEarly(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -1.0, 1, 2)
 	init := map[int]Point{1: {X: -20}, 2: {X: 20}}
-	res := runMap([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 500, StopFrac: 0.15})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 500})
 	if res.Iterations >= 500 {
 		t.Fatalf("did not stop early: %d iterations", res.Iterations)
 	}
 	if d := Dist(res.Pos[1], res.Pos[2]); d > 40 {
 		t.Fatalf("attracted pair did not converge: %v", d)
-	}
-}
-
-func TestStopFracDisabledRunsToCap(t *testing.T) {
-	f := newTableField()
-	f.set(0, 0, -1.0, 1, 2)
-	res := runMap([]int{1, 2}, map[int]Point{1: {X: -9}, 2: {X: 9}}, f,
-		Config{Seed: 1, MaxIters: 25, StopFrac: -1, Gravity: -1})
-	if res.Iterations != 25 {
-		t.Fatalf("StopFrac -1 should run to MaxIters: %d", res.Iterations)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestRespectsMaxIters(t *testing.T) {
 
 func TestDisplacementClamped(t *testing.T) {
 	// Many strong repellers at the same spot: displacement per iteration
-	// must still be bounded by MaxDisplace.
+	// must still be bounded by maxDisplace.
 	f := newTableField()
 	ids := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	for i := 0; i < len(ids); i++ {
@@ -168,24 +168,32 @@ func TestDisplacementClamped(t *testing.T) {
 	for _, id := range ids {
 		init[id] = Point{} // all coincident
 	}
-	cfg := Config{Seed: 3, MaxIters: 1, MaxDisplace: 2}
-	res := runMap(ids, init, f, cfg)
+	res := runMap(ids, init, f, Config{Seed: 3, MaxIters: 1})
 	for _, id := range ids {
-		if d := Dist(res.Pos[id], Point{}); d > 2+1e-9 {
-			t.Fatalf("point %d moved %v > clamp 2", id, d)
+		if d := Dist(res.Pos[id], Point{}); d > maxDisplace+1e-9 {
+			t.Fatalf("point %d moved %v > clamp %v", id, d, maxDisplace)
 		}
 	}
 }
 
 func TestInheritedPositionsUsed(t *testing.T) {
-	f := newTableField() // no forces (and no gravity): nothing moves
-	init := map[int]Point{7: {X: 3, Y: 4}}
-	res := runMap([]int{7, 8}, init, f, Config{Seed: 9, Gravity: -1})
-	if res.Pos[7] != (Point{X: 3, Y: 4}) {
+	// No forces: only gravity moves a point, and it leaves the origin
+	// where it is.
+	f := newTableField()
+	init := map[int]Point{7: {}}
+	res := runMap([]int{7, 8}, init, f, Config{Seed: 9, MaxIters: 3})
+	if res.Iterations != 3 {
+		t.Fatalf("ran %d iterations, want 3", res.Iterations)
+	}
+	if res.Pos[7] != (Point{}) {
 		t.Fatalf("inherited position not kept: %v", res.Pos[7])
 	}
-	// 8 had no position: must get the deterministic scatter.
-	want := InitialPosition(8, 10, 9)
+	// 8 had no position: it starts at the deterministic scatter and
+	// gravity pulls it in for three steps.
+	want := InitialPosition(8, InitRadius, 9)
+	for range 3 {
+		want.X, want.Y = step(want.X, want.Y, 0, 0)
+	}
 	if res.Pos[8] != want {
 		t.Fatalf("scatter = %v, want %v", res.Pos[8], want)
 	}
@@ -215,7 +223,7 @@ func TestSampledModeStillSeparates(t *testing.T) {
 		ids[i] = i
 	}
 	f.set(0, 0, -0.9, 0, 1)
-	res := runMap(ids, nil, f, Config{Seed: 11, ExactThreshold: 4, SampleK: 8, MaxIters: 40, Gravity: -1})
+	res := runMap(ids, nil, f, Config{Seed: 11, ExactThreshold: 4, SampleK: 8, MaxIters: 40})
 	d := Dist(res.Pos[0], res.Pos[1])
 	// The attracted pair should sit closer than the average pair.
 	var sum float64
@@ -242,8 +250,8 @@ func TestCostHistoryRecorded(t *testing.T) {
 
 func TestInitialPositionWithinRadius(t *testing.T) {
 	for id := 0; id < 200; id++ {
-		p := InitialPosition(id, 10, 77)
-		if d := math.Hypot(p.X, p.Y); d > 10 {
+		p := InitialPosition(id, InitRadius, 77)
+		if d := math.Hypot(p.X, p.Y); d > InitRadius {
 			t.Fatalf("scatter %v outside radius", d)
 		}
 	}

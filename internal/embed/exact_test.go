@@ -19,9 +19,7 @@ func exactFixture(n int) (*exactScratch, []float64, []float64) {
 	f.Bind(ids)
 	scr := new(exactScratch)
 	scr.ensure(n * n)
-	cfg := Config{}
-	cfg.applyDefaults()
-	scr.build(n, f, cfg.repulsionWeight(n), nil)
+	scr.build(n, f, repulsionWeight(n), nil)
 	px := make([]float64, n)
 	py := make([]float64, n)
 	for i := range px {
@@ -67,8 +65,8 @@ func TestExactPassMatchesGo(t *testing.T) {
 			same("fx", iter, afx, gfx)
 			same("fy", iter, afy, gfy)
 			same("prevD", iter, a.prevD, g.prevD)
-			displace(apx, apy, afx, afy, cfg)
-			displace(gpx, gpy, gfx, gfy, cfg)
+			displace(apx, apy, afx, afy)
+			displace(gpx, gpy, gfx, gfy)
 		}
 		same("px", 6, apx, gpx)
 		same("py", 6, apy, gpy)

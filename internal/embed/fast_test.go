@@ -52,9 +52,9 @@ func TestFrozenPeerContract(t *testing.T) {
 	ids := fastIDs(n)
 	run := func(fast bool, iters int, w *par.Budget) (Result, int64) {
 		field := &countingField{}
-		// StopFrac < 0 leaves MaxIters as the only halting rule, so the
-		// iteration count is exactly iters.
-		cfg := Config{Seed: 9, FastMath: fast, MaxIters: iters, SampleK: 16, StopFrac: -1, Workers: w}
+		// The field has no attraction, so the alignment cost stays 0, the
+		// stop rule never fires and the iteration count is exactly iters.
+		cfg := Config{Seed: 9, FastMath: fast, MaxIters: iters, SampleK: 16, Workers: w}
 		res := Run(ids, nil, nil, field, cfg)
 		if res.Iterations != iters {
 			t.Fatalf("fast=%v: ran %d iterations, want %d", fast, res.Iterations, iters)
@@ -104,7 +104,7 @@ func TestSampledFastMatchesForceSemantics(t *testing.T) {
 	}
 	init := make(map[int]Point, n)
 	for _, id := range ids {
-		init[id] = InitialPosition(id, cfg.InitRadius, cfg.Seed)
+		init[id] = InitialPosition(id, InitRadius, cfg.Seed)
 	}
 	var before float64
 	for _, p := range init {

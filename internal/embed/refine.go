@@ -11,31 +11,31 @@ import (
 // point: with the rest of the layout frozen, it iterates Eq. 6 on id alone —
 // exact attraction against id's data-correlated peers, repulsion estimated
 // from SampleK hashed partners per iteration as in the sampled mode — and
-// returns the refined position. Only id's row of the force field is ever
-// evaluated, so the cost is O(iters x (degree + SampleK)) regardless of
+// returns the refined position after cfg.MaxIters iterations, each moved
+// by Run's per-point step. Only id's row of the force field is ever
+// evaluated, so the cost is O(MaxIters x (degree + SampleK)) regardless of
 // fleet size: this is what lets a streaming controller seat one arrival
-// without re-running the global embedding (a background reconciler restores
-// the full-fidelity layout periodically).
+// without re-running the global embedding (a background reconciler
+// restores the full-fidelity layout periodically).
 //
 // pos supplies the frozen layout and id's seed position (ids absent from
 // pos scatter via InitialPosition); others lists the resident points id may
 // be repelled by, in any caller-deterministic order. The result is a pure
 // function of the arguments.
-func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config, iters int) Point {
+func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config) Point {
 	cfg.applyDefaults()
 	p, ok := pos[id]
 	if !ok {
-		p = InitialPosition(id, cfg.InitRadius, cfg.Seed)
+		p = InitialPosition(id, InitRadius, cfg.Seed)
 	}
 	n := len(others) + 1
-	if n < 2 || iters <= 0 {
+	if n < 2 {
 		return p
 	}
 	peers := field.AttractionPeers(id)
-	rw := cfg.repulsionWeight(n)
+	rw := repulsionWeight(n)
 	scale := float64(n-1) / float64(cfg.SampleK) * rw
-	half := 0.5 * cfg.TimeStep * cfg.TimeStep
-	for iter := 0; iter < iters; iter++ {
+	for iter := 0; iter < cfg.MaxIters; iter++ {
 		var fxv, fyv float64
 		pull := func(q Point, f float64) {
 			dx := p.X - q.X
@@ -73,16 +73,7 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config,
 			}
 			pull(q, f*scale)
 		}
-		// Eq. 6 displacement with the standard clamp and centering gravity.
-		dx := half*fxv - cfg.Gravity*p.X
-		dy := half*fyv - cfg.Gravity*p.Y
-		if m := math.Sqrt(dx*dx + dy*dy); m > cfg.MaxDisplace {
-			s := cfg.MaxDisplace / m
-			dx *= s
-			dy *= s
-		}
-		p.X += dx
-		p.Y += dy
+		p.X, p.Y = step(p.X, p.Y, fxv, fyv)
 	}
 	return p
 }

@@ -26,9 +26,9 @@ func TestRefineOneDeterministic(t *testing.T) {
 		3: {X: 0, Y: -2},
 		5: {X: 0, Y: 0},
 	}
-	cfg := Config{Seed: 11, MaxDisplace: 1.0, RepulsionScale: 4}
-	a := RefineOne(5, []int{1, 2, 3}, pos, f, cfg, 6)
-	b := RefineOne(5, []int{1, 2, 3}, pos, f, cfg, 6)
+	cfg := Config{Seed: 11, MaxIters: 6}
+	a := RefineOne(5, []int{1, 2, 3}, pos, f, cfg)
+	b := RefineOne(5, []int{1, 2, 3}, pos, f, cfg)
 	if a != b {
 		t.Fatalf("not deterministic: %+v vs %+v", a, b)
 	}
@@ -49,8 +49,7 @@ func TestRefineOneAttractsTowardPeer(t *testing.T) {
 		peers: map[int][]int{5: {1}},
 	}
 	pos := map[int]Point{1: {X: 6, Y: 0}, 5: {X: 0, Y: 0}}
-	cfg := Config{Seed: 3, MaxDisplace: 1.0, RepulsionScale: 4}
-	p := RefineOne(5, []int{1}, pos, f, cfg, 8)
+	p := RefineOne(5, []int{1}, pos, f, Config{Seed: 3, MaxIters: 8})
 	d0 := Dist(Point{X: 0, Y: 0}, pos[1])
 	if d := Dist(p, pos[1]); d >= d0 {
 		t.Fatalf("attraction failed: dist %v -> %v", d0, d)
@@ -65,8 +64,7 @@ func TestRefineOneRepelsFromCoResident(t *testing.T) {
 		peers: map[int][]int{5: {1}},
 	}
 	pos := map[int]Point{1: {X: 0.3, Y: 0}, 5: {X: 0, Y: 0}}
-	cfg := Config{Seed: 3, MaxDisplace: 1.0, RepulsionScale: 4, Gravity: -1}
-	p := RefineOne(5, []int{1}, pos, f, cfg, 4)
+	p := RefineOne(5, []int{1}, pos, f, Config{Seed: 3, MaxIters: 4})
 	if d := Dist(p, pos[1]); d <= 0.3 {
 		t.Fatalf("repulsion failed: dist = %v", d)
 	}
@@ -75,18 +73,14 @@ func TestRefineOneRepelsFromCoResident(t *testing.T) {
 func TestRefineOneEdgeCases(t *testing.T) {
 	f := &pairField{force: map[[2]int]float64{}, peers: map[int][]int{}}
 	pos := map[int]Point{5: {X: 1, Y: 2}}
-	cfg := Config{Seed: 9}
+	cfg := Config{Seed: 9, MaxIters: 4}
 	// No co-residents: nothing to refine against.
-	if p := RefineOne(5, nil, pos, f, cfg, 4); p != (Point{X: 1, Y: 2}) {
+	if p := RefineOne(5, nil, pos, f, cfg); p != (Point{X: 1, Y: 2}) {
 		t.Fatalf("solo point moved: %+v", p)
 	}
-	// Zero iterations: seed returned untouched.
-	if p := RefineOne(5, []int{1}, pos, f, cfg, 0); p != (Point{X: 1, Y: 2}) {
-		t.Fatalf("0-iteration refinement moved: %+v", p)
-	}
 	// Unknown id scatters deterministically from InitialPosition.
-	want := InitialPosition(77, 10, cfg.Seed)
-	if p := RefineOne(77, nil, map[int]Point{}, f, cfg, 4); p != want {
+	want := InitialPosition(77, InitRadius, cfg.Seed)
+	if p := RefineOne(77, nil, map[int]Point{}, f, cfg); p != want {
 		t.Fatalf("scatter mismatch: %+v vs %+v", p, want)
 	}
 	if math.IsNaN(want.X) {

@@ -53,8 +53,8 @@ func oracleRunSampled(px, py []float64, sf SplitField, cfg Config) (int, []float
 			sampleRow(i, 0, fkj[i*K:(i+1)*K], ff[i*K:(i+1)*K])
 		}
 	}
-	scale := float64(n-1) / float64(K) * cfg.repulsionWeight(n)
-	rw := cfg.repulsionWeight(n)
+	scale := float64(n-1) / float64(K) * repulsionWeight(n)
+	rw := repulsionWeight(n)
 
 	fx := make([]float64, n)
 	fy := make([]float64, n)
@@ -102,7 +102,7 @@ func oracleRunSampled(px, py []float64, sf SplitField, cfg Config) (int, []float
 				fy[i] += f[k] * scale * dy / d
 			}
 		}
-		displace(px, py, fx, fy, cfg)
+		displace(px, py, fx, fy)
 
 		var cost float64
 		for k, p := range apairs {
@@ -117,7 +117,7 @@ func oracleRunSampled(px, py []float64, sf SplitField, cfg Config) (int, []float
 		if cost > peak {
 			peak = cost
 		}
-		if cfg.stopNow(iter, cost, peak) {
+		if stopNow(iter, cost, peak) {
 			break
 		}
 	}
@@ -232,10 +232,10 @@ func TestSampledPassMatchesOracle(t *testing.T) {
 		}
 		init := clusteredInit(c.n, 7)
 		for _, fast := range []bool{false, true} {
-			want := oracleRun(ids, init, &sampledField{seed: 5, nanRate: c.nanRate}, Config{Seed: 11, MaxIters: c.iters, StopFrac: -1, FastMath: fast})
+			want := oracleRun(ids, init, &sampledField{seed: 5, nanRate: c.nanRate}, Config{Seed: 11, MaxIters: c.iters, FastMath: fast})
 			for _, w := range []*par.Budget{nil, par.NewBudget(2), par.NewBudget(8)} {
 				t.Run(fmt.Sprintf("n%d/nan%v/fast%v/workers%d", c.n, c.nanRate, fast, w.Extra()), func(t *testing.T) {
-					cfg := Config{Seed: 11, MaxIters: c.iters, StopFrac: -1, FastMath: fast, Workers: w}
+					cfg := Config{Seed: 11, MaxIters: c.iters, FastMath: fast, Workers: w}
 					got := Run(ids, init, nil, &sampledField{seed: 5, nanRate: c.nanRate}, cfg)
 					if got.Iterations != want.Iterations || len(got.Cost) != len(want.Cost) {
 						t.Fatalf("%d iterations, %d costs; oracle %d, %d", got.Iterations, len(got.Cost), want.Iterations, len(want.Cost))

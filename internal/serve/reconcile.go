@@ -92,21 +92,15 @@ func (s *state) snapshot() *reconSnap {
 }
 
 // run executes the batch global embedding over the snapshot — the same
-// field and tuning the batch controller uses, warm-started from the live
-// layout.
+// field and tuning (embed's constants) the batch controller uses, at the
+// reconciler's iteration budget, warm-started from the live layout.
 func (r *reconSnap) run(opt *Options) []embed.Point {
 	var budget *par.Budget
 	if opt.Workers > 1 {
 		budget = par.NewBudget(opt.Workers - 1)
 	}
 	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref, nil)
-	cfg := embed.Config{
-		Seed:           opt.Seed,
-		MaxIters:       opt.ReconcileIters,
-		MaxDisplace:    1.0,
-		RepulsionScale: 4,
-		Workers:        budget,
-	}
+	cfg := embed.Config{Seed: opt.Seed, MaxIters: opt.ReconcileIters, Workers: budget}
 	return embed.Run(r.ids, r.init, nil, f, cfg).Pos
 }
 

@@ -110,12 +110,6 @@ type candidate struct {
 	overflowed bool
 }
 
-// embedCfg returns the refinement/reconciliation embedding configuration —
-// the same tuning the batch controller embeds with (core.New).
-func (s *state) embedCfg() embed.Config {
-	return embed.Config{Seed: s.opt.Seed, MaxDisplace: 1.0, RepulsionScale: 4}
-}
-
 // prepare runs the fit and score phases against the current state without
 // mutating anything: a bounded capacity probe per DC, then the blended
 // cross-traffic/locality/correlation/energy score over the feasible DCs.
@@ -397,7 +391,7 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 		}
 	}
 	if known == 0 {
-		return embed.InitialPosition(id, 10, s.opt.Seed)
+		return embed.InitialPosition(id, embed.InitRadius, s.opt.Seed)
 	}
 	jit := embed.InitialPosition(id, 0.5, s.opt.Seed)
 	return embed.Point{X: cx/float64(known) + jit.X, Y: cy/float64(known) + jit.Y}
@@ -427,7 +421,7 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 	if s.opt.RefineIters > 0 && len(s.active) > 0 {
 		s.pos[id] = p
 		f := core.NewField(s.opt.Alpha, s.ps, s.dm, s.ref, s.peers)
-		p = embed.RefineOne(id, s.active, s.pos, f, s.embedCfg(), s.opt.RefineIters)
+		p = embed.RefineOne(id, s.active, s.pos, f, embed.Config{Seed: s.opt.Seed, MaxIters: s.opt.RefineIters})
 	}
 	s.pos[id] = p
 	s.packs[c.dc].Commit(c.srv, id, c.prof)

@@ -89,6 +89,52 @@ func FuzzLoadReplay(f *testing.F) {
 	})
 }
 
+// FuzzIngestCluster feeds arbitrary bytes through IngestCluster as the
+// lifetime and utilization CSVs: it must either return an error or a
+// Replay in which every VM departs after it arrives and every profile
+// sample is finite and in [0, 1] — never panic.
+func FuzzIngestCluster(f *testing.F) {
+	const vms, cpu = "vmid,vmcreated,vmdeleted\na,100,7300\nb,3700,10900\n", "timestamp,vmid,avgcpu\n150,a,40\n1900,a,60\n3650,b,55\n"
+	f.Add(vms, cpu)
+	for _, tok := range []string{"NaN", "Inf", "-Inf", "1e309"} {
+		f.Add("vmid,vmcreated,vmdeleted\na,"+tok+",3600\n", cpu)
+		f.Add("vmid,vmcreated,vmdeleted\na,0,"+tok+"\n", cpu)
+		f.Add(vms, "timestamp,vmid,avgcpu\n"+tok+",a,50\n")
+		f.Add(vms, "timestamp,vmid,avgcpu\n150,a,"+tok+"\n")
+	}
+	f.Add("vmid,vmcreated,vmdeleted\na,3600,7200\n", "timestamp,vmid,avgcpu\n1,a,50\n")
+	f.Add("vmid,vmcreated,vmdeleted\na,-1e308,1e308\n", "timestamp,vmid,avgcpu\n")
+	f.Add("", "")
+	f.Fuzz(func(t *testing.T, vms, cpu string) {
+		if len(vms)+len(cpu) > 1<<14 {
+			t.Skip("oversized input")
+		}
+		dir := t.TempDir()
+		vmPath, cpuPath := filepath.Join(dir, "vms.csv"), filepath.Join(dir, "cpu.csv")
+		for path, data := range map[string]string{vmPath: vms, cpuPath: cpu} {
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := IngestCluster(vmPath, cpuPath, IngestOptions{MaxVMs: 1000, MaxSlots: 200})
+		if err != nil {
+			return // rejected cleanly
+		}
+		for id, v := range r.vms {
+			if v.arrival < 0 || v.arrival >= v.depart {
+				t.Fatalf("VM %d lives [%d, %d)", id, v.arrival, v.depart)
+			}
+			for sl, row := range r.profiles[id] {
+				for _, u := range row {
+					if !(u >= 0 && u <= 1) {
+						t.Fatalf("VM %d slot %d profile %v", id, sl, row)
+					}
+				}
+			}
+		}
+	})
+}
+
 // FuzzFillUtil fills two VMs of one service from one shared diurnal row —
 // the service-major fill's contract — over a strided grid at an arbitrary
 // start, and a FillSlotProfile of either length class, and pins all of

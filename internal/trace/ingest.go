@@ -76,9 +76,11 @@ func columnIndex(header []string, names ...string) int {
 // Sub-bins without a reading carry the previous reading forward (a
 // sampled trace is piecewise constant between observations); slots before
 // a VM's first reading carry its first value backward. Malformed or
-// referentially broken rows — unknown VM ids in the utilization file,
-// readings outside the VM's lifetime, duplicate lifetime rows — are
-// ingest errors, not silent drops.
+// referentially broken rows — non-finite times (an infinite deletion time
+// included: a VM that never departs has no slot to leave at), non-finite
+// or negative readings, unknown VM ids in the utilization file, readings
+// outside the VM's lifetime, duplicate lifetime rows — are ingest errors,
+// not silent drops.
 func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 	opt.applyDefaults()
 
@@ -107,7 +109,7 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 		}
 		start, err1 := strconv.ParseFloat(row[startCol], 64)
 		end, err2 := strconv.ParseFloat(row[endCol], 64)
-		if err := firstErr(err1, err2); err != nil {
+		if err := firstErr(err1, err2, finite("created", start), finite("deleted", end)); err != nil {
 			return fmt.Errorf("trace: %s: VM %q: %w", vmPath, key, err)
 		}
 		if end <= start {
@@ -144,14 +146,17 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 		vms:     make([]replayVM, len(lives)),
 	}
 	for id, lf := range lives {
-		arr := timeutil.Slot((lf.start - t0) / timeutil.SlotSeconds)
-		dep := timeutil.Slot(math.Ceil((lf.end - t0) / timeutil.SlotSeconds))
+		// Bounded in float before the conversion: the span of two finite
+		// times can still overflow to Inf.
+		arrF := math.Floor((lf.start - t0) / timeutil.SlotSeconds)
+		depF := math.Ceil((lf.end - t0) / timeutil.SlotSeconds)
+		if !(arrF >= 0 && depF <= float64(opt.MaxSlots)) {
+			return nil, fmt.Errorf("trace: %s: VM %d spans slots [%v, %v), beyond the %d-slot bound",
+				vmPath, id, arrF, depF, opt.MaxSlots)
+		}
+		arr, dep := timeutil.Slot(arrF), timeutil.Slot(depF)
 		if dep <= arr {
 			dep = arr + 1
-		}
-		if int(dep) > opt.MaxSlots {
-			return nil, fmt.Errorf("trace: %s: VM %d departs at slot %d, beyond the %d-slot bound",
-				vmPath, id, dep, opt.MaxSlots)
 		}
 		r.vms[id] = replayVM{arrival: arr, depart: dep, image: units.DataSize(lf.imageGB * 1e9)}
 		if dep > r.slots {
@@ -181,16 +186,20 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 		}
 		ts, err1 := strconv.ParseFloat(row[tsCol], 64)
 		cpu, err2 := strconv.ParseFloat(row[cpuCol], 64)
-		if err := firstErr(err1, err2); err != nil {
+		if err := firstErr(err1, err2, finite("timestamp", ts)); err != nil {
 			return fmt.Errorf("trace: %s: VM %q: %w", cpuPath, row[rdIDCol], err)
+		}
+		if !(cpu >= 0 && cpu <= math.MaxFloat64) {
+			return fmt.Errorf("trace: %s: VM %q: reading %v is not finite and non-negative", cpuPath, row[rdIDCol], cpu)
 		}
 		v := r.vms[id]
 		sec := ts - t0
-		sl := timeutil.Slot(sec / timeutil.SlotSeconds)
-		if sl < v.arrival || sl >= v.depart {
+		slF := math.Floor(sec / timeutil.SlotSeconds)
+		if !(slF >= float64(v.arrival) && slF < float64(v.depart)) {
 			return fmt.Errorf("trace: %s: reading at %v for VM %q outside its lifetime [slot %d, %d)",
 				cpuPath, ts, row[rdIDCol], v.arrival, v.depart)
 		}
+		sl := timeutil.Slot(slF)
 		b := &acc[id]
 		if b.sum == nil {
 			span := int(v.depart-v.arrival) * opt.Samples
@@ -257,4 +266,12 @@ func IngestCluster(vmPath, cpuPath string, opt IngestOptions) (*Replay, error) {
 		}
 	}
 	return r, nil
+}
+
+// finite returns an error naming what when v is NaN or infinite.
+func finite(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s %v is not finite", what, v)
+	}
+	return nil
 }

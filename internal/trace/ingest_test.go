@@ -106,6 +106,13 @@ func TestIngestClusterErrors(t *testing.T) {
 		{"junk cpu number", goodVMs, "timestamp,vmid,avgcpu\n100,a,fifty\n", "invalid syntax"},
 		{"short lifetime row", "vmid,vmcreated,vmdeleted\na,0\n", goodCPU, "columns"},
 		{"short reading row", goodVMs, "timestamp,vmid,avgcpu\n100,a\n", "columns"},
+		{"NaN created", "vmid,vmcreated,vmdeleted\na,NaN,3600\n", goodCPU, `VM "a": created NaN is not finite`},
+		{"-Inf created", "vmid,vmcreated,vmdeleted\na,-Inf,5\n", goodCPU, `VM "a": created -Inf is not finite`},
+		{"Inf deleted", "vmid,vmcreated,vmdeleted\na,0,Inf\n", goodCPU, `VM "a": deleted +Inf is not finite`},
+		{"NaN reading", goodVMs, "timestamp,vmid,avgcpu\n100,a,NaN\n", `VM "a": reading NaN is not finite and non-negative`},
+		{"negative reading", goodVMs, "timestamp,vmid,avgcpu\n100,a,-1e308\n", `VM "a": reading -1e+308 is not finite and non-negative`},
+		{"reading before the epoch", "vmid,vmcreated,vmdeleted\na,3600,7200\n", "timestamp,vmid,avgcpu\n1,a,50\n", "outside its lifetime"},
+		{"lifetime beyond float range", "vmid,vmcreated,vmdeleted\na,-1e308,1e308\n", "timestamp,vmid,avgcpu\n", "beyond the"},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
