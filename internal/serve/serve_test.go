@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,5 +389,63 @@ func TestSimPolicyMatchesEngine(t *testing.T) {
 	}
 	if d.Board().Counter("serve_placements_total").Value() == 0 {
 		t.Fatal("daemon never placed anything")
+	}
+}
+
+// TestReplayDigest pins the daemon's decision stream and final layout on
+// one replayed log: a SHA-256 over every decision's (ID, DC, Server, Seq,
+// Overflowed) in event order, then every resident's id and position bits in
+// ascending id order. The log ends above embed's exact threshold, so the
+// reconciler runs the sampled mode, and its 18 landings, the per-arrival
+// refinement and the score weights all reach the digest: any change to the
+// serving tuning or the turn protocol moves it. It must read the same under
+// -tags purego.
+func TestReplayDigest(t *testing.T) {
+	sc := testScenario(t, 0.02)
+	events := EventsFromTrace(sc.Workload, 24, sim.DefaultProfileSamples)
+	d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decs := d.Replay(events, 1)
+	d.Drain()
+
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, dec := range decs {
+		put(uint64(dec.ID))
+		put(uint64(dec.DC))
+		put(uint64(dec.Server))
+		put(dec.Seq)
+		if dec.Overflowed {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	ids := make([]int, 0, len(d.st.pos))
+	for id := range d.st.pos {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		p := d.st.pos[id]
+		put(uint64(id))
+		put(math.Float64bits(p.X))
+		put(math.Float64bits(p.Y))
+	}
+
+	if len(events) != 1256 {
+		t.Fatalf("log has %d events, want 1256", len(events))
+	}
+	if n := d.Board().Counter("serve_reconciles_total").Value(); n != 18 {
+		t.Fatalf("%d reconciles landed, want 18", n)
+	}
+	if len(ids) != 608 {
+		t.Fatalf("%d residents, want 608", len(ids))
+	}
+	const want = "0e714c74a3d453a482f4cc677444f71b0e01ce6e6a88de698a86268ef83a74c8"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("replay digest %s, want %s", got, want)
 	}
 }
