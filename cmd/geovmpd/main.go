@@ -8,6 +8,9 @@
 //	        [-seed 42] [-alpha 0.9] [-queue 256] [-slo 20ms]
 //	        [-reconcile 512] [-workers 0]
 //
+// -alpha must lie in (0, 1]; any other value exits with status 2. The
+// daemon's scoring and embedding tuning is fixed and has no flag.
+//
 // Endpoints:
 //
 //	POST /v1/place    {"id":1,"profile":[...],"flows":[...]} -> {"dc":...,"server":...}
@@ -50,6 +53,11 @@ func main() {
 		workers   = flag.Int("workers", 0, "reconciler goroutines (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	// The daemon reads 0 as unset: refuse it rather than serve the default.
+	if !(*alpha > 0 && *alpha <= 1) {
+		fmt.Fprintf(os.Stderr, "geovmpd: -alpha %v: must lie in (0, 1]\n", *alpha)
+		os.Exit(2)
+	}
 
 	spec, err := geovmp.Preset(*preset)
 	if err != nil {

@@ -49,12 +49,15 @@ type trackedServer struct {
 // falls below this fraction of capacity is skipped by the bounded probe.
 const packedFrac = 0.05
 
-// defaultProbeLimit bounds the first-fit window when the caller passes a
-// non-positive probe limit.
+// defaultProbeLimit bounds the first-fit window: the serving daemon's one
+// probe window.
 const defaultProbeLimit = 16
 
 // NewTracker returns an empty tracker for a DC of maxServers servers of the
-// given model, expecting profiles of the given sample count.
+// given model, expecting profiles of the given sample count. A
+// non-positive probeLimit selects defaultProbeLimit. No production caller
+// sets it: it is the seam through which the tracker tests and the oracle
+// fuzz reach small probe windows.
 func NewTracker(model *power.ServerModel, maxServers, samples, probeLimit int) *Tracker {
 	if probeLimit <= 0 {
 		probeLimit = defaultProbeLimit

@@ -90,10 +90,10 @@ type Controller struct {
 	BoundaryEmbedNS int64
 }
 
-// New returns a Controller with the given alpha (0.9 when out of range) and
-// deterministic behavior keyed by seed.
+// New returns a Controller with the given alpha (0.9 when NaN or outside
+// [0, 1]) and deterministic behavior keyed by seed.
 func New(alpha float64, seed uint64) *Controller {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		alpha = 0.9
 	}
 	return &Controller{
@@ -124,9 +124,6 @@ type Field struct {
 	ps    *correlation.ProfileSet
 	vols  *correlation.DataMatrix
 	ref   units.DataSize
-	// peers is the id-addressed adjacency AttractionPeers serves; nil
-	// unless the caller maintains one (the serving refinement).
-	peers map[int][]int
 	// fast makes Bind pack the rows' fixed-point tick counts instead of
 	// their samples (see correlation.ProfileSet.Pack), so RepulsionRow's
 	// peak coincidence is quantized, within correlation.FastEps per pair.
@@ -203,20 +200,16 @@ func (f *Field) AttractionRow(i int) ([]int32, []float64, []float64) {
 	return f.adj.Peer[lo:hi], f.on[lo:hi], f.by[lo:hi]
 }
 
-// AttractionPeers implements embed.Field.
-func (f *Field) AttractionPeers(id int) []int { return f.peers[id] }
-
 // NewField adapts one snapshot of correlation state to the embedding's
 // force model (Eq. 5) — the same field the proposed controller embeds with,
 // exported so the streaming daemon's incremental refinement and background
 // reconciliation exert bit-identical forces to the batch global phase. ref
 // is the attraction normalization volume (typically the matrix mean).
-// peers is the id-addressed adjacency AttractionPeers answers from (nil
-// answers nil): RefineOne needs one, maintained incrementally so
-// construction stays O(1) on a serving hot path, while Run derives its
-// index-addressed adjacency from the volume matrix at Bind.
-func NewField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataMatrix, ref units.DataSize, peers map[int][]int) *Field {
-	return &Field{alpha: alpha, ps: ps, vols: vols, ref: ref, peers: peers}
+// Construction is O(1), so a serving hot path can build one per arrival:
+// Run derives its index-addressed adjacency from the volume matrix at Bind,
+// and RefineOne takes the arrival's peers from its caller.
+func NewField(alpha float64, ps *correlation.ProfileSet, vols *correlation.DataMatrix, ref units.DataSize) *Field {
+	return &Field{alpha: alpha, ps: ps, vols: vols, ref: ref}
 }
 
 // The controller's fixed tuning. capSmooth is typed so that 1-capSmooth

@@ -166,7 +166,7 @@ func TestRejectedWishesReported(t *testing.T) {
 
 func TestFieldForceSemantics(t *testing.T) {
 	in := buildInput(t, 4, nil)
-	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean(), nil)
+	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean())
 	// Pair (0,1) communicates; (0,2) does not. The communicating pair's
 	// force must be lower (more attractive) than the silent pair's.
 	f01 := f.Force(0, 1)
@@ -182,7 +182,7 @@ func TestFieldForceSemantics(t *testing.T) {
 
 func TestAttractionPeersSymmetric(t *testing.T) {
 	in := buildInput(t, 6, nil)
-	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean(), nil)
+	f := NewField(0.5, in.Profiles, in.Volumes, in.Volumes.Mean())
 	f.Bind(in.ActiveVMs)
 	edges := 0
 	for i := range in.ActiveVMs {

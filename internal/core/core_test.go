@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"geovmp/internal/battery"
@@ -91,8 +92,10 @@ func TestName(t *testing.T) {
 }
 
 func TestNewClampsAlpha(t *testing.T) {
-	if New(-1, 1).Alpha != 0.9 || New(2, 1).Alpha != 0.9 {
-		t.Fatal("alpha default not applied")
+	for _, bad := range []float64{-1, 2, math.NaN()} {
+		if got := New(bad, 1).Alpha; got != 0.9 {
+			t.Fatalf("alpha %v resolved to %v, want the 0.9 default", bad, got)
+		}
 	}
 	if New(0.3, 1).Alpha != 0.3 {
 		t.Fatal("valid alpha overridden")

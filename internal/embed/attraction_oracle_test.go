@@ -35,8 +35,8 @@ func oraclePeers(dm *correlation.DataMatrix) map[int][]int {
 // TestAttractionMatchesOracle is the controller-field property behind the
 // index-addressed sampled mode, over real slots of three presets x two
 // seeds: the attraction pairs built from the bound adjacency match the
-// pre-index oracle (the controller's field answering AttractionPeers from
-// the oracle peer lists, two Force calls per pair) field for field and bit
+// pre-index oracle (partners from the oracle peer lists, two Force calls
+// per pair on the controller's field) field for field and bit
 // for bit at any worker count, and every adjacency edge satisfies the
 // SplitField contract against Force in both directions.
 func TestAttractionMatchesOracle(t *testing.T) {
@@ -66,9 +66,9 @@ func TestAttractionMatchesOracle(t *testing.T) {
 					for _, e := range w.PlannedVolumes(obs, sl) {
 						dm.Add(e.From, e.To, e.Vol)
 					}
-					old := core.NewField(0.9, ps, dm, dm.Mean(), oraclePeers(dm))
-					want, _ := embed.OracleAttraction(ids, old)
-					f := core.NewField(0.9, ps, dm, dm.Mean(), nil)
+					f := core.NewField(0.9, ps, dm, dm.Mean())
+					peers := oraclePeers(dm)
+					want, _ := embed.OracleAttraction(ids, f, func(id int) []int { return peers[id] })
 					f.Bind(ids)
 					for _, workers := range []*par.Budget{nil, par.NewBudget(3)} {
 						if got := embed.BuildAttraction(len(ids), f, workers); !reflect.DeepEqual(got, want) {
@@ -81,7 +81,7 @@ func TestAttractionMatchesOracle(t *testing.T) {
 						rep := make([]float64, len(js))
 						f.RepulsionRow(i, js, rep)
 						for k, j := range js {
-							if rep[k]+on[k] != old.Force(ids[i], ids[j]) || rep[k]+by[k] != old.Force(ids[j], ids[i]) {
+							if rep[k]+on[k] != f.Force(ids[i], ids[j]) || rep[k]+by[k] != f.Force(ids[j], ids[i]) {
 								t.Fatalf("slot %d: edge %d-%d breaks Force == repulsion + attraction", sl, ids[i], ids[j])
 							}
 						}

@@ -56,15 +56,13 @@ func Dist(a, b Point) float64 {
 }
 
 // Field supplies pairwise forces between VM ids: the id-addressed force
-// model RefineOne seats a single arrival with. Implementations are provided
+// model RefineOne seats a single arrival with (the caller, which keeps the
+// data adjacency, names the arrival's peers). Implementations are provided
 // by the core controller, which knows the slot's correlation data.
 type Field interface {
 	// Force returns F_t exerted on point `onto` by point `by` (Eq. 5):
 	// negative values attract `onto` toward `by`, positive repel.
 	Force(onto, by int) float64
-	// AttractionPeers returns the ids that exert non-zero attraction on id
-	// (its data-correlated peers); may return nil.
-	AttractionPeers(id int) []int
 }
 
 // SplitField is the index-addressed form of a Field that Run consumes,
@@ -94,7 +92,7 @@ type SplitField interface {
 // the two regime seams. The rest of the tuning is the constants below.
 type Config struct {
 	Seed     uint64 // keys deterministic scatter and sampling
-	MaxIters int    // iteration cap (default 30)
+	MaxIters int    // iteration cap; every caller states its own budget
 	// ExactThreshold is the largest fleet embedded with exact all-pairs
 	// forces (default 512) and SampleK the number of sampled repulsion
 	// peers per point above it (default 96). No production caller sets
@@ -123,9 +121,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.MaxIters == 0 {
-		c.MaxIters = 30
-	}
 	if c.ExactThreshold == 0 {
 		c.ExactThreshold = 512
 	}

@@ -125,12 +125,12 @@ func TestRunIsPureFunctionOfInputs(t *testing.T) {
 	f.set(0, 0, 0.6, 1, 3)
 	init := []Point{{X: 1, Y: 1}, {}, {}}
 	known := []bool{true, false, false}
-	a := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4})
+	a := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4, MaxIters: 20})
 	// The init slice must not be mutated.
 	if init[0] != (Point{X: 1, Y: 1}) || init[1] != (Point{}) {
 		t.Fatal("Run mutated the init slice")
 	}
-	b := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4})
+	b := Run([]int{1, 2, 3}, init, known, f, Config{Seed: 4, MaxIters: 20})
 	for id := range a.Pos {
 		if a.Pos[id] != b.Pos[id] {
 			t.Fatal("repeat run diverged")

@@ -111,9 +111,9 @@ func TestBindOncePerRun(t *testing.T) {
 		n    int
 		cfg  Config
 	}{
-		{"exact", 96, Config{Seed: 3}},
-		{"sampled", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24}},
-		{"sampled-fast", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24, FastMath: true}},
+		{"exact", 96, Config{Seed: 3, MaxIters: 20}},
+		{"sampled", 160, Config{Seed: 3, MaxIters: 20, ExactThreshold: 32, SampleK: 24}},
+		{"sampled-fast", 160, Config{Seed: 3, MaxIters: 20, ExactThreshold: 32, SampleK: 24, FastMath: true}},
 	} {
 		for _, w := range []*par.Budget{nil, par.NewBudget(3)} {
 			ids := make([]int, tc.n)
@@ -135,7 +135,7 @@ func TestBindOncePerRun(t *testing.T) {
 }
 
 // TestSplitFieldFastPathEquivalence proves the index-addressed attraction
-// pairs change nothing: against the id-addressed oracle (AttractionPeers
+// pairs change nothing: against the id-addressed oracle (the field's peers
 // through an id map, a pair set, and two Force calls per pair) every pair,
 // its order and both directed forces match bit for bit, and each point's
 // attraction row holds exactly its oracle peers — at any worker count and
@@ -148,7 +148,7 @@ func TestSplitFieldFastPathEquivalence(t *testing.T) {
 	}
 	for _, ids := range [][]int{ident, rev} {
 		field := &splitHashField{seed: 99, n: n + 1}
-		want, attracted := OracleAttraction(ids, field)
+		want, attracted := OracleAttraction(ids, field, field.AttractionPeers)
 		field.Bind(ids)
 		for _, w := range []*par.Budget{nil, par.NewBudget(3)} {
 			if got := buildAttraction(n, field, w); !reflect.DeepEqual(got, want) {
@@ -179,8 +179,8 @@ func TestWorkersEquivalence(t *testing.T) {
 		n    int
 		cfg  Config
 	}{
-		{"exact", 96, Config{Seed: 3}},
-		{"sampled", 160, Config{Seed: 3, ExactThreshold: 32, SampleK: 24}},
+		{"exact", 96, Config{Seed: 3, MaxIters: 20}},
+		{"sampled", 160, Config{Seed: 3, MaxIters: 20, ExactThreshold: 32, SampleK: 24}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ids := make([]int, tc.n)

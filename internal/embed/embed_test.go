@@ -91,7 +91,7 @@ func TestAttractionPullsTogether(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.8, 1, 2)
 	init := map[int]Point{1: {X: -5, Y: 0}, 2: {X: 5, Y: 0}}
-	res := runMap([]int{1, 2}, init, f, Config{Seed: 1})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 20})
 	d0 := Dist(init[1], init[2])
 	d1 := Dist(res.Pos[1], res.Pos[2])
 	if d1 >= d0 {
@@ -103,7 +103,7 @@ func TestRepulsionPushesApart(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, 0.9, 1, 2)
 	init := map[int]Point{1: {X: -1, Y: 0}, 2: {X: 1, Y: 0}}
-	res := runMap([]int{1, 2}, init, f, Config{Seed: 1})
+	res := runMap([]int{1, 2}, init, f, Config{Seed: 1, MaxIters: 20})
 	d0 := Dist(init[1], init[2])
 	d1 := Dist(res.Pos[1], res.Pos[2])
 	if d1 <= d0 {
@@ -133,7 +133,7 @@ func TestDeterministic(t *testing.T) {
 	f := newTableField()
 	f.set(0, 0, -0.5, 1, 2)
 	f.set(0, 0, 0.5, 2, 3)
-	run := func() mapResult { return runMap([]int{1, 2, 3}, nil, f, Config{Seed: 42}) }
+	run := func() mapResult { return runMap([]int{1, 2, 3}, nil, f, Config{Seed: 42, MaxIters: 20}) }
 	a, b := run(), run()
 	for _, id := range []int{1, 2, 3} {
 		if a.Pos[id] != b.Pos[id] {

@@ -4,11 +4,11 @@ import "geovmp/internal/par"
 
 // OracleAttraction is the sampled mode's attraction-pair construction as
 // it was before runs were index-addressed, kept as the test oracle:
-// partners come from the id-addressed AttractionPeers through an id ->
-// index map, a pair set drops repeats, and each pair's directed forces are
-// two Force calls.
+// partners come from the id-addressed peers through an id -> index map, a
+// pair set drops repeats, and each pair's directed forces are two Force
+// calls.
 // It returns the pairs and attracted[i], the partners of point i.
-func OracleAttraction(ids []int, field Field) ([]apair, [][]int32) {
+func OracleAttraction(ids []int, field Field, peers func(id int) []int) ([]apair, [][]int32) {
 	n := len(ids)
 	idx := make(map[int]int, n)
 	for k, id := range ids {
@@ -18,7 +18,7 @@ func OracleAttraction(ids []int, field Field) ([]apair, [][]int32) {
 	attracted := make([][]int32, n)
 	seen := make(map[[2]int]bool)
 	for i, id := range ids {
-		for _, peer := range field.AttractionPeers(id) {
+		for _, peer := range peers(id) {
 			j, ok := idx[peer]
 			if !ok || i == j {
 				continue

@@ -9,20 +9,21 @@ import (
 
 // RefineOne is the incremental counterpart of Run for a single arriving
 // point: with the rest of the layout frozen, it iterates Eq. 6 on id alone —
-// exact attraction against id's data-correlated peers, repulsion estimated
-// from SampleK hashed partners per iteration as in the sampled mode — and
-// returns the refined position after cfg.MaxIters iterations, each moved
-// by Run's per-point step. Only id's row of the force field is ever
-// evaluated, so the cost is O(MaxIters x (degree + SampleK)) regardless of
-// fleet size: this is what lets a streaming controller seat one arrival
-// without re-running the global embedding (a background reconciler
-// restores the full-fidelity layout periodically).
+// exact attraction against peers, the ids data-correlated with id (the
+// caller keeps that adjacency), and repulsion estimated from SampleK hashed
+// partners per iteration as in the sampled mode — and returns the refined
+// position after cfg.MaxIters iterations, each moved by Run's per-point
+// step. Only id's row of the force field is
+// ever evaluated, so the cost is O(MaxIters x (degree + SampleK))
+// regardless of fleet size: this is what lets a streaming controller seat
+// one arrival without re-running the global embedding (a background
+// reconciler restores the full-fidelity layout periodically).
 //
 // pos supplies the frozen layout and id's seed position (ids absent from
 // pos scatter via InitialPosition); others lists the resident points id may
 // be repelled by, in any caller-deterministic order. The result is a pure
 // function of the arguments.
-func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config) Point {
+func RefineOne(id int, peers, others []int, pos map[int]Point, field Field, cfg Config) Point {
 	cfg.applyDefaults()
 	p, ok := pos[id]
 	if !ok {
@@ -32,7 +33,6 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config)
 	if n < 2 {
 		return p
 	}
-	peers := field.AttractionPeers(id)
 	rw := repulsionWeight(n)
 	scale := float64(n-1) / float64(cfg.SampleK) * rw
 	for iter := 0; iter < cfg.MaxIters; iter++ {

@@ -5,15 +5,14 @@ import (
 	"testing"
 )
 
-// pairField is a scripted Field: forces come from a map, attraction peers
-// from a list.
+// pairField is a scripted Field: forces come from a map, and peers lists
+// the attraction peers a caller passes RefineOne.
 type pairField struct {
 	force map[[2]int]float64
 	peers map[int][]int
 }
 
-func (f *pairField) Force(onto, by int) float64   { return f.force[[2]int{onto, by}] }
-func (f *pairField) AttractionPeers(id int) []int { return f.peers[id] }
+func (f *pairField) Force(onto, by int) float64 { return f.force[[2]int{onto, by}] }
 
 func TestRefineOneDeterministic(t *testing.T) {
 	f := &pairField{
@@ -27,8 +26,8 @@ func TestRefineOneDeterministic(t *testing.T) {
 		5: {X: 0, Y: 0},
 	}
 	cfg := Config{Seed: 11, MaxIters: 6}
-	a := RefineOne(5, []int{1, 2, 3}, pos, f, cfg)
-	b := RefineOne(5, []int{1, 2, 3}, pos, f, cfg)
+	a := RefineOne(5, f.peers[5], []int{1, 2, 3}, pos, f, cfg)
+	b := RefineOne(5, f.peers[5], []int{1, 2, 3}, pos, f, cfg)
 	if a != b {
 		t.Fatalf("not deterministic: %+v vs %+v", a, b)
 	}
@@ -49,7 +48,7 @@ func TestRefineOneAttractsTowardPeer(t *testing.T) {
 		peers: map[int][]int{5: {1}},
 	}
 	pos := map[int]Point{1: {X: 6, Y: 0}, 5: {X: 0, Y: 0}}
-	p := RefineOne(5, []int{1}, pos, f, Config{Seed: 3, MaxIters: 8})
+	p := RefineOne(5, f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 8})
 	d0 := Dist(Point{X: 0, Y: 0}, pos[1])
 	if d := Dist(p, pos[1]); d >= d0 {
 		t.Fatalf("attraction failed: dist %v -> %v", d0, d)
@@ -64,7 +63,7 @@ func TestRefineOneRepelsFromCoResident(t *testing.T) {
 		peers: map[int][]int{5: {1}},
 	}
 	pos := map[int]Point{1: {X: 0.3, Y: 0}, 5: {X: 0, Y: 0}}
-	p := RefineOne(5, []int{1}, pos, f, Config{Seed: 3, MaxIters: 4})
+	p := RefineOne(5, f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 4})
 	if d := Dist(p, pos[1]); d <= 0.3 {
 		t.Fatalf("repulsion failed: dist = %v", d)
 	}
@@ -75,12 +74,12 @@ func TestRefineOneEdgeCases(t *testing.T) {
 	pos := map[int]Point{5: {X: 1, Y: 2}}
 	cfg := Config{Seed: 9, MaxIters: 4}
 	// No co-residents: nothing to refine against.
-	if p := RefineOne(5, nil, pos, f, cfg); p != (Point{X: 1, Y: 2}) {
+	if p := RefineOne(5, f.peers[5], nil, pos, f, cfg); p != (Point{X: 1, Y: 2}) {
 		t.Fatalf("solo point moved: %+v", p)
 	}
 	// Unknown id scatters deterministically from InitialPosition.
 	want := InitialPosition(77, InitRadius, cfg.Seed)
-	if p := RefineOne(77, nil, map[int]Point{}, f, cfg); p != want {
+	if p := RefineOne(77, f.peers[77], nil, map[int]Point{}, f, cfg); p != want {
 		t.Fatalf("scatter mismatch: %+v vs %+v", p, want)
 	}
 	if math.IsNaN(want.X) {

@@ -14,51 +14,26 @@ import (
 // compiled workloads and environments across every point of the wave.
 type Eval func(knobs []float64) ([][]float64, error)
 
-// AdaptiveConfig parameterizes the adaptive frontier driver.
+// AdaptiveConfig parameterizes the adaptive frontier driver. Every field
+// must be set: geovmp.NewFrontier is the one place that picks the grid,
+// budget and wave sizes.
 type AdaptiveConfig struct {
-	// Lo and Hi bound the knob range (defaults 0 and 1).
+	// Lo and Hi bound the knob range; Hi must exceed Lo.
 	Lo, Hi float64
 	// Coarse is the size of the initial uniform grid, endpoints included
-	// (default 5, minimum 2).
+	// (at least 2: refinement needs an interval to bisect).
 	Coarse int
 	// Budget is the total number of knob evaluations, the coarse grid
-	// included (default 2*Coarse; a budget below Coarse shrinks the grid).
-	// The driver never exceeds it; it may stop under it when every
-	// remaining interval is narrower than MinGap.
+	// included (at least 1; a budget below Coarse shrinks the grid). The
+	// driver never exceeds it; it may stop under it when every remaining
+	// interval is narrower than the bisection floor (Hi-Lo)/1000, which
+	// scales with the range so narrow ranges refine as deep as [0, 1]
+	// instead of stranding their budget.
 	Budget int
-	// WaveSize caps how many refinement points are scheduled per wave
-	// (default 4). Larger waves give the engine more cells to run
+	// WaveSize caps how many refinement points are scheduled per wave (at
+	// least 1). Larger waves give the engine more cells to run
 	// concurrently; smaller waves re-target more often.
 	WaveSize int
-	// MinGap is the narrowest knob interval the driver will bisect. The
-	// default scales with the range — (Hi-Lo)/1000 — so narrow custom
-	// ranges refine just as deep as the default [0, 1] instead of
-	// stranding their budget.
-	MinGap float64
-}
-
-func (c *AdaptiveConfig) applyDefaults() {
-	if c.Hi == 0 && c.Lo == 0 {
-		c.Hi = 1
-	}
-	switch {
-	case c.Coarse <= 0:
-		c.Coarse = 5
-	case c.Coarse == 1:
-		c.Coarse = 2 // the documented minimum: an interval to bisect
-	}
-	// Only an unset budget gets a default; an explicit budget below the
-	// coarse grid is honored by clamping the grid (Adaptive does), never by
-	// silently evaluating more points than the caller asked for.
-	if c.Budget <= 0 {
-		c.Budget = 2 * c.Coarse
-	}
-	if c.WaveSize < 1 {
-		c.WaveSize = 4
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = (c.Hi - c.Lo) / 1000
-	}
 }
 
 // AdaptiveResult is the driver's outcome: every evaluated knob in ascending
@@ -112,10 +87,15 @@ func UniformGrid(lo, hi float64, n int) []float64 {
 // evaluated set, ties break toward the lower knob, and each wave's points
 // are handed to eval in ascending order.
 func Adaptive(cfg AdaptiveConfig, eval Eval) (*AdaptiveResult, error) {
-	cfg.applyDefaults()
-	if cfg.Hi <= cfg.Lo {
+	switch {
+	case !(cfg.Hi > cfg.Lo):
 		return nil, fmt.Errorf("pareto: adaptive knob range [%v, %v] is empty", cfg.Lo, cfg.Hi)
+	case cfg.Coarse < 2:
+		return nil, fmt.Errorf("pareto: adaptive coarse grid of %d points: need at least two", cfg.Coarse)
+	case cfg.Budget < 1 || cfg.WaveSize < 1:
+		return nil, fmt.Errorf("pareto: adaptive budget %d and wave size %d must be at least 1", cfg.Budget, cfg.WaveSize)
 	}
+	minGap := (cfg.Hi - cfg.Lo) / 1000
 	res := &AdaptiveResult{}
 	evalWave := func(knobs []float64) error {
 		if len(knobs) == 0 {
@@ -160,9 +140,9 @@ func Adaptive(cfg AdaptiveConfig, eval Eval) (*AdaptiveResult, error) {
 		if want > cfg.WaveSize {
 			want = cfg.WaveSize
 		}
-		next := nextWave(res, cfg.MinGap, want)
+		next := nextWave(res, minGap, want)
 		if len(next) == 0 {
-			break // every interval is resolved down to MinGap
+			break // every interval is resolved down to minGap
 		}
 		if err := evalWave(next); err != nil {
 			return nil, err

@@ -390,7 +390,7 @@ func TestAdaptiveSyntheticCurve(t *testing.T) {
 		}
 		return out, nil
 	}
-	cfg := AdaptiveConfig{Coarse: 5, Budget: 13, WaveSize: 3}
+	cfg := AdaptiveConfig{Lo: 0, Hi: 1, Coarse: 5, Budget: 13, WaveSize: 3}
 	a, err := Adaptive(cfg, eval)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestAdaptiveSyntheticCurve(t *testing.T) {
 // evaluating more points than the caller allowed.
 func TestAdaptiveHonorsSmallBudget(t *testing.T) {
 	evals := 0
-	res, err := Adaptive(AdaptiveConfig{Coarse: 5, Budget: 3}, func(knobs []float64) ([][]float64, error) {
+	res, err := Adaptive(AdaptiveConfig{Lo: 0, Hi: 1, Coarse: 5, Budget: 3, WaveSize: 4}, func(knobs []float64) ([][]float64, error) {
 		evals += len(knobs)
 		out := make([][]float64, len(knobs))
 		for i, k := range knobs {
@@ -453,18 +453,29 @@ func TestAdaptiveHonorsSmallBudget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveErrors covers the driver's failure paths.
+// TestAdaptiveErrors covers the driver's failure paths: a malformed
+// configuration is refused before any evaluation, and eval's errors and
+// misaligned results propagate.
 func TestAdaptiveErrors(t *testing.T) {
-	if _, err := Adaptive(AdaptiveConfig{Lo: 1, Hi: 1}, nil); err == nil {
-		t.Fatal("empty knob range must error")
+	ok := AdaptiveConfig{Lo: 0, Hi: 1, Coarse: 5, Budget: 12, WaveSize: 4}
+	for _, bad := range []AdaptiveConfig{
+		{Lo: 1, Hi: 1, Coarse: 5, Budget: 12, WaveSize: 4},
+		{Lo: 0, Hi: math.NaN(), Coarse: 5, Budget: 12, WaveSize: 4},
+		{Lo: 0, Hi: 1, Coarse: 1, Budget: 12, WaveSize: 4},
+		{Lo: 0, Hi: 1, Coarse: 5, Budget: 0, WaveSize: 4},
+		{Lo: 0, Hi: 1, Coarse: 5, Budget: 12, WaveSize: 0},
+	} {
+		if _, err := Adaptive(bad, nil); err == nil {
+			t.Fatalf("%+v: malformed configuration must error", bad)
+		}
 	}
-	_, err := Adaptive(AdaptiveConfig{}, func(knobs []float64) ([][]float64, error) {
+	_, err := Adaptive(ok, func(knobs []float64) ([][]float64, error) {
 		return nil, fmt.Errorf("boom")
 	})
 	if err == nil {
 		t.Fatal("eval error must propagate")
 	}
-	_, err = Adaptive(AdaptiveConfig{}, func(knobs []float64) ([][]float64, error) {
+	_, err = Adaptive(ok, func(knobs []float64) ([][]float64, error) {
 		return make([][]float64, len(knobs)+1), nil
 	})
 	if err == nil {

@@ -105,7 +105,7 @@ func TestReplayWithFaultsDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0) + 6} {
 		d, err := New(Options{
 			Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7,
-			ReconcileEvery: 64, ReconcileLag: 16,
+			ReconcileEvery: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestRequestDeadline(t *testing.T) {
 	d := testDaemon(t, func(o *Options) { o.RequestTimeout = 30 * time.Millisecond })
 	// Hold the admission sequence hostage so the HTTP request cannot
 	// commit before its deadline.
-	blocker := d.take()
+	blocker := d.reserve(1)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
@@ -184,7 +184,7 @@ func TestRequestDeadline(t *testing.T) {
 
 	// Release the sequence; the stalled request commits harmlessly into
 	// the buffered recorder and fast requests keep succeeding.
-	d.finishTurn(blocker)
+	d.turn(blocker, func() {})
 	d.Drain()
 	if !d.Resident(1) {
 		t.Fatal("timed-out request's commit was lost")

@@ -40,11 +40,11 @@ func (p *SimPolicy) Place(in *policy.Input) policy.Placement {
 	in.Volumes.Each(func(from, to int, vol units.DataSize) {
 		obs.Volumes = append(obs.Volumes, VolumeObs{From: from, To: to, Vol: vol})
 	})
-	p.d.observeAt(p.d.take(), obs)
+	p.d.observeAt(p.d.reserve(1), obs)
 
 	for _, id := range p.d.Residents() {
 		if _, ok := slices.BinarySearch(in.ActiveVMs, id); !ok {
-			p.d.departAt(p.d.take(), id)
+			p.d.departAt(p.d.reserve(1), id)
 		}
 	}
 	for _, id := range in.ActiveVMs {
@@ -55,7 +55,7 @@ func (p *SimPolicy) Place(in *policy.Input) policy.Placement {
 		if id < len(in.Image) {
 			img = in.Image[id]
 		}
-		p.d.placeAt(p.d.take(), VM{ID: id, Profile: in.Profiles.Profile(id), Image: img})
+		p.d.placeAt(p.d.reserve(1), VM{ID: id, Profile: in.Profiles.Profile(id), Image: img})
 	}
 
 	dcOf := make(map[int]int, len(in.ActiveVMs))

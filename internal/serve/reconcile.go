@@ -14,13 +14,14 @@ import (
 // seats each VM well against a frozen layout, but only a global embedding
 // re-balances everyone at once. Every ReconcileEvery sequenced operations
 // the daemon snapshots the correlation state under the lock, re-runs the
-// batch global embedding in the background, and atomically swaps the result
-// in at a *fixed landing point* in the operation sequence (trigger +
-// ReconcileLag): decisions between trigger and landing use the old layout,
-// decisions after use the new one, at any parallelism and any background
-// duration. If the embedding is still running when the landing operation
-// arrives, that operation waits for it — the SLO bound holds for the steady
-// state, not the (rare, ~per-512-ops) landing turn.
+// batch global embedding in the background for reconcileIters iterations,
+// and atomically swaps the result in at a *fixed landing point* in the
+// operation sequence (trigger + reconcileLag): decisions between trigger
+// and landing use the old layout, decisions after use the new one, at any
+// parallelism and any background duration. If the embedding is still
+// running when the landing operation arrives, that operation waits for it
+// — the SLO bound holds for the steady state, not the (rare, ~per-512-ops)
+// landing turn.
 
 // reconcileJob is one in-flight background re-embedding.
 type reconcileJob struct {
@@ -43,7 +44,7 @@ func (d *Daemon) maybeTrigger(seq uint64) {
 	}
 	snap := d.st.snapshot()
 	job := &reconcileJob{
-		landSeq: seq + uint64(d.opt.ReconcileLag),
+		landSeq: seq + reconcileLag,
 		ids:     snap.ids,
 		ch:      make(chan []embed.Point, 1),
 	}
@@ -93,14 +94,14 @@ func (s *state) snapshot() *reconSnap {
 
 // run executes the batch global embedding over the snapshot — the same
 // field and tuning (embed's constants) the batch controller uses, at the
-// reconciler's iteration budget, warm-started from the live layout.
+// reconciler's budget reconcileIters, warm-started from the live layout.
 func (r *reconSnap) run(opt *Options) []embed.Point {
 	var budget *par.Budget
 	if opt.Workers > 1 {
 		budget = par.NewBudget(opt.Workers - 1)
 	}
-	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref, nil)
-	cfg := embed.Config{Seed: opt.Seed, MaxIters: opt.ReconcileIters, Workers: budget}
+	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref)
+	cfg := embed.Config{Seed: opt.Seed, MaxIters: reconcileIters, Workers: budget}
 	return embed.Run(r.ids, r.init, nil, f, cfg).Pos
 }
 

@@ -95,36 +95,26 @@ type Decision struct {
 }
 
 // Options configures a Daemon. Fleet and Topo are required; everything else
-// defaults sensibly.
+// defaults sensibly. The scoring and embedding tuning is the constants below.
 type Options struct {
 	Fleet dc.Fleet
 	Topo  *network.Topology
 	// Samples is the per-slot profile length (default 12, the simulator's).
 	Samples int
-	// Alpha is the paper's energy/performance blend (default 0.9).
+	// Alpha is the paper's energy/performance blend, in (0, 1]; zero, NaN
+	// and out-of-range values select the default 0.9.
 	Alpha float64
-	// EnergyWeight scales the tariff/load score term (default 0.25).
-	EnergyWeight float64
 	// SLO is the decision latency objective, reported at /healthz and in
 	// benchmarks (default 20ms). It does not gate decisions.
 	SLO time.Duration
 	// QueueCap bounds concurrently admitted requests on the HTTP path;
 	// excess requests are refused with 429 + Retry-After (default 256).
 	QueueCap int
-	// ProbeLimit bounds the per-DC first-fit server probe (default 16).
-	ProbeLimit int
-	// RefineIters is the per-arrival local embedding refinement budget
-	// (default 4; 0 seats arrivals at their seed position).
-	RefineIters int
 	// ReconcileEvery launches a background full re-embedding every that
 	// many sequenced operations (default 512; <0 disables). The result
-	// lands atomically ReconcileLag operations later (default 64) — a
-	// fixed landing point in the sequence, so reconciliation cannot
-	// perturb determinism.
+	// lands atomically reconcileLag operations later — a fixed landing
+	// point in the sequence, so reconciliation cannot perturb determinism.
 	ReconcileEvery int
-	ReconcileLag   int
-	// ReconcileIters caps the reconciler's embedding iterations (default 12).
-	ReconcileIters int
 	// Workers are goroutines lent to the background reconciler's sharded
 	// passes (default 1; decisions themselves are never sharded).
 	Workers int
@@ -138,17 +128,27 @@ type Options struct {
 	Board *metrics.Board
 }
 
+// The daemon's fixed tuning, shared by every deployment.
+const (
+	// energyWeight scales the tariff/load score term against the
+	// alpha-blended locality and correlation terms.
+	energyWeight = 0.25
+	// refineIters is the per-arrival local embedding refinement budget
+	// (embed.RefineOne's iterations).
+	refineIters = 4
+	// reconcileLag is how many sequenced operations after its trigger a
+	// background re-embedding lands.
+	reconcileLag = 64
+	// reconcileIters is the reconciler's embedding iteration budget.
+	reconcileIters = 12
+)
+
 func (o *Options) applyDefaults() {
 	if o.Samples <= 0 {
 		o.Samples = sim.DefaultProfileSamples
 	}
-	if o.Alpha < 0 || o.Alpha > 1 || o.Alpha == 0 {
+	if !(o.Alpha > 0 && o.Alpha <= 1) {
 		o.Alpha = 0.9
-	}
-	if o.EnergyWeight == 0 {
-		o.EnergyWeight = 0.25
-	} else if o.EnergyWeight < 0 {
-		o.EnergyWeight = 0
 	}
 	if o.SLO <= 0 {
 		o.SLO = 20 * time.Millisecond
@@ -156,22 +156,11 @@ func (o *Options) applyDefaults() {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
-	if o.RefineIters < 0 {
-		o.RefineIters = 0
-	} else if o.RefineIters == 0 {
-		o.RefineIters = 4
-	}
 	switch {
 	case o.ReconcileEvery == 0:
 		o.ReconcileEvery = 512
 	case o.ReconcileEvery < 0:
 		o.ReconcileEvery = 0
-	}
-	if o.ReconcileLag <= 0 {
-		o.ReconcileLag = 64
-	}
-	if o.ReconcileIters <= 0 {
-		o.ReconcileIters = 12
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -253,16 +242,7 @@ func (d *Daemon) Board() *metrics.Board { return d.opt.Board }
 
 // --- admission sequencing ---
 
-// take hands out the next sequence number; commit order follows it.
-func (d *Daemon) take() uint64 {
-	d.seqMu.Lock()
-	s := d.next
-	d.next++
-	d.seqMu.Unlock()
-	return s
-}
-
-// reserve hands out n consecutive sequence numbers (Replay's block grant).
+// reserve hands out n consecutive sequence numbers, in commit order.
 func (d *Daemon) reserve(n int) uint64 {
 	d.seqMu.Lock()
 	s := d.next
@@ -271,33 +251,45 @@ func (d *Daemon) reserve(n int) uint64 {
 	return s
 }
 
-func (d *Daemon) waitTurn(seq uint64) {
+// turn waits for seq's turn in the admission sequence and runs op there,
+// under the write lock: any reconciliation due at seq lands first, and one
+// due to start at seq is triggered after. Every sequenced operation
+// commits through it.
+func (d *Daemon) turn(seq uint64, op func()) {
 	d.seqMu.Lock()
 	for d.done != seq {
 		d.cond.Wait()
 	}
 	d.seqMu.Unlock()
-}
 
-func (d *Daemon) finishTurn(seq uint64) {
+	d.mu.Lock()
+	d.landDue(seq)
+	op()
+	d.maybeTrigger(seq)
+	d.mu.Unlock()
+
 	d.seqMu.Lock()
 	d.done = seq + 1
 	d.cond.Broadcast()
 	d.seqMu.Unlock()
 }
 
-// admit implements the bounded admission queue: one slot per in-flight
-// request, refused when full.
-func (d *Daemon) admit() bool {
+// admit implements admission control: ErrDraining once Drain has begun,
+// otherwise one slot of the bounded queue per in-flight request, refused
+// with ErrQueueFull (and counted on serve_rejections_total) when full.
+func (d *Daemon) admit() error {
+	if d.draining.Load() {
+		return ErrDraining
+	}
 	for {
 		n := d.inflight.Load()
 		if n >= int64(d.opt.QueueCap) {
 			d.mRejections.Inc()
-			return false
+			return ErrQueueFull
 		}
 		if d.inflight.CompareAndSwap(n, n+1) {
 			d.mQueue.Set(n + 1)
-			return true
+			return nil
 		}
 	}
 }
@@ -313,26 +305,20 @@ func (d *Daemon) release() {
 // bounded queue is saturated — back off and retry; ErrDraining means the
 // daemon no longer admits work.
 func (d *Daemon) Place(vm VM) (Decision, error) {
-	if d.draining.Load() {
-		return Decision{}, ErrDraining
-	}
-	if !d.admit() {
-		return Decision{}, ErrQueueFull
+	if err := d.admit(); err != nil {
+		return Decision{}, err
 	}
 	defer d.release()
-	return d.placeAt(d.take(), vm)
+	return d.placeAt(d.reserve(1), vm)
 }
 
 // Depart removes a VM from the fleet, reporting whether it was resident.
 func (d *Daemon) Depart(id int) (bool, error) {
-	if d.draining.Load() {
-		return false, ErrDraining
-	}
-	if !d.admit() {
-		return false, ErrQueueFull
+	if err := d.admit(); err != nil {
+		return false, err
 	}
 	defer d.release()
-	return d.departAt(d.take(), id), nil
+	return d.departAt(d.reserve(1), id), nil
 }
 
 // Observe applies one telemetry refresh (profiles, volumes, slot clock).
@@ -340,7 +326,7 @@ func (d *Daemon) Observe(o Observation) error {
 	if d.draining.Load() {
 		return ErrDraining
 	}
-	d.observeAt(d.take(), o)
+	d.observeAt(d.reserve(1), o)
 	return nil
 }
 
@@ -350,14 +336,11 @@ func (d *Daemon) Observe(o Observation) error {
 // decision stream stays a pure function of the event log. It returns the
 // re-placed VM ids. Flipping a DC to its current state is a no-op.
 func (d *Daemon) Fault(dcI int, down bool) ([]int, error) {
-	if d.draining.Load() {
-		return nil, ErrDraining
-	}
-	if !d.admit() {
-		return nil, ErrQueueFull
+	if err := d.admit(); err != nil {
+		return nil, err
 	}
 	defer d.release()
-	return d.faultAt(d.take(), dcI, down), nil
+	return d.faultAt(d.reserve(1), dcI, down), nil
 }
 
 // Drain stops admitting new operations and blocks until every in-flight
@@ -381,26 +364,21 @@ func (d *Daemon) placeAt(seq uint64, vm VM) (Decision, error) {
 	cand, err := d.st.prepare(&vm)
 	d.mu.RUnlock()
 
-	// Phase 2 (reserve): at this decision's turn, land any due
-	// reconciliation, re-validate the snapshot generation, and commit.
-	d.waitTurn(seq)
-	d.mu.Lock()
-	d.landDue(seq)
-	if d.st.gen != gen {
-		// A concurrent admission (or a landed reconcile) moved the world:
-		// re-run fit+score at the turn so the decision equals what serial
-		// processing in sequence order would have produced.
-		cand, err = d.st.prepare(&vm)
-	}
+	// Phase 2 (reserve): at this decision's turn, re-validate the snapshot
+	// generation and commit.
 	var dec Decision
-	if err == nil {
-		dec = d.st.commit(&vm, cand)
-		dec.Seq = seq
-	}
-	d.maybeTrigger(seq)
-	d.mu.Unlock()
-	d.finishTurn(seq)
-
+	d.turn(seq, func() {
+		if d.st.gen != gen {
+			// A concurrent admission (or a landed reconcile) moved the
+			// world: re-run fit+score at the turn so the decision equals
+			// what serial processing in sequence order would have produced.
+			cand, err = d.st.prepare(&vm)
+		}
+		if err == nil {
+			dec = d.st.commit(&vm, cand)
+			dec.Seq = seq
+		}
+	})
 	if err != nil {
 		return Decision{}, err
 	}
@@ -414,13 +392,8 @@ func (d *Daemon) placeAt(seq uint64, vm VM) (Decision, error) {
 }
 
 func (d *Daemon) departAt(seq uint64, id int) bool {
-	d.waitTurn(seq)
-	d.mu.Lock()
-	d.landDue(seq)
-	ok := d.st.depart(id)
-	d.maybeTrigger(seq)
-	d.mu.Unlock()
-	d.finishTurn(seq)
+	var ok bool
+	d.turn(seq, func() { ok = d.st.depart(id) })
 	if ok {
 		d.mDepartures.Inc()
 	}
@@ -428,25 +401,14 @@ func (d *Daemon) departAt(seq uint64, id int) bool {
 }
 
 func (d *Daemon) faultAt(seq uint64, dcI int, down bool) []int {
-	d.waitTurn(seq)
-	d.mu.Lock()
-	d.landDue(seq)
-	moved := d.st.setFault(dcI, down)
-	d.maybeTrigger(seq)
-	d.mu.Unlock()
-	d.finishTurn(seq)
+	var moved []int
+	d.turn(seq, func() { moved = d.st.setFault(dcI, down) })
 	d.mFaults.Inc()
 	return moved
 }
 
 func (d *Daemon) observeAt(seq uint64, o Observation) {
-	d.waitTurn(seq)
-	d.mu.Lock()
-	d.landDue(seq)
-	d.st.observe(&o)
-	d.maybeTrigger(seq)
-	d.mu.Unlock()
-	d.finishTurn(seq)
+	d.turn(seq, func() { d.st.observe(&o) })
 	d.mObservations.Inc()
 }
 

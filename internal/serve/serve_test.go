@@ -169,7 +169,7 @@ func TestOverflowSpillsDeterministically(t *testing.T) {
 
 func TestQueueBackpressure(t *testing.T) {
 	d := testDaemon(t, func(o *Options) { o.QueueCap = 1 })
-	if !d.admit() {
+	if d.admit() != nil {
 		t.Fatal("empty queue refused admission")
 	}
 	if _, err := d.Place(VM{ID: 1, Profile: testProfile(0.4)}); err != ErrQueueFull {
@@ -202,6 +202,19 @@ func TestDrainStopsAdmission(t *testing.T) {
 	d.Drain() // idempotent
 }
 
+// TestAlphaDefaults pins how Options.Alpha resolves: zero, NaN and values
+// outside (0, 1] select the 0.9 default, and an in-range value is kept.
+func TestAlphaDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0, 0.9}, {math.NaN(), 0.9}, {-0.5, 0.9}, {1.5, 0.9}, {0.3, 0.3}, {1, 1},
+	} {
+		d := testDaemon(t, func(o *Options) { o.Alpha = tc.in })
+		if got := d.Options().Alpha; got != tc.want {
+			t.Fatalf("Alpha %v resolved to %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
 // decisionKey strips the non-semantic fields (latency) for comparison.
 type decisionKey struct {
 	ID, DC, Server int
@@ -223,7 +236,7 @@ func TestReplayDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0) + 6} {
 		d, err := New(Options{
 			Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7,
-			ReconcileEvery: 64, ReconcileLag: 16,
+			ReconcileEvery: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -344,7 +357,7 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	if !d.admit() {
+	if d.admit() != nil {
 		t.Fatal("admission failed")
 	}
 	resp := postJSON(t, srv.URL+"/v1/place", placeRequest{ID: 1, Profile: testProfile(0.4)})

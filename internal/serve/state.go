@@ -71,7 +71,7 @@ func newState(opt *Options) *state {
 		prices:   make([]units.Price, n),
 	}
 	for i, d := range opt.Fleet {
-		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples, opt.ProbeLimit)
+		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples, 0)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -174,7 +174,7 @@ func (s *state) prepare(vm *VM) (candidate, error) {
 		}
 		sc := s.opt.Alpha*(0.7*s.crossTerm(i, peers)+0.3*loc) +
 			(1-s.opt.Alpha)*s.corrTerm(i, srvs[i], prof) +
-			s.opt.EnergyWeight*s.energyTerm(i)
+			energyWeight*s.energyTerm(i)
 		if best < 0 || sc < bestScore {
 			best, bestScore = i, sc
 		}
@@ -241,14 +241,7 @@ func (s *state) setFault(dcI int, down bool) []int {
 // healthy DCs. With the whole fleet down the VM stays stranded in place.
 func (s *state) reseat(id int) {
 	from := s.dcOf[id]
-	anyUp := false
-	for i := range s.packs {
-		if !s.dcDown[i] {
-			anyUp = true
-			break
-		}
-	}
-	if !anyUp {
+	if !slices.Contains(s.dcDown, false) {
 		return
 	}
 	srv := s.srvOf[id]
@@ -398,9 +391,10 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 }
 
 // commit is the reserve phase: apply a prepared decision. Correlation state
-// first (the refinement field reads it), then the embedding seat, then
-// residency. Cost is O(profile + degree + RefineIters x (degree + SampleK))
-// — independent of fleet size.
+// first (the refinement field reads it), then the embedding seat — the seed
+// position refined against the frozen layout and the arrival's data peers —
+// then residency. Cost is O(profile + degree + refineIters x (degree +
+// SampleK)), independent of fleet size.
 func (s *state) commit(vm *VM, c candidate) Decision {
 	id := vm.ID
 	s.ps.Add(id, c.prof)
@@ -417,12 +411,9 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 		}
 		s.ref = s.dm.Mean()
 	}
-	p := c.seed
-	if s.opt.RefineIters > 0 && len(s.active) > 0 {
-		s.pos[id] = p
-		f := core.NewField(s.opt.Alpha, s.ps, s.dm, s.ref, s.peers)
-		p = embed.RefineOne(id, s.active, s.pos, f, embed.Config{Seed: s.opt.Seed, MaxIters: s.opt.RefineIters})
-	}
+	s.pos[id] = c.seed
+	f := core.NewField(s.opt.Alpha, s.ps, s.dm, s.ref)
+	p := embed.RefineOne(id, s.peers[id], s.active, s.pos, f, embed.Config{Seed: s.opt.Seed, MaxIters: refineIters})
 	s.pos[id] = p
 	s.packs[c.dc].Commit(c.srv, id, c.prof)
 	s.dcOf[id] = c.dc
