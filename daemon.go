@@ -40,8 +40,8 @@ type Daemon = serve.Daemon
 // DaemonOptions configures a Daemon. Fleet and Topo are required unless
 // NewDaemon fills them from a scenario; zero values select the documented
 // defaults. That includes Alpha: 0 (like NaN or a value outside (0, 1])
-// serves the default 0.9, so a pure-consolidation alpha of 0 cannot be
-// requested. The scoring and embedding tuning is fixed, not an option.
+// serves the default 0.9, so an alpha of exactly 0 cannot be requested.
+// The scoring and embedding tuning is fixed, not an option.
 type DaemonOptions = serve.Options
 
 // VM is one streaming arrival: identity, utilization profile, declared

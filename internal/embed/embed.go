@@ -92,7 +92,7 @@ type SplitField interface {
 // the two regime seams. The rest of the tuning is the constants below.
 type Config struct {
 	Seed     uint64 // keys deterministic scatter and sampling
-	MaxIters int    // iteration cap; every caller states its own budget
+	MaxIters int    // iteration cap, stated by every caller (0 runs none)
 	// ExactThreshold is the largest fleet embedded with exact all-pairs
 	// forces (default 512) and SampleK the number of sampled repulsion
 	// peers per point above it (default 96). No production caller sets
