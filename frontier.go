@@ -355,7 +355,7 @@ func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
 	if len(f.errs) > 0 {
 		return nil, errors.Join(f.errs...)
 	}
-	if f.knobHi <= f.knobLo {
+	if !(f.knobHi > f.knobLo) {
 		return nil, fmt.Errorf("geovmp: frontier knob range [%v, %v] is empty", f.knobLo, f.knobHi)
 	}
 	scenarios := f.scenarios

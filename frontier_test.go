@@ -249,6 +249,13 @@ func TestFrontierErrors(t *testing.T) {
 	).Run(context.Background()); err == nil {
 		t.Fatal("empty knob range must fail on the fixed-grid path too")
 	}
+	if _, err := NewFrontier(
+		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
+		FrontierKnob("k", 0, math.NaN(), func(t float64, seed uint64) Policy { return Proposed(t, seed) }),
+		FrontierFixedGrid(),
+	).Run(context.Background()); err == nil {
+		t.Fatal("a NaN knob bound must fail on the fixed-grid path")
+	}
 	spec := frontierSpec("paper-geo3dc", 7)
 	if _, err := NewFrontier(FrontierScenarios(spec, spec)).Run(context.Background()); err == nil {
 		t.Fatal("duplicate scenario names must fail")

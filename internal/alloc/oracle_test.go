@@ -276,7 +276,10 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		samples := []int{1, 2, 5, 12}[seed%4]
 		dirty := seed%3 == 0
-		tr := NewTracker(m, 2+r.Intn(30), samples, r.Intn(20))
+		tr := NewTracker(m, 2+r.Intn(30), samples)
+		if pl := r.Intn(20); pl > 0 {
+			tr.probeLimit = pl
+		}
 		profs := map[int][]float64{}
 		where := map[int]int{}
 		var resident []int

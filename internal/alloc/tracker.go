@@ -54,19 +54,15 @@ const packedFrac = 0.05
 const defaultProbeLimit = 16
 
 // NewTracker returns an empty tracker for a DC of maxServers servers of the
-// given model, expecting profiles of the given sample count. A
-// non-positive probeLimit selects defaultProbeLimit. No production caller
-// sets it: it is the seam through which the tracker tests and the oracle
-// fuzz reach small probe windows.
-func NewTracker(model *power.ServerModel, maxServers, samples, probeLimit int) *Tracker {
-	if probeLimit <= 0 {
-		probeLimit = defaultProbeLimit
-	}
+// given model, expecting profiles of the given sample count. Its probe
+// window is defaultProbeLimit; the package's tests narrow it by setting
+// probeLimit directly.
+func NewTracker(model *power.ServerModel, maxServers, samples int) *Tracker {
 	return &Tracker{
 		capTop:     model.MaxCapacity(),
 		samples:    samples,
 		maxServers: maxServers,
-		probeLimit: probeLimit,
+		probeLimit: defaultProbeLimit,
 	}
 }
 

@@ -17,7 +17,7 @@ func flat(v float64, n int) []float64 {
 func TestTrackerProbeCommitBasics(t *testing.T) {
 	m := power.E5410()
 	cap0 := m.MaxCapacity()
-	tr := NewTracker(m, 4, 4, 0)
+	tr := NewTracker(m, 4, 4)
 
 	prof := flat(0.6*cap0, 4)
 	srv, peak, ok := tr.Probe(prof)
@@ -55,7 +55,7 @@ func TestTrackerProbeCommitBasics(t *testing.T) {
 func TestTrackerCapacityExhaustionAndOverflow(t *testing.T) {
 	m := power.E5410()
 	cap0 := m.MaxCapacity()
-	tr := NewTracker(m, 2, 4, 0)
+	tr := NewTracker(m, 2, 4)
 	big := flat(0.9*cap0, 4)
 	for id := 0; id < 2; id++ {
 		srv, _, ok := tr.Probe(big)
@@ -86,7 +86,8 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 	profiles := map[int][]float64{}
 	profile := func(id int) []float64 { return profiles[id] }
 
-	tr := NewTracker(m, 8, 4, 1)
+	tr := NewTracker(m, 8, 4)
+	tr.probeLimit = 1
 	// Fill server 0 tight so the cursor moves past it.
 	p0 := flat(0.97*cap0, 4)
 	profiles[0] = p0
@@ -128,7 +129,7 @@ func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 		2: flat(0.3*cap0, 4),
 	}
 	profile := func(id int) []float64 { return profiles[id] }
-	tr := NewTracker(m, 4, 4, 0)
+	tr := NewTracker(m, 4, 4)
 	for id := 1; id <= 2; id++ {
 		srv, _, _ := tr.Probe(profiles[id])
 		tr.Commit(srv, id, profiles[id])

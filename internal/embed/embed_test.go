@@ -201,7 +201,7 @@ func TestInheritedPositionsUsed(t *testing.T) {
 
 func TestSinglePointNoop(t *testing.T) {
 	f := newTableField()
-	res := runMap([]int{5}, nil, f, Config{Seed: 1})
+	res := runMap([]int{5}, nil, f, Config{Seed: 1, MaxIters: 20})
 	if len(res.Pos) != 1 || res.Iterations != 0 {
 		t.Fatal("single point should not iterate")
 	}

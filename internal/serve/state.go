@@ -71,7 +71,7 @@ func newState(opt *Options) *state {
 		prices:   make([]units.Price, n),
 	}
 	for i, d := range opt.Fleet {
-		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples, 0)
+		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
