@@ -462,3 +462,33 @@ func TestReplayDigest(t *testing.T) {
 		t.Fatalf("replay digest %s, want %s", got, want)
 	}
 }
+
+// TestLeastLoadedUp pins the overflow seat: the least-loaded healthy DC,
+// the lowest index on ties, the least-loaded DC overall when every DC is
+// down, and a NaN load that never compares less (it keeps the seat only
+// as the first candidate) — the choices the two-scan version made.
+func TestLeastLoadedUp(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		used []float64
+		down []bool
+		want int
+	}{
+		{"all up", []float64{0.5, 0.2, 0.7}, []bool{false, false, false}, 1},
+		{"least loaded down", []float64{0.5, 0.2, 0.7}, []bool{false, true, false}, 0},
+		{"only the busiest up", []float64{0.5, 0.2, 0.7}, []bool{true, true, false}, 2},
+		{"all down", []float64{0.5, 0.2, 0.7}, []bool{true, true, true}, 1},
+		{"tie", []float64{0.4, 0.3, 0.3}, []bool{false, false, false}, 1},
+		{"tie all down", []float64{0.3, 0.3}, []bool{true, true}, 0},
+		{"NaN first", []float64{nan, 0.2, 0.7}, []bool{false, false, false}, 0},
+		{"NaN later", []float64{0.5, nan, 0.2}, []bool{false, false, false}, 2},
+		{"NaN first healthy", []float64{0.1, nan, 0.2}, []bool{true, false, false}, 1},
+		{"NaN all down", []float64{nan, 0.1}, []bool{true, true}, 0},
+	} {
+		got := leastLoaded(tc.down, func(i int) float64 { return tc.used[i] })
+		if got != tc.want {
+			t.Errorf("%s: leastLoaded = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

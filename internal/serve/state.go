@@ -186,27 +186,28 @@ func (s *state) prepare(vm *VM) (candidate, error) {
 // with the whole fleet down it degrades to the least-loaded DC overall so an
 // arrival always has a seat to overflow onto.
 func (s *state) leastLoadedUp() int {
-	best := -1
-	var bu float64
-	for i := range s.packs {
-		if s.dcDown[i] {
-			continue
+	return leastLoaded(s.dcDown, func(i int) float64 { return s.packs[i].UsedFrac() })
+}
+
+// leastLoaded is leastLoadedUp over DC loads used(i), in one scan that
+// keeps the best healthy DC and the best DC overall. A NaN load never
+// compares less, so it keeps a seat only as the first candidate.
+func leastLoaded(down []bool, used func(i int) float64) int {
+	up, all := -1, -1
+	var bu, ba float64
+	for i := range down {
+		u := used(i)
+		if all < 0 || u < ba {
+			all, ba = i, u
 		}
-		if u := s.packs[i].UsedFrac(); best < 0 || u < bu {
-			best, bu = i, u
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	best = 0
-	bu = s.packs[0].UsedFrac()
-	for i := 1; i < len(s.packs); i++ {
-		if u := s.packs[i].UsedFrac(); u < bu {
-			best, bu = i, u
+		if !down[i] && (up < 0 || u < bu) {
+			up, bu = i, u
 		}
 	}
-	return best
+	if up >= 0 {
+		return up
+	}
+	return all
 }
 
 // setFault flips one DC's availability. Taking a DC down re-seats its
