@@ -3,8 +3,10 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"geovmp/internal/config"
@@ -189,6 +191,95 @@ func TestChunkedColumnsSharedAndIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(wantJSON, js) {
 		t.Fatal("chunked-column sweep differs from the unbounded in-core grid")
+	}
+}
+
+// failAt wraps a policy: at slot `at` its Place calls hook, then returns
+// an empty placement when fail is set, which fails the run.
+type failAt struct {
+	policy.Policy
+	at   timeutil.Slot
+	hook func()
+	fail bool
+}
+
+func (f *failAt) Place(in *policy.Input) policy.Placement {
+	if in.Slot == f.at {
+		f.hook()
+		if f.fail {
+			return policy.Placement{}
+		}
+	}
+	return f.Policy.Place(in)
+}
+
+// TestStreamedColumnFailureReleasesWindows runs grids over one streamed
+// column that end early — cancelled mid-run, or with a cell whose policy
+// fails — and requires that the column is left with no live window and
+// that a rerun over it is byte-identical to the in-core grid.
+func TestStreamedColumnFailureReleasesWindows(t *testing.T) {
+	spec := frontierGridSpec(t)
+	pols := []PolicySpec{
+		{Name: "Proposed", New: func(seed uint64) policy.Policy { return core.New(0.9, seed) }},
+		{Name: "EnerAware", New: func(seed uint64) policy.Policy { return policy.EnerAware{} }},
+	}
+	incore, err := Run(context.Background(), Grid{Scenarios: []config.Spec{spec}, Policies: pols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := incore.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	streamed := spec
+	streamed.MaxFineTableBytes = 1
+	col, err := CompileColumn(streamed, streamed.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.src.FineChunkSlots() == 0 {
+		t.Fatal("column's fine table is not streamed under a 1-byte budget")
+	}
+	grid := func(first PolicySpec) Grid {
+		return Grid{
+			Scenarios:   []config.Spec{streamed},
+			Policies:    []PolicySpec{first, pols[1]},
+			Parallelism: 2,
+			Columns:     func(string, uint64) *Column { return col },
+		}
+	}
+	wrap := func(fail bool, hook func()) PolicySpec {
+		return PolicySpec{Name: "Proposed", New: func(seed uint64) policy.Policy {
+			return &failAt{Policy: core.New(0.9, seed), at: 3, hook: hook, fail: fail}
+		}}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := Run(ctx, grid(wrap(false, cancel))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled grid returned %v", err)
+	}
+	if n := col.src.LiveWindows(); n != 0 {
+		t.Fatalf("cancelled grid left %d live windows", n)
+	}
+	if _, err := Run(context.Background(), grid(wrap(true, func() {}))); err == nil || !strings.Contains(err.Error(), "unplaced") {
+		t.Fatalf("grid with a failing policy returned %v", err)
+	}
+	if n := col.src.LiveWindows(); n != 0 {
+		t.Fatalf("failed grid left %d live windows", n)
+	}
+
+	set, err := Run(context.Background(), grid(pols[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := set.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantJSON, js) {
+		t.Fatal("rerun over the streamed column differs from the in-core grid")
 	}
 }
 

@@ -92,53 +92,69 @@ func (b *Budget) Extra() int {
 // writes. Under that contract the outcome is bit-identical to the serial
 // loop at any worker count.
 func For(b *Budget, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	shards := (n + grain - 1) / grain
-	extra := 0
-	if shards > 1 {
-		extra = b.Acquire(shards - 1)
-	}
-	if extra == 0 {
+	grain = max(grain, 1)
+	if n <= grain || b.Extra() == 0 {
 		for lo := 0; lo < n; lo += grain {
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+grain, n))
 		}
 		return
 	}
-	defer b.Release(extra)
-	var next atomic.Int64
-	work := func() {
-		for {
-			s := int(next.Add(1) - 1)
-			if s >= shards {
-				return
-			}
-			lo := s * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+	NewShared(n, grain, fn).Join(b)
+}
+
+// Shared is a For loop that any number of goroutines can run together:
+// every joiner claims shards from one counter, so a goroutine that joins
+// while others are running the loop takes the shards still unclaimed
+// instead of waiting idle, and one that joins after the last shard was
+// claimed only waits for the loop to finish. Shard boundaries and fn's
+// contract are For's, so the outcome is identical however many goroutines
+// joined and when.
+type Shared struct {
+	n, grain, shards int
+	fn               func(lo, hi int)
+	next             atomic.Int64
+	left             sync.WaitGroup // shards not yet finished
+}
+
+// NewShared returns the loop over [0, n) in shards of grain indices; it
+// runs nothing until the first Join.
+func NewShared(n, grain int, fn func(lo, hi int)) *Shared {
+	grain = max(grain, 1)
+	n = max(n, 0)
+	s := &Shared{n: n, grain: grain, shards: (n + grain - 1) / grain, fn: fn}
+	s.left.Add(s.shards)
+	return s
+}
+
+// Join runs unclaimed shards on the caller's goroutine, helped by up to
+// one extra worker per further unclaimed shard borrowed from b (nil
+// borrows none), and returns once every shard has finished — those other
+// joiners claimed included. The borrowed workers are returned before Join
+// does.
+func (s *Shared) Join(b *Budget) {
+	extra := 0
+	if rest := s.shards - int(s.next.Load()) - 1; rest > 0 {
+		extra = b.Acquire(rest)
+	}
+	for range extra {
+		go s.drain()
+	}
+	s.drain()
+	s.left.Wait()
+	b.Release(extra)
+}
+
+// drain runs shards until none is left to claim.
+func (s *Shared) drain() {
+	for {
+		i := int(s.next.Add(1) - 1)
+		if i >= s.shards {
+			return
 		}
+		lo := i * s.grain
+		s.fn(lo, min(lo+s.grain, s.n))
+		s.left.Done()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Ordered is the reduction form of For: eval runs once per fixed shard (in

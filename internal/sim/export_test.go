@@ -21,6 +21,7 @@ func EvaluateFinePlan(c *trace.Compiled, fleet dc.Fleet, allocs []alloc.Result, 
 	_, steps := c.FineParams()
 	p := newFinePlan(len(fleet), steps)
 	cur := c.NewFineCursor(workers)
+	defer cur.Close()
 	cur.Advance(sl)
 	p.evaluate(cur, c, fleet, views, sl, workers)
 	return p.itPower, p.throttled

@@ -304,11 +304,14 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	// Profile rows are shared without copying and fine-step utilization
 	// rows feed the vectorized IT-power pass, both read through per-run
 	// cursors advanced once per slot below: over a resident table a cursor
-	// shares the compiled rows, over a streamed one it refills a bounded
-	// window with byte-identical values.
+	// shares the compiled rows, over a streamed one it reads bounded
+	// windows of byte-identical values, shared with the concurrent runs
+	// of the same table.
 	_, fineSteps := w.FineParams()
 	fineCur := w.NewFineCursor(sc.Workers)
+	defer fineCur.Close()
 	profCur := w.NewProfileCursor(sc.Workers)
+	defer profCur.Close()
 	env := runEnvironment(sc)
 
 	res := &Result{

@@ -23,11 +23,12 @@ type CompileOptions struct {
 	// MaxFineTableBytes bounds each resident utilization table — fine
 	// steps and per-slot profiles alike (any non-positive value selects
 	// the 256 MiB default). A table that would exceed the budget is not
-	// skipped: it is compiled out-of-core, streamed through a
-	// FineCursor/ProfileCursor in the widest slot window whose peak bytes
-	// fit the budget (at least one slot), so peak memory is bounded by one
-	// window while the values stay byte-identical to the resident table.
-	// Volumes always materialize.
+	// skipped: it is compiled out-of-core, streamed through
+	// FineCursor/ProfileCursor in the widest slot windows whose peak bytes
+	// fit the budget (at least one slot), so the table holds at most one
+	// window per open cursor plus one spare — the cursors of concurrent
+	// runs share the windows they are on — while the values stay
+	// byte-identical to the resident table. Volumes always materialize.
 	MaxFineTableBytes int64
 	// Workers optionally lends extra goroutines to the compilation: the
 	// fine and profile tables (by VM, or by service for the synthetic
@@ -65,7 +66,9 @@ func (o *CompileOptions) applyDefaults() {
 //
 // Memory is proportional to active VM-slots: profiles cost
 // Samples x 8 bytes per VM-slot and the fine table FineSteps x 8 bytes per
-// VM-slot, each bounded by CompileOptions.MaxFineTableBytes.
+// VM-slot, each bounded by CompileOptions.MaxFineTableBytes. A streamed
+// table is the one piece of shared state that changes after Compile: its
+// windows, which the cursors of concurrent runs share (see windows).
 type Compiled struct {
 	src     Source
 	synth   Source // what the tables are filled from: src, or the Workload it windows
@@ -78,8 +81,10 @@ type Compiled struct {
 	images []units.DataSize
 
 	// The fine and profile tables (see table): resident ones span the
-	// horizon and are filled here; streamed ones are refilled by each
-	// run's cursor from the retained active windows and step grids.
+	// horizon and are filled here; a streamed one's windows are filled
+	// from the retained active windows and step grids by the cursors of
+	// the runs reading it, once for all the runs positioned on a window
+	// at the same time.
 	fine, prof  table
 	first, last []timeutil.Slot // per-VM active windows
 	grids       []StepGrid      // per slot, the fine loop's step grid
@@ -210,9 +215,9 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	for id := range first {
 		first[id] = -1
 	}
-	type window struct{ first, last []timeutil.Slot }
-	par.Ordered(opt.Workers, slots, windowSlotGrain, func(lo, hi int) window {
-		w := window{
+	type span struct{ first, last []timeutil.Slot }
+	par.Ordered(opt.Workers, slots, windowSlotGrain, func(lo, hi int) span {
+		w := span{
 			first: make([]timeutil.Slot, c.numVMs),
 			last:  make([]timeutil.Slot, c.numVMs),
 		}
@@ -231,7 +236,7 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 			}
 		}
 		return w
-	}, func(w window) {
+	}, func(w span) {
 		for id := range first {
 			if w.first[id] < 0 {
 				continue
@@ -252,10 +257,7 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 	c.first, c.last = first, last
 	c.steps = fineStepsPerSlot(c.dt)
 	c.grids = fineGrids(c.slots, c.dt, c.steps)
-	c.fine = c.sizeTable(c.steps, c.activeWindow, opt.MaxFineTableBytes)
-	if !c.streamed(&c.fine) {
-		c.NewFineCursor(opt.Workers).Advance(0)
-	}
+	c.initTable(&c.fine, c.steps, opt.MaxFineTableBytes, opt.Workers)
 	if c.samples > 0 {
 		// Where the profile's sampling grid is a subset of a resident fine
 		// row's — the common case for the synthetic workload, whose
@@ -273,10 +275,7 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 				})
 			}
 		}
-		c.prof = c.sizeTable(c.samples, c.obsWindow, opt.MaxFineTableBytes)
-		if !c.streamed(&c.prof) {
-			c.NewProfileCursor(opt.Workers).Advance(0)
-		}
+		c.initTable(&c.prof, c.samples, opt.MaxFineTableBytes, opt.Workers)
 	}
 
 	// Volume entry lists, realized and planned. Slot 0's planned list is
@@ -334,15 +333,17 @@ func (c *Compiled) FillFineRow(dst []float64, id int, sl timeutil.Slot) {
 	FillUtil(dst, c.synth, id, c.grids[sl])
 }
 
-// sizeTable returns an empty table of rowLen-float rows over the VMs'
-// windows, with its footprints and the window width budget gives it (see
-// widthFor).
-func (c *Compiled) sizeTable(rowLen int, window func(id int) (a, b timeutil.Slot), budget int64) table {
+// initTable sizes t, a table of rowLen-float rows over the VMs' windows:
+// its footprints and the window width budget gives it (see widthFor). A
+// streamed table gets its shared windows; a resident one gets its one
+// window over the horizon, filled here.
+func (c *Compiled) initTable(t *table, rowLen int, budget int64, workers *par.Budget) {
+	cover, _, _ := c.rowSource(t)
 	// The busiest slot comes from a diff array over the windows.
 	var rows, peak int64
 	diff := make([]int64, c.slots+1)
 	for id := 0; id < c.numVMs; id++ {
-		if a, b := window(id); a <= b {
+		if a, b := cover(id); a <= b {
 			diff[a]++
 			diff[b+1]--
 			rows += int64(b - a + 1)
@@ -353,9 +354,16 @@ func (c *Compiled) sizeTable(rowLen int, window func(id int) (a, b timeutil.Slot
 		run += d
 		peak = max(peak, run)
 	}
-	t := table{rowLen: rowLen, bytes: rows * int64(rowLen) * 8, slotPeak: peak * int64(rowLen) * 8}
+	*t = table{rowLen: rowLen, bytes: rows * int64(rowLen) * 8, slotPeak: peak * int64(rowLen) * 8}
 	t.width = t.widthFor(budget, c.slots)
-	return t
+	switch {
+	case c.streamed(t):
+		t.shared = &windows{live: map[timeutil.Slot]*window{}}
+	case t.width > 0:
+		t.res = c.layout(t, nil, 0)
+		t.res.fill.Join(workers)
+		t.res.fill = nil // done: no cursor joins a resident fill
+	}
 }
 
 // tablesCompatible reports whether the receiver's tables are what Compile
@@ -427,13 +435,13 @@ func (c *Compiled) TableBytes() (fine, prof int64) { return c.fine.bytes, c.prof
 // k is Util at the k-th iteration of the simulator's fine loop — or nil
 // when the resident table does not cover (id, sl), or the table is
 // streamed. The row is shared and read-only.
-func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 { return c.fine.row(id, sl) }
+func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 { return c.fine.res.row(id, sl) }
 
 // ProfileRow returns the VM's compiled profile for slot sl, or nil when the
 // resident table does not cover (id, sl), or the table is streamed or
 // absent. The row is shared and read-only — hand it to a
 // correlation.ProfileSet without copying.
-func (c *Compiled) ProfileRow(id int, sl timeutil.Slot) []float64 { return c.prof.row(id, sl) }
+func (c *Compiled) ProfileRow(id int, sl timeutil.Slot) []float64 { return c.prof.res.row(id, sl) }
 
 // SlotProfile implements Source. Covered (id, slot, n=Samples) queries copy
 // the compiled row (callers own the result, per the Source contract);

@@ -362,16 +362,16 @@ func BenchmarkFillUtil(b *testing.B) {
 	b.Run("kernel", func(b *testing.B) {
 		bench(b, func(id int, g StepGrid) { FillUtil(row, w, id, g) })
 	})
-	// The compiled path: the resident table's whole-horizon window,
-	// unpositioned and refilled service-major each iteration.
+	// The compiled path: the resident table's whole-horizon window, laid
+	// out again and refilled service-major each iteration.
 	b.Run("service-major", func(b *testing.B) {
-		cur := Compile(w, CompileOptions{Samples: -1}).NewFineCursor(nil)
+		c := Compile(w, CompileOptions{Samples: -1})
 		b.ResetTimer()
 		values := 0
 		for i := 0; i < b.N; i++ {
-			cur.t.lo, cur.t.hi = 0, 0
-			cur.Advance(0)
-			values += len(cur.t.buf)
+			win := c.layout(&c.fine, c.fine.res, 0)
+			win.fill.Join(nil)
+			values += len(win.buf)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
 	})

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"runtime"
+	"sync"
+
 	"geovmp/internal/par"
 	"geovmp/internal/timeutil"
 )
@@ -19,26 +22,51 @@ var (
 )
 
 // table is the one layout of a compiled utilization table — fine steps or
-// per-slot profiles: a slot window [lo, hi) of width slots, with each VM's
-// rows over the window packed into one buffer. A resident table's window
-// spans the whole horizon; Compile positions and fills it once and every
-// cursor over it shares it read-only. A streamed table is narrower and
-// stays unpositioned in Compiled; each cursor refills its own copy as it
-// advances. Windows are aligned at multiples of width from slot 0, so the
-// sequence of windows a run visits is a pure function of the compile
-// options — independent of when Advance is called. A table of width 0 has
-// no rows.
+// per-slot profiles — read through windows: slot ranges [lo, hi) of width
+// slots, each packing every VM's rows over its range into one buffer.
+// Windows are aligned at multiples of width from slot 0, so the sequence
+// of windows a run visits is a pure function of the compile options —
+// independent of when Advance is called. A resident table has one window
+// spanning the horizon, which Compile fills and every cursor shares
+// read-only. A streamed table is narrower: its windows are shared by the
+// cursors of concurrent runs, and each is filled once by the cursors that
+// reach it while the fill runs (see windows). A table of width 0 has no
+// rows.
 type table struct {
 	width    int
 	rowLen   int   // floats per row (steps or samples)
 	bytes    int64 // the full table's footprint
 	slotPeak int64 // the footprint of its busiest slot's rows
 
-	lo, hi timeutil.Slot   // current window; unpositioned when lo >= hi
+	res    *window  // a resident table's window (nil: streamed or no rows)
+	shared *windows // a streamed table's open windows (nil: resident)
+}
+
+// window is one positioned slot range of a table.
+type window struct {
+	lo, hi timeutil.Slot
+	rowLen int
 	start  []timeutil.Slot // per VM: first covered slot in window (-1: none)
 	end    []timeutil.Slot // per VM: last covered slot (inclusive)
 	off    []int           // per VM: first row index into buf
 	buf    []float64
+
+	refs int         // cursors positioned on it (guarded by windows.mu)
+	fill *par.Shared // the fill that cursors reaching it join
+}
+
+// windows is a streamed table's open windows, keyed by aligned start slot
+// and reference-counted by the cursors positioned on them. The first
+// cursor to reach a window lays it out and fills it; cursors that arrive
+// during the fill join it, and later ones read the finished rows. When the
+// last cursor leaves a window it becomes the table's one spare: a cursor
+// that comes back to it reads its rows again, and otherwise the next
+// layout reuses its buffers. So a streamed table holds at most one window
+// per open cursor, plus the spare, each within the budget.
+type windows struct {
+	mu    sync.Mutex
+	live  map[timeutil.Slot]*window
+	spare *window
 }
 
 // widthFor is the window width in slots for t under budget: the whole
@@ -56,24 +84,29 @@ func (t *table) widthFor(budget int64, slots timeutil.Slot) int {
 	return int(max(budget/t.slotPeak, 1))
 }
 
+// align returns the first slot of t's window containing sl.
+func (t *table) align(sl timeutil.Slot) timeutil.Slot {
+	return sl / timeutil.Slot(t.width) * timeutil.Slot(t.width)
+}
+
 // streamed reports whether t is an over-budget table, read through
-// per-run windows narrower than the horizon.
+// shared windows narrower than the horizon.
 func (c *Compiled) streamed(t *table) bool {
 	return t.width > 0 && timeutil.Slot(t.width) < c.slots
 }
 
-// row returns the buffered row for (id, sl), or nil when uncovered. Pure
-// read — safe from concurrent shards between Advance calls.
-func (t *table) row(id int, sl timeutil.Slot) []float64 {
-	if id < 0 || id >= len(t.start) || sl < t.lo || sl >= t.hi {
+// row returns the buffered row for (id, sl), or nil when uncovered or w is
+// nil. Pure read — safe from concurrent readers once the window is filled.
+func (w *window) row(id int, sl timeutil.Slot) []float64 {
+	if w == nil || id < 0 || id >= len(w.start) || sl < w.lo || sl >= w.hi {
 		return nil
 	}
-	a := t.start[id]
-	if a < 0 || sl < a || sl > t.end[id] {
+	a := w.start[id]
+	if a < 0 || sl < a || sl > w.end[id] {
 		return nil
 	}
-	k := t.off[id] + int(sl-a)
-	return t.buf[k*t.rowLen : (k+1)*t.rowLen]
+	k := w.off[id] + int(sl-a)
+	return w.buf[k*w.rowLen : (k+1)*w.rowLen]
 }
 
 // activeWindow returns the VM's active slots [first, last] (a > b when it
@@ -94,94 +127,79 @@ func (c *Compiled) obsWindow(id int) (a, b timeutil.Slot) {
 	return obsSlot(c.first[id]), obsSlot(c.last[id])
 }
 
-// cursor reads one table for one simulation run: Advance is called
-// serially (once per slot, by the run's slot loop) and rows are safe for
-// the run's concurrent readers between advances. Over a resident table the
-// cursor shares the compiled window and Advance never moves it; over a
-// streamed one it owns a window that Advance refills with the same row
-// fill Compile uses, so the streamed values are byte-identical to the
-// resident ones.
-type cursor struct {
-	c       *Compiled
-	t       *table
-	workers *par.Budget
-	window  func(id int) (a, b timeutil.Slot) // the slots each VM's rows cover
-	fill    func(dst []float64, id int, a, b timeutil.Slot)
-	grids   []StepGrid // per slot, the rows' step grid (nil: a Workload's rows fill per VM too)
+// rowSource returns what t's rows are made of: the slots each VM's rows
+// cover, the per-VM row fill, and the per-slot step grids of the
+// service-major fill (nil: the per-VM fill only).
+func (c *Compiled) rowSource(t *table) (cover func(id int) (a, b timeutil.Slot), fill func(dst []float64, id int, a, b timeutil.Slot), grids []StepGrid) {
+	if t == &c.prof {
+		return c.obsWindow, c.fillProfile, c.profGrids
+	}
+	return c.activeWindow, c.fillFine, c.grids
 }
 
-func (c *Compiled) newCursor(t *table, workers *par.Budget, window func(id int) (a, b timeutil.Slot), fill func(dst []float64, id int, a, b timeutil.Slot), grids []StepGrid) cursor {
-	if c.streamed(t) {
-		t = &table{width: t.width, rowLen: t.rowLen}
+// layout positions a window of t on the aligned range containing sl —
+// reusing w's buffers, or fresh ones when w is nil — and attaches its
+// unstarted fill.
+func (c *Compiled) layout(t *table, w *window, sl timeutil.Slot) *window {
+	if w == nil {
+		w = &window{
+			rowLen: t.rowLen,
+			start:  make([]timeutil.Slot, c.numVMs),
+			end:    make([]timeutil.Slot, c.numVMs),
+			off:    make([]int, c.numVMs),
+		}
 	}
-	return cursor{c: c, t: t, workers: workers, window: window, fill: fill, grids: grids}
-}
-
-// Advance positions the cursor on the window containing sl, filling it if
-// the window moved; workers optionally shard the fill over VMs, or over
-// services for the synthetic Workload (disjoint rows, so the content is
-// identical at any worker count). Must not run concurrently with the
-// cursor's row reads.
-func (cur *cursor) Advance(sl timeutil.Slot) {
-	t, c := cur.t, cur.c
-	if t.width == 0 || sl < 0 || sl >= c.slots || (sl >= t.lo && sl < t.hi) {
-		return
-	}
-	if t.start == nil {
-		t.start = make([]timeutil.Slot, c.numVMs)
-		t.end = make([]timeutil.Slot, c.numVMs)
-		t.off = make([]int, c.numVMs)
-	}
-	t.lo = sl / timeutil.Slot(t.width) * timeutil.Slot(t.width)
-	t.hi = min(t.lo+timeutil.Slot(t.width), c.slots)
+	cover, fill, grids := c.rowSource(t)
+	w.lo = t.align(sl)
+	w.hi = min(w.lo+timeutil.Slot(t.width), c.slots)
 	rows := 0
 	for id := 0; id < c.numVMs; id++ {
-		a, b := cur.window(id)
-		a, b = max(a, t.lo), min(b, t.hi-1)
+		a, b := cover(id)
+		a, b = max(a, w.lo), min(b, w.hi-1)
 		if a > b {
-			t.start[id] = -1
+			w.start[id] = -1
 			continue
 		}
-		t.start[id], t.end[id] = a, b
-		t.off[id] = rows
+		w.start[id], w.end[id] = a, b
+		w.off[id] = rows
 		rows += int(b - a + 1)
 	}
 	need := rows * t.rowLen
-	if cap(t.buf) < need {
-		t.buf = make([]float64, need)
+	if cap(w.buf) < need {
+		w.buf = make([]float64, need)
 	}
-	t.buf = t.buf[:need]
-	if w, ok := c.synth.(*Workload); ok && cur.grids != nil {
-		cur.fillServices(w)
-		return
-	}
-	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if a := t.start[id]; a >= 0 {
-				cur.fill(t.buf[t.off[id]*t.rowLen:], id, a, t.end[id])
+	w.buf = w.buf[:need]
+	if wl, ok := c.synth.(*Workload); ok && grids != nil {
+		w.fill = w.serviceFill(wl, grids)
+	} else {
+		w.fill = par.NewShared(c.numVMs, vmRowGrain, func(lo, hi int) {
+			for id := lo; id < hi; id++ {
+				if a := w.start[id]; a >= 0 {
+					fill(w.buf[w.off[id]*w.rowLen:], id, a, w.end[id])
+				}
 			}
-		}
-	})
+		})
+	}
+	return w
 }
 
-// fillServices fills the window service-major from w's row kernel: per
-// slot, one diurnal row serves every member VM the window covers there,
-// since members share their service's peak hour. Each shard's only
-// scratch is that row.
-func (cur *cursor) fillServices(w *Workload) {
-	t := cur.t
-	par.For(cur.workers, len(w.services), serviceGrain, func(lo, hi int) {
-		diurnal := make([]float64, t.rowLen)
-		for _, s := range w.services[lo:hi] {
-			for sl := t.lo; sl < t.hi; sl++ {
+// serviceFill is the fill of w service-major from wl's row kernel, sharded
+// over services: per slot, one diurnal row serves every member VM the
+// window covers there, since members share their service's peak hour.
+// Each shard's only scratch is that row.
+func (w *window) serviceFill(wl *Workload, grids []StepGrid) *par.Shared {
+	return par.NewShared(len(wl.services), serviceGrain, func(lo, hi int) {
+		diurnal := make([]float64, w.rowLen)
+		for _, s := range wl.services[lo:hi] {
+			for sl := w.lo; sl < w.hi; sl++ {
 				shared := false
 				for _, id := range s.Members {
-					if row := t.row(id, sl); row != nil {
+					if row := w.row(id, sl); row != nil {
 						if !shared {
-							diurnalRow(diurnal, s.PeakHour, cur.grids[sl])
+							diurnalRow(diurnal, s.PeakHour, grids[sl])
 							shared = true
 						}
-						w.fillUtilRow(row, id, cur.grids[sl], diurnal)
+						wl.fillUtilRow(row, id, grids[sl], diurnal)
 					}
 				}
 			}
@@ -189,10 +207,121 @@ func (cur *cursor) fillServices(w *Workload) {
 	})
 }
 
+// move positions h on t's window containing sl, leaving h's current one,
+// and returns the window's fill for the caller to join. A window no cursor
+// is on is the spare when the spare still holds its rows, and is laid out
+// afresh over the spare's buffers otherwise.
+func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
+	s, lo := t.shared, t.align(sl)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.leave(h)
+	w := s.live[lo]
+	if w == nil {
+		if w = s.spare; w == nil || w.lo != lo {
+			w = c.layout(t, w, sl)
+		}
+		s.spare = nil
+		s.live[lo] = w
+	}
+	w.refs++
+	h.w = w
+	return w.fill
+}
+
+// leave takes h off its window, if any; the window's buffers become the
+// spare when h was its last cursor. The caller holds s.mu.
+func (s *windows) leave(h *hold) {
+	w := h.w
+	if w == nil {
+		return
+	}
+	h.w = nil
+	if w.refs--; w.refs == 0 {
+		delete(s.live, w.lo)
+		s.spare = w
+	}
+}
+
+// hold is a cursor's place on its table: the window its rows are read
+// from. It lives apart from the cursor so that a cursor's cleanup can
+// release it once the cursor is garbage.
+type hold struct {
+	shared *windows // nil over a resident table, whose window stays
+	w      *window
+}
+
+// release takes a streamed cursor off its window.
+func (h *hold) release() {
+	if s := h.shared; s != nil {
+		s.mu.Lock()
+		s.leave(h)
+		s.mu.Unlock()
+	}
+}
+
+// cursor reads one table for one simulation run: Advance is called
+// serially (once per slot, by the run's slot loop) and rows are safe for
+// the run's concurrent readers between advances. Over a resident table the
+// cursor reads the compiled window and Advance never moves it. Over a
+// streamed one Advance moves it through the table's shared windows, whose
+// fill is the one Compile uses for a resident table, so the streamed
+// values are byte-identical to the resident ones.
+type cursor struct {
+	c       *Compiled
+	t       *table
+	workers *par.Budget
+	h       *hold
+	cleanup runtime.Cleanup
+}
+
+// newCursor returns a cursor over t: on a resident table's one window, or
+// unpositioned on a streamed one.
+func (c *Compiled) newCursor(t *table, workers *par.Budget) cursor {
+	return cursor{c: c, t: t, workers: workers, h: &hold{shared: t.shared, w: t.res}}
+}
+
+// closeWhenGarbage arranges for a streamed cursor p holding h to leave its
+// window once p is garbage.
+func closeWhenGarbage[T any](p *T, h *hold) runtime.Cleanup {
+	if h.shared == nil {
+		return runtime.Cleanup{}
+	}
+	return runtime.AddCleanup(p, (*hold).release, h)
+}
+
+// Advance positions the cursor on the window containing sl. When no other
+// cursor is on it the window is filled; a cursor that arrives while the
+// window fills takes shards of that fill, and later ones read it as is.
+// workers optionally lend goroutines to the fill, sharded over VMs, or
+// over services for the synthetic Workload (disjoint rows, so the content
+// is identical at any worker count and however many cursors joined). Must
+// not run concurrently with the cursor's row reads, nor after Close.
+func (cur *cursor) Advance(sl timeutil.Slot) {
+	t, w := cur.t, cur.h.w
+	if t.shared == nil || sl < 0 || sl >= cur.c.slots || (w != nil && sl >= w.lo && sl < w.hi) {
+		return
+	}
+	cur.c.move(t, cur.h, sl).Join(cur.workers)
+}
+
+// Close takes the cursor off its window; the window's buffers are reused
+// once no cursor is on it. Close is idempotent, and a cursor that is never
+// closed is closed when it becomes garbage.
+func (cur *cursor) Close() {
+	cur.h.release()
+	cur.cleanup.Stop()
+}
+
 // WindowBytes returns the resident footprint of the cursor's window — the
 // quantity the compile budget bounds for a streamed table. A streamed
 // cursor reads zero before its first Advance.
-func (cur *cursor) WindowBytes() int64 { return int64(len(cur.t.buf)) * 8 }
+func (cur *cursor) WindowBytes() int64 {
+	if w := cur.h.w; w != nil {
+		return int64(len(w.buf)) * 8
+	}
+	return 0
+}
 
 // FineCursor reads a compiled fine table for one run (see cursor).
 type FineCursor struct {
@@ -200,13 +329,15 @@ type FineCursor struct {
 }
 
 // NewFineCursor returns a cursor over the fine table. workers optionally
-// lends goroutines to each window fill of a streamed table.
+// lends goroutines to the window fills of a streamed table.
 func (c *Compiled) NewFineCursor(workers *par.Budget) *FineCursor {
-	return &FineCursor{c.newCursor(&c.fine, workers, c.activeWindow, c.fillFine, c.grids)}
+	cur := &FineCursor{c.newCursor(&c.fine, workers)}
+	cur.cleanup = closeWhenGarbage(cur, cur.h)
+	return cur
 }
 
 // FineRow implements FineRows from the current window.
-func (cur *FineCursor) FineRow(id int, sl timeutil.Slot) []float64 { return cur.t.row(id, sl) }
+func (cur *FineCursor) FineRow(id int, sl timeutil.Slot) []float64 { return cur.h.w.row(id, sl) }
 
 // ProfileCursor reads a compiled per-slot profile table for one run,
 // windowed over observation slots: Advance takes the observation slot.
@@ -216,15 +347,32 @@ type ProfileCursor struct {
 }
 
 // NewProfileCursor returns a cursor over the profile table. workers
-// optionally lends goroutines to each window fill of a streamed table.
+// optionally lends goroutines to the window fills of a streamed table.
 func (c *Compiled) NewProfileCursor(workers *par.Budget) *ProfileCursor {
-	return &ProfileCursor{c.newCursor(&c.prof, workers, c.obsWindow, c.fillProfile, c.profGrids)}
+	cur := &ProfileCursor{c.newCursor(&c.prof, workers)}
+	cur.cleanup = closeWhenGarbage(cur, cur.h)
+	return cur
 }
 
 // ProfileRow returns the VM's profile for observation slot sl from the
 // current window, or nil when uncovered. A streamed window's buffer is
-// reused by the next Advance; consumers that retain rows must copy them
-// (ProfileSet.Add already copies rows).
+// reused once no cursor is on it; consumers that retain rows past the
+// next Advance must copy them (ProfileSet.Add already copies rows).
 func (cur *ProfileCursor) ProfileRow(id int, sl timeutil.Slot) []float64 {
-	return cur.t.row(id, sl)
+	return cur.h.w.row(id, sl)
+}
+
+// LiveWindows returns how many streamed windows, over both tables, have a
+// cursor positioned on them: zero once every cursor is closed or
+// collected.
+func (c *Compiled) LiveWindows() int {
+	n := 0
+	for _, t := range []*table{&c.fine, &c.prof} {
+		if s := t.shared; s != nil {
+			s.mu.Lock()
+			n += len(s.live)
+			s.mu.Unlock()
+		}
+	}
+	return n
 }

@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"geovmp/internal/par"
 	"geovmp/internal/timeutil"
 )
 
@@ -193,5 +198,173 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 	// Same budget again: the streamed compile is compatible with itself.
 	if again := Compile(streamed, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1}); again != streamed {
 		t.Fatal("identical budgeted options must reuse the compiled trace")
+	}
+}
+
+// sharedOrder is the slot order cursor g of a sharing test visits: forward
+// from 0, forward from a staggered start (wrapping round), or backward.
+func sharedOrder(g int, slots timeutil.Slot) []timeutil.Slot {
+	order := make([]timeutil.Slot, slots)
+	for i := range order {
+		switch g % 3 {
+		case 0:
+			order[i] = timeutil.Slot(i)
+		case 1:
+			order[i] = (timeutil.Slot(i) + timeutil.Slot(2*g+1)) % slots
+		default:
+			order[i] = slots - 1 - timeutil.Slot(i)
+		}
+	}
+	return order
+}
+
+// sameBits reports whether two rows hold the same values bit for bit
+// (nil only equal to nil).
+func sameBits(got, want []float64) bool {
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		return false
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedWindowsMatchResident runs 1-6 pairs of fine and profile
+// cursors over one streamed compile, each pair on its own goroutine and in
+// its own slot order, for the synthetic Workload (service-major fill) and
+// a replay of it (per-VM fill), with and without workers. Every row read
+// must be bit-equal to the resident compile's; a table must never hold
+// more windows than it has open cursors, nor any window over the budget;
+// cursors on one window share it, also when one comes back to it after
+// the last one left; and every window must be released once the cursors
+// close — twice, or never, in which case the garbage collector releases
+// it.
+func TestSharedWindowsMatchResident(t *testing.T) {
+	w := New(Config{Seed: 21, Horizon: timeutil.Hours(9), InitialVMs: 30, MeanLifeSlots: 3})
+	dir := t.TempDir()
+	if err := ExportReplay(w, dir, w.Slots(), 12); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := LoadReplay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []struct {
+		name string
+		src  Source
+	}{{"workload", w}, {"replay", rep}} {
+		opt := CompileOptions{Samples: 12, FineStepSec: 300}
+		res := Compile(src.src, opt)
+		opt.MaxFineTableBytes = 2 * max(res.fine.slotPeak, res.prof.slotPeak)
+		for _, workers := range []*par.Budget{nil, par.NewBudget(2)} {
+			opt.Workers = workers
+			c := Compile(src.src, opt)
+			if !c.streamed(&c.fine) || !c.streamed(&c.prof) {
+				t.Fatalf("%s: budget %d B streams fine %v, profile %v", src.name, opt.MaxFineTableBytes, c.streamed(&c.fine), c.streamed(&c.prof))
+			}
+			for n := 1; n <= 6; n++ {
+				name := fmt.Sprintf("%s/workers=%v/cursors=%d", src.name, workers != nil, n)
+				sharedRun(t, name, c, res, n, workers, opt.MaxFineTableBytes)
+			}
+		}
+	}
+}
+
+// sharedRun drives n concurrent cursor pairs over the streamed compile c
+// and checks them against the resident compile res (see
+// TestSharedWindowsMatchResident).
+func sharedRun(t *testing.T, name string, c, res *Compiled, n int, workers *par.Budget, budget int64) {
+	t.Helper()
+	// mu orders cursor opens and closes against the window counts: open
+	// is the number of cursors of each table opened and not yet closed.
+	var mu sync.Mutex
+	open := 0
+	checkLive := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, tb := range []*table{&c.fine, &c.prof} {
+			tb.shared.mu.Lock()
+			live := len(tb.shared.live)
+			tb.shared.mu.Unlock()
+			if live > open {
+				t.Errorf("%s: %d live windows with %d open cursors", name, live, open)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			fine, prof := c.NewFineCursor(workers), c.NewProfileCursor(workers)
+			open++
+			mu.Unlock()
+			for _, sl := range sharedOrder(g, c.slots) {
+				fine.Advance(sl)
+				prof.Advance(sl)
+				for id := range c.numVMs {
+					if got, want := fine.FineRow(id, sl), res.FineRow(id, sl); !sameBits(got, want) {
+						t.Errorf("%s: fine row (%d,%d) = %v, want %v", name, id, sl, got, want)
+						return
+					}
+					if got, want := prof.ProfileRow(id, sl), res.ProfileRow(id, sl); !sameBits(got, want) {
+						t.Errorf("%s: profile row (%d,%d) = %v, want %v", name, id, sl, got, want)
+						return
+					}
+				}
+				if fb, pb := fine.WindowBytes(), prof.WindowBytes(); fb > budget || pb > budget {
+					t.Errorf("%s: slot %d windows of %d and %d B over the %d B budget", name, sl, fb, pb, budget)
+				}
+				checkLive()
+			}
+			mu.Lock()
+			fine.Close()
+			prof.Close()
+			open--
+			mu.Unlock()
+			fine.Close()
+			prof.Close()
+		}()
+	}
+	wg.Wait()
+	if live := c.LiveWindows(); live != 0 {
+		t.Fatalf("%s: %d live windows after every cursor closed", name, live)
+	}
+
+	// Two cursors on one slot read one window; a cursor that is never
+	// closed gives its window up once it is garbage.
+	a, b := c.NewFineCursor(workers), c.NewFineCursor(workers)
+	a.Advance(1)
+	b.Advance(1)
+	id := c.ActiveVMs(1)[0]
+	if ra, rb := a.FineRow(id, 1), b.FineRow(id, 1); &ra[0] != &rb[0] || c.LiveWindows() != 1 {
+		t.Fatalf("%s: two cursors on slot 1 read separate windows (%d live)", name, c.LiveWindows())
+	}
+	a.Close()
+	b.Close()
+	// A cursor that comes back to the window the last one left reads the
+	// spare's rows again, without a refill.
+	spare := c.fine.shared.spare
+	fill := spare.fill
+	a = c.NewFineCursor(workers)
+	a.Advance(1)
+	if a.h.w != spare || spare.fill != fill {
+		t.Fatalf("%s: the window the last cursor left was laid out again", name)
+	}
+	a.Close()
+	func() {
+		cur := c.NewFineCursor(workers)
+		cur.Advance(0)
+	}()
+	for i := 0; c.LiveWindows() != 0; i++ {
+		if i == 200 {
+			t.Fatalf("%s: an unclosed, unreachable cursor still holds its window", name)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
