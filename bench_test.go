@@ -610,6 +610,9 @@ func BenchmarkServe(b *testing.B) {
 	})
 }
 
+// benchFrontierBudget is the frontier benchmark's point budget.
+const benchFrontierBudget = 11
+
 // benchFrontierOpts is the shared frontier benchmark configuration: the
 // reduced dynamic preset under a cost/mean-response frontier at an
 // 11-point budget, one seed.
@@ -622,13 +625,14 @@ func benchFrontierOpts(extra ...FrontierOption) []FrontierOption {
 	return append([]FrontierOption{
 		FrontierScenarios(spec),
 		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(11),
+		FrontierPointBudget(benchFrontierBudget),
 	}, extra...)
 }
 
 // BenchmarkFrontier measures frontier resolution at equal point budget:
-// sub-benchmark "grid" spends the whole budget on one uniform alpha grid,
-// "adaptive" runs the coarse-then-bisect driver (several waves over the
+// sub-benchmark "grid" spends the whole budget on one uniform alpha grid
+// (the driver's coarse grid of the whole budget), "adaptive" runs the
+// coarse-then-bisect driver (several waves over the
 // same compiled scenario columns). Reported per variant: evaluated points
 // per second and the run's hypervolume; the adaptive variant additionally
 // reports both hypervolumes under a shared reference point — the apples-
@@ -654,11 +658,11 @@ func BenchmarkFrontier(b *testing.B) {
 	}
 	var grid *ScenarioFrontier
 	b.Run("grid", func(b *testing.B) {
-		grid, _ = run(b, FrontierFixedGrid())
+		grid, _ = run(b, frontierCoarseGrid(benchFrontierBudget))
 	})
 	b.Run("adaptive", func(b *testing.B) {
 		before := experiment.CompileCount()
-		adaptive, pointsPerSec := run(b, FrontierCoarseGrid(5), FrontierWaveSize(2))
+		adaptive, pointsPerSec := run(b, frontierWaveSize(2))
 		compiles := experiment.CompileCount() - before
 		// One compile per scenario x seed per run; without column sharing
 		// every wave would have compiled its own.

@@ -401,7 +401,6 @@ func runFrontier(ctx context.Context) error {
 		geovmp.FrontierScenarios(baseSpec("paper-geo3dc")),
 		geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
 		geovmp.FrontierPointBudget(13),
-		geovmp.FrontierCoarseGrid(5),
 		geovmp.FrontierSeeds(*seeds),
 		geovmp.FrontierParallelism(*par),
 		geovmp.FrontierBaselines(baselines...),

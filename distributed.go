@@ -24,18 +24,21 @@ import (
 //	    geovmp.WithSeeds(2),
 //	).RunDistributed(ctx, coord)
 //
-// Failure handling is lease-based: a worker that dies mid-cell lets its
-// lease expire and the coordinator re-queues the cell (capped exponential
-// backoff, bounded attempts). CoordinatorConfig.CheckpointPath persists
-// completed cells after every result, so a killed coordinator resumes via
-// LoadCheckpoint + WithResume without recomputing them.
+// Failure handling is lease-based and fixed: a lease lasts 30 s and the
+// worker's heartbeats renew it, so a worker that dies mid-cell lets its
+// lease expire and the coordinator re-queues the cell, backing off from
+// 250 ms up to 10 s and giving up after 5 attempts.
+// CoordinatorConfig.CheckpointPath persists completed cells after every
+// result, so a killed coordinator resumes via LoadCheckpoint + WithResume
+// without recomputing them.
 
 // Coordinator shards experiment grids across connected workers. See
 // NewCoordinator.
 type Coordinator = dist.Coordinator
 
-// CoordinatorConfig parameterizes NewCoordinator; the zero value listens
-// on a loopback ephemeral port with 30 s leases.
+// CoordinatorConfig holds NewCoordinator's deployment settings: listen
+// address, checkpoint path, metrics board and log sink. The zero value
+// listens on a loopback ephemeral port and keeps no checkpoint.
 type CoordinatorConfig = dist.Config
 
 // DistWorkerConfig parameterizes RunDistWorker; only Coordinator (the base

@@ -114,8 +114,8 @@ func TestFrontierRunnerMatchesInProcess(t *testing.T) {
 			FrontierScenarios(spec),
 			FrontierObjectives(CostObjective(), MeanRespObjective()),
 			FrontierPointBudget(6),
-			FrontierCoarseGrid(3),
-			FrontierWaveSize(2),
+			frontierCoarseGrid(3),
+			frontierWaveSize(2),
 			FrontierBaselines(baseline),
 		}, extra...)
 	}
@@ -156,7 +156,7 @@ func TestFrontierRunnerMatchesInProcess(t *testing.T) {
 }
 
 // TestFrontierRunnerRejectsUnportableSetups: objectives without row
-// extractors and knobs without wire forms fail up front, not mid-sweep.
+// extractors fail up front, not mid-sweep.
 func TestFrontierRunnerRejectsUnportableSetups(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -169,12 +169,5 @@ func TestFrontierRunnerRejectsUnportableSetups(t *testing.T) {
 		FrontierRunner(coord),
 	).Run(context.Background()); err == nil {
 		t.Fatal("distributed frontier accepted an objective without OfRow")
-	}
-
-	if _, err := NewFrontier(
-		FrontierKnob("custom", 0, 1, func(t float64, seed uint64) Policy { return Proposed(t, seed) }),
-		FrontierRunner(coord),
-	).Run(context.Background()); err == nil {
-		t.Fatal("distributed frontier accepted a knob without a wire form")
 	}
 }

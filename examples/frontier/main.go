@@ -33,7 +33,6 @@ func main() {
 			geovmp.P95RespObjective(),
 		),
 		geovmp.FrontierPointBudget(9),
-		geovmp.FrontierCoarseGrid(4),
 		geovmp.FrontierSeeds(2),
 		geovmp.FrontierBaselines(
 			geovmp.NewPolicySpec("Pareto-search", func(seed uint64) geovmp.Policy {

@@ -32,7 +32,6 @@ func main() {
 		geovmp.FrontierScenarios(spec),
 		geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
 		geovmp.FrontierPointBudget(11),
-		geovmp.FrontierCoarseGrid(5),
 		geovmp.FrontierBaselines(
 			geovmp.NewPolicySpec("Pareto-search", func(seed uint64) geovmp.Policy {
 				return geovmp.ParetoSearch(seed)

@@ -145,13 +145,13 @@ type ScenarioFrontier = pareto.ScenarioFrontier
 // FrontierPoint is one evaluated configuration of a scenario frontier.
 type FrontierPoint = pareto.FrontierPoint
 
-// Frontier declares a multi-objective trade-off exploration: scenarios x a
-// scalar policy knob (by default the proposed controller's Eq. 5 alpha) x
-// seeds, evaluated against a set of objectives. Run drives the knob with
-// the adaptive frontier driver: a coarse grid first, then refinement waves
-// bisecting the knob intervals spanning the largest hypervolume gaps, until
-// the point budget is spent. Every wave of a scenario runs as one
-// experiment-engine grid over the SAME pre-compiled workload and
+// Frontier declares a multi-objective trade-off exploration: scenarios x
+// the proposed controller's Eq. 5 alpha over [0, 1] x seeds, evaluated
+// against a set of objectives. Run drives alpha with the adaptive frontier
+// driver: a coarse grid of 5 first, then refinement waves of up to 4
+// points bisecting the alpha intervals spanning the largest hypervolume
+// gaps, until the point budget is spent. Every wave of a scenario runs as
+// one experiment-engine grid over the SAME pre-compiled workload and
 // environment (one compile per scenario x seed for the whole frontier, not
 // per wave), so refinement costs simulation time only.
 //
@@ -174,40 +174,33 @@ type Frontier struct {
 	budget      int
 	coarse      int
 	waveSize    int
-	fixed       bool
-	knobName    string
-	knobLo      float64
-	knobHi      float64
-	knobMk      func(t float64, seed uint64) Policy
-	knobRef     func(t float64) PolicyRef
 	baselines   []PolicySpec
 	runner      *Coordinator
 	errs        []error
 }
 
-// alphaKnobRef is the default knob's wire form: the proposed controller at
-// alpha t. The default local constructor resolves from it too.
-func alphaKnobRef(t float64) PolicyRef { return PolicyRef{Kind: PolicyKindProposed, Alpha: t} }
+// alphaKnob is one frontier point: the proposed controller at alpha t,
+// labeled "alpha=<t>" and resolved from its wire form, so it runs in
+// process and on dist workers alike. KnobDecimals(0, 1) is 4, which keeps
+// labels unique down to the driver's 1/2000 bisection spacing.
+func alphaKnob(t float64) PolicySpec {
+	return builtinPolicySpec(fmt.Sprintf("alpha=%.4f", t), PolicyRef{Kind: PolicyKindProposed, Alpha: t})
+}
 
 // FrontierOption configures a Frontier under construction.
 type FrontierOption func(*Frontier)
 
 // NewFrontier builds a frontier exploration from options. Without options
 // it sweeps the proposed controller's alpha over the paper's Table I world
-// against the cost and mean-response objectives with a 12-point budget.
+// against the cost and mean-response objectives with a 12-point budget. It
+// is the one place that sets the adaptive driver's coarse grid (5) and
+// wave size (4).
 func NewFrontier(opts ...FrontierOption) *Frontier {
 	f := &Frontier{
 		seeds:    1,
 		budget:   12,
 		coarse:   5,
 		waveSize: 4,
-		knobName: "alpha",
-		knobLo:   0,
-		knobHi:   1,
-		knobRef:  alphaKnobRef,
-		knobMk: func(t float64, seed uint64) Policy {
-			return builtinPolicySpec("", alphaKnobRef(t)).New(seed)
-		},
 	}
 	for _, o := range opts {
 		o(f)
@@ -272,70 +265,14 @@ func FrontierPointBudget(n int) FrontierOption {
 	}
 }
 
-// FrontierCoarseGrid sets the size of the adaptive driver's initial
-// uniform grid (default 5, minimum 2 — refinement needs an interval to
-// bisect).
-func FrontierCoarseGrid(n int) FrontierOption {
-	return func(f *Frontier) {
-		if n < 2 {
-			f.errs = append(f.errs, fmt.Errorf("geovmp: FrontierCoarseGrid(%d): need at least two points", n))
-			return
-		}
-		f.coarse = n
-	}
-}
-
-// FrontierWaveSize caps how many refinement points each adaptive wave
-// schedules (default 4); larger waves hand the engine more concurrent
-// cells, smaller waves re-target more often.
-func FrontierWaveSize(n int) FrontierOption {
-	return func(f *Frontier) {
-		if n < 1 {
-			f.errs = append(f.errs, fmt.Errorf("geovmp: FrontierWaveSize(%d): need at least one point per wave", n))
-			return
-		}
-		f.waveSize = n
-	}
-}
-
-// FrontierFixedGrid disables adaptive refinement: the whole point budget
-// is spent on one uniform knob grid in a single wave. This is the baseline
-// the adaptive driver is benchmarked against (BenchmarkFrontier), not the
-// recommended mode.
-func FrontierFixedGrid() FrontierOption {
-	return func(f *Frontier) { f.fixed = true }
-}
-
-// FrontierKnob replaces the default alpha knob: points are labeled
-// "name=<value>", t sweeps [lo, hi], and mk constructs the policy for one
-// knob value and cell seed.
-func FrontierKnob(name string, lo, hi float64, mk func(t float64, seed uint64) Policy) FrontierOption {
-	return func(f *Frontier) {
-		if mk == nil {
-			f.errs = append(f.errs, errors.New("geovmp: FrontierKnob: nil constructor"))
-			return
-		}
-		f.knobName, f.knobLo, f.knobHi, f.knobMk = name, lo, hi, mk
-		// A bare closure has no wire form; FrontierKnobRef can restore one.
-		f.knobRef = nil
-	}
-}
-
-// FrontierKnobRef gives the current knob a wire form for distributed runs:
-// ref maps a knob value to the PolicyRef a worker resolves into the same
-// policy knobMk would construct. The default alpha knob already has one.
-func FrontierKnobRef(ref func(t float64) PolicyRef) FrontierOption {
-	return func(f *Frontier) { f.knobRef = ref }
-}
-
 // FrontierRunner schedules every evaluation wave through a dist
 // coordinator instead of the in-process engine: wave cells are leased to
 // connected workers, which compile each scenario x seed column once on
 // their side (the distributed analogue of the frontier's local column
 // sharing). Requirements: every objective must carry OfRow (results arrive
-// as flattened rows), the knob must have a wire form (FrontierKnobRef or
-// the default alpha knob), and baselines must carry Refs. The resolved
-// frontier is byte-identical to the in-process run's.
+// as flattened rows) and baselines must carry Refs; the alpha points
+// always travel as PolicyRefs. The resolved frontier is byte-identical to
+// the in-process run's.
 func FrontierRunner(c *Coordinator) FrontierOption {
 	return func(f *Frontier) { f.runner = c }
 }
@@ -354,9 +291,6 @@ func FrontierBaselines(specs ...PolicySpec) FrontierOption {
 func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
 	if len(f.errs) > 0 {
 		return nil, errors.Join(f.errs...)
-	}
-	if !(f.knobHi > f.knobLo) {
-		return nil, fmt.Errorf("geovmp: frontier knob range [%v, %v] is empty", f.knobLo, f.knobHi)
 	}
 	scenarios := f.scenarios
 	if len(scenarios) == 0 {
@@ -398,9 +332,6 @@ func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
 		}
 		seen[o.Name] = true
 		names[i] = o.Name
-	}
-	if f.runner != nil && f.knobRef == nil {
-		return nil, fmt.Errorf("geovmp: frontier knob %q has no wire form — set FrontierKnobRef to run distributed", f.knobName)
 	}
 
 	fs := &FrontierSet{Objectives: names, Seeds: f.seeds}
@@ -465,7 +396,6 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 	}
 
 	var points []FrontierPoint
-	decimals := pareto.KnobDecimals(f.knobLo, f.knobHi)
 	firstWave := true
 	evalGrid := func(pols []PolicySpec) (*ResultSet, error) {
 		g := experiment.Grid{
@@ -509,16 +439,7 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 	eval := func(knobs []float64) ([][]float64, error) {
 		pols := make([]PolicySpec, 0, len(knobs)+len(f.baselines))
 		for _, t := range knobs {
-			t := t
-			ps := PolicySpec{
-				Name: knobLabel(f.knobName, decimals, t),
-				New:  func(seed uint64) Policy { return f.knobMk(t, seed) },
-			}
-			if f.knobRef != nil {
-				ref := f.knobRef(t)
-				ps.Ref = &ref
-			}
-			pols = append(pols, ps)
+			pols = append(pols, alphaKnob(t))
 		}
 		nKnobs := len(pols)
 		if firstWave {
@@ -554,33 +475,16 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 		return out, nil
 	}
 
-	cfg := pareto.AdaptiveConfig{
-		Lo: f.knobLo, Hi: f.knobHi,
+	res, err := pareto.Adaptive(pareto.AdaptiveConfig{
+		Lo: 0, Hi: 1,
 		Coarse:   f.coarse,
 		Budget:   f.budget,
 		WaveSize: f.waveSize,
+	}, eval)
+	if err != nil {
+		return nil, err
 	}
-	var waves int
-	if f.fixed {
-		if _, err := eval(pareto.UniformGrid(f.knobLo, f.knobHi, f.budget)); err != nil {
-			return nil, err
-		}
-		waves = 1
-	} else {
-		res, err := pareto.Adaptive(cfg, eval)
-		if err != nil {
-			return nil, err
-		}
-		waves = res.Waves
-	}
-	return pareto.Resolve(scenarioName, names, points, nil, waves)
-}
-
-// knobLabel names one knob point ("alpha=0.5000"); decimals comes from
-// pareto.KnobDecimals over the knob range, so labels stay unique down to
-// the driver's minimum bisection spacing.
-func knobLabel(name string, decimals int, t float64) string {
-	return fmt.Sprintf("%s=%.*f", name, decimals, t)
+	return pareto.Resolve(scenarioName, names, points, nil, res.Waves)
 }
 
 // ParetoSearch returns the metaheuristic search baseline: a seeded
@@ -591,8 +495,7 @@ func knobLabel(name string, decimals int, t float64) string {
 // grid. Construct a fresh instance per run.
 func ParetoSearch(seed uint64) *ParetoSearchPolicy { return policy.NewParetoSearch(seed) }
 
-// ParetoSearchPolicy is the concrete type behind ParetoSearch, exposing
-// its search knobs (Starts, Sweeps, Perturb).
+// ParetoSearchPolicy is the concrete type behind ParetoSearch.
 type ParetoSearchPolicy = policy.ParetoSearch
 
 // FrontierFigure renders one scenario frontier as a report table: every

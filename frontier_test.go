@@ -22,6 +22,14 @@ func frontierSpec(preset string, seed uint64) Spec {
 	return spec
 }
 
+// frontierCoarseGrid and frontierWaveSize shape the adaptive driver for
+// tests and benchmarks by setting the fields NewFrontier fixes at 5 and 4:
+// a smaller grid or wave, or a coarse grid of the whole budget — the
+// fixed-grid baseline, one uniform wave.
+func frontierCoarseGrid(n int) FrontierOption { return func(f *Frontier) { f.coarse = n } }
+
+func frontierWaveSize(n int) FrontierOption { return func(f *Frontier) { f.waveSize = n } }
+
 // paretoSearchBaseline wraps the metaheuristic as a frontier baseline.
 func paretoSearchBaseline() PolicySpec {
 	return NewPolicySpec("Pareto-search", func(seed uint64) Policy { return ParetoSearch(seed) })
@@ -57,8 +65,8 @@ func TestFrontierCompileSharing(t *testing.T) {
 		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
 		FrontierObjectives(CostObjective(), MeanRespObjective()),
 		FrontierPointBudget(9),
-		FrontierCoarseGrid(4),
-		FrontierWaveSize(2),
+		frontierCoarseGrid(3),
+		frontierWaveSize(2),
 		FrontierSeeds(2),
 	).Run(context.Background())
 	if err != nil {
@@ -87,7 +95,7 @@ func TestFrontierDeterministic(t *testing.T) {
 			FrontierScenarios(frontierSpec("geo5dc-dynamic", 11)),
 			FrontierObjectives(CostObjective(), MeanRespObjective()),
 			FrontierPointBudget(7),
-			FrontierCoarseGrid(3),
+			frontierCoarseGrid(3),
 			FrontierSeeds(2),
 			FrontierBaselines(paretoSearchBaseline()),
 			FrontierParallelism(parallelism),
@@ -118,7 +126,8 @@ func TestFrontierDeterministic(t *testing.T) {
 // and baselines stay off the grids: identical fixed points on both sides
 // would mask the drivers' difference. Wave size 2 keeps the driver
 // re-targeting instead of degenerating into a full bisection round (which
-// would reproduce the uniform grid exactly).
+// would reproduce the uniform grid exactly). The fixed grid is the driver
+// with a coarse grid of the whole budget.
 func TestAdaptiveBeatsFixedGrid(t *testing.T) {
 	const budget = 13
 	for _, preset := range []string{"paper-geo3dc", "geo5dc-dynamic"} {
@@ -136,8 +145,8 @@ func TestAdaptiveBeatsFixedGrid(t *testing.T) {
 				}
 				return fs.Scenarios[0]
 			}
-			adaptive := run(FrontierCoarseGrid(5), FrontierWaveSize(2))
-			fixed := run(FrontierFixedGrid())
+			adaptive := run(frontierWaveSize(2))
+			fixed := run(frontierCoarseGrid(budget))
 			if adaptive.Evals != budget || fixed.Evals != budget {
 				t.Fatalf("unequal budgets: adaptive %d, fixed %d", adaptive.Evals, fixed.Evals)
 			}
@@ -172,7 +181,7 @@ func TestGoldenFrontierSet(t *testing.T) {
 		FrontierScenarios(frontierSpec("paper-geo3dc", 7), frontierSpec("geo5dc-dynamic", 11)),
 		FrontierObjectives(CostObjective(), MeanRespObjective()),
 		FrontierPointBudget(7),
-		FrontierCoarseGrid(3),
+		frontierCoarseGrid(3),
 		FrontierSeeds(2),
 		FrontierBaselines(paretoSearchBaseline()),
 	).Run(context.Background())
@@ -240,22 +249,6 @@ func TestFrontierErrors(t *testing.T) {
 	).Run(context.Background()); err == nil {
 		t.Fatal("duplicate objective names must fail")
 	}
-	if _, err := NewFrontier(FrontierKnob("k", 0, 1, nil)).Run(context.Background()); err == nil {
-		t.Fatal("nil knob constructor must fail")
-	}
-	if _, err := NewFrontier(
-		FrontierKnob("k", 0.5, 0.5, func(t float64, seed uint64) Policy { return Proposed(t, seed) }),
-		FrontierFixedGrid(),
-	).Run(context.Background()); err == nil {
-		t.Fatal("empty knob range must fail on the fixed-grid path too")
-	}
-	if _, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
-		FrontierKnob("k", 0, math.NaN(), func(t float64, seed uint64) Policy { return Proposed(t, seed) }),
-		FrontierFixedGrid(),
-	).Run(context.Background()); err == nil {
-		t.Fatal("a NaN knob bound must fail on the fixed-grid path")
-	}
 	spec := frontierSpec("paper-geo3dc", 7)
 	if _, err := NewFrontier(FrontierScenarios(spec, spec)).Run(context.Background()); err == nil {
 		t.Fatal("duplicate scenario names must fail")
@@ -277,7 +270,7 @@ func TestFrontierInjectedWorkloadCompilesOnce(t *testing.T) {
 		FrontierScenarios(spec),
 		FrontierObjectives(CostObjective(), MeanRespObjective()),
 		FrontierPointBudget(3),
-		FrontierCoarseGrid(3),
+		frontierCoarseGrid(3),
 		FrontierSeeds(3),
 	).Run(context.Background())
 	if err != nil {
@@ -295,7 +288,7 @@ func TestFrontierRendering(t *testing.T) {
 		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
 		FrontierObjectives(CostObjective(), MeanRespObjective()),
 		FrontierPointBudget(5),
-		FrontierCoarseGrid(3),
+		frontierCoarseGrid(3),
 		FrontierBaselines(paretoSearchBaseline()),
 	).Run(context.Background())
 	if err != nil {
@@ -318,23 +311,24 @@ func TestFrontierRendering(t *testing.T) {
 	}
 }
 
-// TestKnobLabelPrecisionScalesWithRange pins label uniqueness for narrow
-// custom knob ranges: the decimals grow with the range's leading zeros so
-// two distinct bisection knobs can never share a name.
-func TestKnobLabelPrecisionScalesWithRange(t *testing.T) {
-	cases := []struct {
-		lo, hi float64
-		a, b   float64
-	}{
-		{0, 1, 0.0625, 0.125},
-		{0, 0.001, 0.0000625, 0.000125},
-		{0, 0.5, 0.000125, 0.00025},
+// TestAlphaLabelsUniqueAtBisectionSpacing pins the frontier's point names:
+// the driver bisects alpha down to a 1/2000 spacing, and every pair of
+// knobs that far apart keeps distinct labels, in the precision the report
+// table shares (KnobDecimals over [0, 1]).
+func TestAlphaLabelsUniqueAtBisectionSpacing(t *testing.T) {
+	const spacing = 1.0 / 2000
+	if d := pareto.KnobDecimals(0, 1); d != 4 {
+		t.Fatalf("KnobDecimals(0, 1) = %d; alpha labels print 4 decimals", d)
 	}
-	for _, c := range cases {
-		d := pareto.KnobDecimals(c.lo, c.hi)
-		la, lb := knobLabel("k", d, c.a), knobLabel("k", d, c.b)
-		if la == lb {
-			t.Fatalf("range [%v, %v]: knobs %v and %v share label %q", c.lo, c.hi, c.a, c.b, la)
+	for _, offset := range []float64{0, spacing / 3} {
+		seen := map[string]float64{}
+		for i := 0; float64(i)*spacing+offset <= 1; i++ {
+			a := float64(i)*spacing + offset
+			name := alphaKnob(a).Name
+			if prev, dup := seen[name]; dup {
+				t.Fatalf("alpha %v and %v share label %q", prev, a, name)
+			}
+			seen[name] = a
 		}
 	}
 }

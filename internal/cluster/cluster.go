@@ -48,7 +48,7 @@ type Config struct {
 	K        int           // number of clusters (DCs)
 	Caps     []float64     // per-cluster capacity caps, Joules (len K)
 	Init     []embed.Point // initial centroids (len K); zero value -> spread
-	MaxIters int           // default 20
+	MaxIters int           // iteration cap, stated by every caller (0 runs none)
 	// Stick in (0, 1] multiplies an item's distance to its Current
 	// cluster's centroid, making staying cheaper than moving — migration
 	// hysteresis. 0 or 1 disables the bias.
@@ -59,12 +59,6 @@ type Config struct {
 	// results are bit-identical at any worker count; the capacity-aware
 	// assignment itself stays serial — it is order-dependent by design.
 	Workers *par.Budget
-}
-
-func (c *Config) applyDefaults() {
-	if c.MaxIters == 0 {
-		c.MaxIters = 20
-	}
 }
 
 // converge ends the iteration once the centroids, summed over clusters,
@@ -88,7 +82,6 @@ func (r *Result) DistToCentroid(pos embed.Point, c int) float64 {
 // Run clusters items into cfg.K capacity-capped clusters. It panics if K
 // and the caps/init lengths disagree; callers own the configuration.
 func Run(items []Item, cfg Config) Result {
-	cfg.applyDefaults()
 	if cfg.K <= 0 {
 		panic("cluster: K must be positive")
 	}

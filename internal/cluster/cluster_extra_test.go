@@ -78,9 +78,9 @@ func TestNewItemsUnaffectedByStick(t *testing.T) {
 
 func TestIterationConvergesOnStableInput(t *testing.T) {
 	items := twoBlobs()
-	a := Run(items, Config{K: 2, Caps: []float64{100, 100}})
+	a := Run(items, Config{K: 2, Caps: []float64{100, 100}, MaxIters: kmeansIters})
 	// Feeding the converged centroids back must not change assignments.
-	b := Run(items, Config{K: 2, Caps: []float64{100, 100}, Init: a.Centroids})
+	b := Run(items, Config{K: 2, Caps: []float64{100, 100}, Init: a.Centroids, MaxIters: kmeansIters})
 	for id, c := range a.Assign {
 		if b.Assign[id] != c {
 			t.Fatalf("assignment of %d changed on re-run from converged centroids", id)

@@ -9,6 +9,10 @@ import (
 	"geovmp/internal/rng"
 )
 
+// kmeansIters is the iteration cap internal/core passes; tests that do
+// not probe the cap itself run at it.
+const kmeansIters = 12
+
 func twoBlobs() []Item {
 	var items []Item
 	id := 0
@@ -25,7 +29,7 @@ func twoBlobs() []Item {
 
 func TestSeparatesObviousBlobs(t *testing.T) {
 	items := twoBlobs()
-	res := Run(items, Config{K: 2, Caps: []float64{100, 100}})
+	res := Run(items, Config{K: 2, Caps: []float64{100, 100}, MaxIters: kmeansIters})
 	// All left-blob items must share a cluster, all right-blob items the other.
 	left := res.Assign[0]
 	for id := 0; id < 10; id++ {
@@ -47,7 +51,7 @@ func TestSeparatesObviousBlobs(t *testing.T) {
 func TestRespectsCapsWhenFeasible(t *testing.T) {
 	// 20 unit loads, caps 12+12: no cluster may exceed its cap.
 	items := twoBlobs()
-	res := Run(items, Config{K: 2, Caps: []float64{12, 12}})
+	res := Run(items, Config{K: 2, Caps: []float64{12, 12}, MaxIters: kmeansIters})
 	for c, l := range res.LoadPer {
 		if l > 12+1e-9 {
 			t.Fatalf("cluster %d load %v exceeds cap 12", c, l)
@@ -65,7 +69,7 @@ func TestCapForcesSplitOfOneBlob(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		items = append(items, Item{ID: i, Pos: embed.Point{X: float64(i) * 0.01}, Load: 1})
 	}
-	res := Run(items, Config{K: 2, Caps: []float64{6, 6}})
+	res := Run(items, Config{K: 2, Caps: []float64{6, 6}, MaxIters: kmeansIters})
 	if res.LoadPer[0] > 6+1e-9 || res.LoadPer[1] > 6+1e-9 {
 		t.Fatalf("caps violated: %v", res.LoadPer)
 	}
@@ -81,7 +85,7 @@ func TestOverflowGoesToLargestRemaining(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		items = append(items, Item{ID: i, Pos: embed.Point{}, Load: 1})
 	}
-	res := Run(items, Config{K: 2, Caps: []float64{6, 2}})
+	res := Run(items, Config{K: 2, Caps: []float64{6, 2}, MaxIters: kmeansIters})
 	if len(res.Assign) != 10 {
 		t.Fatalf("assigned %d of 10", len(res.Assign))
 	}
@@ -111,7 +115,7 @@ func TestInitialCentroidsRespected(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	items := twoBlobs()
 	run := func() Result {
-		return Run(items, Config{K: 2, Caps: []float64{12, 12}})
+		return Run(items, Config{K: 2, Caps: []float64{12, 12}, MaxIters: kmeansIters})
 	}
 	a, b := run(), run()
 	for id := range a.Assign {
@@ -122,7 +126,7 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	res := Run(nil, Config{K: 3, Caps: []float64{1, 1, 1}})
+	res := Run(nil, Config{K: 3, Caps: []float64{1, 1, 1}, MaxIters: kmeansIters})
 	if len(res.Assign) != 0 || len(res.Centroids) != 3 {
 		t.Fatal("empty input mishandled")
 	}
@@ -161,7 +165,7 @@ func TestAllItemsAssignedProperty(t *testing.T) {
 		for c := range caps {
 			caps[c] = src.Range(5, 60)
 		}
-		res := Run(items, Config{K: k, Caps: caps})
+		res := Run(items, Config{K: k, Caps: caps, MaxIters: kmeansIters})
 		if len(res.Assign) != n {
 			return false
 		}

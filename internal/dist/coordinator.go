@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -17,23 +16,29 @@ import (
 	"geovmp/internal/metrics"
 )
 
-// Config parameterizes a Coordinator. The zero value is usable: loopback
-// listener on an ephemeral port, 30 s leases, 5 attempts per cell.
+// The coordinator's lease and retry tuning.
+const (
+	// leaseTTL bounds how long a cell stays leased without a heartbeat
+	// before it is re-queued. Workers heartbeat every third of it, so a
+	// long cell keeps its lease for as long as its worker lives.
+	leaseTTL = 30 * time.Second
+	// maxAttempts caps how many times a cell is leased before the
+	// coordinator gives up and records the cell as failed.
+	maxAttempts = 5
+	// retryBase and retryMax shape the capped exponential backoff a
+	// re-queued cell waits before its next lease: retryBase<<(attempt-1),
+	// clamped to retryMax.
+	retryBase = 250 * time.Millisecond
+	retryMax  = 10 * time.Second
+)
+
+// Config parameterizes a Coordinator's deployment. The zero value is
+// usable: a loopback listener on an ephemeral port, no checkpoint. Leases
+// last 30 s and a cell gets 5 attempts.
 type Config struct {
 	// Addr is the listen address; empty means "127.0.0.1:0" (loopback,
 	// ephemeral port — read the bound address back with URL).
 	Addr string
-	// LeaseTTL bounds how long a cell stays leased without a heartbeat
-	// before it is re-queued. Default 30 s.
-	LeaseTTL time.Duration
-	// MaxAttempts caps how many times a cell is leased before the
-	// coordinator gives up and records the cell as failed. Default 5.
-	MaxAttempts int
-	// RetryBase and RetryMax shape the capped exponential backoff a
-	// re-queued cell waits before its next lease: base<<(attempt-1),
-	// clamped to max. Defaults 250 ms and 10 s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// CheckpointPath, when set, persists the sweep's completed cells after
 	// every accepted result (written atomically via rename) in the
 	// Set.CheckpointJSON format, so a killed coordinator resumes via
@@ -53,10 +58,12 @@ type Config struct {
 // idle workers between waves are parked with a wait hint. Close tells
 // workers to exit and releases the listener.
 type Coordinator struct {
-	cfg   Config
-	ln    net.Listener
-	srv   *http.Server
-	board *metrics.Board
+	cfg       Config
+	ttl       time.Duration // lease TTL: leaseTTL outside tests
+	retryBase time.Duration // backoff base: retryBase outside tests
+	ln        net.Listener
+	srv       *http.Server
+	board     *metrics.Board
 
 	leases      *metrics.Counter
 	expired     *metrics.Counter
@@ -111,20 +118,15 @@ type gridRun struct {
 // NewCoordinator binds the listener and starts serving the protocol. No
 // grid is active until RunGrid; early workers poll and receive wait hints.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	return newCoordinator(cfg, leaseTTL, retryBase)
+}
+
+// newCoordinator is NewCoordinator with the lease TTL and the backoff base
+// given, so a test can expire a lease in milliseconds. Both are fixed
+// before the listener serves: a later write would race the handlers.
+func newCoordinator(cfg Config, ttl, base time.Duration) (*Coordinator, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 250 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 10 * time.Second
 	}
 	board := cfg.Board
 	if board == nil {
@@ -136,6 +138,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:         cfg,
+		ttl:         ttl,
+		retryBase:   base,
 		ln:          ln,
 		board:       board,
 		leases:      board.Counter("dist_leases"),
@@ -306,7 +310,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, g experiment.Grid) (*experime
 
 	// The wait loop doubles as the expiry scanner, so leases die on
 	// schedule even when no worker request ever arrives again.
-	scan := c.cfg.LeaseTTL / 4
+	scan := c.ttl / 4
 	if scan > time.Second {
 		scan = time.Second
 	}
@@ -361,13 +365,13 @@ func (c *Coordinator) expireLocked(run *gridRun, now time.Time) {
 // requeueLocked returns a failed/expired item to the queue under backoff,
 // or fails its cell for good once attempts are exhausted. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(run *gridRun, it *item, why string) {
-	if it.attempts >= c.cfg.MaxAttempts {
+	if it.attempts >= maxAttempts {
 		c.failLocked(run, it, fmt.Errorf("dist: cell %d failed after %d attempts: %s", it.idx, it.attempts, why))
 		return
 	}
-	backoff := c.cfg.RetryBase << (it.attempts - 1)
-	if backoff > c.cfg.RetryMax || backoff <= 0 {
-		backoff = c.cfg.RetryMax
+	backoff := c.retryBase << (it.attempts - 1)
+	if backoff > retryMax || backoff <= 0 {
+		backoff = retryMax
 	}
 	it.notBefore = time.Now().Add(backoff)
 	run.queue = append(run.queue, it)
@@ -439,7 +443,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		token:    fmt.Sprintf("L%08x-%d", c.seq, it.idx),
 		it:       it,
 		worker:   req.Worker,
-		deadline: now.Add(c.cfg.LeaseTTL),
+		deadline: now.Add(c.ttl),
 		started:  now,
 	}
 	it.lease = l
@@ -448,14 +452,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.leasedGauge.Inc()
 	item := it.wire
 	item.Lease = l.token
-	item.LeaseMS = c.cfg.LeaseTTL.Milliseconds()
+	item.LeaseMS = c.ttl.Milliseconds()
 	httpx.WriteJSON(w, http.StatusOK, leaseResponse{Item: &item})
 }
 
 // pollWaitMS is the sleep hint for idle workers: a fraction of the lease
 // TTL, clamped to stay responsive in tests and gentle in production.
 func (c *Coordinator) pollWaitMS() int64 {
-	wait := c.cfg.LeaseTTL / 10
+	wait := c.ttl / 10
 	if wait < 25*time.Millisecond {
 		wait = 25 * time.Millisecond
 	}
@@ -483,7 +487,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusGone, errorResponse{Error: "lease unknown or expired"})
 		return
 	}
-	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
+	l.deadline = time.Now().Add(c.ttl)
 	httpx.WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
@@ -611,25 +615,14 @@ func (c *Coordinator) checkpoint(run *gridRun) {
 	c.checkpointLocked(run)
 }
 
-// checkpointLocked writes the checkpoint atomically: marshal under the
-// coordinator lock (cells mutate under it), write to a temp file, rename.
-// Callers hold c.mu.
+// checkpointLocked writes the checkpoint (atomically, see
+// Set.WriteCheckpoint) under the coordinator lock, since cells mutate
+// under it. Callers hold c.mu.
 func (c *Coordinator) checkpointLocked(run *gridRun) {
-	path := c.cfg.CheckpointPath
-	if path == "" {
+	if c.cfg.CheckpointPath == "" {
 		return
 	}
-	b, err := run.set.CheckpointJSON()
-	if err != nil {
-		c.logf("dist: checkpoint marshal: %v", err)
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		c.logf("dist: checkpoint write: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		c.logf("dist: checkpoint rename: %v", err)
+	if err := run.set.WriteCheckpoint(c.cfg.CheckpointPath); err != nil {
+		c.logf("dist: checkpoint: %v", err)
 	}
 }

@@ -149,11 +149,7 @@ func TestDistWorkerKilledMidCell(t *testing.T) {
 	g := testGrid(t)
 	want := inProcessJSON(t, g)
 
-	coord, err := NewCoordinator(Config{
-		LeaseTTL:  300 * time.Millisecond,
-		RetryBase: 20 * time.Millisecond,
-		Logf:      t.Logf,
-	})
+	coord, err := newCoordinator(Config{Logf: t.Logf}, 300*time.Millisecond, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,5 +460,69 @@ func TestDistCheckpointMatchesGoldenSchema(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimRight(ckBytes, "\n"), bytes.TrimRight(want, "\n")) {
 		t.Fatalf("completed checkpoint differs from the golden-format export")
+	}
+}
+
+// TestWorkerColumnCache drives the worker's column cache directly: a
+// repeated fingerprint is a hit on dist_worker_column_hits, a third
+// fingerprint evicts the least recently used at the default cap of 2, and
+// a failed compile (a fingerprint mismatch) is not cached, so the next
+// request compiles again.
+func TestWorkerColumnCache(t *testing.T) {
+	spec := testGrid(t).Scenarios[0]
+	spec.Horizon = timeutil.Hours(2)
+	item := func(seed uint64) *WorkItem {
+		fp, err := experiment.SpecFingerprint(spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &WorkItem{Spec: spec, Seed: seed, Fingerprint: fp}
+	}
+	a, b, c := item(1), item(2), item(3)
+	w := newWorker(WorkerConfig{Coordinator: "http://127.0.0.1:0", Parallelism: 1})
+	hits := w.cfg.Board.Counter("dist_worker_column_hits")
+	compiles := w.cfg.Board.Counter("dist_worker_compiles")
+	get := func(it *WorkItem) *experiment.Column {
+		t.Helper()
+		col, err := w.column(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	expect := func(step string, wantCompiles, wantHits int64) {
+		t.Helper()
+		if got := compiles.Value(); got != wantCompiles {
+			t.Fatalf("%s: %d compiles, want %d", step, got, wantCompiles)
+		}
+		if got := hits.Value(); got != wantHits {
+			t.Fatalf("%s: %d hits, want %d", step, got, wantHits)
+		}
+	}
+
+	colA := get(a)
+	get(b)
+	expect("a, b", 2, 0)
+	if get(a) != colA {
+		t.Fatal("a hit returned a different column")
+	}
+	expect("a again", 2, 1)
+	get(c) // evicts b, the least recently used
+	expect("c", 3, 1)
+	get(a)
+	expect("a after c", 3, 2)
+	get(b)
+	expect("b after eviction", 4, 2)
+
+	bad := item(4)
+	bad.Fingerprint = "not-the-spec"
+	for i := 1; i <= 2; i++ {
+		if _, err := w.column(bad); err == nil {
+			t.Fatal("a fingerprint mismatch compiled without error")
+		}
+		expect("failed compile", 4+int64(i), 2)
+	}
+	if len(w.columns) != 2 {
+		t.Fatalf("cache holds %d columns, want the cap of 2", len(w.columns))
 	}
 }

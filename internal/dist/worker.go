@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"geovmp/internal/experiment"
@@ -62,6 +61,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Coordinator == "" {
 		return fmt.Errorf("dist: worker needs a coordinator URL")
 	}
+	return newWorker(cfg).run(ctx)
+}
+
+// newWorker fills in cfg's defaults and builds the worker state.
+func newWorker(cfg WorkerConfig) *worker {
 	if cfg.Name == "" {
 		host, _ := os.Hostname()
 		cfg.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -81,7 +85,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	w := &worker{
+	return &worker{
 		cfg:      cfg,
 		cells:    cfg.Board.Counter("dist_worker_cells"),
 		errors:   cfg.Board.Counter("dist_worker_errors"),
@@ -91,7 +95,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cellTime: cfg.Board.Hist("dist_worker_cell_latency"),
 		columns:  make(map[string]*columnEntry),
 	}
-	return w.run(ctx)
 }
 
 type worker struct {
@@ -103,15 +106,14 @@ type worker struct {
 	hits     *metrics.Counter
 	cellTime *metrics.LatencyHist
 
-	mu      sync.Mutex
+	// columns is an LRU cache of compiled columns by fingerprint, at most
+	// CacheColumns entries; only the run loop's goroutine touches it.
 	columns map[string]*columnEntry
 	useSeq  int64
 }
 
 type columnEntry struct {
 	col     *experiment.Column
-	err     error
-	ready   chan struct{} // closed once col/err is set
 	lastUse int64
 }
 
@@ -202,7 +204,7 @@ func (w *worker) process(ctx context.Context, item *WorkItem) {
 	hbDone := make(chan struct{})
 	go w.heartbeat(cellCtx, cancel, item, hbDone)
 
-	col, err := w.column(cellCtx, item)
+	col, err := w.column(item)
 	var row *experiment.CellData
 	if err == nil {
 		ps := experiment.PolicySpec{Name: item.PolicyName, New: mk}
@@ -274,69 +276,37 @@ func lostLease(ctx context.Context) bool {
 }
 
 // column returns the compiled column for the item's spec x seed, compiling
-// it once and caching it across cells. Concurrent requests for the same
-// fingerprint wait for the single compile.
-func (w *worker) column(ctx context.Context, item *WorkItem) (*experiment.Column, error) {
-	w.mu.Lock()
+// it once and keeping it across cells in the LRU cache.
+func (w *worker) column(item *WorkItem) (*experiment.Column, error) {
 	w.useSeq++
 	if e, ok := w.columns[item.Fingerprint]; ok {
 		e.lastUse = w.useSeq
-		w.mu.Unlock()
-		<-e.ready
-		if e.err == nil {
-			w.hits.Inc()
-		}
-		return e.col, e.err
+		w.hits.Inc()
+		return e.col, nil
 	}
-	e := &columnEntry{ready: make(chan struct{}), lastUse: w.useSeq}
-	w.columns[item.Fingerprint] = e
-	// Evict the least recently used settled entries over the cap. The
-	// evicted column stays valid for any cell still holding it (columns
-	// are immutable); eviction only drops the cache's reference.
-	for len(w.columns) > w.cfg.CacheColumns {
-		var oldest string
-		var oldestUse int64
-		for fp, c := range w.columns {
-			if c == e {
-				continue
-			}
-			select {
-			case <-c.ready:
-			default:
-				continue // compile in flight, not evictable
-			}
-			if oldest == "" || c.lastUse < oldestUse {
-				oldest, oldestUse = fp, c.lastUse
-			}
-		}
-		if oldest == "" {
-			break
-		}
-		delete(w.columns, oldest)
-	}
-	w.mu.Unlock()
-
 	w.compiles.Inc()
 	col, err := experiment.CompileColumn(item.Spec, item.Seed, par.NewBudget(w.cfg.Parallelism-1))
 	if err == nil && col.Fingerprint() != item.Fingerprint {
 		err = fmt.Errorf("dist: compiled column fingerprint %q != item %q", col.Fingerprint(), item.Fingerprint)
-		col = nil
 	}
 	if err != nil {
-		err = fmt.Errorf("dist: compile column for cell %d: %w", item.Cell, err)
+		// Failures are not cached: a transient cause would otherwise
+		// poison every future cell of the column.
+		return nil, fmt.Errorf("dist: compile column for cell %d: %w", item.Cell, err)
 	}
-	e.col, e.err = col, err
-	close(e.ready)
-	if err != nil {
-		// Do not cache failures: a transient cause (cancellation) would
-		// otherwise poison every future cell of the column.
-		w.mu.Lock()
-		if w.columns[item.Fingerprint] == e {
-			delete(w.columns, item.Fingerprint)
+	if len(w.columns) >= w.cfg.CacheColumns {
+		// Evict the least recently used entry. An evicted column stays
+		// valid for any cell still holding it (columns are immutable).
+		var oldest string
+		for fp, e := range w.columns {
+			if oldest == "" || e.lastUse < w.columns[oldest].lastUse {
+				oldest = fp
+			}
 		}
-		w.mu.Unlock()
+		delete(w.columns, oldest)
 	}
-	return col, err
+	w.columns[item.Fingerprint] = &columnEntry{col: col, lastUse: w.useSeq}
+	return col, nil
 }
 
 // report posts the cell outcome, retrying transient failures briefly —

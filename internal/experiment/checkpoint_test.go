@@ -81,6 +81,57 @@ func TestResumeSkipsRecompute(t *testing.T) {
 	}
 }
 
+// TestWriteAtomic: Set.WriteJSON and Set.WriteCheckpoint leave no temp
+// file behind on success, and a write that fails (the temp path is taken
+// by a directory) leaves the previous file byte-identical.
+func TestWriteAtomic(t *testing.T) {
+	set, err := NewSet(ckTestGrid(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int, cost float64) *CellData {
+		c := &set.Cells[i]
+		return &CellData{Scenario: c.Scenario, Policy: c.Policy, Seed: c.Seed, CostEUR: cost}
+	}
+	dir := t.TempDir()
+	for _, w := range []struct {
+		name  string
+		write func(string) error
+		doc   func() ([]byte, error)
+	}{
+		{"WriteJSON", set.WriteJSON, set.JSON},
+		{"WriteCheckpoint", set.WriteCheckpoint, set.CheckpointJSON},
+	} {
+		set.Cells[0].Data, set.Cells[1].Data = row(0, 1), nil
+		path := filepath.Join(dir, w.name+".json")
+		if err := w.write(path); err != nil {
+			t.Fatal(err)
+		}
+		want, err := w.doc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s wrote %q (%v), want %q", w.name, got, err, want)
+		}
+		if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s left its temp file behind (%v)", w.name, err)
+		}
+
+		set.Cells[1].Data = row(1, 2)
+		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(path); err == nil {
+			t.Fatalf("%s succeeded with its temp path taken by a directory", w.name)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("failed %s changed the previous file to %q (%v)", w.name, got, err)
+		}
+	}
+}
+
 // TestResumePartialRecomputesOnlyMissing: rows absent from the checkpoint
 // are recomputed; present ones are preloaded verbatim.
 func TestResumePartialRecomputesOnlyMissing(t *testing.T) {

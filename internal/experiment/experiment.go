@@ -24,7 +24,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -407,13 +406,14 @@ func (c *Cell) Export() CellData {
 	return row
 }
 
-// WriteJSON stores the JSON export at path.
+// WriteJSON stores the JSON export at path through writeAtomic, so a kill
+// mid-write never leaves a truncated export for a resume to read.
 func (s *Set) WriteJSON(path string) error {
 	b, err := s.JSON()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return writeAtomic(path, b)
 }
 
 // NewSet validates the grid's axes and decomposes it into its cell

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Eval evaluates one wave of knob values and returns an objective vector
@@ -108,22 +107,8 @@ func Adaptive(cfg AdaptiveConfig, eval Eval) (*AdaptiveResult, error) {
 		if len(vals) != len(knobs) {
 			return fmt.Errorf("pareto: eval returned %d vectors for %d knobs", len(vals), len(knobs))
 		}
-		res.Knobs = append(res.Knobs, knobs...)
-		res.Values = append(res.Values, vals...)
+		res.merge(knobs, vals)
 		res.Waves++
-		// Keep ascending by knob: refinements interleave into the grid.
-		order := make([]int, len(res.Knobs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return res.Knobs[order[a]] < res.Knobs[order[b]] })
-		knobsSorted := make([]float64, len(order))
-		valsSorted := make([][]float64, len(order))
-		for i, j := range order {
-			knobsSorted[i] = res.Knobs[j]
-			valsSorted[i] = res.Values[j]
-		}
-		res.Knobs, res.Values = knobsSorted, valsSorted
 		return nil
 	}
 
@@ -149,6 +134,25 @@ func Adaptive(cfg AdaptiveConfig, eval Eval) (*AdaptiveResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// merge folds one evaluated wave into the ascending knob order, so
+// refinements interleave into the grid. Waves arrive ascending (the
+// uniform grid, nextWave's sorted midpoints), so the merge runs from the
+// back; an existing knob stays before an equal new one.
+func (r *AdaptiveResult) merge(knobs []float64, vals [][]float64) {
+	i, j := len(r.Knobs)-1, len(knobs)-1
+	r.Knobs = append(r.Knobs, knobs...)
+	r.Values = append(r.Values, vals...)
+	for k := len(r.Knobs) - 1; j >= 0; k-- {
+		if i >= 0 && r.Knobs[i] > knobs[j] {
+			r.Knobs[k], r.Values[k] = r.Knobs[i], r.Values[i]
+			i--
+		} else {
+			r.Knobs[k], r.Values[k] = knobs[j], vals[j]
+			j--
+		}
+	}
 }
 
 // nextWave picks up to want bisection midpoints from the current evaluated

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"geovmp/internal/rng"
@@ -480,5 +482,104 @@ func TestAdaptiveErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("misaligned eval result must error")
+	}
+}
+
+// sortedOracle is the driver's former wave merge, kept as the oracle for
+// merge: append the wave, then index-sort the whole set stably by knob
+// into fresh slices.
+func sortedOracle(r *AdaptiveResult, knobs []float64, vals [][]float64) {
+	r.Knobs = append(r.Knobs, knobs...)
+	r.Values = append(r.Values, vals...)
+	order := make([]int, len(r.Knobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return r.Knobs[order[a]] < r.Knobs[order[b]] })
+	knobsSorted := make([]float64, len(order))
+	valsSorted := make([][]float64, len(order))
+	for i, j := range order {
+		knobsSorted[i] = r.Knobs[j]
+		valsSorted[i] = r.Values[j]
+	}
+	r.Knobs, r.Values = knobsSorted, valsSorted
+}
+
+// TestAdaptiveMergeMatchesSortOracle replays the waves of random adaptive
+// runs — random configurations, random objective vectors — through merge
+// and the former index sort: after every wave both hold the same knob
+// order and the same value vectors (by identity) in the same order, and
+// the driver's result is the merged set.
+func TestAdaptiveMergeMatchesSortOracle(t *testing.T) {
+	src := rng.New(29)
+	for run := 0; run < 300; run++ {
+		lo := src.Range(-2, 2)
+		cfg := AdaptiveConfig{
+			Lo: lo, Hi: lo + src.Range(0.001, 3),
+			Coarse:   2 + src.Intn(6),
+			Budget:   1 + src.Intn(20),
+			WaveSize: 1 + src.Intn(5),
+		}
+		d := 2 + src.Intn(2)
+		var waves [][]float64
+		var waveVals [][][]float64
+		res, err := Adaptive(cfg, func(knobs []float64) ([][]float64, error) {
+			out := make([][]float64, len(knobs))
+			for i := range out {
+				out[i] = make([]float64, d)
+				for k := range out[i] {
+					out[i][k] = src.Float64()
+				}
+			}
+			waves = append(waves, append([]float64(nil), knobs...))
+			waveVals = append(waveVals, out)
+			return out, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, oracle := &AdaptiveResult{}, &AdaptiveResult{}
+		for w := range waves {
+			merged.merge(waves[w], waveVals[w])
+			sortedOracle(oracle, waves[w], waveVals[w])
+			if !slices.Equal(merged.Knobs, oracle.Knobs) {
+				t.Fatalf("run %d %+v wave %d: knobs %v, oracle %v", run, cfg, w, merged.Knobs, oracle.Knobs)
+			}
+			for i := range oracle.Values {
+				if &merged.Values[i][0] != &oracle.Values[i][0] {
+					t.Fatalf("run %d %+v wave %d: value %d out of order", run, cfg, w, i)
+				}
+			}
+		}
+		if !slices.Equal(res.Knobs, merged.Knobs) || res.Waves != len(waves) {
+			t.Fatalf("run %d %+v: driver result %v over %d waves, replay %v over %d", run, cfg, res.Knobs, res.Waves, merged.Knobs, len(waves))
+		}
+		for i := range res.Values {
+			if &res.Values[i][0] != &merged.Values[i][0] {
+				t.Fatalf("run %d %+v: driver value %d out of order", run, cfg, i)
+			}
+		}
+	}
+}
+
+// TestKnobLabelPrecisionScalesWithRange pins label uniqueness for narrow
+// knob ranges: the decimals grow with the range's leading zeros so two
+// distinct bisection knobs rendered at KnobDecimals (as the report table
+// renders them) can never share a name.
+func TestKnobLabelPrecisionScalesWithRange(t *testing.T) {
+	cases := []struct {
+		lo, hi float64
+		a, b   float64
+	}{
+		{0, 1, 0.0625, 0.125},
+		{0, 0.001, 0.0000625, 0.000125},
+		{0, 0.5, 0.000125, 0.00025},
+	}
+	for _, c := range cases {
+		d := KnobDecimals(c.lo, c.hi)
+		la, lb := fmt.Sprintf("k=%.*f", d, c.a), fmt.Sprintf("k=%.*f", d, c.b)
+		if la == lb {
+			t.Fatalf("range [%v, %v]: knobs %v and %v share label %q", c.lo, c.hi, c.a, c.b, la)
+		}
 	}
 }

@@ -22,10 +22,10 @@ type EnerAware struct{}
 // Name implements Policy.
 func (EnerAware) Name() string { return "Ener-aware" }
 
-// FillFactor caps how much of a DC's CPU the FFD admission will commit
+// enerFillFactor caps how much of a DC's CPU the FFD admission will commit
 // (peak-based sizing); the paper's single-DC algorithm packs "into the
 // first DC in which its load capacity fits".
-const enerFillFactor = 0.9
+const enerFillFactor float64 = 0.9
 
 // Place implements Policy: first-fit-decreasing of new VMs over the DCs in
 // fixed order, admission by stationary peak-CPU headroom; existing VMs stay

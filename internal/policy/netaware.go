@@ -23,29 +23,21 @@ import (
 // stability bonus for its current DC (moving has a real network price).
 // Prices, renewables and batteries are invisible to it — the reason it
 // trails on operational cost in Fig. 1.
-type NetAware struct {
-	// BalanceWeight scales the load-imbalance penalty relative to the
-	// normalized traffic affinity (default 1.5).
-	BalanceWeight float64
-	// StayBonus is the score bonus for remaining at the current DC
-	// (default 0.1).
-	StayBonus float64
-}
+type NetAware struct{}
+
+const (
+	// netBalanceWeight scales the load-imbalance penalty relative to the
+	// normalized traffic affinity.
+	netBalanceWeight float64 = 1.5
+	// netStayBonus is the score bonus for remaining at the current DC.
+	netStayBonus float64 = 0.1
+)
 
 // Name implements Policy.
 func (NetAware) Name() string { return "Net-aware" }
 
 // Place implements Policy.
-func (n NetAware) Place(in *Input) Placement {
-	bw := n.BalanceWeight
-	if bw == 0 {
-		bw = 1.5
-	}
-	stay := n.StayBonus
-	if stay == 0 {
-		stay = 0.1
-	}
-
+func (NetAware) Place(in *Input) Placement {
 	// Undirected adjacency and per-VM total traffic from the last slot's
 	// volume matrix.
 	type edge struct {
@@ -102,9 +94,9 @@ func (n NetAware) Place(in *Input) Placement {
 			if c := in.DCs.TotalCPUCapacity(); c > 0 {
 				meanU = totalLoad / c
 			}
-			score -= bw * (load[d]/capD - meanU)
+			score -= netBalanceWeight * (load[d]/capD - meanU)
 			if hasCur && d == cur {
-				score += stay
+				score += netStayBonus
 			}
 			if best < 0 || score > bestScore {
 				best = d

@@ -35,25 +35,26 @@ import (
 // policy). The search is deterministic in the construction seed: every
 // random draw comes from a stream derived from (seed, slot).
 type ParetoSearch struct {
-	// Starts is the number of perturbed hill-climbs per slot (default 4).
-	// Each start optimizes a different weighting of the three surrogates,
-	// so the archive spans the slot's trade-off front.
-	Starts int
-	// Sweeps is the number of improvement passes over the fleet per start
-	// (default 2).
-	Sweeps int
-	// Perturb is the fraction of VMs each start reassigns at random before
-	// climbing (default 0.1); start 0 always climbs the unperturbed
-	// incumbent.
-	Perturb float64
-
 	seed uint64
 }
+
+const (
+	// searchStarts is the number of perturbed hill-climbs per slot. Each
+	// start optimizes a different weighting of the three surrogates, so
+	// the archive spans the slot's trade-off front.
+	searchStarts = 4
+	// searchSweeps is the number of improvement passes over the fleet per
+	// start.
+	searchSweeps = 2
+	// searchPerturb is the fraction of VMs each start reassigns at random
+	// before climbing; start 0 always climbs the unperturbed incumbent.
+	searchPerturb float64 = 0.1
+)
 
 // NewParetoSearch returns the metaheuristic baseline. Construct a fresh
 // instance per run, like every policy.
 func NewParetoSearch(seed uint64) *ParetoSearch {
-	return &ParetoSearch{Starts: 4, Sweeps: 2, Perturb: 0.1, seed: seed}
+	return &ParetoSearch{seed: seed}
 }
 
 // Name implements Policy.
@@ -264,21 +265,13 @@ func (s *searchState) apply(i, to int) {
 	s.assign[i] = to
 }
 
-// startWeights assigns each start one of four base weightings — balanced
-// plus one leaning per objective — cycling when Starts exceeds four, so
-// extra starts differ only in their perturbation draw.
-func startWeights(starts int) [][3]float64 {
-	base := [][3]float64{
-		{1, 1, 1},
-		{4, 1, 1}, // cost-leaning
-		{1, 4, 1}, // traffic-leaning
-		{1, 1, 4}, // migration-averse
-	}
-	out := make([][3]float64, starts)
-	for k := range out {
-		out[k] = base[k%len(base)]
-	}
-	return out
+// startWeights gives each start its objective weighting: balanced plus
+// one leaning per objective.
+var startWeights = [searchStarts][3]float64{
+	{1, 1, 1},
+	{4, 1, 1}, // cost-leaning
+	{1, 4, 1}, // traffic-leaning
+	{1, 1, 4}, // migration-averse
 }
 
 // Place implements Policy: the multi-start archive search.
@@ -287,19 +280,6 @@ func (p *ParetoSearch) Place(in *Input) Placement {
 	if len(in.ActiveVMs) == 0 || nDC == 0 {
 		return Placement{DCOf: map[int]int{}}
 	}
-	starts := p.Starts
-	if starts < 1 {
-		starts = 4
-	}
-	sweeps := p.Sweeps
-	if sweeps < 1 {
-		sweeps = 2
-	}
-	perturb := p.Perturb
-	if perturb < 0 || perturb >= 1 {
-		perturb = 0.1
-	}
-
 	s := newSearchState(in)
 
 	// Incumbent: existing VMs stay put; arrivals go to the DC with the most
@@ -350,31 +330,25 @@ func (p *ParetoSearch) Place(in *Input) Placement {
 
 	// Multi-start climbs. Every draw derives from (seed, slot, start), so
 	// the search is a pure function of its inputs — no cross-slot state.
-	weights := startWeights(starts)
 	var archive []pareto.Point
 	var archiveAssign [][]int
-	candidate := make([]int, len(incumbent))
-	for k := 0; k < starts; k++ {
+	for k, w := range startWeights {
 		src := rng.New(rng.Hash(p.seed, uint64(in.Slot), uint64(k), 0x9a7e70)) // stream per (seed, slot, start)
-		copy(candidate, incumbent)
-		if k > 0 && perturb > 0 {
+		s.setAssign(incumbent)
+		if k > 0 {
 			// Capacity-checked kicks: a perturbation may only land where the
 			// VM still fits, so starts never *introduce* over-capacity DCs
 			// (an already-overloaded incumbent is the climb's to unwind).
-			s.setAssign(candidate)
-			kicks := int(perturb * float64(len(candidate)))
+			kicks := int(searchPerturb * float64(len(incumbent)))
 			for j := 0; j < kicks; j++ {
-				i, to := src.Intn(len(candidate)), src.Intn(nDC)
+				i, to := src.Intn(len(incumbent)), src.Intn(nDC)
 				if to != s.assign[i] && s.cpu[to]+s.demand[i] <= s.capCPU[to] {
 					s.apply(i, to)
 				}
 			}
-		} else {
-			s.setAssign(candidate)
 		}
 
-		w := weights[k]
-		for sweep := 0; sweep < sweeps; sweep++ {
+		for sweep := 0; sweep < searchSweeps; sweep++ {
 			improved := false
 			for _, i := range src.Perm(len(s.ids)) {
 				from := s.assign[i]

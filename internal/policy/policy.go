@@ -25,7 +25,6 @@ import (
 	"geovmp/internal/migrate"
 	"geovmp/internal/network"
 	"geovmp/internal/par"
-	"geovmp/internal/power"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/units"
 )
@@ -196,7 +195,3 @@ func corrAwareAllocate(d *dc.DC, ids []int, ps *correlation.ProfileSet) alloc.Re
 func plainAllocate(d *dc.DC, ids []int, ps *correlation.ProfileSet) alloc.Result {
 	return alloc.PlainFFD(ids, ps, d.Model, d.Servers)
 }
-
-// serverModelCapacity is a tiny indirection point so tests can reason about
-// capacity in one place.
-func serverModelCapacity(m *power.ServerModel) float64 { return m.MaxCapacity() }

@@ -85,16 +85,16 @@ func TestNetAwareHandlesMissingVolumeMatrix(t *testing.T) {
 
 func TestPriAwareFillFactorConfigurable(t *testing.T) {
 	in := buildInput(t, inputOpts{nVMs: 8, peak: func(int) float64 { return 8 }})
-	// Fill factor 0.25: cheapest DC (4 servers x 8 x 0.25 = 8 cores) takes
-	// exactly one 8-core VM.
-	p := PriAware{FillFactor: 0.25}.Place(in)
+	// The shipped fill factor 0.9: the cheapest DC (4 servers x 8 cores x
+	// 0.9 = 28.8 cores) takes exactly three 8-core VMs.
+	p := PriAware{}.Place(in)
 	count := 0
 	for _, d := range p.DCOf {
 		if d == 2 {
 			count++
 		}
 	}
-	if count != 1 {
-		t.Fatalf("cheapest DC holds %d, want 1 under fill 0.25", count)
+	if count != 3 {
+		t.Fatalf("cheapest DC holds %d, want 3 under fill %v", count, priFillFactor)
 	}
 }

@@ -19,21 +19,17 @@ import (
 // throttled by the migration latency budget — when the peak/off-peak
 // windows rotate, the policy pays a migration storm, and its disregard for
 // renewables and batteries is what the proposed method beats on cost.
-type PriAware struct {
-	// FillFactor caps the fraction of a DC's CPU the packer will commit
-	// before spilling to the next cheapest DC (default 0.9).
-	FillFactor float64
-}
+type PriAware struct{}
+
+// priFillFactor caps the fraction of a DC's CPU the packer will commit
+// before spilling to the next cheapest DC.
+const priFillFactor float64 = 0.9
 
 // Name implements Policy.
 func (PriAware) Name() string { return "Pri-aware" }
 
 // Place implements Policy.
-func (p PriAware) Place(in *Input) Placement {
-	fill := p.FillFactor
-	if fill <= 0 || fill > 1 {
-		fill = 0.9
-	}
+func (PriAware) Place(in *Input) Placement {
 	// DCs by ascending current price; ties by index for determinism.
 	dcOrder := make([]int, len(in.DCs))
 	for i := range dcOrder {
@@ -54,7 +50,7 @@ func (p PriAware) Place(in *Input) Placement {
 		d := peakDemand(in, id)
 		target := -1
 		for _, i := range dcOrder {
-			if used[i]+d <= fill*in.DCs[i].CPUCapacity() {
+			if used[i]+d <= priFillFactor*in.DCs[i].CPUCapacity() {
 				target = i
 				break
 			}
