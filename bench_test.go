@@ -632,8 +632,8 @@ func benchFrontierOpts(extra ...FrontierOption) []FrontierOption {
 // BenchmarkFrontier measures frontier resolution at equal point budget:
 // sub-benchmark "grid" spends the whole budget on one uniform alpha grid
 // (the driver's coarse grid of the whole budget), "adaptive" runs the
-// coarse-then-bisect driver (several waves over the
-// same compiled scenario columns). Reported per variant: evaluated points
+// coarse-then-bisect driver (several waves over the same compiled
+// scenario columns). Reported per variant: evaluated points
 // per second and the run's hypervolume; the adaptive variant additionally
 // reports both hypervolumes under a shared reference point — the apples-
 // to-apples frontier-quality comparison — and how many compiles the
