@@ -83,7 +83,7 @@ func (a ablation) run(ctx context.Context) error {
 // ablations is the ablation table, A1-A7 in -exp all order, built from the
 // parsed flags.
 func ablations() []ablation {
-	base := []geovmp.Spec{baseSpec("paper-geo3dc")}
+	base := []geovmp.Spec{flagged(geovmp.Spec{Name: "paper-geo3dc"})}
 	qualityCols := []column{colCost, colEnergy, colWorstResp, colMeanResp, colCrossDC}
 
 	// A1: the Eq. 5 energy-performance weight, on the policy axis.
@@ -106,7 +106,7 @@ func ablations() []ablation {
 	}
 	for _, q := range []float64{0.90, 0.95, 0.98, 0.995, 0.999} {
 		qos.labels = append(qos.labels, fmt.Sprintf("%.3f", q))
-		qos.specs = append(qos.specs, baseSpec(fmt.Sprintf("qos=%.3f", q), geovmp.WithQoS(q)))
+		qos.specs = append(qos.specs, flagged(geovmp.Spec{Name: fmt.Sprintf("qos=%.3f", q), QoS: q}))
 	}
 
 	// A4: battery bank sizing.
@@ -119,7 +119,7 @@ func ablations() []ablation {
 			col("PV lost (kWh)", "%.1f", func(r *geovmp.CellRow) any { return r.RenewableLostKWh })},
 	}
 	for i, b := range []float64{geovmp.BatteryZero, 0.5, 1, 2} {
-		battery.specs = append(battery.specs, baseSpec("battery-x"+battery.labels[i], geovmp.WithBatteryScale(b)))
+		battery.specs = append(battery.specs, flagged(geovmp.Spec{Name: "battery-x" + battery.labels[i], BatteryScale: b}))
 	}
 
 	// A5: renewable forecaster quality.
@@ -131,7 +131,7 @@ func ablations() []ablation {
 		cols:   []column{colCost, colGrid, colPVUsed},
 	}
 	for i, k := range []geovmp.ForecastKind{geovmp.ForecastOracle, geovmp.ForecastWCMA, geovmp.ForecastEWMA, geovmp.ForecastLastValue} {
-		forecast.specs = append(forecast.specs, baseSpec("forecast-"+forecast.labels[i], geovmp.WithForecast(k)))
+		forecast.specs = append(forecast.specs, flagged(geovmp.Spec{Name: "forecast-" + forecast.labels[i], Forecast: k}))
 	}
 
 	// A6: the geo5dc-dynamic workload (shifting class mix, waving

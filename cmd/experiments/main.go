@@ -164,16 +164,17 @@ func applyFlags(s *geovmp.Spec) {
 	s.MaxFineTableBytes = *fineBudget
 }
 
-func baseSpec(name string, extra ...geovmp.ScenarioOption) geovmp.Spec {
-	return geovmp.NewSpec(name, append([]geovmp.ScenarioOption{applyFlags}, extra...)...)
+// flagged returns spec with the scenario flags applied.
+func flagged(spec geovmp.Spec) geovmp.Spec {
+	applyFlags(&spec)
+	return spec
 }
 
 // presetSpec is the named preset under the scenario flags, renamed.
 func presetSpec(preset, name string) geovmp.Spec {
 	spec := geovmp.MustPreset(preset)
 	spec.Name = name
-	applyFlags(&spec)
-	return spec
+	return flagged(spec)
 }
 
 // sweep runs one experiment grid, bailing out on cancellation. With
@@ -317,7 +318,7 @@ func main() {
 // and emits the requested figures.
 func runFigures(ctx context.Context, all bool) error {
 	fmt.Printf("running 4 policies x %d seed(s), scale %.3g, %d days ...\n", *seeds, *scale, *days)
-	spec := baseSpec("paper-geo3dc")
+	spec := flagged(geovmp.Spec{Name: "paper-geo3dc"})
 	set, err := sweep(ctx,
 		geovmp.WithScenarios(spec),
 		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)...),
@@ -398,7 +399,7 @@ func runFrontier(ctx context.Context) error {
 		return err
 	}
 	opts := []geovmp.FrontierOption{
-		geovmp.FrontierScenarios(baseSpec("paper-geo3dc")),
+		geovmp.FrontierScenarios(flagged(geovmp.Spec{Name: "paper-geo3dc"})),
 		geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
 		geovmp.FrontierPointBudget(13),
 		geovmp.FrontierSeeds(*seeds),

@@ -48,7 +48,7 @@ func TestScenarioFlagsReachEverySpec(t *testing.T) {
 			t.Errorf("%s: finebudget = %d", where, s.MaxFineTableBytes)
 		}
 	}
-	check("figures/frontier base", baseSpec("paper-geo3dc"))
+	check("figures/frontier base", flagged(geovmp.Spec{Name: "paper-geo3dc"}))
 	for _, a := range ablations() {
 		if len(a.specs) == 0 {
 			t.Errorf("%s: no specs", a.exp)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	geovmp-worker -connect http://coordinator:8341
-//	              [-name worker-a] [-par 0] [-cache-columns 2] [-q]
+//	              [-name worker-a] [-par 0] [-q]
 //
 // The worker evaluates one cell at a time, funding each cell's intra-cell
 // sharded passes with -par goroutines (0 = GOMAXPROCS); grid-level
@@ -35,7 +35,6 @@ var (
 	connect  = flag.String("connect", "", "coordinator base URL (required), e.g. http://127.0.0.1:8341")
 	name     = flag.String("name", "", "worker name in coordinator logs (default host-pid)")
 	par      = flag.Int("par", 0, "intra-cell parallelism budget (0 = GOMAXPROCS)")
-	cacheCol = flag.Int("cache-columns", 0, "compiled scenario columns kept hot across cells (0 = default 2)")
 	poll     = flag.Duration("poll", 0, "idle re-poll fallback interval (0 = default 200ms)")
 	idleExit = flag.Duration("idle-exit", 0, "exit cleanly once the coordinator has been unreachable this long (0 = poll forever, surviving coordinator restarts)")
 	quiet    = flag.Bool("q", false, "suppress per-event log lines")
@@ -57,13 +56,12 @@ func main() {
 	}
 	start := time.Now()
 	err := geovmp.RunDistWorker(ctx, geovmp.DistWorkerConfig{
-		Coordinator:  *connect,
-		Name:         *name,
-		Parallelism:  *par,
-		CacheColumns: *cacheCol,
-		Poll:         *poll,
-		IdleExit:     *idleExit,
-		Logf:         logf,
+		Coordinator: *connect,
+		Name:        *name,
+		Parallelism: *par,
+		Poll:        *poll,
+		IdleExit:    *idleExit,
+		Logf:        logf,
 	})
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "geovmp-worker:", err)

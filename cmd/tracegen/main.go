@@ -9,7 +9,7 @@
 // to a replay directory (vms.csv / profiles.csv / volumes.csv) that
 // geovmp.LoadWorkload and the -tracedir experiment flag consume, and
 // -templates fits k usage templates and writes them as JSON for
-// geovmp.WithUsageTemplates.
+// geovmp.Spec.Templates.
 //
 // Usage:
 //

@@ -17,8 +17,8 @@ import (
 func main() {
 	// The five-site dynamic preset, shrunk to laptop size: the synthetic
 	// class mix walks from interactive- to batch-heavy across four epochs
-	// and arrivals wave with the afternoon peak. WithEpochs(4) makes the
-	// engine re-optimize the placement at each regime boundary
+	// and arrivals wave with the afternoon peak. The preset's four epochs
+	// make the engine re-optimize the placement at each regime boundary
 	// (warm-started from the carried embedding); the migration budget caps
 	// executed moves per epoch and prices each move's transfer energy and
 	// downtime into the results.

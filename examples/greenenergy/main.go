@@ -17,15 +17,15 @@ import (
 )
 
 func main() {
-	common := []geovmp.ScenarioOption{
-		geovmp.WithScale(0.04),
-		geovmp.WithSeed(3),
-		geovmp.WithHorizon(geovmp.Days(3)),
-		geovmp.WithFineStep(60),
+	withBattery := geovmp.Spec{
+		Name:        "with-battery",
+		Scale:       0.04,
+		Seed:        3,
+		Horizon:     geovmp.Days(3),
+		FineStepSec: 60,
 	}
-	withBattery := geovmp.NewSpec("with-battery", common...)
-	noBattery := geovmp.NewSpec("no-battery",
-		append(common, geovmp.WithBatteryScale(geovmp.BatteryZero))...)
+	noBattery := withBattery
+	noBattery.Name, noBattery.BatteryScale = "no-battery", geovmp.BatteryZero
 
 	set, err := geovmp.NewExperiment(
 		geovmp.WithScenarios(withBattery, noBattery),

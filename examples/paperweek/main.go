@@ -22,12 +22,13 @@ func main() {
 	fineStep := flag.Float64("finestep", 60, "green controller step (paper: 5s)")
 	flag.Parse()
 
-	spec := geovmp.NewSpec("paper-week",
-		geovmp.WithScale(*scale),
-		geovmp.WithSeed(*seed),
-		geovmp.WithHorizon(geovmp.Week()),
-		geovmp.WithFineStep(*fineStep),
-	)
+	spec := geovmp.Spec{
+		Name:        "paper-week",
+		Scale:       *scale,
+		Seed:        *seed,
+		Horizon:     geovmp.Week(),
+		FineStepSec: *fineStep,
+	}
 
 	fmt.Printf("simulating one week, 4 policies in parallel, scale %.3g ...\n", *scale)
 	start := time.Now()

@@ -17,12 +17,13 @@ func main() {
 	// A 3% replica of the paper's Table I fleet (45/30/15 servers in
 	// Lisbon, Zurich and Helsinki) over one simulated day. Everything is
 	// deterministic in the seed.
-	spec := geovmp.NewSpec("quickstart",
-		geovmp.WithScale(0.03),
-		geovmp.WithSeed(7),
-		geovmp.WithHorizon(geovmp.Days(1)),
-		geovmp.WithFineStep(60),
-	)
+	spec := geovmp.Spec{
+		Name:        "quickstart",
+		Scale:       0.03,
+		Seed:        7,
+		Horizon:     geovmp.Days(1),
+		FineStepSec: 60,
+	}
 
 	// The engine evaluates each policy on an identical fresh replica of
 	// the scenario — same VM traces, same network error draws, same

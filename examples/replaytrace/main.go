@@ -1,7 +1,7 @@
 // Replaytrace shows the trace-replay workflow: export a workload to the CSV
 // replay format, load it back (exactly how real data-center traces would be
 // fed in), run the proposed controller on it through the experiment engine
-// via the WithWorkload scenario option, and render the final embedding
+// by setting the scenario's Workload field, and render the final embedding
 // plane — one dot per VM, colored by the data center it ended up in — as an
 // SVG.
 //
@@ -18,13 +18,13 @@ import (
 )
 
 func main() {
-	common := []geovmp.ScenarioOption{
-		geovmp.WithScale(0.03),
-		geovmp.WithSeed(21),
-		geovmp.WithHorizon(geovmp.Days(1)),
-		geovmp.WithFineStep(300),
+	spec := geovmp.Spec{
+		Name:        "synthetic",
+		Scale:       0.03,
+		Seed:        21,
+		Horizon:     geovmp.Days(1),
+		FineStepSec: 300,
 	}
-	spec := geovmp.NewSpec("synthetic", common...)
 
 	// 1. Export the synthetic workload in the replay CSV format. Real
 	// production traces go into the same three files: vms.csv,
@@ -48,8 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replaySpec := geovmp.NewSpec("replayed",
-		append(common, geovmp.WithWorkload(replayed))...)
+	replaySpec := spec
+	replaySpec.Name, replaySpec.Workload = "replayed", replayed
 
 	// 3. Run the proposed controller on the replayed trace, keeping a
 	// handle on the instance the engine builds so we can render its

@@ -21,12 +21,13 @@ import (
 )
 
 func main() {
-	spec := geovmp.NewSpec("tradeoff",
-		geovmp.WithScale(0.04),
-		geovmp.WithSeed(11),
-		geovmp.WithHorizon(geovmp.Days(2)),
-		geovmp.WithFineStep(60),
-	)
+	spec := geovmp.Spec{
+		Name:        "tradeoff",
+		Scale:       0.04,
+		Seed:        11,
+		Horizon:     geovmp.Days(2),
+		FineStepSec: 60,
+	}
 
 	fs, err := geovmp.NewFrontier(
 		geovmp.FrontierScenarios(spec),

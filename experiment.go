@@ -24,9 +24,9 @@ import (
 //
 //	set, err := geovmp.NewExperiment(
 //	    geovmp.WithScenarios(
-//	        geovmp.NewSpec("paper", geovmp.WithScale(0.05)),
-//	        geovmp.NewSpec("no-battery", geovmp.WithScale(0.05),
-//	            geovmp.WithBatteryScale(geovmp.BatteryZero)),
+//	        geovmp.Spec{Name: "paper", Scale: 0.05},
+//	        geovmp.Spec{Name: "no-battery", Scale: 0.05,
+//	            BatteryScale: geovmp.BatteryZero},
 //	    ),
 //	    geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
 //	    geovmp.WithSeeds(5),
@@ -69,8 +69,8 @@ func NewExperiment(opts ...ExperimentOption) *Experiment {
 }
 
 // WithScenarios sets the scenario axis. Each Spec carries its own name and
-// base seed; build variants with NewSpec plus ScenarioOptions, or start
-// from Preset.
+// base seed; write variants as Spec literals, or start from Preset and set
+// fields.
 func WithScenarios(specs ...Spec) ExperimentOption {
 	return func(e *Experiment) {
 		e.grid.Scenarios = append(e.grid.Scenarios, specs...)
@@ -194,21 +194,6 @@ func StandardPolicies(alpha float64) []PolicySpec {
 	}
 }
 
-// ScenarioOption customizes a Spec during NewSpec construction: fleet scale
-// and sites, topology, workload mix, horizon, forecaster, QoS, warmup and
-// profile-sampling knobs. Each option sets one Spec field.
-type ScenarioOption func(*Spec)
-
-// NewSpec builds a named scenario spec from options; the empty option set
-// is the paper's Table I world.
-func NewSpec(name string, opts ...ScenarioOption) Spec {
-	s := Spec{Name: name}
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
-}
-
 // Preset returns a registered named scenario spec: "paper-geo3dc" (the
 // Table I world), "paper-geo3dc-nobattery" (batteries removed), "geo5dc"
 // (five European sites on a great-circle mesh).
@@ -227,13 +212,13 @@ func MustPreset(name string) Spec {
 // PresetNames lists the registered scenario presets.
 func PresetNames() []string { return config.PresetNames() }
 
-// Site describes one data center of a custom fleet (see WithSites).
+// Site describes one data center of a custom fleet (see Spec.Sites).
 type Site = config.Site
 
 // TableISites returns the paper's fleet as a customizable site list.
 func TableISites() []Site { return config.TableISites() }
 
-// Topology is the inter-DC network graph (see WithTopology).
+// Topology is the inter-DC network graph (see Spec.Topo).
 type Topology = network.Topology
 
 // PaperTopology returns the paper's three-site 100 Gb/s full-mesh backbone.
@@ -243,93 +228,8 @@ func PaperTopology() *Topology { return network.PaperTopology() }
 // paper's link speeds.
 func MeshTopology(sites []Site) *Topology { return config.MeshTopology(sites) }
 
-// BatteryZero is the battery-free ablation value for WithBatteryScale.
+// BatteryZero is the battery-free ablation value for Spec.BatteryScale.
 const BatteryZero = config.BatteryZero
-
-// WithScale multiplies fleet sizes and energy sources (1.0 = Table I).
-func WithScale(scale float64) ScenarioOption { return func(s *Spec) { s.Scale = scale } }
-
-// WithSeed sets the scenario's base randomness seed.
-func WithSeed(seed uint64) ScenarioOption { return func(s *Spec) { s.Seed = seed } }
-
-// WithHorizon sets the experiment duration (Week, Days, HoursOf).
-func WithHorizon(h Horizon) ScenarioOption { return func(s *Spec) { s.Horizon = h } }
-
-// WithVMsPerServer sizes the workload relative to the fleet (default 7).
-func WithVMsPerServer(v float64) ScenarioOption { return func(s *Spec) { s.VMsPerServer = v } }
-
-// WithFineStep sets the green-controller period in seconds (paper: 5).
-func WithFineStep(sec float64) ScenarioOption { return func(s *Spec) { s.FineStepSec = sec } }
-
-// WithQoS sets the migration latency guarantee (paper: 0.98).
-func WithQoS(q float64) ScenarioOption { return func(s *Spec) { s.QoS = q } }
-
-// WithForecast selects the renewable forecaster.
-func WithForecast(k ForecastKind) ScenarioOption { return func(s *Spec) { s.Forecast = k } }
-
-// WithBatteryScale additionally scales battery capacity; BatteryZero gives
-// the battery-free ablation.
-func WithBatteryScale(b float64) ScenarioOption { return func(s *Spec) { s.BatteryScale = b } }
-
-// WithSites replaces the Table I fleet with a custom site list (copied).
-// Unless WithTopology is also given, the topology is a great-circle mesh
-// over the sites' coordinates.
-func WithSites(sites ...Site) ScenarioOption {
-	return func(s *Spec) { s.Sites = append([]Site(nil), sites...) }
-}
-
-// WithTopology overrides the inter-DC network topology.
-func WithTopology(t *Topology) ScenarioOption { return func(s *Spec) { s.Topo = t } }
-
-// WithClassWeights overrides the workload class mix in class order
-// (websearch, mapreduce, hpc, batch). The weights are copied.
-func WithClassWeights(weights ...float64) ScenarioOption {
-	return func(s *Spec) { s.ClassWeights = append([]float64(nil), weights...) }
-}
-
-// WithWarmupSlots sets how many leading slots are excluded from metrics
-// (default 6; negative disables warmup).
-func WithWarmupSlots(n int) ScenarioOption { return func(s *Spec) { s.WarmupSlots = n } }
-
-// WithProfileSamples sets the per-slot CPU-profile length policies observe
-// (default 12).
-func WithProfileSamples(n int) ScenarioOption { return func(s *Spec) { s.ProfileSamples = n } }
-
-// WithWorkload installs a pre-built workload (for example one returned by
-// LoadWorkload) instead of the synthetic generator. The source must be safe
-// for concurrent readers when used in a parallel sweep.
-func WithWorkload(w Workload) ScenarioOption { return func(s *Spec) { s.Workload = w } }
-
-// WithReplayDir drives the scenario from a replay trace directory
-// (vms.csv / profiles.csv / volumes.csv, as written by ExportWorkload)
-// instead of the synthetic generator. The directory is loaded at scenario
-// build time, so errors surface from NewScenario / Experiment.Run. For
-// multi-seed sweeps prefer LoadWorkload once plus WithWorkload, so the
-// files are not re-read per seed.
-func WithReplayDir(dir string) ScenarioOption { return func(s *Spec) { s.ReplayDir = dir } }
-
-// WithTraceFile drives the scenario from a raw Azure/Google-style cluster
-// trace: a VM lifetime CSV plus a per-interval CPU-utilization CSV,
-// streamed through IngestCluster at scenario build time.
-func WithTraceFile(vmCSV, cpuCSV string) ScenarioOption {
-	return func(s *Spec) { s.TraceVMsFile, s.TraceCPUFile = vmCSV, cpuCSV }
-}
-
-// WithUsageTemplates calibrates the synthetic generator to fitted usage
-// templates (see FitTemplates): services draw their class and utilization
-// parameters from the templates instead of the built-in class ranges.
-func WithUsageTemplates(ts ...UsageTemplate) ScenarioOption {
-	return func(s *Spec) { s.Templates = ts }
-}
-
-// WithFineTableBudget bounds the resident bytes of each compiled workload
-// table (fine and profile). Tables over the budget compile chunked and
-// stream through the simulator in bounded slot windows; results stay
-// byte-identical to the unbounded path. 0 keeps the 256 MiB default;
-// a negative budget fails validation.
-func WithFineTableBudget(bytes int64) ScenarioOption {
-	return func(s *Spec) { s.MaxFineTableBytes = bytes }
-}
 
 // MigrationBudget parameterizes the rolling-horizon engine's migration
 // accounting: a per-epoch executed-move budget plus the transfer energy
@@ -349,45 +249,6 @@ const (
 	DefaultMigEnergyPerGB = sim.DefaultMigEnergyPerGB // J per GB of image moved
 	DefaultMigDowntimeSec = sim.DefaultMigDowntimeSec // s of pause per move
 )
-
-// WithEpochs splits the scenario's horizon into n rolling-horizon epochs:
-// the placement is re-optimized at every epoch boundary (warm-started from
-// the carried state), the per-epoch migration budget resets, and Result /
-// ResultSet JSON gain a per-epoch breakdown. WithEpochs(1) is the static
-// path — byte-identical to not setting it.
-func WithEpochs(n int) ScenarioOption { return func(s *Spec) { s.Epochs = n } }
-
-// WithMigrationBudget sets the rolling engine's migration budget and
-// charging model. Setting it activates the engine even at WithEpochs(1).
-func WithMigrationBudget(b MigrationBudget) ScenarioOption {
-	return func(s *Spec) { s.Migration = b }
-}
-
-// WithEpochClassWeights schedules synthetic workload class-mix regimes
-// (class order: websearch, mapreduce, hpc, batch): the horizon splits into
-// len(rows) equal phases, shifting the fleet's composition across the
-// horizon. The rows are copied. The row count is independent of
-// WithEpochs; pair the two to align regime shifts with the engine's
-// re-optimization boundaries.
-func WithEpochClassWeights(rows ...[]float64) ScenarioOption {
-	return func(s *Spec) {
-		s.EpochClassWeights = make([][]float64, len(rows))
-		for i, row := range rows {
-			s.EpochClassWeights[i] = append([]float64(nil), row...)
-		}
-	}
-}
-
-// WithArrivalWave modulates the synthetic arrival rate diurnally with
-// amplitude a in [0, 1).
-func WithArrivalWave(a float64) ScenarioOption { return func(s *Spec) { s.ArrivalWave = a } }
-
-// WithFastMath opts controllers into the approximate fast-numeric mode:
-// peak coincidence over profiles quantized to fixed-point ticks (bounded
-// per-pair error) and frozen sampled peers in the embedding. Default off —
-// unset runs stay bit-identical to prior releases. Results remain deterministic at any worker count; metrics
-// shift within the tolerance documented in PERFORMANCE.md.
-func WithFastMath() ScenarioOption { return func(s *Spec) { s.FastMath = true } }
 
 // FaultConfig declares a failure schedule: explicit outage windows plus
 // per-day stochastic rates for server-batch, whole-DC, link and PV
@@ -424,16 +285,6 @@ const (
 	StorageReplicated = storage.SchemeReplicated
 	StorageErasure    = storage.SchemeErasure
 )
-
-// WithFaults injects a failure schedule into the scenario: explicit outage
-// windows plus per-day stochastic rates, compiled deterministically per
-// scenario seed. The zero config keeps the run byte-identical to a spec
-// without faults.
-func WithFaults(f FaultConfig) ScenarioOption { return func(s *Spec) { s.Faults = f } }
-
-// WithStorage attaches the durable data-placement model, adding data-loss
-// risk and repair-traffic accounting under faults.
-func WithStorage(st StorageConfig) ScenarioOption { return func(s *Spec) { s.Storage = st } }
 
 // ReferenceFaults is the pinned incident schedule of the geo5dc-faulty
 // preset: a whole-DC outage, degraded fleets at the surviving sites, a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,8 +15,8 @@ func runGrid(t *testing.T, parallelism int) *ResultSet {
 	t.Helper()
 	set, err := NewExperiment(
 		WithScenarios(
-			NewSpec("base", WithScale(0.01), WithSeed(5), WithHorizon(HoursOf(6)), WithFineStep(300)),
-			NewSpec("tight-qos", WithScale(0.01), WithSeed(5), WithHorizon(HoursOf(6)), WithFineStep(300), WithQoS(0.999)),
+			Spec{Name: "base", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300},
+			Spec{Name: "tight-qos", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300, QoS: 0.999},
 		),
 		WithPolicies(StandardPolicies(0.9)...),
 		WithSeeds(3),
@@ -54,8 +55,8 @@ func TestExperimentParallelEqualsSerialAndLegacy(t *testing.T) {
 	// synthetic workload, which the run compiles for itself, against the
 	// engine's shared compiled column.
 	specs := []Spec{
-		NewSpec("base", WithScale(0.01), WithHorizon(HoursOf(6)), WithFineStep(300)),
-		NewSpec("tight-qos", WithScale(0.01), WithHorizon(HoursOf(6)), WithFineStep(300), WithQoS(0.999)),
+		{Name: "base", Scale: 0.01, Horizon: HoursOf(6), FineStepSec: 300},
+		{Name: "tight-qos", Scale: 0.01, Horizon: HoursOf(6), FineStepSec: 300, QoS: 0.999},
 	}
 	for si, spec := range specs {
 		for pi, ps := range StandardPolicies(0.9) {
@@ -172,19 +173,20 @@ func TestPresetsAndCustomSites(t *testing.T) {
 	}
 
 	// A custom two-site fleet with an HPC-heavy mix and warmup disabled.
-	spec := NewSpec("duo",
-		WithScale(1),
-		WithSeed(3),
-		WithHorizon(HoursOf(4)),
-		WithFineStep(300),
-		WithSites(
-			Site{Name: "north", Servers: 8, PVkWp: 2, LatDeg: 60, LonDeg: 25, UTCOffsetHours: 2, MeanTempC: 2},
-			Site{Name: "south", Servers: 8, PVkWp: 4, BattKWh: 10, LatDeg: 38, LonDeg: -9, MeanTempC: 18},
-		),
-		WithClassWeights(0.1, 0.1, 0.7, 0.1),
-		WithWarmupSlots(-1),
-		WithProfileSamples(6),
-	)
+	spec := Spec{
+		Name:        "duo",
+		Scale:       1,
+		Seed:        3,
+		Horizon:     HoursOf(4),
+		FineStepSec: 300,
+		Sites: []Site{
+			{Name: "north", Servers: 8, PVkWp: 2, LatDeg: 60, LonDeg: 25, UTCOffsetHours: 2, MeanTempC: 2},
+			{Name: "south", Servers: 8, PVkWp: 4, BattKWh: 10, LatDeg: 38, LonDeg: -9, MeanTempC: 18},
+		},
+		ClassWeights:   []float64{0.1, 0.1, 0.7, 0.1},
+		WarmupSlots:    -1,
+		ProfileSamples: 6,
+	}
 	sc2, err := NewScenario(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -220,15 +222,15 @@ func TestGridAndSpecValidation(t *testing.T) {
 	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "duplicate scenario") {
 		t.Fatalf("duplicate scenario names: err = %v", err)
 	}
-	if _, err := NewScenario(NewSpec("bad-mix", WithClassWeights(0, 0, 0, 0))); err == nil {
+	if _, err := NewScenario(Spec{Name: "bad-mix", ClassWeights: []float64{0, 0, 0, 0}}); err == nil {
 		t.Fatal("all-zero class weights did not error")
 	}
-	if _, err := NewScenario(NewSpec("bad-mix-len", WithClassWeights(1, 1))); err == nil {
+	if _, err := NewScenario(Spec{Name: "bad-mix-len", ClassWeights: []float64{1, 1}}); err == nil {
 		t.Fatal("short class-weight vector did not error")
 	}
-	if _, err := NewScenario(NewSpec("bad-city", WithSites(
-		Site{Name: "x", Servers: 4, City: "Lisbon"}, // tuned cities are lower-case
-	))); err == nil || !strings.Contains(err.Error(), "unknown city") {
+	if _, err := NewScenario(Spec{Name: "bad-city", Sites: []Site{
+		{Name: "x", Servers: 4, City: "Lisbon"}, // tuned cities are lower-case
+	}}); err == nil || !strings.Contains(err.Error(), "unknown city") {
 		t.Fatal("unknown City did not error")
 	}
 }
@@ -262,66 +264,62 @@ func TestResultSetAccessors(t *testing.T) {
 	}
 }
 
-// stubWorkload is a comparable Workload stand-in for option tests; it is
-// never run.
-type stubWorkload struct{ Workload }
-
-// TestScenarioOptionsSetFields checks that each ScenarioOption sets its own
-// Spec field, that together they cover every field, and that the
-// slice-taking options copy their arguments.
-func TestScenarioOptionsSetFields(t *testing.T) {
-	sites := TableISites()[:2]
-	weights := []float64{0.4, 0.3, 0.2, 0.1}
-	regimes := [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}}
-	topo := PaperTopology()
-	tmpl := []UsageTemplate{{Name: "t0", Weight: 1, Mean: 0.3}}
-	wl := stubWorkload{}
-	mig := MigrationBudget{MaxMovesPerEpoch: 5, EnergyPerGB: 1e6, DowntimeSec: 2}
-	faults := ReferenceFaults()
-	st := StorageConfig{Scheme: StorageErasure, K: 2, M: 2}
-
-	got := NewSpec("all-options",
-		WithScale(0.5), WithSeed(9), WithHorizon(Days(2)), WithVMsPerServer(4),
-		WithFineStep(30), WithQoS(0.95), WithForecast(ForecastEWMA), WithBatteryScale(2),
-		WithSites(sites...), WithTopology(topo), WithClassWeights(weights...),
-		WithWarmupSlots(3), WithProfileSamples(24), WithWorkload(wl), WithReplayDir("replay"),
-		WithTraceFile("vms.csv", "cpu.csv"), WithUsageTemplates(tmpl...),
-		WithFineTableBudget(1<<20), WithEpochs(2),
-		WithMigrationBudget(mig), WithEpochClassWeights(regimes...), WithArrivalWave(0.25),
-		WithFastMath(), WithFaults(faults), WithStorage(st),
-	)
-	wantRegimes := [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}}
+// TestSpecSlicesUnmodified checks that building a scenario and sweeping
+// it leave the slices a Spec holds as the caller wrote them: a Spec keeps
+// them without copying, so one mutation anywhere would leak into every
+// other spec sharing them.
+func TestSpecSlicesUnmodified(t *testing.T) {
+	spec := Spec{
+		Name: "shared-slices", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300,
+		Sites:             TableISites(),
+		ClassWeights:      []float64{0.4, 0.3, 0.2, 0.1},
+		EpochClassWeights: [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}},
+		Templates: []UsageTemplate{
+			{Name: "steady", Weight: 2, Mean: 0.3, Amp: 0.1, PeakHour: 14, FastAmp: 0.05, MeanLifeSlots: 20},
+			{Name: "bursty", Weight: 1, Mean: 0.5, Amp: 0.3, PeakHour: 3, SlowAmp: 0.1, MeanLifeSlots: 8},
+		},
+		Faults: FaultConfig{Outages: []Outage{
+			{Kind: FaultServer, DC: 1, Start: 1, Slots: 2, Frac: 0.5},
+			{Kind: FaultLink, DC: 0, To: 2, Start: 2, Slots: 2, Frac: 0.1},
+		}},
+		Epochs: 2,
+	}
 	want := Spec{
-		Name: "all-options", Scale: 0.5, Seed: 9, Horizon: Days(2), VMsPerServer: 4,
-		FineStepSec: 30, QoS: 0.95, Forecast: ForecastEWMA, BatteryScale: 2,
-		Sites: TableISites()[:2], Topo: topo, ClassWeights: []float64{0.4, 0.3, 0.2, 0.1},
-		WarmupSlots: 3, ProfileSamples: 24, Workload: wl, ReplayDir: "replay",
-		TraceVMsFile: "vms.csv", TraceCPUFile: "cpu.csv", Templates: tmpl,
-		MaxFineTableBytes: 1 << 20, Epochs: 2, Migration: mig,
-		EpochClassWeights: wantRegimes, ArrivalWave: 0.25, FastMath: true,
-		Faults: ReferenceFaults(), Storage: st,
-	}
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		if wv.Field(i).IsZero() {
-			t.Errorf("Spec.%s: no option under test sets it", name)
-		}
-		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
-			t.Errorf("Spec.%s = %v, want %v", name, gv.Field(i).Interface(), wv.Field(i).Interface())
-		}
+		Sites:             TableISites(),
+		ClassWeights:      slices.Clone(spec.ClassWeights),
+		EpochClassWeights: [][]float64{slices.Clone(spec.EpochClassWeights[0]), slices.Clone(spec.EpochClassWeights[1])},
+		Templates:         slices.Clone(spec.Templates),
+		Faults:            FaultConfig{Outages: slices.Clone(spec.Faults.Outages)},
 	}
 
-	sites[0].Servers = -1
-	weights[0] = -1
-	regimes[0][0] = -1
-	if got.Sites[0].Servers != want.Sites[0].Servers {
-		t.Error("WithSites aliases the caller's slice")
+	sc, err := NewScenario(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.ClassWeights[0] != want.ClassWeights[0] {
-		t.Error("WithClassWeights aliases the caller's slice")
+	if _, err := Run(sc, Proposed(0.9, spec.Seed)); err != nil {
+		t.Fatal(err)
 	}
-	if got.EpochClassWeights[0][0] != want.EpochClassWeights[0][0] {
-		t.Error("WithEpochClassWeights aliases the caller's rows")
+	if _, err := NewExperiment(
+		WithScenarios(spec),
+		WithPolicies(StandardPolicies(0.9)[:2]...),
+		WithSeeds(2),
+		WithParallelism(2),
+	).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Sites", spec.Sites, want.Sites},
+		{"ClassWeights", spec.ClassWeights, want.ClassWeights},
+		{"EpochClassWeights", spec.EpochClassWeights, want.EpochClassWeights},
+		{"Templates", spec.Templates, want.Templates},
+		{"Faults.Outages", spec.Faults.Outages, want.Faults.Outages},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("Spec.%s changed: %v, want %v", c.field, c.got, c.want)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func P95RespObjective() Objective {
 }
 
 // MigDowntimeObjective measures the charged migration downtime in seconds
-// (zero on the static path; see WithMigrationBudget).
+// (zero on the static path; see Spec.Migration).
 func MigDowntimeObjective() Objective {
 	return Objective{
 		Name:  "mig_downtime_s",
@@ -95,7 +95,7 @@ func MigDowntimeObjective() Objective {
 
 // DataLossObjective measures the storage model's mean per-slot data-loss
 // probability under the run's fault schedule (zero on fault-free runs;
-// see WithFaults / WithStorage).
+// see Spec.Faults / Spec.Storage).
 func DataLossObjective() Objective {
 	return Objective{
 		Name:  "data_loss_prob",

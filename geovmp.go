@@ -9,7 +9,7 @@
 // returning a structured ResultSet in deterministic grid order:
 //
 //	set, err := geovmp.NewExperiment(
-//	    geovmp.WithScenarios(geovmp.NewSpec("paper", geovmp.WithScale(0.05))),
+//	    geovmp.WithScenarios(geovmp.Spec{Name: "paper", Scale: 0.05}),
 //	    geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
 //	    geovmp.WithSeeds(3),
 //	    geovmp.WithParallelism(8),
@@ -24,11 +24,11 @@
 //     (Algorithm 2), and correlation-aware local server allocation with
 //     DVFS. EnerAware, PriAware and NetAware build the three baselines;
 //     StandardPolicies wraps all four as per-cell factories.
-//   - NewSpec(name, opts...) composes a scenario from ScenarioOptions:
-//     fleet scale, custom Site lists beyond Table I, topology overrides,
-//     workload class mix, forecaster, QoS, warmup and profile-sampling
-//     knobs. Preset returns registered named scenarios ("paper-geo3dc",
-//     "geo5dc", "paper-geo3dc-nobattery"). The zero Spec is the paper's
+//   - Spec describes a scenario in plain fields: fleet scale, custom Site
+//     lists beyond Table I, topology overrides, workload class mix,
+//     forecaster, QoS, warmup and profile-sampling knobs. Preset returns
+//     registered named scenarios ("paper-geo3dc", "geo5dc",
+//     "paper-geo3dc-nobattery") to start from. The zero Spec is the paper's
 //     Sect. V world: the Table I fleet (Lisbon / Zurich / Helsinki), PV
 //     plants with WCMA forecasting, lithium-ion batteries at 50% DoD,
 //     two-level tariffs, the full-mesh 100 Gb/s backbone with stochastic
@@ -37,7 +37,7 @@
 //     engine. Run reads the workload and the site models only through
 //     compiled tables, compiling a raw workload itself, so a single Run
 //     equals the matching engine cell bit for bit.
-//   - WithEpochs and WithMigrationBudget turn a scenario into a
+//   - Spec.Epochs and Spec.Migration turn a scenario into a
 //     rolling-horizon run: the placement re-optimizes at every epoch
 //     boundary, migrations are revised under a per-epoch budget, each
 //     move's transfer energy and downtime are charged into the metrics,
@@ -83,7 +83,8 @@ type Scenario = sim.Scenario
 type Result = sim.Result
 
 // Spec parameterizes scenario construction; the zero value plus a Seed
-// gives the paper's one-week Table I setup at full scale.
+// gives the paper's one-week Table I setup at full scale. Its fields and
+// defaults are documented on config.Spec and tabulated in the README.
 type Spec = config.Spec
 
 // Horizon is an experiment duration in one-hour slots.
@@ -185,7 +186,7 @@ func IngestWorkload(vmCSV, cpuCSV string, opt IngestOptions) (Workload, error) {
 
 // UsageTemplate is a fitted parameterization of one family of VM behavior,
 // derived from a real trace by FitTemplates and consumed by
-// WithUsageTemplates to calibrate the synthetic generator.
+// Spec.Templates to calibrate the synthetic generator.
 type UsageTemplate = trace.UsageTemplate
 
 // FitTemplates fits k usage templates to a workload by clustering per-VM
@@ -215,9 +216,9 @@ func WindowWorkload(w Workload, startHour int, slots Horizon) Workload {
 //
 // The experiment engine compiles each scenario x seed's workload
 // automatically and shares it across that column's policy runs; call this
-// only to pre-compile a workload you inject with WithWorkload under
-// non-default WithProfileSamples / WithFineStep settings, or to reuse one
-// compiled trace across many experiments.
+// only to pre-compile a workload you inject through Spec.Workload under
+// non-default Spec.ProfileSamples / Spec.FineStepSec settings, or to
+// reuse one compiled trace across many experiments.
 func CompileWorkload(w Workload, samples int, fineStepSec float64) Workload {
 	return trace.Compile(w, trace.CompileOptions{Samples: samples, FineStepSec: fineStepSec})
 }

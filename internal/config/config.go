@@ -41,9 +41,10 @@ const (
 )
 
 // Spec parameterizes scenario construction. Zero values select the paper's
-// Table I world; geovmp.NewSpec plus its ScenarioOptions is the
-// composable way to build variants, and Preset returns registered named
-// specs.
+// Table I world; write variants as literals, or start from Preset and set
+// fields. A Spec keeps the slices it is given (Sites, ClassWeights,
+// EpochClassWeights, Templates, Faults.Outages) without copying them:
+// building and sweeping only read them, so specs may share one.
 type Spec struct {
 	// Name labels the scenario in results and reports (default
 	// "paper-geo3dc", or the preset's name).
@@ -53,7 +54,8 @@ type Spec struct {
 	Scale float64
 	// Seed drives all randomness (workload, network, controllers).
 	Seed uint64
-	// Horizon defaults to the paper's one week.
+	// Horizon is the experiment duration in one-hour slots (Week, Days,
+	// Hours); it defaults to the paper's one week.
 	Horizon timeutil.Horizon
 	// VMsPerServer sizes the workload relative to the fleet (default 7
 	// initial VMs per server).
@@ -70,7 +72,7 @@ type Spec struct {
 	// Forecast selects the renewable forecaster (default WCMA).
 	Forecast ForecastKind
 	// BatteryScale additionally scales battery capacity (ablation A4);
-	// 0 means 1.0.
+	// 0 means 1.0, and BatteryZero gives the battery-free ablation.
 	BatteryScale float64
 	// Sites replaces the Table I fleet with a custom site list (see
 	// TableISites for the default expressed as one).
@@ -94,10 +96,11 @@ type Spec struct {
 	// example a replayed trace loaded with trace.LoadReplay). It must be
 	// safe for concurrent readers when used in a parallel sweep.
 	Workload trace.Source
-	// ReplayDir, when set, loads the workload from a replay-format CSV
-	// directory (trace.LoadReplay) at build time. A non-nil Workload wins
-	// over it. Multi-seed sweeps should load once and set Workload so the
-	// files are not re-read per column.
+	// ReplayDir, when set, loads the workload from a replay CSV directory
+	// (vms.csv / profiles.csv / volumes.csv) with trace.LoadReplay at build
+	// time, so its errors surface from Build. A non-nil Workload wins over
+	// it. Multi-seed sweeps should load once and set Workload so the files
+	// are not re-read per column.
 	ReplayDir string
 	// TraceVMsFile and TraceCPUFile, when both set, ingest an
 	// Azure/Google-style cluster trace — VM lifetimes plus per-interval
@@ -114,13 +117,14 @@ type Spec struct {
 	// (trace.CompileOptions.MaxFineTableBytes): 0 selects the compiler's
 	// 256 MiB default; negative is invalid. Tables over the budget stream
 	// through cursors, in windows the budget sizes, instead of residing in
-	// memory.
+	// memory; results stay byte-identical to the unbounded path.
 	MaxFineTableBytes int64
 	// Epochs splits the horizon into rolling-horizon re-optimization
-	// epochs: the controllers are signalled at each interior boundary, the
-	// per-epoch migration budget resets, and results carry a per-epoch
-	// breakdown. 0 or 1 with a zero Migration budget is the static path,
-	// byte-identical to a spec without these fields.
+	// epochs: the controllers are signalled at each interior boundary and
+	// re-optimize warm-started from the carried state, the per-epoch
+	// migration budget resets, and results (and the ResultSet JSON) carry a
+	// per-epoch breakdown. 0 or 1 with a zero Migration budget is the
+	// static path, byte-identical to a spec without these fields.
 	Epochs int
 	// Migration parameterizes the epoch engine's migration accounting
 	// (per-epoch move budget, transfer energy, downtime). Setting any
@@ -140,9 +144,10 @@ type Spec struct {
 	ArrivalWave float64
 	// FastMath opts controllers into their approximate fast-numeric paths
 	// (peak coincidence over quantized profiles, frozen embedding peers).
-	// Default off: unset runs stay bit-identical to prior releases. The
-	// per-pair kernel error is bounded by correlation.FastEps; see
-	// PERFORMANCE.md for the end-to-end metric tolerance.
+	// Default off: unset runs stay bit-identical to prior releases. Results
+	// stay deterministic at any worker count. The per-pair kernel error is
+	// bounded by correlation.FastEps; see PERFORMANCE.md for the end-to-end
+	// metric tolerance.
 	FastMath bool
 	// Faults injects a deterministic failure schedule (internal/fault):
 	// explicit outage windows plus per-day stochastic rates for server,

@@ -401,11 +401,11 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 			// distributed in the 2D plane" — give the layout room to
 			// converge before the first clustering; later slots only
 			// refine.
-			cfg.MaxIters = 5 * max(cfg.MaxIters, 20)
+			cfg.MaxIters = 5 * cfg.MaxIters
 		} else if reopt {
 			// Epoch boundary: warm-started re-optimization toward the new
 			// regime's correlation geometry.
-			cfg.MaxIters = reoptBoost * max(cfg.MaxIters, 20)
+			cfg.MaxIters = reoptBoost * cfg.MaxIters
 		}
 		start := time.Now()
 		res := embed.Run(ids, init, known, f, cfg)

@@ -137,6 +137,32 @@ func TestColdStartGetsExtraIterations(t *testing.T) {
 	}
 }
 
+// TestEmbedBudgetScalesMaxIters pins the embedding budgets to the
+// configured MaxIters: five times it on the cold start and reoptBoost
+// times it on an epoch-boundary slot, with no floor under a small MaxIters.
+// At alpha 0.5 the fixture's layout does not converge within either
+// budget, so both runs must use more than MaxIters and stop at the cap.
+func TestEmbedBudgetScalesMaxIters(t *testing.T) {
+	const maxIters = 4
+	c := New(0.5, 7)
+	c.Embed.MaxIters = maxIters
+	c.Place(buildInput(t, 16, nil))
+	if cold := c.LastEmbedIters; cold <= maxIters || cold > 5*maxIters {
+		t.Fatalf("cold start ran %d iterations, want (%d, %d]", cold, maxIters, 5*maxIters)
+	}
+	cur := map[int]int{}
+	for id := 0; id < 16; id++ {
+		cur[id] = id % 3
+	}
+	in := buildInput(t, 16, cur)
+	in.Slot = 2
+	c.StartEpoch(1, in.Slot)
+	c.Place(in)
+	if boundary := c.LastEmbedIters; boundary <= maxIters || boundary > reoptBoost*maxIters {
+		t.Fatalf("epoch boundary ran %d iterations, want (%d, %d]", boundary, maxIters, reoptBoost*maxIters)
+	}
+}
+
 func TestRejectedWishesReported(t *testing.T) {
 	c := New(0.9, 7)
 	cur := map[int]int{}

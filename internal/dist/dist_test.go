@@ -465,9 +465,9 @@ func TestDistCheckpointMatchesGoldenSchema(t *testing.T) {
 
 // TestWorkerColumnCache drives the worker's column cache directly: a
 // repeated fingerprint is a hit on dist_worker_column_hits, a third
-// fingerprint evicts the least recently used at the default cap of 2, and
-// a failed compile (a fingerprint mismatch) is not cached, so the next
-// request compiles again.
+// fingerprint evicts the least recently used at the cap of cacheColumns
+// (2), and a failed compile (a fingerprint mismatch) is not cached, so the
+// next request compiles again.
 func TestWorkerColumnCache(t *testing.T) {
 	spec := testGrid(t).Scenarios[0]
 	spec.Horizon = timeutil.Hours(2)
@@ -522,7 +522,7 @@ func TestWorkerColumnCache(t *testing.T) {
 		}
 		expect("failed compile", 4+int64(i), 2)
 	}
-	if len(w.columns) != 2 {
-		t.Fatalf("cache holds %d columns, want the cap of 2", len(w.columns))
+	if len(w.columns) != cacheColumns {
+		t.Fatalf("cache holds %d columns, want the cap of %d", len(w.columns), cacheColumns)
 	}
 }

@@ -28,11 +28,6 @@ type WorkerConfig struct {
 	// with the full budget funding each cell's sharded passes — results
 	// are byte-identical at any value.
 	Parallelism int
-	// CacheColumns bounds how many compiled scenario x seed columns the
-	// worker keeps hot across cells. Default 2 (the current column plus
-	// one — enough for a coordinator draining one column at a time with
-	// occasional retries from an older one).
-	CacheColumns int
 	// Poll is the idle re-poll fallback when the coordinator gives no
 	// wait hint. Default 200 ms.
 	Poll time.Duration
@@ -73,9 +68,6 @@ func newWorker(cfg WorkerConfig) *worker {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.CacheColumns <= 0 {
-		cfg.CacheColumns = 2
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 200 * time.Millisecond
 	}
@@ -97,6 +89,12 @@ func newWorker(cfg WorkerConfig) *worker {
 	}
 }
 
+// cacheColumns bounds how many compiled scenario x seed columns a worker
+// keeps hot across cells: the current column plus one — enough for a
+// coordinator draining one column at a time with occasional retries from
+// an older one.
+const cacheColumns = 2
+
 type worker struct {
 	cfg      WorkerConfig
 	cells    *metrics.Counter
@@ -107,7 +105,7 @@ type worker struct {
 	cellTime *metrics.LatencyHist
 
 	// columns is an LRU cache of compiled columns by fingerprint, at most
-	// CacheColumns entries; only the run loop's goroutine touches it.
+	// cacheColumns entries; only the run loop's goroutine touches it.
 	columns map[string]*columnEntry
 	useSeq  int64
 }
@@ -294,7 +292,7 @@ func (w *worker) column(item *WorkItem) (*experiment.Column, error) {
 		// poison every future cell of the column.
 		return nil, fmt.Errorf("dist: compile column for cell %d: %w", item.Cell, err)
 	}
-	if len(w.columns) >= w.cfg.CacheColumns {
+	if len(w.columns) >= cacheColumns {
 		// Evict the least recently used entry. An evicted column stays
 		// valid for any cell still holding it (columns are immutable).
 		var oldest string
