@@ -89,11 +89,13 @@ type FaultEvent = serve.FaultEvent
 // exposed at /metrics.
 type MetricsBoard = metrics.Board
 
-// Daemon admission errors, surfaced as HTTP 503 / 429 / 409 respectively.
+// Daemon admission errors, surfaced as HTTP 503 / 429 / 409 / 400
+// respectively.
 var (
 	ErrDraining      = serve.ErrDraining
 	ErrQueueFull     = serve.ErrQueueFull
 	ErrAlreadyPlaced = serve.ErrAlreadyPlaced
+	ErrBadID         = serve.ErrBadID
 )
 
 // NewDaemon builds a serving daemon for a compiled scenario's fleet and

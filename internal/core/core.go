@@ -147,6 +147,13 @@ func (f *Field) Force(onto, by int) float64 {
 	return f.alpha*fa + (1-f.alpha)*f.ps.CPUCorr(onto, by)
 }
 
+// Repulsion implements embed.Field: Force without the volume lookup. With
+// no data the attraction term is an exact zero, so for such pairs the two
+// agree bit for bit.
+func (f *Field) Repulsion(onto, by int) float64 {
+	return (1 - f.alpha) * f.ps.CPUCorr(onto, by)
+}
+
 // Bind implements embed.SplitField: it builds the data adjacency between
 // the points (see bindAdjacency) and packs the slot's profile rows in point
 // order — samples, or their tick counts in fast mode — so the kernel

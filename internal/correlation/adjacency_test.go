@@ -166,7 +166,7 @@ func FuzzAdjacency(f *testing.F) {
 				dm.Add(a, b, v)
 				dm.Add(b, a, v+1)
 			case 2:
-				dm.RemoveVM(a)
+				dm.RemoveVM(a, partnersOf(dm, a))
 			case 3:
 				dm.Add(b, a, v)
 			}
@@ -178,4 +178,18 @@ func FuzzAdjacency(f *testing.F) {
 		dm.Adjacency(&adj, ids) // rebuilt over reused scratch
 		checkAdjacency(t, dm, &adj, ids)
 	})
+}
+
+// partnersOf lists every VM that shares a pair with id, in either
+// direction: the adjacency RemoveVM takes.
+func partnersOf(dm *correlation.DataMatrix, id int) []int {
+	var out []int
+	dm.Each(func(from, to int, _ units.DataSize) {
+		if from == id {
+			out = append(out, to)
+		} else if to == id {
+			out = append(out, from)
+		}
+	})
+	return out
 }

@@ -303,10 +303,11 @@ func (ps *ProfileSet) Mean(id int) float64 {
 // bounded by the service graph), so lookups are a short linear scan instead
 // of a map probe and iteration order is deterministic.
 type DataMatrix struct {
-	rows  [][]volCell // indexed by from
-	froms []int       // rows touched since the last Reset
-	pairs int
-	max   units.DataSize
+	rows   [][]volCell // indexed by from
+	froms  []int       // the non-empty rows
+	fromAt []int32     // indexed by from: its index in froms, where registered
+	pairs  int
+	max    units.DataSize
 }
 
 type volCell struct {
@@ -343,9 +344,13 @@ func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 		rows := make([][]volCell, n)
 		copy(rows, m.rows)
 		m.rows = rows
+		fromAt := make([]int32, n)
+		copy(fromAt, m.fromAt)
+		m.fromAt = fromAt
 	}
 	row := m.rows[from]
 	if len(row) == 0 {
+		m.fromAt[from] = int32(len(m.froms))
 		m.froms = append(m.froms, from)
 	}
 	for i := range row {
@@ -365,57 +370,61 @@ func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 }
 
 // RemoveVM deletes every directed pair involving id — the departure
-// amendment of the streaming controller. Surviving cells keep their
-// insertion order, so iteration and every query match a matrix rebuilt from
-// scratch by replaying the surviving adds in their original order. The
-// high-water mark is rescanned only when a removed cell could have held it.
-// Cost is O(total pairs); degree is bounded by the service graph, so that
-// is linear in the fleet with a small constant. Removing an unknown id is a
-// no-op.
-func (m *DataMatrix) RemoveVM(id int) {
+// amendment of the streaming controller. partners must name every VM that
+// exchanges data with id in either direction (the caller's adjacency);
+// repeats, id itself and ids without a row are skipped. Only id's row and
+// the partners' rows are touched, so the cost is O(degree x row length)
+// whatever the matrix holds. Surviving cells keep their insertion order, so
+// iteration and every query match a matrix rebuilt from scratch by
+// replaying the surviving adds in their original order. The high-water
+// mark is rescanned only when a removed cell could have held it. Removing
+// an unknown id is a no-op.
+func (m *DataMatrix) RemoveVM(id int, partners []int) {
 	if id < 0 {
 		return
 	}
 	removed := false
 	var removedMax units.DataSize
-	for fi := 0; fi < len(m.froms); {
-		from := m.froms[fi]
+	if id < len(m.rows) {
+		row := m.rows[id]
+		for _, c := range row {
+			if c.vol > removedMax {
+				removedMax = c.vol
+			}
+		}
+		if len(row) > 0 {
+			m.pairs -= len(row)
+			removed = true
+			m.rows[id] = row[:0]
+			m.unregister(id)
+		}
+	}
+	for _, from := range partners {
+		if from < 0 || from >= len(m.rows) || from == id {
+			continue
+		}
+		// Receiver row: order-preserving compaction.
 		row := m.rows[from]
 		w := 0
-		if from == id {
-			// Sender row: drop wholesale.
-			for _, c := range row {
+		for _, c := range row {
+			if c.to == id {
 				if c.vol > removedMax {
 					removedMax = c.vol
 				}
+				continue
 			}
-			m.pairs -= len(row)
-			removed = removed || len(row) > 0
-		} else {
-			// Receiver scan: order-preserving compaction.
-			for _, c := range row {
-				if c.to == id {
-					if c.vol > removedMax {
-						removedMax = c.vol
-					}
-					m.pairs--
-					removed = true
-					continue
-				}
-				row[w] = c
-				w++
-			}
+			row[w] = c
+			w++
 		}
+		if w == len(row) {
+			continue // not a receiver of id's, or a repeat already compacted
+		}
+		m.pairs -= len(row) - w
+		removed = true
 		m.rows[from] = row[:w]
 		if w == 0 {
-			// Emptied rows are dropped from froms so a later re-Add
-			// registers the sender exactly once; froms order is not
-			// observable, so the O(1) swap removal is fine.
-			m.froms[fi] = m.froms[len(m.froms)-1]
-			m.froms = m.froms[:len(m.froms)-1]
-			continue
+			m.unregister(from)
 		}
-		fi++
 	}
 	if removed && removedMax >= m.max {
 		m.max = 0
@@ -427,6 +436,17 @@ func (m *DataMatrix) RemoveVM(id int) {
 			}
 		}
 	}
+}
+
+// unregister drops an emptied row from froms, so a later Add registers the
+// sender exactly once. froms order is not observable, so the swap removal
+// is fine.
+func (m *DataMatrix) unregister(from int) {
+	i := m.fromAt[from]
+	last := m.froms[len(m.froms)-1]
+	m.froms[i] = last
+	m.fromAt[last] = i
+	m.froms = m.froms[:len(m.froms)-1]
 }
 
 // Vol returns the directed volume from->to.

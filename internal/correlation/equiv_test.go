@@ -67,8 +67,16 @@ func runEquiv(t *testing.T, preset string, seed uint64) {
 			obs = sl - 1
 		}
 		for _, id := range dep[sl] {
+			var partners []int
+			for _, va := range volLog {
+				if va.from == id {
+					partners = append(partners, va.to)
+				} else if va.to == id {
+					partners = append(partners, va.from)
+				}
+			}
 			inc.Remove(id)
-			incDM.RemoveVM(id)
+			incDM.RemoveVM(id, partners)
 			delete(live, id)
 			delete(profiles, id)
 			for k, v := range order {

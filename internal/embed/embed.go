@@ -63,6 +63,9 @@ type Field interface {
 	// Force returns F_t exerted on point `onto` by point `by` (Eq. 5):
 	// negative values attract `onto` toward `by`, positive repel.
 	Force(onto, by int) float64
+	// Repulsion returns Force's repulsive component alone, which is Force
+	// itself, bit for bit, for a pair that exchanges no data.
+	Repulsion(onto, by int) float64
 }
 
 // SplitField is the index-addressed form of a Field that Run consumes,

@@ -39,6 +39,8 @@ func (f splitHashField) Force(onto, by int) float64 {
 	return f.att(onto, by) + f.rep(onto, by)
 }
 
+func (f splitHashField) Repulsion(onto, by int) float64 { return f.rep(onto, by) }
+
 func (f splitHashField) AttractionPeers(id int) []int {
 	var peers []int
 	if id > 0 {

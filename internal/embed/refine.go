@@ -19,16 +19,15 @@ import (
 // one arrival without re-running the global embedding (a background
 // reconciler restores the full-fidelity layout periodically).
 //
-// pos supplies the frozen layout and id's seed position (ids absent from
-// pos scatter via InitialPosition); others lists the resident points id may
-// be repelled by, in any caller-deterministic order. The result is a pure
+// p is id's seed position. pos is the frozen layout as a dense table
+// indexed by id, which must hold a position for every id in peers and
+// others. peers must name every point of others that exchanges data with
+// id: a sampled point outside it is taken to exchange none, so only its
+// Repulsion is evaluated. others lists the resident points id may be
+// repelled by, in any caller-deterministic order. The result is a pure
 // function of the arguments.
-func RefineOne(id int, peers, others []int, pos map[int]Point, field Field, cfg Config) Point {
+func RefineOne(id int, p Point, peers, others []int, pos []Point, field Field, cfg Config) Point {
 	cfg.applyDefaults()
-	p, ok := pos[id]
-	if !ok {
-		p = InitialPosition(id, InitRadius, cfg.Seed)
-	}
 	n := len(others) + 1
 	if n < 2 {
 		return p
@@ -51,11 +50,10 @@ func RefineOne(id int, peers, others []int, pos map[int]Point, field Field, cfg 
 		// Exact attraction over the sparse peer set; repulsive components of
 		// peer forces carry the same class weight the full modes apply.
 		for _, peer := range peers {
-			q, ok := pos[peer]
-			if !ok || peer == id {
+			if peer == id {
 				continue
 			}
-			pull(q, weighted(field.Force(id, peer), rw))
+			pull(pos[peer], weighted(field.Force(id, peer), rw))
 		}
 		// Sampled repulsion over the rest of the fleet.
 		for k := 0; k < cfg.SampleK; k++ {
@@ -63,15 +61,11 @@ func RefineOne(id int, peers, others []int, pos map[int]Point, field Field, cfg 
 			if j == id || slices.Contains(peers, j) {
 				continue // self, or already handled exactly above
 			}
-			q, ok := pos[j]
-			if !ok {
-				continue
-			}
-			f := field.Force(id, j)
+			f := field.Repulsion(id, j) // no data: j is not a peer
 			if f <= 0 {
 				continue // attraction is exact over peers only
 			}
-			pull(q, f*scale)
+			pull(pos[j], f*scale)
 		}
 		p.X, p.Y = step(p.X, p.Y, fxv, fyv)
 	}

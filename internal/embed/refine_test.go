@@ -14,20 +14,22 @@ type pairField struct {
 
 func (f *pairField) Force(onto, by int) float64 { return f.force[[2]int{onto, by}] }
 
+func (f *pairField) Repulsion(onto, by int) float64 { return max(f.Force(onto, by), 0) }
+
 func TestRefineOneDeterministic(t *testing.T) {
 	f := &pairField{
 		force: map[[2]int]float64{{5, 1}: -0.8, {5, 2}: 0.6, {5, 3}: 0.3},
 		peers: map[int][]int{5: {1}},
 	}
-	pos := map[int]Point{
+	pos := []Point{
 		1: {X: 2, Y: 0},
 		2: {X: -1, Y: 1},
 		3: {X: 0, Y: -2},
 		5: {X: 0, Y: 0},
 	}
 	cfg := Config{Seed: 11, MaxIters: 6}
-	a := RefineOne(5, f.peers[5], []int{1, 2, 3}, pos, f, cfg)
-	b := RefineOne(5, f.peers[5], []int{1, 2, 3}, pos, f, cfg)
+	a := RefineOne(5, pos[5], f.peers[5], []int{1, 2, 3}, pos, f, cfg)
+	b := RefineOne(5, pos[5], f.peers[5], []int{1, 2, 3}, pos, f, cfg)
 	if a != b {
 		t.Fatalf("not deterministic: %+v vs %+v", a, b)
 	}
@@ -47,8 +49,8 @@ func TestRefineOneAttractsTowardPeer(t *testing.T) {
 		force: map[[2]int]float64{{5, 1}: -1.0},
 		peers: map[int][]int{5: {1}},
 	}
-	pos := map[int]Point{1: {X: 6, Y: 0}, 5: {X: 0, Y: 0}}
-	p := RefineOne(5, f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 8})
+	pos := []Point{1: {X: 6, Y: 0}, 5: {X: 0, Y: 0}}
+	p := RefineOne(5, pos[5], f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 8})
 	d0 := Dist(Point{X: 0, Y: 0}, pos[1])
 	if d := Dist(p, pos[1]); d >= d0 {
 		t.Fatalf("attraction failed: dist %v -> %v", d0, d)
@@ -62,8 +64,8 @@ func TestRefineOneRepelsFromCoResident(t *testing.T) {
 		force: map[[2]int]float64{{5, 1}: 1.0},
 		peers: map[int][]int{5: {1}},
 	}
-	pos := map[int]Point{1: {X: 0.3, Y: 0}, 5: {X: 0, Y: 0}}
-	p := RefineOne(5, f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 4})
+	pos := []Point{1: {X: 0.3, Y: 0}, 5: {X: 0, Y: 0}}
+	p := RefineOne(5, pos[5], f.peers[5], []int{1}, pos, f, Config{Seed: 3, MaxIters: 4})
 	if d := Dist(p, pos[1]); d <= 0.3 {
 		t.Fatalf("repulsion failed: dist = %v", d)
 	}
@@ -71,18 +73,18 @@ func TestRefineOneRepelsFromCoResident(t *testing.T) {
 
 func TestRefineOneEdgeCases(t *testing.T) {
 	f := &pairField{force: map[[2]int]float64{}, peers: map[int][]int{}}
-	pos := map[int]Point{5: {X: 1, Y: 2}}
+	seed := Point{X: 1, Y: 2}
 	cfg := Config{Seed: 9, MaxIters: 4}
 	// No co-residents: nothing to refine against.
-	if p := RefineOne(5, f.peers[5], nil, pos, f, cfg); p != (Point{X: 1, Y: 2}) {
+	if p := RefineOne(5, seed, f.peers[5], nil, nil, f, cfg); p != seed {
 		t.Fatalf("solo point moved: %+v", p)
 	}
-	// Unknown id scatters deterministically from InitialPosition.
-	want := InitialPosition(77, InitRadius, cfg.Seed)
-	if p := RefineOne(77, f.peers[77], nil, map[int]Point{}, f, cfg); p != want {
-		t.Fatalf("scatter mismatch: %+v vs %+v", p, want)
-	}
-	if math.IsNaN(want.X) {
-		t.Fatal("scatter produced NaN")
+	// A peer list naming id itself is skipped, and a coincident
+	// co-resident still yields a finite move.
+	f.force[[2]int{5, 1}] = 1
+	pos := []Point{1: seed, 5: seed}
+	p := RefineOne(5, seed, []int{5}, []int{1}, pos, f, cfg)
+	if math.IsNaN(p.X) || math.IsNaN(p.Y) || p == seed {
+		t.Fatalf("coincident refinement: %+v", p)
 	}
 }

@@ -172,6 +172,8 @@ func writeOpError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, ErrAlreadyPlaced):
 		http.Error(w, err.Error(), http.StatusConflict)
+	case errors.Is(err, ErrBadID):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"slices"
+	"time"
 
 	"geovmp/internal/core"
 	"geovmp/internal/correlation"
@@ -19,14 +20,19 @@ import (
 // operation sequence (trigger + reconcileLag): decisions between trigger
 // and landing use the old layout, decisions after use the new one, at any
 // parallelism and any background duration. If the embedding is still
-// running when the landing operation arrives, that operation waits for it
-// — the SLO bound holds for the steady state, not the (rare, ~per-512-ops)
-// landing turn.
+// running when the landing operation arrives, that operation cannot commit
+// until it finishes, and no other operation can either; rather than idle,
+// the landing turn lends its core to the job, whose remaining sharded
+// passes then run on one more goroutine. Shard boundaries are fixed, so the
+// positions are bit-identical however many goroutines ran them. The SLO
+// bound holds for the steady state, not the (rare, ~per-512-ops) landing
+// turn, whose stall serve_reconcile_wait records.
 
 // reconcileJob is one in-flight background re-embedding.
 type reconcileJob struct {
 	landSeq uint64
 	ids     []int              // the snapshot's point order
+	workers *par.Budget        // extra goroutines the job's sharded passes may take
 	ch      chan []embed.Point // the re-embedded positions, in that order
 }
 
@@ -46,21 +52,32 @@ func (d *Daemon) maybeTrigger(seq uint64) {
 	job := &reconcileJob{
 		landSeq: seq + reconcileLag,
 		ids:     snap.ids,
+		workers: par.NewBudget(d.opt.Workers - 1),
 		ch:      make(chan []embed.Point, 1),
 	}
 	d.recon = job
 	opt := &d.opt
-	go func() { job.ch <- snap.run(opt) }()
+	go func() { job.ch <- snap.run(opt, job.workers) }()
 }
 
 // landDue swaps in a finished reconciliation at the first operation whose
-// sequence number reaches the landing point. Caller holds d.mu.
+// sequence number reaches the landing point, lending the caller's core to
+// the job while it is still running. Caller holds d.mu.
 func (d *Daemon) landDue(seq uint64) {
-	if d.recon == nil || seq < d.recon.landSeq {
+	job := d.recon
+	if job == nil || seq < job.landSeq {
 		return
 	}
-	pos := <-d.recon.ch
-	d.st.adoptPositions(d.recon.ids, pos)
+	start := time.Now()
+	var pos []embed.Point
+	select {
+	case pos = <-job.ch:
+	default:
+		job.workers.Release(1)
+		pos = <-job.ch
+	}
+	d.mReconWait.Observe(time.Since(start))
+	d.st.adoptPositions(job.ids, pos)
 	d.recon = nil
 	d.mReconciles.Inc()
 }
@@ -94,14 +111,11 @@ func (s *state) snapshot() *reconSnap {
 
 // run executes the batch global embedding over the snapshot — the same
 // field and tuning (embed's constants) the batch controller uses, at the
-// reconciler's budget reconcileIters, warm-started from the live layout.
-func (r *reconSnap) run(opt *Options) []embed.Point {
-	var budget *par.Budget
-	if opt.Workers > 1 {
-		budget = par.NewBudget(opt.Workers - 1)
-	}
+// reconciler's budget reconcileIters, warm-started from the live layout —
+// with its sharded passes taking extra goroutines from workers.
+func (r *reconSnap) run(opt *Options, workers *par.Budget) []embed.Point {
 	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref)
-	cfg := embed.Config{Seed: opt.Seed, MaxIters: reconcileIters, Workers: budget}
+	cfg := embed.Config{Seed: opt.Seed, MaxIters: reconcileIters, Workers: workers}
 	return embed.Run(r.ids, r.init, nil, f, cfg).Pos
 }
 
@@ -111,7 +125,7 @@ func (r *reconSnap) run(opt *Options) []embed.Point {
 // so the sums stay bit-deterministic.
 func (s *state) adoptPositions(ids []int, pos []embed.Point) {
 	for k, id := range ids {
-		if _, ok := s.actPos[id]; ok {
+		if s.dcAt(id) >= 0 {
 			s.pos[id] = pos[k]
 		}
 	}

@@ -4,11 +4,13 @@
 //
 // The daemon keeps the paper's correlation state *incrementally*: arrivals
 // and departures amend the ProfileSet/DataMatrix in place (O(profile +
-// degree) per event), the arriving VM's embedding position is refined
+// degree) per event: a departure touches only the volume rows its data
+// adjacency names), the arriving VM's embedding position is refined
 // locally against the frozen layout (internal/embed.RefineOne), and a
 // background reconciler periodically re-runs the full global embedding and
 // atomically swaps the refreshed layout in — so the hot path never
-// recompiles the world.
+// recompiles the world. Per-VM state (positions, residency, adjacency)
+// sits in dense tables indexed by the compact VM id.
 //
 // Each decision runs three phases, in the scheduler-framework shape:
 //
@@ -18,15 +20,18 @@
 //     exact peak-coincidence kernel's math), cross-DC traffic to the VM's
 //     data peers, embedding locality, and an energy term from tariffs and
 //     fleet load, blended by the paper's alpha;
-//   - reserve: an optimistic two-phase commit — fit and score run against a
-//     read-locked snapshot, and the commit step re-validates the state
-//     generation at the decision's turn in the admission sequence,
-//     re-scoring if a concurrent admission moved the world first.
+//   - reserve: an optimistic two-phase commit — when a decision is next in
+//     the admission sequence, fit and score run against a read-locked
+//     snapshot, and the commit step re-validates the state generation at
+//     the decision's turn, re-scoring if the world moved first; a decision
+//     queued behind others skips the snapshot and scores at its turn.
 //
 // Commits are totally ordered by arrival sequence number, so the decision
 // stream is a pure function of the event log: the same log replayed at any
 // Parallelism yields bit-identical placements (the determinism test holds
-// the daemon to that).
+// the daemon to that). A turn that reaches a reconciliation still running
+// lends its core to the reconciler's sharded passes while it waits (see
+// reconcile.go).
 package serve
 
 import (
@@ -116,7 +121,8 @@ type Options struct {
 	// point in the sequence, so reconciliation cannot perturb determinism.
 	ReconcileEvery int
 	// Workers are goroutines lent to the background reconciler's sharded
-	// passes (default 1; decisions themselves are never sharded).
+	// passes (default 1; decisions themselves are never sharded). A
+	// landing turn that finds the reconciler still running lends one more.
 	Workers int
 	// Seed keys every deterministic scatter and sampling choice.
 	Seed uint64
@@ -181,6 +187,7 @@ var (
 	ErrDraining      = errors.New("serve: daemon is draining")
 	ErrQueueFull     = errors.New("serve: admission queue full")
 	ErrAlreadyPlaced = errors.New("serve: vm already placed")
+	ErrBadID         = errors.New("serve: negative vm id")
 )
 
 // Daemon is the online placement service. Create with New, feed with
@@ -205,7 +212,7 @@ type Daemon struct {
 	mObservations, mReconciles           *metrics.Counter
 	mRejections, mFaults, mDeadlines     *metrics.Counter
 	mQueue                               *metrics.Gauge
-	mLat                                 *metrics.LatencyHist
+	mLat, mReconWait                     *metrics.LatencyHist
 }
 
 // New validates opt and returns a ready daemon.
@@ -231,6 +238,7 @@ func New(opt Options) (*Daemon, error) {
 	d.mDeadlines = b.Counter("serve_deadline_total")
 	d.mQueue = b.Gauge("serve_queue_depth")
 	d.mLat = b.Hist("serve_decision_latency")
+	d.mReconWait = b.Hist("serve_reconcile_wait")
 	return d, nil
 }
 
@@ -274,6 +282,13 @@ func (d *Daemon) turn(seq uint64, op func()) {
 	d.seqMu.Unlock()
 }
 
+// isNext reports whether every operation before seq has committed.
+func (d *Daemon) isNext(seq uint64) bool {
+	d.seqMu.Lock()
+	defer d.seqMu.Unlock()
+	return d.done == seq
+}
+
 // admit implements admission control: ErrDraining once Drain has begun,
 // otherwise one slot of the bounded queue per in-flight request, refused
 // with ErrQueueFull (and counted on serve_rejections_total) when full.
@@ -303,7 +318,7 @@ func (d *Daemon) release() {
 // Place admits one arrival and returns its placement. It blocks until the
 // decision's turn in the admission sequence commits. ErrQueueFull means the
 // bounded queue is saturated — back off and retry; ErrDraining means the
-// daemon no longer admits work.
+// daemon no longer admits work; ErrBadID refuses a negative id.
 func (d *Daemon) Place(vm VM) (Decision, error) {
 	if err := d.admit(); err != nil {
 		return Decision{}, err
@@ -358,20 +373,32 @@ func (d *Daemon) Drain() {
 
 func (d *Daemon) placeAt(seq uint64, vm VM) (Decision, error) {
 	start := time.Now()
-	// Phase 1 (optimistic): fit + score against a read-locked snapshot.
-	d.mu.RLock()
-	gen := d.st.gen
-	cand, err := d.st.prepare(&vm)
-	d.mu.RUnlock()
+	// Phase 1 (optimistic): fit + score against a read-locked snapshot, but
+	// only when seq is next in the admission sequence. Behind an earlier
+	// operation the snapshot is all but certain to go stale before the
+	// turn, and preparing it would hold the read lock that turn needs.
+	var (
+		cand     candidate
+		err      error
+		gen      uint64
+		prepared = d.isNext(seq)
+	)
+	if prepared {
+		d.mu.RLock()
+		gen = d.st.gen
+		cand, err = d.st.prepare(&vm)
+		d.mu.RUnlock()
+	}
 
 	// Phase 2 (reserve): at this decision's turn, re-validate the snapshot
 	// generation and commit.
 	var dec Decision
 	d.turn(seq, func() {
-		if d.st.gen != gen {
-			// A concurrent admission (or a landed reconcile) moved the
-			// world: re-run fit+score at the turn so the decision equals
-			// what serial processing in sequence order would have produced.
+		if !prepared || d.st.gen != gen {
+			// No snapshot, or another admission (or a landed reconcile)
+			// moved the world: run fit+score at the turn so the decision
+			// equals what serial processing in sequence order would have
+			// produced.
 			cand, err = d.st.prepare(&vm)
 		}
 		if err == nil {
@@ -416,28 +443,22 @@ func (d *Daemon) observeAt(seq uint64, o Observation) {
 
 // Resident reports whether id is currently placed.
 func (d *Daemon) Resident(id int) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.st.dcOf[id]
-	return ok
+	return d.DCOf(id) >= 0
 }
 
 // DCOf returns id's DC, or -1 when not resident.
 func (d *Daemon) DCOf(id int) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if dcI, ok := d.st.dcOf[id]; ok {
-		return dcI
-	}
-	return -1
+	return d.st.dcAt(id)
 }
 
 // ServerOf returns id's (dc, server), or (-1, -1) when not resident.
 func (d *Daemon) ServerOf(id int) (int, int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	dcI, ok := d.st.dcOf[id]
-	if !ok {
+	dcI := d.st.dcAt(id)
+	if dcI < 0 {
 		return -1, -1
 	}
 	return dcI, d.st.srvOf[id]

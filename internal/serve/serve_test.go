@@ -17,6 +17,7 @@ import (
 	"geovmp/internal/config"
 	"geovmp/internal/sim"
 	"geovmp/internal/timeutil"
+	"geovmp/internal/units"
 )
 
 func testScenario(t testing.TB, scale float64) *sim.Scenario {
@@ -76,6 +77,12 @@ func TestPlaceDepartLifecycle(t *testing.T) {
 
 	if _, err := d.Place(VM{ID: 1, Profile: testProfile(0.4)}); err != ErrAlreadyPlaced {
 		t.Fatalf("duplicate place: err = %v, want ErrAlreadyPlaced", err)
+	}
+	if _, err := d.Place(VM{ID: -1, Profile: testProfile(0.4)}); err != ErrBadID {
+		t.Fatalf("negative id: err = %v, want ErrBadID", err)
+	}
+	if ok, _ := d.Depart(-1); ok || d.Resident(-1) || d.Resident(1<<30) {
+		t.Fatal("an id outside the tables reads as resident")
 	}
 
 	// A second VM declaring traffic with the first should follow it: every
@@ -223,9 +230,10 @@ type decisionKey struct {
 }
 
 // TestReplayDeterministic is the deterministic-admission property: the same
-// arrival log replayed at parallelism 1, 2 and GOMAXPROCS+6 must produce
-// identical decisions, with the reconciler deliberately tuned hot enough to
-// land several times mid-log.
+// arrival log replayed at parallelism 1, 2 and GOMAXPROCS+6, with 1 and 3
+// Options.Workers sharding the reconciler's embedding (besides the core a
+// landing turn lends it), must produce identical decisions, with the
+// reconciler deliberately tuned hot enough to land several times mid-log.
 func TestReplayDeterministic(t *testing.T) {
 	sc := testScenario(t, 0.02)
 	events := EventsFromTrace(sc.Workload, 24, sim.DefaultProfileSamples)
@@ -233,10 +241,14 @@ func TestReplayDeterministic(t *testing.T) {
 		t.Fatalf("log too small to be interesting: %d events", len(events))
 	}
 	var ref []decisionKey
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0) + 6} {
+	for _, run := range []struct{ workers, recWorkers int }{
+		{1, 1}, {2, 1}, {runtime.GOMAXPROCS(0) + 6, 1},
+		{1, 3}, {2, 3}, {runtime.GOMAXPROCS(0) + 6, 3},
+	} {
+		workers := run.workers
 		d, err := New(Options{
 			Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7,
-			ReconcileEvery: 64,
+			ReconcileEvery: 64, Workers: run.recWorkers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -252,10 +264,15 @@ func TestReplayDeterministic(t *testing.T) {
 			}
 		}
 		if placed == 0 {
-			t.Fatalf("workers=%d: no placements recorded", workers)
+			t.Fatalf("%+v: no placements recorded", run)
 		}
-		if d.Board().Counter("serve_reconciles_total").Value() == 0 {
-			t.Fatalf("workers=%d: reconciler never landed; test is not exercising it", workers)
+		snap := d.Board().Snapshot()
+		landed := snap.Counters["serve_reconciles_total"]
+		if landed == 0 {
+			t.Fatalf("%+v: reconciler never landed; test is not exercising it", run)
+		}
+		if n := snap.Hists["serve_reconcile_wait"].Count; n != landed {
+			t.Fatalf("%+v: serve_reconcile_wait recorded %d landings, %d landed", run, n, landed)
 		}
 		if ref == nil {
 			ref = keys
@@ -263,7 +280,7 @@ func TestReplayDeterministic(t *testing.T) {
 		}
 		for k := range keys {
 			if keys[k] != ref[k] {
-				t.Fatalf("workers=%d: decision %d diverged: %+v vs %+v", workers, k, keys[k], ref[k])
+				t.Fatalf("%+v: decision %d diverged: %+v vs %+v", run, k, keys[k], ref[k])
 			}
 		}
 	}
@@ -411,55 +428,53 @@ func TestSimPolicyMatchesEngine(t *testing.T) {
 // ascending id order. The log ends above embed's exact threshold, so the
 // reconciler runs the sampled mode, and its 18 landings, the per-arrival
 // refinement and the score weights all reach the digest: any change to the
-// serving tuning or the turn protocol moves it. It must read the same under
-// -tags purego.
+// serving tuning or the turn protocol moves it. It must read the same at
+// Workers 1 and 4, and under -tags purego.
 func TestReplayDigest(t *testing.T) {
 	sc := testScenario(t, 0.02)
 	events := EventsFromTrace(sc.Workload, 24, sim.DefaultProfileSamples)
-	d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decs := d.Replay(events, 1)
-	d.Drain()
-
-	h := sha256.New()
-	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-	for _, dec := range decs {
-		put(uint64(dec.ID))
-		put(uint64(dec.DC))
-		put(uint64(dec.Server))
-		put(dec.Seq)
-		if dec.Overflowed {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-	ids := make([]int, 0, len(d.st.pos))
-	for id := range d.st.pos {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := d.st.pos[id]
-		put(uint64(id))
-		put(math.Float64bits(p.X))
-		put(math.Float64bits(p.Y))
-	}
-
 	if len(events) != 1256 {
 		t.Fatalf("log has %d events, want 1256", len(events))
 	}
-	if n := d.Board().Counter("serve_reconciles_total").Value(); n != 18 {
-		t.Fatalf("%d reconciles landed, want 18", n)
-	}
-	if len(ids) != 608 {
-		t.Fatalf("%d residents, want 608", len(ids))
-	}
-	const want = "0e714c74a3d453a482f4cc677444f71b0e01ce6e6a88de698a86268ef83a74c8"
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("replay digest %s, want %s", got, want)
+	for _, workers := range []int{1, 4} {
+		d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: 64, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs := d.Replay(events, 1)
+		d.Drain()
+
+		h := sha256.New()
+		put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+		for _, dec := range decs {
+			put(uint64(dec.ID))
+			put(uint64(dec.DC))
+			put(uint64(dec.Server))
+			put(dec.Seq)
+			if dec.Overflowed {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+		ids := d.Residents()
+		for _, id := range ids {
+			p := d.st.pos[id]
+			put(uint64(id))
+			put(math.Float64bits(p.X))
+			put(math.Float64bits(p.Y))
+		}
+
+		if n := d.Board().Counter("serve_reconciles_total").Value(); n != 18 {
+			t.Fatalf("Workers %d: %d reconciles landed, want 18", workers, n)
+		}
+		if len(ids) != 608 {
+			t.Fatalf("Workers %d: %d residents, want 608", workers, len(ids))
+		}
+		const want = "0e714c74a3d453a482f4cc677444f71b0e01ce6e6a88de698a86268ef83a74c8"
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("Workers %d: replay digest %s, want %s", workers, got, want)
+		}
 	}
 }
 
@@ -490,5 +505,69 @@ func TestLeastLoadedUp(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: leastLoaded = %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestAdjacencyCoversVolumes holds the invariant the degree-bounded paths
+// rest on: every pair of the volume matrix is in the daemon's adjacency,
+// both ways. A departure removes only the pairs its adjacency names, and
+// the refinement evaluates only repulsion for a sampled resident outside
+// it. The log is the replay log with flows declared on every arrival (to
+// residents, departed and never-placed ids, itself and a negative id),
+// and the check runs after every event, with the dense residency tables
+// checked against the active list.
+func TestAdjacencyCoversVolumes(t *testing.T) {
+	sc := testScenario(t, 0.01)
+	events := EventsFromTrace(sc.Workload, 12, sim.DefaultProfileSamples)
+	d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed []int
+	departs := 0
+	for k, ev := range events {
+		switch ev.Kind {
+		case EvPlace:
+			vm := ev.VM
+			for i, q := range []int{k % 7, vm.ID, -3, vm.ID + 5000} {
+				if i == 0 && len(placed) > 0 {
+					q = placed[(k*31)%len(placed)]
+				}
+				vm.Flows = append(vm.Flows, Flow{Peer: q, ToPeer: units.DataSize(k%5) * 10, FromPeer: units.DataSize(i) * 7})
+			}
+			if _, err := d.Place(vm); err != nil {
+				t.Fatalf("event %d: %v", k, err)
+			}
+			placed = append(placed, vm.ID)
+		case EvDepart:
+			if ok, _ := d.Depart(ev.ID); ok {
+				departs++
+			}
+		case EvObserve:
+			d.Observe(ev.Obs)
+		}
+		st := d.st
+		st.dm.Each(func(from, to int, _ units.DataSize) {
+			if !slices.Contains(st.peersOf(from), to) || !slices.Contains(st.peersOf(to), from) {
+				t.Fatalf("event %d: pair %d->%d is missing from the adjacency", k, from, to)
+			}
+		})
+		for i, id := range st.active {
+			if st.actPos[id] != i || st.dcAt(id) < 0 {
+				t.Fatalf("event %d: active[%d] = %d, actPos %d, dc %d", k, i, id, st.actPos[id], st.dcAt(id))
+			}
+		}
+		resident := 0
+		for id := range st.dcOf {
+			if st.dcAt(id) >= 0 {
+				resident++
+			}
+		}
+		if resident != len(st.active) {
+			t.Fatalf("event %d: %d ids hold a DC, %d are active", k, resident, len(st.active))
+		}
+	}
+	if departs == 0 || d.st.dm.Len() == 0 {
+		t.Fatalf("degenerate log: %d departures, %d pairs left", departs, d.st.dm.Len())
 	}
 }

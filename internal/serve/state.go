@@ -15,6 +15,10 @@ import (
 // set, volume matrix, data adjacency), the embedding layout, and per-DC
 // residency and packing. Every mutation bumps gen, which the optimistic
 // decision path uses to detect that its read snapshot went stale.
+//
+// Per-VM state lives in dense tables indexed by id, as the profile set and
+// volume matrix already do: ids are compact (the wire caps them at
+// MaxWireID), so a table load replaces a map probe on every hot path.
 type state struct {
 	opt  *Options
 	gen  uint64
@@ -23,25 +27,29 @@ type state struct {
 	// Correlation state, amended per arrival/departure/observation. ref is
 	// the attraction normalization volume (the matrix mean), cached so the
 	// per-arrival force field costs O(1) to assemble.
-	ps    *correlation.ProfileSet
-	dm    *correlation.DataMatrix
-	ref   units.DataSize
-	peers map[int][]int // data adjacency, both directions, dedup
-	adj   correlation.Adjacency
+	ps      *correlation.ProfileSet
+	dm      *correlation.DataMatrix
+	ref     units.DataSize
+	peers   [][]int // indexed by id: data adjacency, both directions, dedup
+	peerBuf []int   // the backing array rebuildPeers lays the lists out in
+	adj     correlation.Adjacency
 
-	// Embedding layout and per-DC centroid accumulators (posSum/resCount),
-	// maintained incrementally so the locality score never scans the fleet.
-	pos      map[int]embed.Point
+	// Embedding layout (indexed by id, meaningful where resident) and
+	// per-DC centroid accumulators (posSum/resCount), maintained
+	// incrementally so the locality score never scans the fleet. refPeers
+	// is commit's scratch list of an arrival's resident peers.
+	pos      []embed.Point
 	posSum   []embed.Point
 	resCount []int
+	refPeers []int
 
 	// Residency: VM -> (dc, server), per-DC incremental packers, and the
 	// active list in commit order (swap-removal keeps it deterministic).
-	dcOf   map[int]int
-	srvOf  map[int]int
+	dcOf   []int // indexed by id: DC, or -1 when not resident
+	srvOf  []int // indexed by id, where resident
 	packs  []*alloc.Tracker
 	active []int
-	actPos map[int]int // id -> index in active
+	actPos []int // indexed by id: index in active, where resident
 
 	// dcDown marks DCs taken out by fault events: no admissions, and
 	// residents are re-seated onto healthy DCs at the fault's turn.
@@ -59,14 +67,9 @@ func newState(opt *Options) *state {
 		opt:      opt,
 		ps:       correlation.NewProfileSet(opt.Samples),
 		dm:       correlation.NewDataMatrix(),
-		peers:    make(map[int][]int),
-		pos:      make(map[int]embed.Point),
 		posSum:   make([]embed.Point, n),
 		resCount: make([]int, n),
-		dcOf:     make(map[int]int),
-		srvOf:    make(map[int]int),
 		packs:    make([]*alloc.Tracker, n),
-		actPos:   make(map[int]int),
 		dcDown:   make([]bool, n),
 		prices:   make([]units.Price, n),
 	}
@@ -82,6 +85,30 @@ func newState(opt *Options) *state {
 	}
 	s.refreshPrices()
 	return s
+}
+
+// grow extends the per-VM tables to cover ids below n, geometrically so an
+// ascending id stream copies them O(log n) times.
+func (s *state) grow(n int) {
+	if n <= len(s.dcOf) {
+		return
+	}
+	n = max(n, 2*len(s.dcOf))
+	s.peers = append(s.peers, make([][]int, n-len(s.peers))...)
+	s.pos = append(s.pos, make([]embed.Point, n-len(s.pos))...)
+	s.srvOf = append(s.srvOf, make([]int, n-len(s.srvOf))...)
+	s.actPos = append(s.actPos, make([]int, n-len(s.actPos))...)
+	for len(s.dcOf) < n {
+		s.dcOf = append(s.dcOf, -1)
+	}
+}
+
+// peersOf returns id's data adjacency (nil beyond the tables).
+func (s *state) peersOf(id int) []int {
+	if id < 0 || id >= len(s.peers) {
+		return nil
+	}
+	return s.peers[id]
 }
 
 func (s *state) refreshPrices() {
@@ -116,7 +143,10 @@ type candidate struct {
 // When no DC fits, the least-loaded DC's spill server is chosen and the
 // decision is flagged overflowed.
 func (s *state) prepare(vm *VM) (candidate, error) {
-	if _, ok := s.dcOf[vm.ID]; ok {
+	if vm.ID < 0 {
+		return candidate{}, ErrBadID
+	}
+	if s.dcAt(vm.ID) >= 0 {
 		return candidate{}, ErrAlreadyPlaced
 	}
 	prof := normalizeProfile(vm.Profile, s.opt.Samples)
@@ -230,7 +260,6 @@ func (s *state) setFault(dcI int, down bool) []int {
 			ids = append(ids, id)
 		}
 	}
-	slices.Sort(ids)
 	for _, id := range ids {
 		s.reseat(id)
 	}
@@ -344,7 +373,7 @@ func (s *state) energyTerm(dcI int) float64 {
 // in the volume matrix plus the arrival's declared flows, deduplicated.
 func (s *state) peerEntries(vm *VM) []peerEntry {
 	var out []peerEntry
-	for _, q := range s.peers[vm.ID] {
+	for _, q := range s.peersOf(vm.ID) {
 		out = append(out, peerEntry{id: q, vol: float64(s.dm.TotalBetween(vm.ID, q)), dc: s.dcAt(q)})
 	}
 	for _, fl := range vm.Flows {
@@ -364,11 +393,12 @@ func (s *state) peerEntries(vm *VM) []peerEntry {
 	return out
 }
 
+// dcAt returns id's DC, or -1 when it is not resident.
 func (s *state) dcAt(id int) int {
-	if d, ok := s.dcOf[id]; ok {
-		return d
+	if id < 0 || id >= len(s.dcOf) {
+		return -1
 	}
-	return -1
+	return s.dcOf[id]
 }
 
 // seedPos seeds an arrival at the centroid of its placed data peers with a
@@ -378,7 +408,8 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 	var cx, cy float64
 	known := 0
 	for _, p := range peers {
-		if q, ok := s.pos[p.id]; ok {
+		if p.dc >= 0 {
+			q := s.pos[p.id]
 			cx += q.X
 			cy += q.Y
 			known++
@@ -398,6 +429,7 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 // SampleK)), independent of fleet size.
 func (s *state) commit(vm *VM, c candidate) Decision {
 	id := vm.ID
+	s.grow(id + 1)
 	s.ps.Add(id, c.prof)
 	if len(vm.Flows) > 0 {
 		for _, fl := range vm.Flows {
@@ -412,9 +444,15 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 		}
 		s.ref = s.dm.Mean()
 	}
-	s.pos[id] = c.seed
+	// Only resident peers have a seat to pull toward; id is not resident yet.
+	s.refPeers = s.refPeers[:0]
+	for _, q := range s.peers[id] {
+		if s.dcOf[q] >= 0 {
+			s.refPeers = append(s.refPeers, q)
+		}
+	}
 	f := core.NewField(s.opt.Alpha, s.ps, s.dm, s.ref)
-	p := embed.RefineOne(id, s.peers[id], s.active, s.pos, f, embed.Config{Seed: s.opt.Seed, MaxIters: refineIters})
+	p := embed.RefineOne(id, c.seed, s.refPeers, s.active, s.pos, f, embed.Config{Seed: s.opt.Seed, MaxIters: refineIters})
 	s.pos[id] = p
 	s.packs[c.dc].Commit(c.srv, id, c.prof)
 	s.dcOf[id] = c.dc
@@ -429,33 +467,31 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 }
 
 // depart removes a resident VM, amending every structure the arrival built.
+// The volume matrix drops the pairs of id's adjacency without scanning the
+// others.
 func (s *state) depart(id int) bool {
-	dcI, ok := s.dcOf[id]
-	if !ok {
+	dcI := s.dcAt(id)
+	if dcI < 0 {
 		return false
 	}
 	srv := s.srvOf[id]
 	s.packs[dcI].Remove(srv, id, s.ps.Profile)
 	s.ps.Remove(id)
-	hadData := len(s.peers[id]) > 0
-	s.dm.RemoveVM(id)
-	s.unlink(id)
-	if hadData {
+	if peers := s.peers[id]; len(peers) > 0 {
+		s.dm.RemoveVM(id, peers)
+		s.unlink(id)
 		s.ref = s.dm.Mean()
 	}
 	p := s.pos[id]
-	delete(s.pos, id)
 	s.posSum[dcI].X -= p.X
 	s.posSum[dcI].Y -= p.Y
 	s.resCount[dcI]--
-	delete(s.dcOf, id)
-	delete(s.srvOf, id)
+	s.dcOf[id] = -1
 	k := s.actPos[id]
 	last := s.active[len(s.active)-1]
 	s.active[k] = last
 	s.actPos[last] = k
 	s.active = s.active[:len(s.active)-1]
-	delete(s.actPos, id)
 	s.gen++
 	return true
 }
@@ -485,8 +521,13 @@ func (s *state) observe(o *Observation) {
 }
 
 // link registers a data pair in the adjacency (both directions, dedup) —
-// the incremental counterpart of the batch field's derivation.
+// the incremental counterpart of the batch field's derivation. A negative
+// peer holds no volume and no seat, so it is not recorded.
 func (s *state) link(a, b int) {
+	if b < 0 {
+		return
+	}
+	s.grow(max(a, b) + 1)
 	if !slices.Contains(s.peers[a], b) {
 		s.peers[a] = append(s.peers[a], b)
 	}
@@ -507,28 +548,32 @@ func (s *state) unlink(id int) {
 			}
 		}
 		if w == 0 {
-			delete(s.peers, q)
+			s.peers[q] = nil
 		} else {
 			s.peers[q] = l[:w]
 		}
 	}
-	delete(s.peers, id)
+	s.peers[id] = nil
 }
 
 // rebuildPeers re-derives the adjacency from the volume matrix through the
 // same first-encounter walk the batch field binds, so reconciliation and
 // refinement see identical peer lists. The lists share one backing array,
-// each capped at its length so link's appends copy out.
+// reused from slot to slot, each capped at its length so link's appends
+// copy out; every list of the previous layout is dropped before the array
+// is overwritten.
 func (s *state) rebuildPeers() {
 	s.dm.IDAdjacency(&s.adj)
-	s.peers = make(map[int][]int, len(s.peers))
-	all := make([]int, len(s.adj.Peer))
+	n := len(s.adj.Off) - 1
+	s.grow(n)
+	clear(s.peers)
+	s.peerBuf = slices.Grow(s.peerBuf[:0], len(s.adj.Peer))[:len(s.adj.Peer)]
 	for e, j := range s.adj.Peer {
-		all[e] = int(j)
+		s.peerBuf[e] = int(j)
 	}
-	for id := 0; id+1 < len(s.adj.Off); id++ {
+	for id := 0; id < n; id++ {
 		if lo, hi := s.adj.Row(id); lo < hi {
-			s.peers[id] = all[lo:hi:hi]
+			s.peers[id] = s.peerBuf[lo:hi:hi]
 		}
 	}
 }

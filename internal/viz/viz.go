@@ -8,9 +8,11 @@ package viz
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"geovmp/internal/embed"
@@ -217,7 +219,9 @@ func Scatter(title, xlabel, ylabel string, pts []ScatterPoint) string {
 }
 
 // Plane renders an embedding layout, coloring each point by its group
-// (e.g. assigned DC or service), with group labels in the legend.
+// (e.g. assigned DC or service), with group labels in the legend. Points
+// are drawn in ascending id order, so one layout always renders to the
+// same bytes.
 func Plane(title string, pos map[int]embed.Point, groupOf func(id int) int, groupNames []string) string {
 	if len(pos) == 0 {
 		return doc(title)
@@ -235,7 +239,8 @@ func Plane(title string, pos map[int]embed.Point, groupOf func(id int) int, grou
 		p.y1 = math.Max(p.y1, pt.Y)
 	}
 	body := []string{p.axes("x", "y")}
-	for id, pt := range pos {
+	for _, id := range slices.Sorted(maps.Keys(pos)) {
+		pt := pos[id]
 		g := 0
 		if groupOf != nil {
 			g = groupOf(id)

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"encoding/xml"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,6 +104,28 @@ func TestPlane(t *testing.T) {
 	assertValidSVG(t, svg)
 	if strings.Count(svg, "<circle") != 3 {
 		t.Fatal("want one dot per VM")
+	}
+}
+
+// TestPlaneDeterministic renders one layout several times: the points are
+// drawn in id order, not map order, so every rendering is the same bytes,
+// and the first circle drawn is the lowest id's.
+func TestPlaneDeterministic(t *testing.T) {
+	pos := map[int]embed.Point{}
+	for id := 0; id < 64; id++ {
+		pos[id] = embed.Point{X: float64(id % 7), Y: float64(id / 7)}
+	}
+	group := func(id int) int { return id % 3 }
+	want := Plane("layout", pos, group, []string{"a", "b", "c"})
+	for range 8 {
+		if got := Plane("layout", pos, group, []string{"a", "b", "c"}); got != want {
+			t.Fatal("the same layout rendered to different bytes")
+		}
+	}
+	p := plot{x0: 0, x1: 6, y0: 0, y1: 9}
+	first := fmt.Sprintf(`<circle cx="%.1f" cy="%.1f"`, p.px(0), p.py(0))
+	if i := strings.Index(want, "<circle"); i < 0 || !strings.HasPrefix(want[i:], first) {
+		t.Fatalf("first circle is not id 0's %s", first)
 	}
 }
 
