@@ -89,8 +89,9 @@ type FaultEvent = serve.FaultEvent
 // exposed at /metrics.
 type MetricsBoard = metrics.Board
 
-// Daemon admission errors, surfaced as HTTP 503 / 429 / 409 / 400
-// respectively.
+// Daemon admission errors. The first three surface as HTTP 503 / 429 / 409
+// respectively; ErrBadID reaches only Go callers, since the HTTP API
+// refuses a negative id with 400 before admission.
 var (
 	ErrDraining      = serve.ErrDraining
 	ErrQueueFull     = serve.ErrQueueFull

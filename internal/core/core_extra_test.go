@@ -204,6 +204,14 @@ func TestFieldForceSemantics(t *testing.T) {
 	if f02 <= 0 {
 		t.Fatalf("silent pair force %v should be positive (repulsion)", f02)
 	}
+	// Repulsion is Force without the volume lookup: the same value for a
+	// silent pair, and the data pair's force less its attraction.
+	if r := f.Repulsion(0, 2); r != f02 {
+		t.Fatalf("silent pair: Repulsion %v != Force %v", r, f02)
+	}
+	if r := f.Repulsion(0, 1); r <= f01 {
+		t.Fatalf("data pair: Repulsion %v not above Force %v", r, f01)
+	}
 }
 
 func TestAttractionPeersSymmetric(t *testing.T) {

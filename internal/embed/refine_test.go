@@ -14,7 +14,9 @@ type pairField struct {
 
 func (f *pairField) Force(onto, by int) float64 { return f.force[[2]int{onto, by}] }
 
-func (f *pairField) Repulsion(onto, by int) float64 { return max(f.Force(onto, by), 0) }
+// Repulsion is Force: RefineOne asks it only of non-peers, which the
+// scripted fields give no data.
+func (f *pairField) Repulsion(onto, by int) float64 { return f.Force(onto, by) }
 
 func TestRefineOneDeterministic(t *testing.T) {
 	f := &pairField{

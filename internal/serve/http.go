@@ -172,16 +172,15 @@ func writeOpError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, ErrAlreadyPlaced):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, ErrBadID):
-		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
-// MaxWireID is the largest VM id a request may name. The daemon's profile
-// and volume tables are dense in the id, so an unbounded id from the wire
-// would size them; 2^20 ids is far past the paper's ~12.6k-VM fleet.
+// MaxWireID is the largest VM id a request may name. The daemon's profile,
+// volume and adjacency tables are dense in the id, and its residency
+// tables in the largest resident id, so an unbounded id from the wire would
+// size them; 2^20 ids is far past the paper's ~12.6k-VM fleet.
 const MaxWireID = 1<<20 - 1
 
 func validID(id int) bool { return id >= 0 && id <= MaxWireID }

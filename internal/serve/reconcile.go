@@ -140,5 +140,4 @@ func (s *state) adoptPositions(ids []int, pos []embed.Point) {
 		s.posSum[dcI].Y += p.Y
 		s.resCount[dcI]++
 	}
-	s.gen++
 }

@@ -20,11 +20,9 @@
 //     exact peak-coincidence kernel's math), cross-DC traffic to the VM's
 //     data peers, embedding locality, and an energy term from tariffs and
 //     fleet load, blended by the paper's alpha;
-//   - reserve: an optimistic two-phase commit — when a decision is next in
-//     the admission sequence, fit and score run against a read-locked
-//     snapshot, and the commit step re-validates the state generation at
-//     the decision's turn, re-scoring if the world moved first; a decision
-//     queued behind others skips the snapshot and scores at its turn.
+//   - reserve: commit the chosen seat. All three phases run at the
+//     decision's turn in the admission sequence, under the write lock,
+//     once every earlier operation has committed.
 //
 // Commits are totally ordered by arrival sequence number, so the decision
 // stream is a pure function of the event log: the same log replayed at any
@@ -282,13 +280,6 @@ func (d *Daemon) turn(seq uint64, op func()) {
 	d.seqMu.Unlock()
 }
 
-// isNext reports whether every operation before seq has committed.
-func (d *Daemon) isNext(seq uint64) bool {
-	d.seqMu.Lock()
-	defer d.seqMu.Unlock()
-	return d.done == seq
-}
-
 // admit implements admission control: ErrDraining once Drain has begun,
 // otherwise one slot of the bounded queue per in-flight request, refused
 // with ErrQueueFull (and counted on serve_rejections_total) when full.
@@ -373,35 +364,16 @@ func (d *Daemon) Drain() {
 
 func (d *Daemon) placeAt(seq uint64, vm VM) (Decision, error) {
 	start := time.Now()
-	// Phase 1 (optimistic): fit + score against a read-locked snapshot, but
-	// only when seq is next in the admission sequence. Behind an earlier
-	// operation the snapshot is all but certain to go stale before the
-	// turn, and preparing it would hold the read lock that turn needs.
+	// Fit, score and commit at this decision's turn: every earlier
+	// operation has committed and no later one can, so the decision is the
+	// one serial processing in sequence order produces.
 	var (
-		cand     candidate
-		err      error
-		gen      uint64
-		prepared = d.isNext(seq)
+		dec Decision
+		err error
 	)
-	if prepared {
-		d.mu.RLock()
-		gen = d.st.gen
-		cand, err = d.st.prepare(&vm)
-		d.mu.RUnlock()
-	}
-
-	// Phase 2 (reserve): at this decision's turn, re-validate the snapshot
-	// generation and commit.
-	var dec Decision
 	d.turn(seq, func() {
-		if !prepared || d.st.gen != gen {
-			// No snapshot, or another admission (or a landed reconcile)
-			// moved the world: run fit+score at the turn so the decision
-			// equals what serial processing in sequence order would have
-			// produced.
-			cand, err = d.st.prepare(&vm)
-		}
-		if err == nil {
+		var cand candidate
+		if cand, err = d.st.prepare(&vm); err == nil {
 			dec = d.st.commit(&vm, cand)
 			dec.Seq = seq
 		}

@@ -48,6 +48,36 @@ func testDaemon(t *testing.T, mod func(*Options)) *Daemon {
 	return d
 }
 
+// TestNamedIDsGrowNoResidency pins the per-id memory a request can commit:
+// an id named only as a flow peer or an observed volume's endpoint takes an
+// adjacency entry, while the residency tables reach only past the largest
+// id ever resident.
+func TestNamedIDsGrowNoResidency(t *testing.T) {
+	d := testDaemon(t, nil)
+	if _, err := d.Place(VM{ID: 3, Profile: testProfile(0.4), Flows: []Flow{{Peer: MaxWireID, ToPeer: 100}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Observe(Observation{Volumes: []VolumeObs{{From: 3, To: MaxWireID - 1, Vol: 50}}}); err != nil {
+		t.Fatal(err)
+	}
+	st := d.st
+	for name, n := range map[string]int{"pos": len(st.pos), "dcOf": len(st.dcOf), "srvOf": len(st.srvOf), "actPos": len(st.actPos)} {
+		if n > 4 {
+			t.Errorf("%s spans %d ids after placing id 3", name, n)
+		}
+	}
+	if d.Resident(MaxWireID) || d.Resident(MaxWireID-1) {
+		t.Fatal("a named peer reads as resident")
+	}
+	dec, err := d.Place(VM{ID: MaxWireID, Profile: testProfile(0.3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.DCOf(MaxWireID) != dec.DC {
+		t.Fatalf("DCOf(MaxWireID) = %d, want %d", d.DCOf(MaxWireID), dec.DC)
+	}
+}
+
 func testProfile(v float64) []float64 {
 	p := make([]float64, sim.DefaultProfileSamples)
 	for i := range p {

@@ -13,15 +13,15 @@ import (
 
 // state is the daemon's world: the incremental correlation state (profile
 // set, volume matrix, data adjacency), the embedding layout, and per-DC
-// residency and packing. Every mutation bumps gen, which the optimistic
-// decision path uses to detect that its read snapshot went stale.
+// residency and packing.
 //
 // Per-VM state lives in dense tables indexed by id, as the profile set and
 // volume matrix already do: ids are compact (the wire caps them at
-// MaxWireID), so a table load replaces a map probe on every hot path.
+// MaxWireID), so a table load replaces a map probe on every hot path. The
+// residency tables (pos, dcOf, srvOf, actPos) reach only past the largest
+// id ever resident; dcAt guards reads beyond them.
 type state struct {
 	opt  *Options
-	gen  uint64
 	slot timeutil.Slot
 
 	// Correlation state, amended per arrival/departure/observation. ref is
@@ -87,20 +87,31 @@ func newState(opt *Options) *state {
 	return s
 }
 
-// grow extends the per-VM tables to cover ids below n, geometrically so an
-// ascending id stream copies them O(log n) times.
-func (s *state) grow(n int) {
-	if n <= len(s.dcOf) {
-		return
+// grown returns t extended to cover indices below n, new entries set to
+// fill. It grows geometrically, so an ascending id stream copies t O(log n)
+// times.
+func grown[T any](t []T, n int, fill T) []T {
+	if n <= len(t) {
+		return t
 	}
-	n = max(n, 2*len(s.dcOf))
-	s.peers = append(s.peers, make([][]int, n-len(s.peers))...)
-	s.pos = append(s.pos, make([]embed.Point, n-len(s.pos))...)
-	s.srvOf = append(s.srvOf, make([]int, n-len(s.srvOf))...)
-	s.actPos = append(s.actPos, make([]int, n-len(s.actPos))...)
-	for len(s.dcOf) < n {
-		s.dcOf = append(s.dcOf, -1)
+	old, m := len(t), max(n, 2*len(t))
+	t = slices.Grow(t, m-old)[:m]
+	for i := old; i < m; i++ {
+		t[i] = fill
 	}
+	return t
+}
+
+// growResidency extends the residency tables (pos, dcOf, srvOf, actPos) and
+// the adjacency to cover id. Only commit calls it, so an id that is merely
+// named (a flow peer, an observed volume's endpoint) costs its adjacency
+// entry and no residency.
+func (s *state) growResidency(id int) {
+	s.peers = grown(s.peers, id+1, nil)
+	s.pos = grown(s.pos, id+1, embed.Point{})
+	s.dcOf = grown(s.dcOf, id+1, -1)
+	s.srvOf = grown(s.srvOf, id+1, 0)
+	s.actPos = grown(s.actPos, id+1, 0)
 }
 
 // peersOf returns id's data adjacency (nil beyond the tables).
@@ -250,7 +261,6 @@ func (s *state) setFault(dcI int, down bool) []int {
 		return nil
 	}
 	s.dcDown[dcI] = down
-	s.gen++
 	if !down {
 		return nil
 	}
@@ -429,7 +439,7 @@ func (s *state) seedPos(id int, peers []peerEntry) embed.Point {
 // SampleK)), independent of fleet size.
 func (s *state) commit(vm *VM, c candidate) Decision {
 	id := vm.ID
-	s.grow(id + 1)
+	s.growResidency(id)
 	s.ps.Add(id, c.prof)
 	if len(vm.Flows) > 0 {
 		for _, fl := range vm.Flows {
@@ -447,7 +457,7 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 	// Only resident peers have a seat to pull toward; id is not resident yet.
 	s.refPeers = s.refPeers[:0]
 	for _, q := range s.peers[id] {
-		if s.dcOf[q] >= 0 {
+		if s.dcAt(q) >= 0 {
 			s.refPeers = append(s.refPeers, q)
 		}
 	}
@@ -462,7 +472,6 @@ func (s *state) commit(vm *VM, c candidate) Decision {
 	s.posSum[c.dc].X += p.X
 	s.posSum[c.dc].Y += p.Y
 	s.resCount[c.dc]++
-	s.gen++
 	return Decision{ID: id, DC: c.dc, Server: c.srv, Overflowed: c.overflowed}
 }
 
@@ -492,7 +501,6 @@ func (s *state) depart(id int) bool {
 	s.active[k] = last
 	s.actPos[last] = k
 	s.active = s.active[:len(s.active)-1]
-	s.gen++
 	return true
 }
 
@@ -517,7 +525,6 @@ func (s *state) observe(o *Observation) {
 	for _, tr := range s.packs {
 		tr.RebuildAll(s.ps.Profile)
 	}
-	s.gen++
 }
 
 // link registers a data pair in the adjacency (both directions, dedup) —
@@ -527,7 +534,7 @@ func (s *state) link(a, b int) {
 	if b < 0 {
 		return
 	}
-	s.grow(max(a, b) + 1)
+	s.peers = grown(s.peers, max(a, b)+1, nil)
 	if !slices.Contains(s.peers[a], b) {
 		s.peers[a] = append(s.peers[a], b)
 	}
@@ -565,7 +572,7 @@ func (s *state) unlink(id int) {
 func (s *state) rebuildPeers() {
 	s.dm.IDAdjacency(&s.adj)
 	n := len(s.adj.Off) - 1
-	s.grow(n)
+	s.peers = grown(s.peers, n, nil)
 	clear(s.peers)
 	s.peerBuf = slices.Grow(s.peerBuf[:0], len(s.adj.Peer))[:len(s.adj.Peer)]
 	for e, j := range s.adj.Peer {
