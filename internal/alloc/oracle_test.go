@@ -316,7 +316,7 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 				for _, v := range resident {
 					profs[v] = draw()
 				}
-				tr.RebuildAll(profile)
+				rebuildAll(tr, profile)
 				continue
 			}
 			prof := draw()

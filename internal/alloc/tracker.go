@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"slices"
+
 	"geovmp/internal/power"
 )
 
@@ -25,6 +27,12 @@ import (
 // maximizes, so the skip only passes over servers the full test rejects,
 // and every Probe answer is the plain scan's.
 //
+// A departure does not rebuild its server's aggregate at once: it marks the
+// server stale, and the exact rebuild runs once, at the tracker's next read
+// (Probe, Commit, Overflow, UsedFrac or Refresh), however many departures
+// the server saw in between. Each read therefore sees exactly the state
+// that rebuilding at every departure would have left (see Remove).
+//
 // All methods are pure functions of the call sequence: the same admissions
 // and departures in the same order produce bit-identical placements at any
 // concurrency of the caller's surrounding machinery.
@@ -36,6 +44,12 @@ type Tracker struct {
 	cursor     int // servers below this index are considered packed
 	count      int // resident VMs
 	servers    []trackedServer
+	// stale lists the servers awaiting their rebuild, each once (its
+	// trackedServer.stale is set); profile is the lookup the rebuild reads
+	// members' profiles through, the one last passed in.
+	stale    []int
+	profile  func(id int) []float64
+	rebuilds int
 }
 
 type trackedServer struct {
@@ -43,6 +57,7 @@ type trackedServer struct {
 	aggregate []float64
 	peak      float64 // combined peak of the aggregate profile
 	hot       int     // index of the aggregate's largest sample
+	stale     bool    // aggregate, peak and hot await a rebuild
 }
 
 // packedFrac: a server whose remaining gap (capacity minus aggregate peak)
@@ -72,6 +87,10 @@ func (t *Tracker) Len() int { return t.count }
 // Servers returns the number of servers ever opened.
 func (t *Tracker) Servers() int { return len(t.servers) }
 
+// Rebuilds returns how many server aggregates the tracker has rebuilt from
+// its members' profiles.
+func (t *Tracker) Rebuilds() int { return t.rebuilds }
+
 // Members returns the VMs on server srv (nil for a not-yet-opened index).
 // The slice is shared; callers must not modify it.
 func (t *Tracker) Members(srv int) []int {
@@ -85,6 +104,7 @@ func (t *Tracker) Members(srv int) []int {
 // admission peaks over the DC's total nominal capacity (0 when the DC has
 // no servers; can exceed 1 under overflow).
 func (t *Tracker) UsedFrac() float64 {
+	t.flush()
 	if t.maxServers <= 0 || t.capTop <= 0 {
 		return 0
 	}
@@ -101,6 +121,7 @@ func (t *Tracker) UsedFrac() float64 {
 // server" — Commit performs the open. ok is false when the DC is out of
 // capacity; the caller then either rejects or places via Overflow.
 func (t *Tracker) Probe(prof []float64) (srv int, peak float64, ok bool) {
+	t.flush()
 	end := t.cursor + t.probeLimit
 	if end > len(t.servers) {
 		end = len(t.servers)
@@ -142,6 +163,7 @@ func (t *Tracker) Probe(prof []float64) (srv int, peak float64, ok bool) {
 // unacceptable, so Commit opens the server past budget and the caller flags
 // the VM as overflowed. Callers Commit onto the returned server.
 func (t *Tracker) Overflow() int {
+	t.flush()
 	if len(t.servers) == 0 {
 		return 0
 	}
@@ -158,6 +180,7 @@ func (t *Tracker) Overflow() int {
 // Servers()) and advances the packed cursor past servers whose gap has
 // closed.
 func (t *Tracker) Commit(srv, id int, prof []float64) {
+	t.flush()
 	for srv >= len(t.servers) {
 		t.servers = append(t.servers, trackedServer{aggregate: make([]float64, t.samples)})
 	}
@@ -172,51 +195,114 @@ func (t *Tracker) Commit(srv, id int, prof []float64) {
 	}
 	s.peak, s.hot = selfPeak(s.aggregate)
 	t.count++
-	for t.cursor < len(t.servers) && t.capTop-t.servers[t.cursor].peak < packedFrac*t.capTop {
+	t.advance()
+}
+
+// advance moves the cursor past the packed servers at it.
+func (t *Tracker) advance() {
+	for t.cursor < len(t.servers) && t.packed(t.cursor) {
 		t.cursor++
 	}
 }
 
-// Remove departs id from server srv, recomputing that server's aggregate
-// exactly from the remaining members' current profiles (incremental
-// subtraction would accumulate float drift) and re-opening the cursor if
-// the freed space sits behind it. It reports whether id was found.
+// packed reports whether server srv's remaining gap is below packedFrac of
+// capacity.
+func (t *Tracker) packed(srv int) bool {
+	return t.capTop-t.servers[srv].peak < packedFrac*t.capTop
+}
+
+// Remove departs id from server srv and marks the server stale; its
+// aggregate is rebuilt exactly from the remaining members' profiles
+// (incremental subtraction would accumulate float drift) at the tracker's
+// next read, which also re-opens the cursor at the lowest rebuilt server
+// below it that is no longer packed. That is the cursor an eager rebuild at
+// every departure would leave: the exact rebuild is a left fold, rounded
+// addition is monotone, so removing a member whose samples are all
+// non-negative cannot raise the server's peak, and a server that is
+// unpacked after some departure is still unpacked after the later ones. A
+// departing profile with a negative or NaN sample could raise the peak, so
+// its server is rebuilt, and the cursor rule applied, on the spot. profile
+// must keep returning the remaining members' current profiles until that
+// read. Remove reports whether id was found.
 func (t *Tracker) Remove(srv, id int, profile func(id int) []float64) bool {
 	if srv < 0 || srv >= len(t.servers) {
 		return false
 	}
 	s := &t.servers[srv]
-	found := false
-	w := 0
-	for _, m := range s.members {
-		if m == id && !found {
-			found = true
-			continue
-		}
-		s.members[w] = m
-		w++
-	}
-	if !found {
+	k := slices.Index(s.members, id)
+	if k < 0 {
 		return false
 	}
-	s.members = s.members[:w]
+	t.profile = profile
+	eager := !nonNegative(profile(id), t.samples)
+	if eager && s.stale {
+		t.settle(srv) // the state the earlier departures left
+	}
+	s.members = slices.Delete(s.members, k, k+1)
 	t.count--
-	t.rebuild(srv, profile)
-	if srv < t.cursor && t.capTop-s.peak >= packedFrac*t.capTop {
-		t.cursor = srv
+	if eager {
+		t.settle(srv)
+	} else {
+		t.markStale(srv)
 	}
 	return true
 }
 
+// Touch marks server srv stale because a member's profile changed. Call
+// Refresh once a telemetry refresh has touched every such server: it
+// rebuilds them and resets the cursor.
+func (t *Tracker) Touch(srv int) {
+	if srv >= 0 && srv < len(t.servers) {
+		t.markStale(srv)
+	}
+}
+
+// Refresh rebuilds every stale server from current profiles and resets the
+// packed cursor: the telemetry-refresh path. When every server whose
+// members' profiles changed was passed to Touch, the result is that of
+// rebuilding every server.
+func (t *Tracker) Refresh(profile func(id int) []float64) {
+	t.profile = profile
+	t.flush()
+	t.cursor = 0
+	t.advance()
+}
+
+func (t *Tracker) markStale(srv int) {
+	if !t.servers[srv].stale {
+		t.servers[srv].stale = true
+		t.stale = append(t.stale, srv)
+	}
+}
+
+// flush runs the deferred rebuilds, applying Remove's cursor rule to each.
+func (t *Tracker) flush() {
+	for _, srv := range t.stale {
+		if t.servers[srv].stale {
+			t.settle(srv)
+		}
+	}
+	t.stale = t.stale[:0]
+}
+
+// settle rebuilds server srv and re-opens the cursor at it when it sits
+// behind the cursor and is no longer packed.
+func (t *Tracker) settle(srv int) {
+	t.rebuild(srv)
+	if srv < t.cursor && !t.packed(srv) {
+		t.cursor = srv
+	}
+}
+
 // rebuild recomputes one server's aggregate profile and peak from its
 // members' current profiles.
-func (t *Tracker) rebuild(srv int, profile func(id int) []float64) {
+func (t *Tracker) rebuild(srv int) {
 	s := &t.servers[srv]
 	for i := range s.aggregate {
 		s.aggregate[i] = 0
 	}
 	for _, m := range s.members {
-		prof := profile(m)
+		prof := t.profile(m)
 		n := len(prof)
 		if n > t.samples {
 			n = t.samples
@@ -226,17 +312,17 @@ func (t *Tracker) rebuild(srv int, profile func(id int) []float64) {
 		}
 	}
 	s.peak, s.hot = selfPeak(s.aggregate)
+	s.stale = false
+	t.rebuilds++
 }
 
-// RebuildAll recomputes every server's aggregate from current profiles and
-// resets the packed cursor — the telemetry-refresh path, run when a new
-// observation slot replaces the fleet's profiles wholesale.
-func (t *Tracker) RebuildAll(profile func(id int) []float64) {
-	for srv := range t.servers {
-		t.rebuild(srv, profile)
+// nonNegative reports whether the samples of prof that reach an aggregate
+// (the first samples of them) are all non-negative and not NaN.
+func nonNegative(prof []float64, samples int) bool {
+	for _, u := range prof[:min(len(prof), samples)] {
+		if !(u >= 0) {
+			return false
+		}
 	}
-	t.cursor = 0
-	for t.cursor < len(t.servers) && t.capTop-t.servers[t.cursor].peak < packedFrac*t.capTop {
-		t.cursor++
-	}
+	return true
 }

@@ -105,20 +105,30 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 	}
 	tr.Commit(srv, 1, p1)
 
-	// Departing the big VM re-opens server 0 for the next probe.
+	// Departing the big VM re-opens server 0 for the next probe: the
+	// deferred rebuild runs at that read and moves the cursor back.
 	if !tr.Remove(0, 0, profile) {
 		t.Fatal("remove failed")
-	}
-	if tr.cursor != 0 {
-		t.Fatalf("cursor = %d after freeing server 0", tr.cursor)
 	}
 	srv, _, ok := tr.Probe(p1)
 	if !ok || srv != 0 {
 		t.Fatalf("probe after remove: srv=%d ok=%v", srv, ok)
 	}
+	if tr.cursor != 0 {
+		t.Fatalf("cursor = %d after freeing server 0", tr.cursor)
+	}
 	if tr.Remove(3, 99, profile) || tr.Remove(0, 99, profile) {
 		t.Fatal("remove of unknown id reported success")
 	}
+}
+
+// rebuildAll touches every server and refreshes: the rebuild of a telemetry
+// refresh that moved every profile.
+func rebuildAll(tr *Tracker, profile func(id int) []float64) {
+	for srv := 0; srv < tr.Servers(); srv++ {
+		tr.Touch(srv)
+	}
+	tr.Refresh(profile)
 }
 
 func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
@@ -141,7 +151,7 @@ func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 	// aggregate must reflect it and push the next arrival to a new server.
 	profiles[1] = flat(0.6*cap0, 4)
 	profiles[2] = flat(0.39*cap0, 4)
-	tr.RebuildAll(profile)
+	rebuildAll(tr, profile)
 	srv, _, ok := tr.Probe(flat(0.2*cap0, 4))
 	if !ok || srv != 1 {
 		t.Fatalf("probe after rebuild: srv=%d ok=%v", srv, ok)

@@ -17,6 +17,7 @@ package correlation
 
 import (
 	"fmt"
+	"slices"
 
 	"geovmp/internal/units"
 )
@@ -331,22 +332,39 @@ func (m *DataMatrix) Reset() {
 	m.max = 0
 }
 
+// Clone returns an independent copy of the matrix: every query, and the
+// Each walk, answer as the source's, and later changes to either leave the
+// other as it was.
+func (m *DataMatrix) Clone() *DataMatrix {
+	c := &DataMatrix{
+		rows:   make([][]volCell, len(m.rows)),
+		froms:  slices.Clone(m.froms),
+		fromAt: slices.Clone(m.fromAt),
+		pairs:  m.pairs,
+		max:    m.max,
+	}
+	cells := make([]volCell, 0, m.pairs)
+	for _, from := range m.froms {
+		lo := len(cells)
+		cells = append(cells, m.rows[from]...)
+		c.rows[from] = cells[lo:len(cells):len(cells)]
+	}
+	return c
+}
+
+// Stores reports whether Add keeps the pair (from, to): it drops
+// non-positive volumes, self pairs and negative ids.
+func Stores(from, to int, vol units.DataSize) bool {
+	return !(vol <= 0 || from == to || from < 0 || to < 0)
+}
+
 // Add accumulates volume onto the directed pair (from, to).
 func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
-	if vol <= 0 || from == to || from < 0 || to < 0 {
+	if !Stores(from, to, vol) {
 		return
 	}
 	if from >= len(m.rows) {
-		n := from + 1
-		if d := 2 * len(m.rows); n < d {
-			n = d
-		}
-		rows := make([][]volCell, n)
-		copy(rows, m.rows)
-		m.rows = rows
-		fromAt := make([]int32, n)
-		copy(fromAt, m.fromAt)
-		m.fromAt = fromAt
+		m.growRows(from)
 	}
 	row := m.rows[from]
 	if len(row) == 0 {
@@ -367,6 +385,20 @@ func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 	if vol > m.max {
 		m.max = vol
 	}
+}
+
+// growRows extends the row tables to cover sender from.
+func (m *DataMatrix) growRows(from int) {
+	n := from + 1
+	if d := 2 * len(m.rows); n < d {
+		n = d
+	}
+	rows := make([][]volCell, n)
+	copy(rows, m.rows)
+	m.rows = rows
+	fromAt := make([]int32, n)
+	copy(fromAt, m.fromAt)
+	m.fromAt = fromAt
 }
 
 // RemoveVM deletes every directed pair involving id — the departure

@@ -128,9 +128,12 @@ func (c *Config) applyDefaults() {
 		c.ExactThreshold = 512
 	}
 	if c.SampleK == 0 {
-		c.SampleK = 96
+		c.SampleK = defaultSampleK
 	}
 }
+
+// defaultSampleK is Config.SampleK's default.
+const defaultSampleK = 96
 
 // The embedding's one tuning, shared by every caller. Typed, so constant
 // expressions over them round as they would over float64 variables.
@@ -493,10 +496,7 @@ type sampler struct {
 }
 
 func newSampler(n int, sf SplitField, cfg Config) *sampler {
-	s := &sampler{sf: sf, n: n, k: cfg.SampleK, seed: cfg.Seed, keys: make([]uint64, cfg.SampleK)}
-	for k := range s.keys {
-		s.keys[k] = rng.Key(uint64(k))
-	}
+	s := &sampler{sf: sf, n: n, k: cfg.SampleK, seed: cfg.Seed, keys: sampleKeys(cfg.SampleK)}
 	s.scale = float64(n-1) / float64(cfg.SampleK) * repulsionWeight(n)
 	return s
 }

@@ -34,7 +34,11 @@ func RefineOne(id int, p Point, peers, others []int, pos []Point, field Field, c
 	}
 	rw := repulsionWeight(n)
 	scale := float64(n-1) / float64(cfg.SampleK) * rw
+	keys := sampleKeys(cfg.SampleK)
 	for iter := 0; iter < cfg.MaxIters; iter++ {
+		// Sample k of this iteration is Hash(Seed, id, iter, k) mod n, the
+		// fold of the iteration's prefix with the pre-mixed key k.
+		prefix := rng.Hash(cfg.Seed, uint64(id), uint64(iter))
 		var fxv, fyv float64
 		pull := func(q Point, f float64) {
 			dx := p.X - q.X
@@ -56,8 +60,8 @@ func RefineOne(id int, p Point, peers, others []int, pos []Point, field Field, c
 			pull(pos[peer], weighted(field.Force(id, peer), rw))
 		}
 		// Sampled repulsion over the rest of the fleet.
-		for k := 0; k < cfg.SampleK; k++ {
-			j := others[rng.Hash(cfg.Seed, uint64(id), uint64(iter), uint64(k))%uint64(len(others))]
+		for _, key := range keys {
+			j := others[rng.FoldKey(prefix, key)%uint64(len(others))]
 			if j == id || slices.Contains(peers, j) {
 				continue // self, or already handled exactly above
 			}
@@ -70,4 +74,25 @@ func RefineOne(id int, p Point, peers, others []int, pos []Point, field Field, c
 		p.X, p.Y = step(p.X, p.Y, fxv, fyv)
 	}
 	return p
+}
+
+// defaultKeys holds the pre-mixed keys of the default SampleK's sample
+// indices, shared read-only by RefineOne and the sampler.
+var defaultKeys = premixedKeys(defaultSampleK)
+
+// sampleKeys returns rng.Key(k) for the sample indices k below n, so a draw
+// folds each sample into its hash prefix without mixing the key again.
+func sampleKeys(n int) []uint64 {
+	if n <= len(defaultKeys) {
+		return defaultKeys[:max(n, 0)]
+	}
+	return premixedKeys(n)
+}
+
+func premixedKeys(n int) []uint64 {
+	keys := make([]uint64, n)
+	for k := range keys {
+		keys[k] = rng.Key(uint64(k))
+	}
+	return keys
 }

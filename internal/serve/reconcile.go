@@ -100,8 +100,7 @@ func (s *state) snapshot() *reconSnap {
 	for _, id := range ids {
 		ps.Add(id, s.ps.Profile(id)) // rows are copied
 	}
-	dm := correlation.NewDataMatrix()
-	s.dm.Each(dm.Add)
+	dm := s.dm.Clone()
 	init := make([]embed.Point, len(ids))
 	for k, id := range ids {
 		init[k] = s.pos[id]

@@ -41,8 +41,9 @@ type Event struct {
 // Replay feeds an operation log through the daemon with the given worker
 // parallelism. The log's order *is* the admission sequence: a contiguous
 // block of sequence numbers is reserved up front and event k commits at
-// block+k, so workers overlap only the optimistic prepare phase and the
-// decision stream is identical at any worker count. Returned decisions are
+// block+k, so the decision stream is identical at any worker count. Every
+// phase of an event runs at its turn, so workers overlap only the hand-off
+// between turns and the bookkeeping around them. Returned decisions are
 // indexed like events (zero-valued for non-place events and failures).
 func (d *Daemon) Replay(events []Event, workers int) []Decision {
 	if len(events) == 0 {

@@ -5,12 +5,26 @@
 // The daemon keeps the paper's correlation state *incrementally*: arrivals
 // and departures amend the ProfileSet/DataMatrix in place (O(profile +
 // degree) per event: a departure touches only the volume rows its data
-// adjacency names), the arriving VM's embedding position is refined
-// locally against the frozen layout (internal/embed.RefineOne), and a
-// background reconciler periodically re-runs the full global embedding and
-// atomically swaps the refreshed layout in — so the hot path never
-// recompiles the world. Per-VM state (positions, residency, adjacency)
-// sits in dense tables indexed by the compact VM id.
+// adjacency names, and its packer rebuilds the server's aggregate once, at
+// its next read, however many departures left it), the arriving VM's
+// embedding position is refined locally against the frozen layout
+// (internal/embed.RefineOne), and a background reconciler periodically
+// re-runs the full global embedding and atomically swaps the refreshed
+// layout in — so the hot path never recompiles the world. Per-VM state
+// (positions, residency, adjacency) sits in dense tables indexed by the
+// compact VM id.
+//
+// An observation (the per-slot telemetry refresh) is applied the same way:
+// it pays for what moved since the last one. Profile rows whose bits did
+// not change are left alone, and only servers holding a VM whose profile
+// changed are rebuilt; the volume matrix is refilled in place
+// (correlation.DataMatrix.Refill), which reports the rows and pairs that
+// moved; and only the adjacency lists of those rows' senders, of both ends
+// of each moved pair and of the ids arrivals linked since the last
+// observation are recomputed. Each structure ends bit for bit as a rebuild
+// from scratch would leave it. serve_observe_lists_total and
+// serve_tracker_rebuilds_total on /metrics count the lists recomputed and
+// the server aggregates rebuilt.
 //
 // Each decision runs three phases, in the scheduler-framework shape:
 //
@@ -206,9 +220,14 @@ type Daemon struct {
 
 	recon *reconcileJob // pending background re-embedding; guarded by mu
 
+	// rebuilt is the packers' rebuild total last published to
+	// mRebuilds; guarded by mu.
+	rebuilt int
+
 	mPlacements, mDepartures, mOverflows *metrics.Counter
 	mObservations, mReconciles           *metrics.Counter
 	mRejections, mFaults, mDeadlines     *metrics.Counter
+	mRebuilds, mObserveLists             *metrics.Counter
 	mQueue                               *metrics.Gauge
 	mLat, mReconWait                     *metrics.LatencyHist
 }
@@ -234,6 +253,8 @@ func New(opt Options) (*Daemon, error) {
 	d.mRejections = b.Counter("serve_rejections_total")
 	d.mFaults = b.Counter("serve_faults_total")
 	d.mDeadlines = b.Counter("serve_deadline_total")
+	d.mRebuilds = b.Counter("serve_tracker_rebuilds_total")
+	d.mObserveLists = b.Counter("serve_observe_lists_total")
 	d.mQueue = b.Gauge("serve_queue_depth")
 	d.mLat = b.Hist("serve_decision_latency")
 	d.mReconWait = b.Hist("serve_reconcile_wait")
@@ -272,6 +293,10 @@ func (d *Daemon) turn(seq uint64, op func()) {
 	d.landDue(seq)
 	op()
 	d.maybeTrigger(seq)
+	if n := d.st.rebuilds(); n != d.rebuilt {
+		d.mRebuilds.Add(int64(n - d.rebuilt))
+		d.rebuilt = n
+	}
 	d.mu.Unlock()
 
 	d.seqMu.Lock()
@@ -407,8 +432,10 @@ func (d *Daemon) faultAt(seq uint64, dcI int, down bool) []int {
 }
 
 func (d *Daemon) observeAt(seq uint64, o Observation) {
-	d.turn(seq, func() { d.st.observe(&o) })
+	var lists int
+	d.turn(seq, func() { lists = d.st.observe(&o) })
 	d.mObservations.Inc()
+	d.mObserveLists.Add(int64(lists))
 }
 
 // --- read-only accessors ---

@@ -2,9 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -474,35 +471,14 @@ func TestReplayDigest(t *testing.T) {
 		decs := d.Replay(events, 1)
 		d.Drain()
 
-		h := sha256.New()
-		put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-		for _, dec := range decs {
-			put(uint64(dec.ID))
-			put(uint64(dec.DC))
-			put(uint64(dec.Server))
-			put(dec.Seq)
-			if dec.Overflowed {
-				put(1)
-			} else {
-				put(0)
-			}
-		}
-		ids := d.Residents()
-		for _, id := range ids {
-			p := d.st.pos[id]
-			put(uint64(id))
-			put(math.Float64bits(p.X))
-			put(math.Float64bits(p.Y))
-		}
-
 		if n := d.Board().Counter("serve_reconciles_total").Value(); n != 18 {
 			t.Fatalf("Workers %d: %d reconciles landed, want 18", workers, n)
 		}
-		if len(ids) != 608 {
-			t.Fatalf("Workers %d: %d residents, want 608", workers, len(ids))
+		if n := d.NumResidents(); n != 608 {
+			t.Fatalf("Workers %d: %d residents, want 608", workers, n)
 		}
 		const want = "0e714c74a3d453a482f4cc677444f71b0e01ce6e6a88de698a86268ef83a74c8"
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		if got := replayDigest(d, decs); got != want {
 			t.Fatalf("Workers %d: replay digest %s, want %s", workers, got, want)
 		}
 	}

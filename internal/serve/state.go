@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"slices"
 
 	"geovmp/internal/alloc"
@@ -26,13 +27,23 @@ type state struct {
 
 	// Correlation state, amended per arrival/departure/observation. ref is
 	// the attraction normalization volume (the matrix mean), cached so the
-	// per-arrival force field costs O(1) to assemble.
+	// per-arrival force field costs O(1) to assemble. profile is ps.Profile,
+	// the lookup the packers rebuild through.
 	ps      *correlation.ProfileSet
 	dm      *correlation.DataMatrix
 	ref     units.DataSize
+	profile func(id int) []float64
 	peers   [][]int // indexed by id: data adjacency, both directions, dedup
-	peerBuf []int   // the backing array rebuildPeers lays the lists out in
-	adj     correlation.Adjacency
+
+	// The observation's change tracking: relist holds, once each, the ids
+	// whose adjacency list link edited since the last observation (relistAt
+	// is indexed by id: 1 + its index in relist, or 0); diff is the volume
+	// refill's report and scratch; sendOff and senders are scratch.
+	relist   []int
+	relistAt []int32
+	diff     correlation.RowDiff
+	sendOff  []int32
+	senders  []int
 
 	// Embedding layout (indexed by id, meaningful where resident) and
 	// per-DC centroid accumulators (posSum/resCount), maintained
@@ -83,6 +94,7 @@ func newState(opt *Options) *state {
 			}
 		}
 	}
+	s.profile = s.ps.Profile
 	s.refreshPrices()
 	return s
 }
@@ -112,6 +124,15 @@ func (s *state) growResidency(id int) {
 	s.dcOf = grown(s.dcOf, id+1, -1)
 	s.srvOf = grown(s.srvOf, id+1, 0)
 	s.actPos = grown(s.actPos, id+1, 0)
+}
+
+// rebuilds returns how many server aggregates the packers have rebuilt.
+func (s *state) rebuilds() int {
+	n := 0
+	for _, tr := range s.packs {
+		n += tr.Rebuilds()
+	}
+	return n
 }
 
 // peersOf returns id's data adjacency (nil beyond the tables).
@@ -285,7 +306,7 @@ func (s *state) reseat(id int) {
 		return
 	}
 	srv := s.srvOf[id]
-	s.packs[from].Remove(srv, id, s.ps.Profile)
+	s.packs[from].Remove(srv, id, s.profile)
 	prof := s.ps.Profile(id)
 
 	to, tsrv := -1, 0
@@ -484,7 +505,7 @@ func (s *state) depart(id int) bool {
 		return false
 	}
 	srv := s.srvOf[id]
-	s.packs[dcI].Remove(srv, id, s.ps.Profile)
+	s.packs[dcI].Remove(srv, id, s.profile)
 	s.ps.Remove(id)
 	if peers := s.peers[id]; len(peers) > 0 {
 		s.dm.RemoveVM(id, peers)
@@ -504,26 +525,100 @@ func (s *state) depart(id int) bool {
 	return true
 }
 
-// observe applies one telemetry refresh: profile rows are replaced in place,
-// the volume matrix and data adjacency are rebuilt from the observation, and
-// the per-server aggregates are recomputed from the fresh profiles. This is
-// the once-per-slot O(fleet) path; arrivals stay O(local) between refreshes.
-func (s *state) observe(o *Observation) {
+// observe applies one telemetry refresh, paying for what it changed: a
+// profile row is rewritten, and its server marked for a rebuild, only when
+// its bits moved; the volume matrix is refilled in place, restructuring
+// only the rows whose pairs moved; the adjacency lists are recomputed only
+// for the ids those rows and pairs name and the ids arrivals linked since
+// the last observation; and each packer rebuilds only its marked servers
+// before its cursor is reset. Every structure ends as a full rebuild from
+// the observation would leave it. It returns how many adjacency lists it
+// recomputed.
+func (s *state) observe(o *Observation) int {
 	if o.Slot != s.slot {
 		s.slot = o.Slot
 		s.refreshPrices()
 	}
 	for _, v := range o.VMs {
+		if row := s.ps.Profile(v.ID); row != nil && sameProfile(row, v.Profile) {
+			continue
+		}
 		s.ps.Add(v.ID, normalizeProfile(v.Profile, s.opt.Samples))
+		if dcI := s.dcAt(v.ID); dcI >= 0 {
+			s.packs[dcI].Touch(s.srvOf[v.ID])
+		}
 	}
-	s.dm.Reset()
-	for _, ve := range o.Volumes {
-		s.dm.Add(ve.From, ve.To, ve.Vol)
-	}
+	vols := o.Volumes
+	s.dm.Refill(len(vols), func(k int) (int, int, units.DataSize) {
+		return vols[k].From, vols[k].To, vols[k].Vol
+	}, &s.diff)
 	s.ref = s.dm.Mean()
-	s.rebuildPeers()
+	lists := s.relistPeers(vols)
 	for _, tr := range s.packs {
-		tr.RebuildAll(s.ps.Profile)
+		tr.Refresh(s.profile)
+	}
+	return lists
+}
+
+// relistPeers recomputes the adjacency lists the last refill, of vols, can
+// have changed — those of the senders whose rows moved and of both ends of
+// every pair gained or lost — and those link edited, by the first-encounter
+// rule of IDAdjacency (DataMatrix.Partners). Every other list already
+// holds that rule's answer: its id's row and senders are as they were at
+// the last observation, less any departed partner. It returns how many
+// lists it recomputed.
+func (s *state) relistPeers(vols []VolumeObs) int {
+	for _, from := range s.diff.Senders {
+		s.markRelist(from)
+	}
+	for _, l := range s.diff.Links {
+		s.markRelist(l.To)
+	}
+	// The matrix holds exactly the pairs of vols that it stores, so one
+	// pass over them finds every queued id's senders. Bucket them by
+	// receiver, in relist order: senders[sendOff[i]:sendOff[i+1]] are
+	// relist[i]'s.
+	n := len(s.relist)
+	s.sendOff = append(s.sendOff[:0], make([]int32, n+1)...)
+	queued := func(v *VolumeObs) int32 {
+		if !correlation.Stores(v.From, v.To, v.Vol) || v.To >= len(s.relistAt) {
+			return 0
+		}
+		return s.relistAt[v.To]
+	}
+	for k := range vols {
+		s.sendOff[queued(&vols[k])]++
+	}
+	s.sendOff[0] = 0
+	for i := 0; i < n; i++ {
+		s.sendOff[i+1] += s.sendOff[i]
+	}
+	s.senders = slices.Grow(s.senders[:0], int(s.sendOff[n]))[:s.sendOff[n]]
+	for k := range vols {
+		if i := queued(&vols[k]); i > 0 {
+			s.senders[s.sendOff[i-1]] = vols[k].From
+			s.sendOff[i-1]++
+		}
+	}
+	lo := int32(0)
+	for i, id := range s.relist {
+		hi := s.sendOff[i]
+		s.peers[id] = s.dm.Partners(s.peers[id][:0], id, s.senders[lo:hi])
+		s.relistAt[id] = 0
+		lo = hi
+	}
+	s.relist = s.relist[:0]
+	return n
+}
+
+// markRelist queues id's adjacency list for the next observation's
+// recomputation.
+func (s *state) markRelist(id int) {
+	s.peers = grown(s.peers, id+1, nil)
+	s.relistAt = grown(s.relistAt, id+1, 0)
+	if s.relistAt[id] == 0 {
+		s.relist = append(s.relist, id)
+		s.relistAt[id] = int32(len(s.relist))
 	}
 }
 
@@ -534,7 +629,8 @@ func (s *state) link(a, b int) {
 	if b < 0 {
 		return
 	}
-	s.peers = grown(s.peers, max(a, b)+1, nil)
+	s.markRelist(a)
+	s.markRelist(b)
 	if !slices.Contains(s.peers[a], b) {
 		s.peers[a] = append(s.peers[a], b)
 	}
@@ -543,7 +639,11 @@ func (s *state) link(a, b int) {
 	}
 }
 
-// unlink removes id from the adjacency entirely.
+// unlink removes id from the adjacency entirely. The next observation
+// need not recompute the lists it edits: removing every occurrence of id
+// from the sequences the first-encounter rule merges leaves the other
+// partners' first occurrences in their order, so each edited list is still
+// the rule's answer over the matrix RemoveVM leaves.
 func (s *state) unlink(id int) {
 	for _, q := range s.peers[id] {
 		l := s.peers[q]
@@ -563,26 +663,19 @@ func (s *state) unlink(id int) {
 	s.peers[id] = nil
 }
 
-// rebuildPeers re-derives the adjacency from the volume matrix through the
-// same first-encounter walk the batch field binds, so reconciliation and
-// refinement see identical peer lists. The lists share one backing array,
-// reused from slot to slot, each capped at its length so link's appends
-// copy out; every list of the previous layout is dropped before the array
-// is overwritten.
-func (s *state) rebuildPeers() {
-	s.dm.IDAdjacency(&s.adj)
-	n := len(s.adj.Off) - 1
-	s.peers = grown(s.peers, n, nil)
-	clear(s.peers)
-	s.peerBuf = slices.Grow(s.peerBuf[:0], len(s.adj.Peer))[:len(s.adj.Peer)]
-	for e, j := range s.adj.Peer {
-		s.peerBuf[e] = int(j)
-	}
-	for id := 0; id < n; id++ {
-		if lo, hi := s.adj.Row(id); lo < hi {
-			s.peers[id] = s.peerBuf[lo:hi:hi]
+// sameProfile reports whether row, a stored profile, holds the bits
+// normalizeProfile would make of prof.
+func sameProfile(row, prof []float64) bool {
+	for i, u := range row {
+		var v float64
+		if i < len(prof) {
+			v = prof[i]
+		}
+		if math.Float64bits(u) != math.Float64bits(v) {
+			return false
 		}
 	}
+	return true
 }
 
 // normalizeProfile fits a profile to the daemon's sample count: returned
