@@ -276,14 +276,14 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		samples := []int{1, 2, 5, 12}[seed%4]
 		dirty := seed%3 == 0
-		tr := NewTracker(m, 2+r.Intn(30), samples)
+		profs := map[int][]float64{}
+		profile := func(id int) []float64 { return profs[id] }
+		tr := NewTracker(m, 2+r.Intn(30), samples, profile)
 		if pl := r.Intn(20); pl > 0 {
 			tr.probeLimit = pl
 		}
-		profs := map[int][]float64{}
 		where := map[int]int{}
 		var resident []int
-		profile := func(id int) []float64 { return profs[id] }
 		draw := func() []float64 {
 			rowLen := samples
 			switch r.Intn(8) {
@@ -308,7 +308,7 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 				k := r.Intn(len(resident))
 				gone := resident[k]
 				resident = slices.Delete(resident, k, k+1)
-				if !tr.Remove(where[gone], gone, profile) {
+				if !tr.Remove(where[gone], gone) {
 					t.Fatalf("seed %d: remove %d failed", seed, gone)
 				}
 				continue
@@ -316,7 +316,7 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 				for _, v := range resident {
 					profs[v] = draw()
 				}
-				rebuildAll(tr, profile)
+				rebuildAll(tr)
 				continue
 			}
 			prof := draw()

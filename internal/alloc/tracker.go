@@ -44,11 +44,10 @@ type Tracker struct {
 	cursor     int // servers below this index are considered packed
 	count      int // resident VMs
 	servers    []trackedServer
+	profile    func(id int) []float64
 	// stale lists the servers awaiting their rebuild, each once (its
-	// trackedServer.stale is set); profile is the lookup the rebuild reads
-	// members' profiles through, the one last passed in.
+	// trackedServer.stale is set).
 	stale    []int
-	profile  func(id int) []float64
 	rebuilds int
 }
 
@@ -69,15 +68,17 @@ const packedFrac = 0.05
 const defaultProbeLimit = 16
 
 // NewTracker returns an empty tracker for a DC of maxServers servers of the
-// given model, expecting profiles of the given sample count. Its probe
-// window is defaultProbeLimit; the package's tests narrow it by setting
-// probeLimit directly.
-func NewTracker(model *power.ServerModel, maxServers, samples int) *Tracker {
+// given model, expecting profiles of the given sample count. profile
+// returns a resident's current profile; rebuilds read members' profiles
+// through it. Its probe window is defaultProbeLimit; the package's tests
+// narrow it by setting probeLimit directly.
+func NewTracker(model *power.ServerModel, maxServers, samples int, profile func(id int) []float64) *Tracker {
 	return &Tracker{
 		capTop:     model.MaxCapacity(),
 		samples:    samples,
 		maxServers: maxServers,
 		probeLimit: defaultProbeLimit,
+		profile:    profile,
 	}
 }
 
@@ -221,10 +222,10 @@ func (t *Tracker) packed(srv int) bool {
 // non-negative cannot raise the server's peak, and a server that is
 // unpacked after some departure is still unpacked after the later ones. A
 // departing profile with a negative or NaN sample could raise the peak, so
-// its server is rebuilt, and the cursor rule applied, on the spot. profile
-// must keep returning the remaining members' current profiles until that
-// read. Remove reports whether id was found.
-func (t *Tracker) Remove(srv, id int, profile func(id int) []float64) bool {
+// its server is rebuilt, and the cursor rule applied, on the spot. Call
+// Remove while id's profile is still readable. It reports whether id was
+// found.
+func (t *Tracker) Remove(srv, id int) bool {
 	if srv < 0 || srv >= len(t.servers) {
 		return false
 	}
@@ -233,8 +234,7 @@ func (t *Tracker) Remove(srv, id int, profile func(id int) []float64) bool {
 	if k < 0 {
 		return false
 	}
-	t.profile = profile
-	eager := !nonNegative(profile(id), t.samples)
+	eager := !nonNegative(t.profile(id), t.samples)
 	if eager && s.stale {
 		t.settle(srv) // the state the earlier departures left
 	}
@@ -261,8 +261,7 @@ func (t *Tracker) Touch(srv int) {
 // packed cursor: the telemetry-refresh path. When every server whose
 // members' profiles changed was passed to Touch, the result is that of
 // rebuilding every server.
-func (t *Tracker) Refresh(profile func(id int) []float64) {
-	t.profile = profile
+func (t *Tracker) Refresh() {
 	t.flush()
 	t.cursor = 0
 	t.advance()

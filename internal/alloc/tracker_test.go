@@ -17,7 +17,7 @@ func flat(v float64, n int) []float64 {
 func TestTrackerProbeCommitBasics(t *testing.T) {
 	m := power.E5410()
 	cap0 := m.MaxCapacity()
-	tr := NewTracker(m, 4, 4)
+	tr := NewTracker(m, 4, 4, nil)
 
 	prof := flat(0.6*cap0, 4)
 	srv, peak, ok := tr.Probe(prof)
@@ -55,7 +55,7 @@ func TestTrackerProbeCommitBasics(t *testing.T) {
 func TestTrackerCapacityExhaustionAndOverflow(t *testing.T) {
 	m := power.E5410()
 	cap0 := m.MaxCapacity()
-	tr := NewTracker(m, 2, 4)
+	tr := NewTracker(m, 2, 4, nil)
 	big := flat(0.9*cap0, 4)
 	for id := 0; id < 2; id++ {
 		srv, _, ok := tr.Probe(big)
@@ -86,7 +86,7 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 	profiles := map[int][]float64{}
 	profile := func(id int) []float64 { return profiles[id] }
 
-	tr := NewTracker(m, 8, 4)
+	tr := NewTracker(m, 8, 4, profile)
 	tr.probeLimit = 1
 	// Fill server 0 tight so the cursor moves past it.
 	p0 := flat(0.97*cap0, 4)
@@ -107,7 +107,7 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 
 	// Departing the big VM re-opens server 0 for the next probe: the
 	// deferred rebuild runs at that read and moves the cursor back.
-	if !tr.Remove(0, 0, profile) {
+	if !tr.Remove(0, 0) {
 		t.Fatal("remove failed")
 	}
 	srv, _, ok := tr.Probe(p1)
@@ -117,18 +117,18 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 	if tr.cursor != 0 {
 		t.Fatalf("cursor = %d after freeing server 0", tr.cursor)
 	}
-	if tr.Remove(3, 99, profile) || tr.Remove(0, 99, profile) {
+	if tr.Remove(3, 99) || tr.Remove(0, 99) {
 		t.Fatal("remove of unknown id reported success")
 	}
 }
 
 // rebuildAll touches every server and refreshes: the rebuild of a telemetry
 // refresh that moved every profile.
-func rebuildAll(tr *Tracker, profile func(id int) []float64) {
+func rebuildAll(tr *Tracker) {
 	for srv := 0; srv < tr.Servers(); srv++ {
 		tr.Touch(srv)
 	}
-	tr.Refresh(profile)
+	tr.Refresh()
 }
 
 func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
@@ -139,7 +139,7 @@ func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 		2: flat(0.3*cap0, 4),
 	}
 	profile := func(id int) []float64 { return profiles[id] }
-	tr := NewTracker(m, 4, 4)
+	tr := NewTracker(m, 4, 4, profile)
 	for id := 1; id <= 2; id++ {
 		srv, _, _ := tr.Probe(profiles[id])
 		tr.Commit(srv, id, profiles[id])
@@ -151,7 +151,7 @@ func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 	// aggregate must reflect it and push the next arrival to a new server.
 	profiles[1] = flat(0.6*cap0, 4)
 	profiles[2] = flat(0.39*cap0, 4)
-	rebuildAll(tr, profile)
+	rebuildAll(tr)
 	srv, _, ok := tr.Probe(flat(0.2*cap0, 4))
 	if !ok || srv != 1 {
 		t.Fatalf("probe after rebuild: srv=%d ok=%v", srv, ok)

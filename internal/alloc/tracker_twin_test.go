@@ -173,12 +173,12 @@ func runTwin(t *testing.T, next func() byte, steps int) {
 	maxServers := 1 + int(next()%24)
 	probeLimit := 1 + int(next()%16)
 	dirty := next()%2 == 0
-	lazy := NewTracker(m, maxServers, samples)
+	profs := map[int][]float64{}
+	profile := func(id int) []float64 { return profs[id] }
+	lazy := NewTracker(m, maxServers, samples, profile)
 	lazy.probeLimit = probeLimit
 	eager := &eagerTracker{capTop: m.MaxCapacity(), samples: samples, maxServers: maxServers, probeLimit: probeLimit}
 
-	profs := map[int][]float64{}
-	profile := func(id int) []float64 { return profs[id] }
 	where := map[int]int{}
 	var resident []int
 	draw := func() []float64 {
@@ -229,10 +229,10 @@ func runTwin(t *testing.T, next func() byte, steps int) {
 			k := int(next()) % len(resident)
 			gone := resident[k]
 			resident = slices.Delete(resident, k, k+1)
-			if !lazy.Remove(where[gone], gone, profile) || !eager.Remove(where[gone], gone, profile) {
+			if !lazy.Remove(where[gone], gone) || !eager.Remove(where[gone], gone, profile) {
 				t.Fatalf("step %d: remove %d failed", step, gone)
 			}
-			if lazy.Remove(where[gone], gone, profile) {
+			if lazy.Remove(where[gone], gone) {
 				t.Fatalf("step %d: second remove of %d succeeded", step, gone)
 			}
 			delete(profs, gone)
@@ -248,9 +248,9 @@ func runTwin(t *testing.T, next func() byte, steps int) {
 				}
 			}
 			if next()%2 == 0 {
-				lazy.Refresh(profile)
+				lazy.Refresh()
 			} else {
-				rebuildAll(lazy, profile)
+				rebuildAll(lazy)
 			}
 			eager.RebuildAll(profile)
 			sameTracker(t, step, lazy, eager)
@@ -298,14 +298,14 @@ func TestTrackerDefersRebuilds(t *testing.T) {
 	m := power.E5410()
 	profs := map[int][]float64{}
 	profile := func(id int) []float64 { return profs[id] }
-	tr := NewTracker(m, 4, 4)
+	tr := NewTracker(m, 4, 4, profile)
 	for id := 0; id < 40; id++ {
 		profs[id] = flat(0.01*m.MaxCapacity(), 4)
 		srv, _, _ := tr.Probe(profs[id])
 		tr.Commit(srv, id, profs[id])
 	}
 	for id := 0; id < 10; id++ {
-		tr.Remove(0, id, profile)
+		tr.Remove(0, id)
 	}
 	if n := tr.Rebuilds(); n != 0 {
 		t.Fatalf("%d rebuilds before a read", n)
@@ -316,7 +316,7 @@ func TestTrackerDefersRebuilds(t *testing.T) {
 	}
 	// A departing profile with a negative sample is settled on the spot.
 	profs[10][2] = -1
-	tr.Remove(0, 10, profile)
+	tr.Remove(0, 10)
 	if n := tr.Rebuilds(); n != 2 {
 		t.Fatalf("%d rebuilds after a negative departure, want 2", n)
 	}
@@ -332,14 +332,14 @@ func TestTrackerNegativeDepartureKeepsCursor(t *testing.T) {
 	c := m.MaxCapacity()
 	profs := map[int][]float64{1: {c, 0}, 2: {0, -0.5 * c}, 3: {0, 1.2 * c}}
 	profile := func(id int) []float64 { return profs[id] }
-	lazy := NewTracker(m, 4, 2)
+	lazy := NewTracker(m, 4, 2, profile)
 	eager := &eagerTracker{capTop: c, samples: 2, maxServers: 4, probeLimit: defaultProbeLimit}
 	for id := 1; id <= 3; id++ {
 		lazy.Commit(0, id, profs[id])
 		eager.Commit(0, id, profs[id])
 	}
 	for id := 1; id <= 2; id++ {
-		lazy.Remove(0, id, profile)
+		lazy.Remove(0, id)
 		eager.Remove(0, id, profile)
 	}
 	lazy.UsedFrac()

@@ -38,7 +38,7 @@ func (s *state) observeFull(o *Observation) {
 		for srv := 0; srv < tr.Servers(); srv++ {
 			tr.Touch(srv)
 		}
-		tr.Refresh(s.ps.Profile)
+		tr.Refresh()
 	}
 }
 

@@ -27,13 +27,11 @@ type state struct {
 
 	// Correlation state, amended per arrival/departure/observation. ref is
 	// the attraction normalization volume (the matrix mean), cached so the
-	// per-arrival force field costs O(1) to assemble. profile is ps.Profile,
-	// the lookup the packers rebuild through.
-	ps      *correlation.ProfileSet
-	dm      *correlation.DataMatrix
-	ref     units.DataSize
-	profile func(id int) []float64
-	peers   [][]int // indexed by id: data adjacency, both directions, dedup
+	// per-arrival force field costs O(1) to assemble.
+	ps    *correlation.ProfileSet
+	dm    *correlation.DataMatrix
+	ref   units.DataSize
+	peers [][]int // indexed by id: data adjacency, both directions, dedup
 
 	// The observation's change tracking: relist holds, once each, the ids
 	// whose adjacency list link edited since the last observation (relistAt
@@ -85,7 +83,7 @@ func newState(opt *Options) *state {
 		prices:   make([]units.Price, n),
 	}
 	for i, d := range opt.Fleet {
-		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples)
+		s.packs[i] = alloc.NewTracker(d.Model, d.Servers, opt.Samples, s.ps.Profile)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -94,7 +92,6 @@ func newState(opt *Options) *state {
 			}
 		}
 	}
-	s.profile = s.ps.Profile
 	s.refreshPrices()
 	return s
 }
@@ -306,7 +303,7 @@ func (s *state) reseat(id int) {
 		return
 	}
 	srv := s.srvOf[id]
-	s.packs[from].Remove(srv, id, s.profile)
+	s.packs[from].Remove(srv, id)
 	prof := s.ps.Profile(id)
 
 	to, tsrv := -1, 0
@@ -505,7 +502,7 @@ func (s *state) depart(id int) bool {
 		return false
 	}
 	srv := s.srvOf[id]
-	s.packs[dcI].Remove(srv, id, s.profile)
+	s.packs[dcI].Remove(srv, id)
 	s.ps.Remove(id)
 	if peers := s.peers[id]; len(peers) > 0 {
 		s.dm.RemoveVM(id, peers)
@@ -555,7 +552,7 @@ func (s *state) observe(o *Observation) int {
 	s.ref = s.dm.Mean()
 	lists := s.relistPeers(vols)
 	for _, tr := range s.packs {
-		tr.Refresh(s.profile)
+		tr.Refresh()
 	}
 	return lists
 }
