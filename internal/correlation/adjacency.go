@@ -20,11 +20,10 @@ type Adjacency struct {
 	In, Out []units.DataSize
 
 	// Scratch: id -> point index (-1 unbound), the bound pairs in Each
-	// order, each row's fill cursor, and IDAdjacency's identity binding.
+	// order, and each row's fill cursor.
 	at    []int32
 	pairs []boundPair
 	fill  []int32
-	self  []int
 }
 
 type boundPair struct {
@@ -34,18 +33,6 @@ type boundPair struct {
 
 // Row returns point i's edge range [lo, hi) into Peer, In and Out.
 func (a *Adjacency) Row(i int) (lo, hi int) { return int(a.Off[i]), int(a.Off[i+1]) }
-
-// IDAdjacency is Adjacency with every id bound to itself, over 0..the
-// largest endpoint: no pair is dropped.
-func (m *DataMatrix) IDAdjacency(a *Adjacency) {
-	n := 0
-	m.Each(func(from, to int, _ units.DataSize) { n = max(n, from+1, to+1) })
-	a.self = a.self[:0]
-	for id := 0; id < n; id++ {
-		a.self = append(a.self, id)
-	}
-	m.Adjacency(a, a.self)
-}
 
 // Adjacency builds the matrix's adjacency in a, reusing a's arrays, with one
 // Each walk. Point i is ids[i]; pairs with an endpoint outside ids are

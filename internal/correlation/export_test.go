@@ -1,0 +1,16 @@
+package correlation
+
+import "geovmp/internal/units"
+
+// IDAdjacency is Adjacency with every id bound to itself, over 0..the
+// largest endpoint, so no pair is dropped: the whole-range build the
+// tests hold the adjacency and Partners' one-id lists to.
+func (m *DataMatrix) IDAdjacency(a *Adjacency) {
+	n := 0
+	m.Each(func(from, to int, _ units.DataSize) { n = max(n, from+1, to+1) })
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
+	m.Adjacency(a, ids)
+}

@@ -160,7 +160,8 @@ func cellIndex(row []volCell, to int) int {
 // Partners appends id's partners to dst in Adjacency's first-encounter
 // order — the senders to id below it ascending, then id's receivers in
 // insertion order, then the senders above it ascending, each partner once
-// at its first occurrence — so the result is id's row of IDAdjacency.
+// at its first occurrence — so the result is id's row of the Adjacency
+// that binds every id to itself.
 // senders must list the senders to id and nothing else, in any order and
 // with any repeats; it is sorted in place.
 func (m *DataMatrix) Partners(dst []int, id int, senders []int) []int {

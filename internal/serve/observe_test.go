@@ -18,8 +18,8 @@ import (
 
 // observeFull is observe as it was before it tracked changes, kept as its
 // oracle: every profile re-added, the volume matrix reset and refilled
-// pair by pair, the adjacency rebuilt from IDAdjacency over the whole id
-// range, and every packer rebuilt.
+// pair by pair, the adjacency rebuilt over the whole id range, and every
+// packer rebuilt.
 func (s *state) observeFull(o *Observation) {
 	if o.Slot != s.slot {
 		s.slot = o.Slot
@@ -43,11 +43,17 @@ func (s *state) observeFull(o *Observation) {
 }
 
 // rebuildPeers re-derives the whole adjacency from the volume matrix
-// through the first-encounter walk IDAdjacency applies.
+// through the first-encounter walk of an Adjacency that binds every id to
+// itself.
 func (s *state) rebuildPeers() {
+	n := 0
+	s.dm.Each(func(from, to int, _ units.DataSize) { n = max(n, from+1, to+1) })
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
 	var adj correlation.Adjacency
-	s.dm.IDAdjacency(&adj)
-	n := len(adj.Off) - 1
+	s.dm.Adjacency(&adj, ids)
 	s.peers = grown(s.peers, n, nil)
 	clear(s.peers)
 	for id := 0; id < n; id++ {

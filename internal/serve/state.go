@@ -559,11 +559,12 @@ func (s *state) observe(o *Observation) int {
 
 // relistPeers recomputes the adjacency lists the last refill, of vols, can
 // have changed — those of the senders whose rows moved and of both ends of
-// every pair gained or lost — and those link edited, by the first-encounter
-// rule of IDAdjacency (DataMatrix.Partners). Every other list already
-// holds that rule's answer: its id's row and senders are as they were at
-// the last observation, less any departed partner. It returns how many
-// lists it recomputed.
+// every pair gained or lost — and those link edited, by the
+// first-encounter rule correlation.Adjacency documents
+// (DataMatrix.Partners). Every other list already holds that rule's
+// answer: its id's row and senders are as they were at the last
+// observation, less any departed partner. It returns how many lists it
+// recomputed.
 func (s *state) relistPeers(vols []VolumeObs) int {
 	for _, from := range s.diff.Senders {
 		s.markRelist(from)
