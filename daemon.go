@@ -90,13 +90,14 @@ type FaultEvent = serve.FaultEvent
 type MetricsBoard = metrics.Board
 
 // Daemon admission errors. The first three surface as HTTP 503 / 429 / 409
-// respectively; ErrBadID reaches only Go callers, since the HTTP API
-// refuses a negative id with 400 before admission.
+// respectively; ErrBadID and ErrBadProfile reach only Go callers, since the
+// HTTP API refuses a negative id or sample with 400 before admission.
 var (
 	ErrDraining      = serve.ErrDraining
 	ErrQueueFull     = serve.ErrQueueFull
 	ErrAlreadyPlaced = serve.ErrAlreadyPlaced
 	ErrBadID         = serve.ErrBadID
+	ErrBadProfile    = serve.ErrBadProfile
 )
 
 // NewDaemon builds a serving daemon for a compiled scenario's fleet and

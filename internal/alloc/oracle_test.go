@@ -316,7 +316,7 @@ func TestTrackerMatchesOracleProbe(t *testing.T) {
 				for _, v := range resident {
 					profs[v] = draw()
 				}
-				rebuildAll(tr)
+				tr.RebuildAll()
 				continue
 			}
 			prof := draw()

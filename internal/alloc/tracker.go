@@ -29,9 +29,13 @@ import (
 //
 // A departure does not rebuild its server's aggregate at once: it marks the
 // server stale, and the exact rebuild runs once, at the tracker's next read
-// (Probe, Commit, Overflow, UsedFrac or Refresh), however many departures
-// the server saw in between. Each read therefore sees exactly the state
-// that rebuilding at every departure would have left (see Remove).
+// (Probe, Commit, Overflow or UsedFrac) or at RebuildAll, however many
+// departures the server saw in between. Each read therefore sees exactly
+// the state that rebuilding at every departure would have left (see
+// Remove), provided every profile's samples are non-negative (NaN is not):
+// with a negative sample a departure could raise its server's peak and
+// pack it again, which the deferred cursor rule does not see. The serving
+// daemon refuses such profiles before they reach a tracker.
 //
 // All methods are pure functions of the call sequence: the same admissions
 // and departures in the same order produce bit-identical placements at any
@@ -88,8 +92,8 @@ func (t *Tracker) Len() int { return t.count }
 // Servers returns the number of servers ever opened.
 func (t *Tracker) Servers() int { return len(t.servers) }
 
-// Rebuilds returns how many server aggregates the tracker has rebuilt from
-// its members' profiles.
+// Rebuilds returns how many deferred rebuilds have run: server aggregates
+// rebuilt at a read because departures left them stale.
 func (t *Tracker) Rebuilds() int { return t.rebuilds }
 
 // Members returns the VMs on server srv (nil for a not-yet-opened index).
@@ -218,13 +222,10 @@ func (t *Tracker) packed(srv int) bool {
 // next read, which also re-opens the cursor at the lowest rebuilt server
 // below it that is no longer packed. That is the cursor an eager rebuild at
 // every departure would leave: the exact rebuild is a left fold, rounded
-// addition is monotone, so removing a member whose samples are all
+// addition is monotone, so removing a member whose samples are
 // non-negative cannot raise the server's peak, and a server that is
-// unpacked after some departure is still unpacked after the later ones. A
-// departing profile with a negative or NaN sample could raise the peak, so
-// its server is rebuilt, and the cursor rule applied, on the spot. Call
-// Remove while id's profile is still readable. It reports whether id was
-// found.
+// unpacked after some departure is still unpacked after the later ones.
+// It reports whether id was found.
 func (t *Tracker) Remove(srv, id int) bool {
 	if srv < 0 || srv >= len(t.servers) {
 		return false
@@ -234,63 +235,38 @@ func (t *Tracker) Remove(srv, id int) bool {
 	if k < 0 {
 		return false
 	}
-	eager := !nonNegative(t.profile(id), t.samples)
-	if eager && s.stale {
-		t.settle(srv) // the state the earlier departures left
-	}
 	s.members = slices.Delete(s.members, k, k+1)
 	t.count--
-	if eager {
-		t.settle(srv)
-	} else {
-		t.markStale(srv)
+	if !s.stale {
+		s.stale = true
+		t.stale = append(t.stale, srv)
 	}
 	return true
 }
 
-// Touch marks server srv stale because a member's profile changed. Call
-// Refresh once a telemetry refresh has touched every such server: it
-// rebuilds them and resets the cursor.
-func (t *Tracker) Touch(srv int) {
-	if srv >= 0 && srv < len(t.servers) {
-		t.markStale(srv)
+// RebuildAll recomputes every server's aggregate from current profiles and
+// resets the packed cursor: the telemetry-refresh path. It settles the
+// departures' deferred rebuilds too, without counting them in Rebuilds.
+func (t *Tracker) RebuildAll() {
+	for srv := range t.servers {
+		t.rebuild(srv)
 	}
-}
-
-// Refresh rebuilds every stale server from current profiles and resets the
-// packed cursor: the telemetry-refresh path. When every server whose
-// members' profiles changed was passed to Touch, the result is that of
-// rebuilding every server.
-func (t *Tracker) Refresh() {
-	t.flush()
+	t.stale = t.stale[:0]
 	t.cursor = 0
 	t.advance()
 }
 
-func (t *Tracker) markStale(srv int) {
-	if !t.servers[srv].stale {
-		t.servers[srv].stale = true
-		t.stale = append(t.stale, srv)
-	}
-}
-
-// flush runs the deferred rebuilds, applying Remove's cursor rule to each.
+// flush runs the deferred rebuilds, re-opening the cursor at each rebuilt
+// server behind it that is no longer packed.
 func (t *Tracker) flush() {
 	for _, srv := range t.stale {
-		if t.servers[srv].stale {
-			t.settle(srv)
+		t.rebuild(srv)
+		t.rebuilds++
+		if srv < t.cursor && !t.packed(srv) {
+			t.cursor = srv
 		}
 	}
 	t.stale = t.stale[:0]
-}
-
-// settle rebuilds server srv and re-opens the cursor at it when it sits
-// behind the cursor and is no longer packed.
-func (t *Tracker) settle(srv int) {
-	t.rebuild(srv)
-	if srv < t.cursor && !t.packed(srv) {
-		t.cursor = srv
-	}
 }
 
 // rebuild recomputes one server's aggregate profile and peak from its
@@ -312,16 +288,4 @@ func (t *Tracker) rebuild(srv int) {
 	}
 	s.peak, s.hot = selfPeak(s.aggregate)
 	s.stale = false
-	t.rebuilds++
-}
-
-// nonNegative reports whether the samples of prof that reach an aggregate
-// (the first samples of them) are all non-negative and not NaN.
-func nonNegative(prof []float64, samples int) bool {
-	for _, u := range prof[:min(len(prof), samples)] {
-		if !(u >= 0) {
-			return false
-		}
-	}
-	return true
 }

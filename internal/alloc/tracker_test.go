@@ -122,15 +122,6 @@ func TestTrackerRemoveReopensCursor(t *testing.T) {
 	}
 }
 
-// rebuildAll touches every server and refreshes: the rebuild of a telemetry
-// refresh that moved every profile.
-func rebuildAll(tr *Tracker) {
-	for srv := 0; srv < tr.Servers(); srv++ {
-		tr.Touch(srv)
-	}
-	tr.Refresh()
-}
-
 func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 	m := power.E5410()
 	cap0 := m.MaxCapacity()
@@ -151,7 +142,7 @@ func TestTrackerRebuildAllTracksNewProfiles(t *testing.T) {
 	// aggregate must reflect it and push the next arrival to a new server.
 	profiles[1] = flat(0.6*cap0, 4)
 	profiles[2] = flat(0.39*cap0, 4)
-	rebuildAll(tr)
+	tr.RebuildAll()
 	srv, _, ok := tr.Probe(flat(0.2*cap0, 4))
 	if !ok || srv != 1 {
 		t.Fatalf("probe after rebuild: srv=%d ok=%v", srv, ok)

@@ -158,13 +158,12 @@ func sameTracker(t *testing.T, step int, lazy *Tracker, eager *eagerTracker) {
 }
 
 // twinSamples are the special values a dirty profile mixes in, the finite
-// ones as fractions of capacity; the zero entries make rows of zeros
-// common, and the large negatives let a departure raise its server's peak
-// from unpacked back to packed.
-var twinSamples = []float64{0, 0, 0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.002, -0.3, -0.6, 1e300}
+// ones as fractions of capacity: the edges of the tracker's non-negative
+// domain. The zero entries make rows of zeros common.
+var twinSamples = []float64{0, 0, 0, math.Inf(1), math.Copysign(0, -1), 1e-300, 1e300}
 
 // runTwin drives a deferred and an eager tracker through the same
-// Commit/Remove/Probe/Overflow/UsedFrac/Touch+Refresh sequence,
+// Commit/Remove/Probe/Overflow/UsedFrac/RebuildAll sequence,
 // read from next (0 once a finite stream is exhausted), and compares them
 // after every read.
 func runTwin(t *testing.T, next func() byte, steps int) {
@@ -239,19 +238,13 @@ func runTwin(t *testing.T, next func() byte, steps int) {
 		case op < 9:
 			read(step)
 		case op == 9:
-			// A telemetry refresh that moves some residents' profiles: the
-			// deferred tracker rebuilds only their servers.
+			// A telemetry refresh that moves some residents' profiles.
 			for _, v := range resident {
 				if next()%3 == 0 {
 					profs[v] = draw()
-					lazy.Touch(where[v])
 				}
 			}
-			if next()%2 == 0 {
-				lazy.Refresh()
-			} else {
-				rebuildAll(lazy)
-			}
+			lazy.RebuildAll()
 			eager.RebuildAll(profile)
 			sameTracker(t, step, lazy, eager)
 		default:
@@ -283,7 +276,7 @@ func runTwin(t *testing.T, next func() byte, steps int) {
 }
 
 // TestTrackerDeferredMatchesEager holds the deferred rebuild to the eager
-// one over random streams, clean and dirty (NaN, ±Inf, negative and -0
+// one over random streams, clean and dirty (+Inf, -0, tiny and huge
 // samples, zero rows, short and long rows).
 func TestTrackerDeferredMatchesEager(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
@@ -314,39 +307,12 @@ func TestTrackerDefersRebuilds(t *testing.T) {
 	if n := tr.Rebuilds(); n != 1 {
 		t.Fatalf("%d rebuilds after ten departures from one server and a read, want 1", n)
 	}
-	// A departing profile with a negative sample is settled on the spot.
-	profs[10][2] = -1
-	tr.Remove(0, 10)
-	if n := tr.Rebuilds(); n != 2 {
-		t.Fatalf("%d rebuilds after a negative departure, want 2", n)
+	// The telemetry refresh rebuilds every server; it is not a deferred
+	// rebuild.
+	tr.RebuildAll()
+	if n := tr.Rebuilds(); n != 1 {
+		t.Fatalf("%d rebuilds after RebuildAll, want 1", n)
 	}
-}
-
-// TestTrackerNegativeDepartureKeepsCursor pins the one case the deferred
-// cursor rule cannot see: a departure leaves its server unpacked, and a
-// later departure with a negative sample packs it again. The eager rule
-// re-opened the cursor at the first of them, so the deferred tracker must
-// too.
-func TestTrackerNegativeDepartureKeepsCursor(t *testing.T) {
-	m := power.E5410()
-	c := m.MaxCapacity()
-	profs := map[int][]float64{1: {c, 0}, 2: {0, -0.5 * c}, 3: {0, 1.2 * c}}
-	profile := func(id int) []float64 { return profs[id] }
-	lazy := NewTracker(m, 4, 2, profile)
-	eager := &eagerTracker{capTop: c, samples: 2, maxServers: 4, probeLimit: defaultProbeLimit}
-	for id := 1; id <= 3; id++ {
-		lazy.Commit(0, id, profs[id])
-		eager.Commit(0, id, profs[id])
-	}
-	for id := 1; id <= 2; id++ {
-		lazy.Remove(0, id)
-		eager.Remove(0, id, profile)
-	}
-	lazy.UsedFrac()
-	if eager.cursor != 0 {
-		t.Fatalf("eager cursor %d, want 0", eager.cursor)
-	}
-	sameTracker(t, 0, lazy, eager)
 }
 
 func FuzzTrackerOps(f *testing.F) {

@@ -6,17 +6,16 @@ import (
 	"geovmp/internal/units"
 )
 
-// Link is one directed pair of a DataMatrix.
-type Link struct{ From, To int }
-
 // RowDiff is what DataMatrix.Refill changed in the matrix's pair structure,
 // plus the scratch it works in; reuse one across refills.
 type RowDiff struct {
 	// Senders lists, once each, the senders whose receiver sequence (the
 	// receivers, or their insertion order) changed.
 	Senders []int
-	// Links lists the pairs the refill added or removed.
-	Links []Link
+	// Receivers lists the receiver of every pair the refill added or
+	// removed: the receivers whose set of senders changed. A receiver is
+	// listed once per such pair.
+	Receivers []int
 
 	// reach is indexed by sender: 0 while the refill has not reached the
 	// row, 1+k while its first k cells still match the new pairs, -1 once
@@ -33,9 +32,10 @@ type RowDiff struct {
 // order would: the same rows in the same insertion order, the same volumes
 // and the same Len, Max and Mean. Unlike Reset it keeps every cell whose
 // row position the new pairs repeat, so a refill that moves few pairs
-// restructures few rows, and d reports exactly which rows and pairs moved.
+// restructures few rows, and d reports exactly which senders' rows and
+// which receivers' sender sets moved.
 func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataSize), d *RowDiff) {
-	d.Senders, d.Links, d.old, d.oldAt = d.Senders[:0], d.Links[:0], d.old[:0], d.oldAt[:0]
+	d.Senders, d.Receivers, d.old, d.oldAt = d.Senders[:0], d.Receivers[:0], d.old[:0], d.oldAt[:0]
 	d.reached = d.reached[:0]
 	m.max = 0
 	for k := 0; k < n; k++ {
@@ -115,12 +115,12 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 		was, row := d.old[d.oldAt[i]:d.oldAt[i+1]], m.rows[from]
 		for _, c := range row {
 			if !slices.Contains(was, c.to) {
-				d.Links = append(d.Links, Link{from, c.to})
+				d.Receivers = append(d.Receivers, c.to)
 			}
 		}
 		for _, to := range was {
 			if cellIndex(row, to) < 0 {
-				d.Links = append(d.Links, Link{from, to})
+				d.Receivers = append(d.Receivers, to)
 			}
 		}
 	}

@@ -53,8 +53,7 @@ func receivers(m *DataMatrix) map[int][]int {
 // sequences before and after a refill.
 func checkDiff(t *testing.T, what string, before, after map[int][]int, d *RowDiff) {
 	t.Helper()
-	var senders []int
-	var links []Link
+	var senders, recv []int
 	for _, rows := range []map[int][]int{before, after} {
 		for from := range rows {
 			if slices.Contains(senders, from) || slices.Equal(before[from], after[from]) {
@@ -63,30 +62,24 @@ func checkDiff(t *testing.T, what string, before, after map[int][]int, d *RowDif
 			senders = append(senders, from)
 			for _, to := range after[from] {
 				if !slices.Contains(before[from], to) {
-					links = append(links, Link{from, to})
+					recv = append(recv, to)
 				}
 			}
 			for _, to := range before[from] {
 				if !slices.Contains(after[from], to) {
-					links = append(links, Link{from, to})
+					recv = append(recv, to)
 				}
 			}
 		}
 	}
-	byLink := func(a, b Link) int {
-		if a.From != b.From {
-			return a.From - b.From
-		}
-		return a.To - b.To
-	}
-	gotS, gotL := slices.Sorted(slices.Values(d.Senders)), slices.SortedFunc(slices.Values(d.Links), byLink)
+	gotS, gotR := slices.Sorted(slices.Values(d.Senders)), slices.Sorted(slices.Values(d.Receivers))
 	slices.Sort(senders)
-	slices.SortFunc(links, byLink)
+	slices.Sort(recv)
 	if !slices.Equal(gotS, senders) {
 		t.Fatalf("%s: senders %v, want %v", what, gotS, senders)
 	}
-	if !slices.Equal(gotL, links) {
-		t.Fatalf("%s: links %v, want %v", what, gotL, links)
+	if !slices.Equal(gotR, recv) {
+		t.Fatalf("%s: receivers %v, want %v", what, gotR, recv)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 
 	"geovmp/internal/httpx"
@@ -185,9 +186,13 @@ const MaxWireID = 1<<20 - 1
 
 func validID(id int) bool { return id >= 0 && id <= MaxWireID }
 
-func nonNegative(vs ...float64) bool {
+// finiteNonNegative reports whether every value is finite and
+// non-negative. JSON carries no NaN or infinity, so on the wire only the
+// sign is ever refused; Place and Observe apply the same check to profiles
+// from Go callers.
+func finiteNonNegative(vs ...float64) bool {
 	for _, v := range vs {
-		if v < 0 {
+		if !(v >= 0 && v <= math.MaxFloat64) {
 			return false
 		}
 	}
@@ -197,9 +202,9 @@ func nonNegative(vs ...float64) bool {
 // valid reports whether the VM and its flow peers have in-range ids and
 // the profile is non-empty, with non-negative samples, image and volumes.
 func (r *placeRequest) valid() bool {
-	ok := validID(r.ID) && len(r.Profile) > 0 && nonNegative(r.Image) && nonNegative(r.Profile...)
+	ok := validID(r.ID) && len(r.Profile) > 0 && finiteNonNegative(r.Image) && finiteNonNegative(r.Profile...)
 	for _, fl := range r.Flows {
-		ok = ok && validID(fl.Peer) && nonNegative(fl.ToPeer, fl.FromPeer)
+		ok = ok && validID(fl.Peer) && finiteNonNegative(fl.ToPeer, fl.FromPeer)
 	}
 	return ok
 }
@@ -209,10 +214,10 @@ func (r *placeRequest) valid() bool {
 func (r *observeRequest) valid() bool {
 	ok := true
 	for _, v := range r.VMs {
-		ok = ok && validID(v.ID) && nonNegative(v.Profile...)
+		ok = ok && validID(v.ID) && finiteNonNegative(v.Profile...)
 	}
 	for _, v := range r.Volumes {
-		ok = ok && validID(v.From) && validID(v.To) && nonNegative(v.Vol)
+		ok = ok && validID(v.From) && validID(v.To) && finiteNonNegative(v.Vol)
 	}
 	return ok
 }

@@ -35,10 +35,7 @@ func (s *state) observeFull(o *Observation) {
 	s.ref = s.dm.Mean()
 	s.rebuildPeers()
 	for _, tr := range s.packs {
-		for srv := 0; srv < tr.Servers(); srv++ {
-			tr.Touch(srv)
-		}
-		tr.Refresh()
+		tr.RebuildAll()
 	}
 }
 

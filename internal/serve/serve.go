@@ -14,17 +14,18 @@
 // (positions, residency, adjacency) sits in dense tables indexed by the
 // compact VM id.
 //
-// An observation (the per-slot telemetry refresh) is applied the same way:
-// it pays for what moved since the last one. Profile rows whose bits did
-// not change are left alone, and only servers holding a VM whose profile
-// changed are rebuilt; the volume matrix is refilled in place
-// (correlation.DataMatrix.Refill), which reports the rows and pairs that
-// moved; and only the adjacency lists of those rows' senders, of both ends
-// of each moved pair and of the ids arrivals linked since the last
+// An observation (the per-slot telemetry refresh) re-adds every observed
+// profile and rebuilds every server's aggregate, but pays for the volume
+// matrix and the adjacency only where they moved: the matrix is refilled in
+// place (correlation.DataMatrix.Refill), which reports the senders whose
+// rows moved and the receivers whose senders did, and only those ids'
+// adjacency lists and those of the ids arrivals linked since the last
 // observation are recomputed. Each structure ends bit for bit as a rebuild
 // from scratch would leave it. serve_observe_lists_total and
 // serve_tracker_rebuilds_total on /metrics count the lists recomputed and
-// the server aggregates rebuilt.
+// the departures' deferred server rebuilds. Profiles with a negative, NaN
+// or infinite sample are refused (ErrBadProfile), as the wire refuses
+// them, because the deferred rebuilds rely on non-negative samples.
 //
 // Each decision runs three phases, in the scheduler-framework shape:
 //
@@ -200,6 +201,7 @@ var (
 	ErrQueueFull     = errors.New("serve: admission queue full")
 	ErrAlreadyPlaced = errors.New("serve: vm already placed")
 	ErrBadID         = errors.New("serve: negative vm id")
+	ErrBadProfile    = errors.New("serve: profile sample negative, NaN or infinite")
 )
 
 // Daemon is the online placement service. Create with New, feed with
@@ -334,7 +336,8 @@ func (d *Daemon) release() {
 // Place admits one arrival and returns its placement. It blocks until the
 // decision's turn in the admission sequence commits. ErrQueueFull means the
 // bounded queue is saturated — back off and retry; ErrDraining means the
-// daemon no longer admits work; ErrBadID refuses a negative id.
+// daemon no longer admits work; ErrBadID refuses a negative id and
+// ErrBadProfile a profile with a negative, NaN or infinite sample.
 func (d *Daemon) Place(vm VM) (Decision, error) {
 	if err := d.admit(); err != nil {
 		return Decision{}, err
@@ -353,12 +356,13 @@ func (d *Daemon) Depart(id int) (bool, error) {
 }
 
 // Observe applies one telemetry refresh (profiles, volumes, slot clock).
+// ErrBadProfile refuses the whole refresh when any profile has a negative,
+// NaN or infinite sample.
 func (d *Daemon) Observe(o Observation) error {
 	if d.draining.Load() {
 		return ErrDraining
 	}
-	d.observeAt(d.reserve(1), o)
-	return nil
+	return d.observeAt(d.reserve(1), o)
 }
 
 // Fault flips one DC's availability in the admission sequence: a down DC
@@ -431,11 +435,26 @@ func (d *Daemon) faultAt(seq uint64, dcI int, down bool) []int {
 	return moved
 }
 
-func (d *Daemon) observeAt(seq uint64, o Observation) {
+func (d *Daemon) observeAt(seq uint64, o Observation) error {
+	var err error
+	for _, v := range o.VMs {
+		if !finiteNonNegative(v.Profile...) {
+			err = ErrBadProfile
+			break
+		}
+	}
 	var lists int
-	d.turn(seq, func() { lists = d.st.observe(&o) })
+	d.turn(seq, func() {
+		if err == nil {
+			lists = d.st.observe(&o)
+		}
+	})
+	if err != nil {
+		return err
+	}
 	d.mObservations.Inc()
 	d.mObserveLists.Add(int64(lists))
+	return nil
 }
 
 // --- read-only accessors ---

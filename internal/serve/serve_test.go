@@ -111,6 +111,22 @@ func TestPlaceDepartLifecycle(t *testing.T) {
 	if ok, _ := d.Depart(-1); ok || d.Resident(-1) || d.Resident(1<<30) {
 		t.Fatal("an id outside the tables reads as resident")
 	}
+	// The packers' deferred rebuilds need non-negative samples, so Go
+	// callers' profiles are held to the wire's check.
+	for _, bad := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		prof := testProfile(0.4)
+		prof[3] = bad
+		if _, err := d.Place(VM{ID: 9, Profile: prof}); err != ErrBadProfile {
+			t.Fatalf("sample %v: place err = %v, want ErrBadProfile", bad, err)
+		}
+		obs := Observation{VMs: []VMProfile{{ID: 1, Profile: testProfile(0.9)}, {ID: 9, Profile: prof}}}
+		if err := d.Observe(obs); err != ErrBadProfile {
+			t.Fatalf("sample %v: observe err = %v, want ErrBadProfile", bad, err)
+		}
+	}
+	if d.Resident(9) || d.Board().Snapshot().Counters["serve_observations_total"] != 0 {
+		t.Fatal("a refused profile reached the state")
+	}
 
 	// A second VM declaring traffic with the first should follow it: every
 	// score term except cross-traffic is DC-symmetric this early, so the

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"slices"
 
 	"geovmp/internal/alloc"
@@ -123,7 +122,7 @@ func (s *state) growResidency(id int) {
 	s.actPos = grown(s.actPos, id+1, 0)
 }
 
-// rebuilds returns how many server aggregates the packers have rebuilt.
+// rebuilds returns how many deferred rebuilds the packers have run.
 func (s *state) rebuilds() int {
 	n := 0
 	for _, tr := range s.packs {
@@ -174,6 +173,9 @@ type candidate struct {
 func (s *state) prepare(vm *VM) (candidate, error) {
 	if vm.ID < 0 {
 		return candidate{}, ErrBadID
+	}
+	if !finiteNonNegative(vm.Profile...) {
+		return candidate{}, ErrBadProfile
 	}
 	if s.dcAt(vm.ID) >= 0 {
 		return candidate{}, ErrAlreadyPlaced
@@ -522,28 +524,26 @@ func (s *state) depart(id int) bool {
 	return true
 }
 
-// observe applies one telemetry refresh, paying for what it changed: a
-// profile row is rewritten, and its server marked for a rebuild, only when
-// its bits moved; the volume matrix is refilled in place, restructuring
-// only the rows whose pairs moved; the adjacency lists are recomputed only
-// for the ids those rows and pairs name and the ids arrivals linked since
-// the last observation; and each packer rebuilds only its marked servers
-// before its cursor is reset. Every structure ends as a full rebuild from
-// the observation would leave it. It returns how many adjacency lists it
-// recomputed.
+// observe applies one telemetry refresh: every observed profile is
+// re-added and every server rebuilt from current profiles; the volume
+// matrix is refilled in place, restructuring only the rows whose pairs
+// moved; and the adjacency lists are recomputed only for the ids those
+// rows and pairs name and the ids arrivals linked since the last
+// observation. Every structure ends as a full rebuild from the observation
+// would leave it. It returns how many adjacency lists it recomputed.
 func (s *state) observe(o *Observation) int {
 	if o.Slot != s.slot {
 		s.slot = o.Slot
 		s.refreshPrices()
 	}
+	row := make([]float64, s.opt.Samples) // Add copies rows: one scratch row serves every VM
 	for _, v := range o.VMs {
-		if row := s.ps.Profile(v.ID); row != nil && sameProfile(row, v.Profile) {
-			continue
+		prof := v.Profile
+		if len(prof) != len(row) {
+			clear(row[copy(row, prof):])
+			prof = row
 		}
-		s.ps.Add(v.ID, normalizeProfile(v.Profile, s.opt.Samples))
-		if dcI := s.dcAt(v.ID); dcI >= 0 {
-			s.packs[dcI].Touch(s.srvOf[v.ID])
-		}
+		s.ps.Add(v.ID, prof)
 	}
 	vols := o.Volumes
 	s.dm.Refill(len(vols), func(k int) (int, int, units.DataSize) {
@@ -552,7 +552,7 @@ func (s *state) observe(o *Observation) int {
 	s.ref = s.dm.Mean()
 	lists := s.relistPeers(vols)
 	for _, tr := range s.packs {
-		tr.Refresh()
+		tr.RebuildAll()
 	}
 	return lists
 }
@@ -569,8 +569,8 @@ func (s *state) relistPeers(vols []VolumeObs) int {
 	for _, from := range s.diff.Senders {
 		s.markRelist(from)
 	}
-	for _, l := range s.diff.Links {
-		s.markRelist(l.To)
+	for _, to := range s.diff.Receivers {
+		s.markRelist(to)
 	}
 	// The matrix holds exactly the pairs of vols that it stores, so one
 	// pass over them finds every queued id's senders. Bucket them by
@@ -659,21 +659,6 @@ func (s *state) unlink(id int) {
 		}
 	}
 	s.peers[id] = nil
-}
-
-// sameProfile reports whether row, a stored profile, holds the bits
-// normalizeProfile would make of prof.
-func sameProfile(row, prof []float64) bool {
-	for i, u := range row {
-		var v float64
-		if i < len(prof) {
-			v = prof[i]
-		}
-		if math.Float64bits(u) != math.Float64bits(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // normalizeProfile fits a profile to the daemon's sample count: returned
