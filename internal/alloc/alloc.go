@@ -62,34 +62,6 @@ type Result struct {
 	Overflowed int // VMs placed past nominal capacity
 }
 
-// ServerOf returns a dense VM-id-indexed server lookup: slot id holds the
-// index of the server hosting that VM, or -1 for ids the allocation does
-// not place. The slice spans exactly [0, max placed id] — callers probing
-// arbitrary ids must bounds-check (an id at or beyond len is simply not
-// placed here), unlike the former map whose misses read as 0. Ids are the
-// workload's compact ids, so the dense form costs one allocation and O(1)
-// unhashed reads per lookup.
-func (r *Result) ServerOf() []int {
-	maxID := -1
-	for _, srv := range r.Servers {
-		for _, id := range srv.VMs {
-			if id > maxID {
-				maxID = id
-			}
-		}
-	}
-	out := make([]int, maxID+1)
-	for i := range out {
-		out[i] = -1
-	}
-	for s, srv := range r.Servers {
-		for _, id := range srv.VMs {
-			out[id] = s
-		}
-	}
-	return out
-}
-
 // CorrelationAware packs ids onto at most maxServers servers of the given
 // model using combined-peak admission over the slot profiles in ps.
 func CorrelationAware(ids []int, ps *correlation.ProfileSet, model *power.ServerModel, maxServers int) Result {

@@ -132,11 +132,17 @@ func TestNeverExceedsCapacityWhenServersAvailable(t *testing.T) {
 	}
 }
 
+// TestAllVMsPlacedExactlyOnce checks that every input id, and no other,
+// lands on exactly one server: over sparse ids (every seventh id is
+// missing), with servers to spare and under a budget that forces overflow.
 func TestAllVMsPlacedExactlyOnce(t *testing.T) {
 	m := power.E5410()
 	src := rng.New(7)
 	profiles := map[int][]float64{}
 	for id := 0; id < 80; id++ {
+		if id%7 == 1 {
+			continue
+		}
 		p := make([]float64, 6)
 		for i := range p {
 			p[i] = src.Range(0.1, 2)
@@ -145,19 +151,24 @@ func TestAllVMsPlacedExactlyOnce(t *testing.T) {
 	}
 	ps := buildPS(profiles)
 	ids := idsOf(profiles)
-	res := CorrelationAware(ids, ps, m, 100)
-	seen := map[int]int{}
-	for _, srv := range res.Servers {
-		for _, id := range srv.VMs {
-			seen[id]++
+	for _, budget := range []int{100, 3} {
+		res := CorrelationAware(ids, ps, m, budget)
+		if budget == 3 && res.Overflowed == 0 {
+			t.Fatal("a 3-server budget did not overflow")
 		}
-	}
-	if len(seen) != len(ids) {
-		t.Fatalf("placed %d distinct VMs, want %d", len(seen), len(ids))
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("vm %d placed %d times", id, n)
+		seen := map[int]int{}
+		for _, srv := range res.Servers {
+			for _, id := range srv.VMs {
+				seen[id]++
+			}
+		}
+		if len(seen) != len(ids) {
+			t.Fatalf("budget %d: placed %d distinct VMs, want %d", budget, len(seen), len(ids))
+		}
+		for _, id := range ids {
+			if seen[id] != 1 {
+				t.Fatalf("budget %d: vm %d placed %d times", budget, id, seen[id])
+			}
 		}
 	}
 }
@@ -224,27 +235,6 @@ func TestFewerOrEqualServersThanPlain(t *testing.T) {
 		pl := PlainFFD(ids, ps, m, 1000)
 		if ca.Active > pl.Active {
 			t.Fatalf("trial %d: corr-aware %d servers > plain %d", trial, ca.Active, pl.Active)
-		}
-	}
-}
-
-func TestServerOfMapping(t *testing.T) {
-	m := power.E5410()
-	// Id 1 is deliberately absent: the dense lookup must mark the hole -1.
-	profiles := map[int][]float64{0: {5, 5}, 2: {5, 5}, 3: {1, 1}}
-	res := CorrelationAware(idsOf(profiles), buildPS(profiles), m, 10)
-	byVM := res.ServerOf()
-	if len(byVM) != 4 {
-		t.Fatalf("mapping size %d, want max id + 1 = 4", len(byVM))
-	}
-	if byVM[1] != -1 {
-		t.Fatalf("unplaced id 1 mapped to %d, want -1", byVM[1])
-	}
-	for s, srv := range res.Servers {
-		for _, id := range srv.VMs {
-			if byVM[id] != s {
-				t.Fatalf("vm %d mapped to %d, lives on %d", id, byVM[id], s)
-			}
 		}
 	}
 }

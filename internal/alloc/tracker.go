@@ -46,7 +46,6 @@ type Tracker struct {
 	maxServers int
 	probeLimit int
 	cursor     int // servers below this index are considered packed
-	count      int // resident VMs
 	servers    []trackedServer
 	profile    func(id int) []float64
 	// stale lists the servers awaiting their rebuild, each once (its
@@ -86,12 +85,6 @@ func NewTracker(model *power.ServerModel, maxServers, samples int, profile func(
 	}
 }
 
-// Len returns the number of resident VMs.
-func (t *Tracker) Len() int { return t.count }
-
-// Servers returns the number of servers ever opened.
-func (t *Tracker) Servers() int { return len(t.servers) }
-
 // Rebuilds returns how many deferred rebuilds have run: server aggregates
 // rebuilt at a read because departures left them stale.
 func (t *Tracker) Rebuilds() int { return t.rebuilds }
@@ -122,9 +115,10 @@ func (t *Tracker) UsedFrac() float64 {
 
 // Probe finds a server for prof: the first server in the bounded window
 // whose combined peak stays under capacity, else a fresh server while the
-// budget allows. It mutates nothing. srv == Servers() means "open a new
-// server" — Commit performs the open. ok is false when the DC is out of
-// capacity; the caller then either rejects or places via Overflow.
+// budget allows. It mutates nothing. srv one past the last opened server
+// means "open a new server" — Commit performs the open. ok is false when
+// the DC is out of capacity; the caller then either rejects or places via
+// Overflow.
 func (t *Tracker) Probe(prof []float64) (srv int, peak float64, ok bool) {
 	t.flush()
 	end := t.cursor + t.probeLimit
@@ -181,9 +175,9 @@ func (t *Tracker) Overflow() int {
 	return best
 }
 
-// Commit places id with profile prof on server srv (opening it when srv ==
-// Servers()) and advances the packed cursor past servers whose gap has
-// closed.
+// Commit places id with profile prof on server srv (opening it when srv is
+// one past the last opened server, as Probe returns) and advances the
+// packed cursor past servers whose gap has closed.
 func (t *Tracker) Commit(srv, id int, prof []float64) {
 	t.flush()
 	for srv >= len(t.servers) {
@@ -199,7 +193,6 @@ func (t *Tracker) Commit(srv, id int, prof []float64) {
 		s.aggregate[i] += prof[i]
 	}
 	s.peak, s.hot = selfPeak(s.aggregate)
-	t.count++
 	t.advance()
 }
 
@@ -236,7 +229,6 @@ func (t *Tracker) Remove(srv, id int) bool {
 		return false
 	}
 	s.members = slices.Delete(s.members, k, k+1)
-	t.count--
 	if !s.stale {
 		s.stale = true
 		t.stale = append(t.stale, srv)

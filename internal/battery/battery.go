@@ -74,9 +74,6 @@ func New(cfg Config) (*Bank, error) {
 // Capacity returns the bank's full capacity.
 func (b *Bank) Capacity() units.Energy { return b.capacity }
 
-// SoC returns the current state of charge.
-func (b *Bank) SoC() units.Energy { return b.soc }
-
 // Usable returns the energy that can still be drawn before hitting the DoD
 // floor, measured at the cell (before output efficiency).
 func (b *Bank) Usable() units.Energy {
@@ -140,19 +137,6 @@ func (b *Bank) Discharge(p units.Power, dt float64) units.Energy {
 	}
 	b.soc -= cellOut
 	return acOut
-}
-
-// MaxDischargePower returns the AC power the bank can sustain for dt seconds
-// given its current state of charge.
-func (b *Bank) MaxDischargePower(dt float64) units.Power {
-	if dt <= 0 {
-		return 0
-	}
-	byEnergy := units.Power(float64(b.Usable()) * b.effOut / dt)
-	if byEnergy < b.dischMax {
-		return byEnergy
-	}
-	return b.dischMax
 }
 
 // Validate checks the bank's invariants; tests call it after mutation

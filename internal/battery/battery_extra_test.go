@@ -6,16 +6,6 @@ import (
 	"geovmp/internal/units"
 )
 
-func TestMaxDischargePowerZeroDuration(t *testing.T) {
-	b := paperBank(t)
-	if got := b.MaxDischargePower(0); got != 0 {
-		t.Fatalf("zero-duration discharge power = %v", got)
-	}
-	if got := b.MaxDischargePower(-5); got != 0 {
-		t.Fatalf("negative-duration discharge power = %v", got)
-	}
-}
-
 func TestChargeDegenerateInputs(t *testing.T) {
 	b := paperBank(t)
 	if b.Charge(0, 60) != 0 || b.Charge(-100, 60) != 0 || b.Charge(100, 0) != 0 {

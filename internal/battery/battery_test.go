@@ -132,21 +132,6 @@ func TestZeroValueBankInert(t *testing.T) {
 	}
 }
 
-func TestMaxDischargePower(t *testing.T) {
-	b := paperBank(t)
-	p := b.MaxDischargePower(3600)
-	// Rate limit C/4 = 240 kW binds before energy (480*0.95 kWh over 1 h).
-	if math.Abs(p.KW()-240) > 1e-6 {
-		t.Fatalf("max discharge = %v, want 240 kW", p.KW())
-	}
-	// Over a long window energy binds instead.
-	p = b.MaxDischargePower(100 * 3600)
-	want := 480.0 * 0.95 / 100
-	if math.Abs(p.KW()-want) > 0.01 {
-		t.Fatalf("max discharge over 100 h = %v kW, want %v", p.KW(), want)
-	}
-}
-
 // TestInvariantUnderRandomOps drives a bank with random charge/discharge
 // sequences and asserts SoC never leaves [floor, capacity].
 func TestInvariantUnderRandomOps(t *testing.T) {

@@ -112,7 +112,7 @@ func TestIndependentState(t *testing.T) {
 	}
 	// Draining a's battery must not affect b's.
 	a.Fleet[0].Bank.Discharge(units.Power(1e9), 3600)
-	if a.Fleet[0].Bank.SoC() == b.Fleet[0].Bank.SoC() {
+	if a.Fleet[0].Bank.Usable() == b.Fleet[0].Bank.Usable() {
 		t.Fatal("scenarios share battery state")
 	}
 }

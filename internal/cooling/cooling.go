@@ -14,7 +14,6 @@ import (
 
 	"geovmp/internal/rng"
 	"geovmp/internal/timeutil"
-	"geovmp/internal/units"
 )
 
 // Climate describes the ambient conditions of one site for the simulated
@@ -89,11 +88,6 @@ type Site struct {
 // PUEAt returns the site PUE at the given absolute time (seconds).
 func (s Site) PUEAt(seconds float64) float64 {
 	return s.Model.At(s.Climate.TemperatureAt(seconds))
-}
-
-// FacilityPower scales IT power by the site's instantaneous PUE.
-func (s Site) FacilityPower(it units.Power, seconds float64) units.Power {
-	return units.Power(float64(it) * s.PUEAt(seconds))
 }
 
 // MeanPUEOverSlot returns the average PUE across a slot, sampled at 1-minute

@@ -105,16 +105,6 @@ func TestTemperatureDeterministic(t *testing.T) {
 	}
 }
 
-func TestFacilityPower(t *testing.T) {
-	s := Site{Climate: Helsinki(), Model: DefaultPUE()}
-	it := 1000.0
-	fp := s.FacilityPower(1000, 0)
-	pue := s.PUEAt(0)
-	if float64(fp) != it*pue {
-		t.Fatalf("facility power = %v, want %v", fp, it*pue)
-	}
-}
-
 func TestMeanPUEOverSlotWithinBounds(t *testing.T) {
 	s := Site{Climate: Lisbon(), Model: DefaultPUE()}
 	for sl := timeutil.Slot(0); sl < 48; sl++ {

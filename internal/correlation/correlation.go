@@ -150,9 +150,6 @@ func (ps *ProfileSet) Reset() {
 	ps.freeStd = ps.freeStd[:0]
 }
 
-// Len returns the number of registered profiles.
-func (ps *ProfileSet) Len() int { return len(ps.ids) }
-
 // Add registers a VM's profile, copying it into the set's arena; it panics
 // unless the row holds exactly Samples() values. Adding an id that already
 // has a profile replaces it in place (the streaming controller's
@@ -308,7 +305,6 @@ type DataMatrix struct {
 	froms  []int       // the non-empty rows
 	fromAt []int32     // indexed by from: its index in froms, where registered
 	pairs  int
-	max    units.DataSize
 }
 
 type volCell struct {
@@ -329,7 +325,6 @@ func (m *DataMatrix) Reset() {
 	}
 	m.froms = m.froms[:0]
 	m.pairs = 0
-	m.max = 0
 }
 
 // Clone returns an independent copy of the matrix: every query, and the
@@ -341,7 +336,6 @@ func (m *DataMatrix) Clone() *DataMatrix {
 		froms:  slices.Clone(m.froms),
 		fromAt: slices.Clone(m.fromAt),
 		pairs:  m.pairs,
-		max:    m.max,
 	}
 	cells := make([]volCell, 0, m.pairs)
 	for _, from := range m.froms {
@@ -374,17 +368,11 @@ func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 	for i := range row {
 		if row[i].to == to {
 			row[i].vol += vol
-			if row[i].vol > m.max {
-				m.max = row[i].vol
-			}
 			return
 		}
 	}
 	m.rows[from] = append(row, volCell{to: to, vol: vol})
 	m.pairs++
-	if vol > m.max {
-		m.max = vol
-	}
 }
 
 // growRows extends the row tables to cover sender from.
@@ -408,25 +396,15 @@ func (m *DataMatrix) growRows(from int) {
 // the partners' rows are touched, so the cost is O(degree x row length)
 // whatever the matrix holds. Surviving cells keep their insertion order, so
 // iteration and every query match a matrix rebuilt from scratch by
-// replaying the surviving adds in their original order. The high-water
-// mark is rescanned only when a removed cell could have held it. Removing
-// an unknown id is a no-op.
+// replaying the surviving adds in their original order. Removing an
+// unknown id is a no-op.
 func (m *DataMatrix) RemoveVM(id int, partners []int) {
 	if id < 0 {
 		return
 	}
-	removed := false
-	var removedMax units.DataSize
 	if id < len(m.rows) {
-		row := m.rows[id]
-		for _, c := range row {
-			if c.vol > removedMax {
-				removedMax = c.vol
-			}
-		}
-		if len(row) > 0 {
+		if row := m.rows[id]; len(row) > 0 {
 			m.pairs -= len(row)
-			removed = true
 			m.rows[id] = row[:0]
 			m.unregister(id)
 		}
@@ -440,9 +418,6 @@ func (m *DataMatrix) RemoveVM(id int, partners []int) {
 		w := 0
 		for _, c := range row {
 			if c.to == id {
-				if c.vol > removedMax {
-					removedMax = c.vol
-				}
 				continue
 			}
 			row[w] = c
@@ -452,20 +427,9 @@ func (m *DataMatrix) RemoveVM(id int, partners []int) {
 			continue // not a receiver of id's, or a repeat already compacted
 		}
 		m.pairs -= len(row) - w
-		removed = true
 		m.rows[from] = row[:w]
 		if w == 0 {
 			m.unregister(from)
-		}
-	}
-	if removed && removedMax >= m.max {
-		m.max = 0
-		for _, from := range m.froms {
-			for _, c := range m.rows[from] {
-				if c.vol > m.max {
-					m.max = c.vol
-				}
-			}
 		}
 	}
 }
@@ -494,10 +458,6 @@ func (m *DataMatrix) Vol(from, to int) units.DataSize {
 	return 0
 }
 
-// Max returns the largest directed volume seen, the natural normalization
-// reference for attraction forces.
-func (m *DataMatrix) Max() units.DataSize { return m.max }
-
 // Mean returns the average non-zero directed volume (0 when empty). Force
 // normalization against a multiple of the mean keeps attraction meaningful
 // under heavy-tailed volume distributions, where normalizing by the maximum
@@ -514,9 +474,6 @@ func (m *DataMatrix) Mean() units.DataSize {
 	}
 	return units.DataSize(float64(sum) / float64(m.pairs))
 }
-
-// Len returns the number of non-zero directed pairs.
-func (m *DataMatrix) Len() int { return m.pairs }
 
 // Each calls fn for every non-zero directed pair, in deterministic order:
 // ascending sender id, receivers in insertion order.

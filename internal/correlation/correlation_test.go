@@ -166,9 +166,6 @@ func TestDataMatrix(t *testing.T) {
 	if m.Vol(9, 9) != 0 {
 		t.Fatal("missing pair should be 0")
 	}
-	if m.Max() != 15*units.Megabyte {
-		t.Fatalf("max = %v", m.Max())
-	}
 	if m.TotalBetween(1, 2) != 18*units.Megabyte {
 		t.Fatalf("total = %v", m.TotalBetween(1, 2))
 	}

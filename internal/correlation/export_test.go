@@ -14,3 +14,9 @@ func (m *DataMatrix) IDAdjacency(a *Adjacency) {
 	}
 	m.Adjacency(a, ids)
 }
+
+// Len returns the number of registered profiles.
+func (ps *ProfileSet) Len() int { return len(ps.ids) }
+
+// Len returns the number of non-zero directed pairs.
+func (m *DataMatrix) Len() int { return m.pairs }

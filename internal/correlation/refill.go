@@ -30,14 +30,13 @@ type RowDiff struct {
 // Refill replaces the matrix's contents with n pairs, pair k being at(k),
 // and leaves it bit for bit as Reset followed by Add over the pairs in
 // order would: the same rows in the same insertion order, the same volumes
-// and the same Len, Max and Mean. Unlike Reset it keeps every cell whose
+// and the same pair count and Mean. Unlike Reset it keeps every cell whose
 // row position the new pairs repeat, so a refill that moves few pairs
 // restructures few rows, and d reports exactly which senders' rows and
 // which receivers' sender sets moved.
 func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataSize), d *RowDiff) {
 	d.Senders, d.Receivers, d.old, d.oldAt = d.Senders[:0], d.Receivers[:0], d.old[:0], d.oldAt[:0]
 	d.reached = d.reached[:0]
-	m.max = 0
 	for k := 0; k < n; k++ {
 		from, to, vol := at(k)
 		if !Stores(from, to, vol) {
@@ -59,13 +58,11 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 			next := int(c - 1)
 			if next < len(row) && row[next].to == to {
 				row[next].vol = vol // the pair's first occurrence: Add's new cell
-				m.bump(vol)
 				d.reach[from] = c + 1
 				continue
 			}
 			if i := cellIndex(row[:next], to); i >= 0 {
 				row[i].vol += vol
-				m.bump(row[i].vol)
 				d.reach[from] = c
 				continue
 			}
@@ -77,7 +74,6 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 			d.reach[from] = -1
 		} else if i := cellIndex(row, to); i >= 0 {
 			row[i].vol += vol
-			m.bump(row[i].vol)
 			continue
 		}
 		if len(row) == 0 && !m.registered(from) {
@@ -86,7 +82,6 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 		}
 		m.rows[from] = append(row, volCell{to: to, vol: vol})
 		m.pairs++
-		m.bump(vol)
 	}
 	// Rows the new pairs did not reach empty; rows they reached keep only
 	// the cells they matched. froms is walked from the back, so the swap
@@ -123,13 +118,6 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 				d.Receivers = append(d.Receivers, to)
 			}
 		}
-	}
-}
-
-// bump raises the high-water mark to vol, as Add does after each update.
-func (m *DataMatrix) bump(vol units.DataSize) {
-	if vol > m.max {
-		m.max = vol
 	}
 }
 

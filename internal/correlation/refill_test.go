@@ -25,7 +25,7 @@ func walk(m *DataMatrix) []bitCell {
 }
 
 // sameMatrix compares two matrices on every observable: the Each walk,
-// Len, Max and Mean, bit for bit.
+// Len and Mean, bit for bit.
 func sameMatrix(t *testing.T, what string, got, want *DataMatrix) {
 	t.Helper()
 	if g, w := walk(got), walk(want); !slices.Equal(g, w) {
@@ -33,9 +33,6 @@ func sameMatrix(t *testing.T, what string, got, want *DataMatrix) {
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: Len %d, want %d", what, got.Len(), want.Len())
-	}
-	if g, w := math.Float64bits(float64(got.Max())), math.Float64bits(float64(want.Max())); g != w {
-		t.Fatalf("%s: Max %v, want %v", what, got.Max(), want.Max())
 	}
 	if g, w := math.Float64bits(float64(got.Mean())), math.Float64bits(float64(want.Mean())); g != w {
 		t.Fatalf("%s: Mean %v, want %v", what, got.Mean(), want.Mean())

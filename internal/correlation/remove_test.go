@@ -15,28 +15,16 @@ func (m *DataMatrix) removeVMScan(id int) {
 	if id < 0 {
 		return
 	}
-	removed := false
-	var removedMax units.DataSize
 	for fi := 0; fi < len(m.froms); {
 		from := m.froms[fi]
 		row := m.rows[from]
 		w := 0
 		if from == id {
-			for _, c := range row {
-				if c.vol > removedMax {
-					removedMax = c.vol
-				}
-			}
 			m.pairs -= len(row)
-			removed = removed || len(row) > 0
 		} else {
 			for _, c := range row {
 				if c.to == id {
-					if c.vol > removedMax {
-						removedMax = c.vol
-					}
 					m.pairs--
-					removed = true
 					continue
 				}
 				row[w] = c
@@ -50,16 +38,6 @@ func (m *DataMatrix) removeVMScan(id int) {
 			continue
 		}
 		fi++
-	}
-	if removed && removedMax >= m.max {
-		m.max = 0
-		for _, from := range m.froms {
-			for _, c := range m.rows[from] {
-				if c.vol > m.max {
-					m.max = c.vol
-				}
-			}
-		}
 	}
 }
 
@@ -122,9 +100,9 @@ func (r *removeTwin) check(t *testing.T, step string) {
 	if g, w := cells(got), cells(want); !slices.Equal(g, w) {
 		t.Fatalf("%s: Each %v, oracle %v", step, g, w)
 	}
-	if got.Len() != want.Len() || got.Max() != want.Max() || got.Mean() != want.Mean() {
-		t.Fatalf("%s: Len/Max/Mean %d/%v/%v, oracle %d/%v/%v", step,
-			got.Len(), got.Max(), got.Mean(), want.Len(), want.Max(), want.Mean())
+	if got.Len() != want.Len() || got.Mean() != want.Mean() {
+		t.Fatalf("%s: Len/Mean %d/%v, oracle %d/%v", step,
+			got.Len(), got.Mean(), want.Len(), want.Mean())
 	}
 	nonEmpty := 0
 	for from, row := range got.rows {
@@ -169,15 +147,9 @@ func TestRemoveVMMatchesScan(t *testing.T) {
 	r.add(5, 6, 20) // a sender row holds the maximum
 	r.remove(5)
 	r.check(t, "sender row held the max")
-	if r.dm.Max() != 9 {
-		t.Fatalf("Max after the sender left = %v, want 9", r.dm.Max())
-	}
 
 	r.remove(0, 0, 0, 2, 999) // a receiver row held the maximum
 	r.check(t, "max holder")
-	if r.dm.Max() != 4 {
-		t.Fatalf("Max after rescan = %v, want 4", r.dm.Max())
-	}
 
 	r.remove(4) // row 4 empties
 	r.check(t, "sender row empties")
@@ -191,8 +163,8 @@ func TestRemoveVMMatchesScan(t *testing.T) {
 	r.remove(4)
 	r.remove(0)
 	r.check(t, "drained")
-	if r.dm.Len() != 0 || r.dm.Max() != 0 || len(r.dm.froms) != 0 {
-		t.Fatalf("drained matrix: Len %d Max %v froms %v", r.dm.Len(), r.dm.Max(), r.dm.froms)
+	if r.dm.Len() != 0 || len(r.dm.froms) != 0 {
+		t.Fatalf("drained matrix: Len %d froms %v", r.dm.Len(), r.dm.froms)
 	}
 	r.add(3, 1, 2)
 	r.check(t, "refilled")

@@ -70,12 +70,6 @@ func (d *DC) SlotEnergyCeiling(sl timeutil.Slot) units.Energy {
 	return units.Energy(float64(d.MaxITPower().ForDuration(timeutil.SlotSeconds)) * pue)
 }
 
-// FreeEnergy returns the energy available to the DC next slot without the
-// grid: usable battery output plus the renewable forecast for slot sl.
-func (d *DC) FreeEnergy(sl timeutil.Slot) units.Energy {
-	return d.Bank.UsableAC() + d.Forecast.Forecast(sl)
-}
-
 // Fleet is the ordered collection of DCs in the experiment.
 type Fleet []*DC
 
@@ -108,13 +102,4 @@ func (f Fleet) TotalCPUCapacity() float64 {
 		c += d.CPUCapacity()
 	}
 	return c
-}
-
-// Tariffs returns the fleet's tariffs, indexed like the fleet.
-func (f Fleet) Tariffs() []price.Tariff {
-	out := make([]price.Tariff, len(f))
-	for i, d := range f {
-		out[i] = d.Tariff
-	}
-	return out
 }

@@ -91,16 +91,6 @@ func TestSlotEnergyCeiling(t *testing.T) {
 	}
 }
 
-func TestFreeEnergy(t *testing.T) {
-	d := testDC(t, 0)
-	d.Forecast.Observe(0, 10*units.KilowattHour)
-	free := d.FreeEnergy(1)
-	want := d.Bank.UsableAC() + 10*units.KilowattHour
-	if free != want {
-		t.Fatalf("free energy = %v, want %v", free, want)
-	}
-}
-
 func TestFleetValidate(t *testing.T) {
 	f := Fleet{testDC(t, 0), testDC(t, 1)}
 	if err := f.Validate(); err != nil {
@@ -119,9 +109,6 @@ func TestFleetAggregates(t *testing.T) {
 	}
 	if f.TotalCPUCapacity() != 240 {
 		t.Fatalf("total capacity = %v", f.TotalCPUCapacity())
-	}
-	if len(f.Tariffs()) != 3 || f.Tariffs()[0].Name != "Zurich" {
-		t.Fatalf("tariffs wrong: %v", f.Tariffs())
 	}
 }
 

@@ -173,9 +173,6 @@ func newCoordinator(cfg Config, ttl, base time.Duration) (*Coordinator, error) {
 // immediately after NewCoordinator, before any grid is served.
 func (c *Coordinator) URL() string { return "http://" + c.ln.Addr().String() }
 
-// Board returns the coordinator's metrics board.
-func (c *Coordinator) Board() *metrics.Board { return c.board }
-
 // Finish marks the coordinator done for good: no further grids will be
 // served, and from now on lease requests answer done:true so connected
 // workers drain and exit on their next poll. The listener stays up (so

@@ -213,7 +213,7 @@ func TestDistWorkerKilledMidCell(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-kill JSON differs from in-process JSON")
 	}
-	if exp := coord.Board().Counter("dist_leases_expired").Value(); exp == 0 {
+	if exp := coord.board.Counter("dist_leases_expired").Value(); exp == 0 {
 		t.Fatalf("expected at least one expired lease, board shows none")
 	}
 
@@ -275,7 +275,7 @@ func TestDistResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed JSON differs from in-process JSON")
 	}
-	if n := coord2.Board().Counter("dist_leases").Value(); n != 0 {
+	if n := coord2.board.Counter("dist_leases").Value(); n != 0 {
 		t.Fatalf("full resume leased %d cells, want 0", n)
 	}
 
@@ -338,7 +338,7 @@ func TestDistPartialResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("partial-resume JSON differs from in-process JSON")
 	}
-	if n := coord.Board().Counter("dist_results").Value(); n != 3 {
+	if n := coord.board.Counter("dist_results").Value(); n != 3 {
 		t.Fatalf("partial resume computed %d cells, want 3", n)
 	}
 
@@ -394,7 +394,7 @@ func TestDistRejectsForgedResult(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("forged result got status %d, want 409", resp.StatusCode)
 	}
-	if n := coord.Board().Counter("dist_results_rejected").Value(); n != 1 {
+	if n := coord.board.Counter("dist_results_rejected").Value(); n != 1 {
 		t.Fatalf("rejected counter = %d, want 1", n)
 	}
 	cancel()

@@ -94,7 +94,7 @@ func TestDistRejectsMisaddressedRow(t *testing.T) {
 		if code := result(row); code != http.StatusConflict {
 			t.Fatalf("misaddressed row %d got status %d, want 409", k, code)
 		}
-		if n := coord.Board().Counter("dist_results_rejected").Value(); n != int64(k+1) {
+		if n := coord.board.Counter("dist_results_rejected").Value(); n != int64(k+1) {
 			t.Fatalf("rejected counter = %d, want %d", n, k+1)
 		}
 		if st := coord.status(); st.Done != 0 {

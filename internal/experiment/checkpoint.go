@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"geovmp/internal/atomicfile"
 )
 
 // Checkpoint is a parsed set of completed cell rows — the resume source a
@@ -64,24 +66,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // WriteCheckpoint stores the set's CheckpointJSON at path through
-// writeAtomic, so a reader sees the previous checkpoint or the new one,
-// never a partial write.
+// atomicfile.Write, so a reader sees the previous checkpoint or the new
+// one, never a partial write.
 func (s *Set) WriteCheckpoint(path string) error {
 	b, err := s.CheckpointJSON()
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path, b)
-}
-
-// writeAtomic writes doc and a trailing newline to path.tmp, then renames
-// it over path. A failed write leaves path as it was.
-func writeAtomic(path string, doc []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, b)
 }
 
 // take pops the next unclaimed row for the given cell identity, or nil when

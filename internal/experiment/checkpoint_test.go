@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"geovmp/internal/config"
+	"geovmp/internal/pareto"
 	"geovmp/internal/policy"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/trace"
@@ -93,16 +94,21 @@ func TestWriteAtomic(t *testing.T) {
 		c := &set.Cells[i]
 		return &CellData{Scenario: c.Scenario, Policy: c.Policy, Seed: c.Seed, CostEUR: cost}
 	}
+	setFirst := func() { set.Cells[0].Data, set.Cells[1].Data = row(0, 1), nil }
+	setNext := func() { set.Cells[1].Data = row(1, 2) }
+	fs := &pareto.FrontierSet{Objectives: []string{"cost_eur"}}
 	dir := t.TempDir()
 	for _, w := range []struct {
-		name  string
-		write func(string) error
-		doc   func() ([]byte, error)
+		name        string
+		write       func(string) error
+		doc         func() ([]byte, error)
+		first, next func()
 	}{
-		{"WriteJSON", set.WriteJSON, set.JSON},
-		{"WriteCheckpoint", set.WriteCheckpoint, set.CheckpointJSON},
+		{"WriteJSON", set.WriteJSON, set.JSON, setFirst, setNext},
+		{"WriteCheckpoint", set.WriteCheckpoint, set.CheckpointJSON, setFirst, setNext},
+		{"FrontierWriteJSON", fs.WriteJSON, fs.JSON, func() { fs.Seeds = 1 }, func() { fs.Seeds = 2 }},
 	} {
-		set.Cells[0].Data, set.Cells[1].Data = row(0, 1), nil
+		w.first()
 		path := filepath.Join(dir, w.name+".json")
 		if err := w.write(path); err != nil {
 			t.Fatal(err)
@@ -119,7 +125,7 @@ func TestWriteAtomic(t *testing.T) {
 			t.Fatalf("%s left its temp file behind (%v)", w.name, err)
 		}
 
-		set.Cells[1].Data = row(1, 2)
+		w.next()
 		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 			t.Fatal(err)
 		}

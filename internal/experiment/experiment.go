@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"geovmp/internal/atomicfile"
 	"geovmp/internal/config"
 	"geovmp/internal/metrics"
 	"geovmp/internal/par"
@@ -406,14 +407,14 @@ func (c *Cell) Export() CellData {
 	return row
 }
 
-// WriteJSON stores the JSON export at path through writeAtomic, so a kill
-// mid-write never leaves a truncated export for a resume to read.
+// WriteJSON stores the JSON export at path through atomicfile.Write, so a
+// kill mid-write never leaves a truncated export for a resume to read.
 func (s *Set) WriteJSON(path string) error {
 	b, err := s.JSON()
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path, b)
+	return atomicfile.Write(path, b)
 }
 
 // NewSet validates the grid's axes and decomposes it into its cell

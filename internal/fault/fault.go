@@ -287,12 +287,6 @@ type Schedule struct {
 	link [][][]float64
 }
 
-// NDC returns the fleet size the schedule was compiled for.
-func (s *Schedule) NDC() int { return s.n }
-
-// Slots returns the compiled horizon length.
-func (s *Schedule) Slots() int { return s.slots }
-
 func (s *Schedule) clampRow(sl timeutil.Slot) int {
 	i := int(sl)
 	if i < 0 {
@@ -332,25 +326,6 @@ func (s *Schedule) LinkFactor(sl timeutil.Slot) [][]float64 {
 		return nil
 	}
 	return s.link[i]
-}
-
-// AnyFault reports whether slot sl deviates from the healthy world at
-// all (capacity, DC, link or PV).
-func (s *Schedule) AnyFault(sl timeutil.Slot) bool {
-	i := int(sl)
-	if i < 0 || i >= s.slots {
-		return false
-	}
-	if s.link[i] != nil {
-		return true
-	}
-	r := i * s.n
-	for d := 0; d < s.n; d++ {
-		if s.dcDown[r+d] || s.capFrac[r+d] != 1 || s.pvFrac[r+d] != 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // DCTransitions returns every whole-DC up/down flip in (slot, dc)

@@ -76,8 +76,11 @@ func TestCompileComposition(t *testing.T) {
 	if s.LinkFactor(1) != nil {
 		t.Errorf("healthy slot 1 has a link matrix")
 	}
-	if !s.AnyFault(0) || !s.AnyFault(2) || s.AnyFault(3) {
-		t.Errorf("AnyFault flags wrong: %v %v %v", s.AnyFault(0), s.AnyFault(2), s.AnyFault(3))
+	if got := s.CapFrac(2)[0]; got != 0.5 {
+		t.Errorf("slot 2 capFrac = %v, want 0.5", got)
+	}
+	if cf, pv := s.CapFrac(3), s.PVFrac(3); cf[0] != 1 || cf[1] != 1 || pv[0] != 1 || s.DCDown(3)[1] {
+		t.Errorf("healthy slot 3: capFrac %v pvFrac %v", cf, pv)
 	}
 }
 
@@ -92,9 +95,6 @@ func TestScheduleClamping(t *testing.T) {
 	}
 	if s.LinkFactor(-1) != nil || s.LinkFactor(99) != nil {
 		t.Errorf("out-of-range LinkFactor not nil")
-	}
-	if s.AnyFault(-1) || s.AnyFault(99) {
-		t.Errorf("out-of-range AnyFault not false")
 	}
 }
 

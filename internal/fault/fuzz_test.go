@@ -59,8 +59,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("Compile not deterministic for %+v seed %d", cfg, seed)
 		}
-		if a.NDC() != n || a.Slots() != slots {
-			t.Fatalf("schedule dims %d×%d, want %d×%d", a.NDC(), a.Slots(), n, slots)
+		if a.n != n || a.slots != slots {
+			t.Fatalf("schedule dims %d×%d, want %d×%d", a.n, a.slots, n, slots)
 		}
 		for sl := 0; sl < slots; sl++ {
 			cap := a.CapFrac(timeutil.Slot(sl))

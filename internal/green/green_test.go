@@ -32,7 +32,7 @@ const (
 
 func TestSurplusChargesBattery(t *testing.T) {
 	c := newController(t, 0.6)
-	before := c.Bank.SoC()
+	before := c.Bank.Usable()
 	d := c.Step(50*units.Kilowatt, 120*units.Kilowatt, peakUTC, 5)
 	if d.GridToLoad != 0 || d.GridToBattery != 0 {
 		t.Fatalf("grid used despite surplus: %+v", d)
@@ -43,7 +43,7 @@ func TestSurplusChargesBattery(t *testing.T) {
 	if d.BatteryIn <= 0 {
 		t.Fatal("surplus not stored")
 	}
-	if c.Bank.SoC() <= before {
+	if c.Bank.Usable() <= before {
 		t.Fatal("battery SoC did not grow")
 	}
 	if d.Cost != 0 {
@@ -93,7 +93,7 @@ func TestPeakDeficitGridCoversBeyondBattery(t *testing.T) {
 
 func TestOffPeakChargesFromGridAndSparesBattery(t *testing.T) {
 	c := newController(t, 0.5) // empty usable range
-	before := c.Bank.SoC()
+	before := c.Bank.Usable()
 	d := c.Step(200*units.Kilowatt, 20*units.Kilowatt, offpeakUTC, 5)
 	if d.Peak {
 		t.Fatal("expected off-peak window")
@@ -104,7 +104,7 @@ func TestOffPeakChargesFromGridAndSparesBattery(t *testing.T) {
 	if d.GridToBattery <= 0 {
 		t.Fatal("battery not charged from grid during off-peak")
 	}
-	if c.Bank.SoC() <= before {
+	if c.Bank.Usable() <= before {
 		t.Fatal("SoC did not grow")
 	}
 	// Load served by renewable + grid only.
@@ -141,15 +141,13 @@ func TestBatteryPreservedAcrossDoD(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		c.Step(500*units.Kilowatt, 0, peakUTC, 5)
 	}
+	// Floor, not empty: Validate fails once SoC dips below the outage
+	// reserve.
 	if err := c.Bank.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Bank.Usable() > 1e-6 {
 		t.Fatalf("usable energy left unexpectedly: %v", c.Bank.Usable())
-	}
-	// Floor, not empty: SoC stays at half capacity.
-	if c.Bank.SoC() < c.Bank.Capacity()/2-1 {
-		t.Fatalf("SoC %v dipped below the outage reserve", c.Bank.SoC())
 	}
 }
 

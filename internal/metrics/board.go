@@ -87,9 +87,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the level by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc raises the level by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

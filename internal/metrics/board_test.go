@@ -20,7 +20,9 @@ func TestBoardCountersAndGauges(t *testing.T) {
 	}
 	g := b.Gauge("depth")
 	g.Set(7)
-	g.Add(-3)
+	g.Dec()
+	g.Dec()
+	g.Dec()
 	if g.Value() != 4 {
 		t.Fatalf("gauge = %d", g.Value())
 	}
@@ -105,7 +107,7 @@ func TestBoardConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				b.Counter("c").Inc()
-				b.Gauge("g").Add(1)
+				b.Gauge("g").Inc()
 				b.Hist("h").Observe(time.Duration(i) * time.Microsecond)
 			}
 		}()

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming count/mean/variance/min/max via Welford's
@@ -55,9 +54,6 @@ func (s *Summary) Var() float64 {
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest observation (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
 
@@ -72,7 +68,6 @@ type Histogram struct {
 	lo, hi float64
 	bins   []int
 	total  int
-	raw    []float64 // retained for exact quantiles
 }
 
 // NewHistogram creates a histogram over [lo, hi) with n bins. It panics on
@@ -95,11 +90,7 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.bins[idx]++
 	h.total++
-	h.raw = append(h.raw, x)
 }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
 
 // PDF returns the per-bin probability mass (sums to 1 when non-empty) and
 // the bin centers.
@@ -114,65 +105,6 @@ func (h *Histogram) PDF() (centers, probs []float64) {
 		}
 	}
 	return centers, probs
-}
-
-// Quantile returns the exact q-quantile (0<=q<=1) of the recorded samples,
-// or 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.raw) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), h.raw...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Mean returns the mean of the recorded samples.
-func (h *Histogram) Mean() float64 {
-	if len(h.raw) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.raw {
-		sum += v
-	}
-	return sum / float64(len(h.raw))
-}
-
-// Std returns the population standard deviation of the recorded samples.
-func (h *Histogram) Std() float64 {
-	if len(h.raw) < 2 {
-		return 0
-	}
-	m := h.Mean()
-	var sq float64
-	for _, v := range h.raw {
-		sq += (v - m) * (v - m)
-	}
-	return math.Sqrt(sq / float64(len(h.raw)))
-}
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() float64 {
-	var m float64
-	for i, v := range h.raw {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Series is a named sequence of (x, y) points, e.g. hourly energy.
@@ -191,15 +123,6 @@ func (s *Series) Append(x, y float64) {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Y) }
 
-// SumY returns the sum of all y values.
-func (s *Series) SumY() float64 {
-	var t float64
-	for _, v := range s.Y {
-		t += v
-	}
-	return t
-}
-
 // MaxY returns the largest y value (0 when empty).
 func (s *Series) MaxY() float64 {
 	var m float64
@@ -209,14 +132,6 @@ func (s *Series) MaxY() float64 {
 		}
 	}
 	return m
-}
-
-// MeanY returns the mean y value (0 when empty).
-func (s *Series) MeanY() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	return s.SumY() / float64(len(s.Y))
 }
 
 // Downsample returns a new series with every group of k consecutive points

@@ -20,8 +20,8 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Std() != 2 {
 		t.Fatalf("std = %v, want 2", s.Std())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if got, want := s.String(), "n=8 mean=5 std=2 min=2 max=9"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -75,61 +75,24 @@ func TestHistogramPDFSumsToOne(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("PDF sums to %v", sum)
 	}
-	if h.Total() != 1000 {
-		t.Fatalf("total = %d", h.Total())
-	}
 }
 
 func TestHistogramClampsOutOfRange(t *testing.T) {
 	h := NewHistogram(0, 1, 10)
 	h.Add(-5)
 	h.Add(99)
-	if h.Total() != 2 {
-		t.Fatalf("clamped samples lost: total=%d", h.Total())
-	}
 	_, probs := h.PDF()
 	if probs[0] != 0.5 || probs[9] != 0.5 {
 		t.Fatalf("edge bins = %v, %v", probs[0], probs[9])
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-	med := h.Quantile(0.5)
-	if med < 50 || med > 51 {
-		t.Fatalf("median = %v", med)
-	}
-}
-
-func TestHistogramMoments(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Add(v)
-	}
-	if h.Mean() != 5 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if h.Std() != 2 {
-		t.Fatalf("std = %v", h.Std())
-	}
-	if h.Max() != 9 {
-		t.Fatalf("max = %v", h.Max())
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram should return zeros")
+	_, probs := NewHistogram(0, 1, 4).PDF()
+	for _, p := range probs {
+		if p != 0 {
+			t.Fatalf("empty histogram PDF = %v, want zeros", probs)
+		}
 	}
 }
 
@@ -151,14 +114,8 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 6 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.SumY() != 30 {
-		t.Fatalf("sum = %v", s.SumY())
-	}
 	if s.MaxY() != 10 {
 		t.Fatalf("max = %v", s.MaxY())
-	}
-	if s.MeanY() != 5 {
-		t.Fatalf("mean = %v", s.MeanY())
 	}
 }
 

@@ -63,19 +63,6 @@ func (d BERDistribution) Draw(src *rng.Source) float64 {
 	return d.Rates[src.Categorical(d.Probs)]
 }
 
-// Mean returns the expected BER.
-func (d BERDistribution) Mean() float64 {
-	var num, den float64
-	for i, r := range d.Rates {
-		num += r * d.Probs[i]
-		den += d.Probs[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // Topology is the static description of the geo-distributed network.
 type Topology struct {
 	N         int               // number of DCs
@@ -196,16 +183,10 @@ func (s *State) Reroll() {
 	}
 }
 
-// BER returns the current base BER of link i->j.
-func (s *State) BER(i, j int) float64 { return s.berBase[i][j] }
-
 // SetDegrade installs per-link bandwidth factors for the current slot
 // (fault-schedule partitions/degradations); nil restores the healthy
 // state. Factors must be positive; the matrix is read, not copied.
 func (s *State) SetDegrade(f [][]float64) { s.degrade = f }
-
-// Topology returns the static topology.
-func (s *State) Topology() *Topology { return s.topo }
 
 // LocalLatency implements Eq. 2/3's building block: the time for volume vol
 // to cross DC i's local link.

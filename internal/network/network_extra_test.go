@@ -95,7 +95,7 @@ func TestDataLatencyIndependentAcrossLinks(t *testing.T) {
 	foundDiff := false
 	for k := 0; k < 20 && !foundDiff; k++ {
 		s.Reroll()
-		if s.BER(0, 1) != s.BER(1, 2) {
+		if s.berBase[0][1] != s.berBase[1][2] {
 			foundDiff = true
 		}
 	}

@@ -3,8 +3,9 @@ package pareto
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"slices"
+
+	"geovmp/internal/atomicfile"
 )
 
 // FrontierPoint is one evaluated configuration of a scenario's frontier:
@@ -52,15 +53,6 @@ func (sf *ScenarioFrontier) KneePoint() *FrontierPoint {
 		return nil
 	}
 	return &sf.Points[sf.Knee]
-}
-
-// FrontPoints returns the Pareto-optimal points in stable order.
-func (sf *ScenarioFrontier) FrontPoints() []FrontierPoint {
-	out := make([]FrontierPoint, 0, len(sf.Front))
-	for _, i := range sf.Front {
-		out = append(out, sf.Points[i])
-	}
-	return out
 }
 
 // comparePoints is the canonical point order — knob points ascending by
@@ -141,16 +133,6 @@ type FrontierSet struct {
 	Scenarios  []*ScenarioFrontier
 }
 
-// Scenario returns the named scenario's frontier, or nil.
-func (fs *FrontierSet) Scenario(name string) *ScenarioFrontier {
-	for _, sf := range fs.Scenarios {
-		if sf.Scenario == name {
-			return sf
-		}
-	}
-	return nil
-}
-
 // frontierPointJSON is the export row for one point. The knob is a pointer
 // so baselines encode as null rather than a fake value, and rows carry the
 // front/knee markers inline so the export is self-describing.
@@ -229,11 +211,12 @@ func (fs *FrontierSet) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// WriteJSON stores the JSON export at path.
+// WriteJSON stores the JSON export at path through atomicfile.Write, so a
+// kill mid-write never leaves a truncated export.
 func (fs *FrontierSet) WriteJSON(path string) error {
 	b, err := fs.JSON()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return atomicfile.Write(path, b)
 }

@@ -152,16 +152,6 @@ func Ranks(pts []Point) []int {
 	return ranks
 }
 
-// Frontier returns the indexes of the Pareto-optimal points of pts, ordered
-// lexicographically by objective vector then name.
-func Frontier(pts []Point) []int {
-	fronts := NonDominatedSort(pts)
-	if len(fronts) == 0 {
-		return nil
-	}
-	return fronts[0]
-}
-
 // Reference derives a hypervolume reference point from a point set: each
 // component is the set's worst (largest) value plus margin times the
 // component's range — the conventional "slightly beyond nadir" box bound. A

@@ -248,7 +248,7 @@ func TestKnee2D(t *testing.T) {
 		{Name: "k", V: []float64{1, 1}}, // far below the a-c chord
 		{Name: "c", V: []float64{10, 0}},
 	}
-	front := Frontier(pts)
+	front := NonDominatedSort(pts)[0]
 	if len(front) != 3 {
 		t.Fatalf("front size %d, want 3", len(front))
 	}
@@ -272,7 +272,7 @@ func TestKneeHighDim(t *testing.T) {
 		{Name: "mid", V: []float64{0.2, 0.2, 0.2}},
 		{Name: "c", V: []float64{1, 1, 0}},
 	}
-	front := Frontier(pts)
+	front := NonDominatedSort(pts)[0]
 	knee := Knee(pts, front)
 	if pts[knee].Name != "mid" {
 		t.Fatalf("knee picked %q, want mid", pts[knee].Name)
@@ -289,7 +289,7 @@ func TestKneeNaNRobust(t *testing.T) {
 		{Name: "c", V: []float64{10, 0}},
 		{Name: "nan", V: []float64{math.NaN(), -5}}, // never dominated, joins the front
 	}
-	front := Frontier(pts)
+	front := NonDominatedSort(pts)[0]
 	if len(front) != 4 {
 		t.Fatalf("front size %d, want 4 (NaN point is non-comparable)", len(front))
 	}
@@ -308,7 +308,7 @@ func TestSpread(t *testing.T) {
 	for i := 0; i <= 4; i++ {
 		uniform = append(uniform, Point{Name: fmt.Sprintf("u%d", i), V: []float64{float64(i), float64(4 - i)}})
 	}
-	if s := Spread(uniform, Frontier(uniform)); math.Abs(s) > 1e-12 {
+	if s := Spread(uniform, NonDominatedSort(uniform)[0]); math.Abs(s) > 1e-12 {
 		t.Fatalf("uniform front spread %v, want 0", s)
 	}
 	// A clumped front spreads worse than the uniform one.
@@ -318,7 +318,7 @@ func TestSpread(t *testing.T) {
 		{Name: "c2", V: []float64{0.2, 3.8}},
 		{Name: "c3", V: []float64{4, 0}},
 	}
-	if s := Spread(clumped, Frontier(clumped)); s <= 0 {
+	if s := Spread(clumped, NonDominatedSort(clumped)[0]); s <= 0 {
 		t.Fatalf("clumped front spread %v, want > 0", s)
 	}
 	if s := Spread(uniform[:2], []int{0, 1}); s != 0 {

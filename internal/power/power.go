@@ -116,12 +116,6 @@ func (m *ServerModel) LowestLevelFor(load float64) (int, bool) {
 	return m.TopLevel(), false
 }
 
-// EnergyFor returns the energy consumed running at level idx with constant
-// load for the given number of seconds.
-func (m *ServerModel) EnergyFor(idx int, load, seconds float64) units.Energy {
-	return m.Power(idx, load).ForDuration(seconds)
-}
-
 // MarginalPower returns the incremental power cost of one reference core of
 // load at the top frequency level. Placement heuristics use it to convert a
 // VM's CPU demand into a power estimate without knowing its final server.

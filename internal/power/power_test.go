@@ -118,9 +118,12 @@ func TestLowestLevelFor(t *testing.T) {
 	}
 }
 
+// TestEnergyFor checks an idle hour at the top level: the model's power
+// held over a duration, as the green controller turns each fine step's
+// demand into energy.
 func TestEnergyFor(t *testing.T) {
 	m := E5410()
-	e := m.EnergyFor(m.TopLevel(), 0, 3600)
+	e := m.Power(m.TopLevel(), 0).ForDuration(3600)
 	want := units.Energy(165 * 3600)
 	if math.Abs(float64(e-want)) > 1e-6 {
 		t.Fatalf("idle hour energy = %v, want %v", e, want)

@@ -62,20 +62,3 @@ func (t Tariff) At(seconds float64) units.Price {
 func (t Tariff) AtSlot(sl timeutil.Slot) units.Price {
 	return t.At(sl.Seconds())
 }
-
-// CheapestNow returns the index of the tariff with the lowest current price,
-// breaking ties toward the lower index.
-func CheapestNow(tariffs []Tariff, seconds float64) int {
-	best := 0
-	for i := 1; i < len(tariffs); i++ {
-		if tariffs[i].At(seconds) < tariffs[best].At(seconds) {
-			best = i
-		}
-	}
-	return best
-}
-
-// MinPrice returns the lowest current price among tariffs.
-func MinPrice(tariffs []Tariff, seconds float64) units.Price {
-	return tariffs[CheapestNow(tariffs, seconds)].At(seconds)
-}

@@ -68,18 +68,6 @@ func TestAtSlotMatchesAt(t *testing.T) {
 	}
 }
 
-func TestCheapestNowPrefersHelsinkiOffPeakOverlap(t *testing.T) {
-	tariffs := []Tariff{LisbonTariff(), ZurichTariff(), HelsinkiTariff()}
-	// At 12:00 UTC all three are in peak; Helsinki peak (0.16) is cheapest.
-	idx := CheapestNow(tariffs, 12*3600)
-	if idx != 2 {
-		t.Fatalf("cheapest at noon = %d (%s), want Helsinki", idx, tariffs[idx].Name)
-	}
-	if MinPrice(tariffs, 12*3600) != tariffs[2].Peak {
-		t.Fatalf("min price mismatch")
-	}
-}
-
 func TestPriceDiversityExists(t *testing.T) {
 	// The whole point of geo-distribution: at some hour the cheapest DC must
 	// differ from the cheapest at another hour... at minimum the price

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,8 +50,10 @@ func TestFaultEvacuatesAndBlocksAdmission(t *testing.T) {
 			t.Fatalf("vm %d still at down DC %d (got %d)", id, target, got)
 		}
 	}
-	if down := d.DownDCs(); len(down) != 1 || down[0] != target {
-		t.Fatalf("DownDCs = %v, want [%d]", down, target)
+	for i, dn := range d.st.dcDown {
+		if dn != (i == target) {
+			t.Fatalf("down DCs = %v, want only %d", d.st.dcDown, target)
+		}
 	}
 
 	// New arrivals must avoid the down DC.
@@ -69,8 +72,8 @@ func TestFaultEvacuatesAndBlocksAdmission(t *testing.T) {
 	if _, err := d.Fault(target, false); err != nil {
 		t.Fatal(err)
 	}
-	if down := d.DownDCs(); down != nil {
-		t.Fatalf("DownDCs after recovery = %v", down)
+	if slices.Contains(d.st.dcDown, true) {
+		t.Fatalf("down DCs after recovery = %v", d.st.dcDown)
 	}
 	if got := d.Board().Counter("serve_faults_total").Value(); got != 3 {
 		t.Fatalf("serve_faults_total = %d, want 3", got)

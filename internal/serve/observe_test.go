@@ -110,7 +110,7 @@ func sameState(t *testing.T, k int, a, b *state, loads bool) {
 				t.Fatalf("event %d: DC %d load %v, eager %v", k, i, ua, ub)
 			}
 		}
-		for srv := 0; srv < max(ta.Servers(), tb.Servers()); srv++ {
+		for srv := 0; srv < a.opt.Fleet[i].Servers; srv++ {
 			if !slices.Equal(ta.Members(srv), tb.Members(srv)) {
 				t.Fatalf("event %d: DC %d server %d members differ", k, i, srv)
 			}

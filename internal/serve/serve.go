@@ -471,17 +471,6 @@ func (d *Daemon) DCOf(id int) int {
 	return d.st.dcAt(id)
 }
 
-// ServerOf returns id's (dc, server), or (-1, -1) when not resident.
-func (d *Daemon) ServerOf(id int) (int, int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	dcI := d.st.dcAt(id)
-	if dcI < 0 {
-		return -1, -1
-	}
-	return dcI, d.st.srvOf[id]
-}
-
 // Residents returns the resident ids, ascending.
 func (d *Daemon) Residents() []int {
 	d.mu.RLock()
@@ -489,19 +478,6 @@ func (d *Daemon) Residents() []int {
 	d.mu.RUnlock()
 	slices.Sort(ids)
 	return ids
-}
-
-// DownDCs returns the DCs currently marked unavailable, ascending.
-func (d *Daemon) DownDCs() []int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []int
-	for i, dn := range d.st.dcDown {
-		if dn {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // NumResidents returns the resident VM count.

@@ -136,18 +136,6 @@ func (p EpochPlan) Start(e int) timeutil.Slot {
 // End returns the exclusive end slot of epoch e.
 func (p EpochPlan) End(e int) timeutil.Slot { return p.Start(e + 1) }
 
-// EpochOf returns the epoch containing slot sl, clamped to the plan.
-func (p EpochPlan) EpochOf(sl timeutil.Slot) int {
-	if sl <= 0 || p.slots <= 0 {
-		return 0
-	}
-	if sl >= p.slots {
-		sl = p.slots - 1
-	}
-	// Inverse of Start's floor division: the largest e with Start(e) <= sl.
-	return int(((int64(sl)+1)*int64(p.Epochs()) - 1) / int64(p.slots))
-}
-
 // epochRun is the per-run state of the rolling-horizon engine; nil on the
 // static path.
 type epochRun struct {

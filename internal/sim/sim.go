@@ -275,12 +275,6 @@ type Result struct {
 	FinalPlacement map[int]int
 }
 
-// WorstResp returns the worst-case response time — the paper's SLA metric.
-func (r *Result) WorstResp() float64 { return r.RespSummary.Max() }
-
-// MeanResp returns the average response time.
-func (r *Result) MeanResp() float64 { return r.RespSummary.Mean() }
-
 // Run simulates pol over sc.
 func Run(sc *Scenario, pol policy.Policy) (*Result, error) {
 	return RunCtx(context.Background(), sc, pol)

@@ -51,11 +51,11 @@ func TestFinalPlacementCoversLastSlot(t *testing.T) {
 
 func TestBatteryStateEvolvesAcrossRun(t *testing.T) {
 	sc := tinyScenario(t, 47)
-	before := sc.Fleet[0].Bank.SoC()
+	before := sc.Fleet[0].Bank.Usable()
 	if _, err := sim.Run(sc, policy.EnerAware{}); err != nil {
 		t.Fatal(err)
 	}
-	after := sc.Fleet[0].Bank.SoC()
+	after := sc.Fleet[0].Bank.Usable()
 	if before == after {
 		t.Fatal("battery state untouched by an 8-hour run")
 	}

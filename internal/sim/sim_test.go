@@ -110,7 +110,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.OpCost != b.OpCost || a.TotalEnergy != b.TotalEnergy ||
-		a.Migrations != b.Migrations || a.WorstResp() != b.WorstResp() {
+		a.Migrations != b.Migrations || a.RespSummary.Max() != b.RespSummary.Max() {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }

@@ -73,7 +73,7 @@ func TestChunkedRunBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("budget %d, profile samples %d, policy %s: streamed run diverged: cost %v vs %v, energy %v vs %v, migrations %d vs %d, worst resp %v vs %v",
 					tc.budget, tc.profileSamples, want.Policy, got.OpCost, want.OpCost, got.TotalEnergy, want.TotalEnergy,
-					got.Migrations, want.Migrations, got.WorstResp(), want.WorstResp())
+					got.Migrations, want.Migrations, got.RespSummary.Max(), want.RespSummary.Max())
 			}
 		}
 	}

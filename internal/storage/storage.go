@@ -147,20 +147,6 @@ func (c Config) repairSlots() int {
 	return 2
 }
 
-// Overhead returns the storage blow-up factor: stored bytes per logical
-// byte (R for replication, (k+m)/k for erasure, 1 when disabled). The
-// acceptance comparison pits schemes at equal overhead.
-func (c Config) Overhead() float64 {
-	switch c.Scheme {
-	case SchemeReplicated:
-		return float64(c.replicas())
-	case SchemeErasure:
-		k, m := c.code()
-		return float64(k+m) / float64(k)
-	}
-	return 1
-}
-
 // Model is a compiled storage layout over n DCs.
 type Model struct {
 	cfg     Config

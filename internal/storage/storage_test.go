@@ -6,20 +6,23 @@ import (
 	"testing"
 )
 
+// TestOverhead checks each compiled layout's storage blow-up: a group
+// stores shards/needK bytes per logical byte (R for replication, (k+m)/k
+// for erasure).
 func TestOverhead(t *testing.T) {
 	cases := []struct {
 		cfg  Config
 		want float64
 	}{
-		{Config{}, 1},
 		{Config{Scheme: SchemeReplicated}, 2},
 		{Config{Scheme: SchemeReplicated, Replicas: 3}, 3},
 		{Config{Scheme: SchemeErasure}, 2},
 		{Config{Scheme: SchemeErasure, K: 4, M: 2}, 1.5},
 	}
 	for _, tc := range cases {
-		if got := tc.cfg.Overhead(); got != tc.want {
-			t.Errorf("%+v Overhead() = %v, want %v", tc.cfg, got, tc.want)
+		m := NewModel(tc.cfg, 5)
+		if got := float64(m.shards) / float64(m.needK); got != tc.want {
+			t.Errorf("%+v overhead = %v, want %v", tc.cfg, got, tc.want)
 		}
 	}
 }

@@ -87,15 +87,6 @@ func (z Zone) LocalHour(seconds float64) float64 {
 	return h
 }
 
-// LocalHourOfSlot returns the integer local hour-of-day at the start of sl.
-func (z Zone) LocalHourOfSlot(sl Slot) int {
-	h := (sl.HourUTC() + int(z)) % 24
-	if h < 0 {
-		h += 24
-	}
-	return h
-}
-
 // Horizon describes an experiment duration.
 type Horizon struct {
 	Slots Slot // number of 1 h slots simulated
@@ -112,6 +103,3 @@ func Hours(n int) Horizon { return Horizon{Slots: Slot(n)} }
 
 // Steps returns the total number of fine steps in the horizon.
 func (h Horizon) Steps() Step { return Step(h.Slots) * StepsPerSlot }
-
-// Seconds returns the horizon length in seconds.
-func (h Horizon) Seconds() float64 { return float64(h.Slots) * SlotSeconds }

@@ -21,17 +21,11 @@ func TestZoneNegativeWrap(t *testing.T) {
 	if h != 21 {
 		t.Fatalf("LocalHour = %v, want 21", h)
 	}
-	if got := z.LocalHourOfSlot(2); got != 21 {
-		t.Fatalf("LocalHourOfSlot = %d, want 21", got)
-	}
 }
 
 func TestHorizonAccessors(t *testing.T) {
 	h := Days(3)
 	if h.Steps() != Step(3*24*720) {
 		t.Fatalf("Steps() = %d", h.Steps())
-	}
-	if h.Seconds() != 3*86400 {
-		t.Fatalf("Seconds() = %v", h.Seconds())
 	}
 }

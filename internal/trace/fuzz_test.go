@@ -147,7 +147,7 @@ func FuzzFillUtil(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, a, b uint16, start int64, n, stride uint16) {
 		w := New(Config{Seed: seed, Horizon: timeutil.Days(2), InitialVMs: 30})
 		vm := w.VM(int(a) % w.NumVMs())
-		s := w.Service(vm.Service)
+		s := w.services[vm.Service]
 		ids := []int{vm.ID, s.Members[int(b)%len(s.Members)]}
 
 		span := int64(timeutil.Days(3).Steps())

@@ -64,10 +64,6 @@ func (r *Replay) Slots() timeutil.Slot { return r.slots }
 // Image implements Source.
 func (r *Replay) Image(id int) units.DataSize { return r.vms[id].image }
 
-// Samples returns the per-slot sample count of the stored profiles (0 when
-// the replay has no profile rows).
-func (r *Replay) Samples() int { return r.samples }
-
 // ActiveVMs implements Source.
 func (r *Replay) ActiveVMs(sl timeutil.Slot) []int {
 	if sl < 0 || int(sl) >= len(r.active) {

@@ -300,22 +300,3 @@ func extractFeatures(src Source, samples int) []vmFeatures {
 	}
 	return out
 }
-
-// Calibrate returns a copy of cfg parameterized by the fitted templates:
-// Templates drives class/parameter draws, ClassWeights is cleared (the
-// template weights take over) and MeanLifeSlots is set to the
-// weight-averaged fitted lifetime when the caller left it unset.
-func Calibrate(cfg Config, ts []UsageTemplate) Config {
-	cfg.Templates = ts
-	if cfg.MeanLifeSlots == 0 {
-		var life, w float64
-		for _, t := range ts {
-			life += t.Weight * t.MeanLifeSlots
-			w += t.Weight
-		}
-		if w > 0 && life > 0 {
-			cfg.MeanLifeSlots = life / w
-		}
-	}
-	return cfg
-}

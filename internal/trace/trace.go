@@ -192,8 +192,6 @@ type Workload struct {
 	vms      []*VM
 	services []*Service
 	active   [][]int // per slot, sorted ids of active VMs
-	arrive   [][]int // per slot, ids arriving that slot
-	depart   [][]int // per slot, ids departing at the start of that slot
 }
 
 // New generates a workload from cfg. Generation is deterministic in
@@ -398,21 +396,13 @@ func (w *Workload) connect(s *Service, vm *VM, volSrc *rng.Source) {
 	}
 }
 
-// index precomputes per-slot active/arrival/departure lists.
+// index precomputes the per-slot active lists.
 func (w *Workload) index() {
 	slots := int(w.cfg.Horizon.Slots)
 	w.active = make([][]int, slots)
-	w.arrive = make([][]int, slots)
-	w.depart = make([][]int, slots)
 	for _, vm := range w.vms {
 		for sl := vm.Arrival; sl < vm.Depart && int(sl) < slots; sl++ {
 			w.active[sl] = append(w.active[sl], vm.ID)
-		}
-		if int(vm.Arrival) < slots {
-			w.arrive[vm.Arrival] = append(w.arrive[vm.Arrival], vm.ID)
-		}
-		if int(vm.Depart) < slots {
-			w.depart[vm.Depart] = append(w.depart[vm.Depart], vm.ID)
 		}
 	}
 }
@@ -426,9 +416,6 @@ func (w *Workload) NumServices() int { return len(w.services) }
 // VM returns the VM with the given id.
 func (w *Workload) VM(id int) *VM { return w.vms[id] }
 
-// Service returns service s.
-func (w *Workload) Service(s int) *Service { return w.services[s] }
-
 // ActiveVMs returns the ids of VMs active during slot sl in ascending order.
 // The returned slice is shared; callers must not modify it.
 func (w *Workload) ActiveVMs(sl timeutil.Slot) []int {
@@ -436,22 +423,6 @@ func (w *Workload) ActiveVMs(sl timeutil.Slot) []int {
 		return nil
 	}
 	return w.active[sl]
-}
-
-// Arrivals returns the ids of VMs whose first slot is sl.
-func (w *Workload) Arrivals(sl timeutil.Slot) []int {
-	if int(sl) >= len(w.arrive) || sl < 0 {
-		return nil
-	}
-	return w.arrive[sl]
-}
-
-// Departures returns the ids of VMs that disappear at the start of sl.
-func (w *Workload) Departures(sl timeutil.Slot) []int {
-	if int(sl) >= len(w.depart) || sl < 0 {
-		return nil
-	}
-	return w.depart[sl]
 }
 
 // dayFactor is the unit-mean day-to-day rescaling that extends the base day
@@ -555,9 +526,6 @@ func (w *Workload) volumes(obs, act timeutil.Slot) []VolumeEntry {
 	}
 	return out
 }
-
-// Config returns the (defaulted) configuration the workload was built with.
-func (w *Workload) Config() Config { return w.cfg }
 
 // Image returns the migration image size of VM id.
 func (w *Workload) Image(id int) units.DataSize { return w.vms[id].Image }

@@ -11,8 +11,9 @@ func TestPlannedVolumesCoverNewVMs(t *testing.T) {
 	// A VM arriving at slot `a` has no realized traffic at slot a-1, but
 	// PlannedVolumes(a-1, a) must still list its service pairs.
 	w := New(Config{Seed: 61, Horizon: timeutil.Days(2), InitialVMs: 150, ArrivalPerSlot: 8})
+	diffs, _ := Diffs(w, w.Slots())
 	for sl := timeutil.Slot(2); sl < 30; sl++ {
-		arrivals := w.Arrivals(sl)
+		arrivals := diffs[sl]
 		if len(arrivals) == 0 {
 			continue
 		}
@@ -128,7 +129,7 @@ func TestServiceGraphDegreeBounded(t *testing.T) {
 	w := New(Config{Seed: 97, Horizon: timeutil.Days(1), InitialVMs: 300, MaxPairsPerVM: 3})
 	deg := map[int]int{}
 	for s := 0; s < w.NumServices(); s++ {
-		for _, p := range w.Service(s).pairs {
+		for _, p := range w.services[s].pairs {
 			// Outgoing edges created at join time: each join adds at most
 			// MaxPairsPerVM outgoing pairs for the new VM.
 			deg[p.from]++

@@ -59,7 +59,8 @@ func TestInitialVMsActiveAtSlotZero(t *testing.T) {
 
 func TestArrivalsAndDeparturesConsistent(t *testing.T) {
 	w := testWorkload(t, 7)
-	for sl := timeutil.Slot(1); sl < w.Config().Horizon.Slots; sl++ {
+	arrivals, departures := Diffs(w, w.Slots())
+	for sl := timeutil.Slot(1); sl < w.Slots(); sl++ {
 		prev := map[int]bool{}
 		for _, id := range w.ActiveVMs(sl - 1) {
 			prev[id] = true
@@ -68,7 +69,10 @@ func TestArrivalsAndDeparturesConsistent(t *testing.T) {
 		for _, id := range w.ActiveVMs(sl) {
 			cur[id] = true
 		}
-		for _, id := range w.Arrivals(sl) {
+		for _, id := range arrivals[sl] {
+			if w.VM(id).Arrival != sl {
+				t.Fatalf("slot %d: arrival %d starts at slot %d", sl, id, w.VM(id).Arrival)
+			}
 			if prev[id] {
 				t.Fatalf("slot %d: arrival %d already active", sl, id)
 			}
@@ -76,7 +80,10 @@ func TestArrivalsAndDeparturesConsistent(t *testing.T) {
 				t.Fatalf("slot %d: arrival %d not active", sl, id)
 			}
 		}
-		for _, id := range w.Departures(sl) {
+		for _, id := range departures[sl] {
+			if w.VM(id).Depart != sl {
+				t.Fatalf("slot %d: departure %d leaves at slot %d", sl, id, w.VM(id).Depart)
+			}
 			if !prev[id] {
 				t.Fatalf("slot %d: departure %d was not active", sl, id)
 			}
@@ -89,7 +96,7 @@ func TestArrivalsAndDeparturesConsistent(t *testing.T) {
 
 func TestActiveMatchesVMWindows(t *testing.T) {
 	w := testWorkload(t, 11)
-	for sl := timeutil.Slot(0); sl < w.Config().Horizon.Slots; sl += 7 {
+	for sl := timeutil.Slot(0); sl < w.Slots(); sl += 7 {
 		for _, id := range w.ActiveVMs(sl) {
 			if !w.VM(id).ActiveAt(sl) {
 				t.Fatalf("vm %d listed active at %d outside its window", id, sl)
@@ -131,7 +138,7 @@ func TestImageSizeDistribution(t *testing.T) {
 func TestServiceMembersShareClassAndPhase(t *testing.T) {
 	w := testWorkload(t, 19)
 	for s := 0; s < w.NumServices(); s++ {
-		svc := w.Service(s)
+		svc := w.services[s]
 		for _, id := range svc.Members {
 			vm := w.VM(id)
 			if vm.Class != svc.Class {
@@ -151,7 +158,7 @@ func TestSameServicePeersAreCPUCorrelated(t *testing.T) {
 	w := New(Config{Seed: 23, Horizon: timeutil.Days(1), InitialVMs: 400, MeanServiceVMs: 8})
 	var svcA *Service
 	for s := 0; s < w.NumServices(); s++ {
-		svc := w.Service(s)
+		svc := w.services[s]
 		if svc.Class == ClassWebSearch && len(svc.Members) >= 2 {
 			svcA = svc
 			break
@@ -361,9 +368,6 @@ func TestOutOfRangeSlotsReturnNil(t *testing.T) {
 	w := testWorkload(t, 53)
 	if w.ActiveVMs(-1) != nil || w.ActiveVMs(99999) != nil {
 		t.Fatal("out-of-range ActiveVMs not nil")
-	}
-	if w.Arrivals(99999) != nil || w.Departures(-1) != nil {
-		t.Fatal("out-of-range arrivals/departures not nil")
 	}
 }
 

@@ -18,17 +18,11 @@ type Energy float64
 
 // Common energy quantities.
 const (
-	Joule        Energy = 1
 	Kilojoule    Energy = 1e3
 	Megajoule    Energy = 1e6
 	Gigajoule    Energy = 1e9
-	WattHour     Energy = 3600
 	KilowattHour Energy = 3.6e6
-	MegawattHour Energy = 3.6e9
 )
-
-// Joules returns e as a bare float64 number of joules.
-func (e Energy) Joules() float64 { return float64(e) }
 
 // KWh returns e expressed in kilowatt-hours.
 func (e Energy) KWh() float64 { return float64(e) / float64(KilowattHour) }
@@ -59,9 +53,6 @@ const (
 	Kilowatt Power = 1e3
 	Megawatt Power = 1e6
 )
-
-// Watts returns p as a bare float64 number of watts.
-func (p Power) Watts() float64 { return float64(p) }
 
 // KW returns p expressed in kilowatts.
 func (p Power) KW() float64 { return float64(p) / float64(Kilowatt) }
@@ -98,7 +89,6 @@ type DataSize float64
 
 // Common data sizes.
 const (
-	Byte     DataSize = 1
 	Kilobyte DataSize = 1e3
 	Megabyte DataSize = 1e6
 	Gigabyte DataSize = 1e9
@@ -138,14 +128,9 @@ type Bandwidth float64
 
 // Common bandwidths.
 const (
-	BitPerSecond     Bandwidth = 1
-	KilobitPerSecond Bandwidth = 1e3
 	MegabitPerSecond Bandwidth = 1e6
 	GigabitPerSecond Bandwidth = 1e9
 )
-
-// BitsPerSecond returns b as a bare float64.
-func (b Bandwidth) BitsPerSecond() float64 { return float64(b) }
 
 // BytesPerSecond returns the byte throughput of b.
 func (b Bandwidth) BytesPerSecond() float64 { return float64(b) / 8 }
@@ -179,18 +164,12 @@ func (b Bandwidth) TransferSeconds(d DataSize) float64 {
 // Money is an amount of currency in euros (the paper's DCs are European).
 type Money float64
 
-// Euros returns m as a bare float64.
-func (m Money) Euros() float64 { return float64(m) }
-
 // String implements fmt.Stringer.
 func (m Money) String() string { return fmt.Sprintf("%.2f EUR", float64(m)) }
 
 // Price is a cost of energy in euros per kilowatt-hour, the unit tariffs are
 // quoted in.
 type Price float64
-
-// PerKWh returns p as a bare float64 number of euros per kWh.
-func (p Price) PerKWh() float64 { return float64(p) }
 
 // Cost returns the money owed for energy e at price p.
 func (p Price) Cost(e Energy) Money {
@@ -205,8 +184,6 @@ type Frequency float64
 
 // Common frequencies.
 const (
-	Hertz     Frequency = 1
-	Megahertz Frequency = 1e6
 	Gigahertz Frequency = 1e9
 )
 

@@ -60,12 +60,6 @@ func TestMoneyAndStringers(t *testing.T) {
 	if got := Money(12.345).String(); got != "12.35 EUR" {
 		t.Errorf("money format: %q", got)
 	}
-	if Money(3).Euros() != 3 {
-		t.Error("Euros accessor")
-	}
-	if Price(0.2).PerKWh() != 0.2 {
-		t.Error("PerKWh accessor")
-	}
 	if Frequency(2.3e9).GHz() != 2.3 {
 		t.Error("GHz accessor")
 	}
@@ -73,9 +67,6 @@ func TestMoneyAndStringers(t *testing.T) {
 
 func TestBitAccessors(t *testing.T) {
 	b := Bandwidth(8e9)
-	if b.BitsPerSecond() != 8e9 {
-		t.Error("bits accessor")
-	}
 	if b.BytesPerSecond() != 1e9 {
 		t.Error("bytes accessor")
 	}
@@ -91,7 +82,7 @@ func TestBitAccessors(t *testing.T) {
 }
 
 func TestWattAccessors(t *testing.T) {
-	if Power(1500).KW() != 1.5 || Power(1500).Watts() != 1500 {
+	if Power(1500).KW() != 1.5 {
 		t.Error("power accessors")
 	}
 	if math.Abs(Energy(7.2e6).KWh()-2) > 1e-12 {

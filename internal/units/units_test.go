@@ -15,9 +15,7 @@ func TestEnergyConversions(t *testing.T) {
 	}{
 		{"kWh of 3.6 MJ", Energy(3.6e6), 1, Energy.KWh},
 		{"GJ of 2e9 J", Energy(2e9), 2, Energy.GJ},
-		{"joules identity", Energy(42), 42, Energy.Joules},
 		{"kWh constant", KilowattHour, 1, Energy.KWh},
-		{"Wh constant", WattHour, 3600, Energy.Joules},
 	}
 	for _, tt := range tests {
 		if got := tt.get(tt.e); math.Abs(got-tt.want) > 1e-12 {
