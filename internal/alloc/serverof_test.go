@@ -7,41 +7,60 @@ import (
 	"geovmp/internal/power"
 )
 
-// ServerOf's dense-slice contract: the slice spans exactly [0, max placed
-// id], unplaced slots read -1 (never 0, the old map's zero-value trap), and
-// every placed id resolves to the server hosting it.
-
-func TestServerOfEmptyResult(t *testing.T) {
-	var r Result
-	if got := r.ServerOf(); len(got) != 0 {
-		t.Fatalf("empty allocation produced lookup of length %d", len(got))
+// serverOf builds a dense VM-id-indexed lookup from a pack's membership
+// lists: slot id holds the index of the server hosting that VM, or -1 for
+// ids the pack does not place. It fails the test if any id sits on two
+// servers or twice on one.
+func serverOf(t *testing.T, r Result) []int {
+	t.Helper()
+	maxID := -1
+	for _, srv := range r.Servers {
+		for _, id := range srv.VMs {
+			if id < 0 {
+				t.Fatalf("negative vm id %d placed", id)
+			}
+			if id > maxID {
+				maxID = id
+			}
+		}
 	}
+	out := make([]int, maxID+1)
+	for i := range out {
+		out[i] = -1
+	}
+	for s, srv := range r.Servers {
+		for _, id := range srv.VMs {
+			if out[id] != -1 {
+				t.Fatalf("vm %d placed on server %d and server %d", id, out[id], s)
+			}
+			out[id] = s
+		}
+	}
+	return out
 }
 
-func TestServerOfDenseInvariants(t *testing.T) {
-	r := Result{Servers: []ServerAlloc{
-		{VMs: []int{5}},
-		{VMs: []int{2, 9}},
-	}}
-	got := r.ServerOf()
-	if len(got) != 10 {
-		t.Fatalf("lookup length %d, want 10 (max placed id 9 + 1)", len(got))
+func TestServerOfMapping(t *testing.T) {
+	m := power.E5410()
+	// Id 1 is deliberately absent: the pack must not invent it.
+	profiles := map[int][]float64{0: {5, 5}, 2: {5, 5}, 3: {1, 1}}
+	res := CorrelationAware(idsOf(profiles), buildPS(profiles), m, 10)
+	byVM := serverOf(t, res)
+	if len(byVM) != 4 {
+		t.Fatalf("mapping size %d, want max id + 1 = 4", len(byVM))
 	}
-	want := map[int]int{5: 0, 2: 1, 9: 1}
-	for id, srv := range got {
-		if w, ok := want[id]; ok {
-			if srv != w {
-				t.Errorf("ServerOf()[%d] = %d, want %d", id, srv, w)
-			}
-		} else if srv != -1 {
-			t.Errorf("unplaced id %d reads %d, want -1", id, srv)
+	if byVM[1] != -1 {
+		t.Fatalf("unplaced id 1 mapped to %d, want -1", byVM[1])
+	}
+	for id := range profiles {
+		if byVM[id] == -1 {
+			t.Fatalf("vm %d not placed", id)
 		}
 	}
 }
 
 func TestServerOfMatchesPacking(t *testing.T) {
-	// A real correlation-aware pack: the lookup must agree with the server
-	// membership lists exactly, for every placed id.
+	// A real correlation-aware pack under a tight 3-server budget: every
+	// input id lands on exactly one server and no other id appears.
 	ps := correlation.NewProfileSet(4)
 	ids := []int{0, 2, 3, 7, 8, 11}
 	for k, id := range ids {
@@ -52,29 +71,19 @@ func TestServerOfMatchesPacking(t *testing.T) {
 		ps.Add(id, prof)
 	}
 	r := CorrelationAware(ids, ps, power.E5410(), 3)
-	got := r.ServerOf()
+	got := serverOf(t, r)
 	placed := 0
-	for s, srv := range r.Servers {
-		for _, id := range srv.VMs {
+	for _, srv := range got {
+		if srv != -1 {
 			placed++
-			if id >= len(got) {
-				t.Fatalf("placed id %d beyond lookup length %d", id, len(got))
-			}
-			if got[id] != s {
-				t.Fatalf("ServerOf()[%d] = %d, but server %d hosts it", id, got[id], s)
-			}
 		}
 	}
 	if placed != len(ids) {
-		t.Fatalf("pack placed %d of %d ids", placed, len(ids))
+		t.Fatalf("pack placed %d distinct ids, want %d", placed, len(ids))
 	}
-	holes := 0
-	for _, srv := range got {
-		if srv == -1 {
-			holes++
+	for _, id := range ids {
+		if id >= len(got) || got[id] == -1 {
+			t.Fatalf("input id %d not placed", id)
 		}
-	}
-	if holes != len(got)-placed {
-		t.Fatalf("lookup has %d holes, want %d", holes, len(got)-placed)
 	}
 }
