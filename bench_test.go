@@ -270,11 +270,11 @@ func BenchmarkAblationForecast(b *testing.B) {
 func BenchmarkExperimentSweep(b *testing.B) {
 	var meanCost, cellsPerSec float64
 	for i := 0; i < b.N; i++ {
-		set, err := NewExperiment(
-			WithScenarios(benchSpec()),
-			WithPolicies(StandardPolicies(0.9)...),
-			WithSeeds(3),
-		).Run(context.Background())
+		set, err := Experiment{
+			Scenarios: []Spec{benchSpec()},
+			Policies:  StandardPolicies(0.9),
+			Seeds:     3,
+		}.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,11 +345,11 @@ func BenchmarkEpochSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			spec := benchEpochSpec(epochs)
 			spec.FastMath = fast
-			set, err := NewExperiment(
-				WithScenarios(spec),
-				WithPolicies(proposedCapture(0.9, &mu, &ctls)...),
-				WithSeeds(2),
-			).Run(context.Background())
+			set, err := Experiment{
+				Scenarios: []Spec{spec},
+				Policies:  proposedCapture(0.9, &mu, &ctls),
+				Seeds:     2,
+			}.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -613,20 +613,20 @@ func BenchmarkServe(b *testing.B) {
 // benchFrontierBudget is the frontier benchmark's point budget.
 const benchFrontierBudget = 11
 
-// benchFrontierOpts is the shared frontier benchmark configuration: the
+// benchFrontier is the shared frontier benchmark configuration: the
 // reduced dynamic preset under a cost/mean-response frontier at an
 // 11-point budget, one seed.
-func benchFrontierOpts(extra ...FrontierOption) []FrontierOption {
+func benchFrontier() Frontier {
 	spec := MustPreset("geo5dc-dynamic")
 	spec.Scale = 0.02
 	spec.Seed = 42
 	spec.Horizon = Days(1)
 	spec.FineStepSec = 300
-	return append([]FrontierOption{
-		FrontierScenarios(spec),
-		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(benchFrontierBudget),
-	}, extra...)
+	return Frontier{
+		Scenarios:   []Spec{spec},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: benchFrontierBudget,
+	}
 }
 
 // BenchmarkFrontier measures frontier resolution at equal point budget:
@@ -642,10 +642,10 @@ func benchFrontierOpts(extra ...FrontierOption) []FrontierOption {
 // When GEOVMP_BENCH_FRONTIER_JSON names a path, the adaptive variant
 // writes the headline numbers there (CI uploads it as BENCH_frontier.json).
 func BenchmarkFrontier(b *testing.B) {
-	run := func(b *testing.B, opts ...FrontierOption) (sf *ScenarioFrontier, pointsPerSec float64) {
+	run := func(b *testing.B, fr Frontier) (sf *ScenarioFrontier, pointsPerSec float64) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			fs, err := NewFrontier(benchFrontierOpts(opts...)...).Run(context.Background())
+			fs, err := fr.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -658,11 +658,15 @@ func BenchmarkFrontier(b *testing.B) {
 	}
 	var grid *ScenarioFrontier
 	b.Run("grid", func(b *testing.B) {
-		grid, _ = run(b, frontierCoarseGrid(benchFrontierBudget))
+		fr := benchFrontier()
+		fr.coarse = benchFrontierBudget
+		grid, _ = run(b, fr)
 	})
 	b.Run("adaptive", func(b *testing.B) {
 		before := experiment.CompileCount()
-		adaptive, pointsPerSec := run(b, frontierWaveSize(2))
+		fr := benchFrontier()
+		fr.waveSize = 2
+		adaptive, pointsPerSec := run(b, fr)
 		compiles := experiment.CompileCount() - before
 		// One compile per scenario x seed per run; without column sharing
 		// every wave would have compiled its own.
@@ -740,11 +744,11 @@ func BenchmarkFaultSweep(b *testing.B) {
 			spec.Storage = StorageConfig{}
 		}
 		for i := 0; i < b.N; i++ {
-			set, err := NewExperiment(
-				WithScenarios(spec),
-				WithPolicies(StandardPolicies(0.9)[:1]...),
-				WithSeeds(2),
-			).Run(context.Background())
+			set, err := Experiment{
+				Scenarios: []Spec{spec},
+				Policies:  StandardPolicies(0.9)[:1],
+				Seeds:     2,
+			}.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -796,12 +800,12 @@ func BenchmarkFaultSweep(b *testing.B) {
 // reduced scenario under the four standard policies and three seeds — the
 // same grid BenchmarkExperimentSweep runs in-process, so the two cells/s
 // numbers are directly comparable.
-func benchDistExperiment() *Experiment {
-	return NewExperiment(
-		WithScenarios(benchSpec()),
-		WithPolicies(StandardPolicies(0.9)...),
-		WithSeeds(3),
-	)
+func benchDistExperiment() Experiment {
+	return Experiment{
+		Scenarios: []Spec{benchSpec()},
+		Policies:  StandardPolicies(0.9),
+		Seeds:     3,
+	}
 }
 
 // BenchmarkDistSweep measures the coordinator/worker grid against the
@@ -861,7 +865,9 @@ func BenchmarkDistSweep(b *testing.B) {
 					})
 				}()
 			}
-			set, err := benchDistExperiment().RunDistributed(ctx, coord)
+			exp := benchDistExperiment()
+			exp.Coordinator = coord
+			set, err := exp.Run(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -952,11 +958,11 @@ func BenchmarkGlobalPhase(b *testing.B) {
 		spec.FastMath = fast
 		slots := float64(spec.Horizon.Slots)
 		for i := 0; i < b.N; i++ {
-			set, err := NewExperiment(
-				WithScenarios(spec),
-				WithPolicies(StandardPolicies(0.9)[:1]...),
-				WithParallelism(parallelism),
-			).Run(context.Background())
+			set, err := Experiment{
+				Scenarios:   []Spec{spec},
+				Policies:    StandardPolicies(0.9)[:1],
+				Parallelism: parallelism,
+			}.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func (a ablation) run(ctx context.Context) error {
 			return err
 		}
 	}
-	set, err := sweep(ctx, geovmp.WithScenarios(a.specs...), geovmp.WithPolicies(pols...))
+	set, err := sweep(ctx, geovmp.Experiment{Scenarios: a.specs, Policies: pols})
 	if err != nil {
 		return err
 	}

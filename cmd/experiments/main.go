@@ -42,6 +42,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	"geovmp"
+	"geovmp/internal/atomicfile"
 	"geovmp/internal/report"
 )
 
@@ -177,19 +179,13 @@ func presetSpec(preset, name string) geovmp.Spec {
 	return flagged(spec)
 }
 
-// sweep runs one experiment grid, bailing out on cancellation. With
-// -resume, checkpointed cells are preloaded instead of recomputed; with
-// -coordinator, cells are leased to connected workers instead of running
-// here — both produce the byte-identical ResultSet a plain run would.
-func sweep(ctx context.Context, opts ...geovmp.ExperimentOption) (*geovmp.ResultSet, error) {
-	opts = append(opts, geovmp.WithParallelism(*par))
-	if resumeCk != nil {
-		opts = append(opts, geovmp.WithResume(resumeCk))
-	}
-	exp := geovmp.NewExperiment(opts...)
-	if coord != nil {
-		return exp.RunDistributed(ctx, coord)
-	}
+// sweep runs one experiment grid under -par, bailing out on cancellation.
+// With -resume, checkpointed cells are preloaded instead of recomputed;
+// with -coordinator, cells are leased to connected workers instead of
+// running here — both produce the byte-identical ResultSet a plain run
+// would.
+func sweep(ctx context.Context, exp geovmp.Experiment) (*geovmp.ResultSet, error) {
+	exp.Parallelism, exp.Resume, exp.Coordinator = *par, resumeCk, coord
 	return exp.Run(ctx)
 }
 
@@ -232,10 +228,22 @@ func steps() []step {
 	return out
 }
 
+// checkFlags refuses flag combinations no experiment can run.
+func checkFlags() error {
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: need at least one seed", *seeds)
+	}
+	if *ckptPath != "" && *coordAddr == "" {
+		return errors.New("-checkpoint needs -coordinator (single-process sweeps persist via -json at the end)")
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
-	if *seeds < 1 {
-		*seeds = 1
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -258,11 +266,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("resume: %d completed cell(s) preloaded from %s\n", resumeCk.Loaded, *resumePath)
-	}
-	if *ckptPath != "" && *coordAddr == "" {
-		shutdown()
-		fmt.Fprintln(os.Stderr, "-checkpoint needs -coordinator (single-process sweeps persist via -json at the end)")
-		os.Exit(2)
 	}
 	if *coordAddr != "" {
 		coord, err = geovmp.NewCoordinator(geovmp.CoordinatorConfig{
@@ -319,11 +322,11 @@ func main() {
 func runFigures(ctx context.Context, all bool) error {
 	fmt.Printf("running 4 policies x %d seed(s), scale %.3g, %d days ...\n", *seeds, *scale, *days)
 	spec := flagged(geovmp.Spec{Name: "paper-geo3dc"})
-	set, err := sweep(ctx,
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(geovmp.StandardPolicies(*alpha)...),
-		geovmp.WithSeeds(*seeds),
-	)
+	set, err := sweep(ctx, geovmp.Experiment{
+		Scenarios: []geovmp.Spec{spec},
+		Policies:  geovmp.StandardPolicies(*alpha),
+		Seeds:     *seeds,
+	})
 	if err != nil {
 		return err
 	}
@@ -398,18 +401,15 @@ func runFrontier(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	opts := []geovmp.FrontierOption{
-		geovmp.FrontierScenarios(flagged(geovmp.Spec{Name: "paper-geo3dc"})),
-		geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
-		geovmp.FrontierPointBudget(13),
-		geovmp.FrontierSeeds(*seeds),
-		geovmp.FrontierParallelism(*par),
-		geovmp.FrontierBaselines(baselines...),
-	}
-	if coord != nil {
-		opts = append(opts, geovmp.FrontierRunner(coord))
-	}
-	fs, err := geovmp.NewFrontier(opts...).Run(ctx)
+	fs, err := geovmp.Frontier{
+		Scenarios:   []geovmp.Spec{flagged(geovmp.Spec{Name: "paper-geo3dc"})},
+		Objectives:  []geovmp.Objective{geovmp.CostObjective(), geovmp.MeanRespObjective()},
+		PointBudget: 13,
+		Seeds:       *seeds,
+		Parallelism: *par,
+		Baselines:   baselines,
+		Coordinator: coord,
+	}.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -424,7 +424,7 @@ func runFrontier(ctx context.Context) error {
 			return err
 		}
 		svgPath := filepath.Join(*outDir, "frontier-"+sf.Scenario+".svg")
-		if err := os.WriteFile(svgPath, []byte(geovmp.FrontierSVG(sf)), 0o644); err != nil {
+		if err := atomicfile.Write(svgPath, []byte(geovmp.FrontierSVG(sf))); err != nil {
 			return err
 		}
 		fmt.Printf("front SVG written to %s\n", svgPath)

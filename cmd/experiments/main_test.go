@@ -72,3 +72,20 @@ func TestStepsKeepAllOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlagsRefusesNoSeeds: -seeds below 1 is refused before any
+// experiment is declared, and the default passes.
+func TestCheckFlagsRefusesNoSeeds(t *testing.T) {
+	if err := checkFlags(); err != nil {
+		t.Fatalf("default flags refused: %v", err)
+	}
+	t.Cleanup(func() { flag.Set("seeds", flag.Lookup("seeds").DefValue) })
+	for _, v := range []string{"0", "-1"} {
+		if err := flag.Set("seeds", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkFlags(); err == nil {
+			t.Errorf("-seeds %s accepted", v)
+		}
+	}
+}

@@ -55,6 +55,10 @@ func main() {
 		return
 	}
 
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "error: -seeds %d: need at least one seed\n", *seeds)
+		os.Exit(2)
+	}
 	horizon := geovmp.Days(*days)
 	if *hours > 0 {
 		horizon = geovmp.HoursOf(*hours)
@@ -91,24 +95,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := []geovmp.ExperimentOption{
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(pols...),
-		geovmp.WithSeeds(*seeds),
-		geovmp.WithParallelism(*par),
+	exp := geovmp.Experiment{
+		Scenarios:   []geovmp.Spec{spec},
+		Policies:    pols,
+		Seeds:       *seeds,
+		Parallelism: *par,
 	}
 	if *progress {
-		opts = append(opts, geovmp.WithProgress(func(p geovmp.Progress) {
+		exp.Progress = func(p geovmp.Progress) {
 			fmt.Printf("  [%d/%d] %s / %s / seed %d\n",
 				p.Done, p.Total, p.Cell.Scenario, p.Cell.Policy, p.Cell.Seed)
-		}))
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	start := time.Now()
-	set, err := geovmp.NewExperiment(opts...).Run(ctx)
+	set, err := exp.Run(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		if set == nil {

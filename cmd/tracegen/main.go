@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"geovmp/internal/atomicfile"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/trace"
 )
@@ -159,7 +160,7 @@ func main() {
 }
 
 func write(dir, name, data string) {
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+	if err := atomicfile.Write(filepath.Join(dir, name), []byte(data)); err != nil {
 		fatal(err)
 	}
 }

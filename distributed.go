@@ -19,18 +19,19 @@ import (
 //	defer coord.Close()
 //	// elsewhere (any machine that can reach coord.URL()):
 //	go geovmp.RunDistWorker(ctx, geovmp.DistWorkerConfig{Coordinator: coord.URL()})
-//	set, err := geovmp.NewExperiment(
-//	    geovmp.WithPresets("paper-geo3dc", "geo5dc"),
-//	    geovmp.WithSeeds(2),
-//	).RunDistributed(ctx, coord)
+//	set, err := geovmp.Experiment{
+//	    Scenarios:   []geovmp.Spec{geovmp.MustPreset("paper-geo3dc"), geovmp.MustPreset("geo5dc")},
+//	    Seeds:       2,
+//	    Coordinator: coord,
+//	}.Run(ctx)
 //
 // Failure handling is lease-based and fixed: a lease lasts 30 s and the
 // worker's heartbeats renew it, so a worker that dies mid-cell lets its
 // lease expire and the coordinator re-queues the cell, backing off from
 // 250 ms up to 10 s and giving up after 5 attempts.
 // CoordinatorConfig.CheckpointPath persists completed cells after every
-// result, so a killed coordinator resumes via LoadCheckpoint + WithResume
-// without recomputing them.
+// result, so a killed coordinator resumes via LoadCheckpoint and
+// Experiment.Resume without recomputing them.
 
 // Coordinator shards experiment grids across connected workers. See
 // NewCoordinator.
@@ -62,14 +63,15 @@ const (
 	PolicyKindParetoSearch = dist.KindParetoSearch
 )
 
-// Checkpoint is a parsed set of completed sweep cells — the WithResume
-// source. Both CheckpointPath files and full ResultSet JSON exports load.
+// Checkpoint is a parsed set of completed sweep cells — the
+// Experiment.Resume source. Both CheckpointPath files and full ResultSet JSON exports load.
 type Checkpoint = experiment.Checkpoint
 
 // NewCoordinator binds the coordinator's listener and starts serving the
 // worker protocol; its URL is valid immediately. Grids are then served
-// through Experiment.RunDistributed (one at a time — multi-wave drivers
-// reuse one coordinator and its connected workers across waves).
+// through an Experiment or Frontier whose Coordinator field is set (one
+// grid at a time — multi-wave drivers reuse one coordinator and its
+// connected workers across waves).
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return dist.NewCoordinator(cfg)
 }
@@ -101,22 +103,8 @@ func builtinPolicySpec(name string, ref PolicyRef) PolicySpec {
 }
 
 // LoadCheckpoint reads a checkpoint (or any ResultSet JSON export) for
-// WithResume. Rows that recorded an error are dropped — failed cells are
-// recomputed, not resumed.
+// Experiment.Resume. Rows that recorded an error are dropped — failed cells
+// are recomputed, not resumed.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return experiment.LoadCheckpoint(path)
-}
-
-// RunDistributed executes the grid through a coordinator: cells are leased
-// to connected workers instead of running in this process, and the merged
-// ResultSet is byte-identical to what Run would return. The experiment's
-// defaults (paper grid, standard policies) apply exactly as in Run;
-// WithParallelism is ignored — parallelism is however many workers
-// connect, each applying its own intra-cell budget.
-func (e *Experiment) RunDistributed(ctx context.Context, c *Coordinator) (*ResultSet, error) {
-	g, err := e.buildGrid()
-	if err != nil {
-		return nil, err
-	}
-	return c.RunGrid(ctx, g)
 }

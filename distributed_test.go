@@ -39,26 +39,24 @@ func distWorkers(ctx context.Context, t *testing.T, coord *Coordinator, n int) f
 }
 
 // TestRunDistributedMatchesRun: the public API round trip — the same
-// Experiment, run in-process and through a coordinator with two workers,
+// Experiment, run in-process and with a Coordinator serving two workers,
 // exports byte-identical JSON.
 func TestRunDistributedMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed sweep is not -short sized")
 	}
-	exp := func() *Experiment {
-		spec := MustPreset("paper-geo3dc")
-		spec.Scale = 0.01
-		spec.Seed = 7
-		spec.Horizon = HoursOf(4)
-		spec.FineStepSec = 300
-		return NewExperiment(
-			WithScenarios(spec),
-			WithPolicies(StandardPolicies(0.9)...),
-			WithSeeds(2),
-		)
+	spec := MustPreset("paper-geo3dc")
+	spec.Scale = 0.01
+	spec.Seed = 7
+	spec.Horizon = HoursOf(4)
+	spec.FineStepSec = 300
+	exp := Experiment{
+		Scenarios: []Spec{spec},
+		Policies:  StandardPolicies(0.9),
+		Seeds:     2,
 	}
 	ctx := context.Background()
-	set, err := exp().Run(ctx)
+	set, err := exp.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,8 @@ func TestRunDistributedMatchesRun(t *testing.T) {
 	defer cancel()
 	wait := distWorkers(wctx, t, coord, 2)
 
-	dset, err := exp().RunDistributed(wctx, coord)
+	exp.Coordinator = coord
+	dset, err := exp.Run(wctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestRunDistributedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("RunDistributed JSON differs from Run JSON")
+		t.Fatalf("distributed JSON differs from in-process JSON")
 	}
 
 	coord.Finish()
@@ -109,19 +108,17 @@ func TestFrontierRunnerMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkOpts := func(extra ...FrontierOption) []FrontierOption {
-		return append([]FrontierOption{
-			FrontierScenarios(spec),
-			FrontierObjectives(CostObjective(), MeanRespObjective()),
-			FrontierPointBudget(6),
-			frontierCoarseGrid(3),
-			frontierWaveSize(2),
-			FrontierBaselines(baseline),
-		}, extra...)
+	fr := Frontier{
+		Scenarios:   []Spec{spec},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: 6,
+		coarse:      3,
+		waveSize:    2,
+		Baselines:   []PolicySpec{baseline},
 	}
 
 	ctx := context.Background()
-	fs, err := NewFrontier(mkOpts()...).Run(ctx)
+	fs, err := fr.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,8 @@ func TestFrontierRunnerMatchesInProcess(t *testing.T) {
 	defer cancel()
 	wait := distWorkers(wctx, t, coord, 2)
 
-	dfs, err := NewFrontier(mkOpts(FrontierRunner(coord))...).Run(wctx)
+	fr.Coordinator = coord
+	dfs, err := fr.Run(wctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +162,10 @@ func TestFrontierRunnerRejectsUnportableSetups(t *testing.T) {
 	}
 	defer coord.Close()
 
-	if _, err := NewFrontier(
-		FrontierObjectives(CostObjective(), P95RespObjective()),
-		FrontierRunner(coord),
-	).Run(context.Background()); err == nil {
+	if _, err := (Frontier{
+		Objectives:  []Objective{CostObjective(), P95RespObjective()},
+		Coordinator: coord,
+	}).Run(context.Background()); err == nil {
 		t.Fatal("distributed frontier accepted an objective without OfRow")
 	}
 }

@@ -29,10 +29,10 @@ func main() {
 	spec.FineStepSec = 300
 	spec.Migration = geovmp.MigrationBudget{MaxMovesPerEpoch: 150}
 
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(geovmp.StandardPolicies(0.9)[:2]...), // Proposed + Ener-aware
-	).Run(context.Background())
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{spec},
+		Policies:  geovmp.StandardPolicies(0.9)[:2], // Proposed + Ener-aware
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

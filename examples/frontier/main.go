@@ -25,21 +25,21 @@ func main() {
 	spec.Horizon = geovmp.Days(1)
 	spec.FineStepSec = 300
 
-	fs, err := geovmp.NewFrontier(
-		geovmp.FrontierScenarios(spec),
-		geovmp.FrontierObjectives(
+	fs, err := geovmp.Frontier{
+		Scenarios: []geovmp.Spec{spec},
+		Objectives: []geovmp.Objective{
 			geovmp.CostObjective(),
 			geovmp.EnergyObjective(),
 			geovmp.P95RespObjective(),
-		),
-		geovmp.FrontierPointBudget(9),
-		geovmp.FrontierSeeds(2),
-		geovmp.FrontierBaselines(
+		},
+		PointBudget: 9,
+		Seeds:       2,
+		Baselines: []geovmp.PolicySpec{
 			geovmp.NewPolicySpec("Pareto-search", func(seed uint64) geovmp.Policy {
 				return geovmp.ParetoSearch(seed)
 			}),
-		),
-	).Run(context.Background())
+		},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

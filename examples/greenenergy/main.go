@@ -27,10 +27,10 @@ func main() {
 	noBattery := withBattery
 	noBattery.Name, noBattery.BatteryScale = "no-battery", geovmp.BatteryZero
 
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(withBattery, noBattery),
-		geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
-	).Run(context.Background())
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{withBattery, noBattery},
+		Policies:  geovmp.StandardPolicies(0.9),
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,13 +32,13 @@ func main() {
 
 	fmt.Printf("simulating one week, 4 policies in parallel, scale %.3g ...\n", *scale)
 	start := time.Now()
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
-		geovmp.WithProgress(func(p geovmp.Progress) {
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{spec},
+		Policies:  geovmp.StandardPolicies(0.9),
+		Progress: func(p geovmp.Progress) {
 			fmt.Printf("  [%d/%d] %s done\n", p.Done, p.Total, p.Cell.Policy)
-		}),
-	).Run(context.Background())
+		},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,10 @@ func main() {
 	// The engine evaluates each policy on an identical fresh replica of
 	// the scenario — same VM traces, same network error draws, same
 	// initial battery charge — with the cells running in parallel.
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(geovmp.StandardPolicies(0.9)[:2]...), // Proposed + Ener-aware
-	).Run(context.Background())
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{spec},
+		Policies:  geovmp.StandardPolicies(0.9)[:2], // Proposed + Ener-aware
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,14 +55,14 @@ func main() {
 	// handle on the instance the engine builds so we can render its
 	// embedding afterwards.
 	var ctrl *geovmp.ProposedController
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(replaySpec),
-		geovmp.WithPolicies(geovmp.NewPolicySpec("Proposed",
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{replaySpec},
+		Policies: []geovmp.PolicySpec{geovmp.NewPolicySpec("Proposed",
 			func(seed uint64) geovmp.Policy {
 				ctrl = geovmp.Proposed(0.9, seed)
 				return ctrl
-			})),
-	).Run(context.Background())
+			})},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,13 +65,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	set, err := geovmp.NewExperiment(
-		geovmp.WithScenarios(spec),
-		geovmp.WithPolicies(
+	set, err := geovmp.Experiment{
+		Scenarios: []geovmp.Spec{spec},
+		Policies: []geovmp.PolicySpec{
 			geovmp.NewPolicySpec("Serve", func(uint64) geovmp.Policy { return geovmp.ServePolicy(d2) }),
 			geovmp.NewPolicySpec("Proposed", func(seed uint64) geovmp.Policy { return geovmp.Proposed(0.9, seed) }),
-		),
-	).Run(context.Background())
+		},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

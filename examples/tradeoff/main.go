@@ -29,18 +29,18 @@ func main() {
 		FineStepSec: 60,
 	}
 
-	fs, err := geovmp.NewFrontier(
-		geovmp.FrontierScenarios(spec),
-		geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
-		geovmp.FrontierPointBudget(11),
-		geovmp.FrontierBaselines(
+	fs, err := geovmp.Frontier{
+		Scenarios:   []geovmp.Spec{spec},
+		Objectives:  []geovmp.Objective{geovmp.CostObjective(), geovmp.MeanRespObjective()},
+		PointBudget: 11,
+		Baselines: []geovmp.PolicySpec{
 			geovmp.NewPolicySpec("Pareto-search", func(seed uint64) geovmp.Policy {
 				return geovmp.ParetoSearch(seed)
 			}),
 			geovmp.NewPolicySpec("Net-aware", func(uint64) geovmp.Policy { return geovmp.NetAware() }),
 			geovmp.NewPolicySpec("Ener-aware", func(uint64) geovmp.Policy { return geovmp.EnerAware() }),
-		),
-	).Run(context.Background())
+		},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package geovmp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"geovmp/internal/config"
@@ -19,26 +18,54 @@ import (
 // deterministic grid order (scenario-major, then policy, then seed)
 // regardless of how the cells were scheduled.
 //
-// The zero experiment is the paper's evaluation: the Table I scenario under
-// the four methods, one seed. Options widen any axis:
+// The zero Experiment is the paper's evaluation: the Table I scenario under
+// the four methods, one seed. Set fields to widen any axis:
 //
-//	set, err := geovmp.NewExperiment(
-//	    geovmp.WithScenarios(
-//	        geovmp.Spec{Name: "paper", Scale: 0.05},
-//	        geovmp.Spec{Name: "no-battery", Scale: 0.05,
-//	            BatteryScale: geovmp.BatteryZero},
-//	    ),
-//	    geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
-//	    geovmp.WithSeeds(5),
-//	    geovmp.WithParallelism(8),
-//	).Run(ctx)
+//	set, err := geovmp.Experiment{
+//	    Scenarios: []geovmp.Spec{
+//	        {Name: "paper", Scale: 0.05},
+//	        {Name: "no-battery", Scale: 0.05, BatteryScale: geovmp.BatteryZero},
+//	    },
+//	    Policies:    geovmp.StandardPolicies(0.9),
+//	    Seeds:       5,
+//	    Parallelism: 8,
+//	}.Run(ctx)
 type Experiment struct {
-	grid experiment.Grid
-	errs []error
+	// Scenarios is the scenario axis; each Spec carries its own name and
+	// base seed. Write variants as Spec literals, or start from Preset /
+	// MustPreset and set fields. Empty means the zero Spec.
+	Scenarios []Spec
+	// Policies is the policy axis; empty means StandardPolicies(0.9).
+	Policies []PolicySpec
+	// Seeds widens the seed axis to n consecutive seeds per scenario,
+	// starting at each scenario's own base seed; 0 means one seed and a
+	// negative count is an error.
+	Seeds int
+	// Parallelism is the sweep's total worker budget; <= 0 selects
+	// GOMAXPROCS. The budget covers both concurrently running grid cells
+	// and the intra-cell shards those cells spawn: min(n, cells)
+	// goroutines run cells, the remainder is a shared budget the cells'
+	// sharded passes (embedding, clustering, fine-plan evaluation,
+	// workload compilation) borrow from, and a cell worker that runs out
+	// of cells donates its slot back. A narrow grid on a big machine
+	// therefore still saturates n workers, and cells x shards never exceed
+	// it. Any value yields byte-identical results. A distributed run
+	// ignores it: its parallelism is however many workers connect.
+	Parallelism int
+	// Progress, when non-nil, is called after each cell completes —
+	// serialized, in completion order — for live sweep reporting.
+	Progress func(Progress)
+	// Resume, when non-nil, preloads cells completed by an earlier sweep of
+	// the same grid (see LoadCheckpoint): matching cells carry the
+	// checkpointed row instead of being recomputed, and because the engine
+	// is deterministic the final export is byte-identical to a
+	// from-scratch run, local or distributed.
+	Resume *Checkpoint
+	// Coordinator, when non-nil, leases the cells to the coordinator's
+	// connected workers instead of running them in this process; the
+	// merged ResultSet is byte-identical to a local run.
+	Coordinator *Coordinator
 }
-
-// ExperimentOption configures an Experiment under construction.
-type ExperimentOption func(*Experiment)
 
 // PolicySpec names a policy and constructs a fresh instance per grid cell
 // (stateful policies must never be shared between runs). The seed passed to
@@ -54,122 +81,50 @@ type ResultSet = experiment.Set
 type ResultCell = experiment.Cell
 
 // Progress is one completion event of a running sweep, delivered to the
-// WithProgress callback in completion order.
+// Experiment.Progress callback in completion order.
 type Progress = experiment.Progress
 
-// NewExperiment builds an experiment from options. Without options it
-// reproduces the paper's evaluation grid: the Table I scenario, the four
-// methods at alpha 0.9, one seed.
-func NewExperiment(opts ...ExperimentOption) *Experiment {
-	e := &Experiment{}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
-
-// WithScenarios sets the scenario axis. Each Spec carries its own name and
-// base seed; write variants as Spec literals, or start from Preset and set
-// fields.
-func WithScenarios(specs ...Spec) ExperimentOption {
-	return func(e *Experiment) {
-		e.grid.Scenarios = append(e.grid.Scenarios, specs...)
-	}
-}
-
-// WithPresets appends registered named scenarios (see PresetNames) to the
-// scenario axis. Unknown names surface as an error from Run.
-func WithPresets(names ...string) ExperimentOption {
-	return func(e *Experiment) {
-		for _, n := range names {
-			spec, err := config.Preset(n)
-			if err != nil {
-				e.errs = append(e.errs, err)
-				continue
-			}
-			e.grid.Scenarios = append(e.grid.Scenarios, spec)
-		}
-	}
-}
-
-// WithPolicies sets the policy axis.
-func WithPolicies(specs ...PolicySpec) ExperimentOption {
-	return func(e *Experiment) {
-		e.grid.Policies = append(e.grid.Policies, specs...)
-	}
-}
-
-// WithSeeds widens the seed axis to n consecutive seeds per scenario,
-// starting at each scenario's own base seed.
-func WithSeeds(n int) ExperimentOption {
-	return func(e *Experiment) {
-		if n < 1 {
-			e.errs = append(e.errs, fmt.Errorf("geovmp: WithSeeds(%d): need at least one seed", n))
-			return
-		}
-		offsets := make([]uint64, n)
-		for i := range offsets {
-			offsets[i] = uint64(i)
-		}
-		e.grid.SeedOffsets = offsets
-	}
-}
-
-// WithParallelism sets the sweep's total worker budget; n <= 0 (the
-// default) selects GOMAXPROCS. The budget covers both concurrently running
-// grid cells and the intra-cell shards those cells spawn: min(n, cells)
-// goroutines run cells, the remainder is a shared budget the cells'
-// sharded passes (embedding, clustering, fine-plan evaluation, workload
-// compilation) borrow from, and a cell worker that runs out of cells
-// donates its slot back. A narrow grid on a big machine therefore still
-// saturates n workers, and cells x shards never exceed it. Any value
-// yields byte-identical results.
-func WithParallelism(n int) ExperimentOption {
-	return func(e *Experiment) { e.grid.Parallelism = n }
-}
-
-// WithProgress installs a callback invoked after each cell completes —
-// serialized, in completion order — for live sweep reporting.
-func WithProgress(fn func(Progress)) ExperimentOption {
-	return func(e *Experiment) { e.grid.Progress = fn }
-}
-
-// WithResume preloads cells completed by an earlier sweep of the same grid
-// (see LoadCheckpoint): matching cells carry the checkpointed row instead
-// of being recomputed, and because the engine is deterministic the final
-// export is byte-identical to a from-scratch run. Works for both the
-// in-process path and RunDistributed.
-func WithResume(ck *Checkpoint) ExperimentOption {
-	return func(e *Experiment) { e.grid.Resume = ck }
-}
-
-// Run executes the grid. Cancelling ctx abandons unfinished cells promptly
-// (runs check the context every simulated hour) and returns the
-// partially-filled ResultSet together with an error wrapping the
-// cancellation cause; completed cells keep their results.
-func (e *Experiment) Run(ctx context.Context) (*ResultSet, error) {
-	g, err := e.buildGrid()
+// Run executes the grid, in this process or through e.Coordinator.
+// Cancelling ctx abandons unfinished cells promptly (runs check the context
+// every simulated hour) and returns the partially-filled ResultSet together
+// with an error wrapping the cancellation cause; completed cells keep their
+// results.
+func (e Experiment) Run(ctx context.Context) (*ResultSet, error) {
+	offsets, err := seedOffsets(e.Seeds)
 	if err != nil {
 		return nil, err
 	}
-	return experiment.Run(ctx, g)
-}
-
-// buildGrid materializes the experiment's grid with the documented
-// defaults applied — shared by Run and RunDistributed so both paths sweep
-// exactly the same grid.
-func (e *Experiment) buildGrid() (experiment.Grid, error) {
-	if len(e.errs) > 0 {
-		return experiment.Grid{}, errors.Join(e.errs...)
+	g := experiment.Grid{
+		Scenarios:   e.Scenarios,
+		Policies:    e.Policies,
+		SeedOffsets: offsets,
+		Parallelism: e.Parallelism,
+		Progress:    e.Progress,
+		Resume:      e.Resume,
 	}
-	g := e.grid
 	if len(g.Scenarios) == 0 {
 		g.Scenarios = []Spec{{}}
 	}
 	if len(g.Policies) == 0 {
 		g.Policies = StandardPolicies(0.9)
 	}
-	return g, nil
+	if e.Coordinator != nil {
+		return e.Coordinator.RunGrid(ctx, g)
+	}
+	return experiment.Run(ctx, g)
+}
+
+// seedOffsets is the seed axis of n consecutive seeds: offsets 0..n-1 added
+// to each scenario's base seed. Zero means one seed.
+func seedOffsets(n int) ([]uint64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("geovmp: Seeds %d: need at least one seed", n)
+	}
+	offsets := make([]uint64, max(n, 1))
+	for i := range offsets {
+		offsets[i] = uint64(i)
+	}
+	return offsets, nil
 }
 
 // NewPolicySpec wraps a named policy constructor for the policy axis. Specs

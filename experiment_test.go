@@ -13,15 +13,15 @@ import (
 // runGrid executes the reference facade grid at the given parallelism.
 func runGrid(t *testing.T, parallelism int) *ResultSet {
 	t.Helper()
-	set, err := NewExperiment(
-		WithScenarios(
-			Spec{Name: "base", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300},
-			Spec{Name: "tight-qos", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300, QoS: 0.999},
-		),
-		WithPolicies(StandardPolicies(0.9)...),
-		WithSeeds(3),
-		WithParallelism(parallelism),
-	).Run(context.Background())
+	set, err := Experiment{
+		Scenarios: []Spec{
+			{Name: "base", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300},
+			{Name: "tight-qos", Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300, QoS: 0.999},
+		},
+		Policies:    StandardPolicies(0.9),
+		Seeds:       3,
+		Parallelism: parallelism,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,9 @@ func TestExperimentDefaultsToPaperGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default grid runs the four policies")
 	}
-	set, err := NewExperiment(
-		WithScenarios(Spec{Scale: 0.01, Seed: 5, Horizon: HoursOf(4), FineStepSec: 300}),
-	).Run(context.Background())
+	set, err := Experiment{
+		Scenarios: []Spec{{Scale: 0.01, Seed: 5, Horizon: HoursOf(4), FineStepSec: 300}},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,9 @@ func TestExperimentDefaultsToPaperGrid(t *testing.T) {
 	if set.Scenarios[0] != "paper-geo3dc" {
 		t.Fatalf("default scenario = %q", set.Scenarios[0])
 	}
+	if !reflect.DeepEqual(set.SeedOffsets, []uint64{0}) {
+		t.Fatalf("default seed offsets = %v, want one seed", set.SeedOffsets)
+	}
 }
 
 // TestExperimentCancellation cancels after the first completed cell and
@@ -104,17 +107,17 @@ func TestExperimentDefaultsToPaperGrid(t *testing.T) {
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	set, err := NewExperiment(
-		WithScenarios(Spec{Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300}),
-		WithPolicies(StandardPolicies(0.9)...),
-		WithSeeds(3),
-		WithParallelism(1),
-		WithProgress(func(p Progress) {
+	set, err := Experiment{
+		Scenarios:   []Spec{{Scale: 0.01, Seed: 5, Horizon: HoursOf(6), FineStepSec: 300}},
+		Policies:    StandardPolicies(0.9),
+		Seeds:       3,
+		Parallelism: 1,
+		Progress: func(p Progress) {
 			if p.Done == 1 {
 				cancel()
 			}
-		}),
-	).Run(ctx)
+		},
+	}.Run(ctx)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled wrapper", err)
 	}
@@ -210,16 +213,20 @@ func TestPresetsAndCustomSites(t *testing.T) {
 }
 
 // TestGridAndSpecValidation covers the error paths of the new surface:
-// duplicate scenario names, degenerate workload mixes and unknown cities
-// must fail loudly instead of producing silently-wrong sweeps.
+// a negative seed count, duplicate scenario names, degenerate workload
+// mixes and unknown cities must fail loudly instead of producing
+// silently-wrong sweeps.
 func TestGridAndSpecValidation(t *testing.T) {
 	small := func(name string) Spec {
 		return Spec{Name: name, Scale: 0.01, Seed: 5, Horizon: HoursOf(2), FineStepSec: 300}
 	}
-	if _, err := NewExperiment(
-		WithScenarios(small("dup"), small("dup")),
-		WithPolicies(StandardPolicies(0.9)[:1]...),
-	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "duplicate scenario") {
+	if _, err := (Experiment{Seeds: -1}).Run(context.Background()); err == nil {
+		t.Fatal("negative seeds did not error")
+	}
+	if _, err := (Experiment{
+		Scenarios: []Spec{small("dup"), small("dup")},
+		Policies:  StandardPolicies(0.9)[:1],
+	}).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "duplicate scenario") {
 		t.Fatalf("duplicate scenario names: err = %v", err)
 	}
 	if _, err := NewScenario(Spec{Name: "bad-mix", ClassWeights: []float64{0, 0, 0, 0}}); err == nil {
@@ -275,8 +282,8 @@ func TestSpecSlicesUnmodified(t *testing.T) {
 		ClassWeights:      []float64{0.4, 0.3, 0.2, 0.1},
 		EpochClassWeights: [][]float64{{0.7, 0.1, 0.1, 0.1}, {0.1, 0.1, 0.1, 0.7}},
 		Templates: []UsageTemplate{
-			{Name: "steady", Weight: 2, Mean: 0.3, Amp: 0.1, PeakHour: 14, FastAmp: 0.05, MeanLifeSlots: 20},
-			{Name: "bursty", Weight: 1, Mean: 0.5, Amp: 0.3, PeakHour: 3, SlowAmp: 0.1, MeanLifeSlots: 8},
+			{Name: "steady", Weight: 2, Mean: 0.3, Amp: 0.1, PeakHour: 14, FastAmp: 0.05},
+			{Name: "bursty", Weight: 1, Mean: 0.5, Amp: 0.3, PeakHour: 3, SlowAmp: 0.1},
 		},
 		Faults: FaultConfig{Outages: []Outage{
 			{Kind: FaultServer, DC: 1, Start: 1, Slots: 2, Frac: 0.5},
@@ -299,12 +306,12 @@ func TestSpecSlicesUnmodified(t *testing.T) {
 	if _, err := Run(sc, Proposed(0.9, spec.Seed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExperiment(
-		WithScenarios(spec),
-		WithPolicies(StandardPolicies(0.9)[:2]...),
-		WithSeeds(2),
-		WithParallelism(2),
-	).Run(context.Background()); err != nil {
+	if _, err := (Experiment{
+		Scenarios:   []Spec{spec},
+		Policies:    StandardPolicies(0.9)[:2],
+		Seeds:       2,
+		Parallelism: 2,
+	}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

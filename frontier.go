@@ -26,7 +26,7 @@ import (
 // (CellRow) — the form results arrive in from distributed sweeps and resume
 // checkpoints. Every standard objective except P95RespObjective carries it
 // (the p95 needs the raw response samples, which do not travel); a frontier
-// scheduled through FrontierRunner requires it on every objective.
+// scheduled through a Coordinator requires it on every objective.
 type Objective struct {
 	Name  string
 	Of    func(*Result) float64
@@ -155,28 +155,59 @@ type FrontierPoint = pareto.FrontierPoint
 // environment (one compile per scenario x seed for the whole frontier, not
 // per wave), so refinement costs simulation time only.
 //
-//	fs, err := geovmp.NewFrontier(
-//	    geovmp.FrontierScenarios(spec),
-//	    geovmp.FrontierObjectives(geovmp.CostObjective(), geovmp.MeanRespObjective()),
-//	    geovmp.FrontierPointBudget(12),
-//	    geovmp.FrontierBaselines(
+// The zero Frontier sweeps alpha over the paper's Table I world against the
+// cost and mean-response objectives with a 12-point budget:
+//
+//	fs, err := geovmp.Frontier{
+//	    Scenarios:   []geovmp.Spec{spec},
+//	    Objectives:  []geovmp.Objective{geovmp.CostObjective(), geovmp.MeanRespObjective()},
+//	    PointBudget: 12,
+//	    Baselines: []geovmp.PolicySpec{
 //	        geovmp.NewPolicySpec("Pareto-search", func(seed uint64) geovmp.Policy {
 //	            return geovmp.ParetoSearch(seed)
 //	        }),
-//	    ),
-//	).Run(ctx)
+//	    },
+//	}.Run(ctx)
 //	knee := fs.Scenarios[0].KneePoint()
 type Frontier struct {
-	scenarios   []Spec
-	objectives  []Objective
-	seeds       int
-	parallelism int
-	budget      int
-	coarse      int
-	waveSize    int
-	baselines   []PolicySpec
-	runner      *Coordinator
-	errs        []error
+	// Scenarios is the scenario axis; each scenario resolves its own
+	// frontier. Empty means the zero Spec.
+	Scenarios []Spec
+	// Objectives are the objective axes, at least two; empty means cost vs
+	// mean response.
+	Objectives []Objective
+	// Seeds evaluates every point over n consecutive seeds and builds the
+	// frontier from the per-point mean objective vectors; 0 means one seed
+	// and a negative count is an error.
+	Seeds int
+	// Parallelism is the engine worker budget each evaluation wave runs
+	// under (see Experiment.Parallelism; <= 0 selects GOMAXPROCS). Any
+	// value yields byte-identical frontiers.
+	Parallelism int
+	// PointBudget caps the number of knob evaluations per scenario, the
+	// coarse grid included; 0 means 12 and 1 or less is an error.
+	// Baselines don't count against it.
+	PointBudget int
+	// Baselines are fixed policies evaluated alongside the knob sweep (once
+	// per scenario, riding the first wave's grid). They join the frontier
+	// as knob-less points — framing it, competing for the front, and
+	// eligible for the knee.
+	Baselines []PolicySpec
+	// Coordinator, when non-nil, schedules every evaluation wave through a
+	// dist coordinator instead of the in-process engine: wave cells are
+	// leased to connected workers, which compile each scenario x seed
+	// column once on their side (the distributed analogue of the
+	// frontier's local column sharing). Every objective must then carry
+	// OfRow (results arrive as flattened rows) and baselines must carry
+	// Refs; the alpha points always travel as PolicyRefs. The resolved
+	// frontier is byte-identical to the in-process run's.
+	Coordinator *Coordinator
+
+	// coarse and waveSize are the adaptive driver's coarse grid and
+	// refinement wave size; zero means 5 and 4. Tests and benchmarks set
+	// them for a smaller grid or wave, or a coarse grid of the whole
+	// budget.
+	coarse, waveSize int
 }
 
 // alphaKnob is one frontier point: the proposed controller at alpha t,
@@ -187,121 +218,35 @@ func alphaKnob(t float64) PolicySpec {
 	return builtinPolicySpec(fmt.Sprintf("alpha=%.4f", t), PolicyRef{Kind: PolicyKindProposed, Alpha: t})
 }
 
-// FrontierOption configures a Frontier under construction.
-type FrontierOption func(*Frontier)
-
-// NewFrontier builds a frontier exploration from options. Without options
-// it sweeps the proposed controller's alpha over the paper's Table I world
-// against the cost and mean-response objectives with a 12-point budget. It
-// is the one place that sets the adaptive driver's coarse grid (5) and
-// wave size (4).
-func NewFrontier(opts ...FrontierOption) *Frontier {
-	f := &Frontier{
-		seeds:    1,
-		budget:   12,
-		coarse:   5,
-		waveSize: 4,
-	}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
-}
-
-// FrontierScenarios sets the scenario axis; each scenario resolves its own
-// frontier.
-func FrontierScenarios(specs ...Spec) FrontierOption {
-	return func(f *Frontier) { f.scenarios = append(f.scenarios, specs...) }
-}
-
-// FrontierPresets appends registered named scenarios to the scenario axis.
-func FrontierPresets(names ...string) FrontierOption {
-	return func(f *Frontier) {
-		for _, n := range names {
-			spec, err := config.Preset(n)
-			if err != nil {
-				f.errs = append(f.errs, err)
-				continue
-			}
-			f.scenarios = append(f.scenarios, spec)
-		}
-	}
-}
-
-// FrontierObjectives sets the objective axes (at least two for a
-// meaningful frontier; the default is cost vs mean response).
-func FrontierObjectives(objs ...Objective) FrontierOption {
-	return func(f *Frontier) { f.objectives = append(f.objectives, objs...) }
-}
-
-// FrontierSeeds evaluates every point over n consecutive seeds and builds
-// the frontier from the per-point mean objective vectors.
-func FrontierSeeds(n int) FrontierOption {
-	return func(f *Frontier) {
-		if n < 1 {
-			f.errs = append(f.errs, fmt.Errorf("geovmp: FrontierSeeds(%d): need at least one seed", n))
-			return
-		}
-		f.seeds = n
-	}
-}
-
-// FrontierParallelism sets the engine worker budget each evaluation wave
-// runs under (see WithParallelism; 0 selects GOMAXPROCS). Any value yields
-// byte-identical frontiers.
-func FrontierParallelism(n int) FrontierOption {
-	return func(f *Frontier) { f.parallelism = n }
-}
-
-// FrontierPointBudget caps the number of knob evaluations per scenario,
-// the coarse grid included (default 12). Baselines don't count against it.
-func FrontierPointBudget(n int) FrontierOption {
-	return func(f *Frontier) {
-		if n < 2 {
-			f.errs = append(f.errs, fmt.Errorf("geovmp: FrontierPointBudget(%d): need at least two points", n))
-			return
-		}
-		f.budget = n
-	}
-}
-
-// FrontierRunner schedules every evaluation wave through a dist
-// coordinator instead of the in-process engine: wave cells are leased to
-// connected workers, which compile each scenario x seed column once on
-// their side (the distributed analogue of the frontier's local column
-// sharing). Requirements: every objective must carry OfRow (results arrive
-// as flattened rows) and baselines must carry Refs; the alpha points
-// always travel as PolicyRefs. The resolved frontier is byte-identical to
-// the in-process run's.
-func FrontierRunner(c *Coordinator) FrontierOption {
-	return func(f *Frontier) { f.runner = c }
-}
-
-// FrontierBaselines adds fixed policies evaluated alongside the knob sweep
-// (once per scenario, riding the first wave's grid). They join the
-// frontier as knob-less points — framing it, competing for the front, and
-// eligible for the knee.
-func FrontierBaselines(specs ...PolicySpec) FrontierOption {
-	return func(f *Frontier) { f.baselines = append(f.baselines, specs...) }
-}
-
 // Run explores the frontier of every scenario. Cancelling ctx abandons the
 // current wave and returns the error; completed scenarios are lost (run
 // scenarios separately if partial results matter).
-func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
-	if len(f.errs) > 0 {
-		return nil, errors.Join(f.errs...)
+func (f Frontier) Run(ctx context.Context) (*FrontierSet, error) {
+	offsets, err := seedOffsets(f.Seeds)
+	if err != nil {
+		return nil, err
 	}
-	scenarios := f.scenarios
-	if len(scenarios) == 0 {
-		scenarios = []Spec{{}}
+	switch {
+	case f.PointBudget == 0:
+		f.PointBudget = 12
+	case f.PointBudget < 2:
+		return nil, fmt.Errorf("geovmp: PointBudget %d: need at least two points", f.PointBudget)
+	}
+	if f.coarse == 0 {
+		f.coarse = 5
+	}
+	if f.waveSize == 0 {
+		f.waveSize = 4
+	}
+	if len(f.Scenarios) == 0 {
+		f.Scenarios = []Spec{{}}
 	}
 	// Mirror the engine's duplicate-scenario guard: each scenario runs in
 	// its own grid here, so the engine's own check never fires, but
 	// FrontierSet.Scenario lookups and the per-scenario CSV/SVG outputs
 	// would silently collide all the same.
-	seenScenario := make(map[string]bool, len(scenarios))
-	for _, spec := range scenarios {
+	seenScenario := make(map[string]bool, len(f.Scenarios))
+	for _, spec := range f.Scenarios {
 		name := spec.Name
 		if name == "" {
 			name = config.DefaultScenarioName
@@ -311,32 +256,31 @@ func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
 		}
 		seenScenario[name] = true
 	}
-	objectives := f.objectives
-	if len(objectives) == 0 {
-		objectives = []Objective{CostObjective(), MeanRespObjective()}
+	if len(f.Objectives) == 0 {
+		f.Objectives = []Objective{CostObjective(), MeanRespObjective()}
 	}
-	if len(objectives) < 2 {
+	if len(f.Objectives) < 2 {
 		return nil, errors.New("geovmp: a frontier needs at least two objectives")
 	}
-	names := make([]string, len(objectives))
+	names := make([]string, len(f.Objectives))
 	seen := map[string]bool{}
-	for i, o := range objectives {
+	for i, o := range f.Objectives {
 		if o.Of == nil {
 			return nil, fmt.Errorf("geovmp: objective %q has no extractor", o.Name)
 		}
 		if seen[o.Name] {
 			return nil, fmt.Errorf("geovmp: duplicate objective %q", o.Name)
 		}
-		if f.runner != nil && o.OfRow == nil {
+		if f.Coordinator != nil && o.OfRow == nil {
 			return nil, fmt.Errorf("geovmp: objective %q has no row extractor (OfRow) — it cannot ride a distributed frontier", o.Name)
 		}
 		seen[o.Name] = true
 		names[i] = o.Name
 	}
 
-	fs := &FrontierSet{Objectives: names, Seeds: f.seeds}
-	for _, spec := range scenarios {
-		sf, err := f.runScenario(ctx, spec, objectives, names)
+	fs := &FrontierSet{Objectives: names, Seeds: len(offsets)}
+	for _, spec := range f.Scenarios {
+		sf, err := f.runScenario(ctx, spec, offsets, names)
 		if err != nil {
 			return nil, err
 		}
@@ -347,15 +291,11 @@ func (f *Frontier) Run(ctx context.Context) (*FrontierSet, error) {
 
 // runScenario resolves one scenario's frontier: compile each seed's column
 // once, then schedule every evaluation wave through the experiment engine
-// over those shared columns.
-func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Objective, names []string) (*ScenarioFrontier, error) {
+// over those shared columns. f has Run's defaults applied.
+func (f Frontier) runScenario(ctx context.Context, spec Spec, offsets []uint64, names []string) (*ScenarioFrontier, error) {
 	scenarioName := spec.Name
 	if scenarioName == "" {
 		scenarioName = config.DefaultScenarioName
-	}
-	offsets := make([]uint64, f.seeds)
-	for i := range offsets {
-		offsets[i] = uint64(i)
 	}
 
 	// One compile per scenario x seed for the whole frontier run. The
@@ -366,12 +306,12 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 	// compiles nothing here: each worker compiles and caches its own
 	// columns, reused across every wave's cells of the scenario x seed.
 	var colFor func(scenario string, seed uint64) *experiment.Column
-	if f.runner == nil {
-		workers := f.parallelism
+	if f.Coordinator == nil {
+		workers := f.Parallelism
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		columns := make(map[uint64]*experiment.Column, f.seeds)
+		columns := make(map[uint64]*experiment.Column, len(offsets))
 		compileBudget := par.NewBudget(workers - 1)
 		for _, off := range offsets {
 			if err := ctx.Err(); err != nil {
@@ -402,27 +342,27 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 			Scenarios:   []Spec{spec},
 			Policies:    pols,
 			SeedOffsets: offsets,
-			Parallelism: f.parallelism,
+			Parallelism: f.Parallelism,
 			Columns:     colFor,
 		}
-		if f.runner != nil {
-			return f.runner.RunGrid(ctx, g)
+		if f.Coordinator != nil {
+			return f.Coordinator.RunGrid(ctx, g)
 		}
 		return experiment.Run(ctx, g)
 	}
 	vectorsOf := func(set *ResultSet, pi int) ([]float64, error) {
-		v := make([]float64, len(objectives))
+		v := make([]float64, len(f.Objectives))
 		for ki := range set.SeedOffsets {
 			cell := set.At(0, pi, ki)
 			switch {
 			case cell.Result != nil:
-				for oi, o := range objectives {
+				for oi, o := range f.Objectives {
 					v[oi] += o.Of(cell.Result)
 				}
 			case cell.Data != nil:
 				// Distributed waves return flattened rows; the standard
 				// objectives read the same fields either way.
-				for oi, o := range objectives {
+				for oi, o := range f.Objectives {
 					v[oi] += o.OfRow(cell.Data)
 				}
 			default:
@@ -437,7 +377,7 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 	}
 
 	eval := func(knobs []float64) ([][]float64, error) {
-		pols := make([]PolicySpec, 0, len(knobs)+len(f.baselines))
+		pols := make([]PolicySpec, 0, len(knobs)+len(f.Baselines))
 		for _, t := range knobs {
 			pols = append(pols, alphaKnob(t))
 		}
@@ -445,7 +385,7 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 		if firstWave {
 			// Baselines ride the first wave's grid: same columns, no extra
 			// compile, evaluated exactly once per scenario.
-			pols = append(pols, f.baselines...)
+			pols = append(pols, f.Baselines...)
 		}
 		set, err := evalGrid(pols)
 		if err != nil {
@@ -478,7 +418,7 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 	res, err := pareto.Adaptive(pareto.AdaptiveConfig{
 		Lo: 0, Hi: 1,
 		Coarse:   f.coarse,
-		Budget:   f.budget,
+		Budget:   f.PointBudget,
 		WaveSize: f.waveSize,
 	}, eval)
 	if err != nil {
@@ -491,8 +431,8 @@ func (f *Frontier) runScenario(ctx context.Context, spec Spec, objectives []Obje
 // multi-start local search that perturbs the incumbent placement, climbs
 // under several objective weightings, keeps a non-dominated archive of the
 // outcomes and executes the archive's knee each slot. Pit it against the
-// proposed controller with FrontierBaselines, or run it in any experiment
-// grid. Construct a fresh instance per run.
+// proposed controller as one of Frontier.Baselines, or run it in any
+// experiment grid. Construct a fresh instance per run.
 func ParetoSearch(seed uint64) *ParetoSearchPolicy { return policy.NewParetoSearch(seed) }
 
 // ParetoSearchPolicy is the concrete type behind ParetoSearch.

@@ -22,14 +22,6 @@ func frontierSpec(preset string, seed uint64) Spec {
 	return spec
 }
 
-// frontierCoarseGrid and frontierWaveSize shape the adaptive driver for
-// tests and benchmarks by setting the fields NewFrontier fixes at 5 and 4:
-// a smaller grid or wave, or a coarse grid of the whole budget — the
-// fixed-grid baseline, one uniform wave.
-func frontierCoarseGrid(n int) FrontierOption { return func(f *Frontier) { f.coarse = n } }
-
-func frontierWaveSize(n int) FrontierOption { return func(f *Frontier) { f.waveSize = n } }
-
 // paretoSearchBaseline wraps the metaheuristic as a frontier baseline.
 func paretoSearchBaseline() PolicySpec {
 	return NewPolicySpec("Pareto-search", func(seed uint64) Policy { return ParetoSearch(seed) })
@@ -61,14 +53,14 @@ func sharedRefHypervolumes(a, b *ScenarioFrontier) (hvA, hvB float64) {
 // schedules over it.
 func TestFrontierCompileSharing(t *testing.T) {
 	before := experiment.CompileCount()
-	fs, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
-		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(9),
-		frontierCoarseGrid(3),
-		frontierWaveSize(2),
-		FrontierSeeds(2),
-	).Run(context.Background())
+	fs, err := Frontier{
+		Scenarios:   []Spec{frontierSpec("paper-geo3dc", 7)},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: 9,
+		coarse:      3,
+		waveSize:    2,
+		Seeds:       2,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +83,15 @@ func TestFrontierCompileSharing(t *testing.T) {
 // metaheuristic baseline on the grid.
 func TestFrontierDeterministic(t *testing.T) {
 	run := func(parallelism int) []byte {
-		fs, err := NewFrontier(
-			FrontierScenarios(frontierSpec("geo5dc-dynamic", 11)),
-			FrontierObjectives(CostObjective(), MeanRespObjective()),
-			FrontierPointBudget(7),
-			frontierCoarseGrid(3),
-			FrontierSeeds(2),
-			FrontierBaselines(paretoSearchBaseline()),
-			FrontierParallelism(parallelism),
-		).Run(context.Background())
+		fs, err := Frontier{
+			Scenarios:   []Spec{frontierSpec("geo5dc-dynamic", 11)},
+			Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+			PointBudget: 7,
+			coarse:      3,
+			Seeds:       2,
+			Baselines:   []PolicySpec{paretoSearchBaseline()},
+			Parallelism: parallelism,
+		}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +104,7 @@ func TestFrontierDeterministic(t *testing.T) {
 	base := run(1)
 	for _, p := range []int{2, runtime.GOMAXPROCS(0) + 6} {
 		if got := run(p); !bytes.Equal(base, got) {
-			t.Fatalf("FrontierParallelism(%d) diverged from the serial frontier", p)
+			t.Fatalf("Parallelism %d diverged from the serial frontier", p)
 		}
 	}
 }
@@ -133,20 +125,22 @@ func TestAdaptiveBeatsFixedGrid(t *testing.T) {
 	for _, preset := range []string{"paper-geo3dc", "geo5dc-dynamic"} {
 		preset := preset
 		t.Run(preset, func(t *testing.T) {
-			run := func(opts ...FrontierOption) *ScenarioFrontier {
-				fs, err := NewFrontier(append([]FrontierOption{
-					FrontierScenarios(frontierSpec(preset, 11)),
-					FrontierObjectives(CostObjective(), MeanRespObjective()),
-					FrontierPointBudget(budget),
-					FrontierSeeds(2),
-				}, opts...)...).Run(context.Background())
+			run := func(coarse, waveSize int) *ScenarioFrontier {
+				fs, err := Frontier{
+					Scenarios:   []Spec{frontierSpec(preset, 11)},
+					Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+					PointBudget: budget,
+					Seeds:       2,
+					coarse:      coarse,
+					waveSize:    waveSize,
+				}.Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return fs.Scenarios[0]
 			}
-			adaptive := run(frontierWaveSize(2))
-			fixed := run(frontierCoarseGrid(budget))
+			adaptive := run(0, 2)
+			fixed := run(budget, 0)
 			if adaptive.Evals != budget || fixed.Evals != budget {
 				t.Fatalf("unequal budgets: adaptive %d, fixed %d", adaptive.Evals, fixed.Evals)
 			}
@@ -177,14 +171,14 @@ const goldenFrontierPath = "testdata/golden_frontier.json"
 // real behaviour change: intentional ones update the golden in the same
 // commit, unintentional ones are caught regressions.
 func TestGoldenFrontierSet(t *testing.T) {
-	fs, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7), frontierSpec("geo5dc-dynamic", 11)),
-		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(7),
-		frontierCoarseGrid(3),
-		FrontierSeeds(2),
-		FrontierBaselines(paretoSearchBaseline()),
-	).Run(context.Background())
+	fs, err := Frontier{
+		Scenarios:   []Spec{frontierSpec("paper-geo3dc", 7), frontierSpec("geo5dc-dynamic", 11)},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: 7,
+		coarse:      3,
+		Seeds:       2,
+		Baselines:   []PolicySpec{paretoSearchBaseline()},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +195,10 @@ func TestGoldenFrontierSet(t *testing.T) {
 // every built-in objective yields a finite value, and the p95 sits between
 // the mean and the max.
 func TestFrontierObjectives(t *testing.T) {
-	set, err := NewExperiment(
-		WithScenarios(frontierSpec("paper-geo3dc", 7)),
-		WithPolicies(StandardPolicies(0.9)[:1]...),
-	).Run(context.Background())
+	set, err := Experiment{
+		Scenarios: []Spec{frontierSpec("paper-geo3dc", 7)},
+		Policies:  StandardPolicies(0.9)[:1],
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,31 +220,33 @@ func TestFrontierObjectives(t *testing.T) {
 	}
 }
 
-// TestFrontierErrors covers the construction failure paths.
+// TestFrontierErrors covers the declaration failure paths.
 func TestFrontierErrors(t *testing.T) {
-	if _, err := NewFrontier(FrontierPresets("no-such-preset")).Run(context.Background()); err == nil {
+	if _, err := Preset("no-such-preset"); err == nil {
 		t.Fatal("unknown preset must fail")
 	}
-	if _, err := NewFrontier(FrontierSeeds(0)).Run(context.Background()); err == nil {
-		t.Fatal("zero seeds must fail")
+	if _, err := (Frontier{Seeds: -1}).Run(context.Background()); err == nil {
+		t.Fatal("negative seeds must fail")
 	}
-	if _, err := NewFrontier(FrontierPointBudget(1)).Run(context.Background()); err == nil {
-		t.Fatal("single-point budget must fail")
+	for _, budget := range []int{1, -1} {
+		if _, err := (Frontier{PointBudget: budget}).Run(context.Background()); err == nil {
+			t.Fatalf("point budget %d must fail", budget)
+		}
 	}
-	if _, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
-		FrontierObjectives(CostObjective()),
-	).Run(context.Background()); err == nil {
+	if _, err := (Frontier{
+		Scenarios:  []Spec{frontierSpec("paper-geo3dc", 7)},
+		Objectives: []Objective{CostObjective()},
+	}).Run(context.Background()); err == nil {
 		t.Fatal("one objective must fail")
 	}
-	if _, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
-		FrontierObjectives(CostObjective(), CostObjective()),
-	).Run(context.Background()); err == nil {
+	if _, err := (Frontier{
+		Scenarios:  []Spec{frontierSpec("paper-geo3dc", 7)},
+		Objectives: []Objective{CostObjective(), CostObjective()},
+	}).Run(context.Background()); err == nil {
 		t.Fatal("duplicate objective names must fail")
 	}
 	spec := frontierSpec("paper-geo3dc", 7)
-	if _, err := NewFrontier(FrontierScenarios(spec, spec)).Run(context.Background()); err == nil {
+	if _, err := (Frontier{Scenarios: []Spec{spec, spec}}).Run(context.Background()); err == nil {
 		t.Fatal("duplicate scenario names must fail")
 	}
 }
@@ -266,13 +262,13 @@ func TestFrontierInjectedWorkloadCompilesOnce(t *testing.T) {
 	}
 	spec.Workload = w.Workload
 	before := experiment.CompileCount()
-	_, err = NewFrontier(
-		FrontierScenarios(spec),
-		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(3),
-		frontierCoarseGrid(3),
-		FrontierSeeds(3),
-	).Run(context.Background())
+	_, err = Frontier{
+		Scenarios:   []Spec{spec},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: 3,
+		coarse:      3,
+		Seeds:       3,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +280,13 @@ func TestFrontierInjectedWorkloadCompilesOnce(t *testing.T) {
 // TestFrontierRendering smoke-checks the report table and SVG over a real
 // resolved frontier.
 func TestFrontierRendering(t *testing.T) {
-	fs, err := NewFrontier(
-		FrontierScenarios(frontierSpec("paper-geo3dc", 7)),
-		FrontierObjectives(CostObjective(), MeanRespObjective()),
-		FrontierPointBudget(5),
-		frontierCoarseGrid(3),
-		FrontierBaselines(paretoSearchBaseline()),
-	).Run(context.Background())
+	fs, err := Frontier{
+		Scenarios:   []Spec{frontierSpec("paper-geo3dc", 7)},
+		Objectives:  []Objective{CostObjective(), MeanRespObjective()},
+		PointBudget: 5,
+		coarse:      3,
+		Baselines:   []PolicySpec{paretoSearchBaseline()},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,18 @@
 // Garcia del Valle, Atienza — DATE 2016) as a runnable Go library, built
 // around a parallel, cancellable, scenario-diverse experiment engine.
 //
-// The central type is Experiment: it declares a grid of scenarios x
-// policies x seeds via functional options and executes it on a worker
-// pool, one fresh scenario replica and one fresh policy instance per cell,
-// returning a structured ResultSet in deterministic grid order:
+// The central type is Experiment: a plain struct literal declaring a grid
+// of scenarios x policies x seeds, whose Run executes it on a worker pool
+// (or, with a Coordinator, on remote workers), one fresh scenario replica
+// and one fresh policy instance per cell, returning a structured ResultSet
+// in deterministic grid order. Zero fields take the paper's defaults:
 //
-//	set, err := geovmp.NewExperiment(
-//	    geovmp.WithScenarios(geovmp.Spec{Name: "paper", Scale: 0.05}),
-//	    geovmp.WithPolicies(geovmp.StandardPolicies(0.9)...),
-//	    geovmp.WithSeeds(3),
-//	    geovmp.WithParallelism(8),
-//	).Run(ctx)
+//	set, err := geovmp.Experiment{
+//	    Scenarios:   []geovmp.Spec{{Name: "paper", Scale: 0.05}},
+//	    Policies:    geovmp.StandardPolicies(0.9),
+//	    Seeds:       3,
+//	    Parallelism: 8,
+//	}.Run(ctx)
 //
 // The building blocks underneath:
 //
@@ -44,8 +45,8 @@
 //     and Result carries a per-epoch breakdown. The geo3dc-diurnal and
 //     geo5dc-dynamic presets ship workloads whose class mix and load
 //     shift across epochs.
-//   - Frontier resolves multi-objective trade-off frontiers over the
-//     controller's alpha (or any custom knob): configurable Objective
+//   - Frontier, declared the same way, resolves multi-objective trade-off
+//     frontiers over the controller's alpha: configurable Objective
 //     extractors, non-dominated sorting with hypervolume/spread
 //     indicators and knee-point selection, and an adaptive driver that
 //     bisects the largest hypervolume gaps — every refinement wave

@@ -19,7 +19,7 @@ func runPolicies(tb testing.TB, spec Spec, pols ...Policy) []*Result {
 	for i, p := range pols {
 		specs[i] = NewPolicySpec(p.Name(), func(uint64) Policy { return p })
 	}
-	set, err := NewExperiment(WithScenarios(spec), WithPolicies(specs...)).Run(context.Background())
+	set, err := Experiment{Scenarios: []Spec{spec}, Policies: specs}.Run(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -186,14 +186,14 @@ func TestReplayedWorkloadDrivesSimulation(t *testing.T) {
 // TestMultiSeedAggregate sweeps two seeds through the engine and
 // aggregates them per policy.
 func TestMultiSeedAggregate(t *testing.T) {
-	set, err := NewExperiment(
-		WithScenarios(testSpec()),
-		WithPolicies(
+	set, err := Experiment{
+		Scenarios: []Spec{testSpec()},
+		Policies: []PolicySpec{
 			NewPolicySpec("Proposed", func(seed uint64) Policy { return Proposed(0.9, seed) }),
 			NewPolicySpec("Net-aware", func(uint64) Policy { return NetAware() }),
-		),
-		WithSeeds(2),
-	).Run(context.Background())
+		},
+		Seeds: 2,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

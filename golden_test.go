@@ -21,7 +21,7 @@ const goldenPath = "testdata/golden_sweep.json"
 // goldenGrid is the pinned regression grid: the paper's Table I world plus
 // the rolling-horizon geo5dc-dynamic preset (per-epoch breakdown included),
 // each tiny and short, under all four standard policies and two seeds.
-func goldenGrid() *Experiment {
+func goldenGrid() Experiment {
 	static := MustPreset("paper-geo3dc")
 	static.Scale = 0.01
 	static.Seed = 7
@@ -34,11 +34,11 @@ func goldenGrid() *Experiment {
 	dynamic.Horizon = HoursOf(8)
 	dynamic.FineStepSec = 300
 
-	return NewExperiment(
-		WithScenarios(static, dynamic),
-		WithPolicies(StandardPolicies(0.9)...),
-		WithSeeds(2),
-	)
+	return Experiment{
+		Scenarios: []Spec{static, dynamic},
+		Policies:  StandardPolicies(0.9),
+		Seeds:     2,
+	}
 }
 
 // TestGoldenResultSet is the golden-result regression harness: the grid's
@@ -153,7 +153,7 @@ const (
 // one.
 const sampledGoldenMinVMs = 512
 
-func goldenSampledGrid(fastMath bool) *Experiment {
+func goldenSampledGrid(fastMath bool) Experiment {
 	static := MustPreset("paper-geo3dc")
 	static.Scale = 0.03
 	static.Seed = 23
@@ -168,11 +168,11 @@ func goldenSampledGrid(fastMath bool) *Experiment {
 	dynamic.FineStepSec = 600
 	dynamic.FastMath = fastMath
 
-	return NewExperiment(
-		WithScenarios(static, dynamic),
-		WithPolicies(StandardPolicies(0.9)[0]),
-		WithSeeds(2),
-	)
+	return Experiment{
+		Scenarios: []Spec{static, dynamic},
+		Policies:  StandardPolicies(0.9)[:1],
+		Seeds:     2,
+	}
 }
 
 // TestGoldenFastMath is the fast-mode golden: the Proposed controller with
@@ -227,18 +227,18 @@ func matchSampledGolden(t *testing.T, fastMath bool, path string) {
 //	GEOVMP_UPDATE_GOLDEN=1 go test -run TestGoldenFaulty .
 const goldenFaultyPath = "testdata/golden_faulty.json"
 
-func goldenFaultyGrid() *Experiment {
+func goldenFaultyGrid() Experiment {
 	faulty := MustPreset("geo5dc-faulty")
 	faulty.Scale = 0.01
 	faulty.Seed = 13
 	faulty.Horizon = HoursOf(16)
 	faulty.FineStepSec = 300
 
-	return NewExperiment(
-		WithScenarios(faulty),
-		WithPolicies(StandardPolicies(0.9)...),
-		WithSeeds(2),
-	)
+	return Experiment{
+		Scenarios: []Spec{faulty},
+		Policies:  StandardPolicies(0.9),
+		Seeds:     2,
+	}
 }
 
 // TestGoldenFaulty is the fault-path golden: the faulty grid's ResultSet

@@ -1,14 +1,15 @@
-// Package atomicfile holds the temp-file-and-rename writer every JSON
-// export shares, so a kill mid-write never leaves a truncated file.
+// Package atomicfile holds the temp-file-and-rename writer every exported
+// file shares (JSON exports, figure CSVs, SVGs, tracegen dumps), so a kill
+// mid-write never leaves a truncated file.
 package atomicfile
 
 import "os"
 
-// Write writes doc and a trailing newline to path.tmp, then renames it
-// over path. A failed write leaves path as it was.
-func Write(path string, doc []byte) error {
+// Write writes exactly data to path.tmp, then renames it over path. A
+// failed write leaves path as it was.
+func Write(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(doc, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -65,15 +65,15 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ParseCheckpoint(data)
 }
 
-// WriteCheckpoint stores the set's CheckpointJSON at path through
-// atomicfile.Write, so a reader sees the previous checkpoint or the new
-// one, never a partial write.
+// WriteCheckpoint stores the set's CheckpointJSON and a trailing newline at
+// path through atomicfile.Write, so a reader sees the previous checkpoint
+// or the new one, never a partial write.
 func (s *Set) WriteCheckpoint(path string) error {
 	b, err := s.CheckpointJSON()
 	if err != nil {
 		return err
 	}
-	return atomicfile.Write(path, b)
+	return atomicfile.Write(path, append(b, '\n'))
 }
 
 // take pops the next unclaimed row for the given cell identity, or nil when

@@ -11,8 +11,10 @@ import (
 	"geovmp/internal/config"
 	"geovmp/internal/pareto"
 	"geovmp/internal/policy"
+	"geovmp/internal/report"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/trace"
+	"geovmp/internal/viz"
 )
 
 func ckTestGrid(t *testing.T) Grid {
@@ -82,9 +84,11 @@ func TestResumeSkipsRecompute(t *testing.T) {
 	}
 }
 
-// TestWriteAtomic: Set.WriteJSON and Set.WriteCheckpoint leave no temp
-// file behind on success, and a write that fails (the temp path is taken
-// by a directory) leaves the previous file byte-identical.
+// TestWriteAtomic: the JSON exports, report.Figure.WriteCSV and viz.Save
+// write exactly their document (the JSON exports with a trailing newline)
+// and leave no temp file behind on success, and a write that fails (the
+// temp path is taken by a directory) leaves the previous file
+// byte-identical.
 func TestWriteAtomic(t *testing.T) {
 	set, err := NewSet(ckTestGrid(t))
 	if err != nil {
@@ -97,19 +101,33 @@ func TestWriteAtomic(t *testing.T) {
 	setFirst := func() { set.Cells[0].Data, set.Cells[1].Data = row(0, 1), nil }
 	setNext := func() { set.Cells[1].Data = row(1, 2) }
 	fs := &pareto.FrontierSet{Objectives: []string{"cost_eur"}}
+	withNewline := func(doc func() ([]byte, error)) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			b, err := doc()
+			return append(b, '\n'), err
+		}
+	}
+	fig := &report.Figure{ID: "fig", Headers: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
+	svg := "<svg>1</svg>"
 	dir := t.TempDir()
 	for _, w := range []struct {
-		name        string
+		file        string
 		write       func(string) error
 		doc         func() ([]byte, error)
 		first, next func()
 	}{
-		{"WriteJSON", set.WriteJSON, set.JSON, setFirst, setNext},
-		{"WriteCheckpoint", set.WriteCheckpoint, set.CheckpointJSON, setFirst, setNext},
-		{"FrontierWriteJSON", fs.WriteJSON, fs.JSON, func() { fs.Seeds = 1 }, func() { fs.Seeds = 2 }},
+		{"WriteJSON.json", set.WriteJSON, withNewline(set.JSON), setFirst, setNext},
+		{"WriteCheckpoint.json", set.WriteCheckpoint, withNewline(set.CheckpointJSON), setFirst, setNext},
+		{"FrontierWriteJSON.json", fs.WriteJSON, withNewline(fs.JSON), func() { fs.Seeds = 1 }, func() { fs.Seeds = 2 }},
+		{"fig.csv", func(p string) error { return fig.WriteCSV(filepath.Dir(p)) },
+			func() ([]byte, error) { return []byte("a,b\n" + fig.Rows[0][0] + ",2\n"), nil },
+			func() { fig.Rows[0][0] = "1" }, func() { fig.Rows[0][0] = "3" }},
+		{"plot.svg", func(p string) error { return viz.Save(filepath.Dir(p), "plot", svg) },
+			func() ([]byte, error) { return []byte(svg), nil },
+			func() { svg = "<svg>1</svg>" }, func() { svg = "<svg>2</svg>" }},
 	} {
 		w.first()
-		path := filepath.Join(dir, w.name+".json")
+		path := filepath.Join(dir, w.file)
 		if err := w.write(path); err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +135,11 @@ func TestWriteAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, '\n')
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s wrote %q (%v), want %q", w.name, got, err, want)
+			t.Fatalf("%s: wrote %q (%v), want %q", w.file, got, err, want)
 		}
 		if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("%s left its temp file behind (%v)", w.name, err)
+			t.Fatalf("%s: left its temp file behind (%v)", w.file, err)
 		}
 
 		w.next()
@@ -130,10 +147,10 @@ func TestWriteAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := w.write(path); err == nil {
-			t.Fatalf("%s succeeded with its temp path taken by a directory", w.name)
+			t.Fatalf("%s: write succeeded with its temp path taken by a directory", w.file)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("failed %s changed the previous file to %q (%v)", w.name, got, err)
+			t.Fatalf("%s: failed write changed the previous file to %q (%v)", w.file, got, err)
 		}
 	}
 }

@@ -407,14 +407,15 @@ func (c *Cell) Export() CellData {
 	return row
 }
 
-// WriteJSON stores the JSON export at path through atomicfile.Write, so a
-// kill mid-write never leaves a truncated export for a resume to read.
+// WriteJSON stores the JSON export and a trailing newline at path through
+// atomicfile.Write, so a kill mid-write never leaves a truncated export for
+// a resume to read.
 func (s *Set) WriteJSON(path string) error {
 	b, err := s.JSON()
 	if err != nil {
 		return err
 	}
-	return atomicfile.Write(path, b)
+	return atomicfile.Write(path, append(b, '\n'))
 }
 
 // NewSet validates the grid's axes and decomposes it into its cell

@@ -14,7 +14,7 @@ import (
 type Eval func(knobs []float64) ([][]float64, error)
 
 // AdaptiveConfig parameterizes the adaptive frontier driver. Every field
-// must be set: geovmp.NewFrontier is the one place that picks the grid,
+// must be set: geovmp.Frontier.Run is the one place that picks the grid,
 // budget and wave sizes.
 type AdaptiveConfig struct {
 	// Lo and Hi bound the knob range; Hi must exceed Lo.

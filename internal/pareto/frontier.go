@@ -211,12 +211,12 @@ func (fs *FrontierSet) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// WriteJSON stores the JSON export at path through atomicfile.Write, so a
-// kill mid-write never leaves a truncated export.
+// WriteJSON stores the JSON export and a trailing newline at path through
+// atomicfile.Write, so a kill mid-write never leaves a truncated export.
 func (fs *FrontierSet) WriteJSON(path string) error {
 	b, err := fs.JSON()
 	if err != nil {
 		return err
 	}
-	return atomicfile.Write(path, b)
+	return atomicfile.Write(path, append(b, '\n'))
 }

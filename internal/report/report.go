@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"geovmp/internal/atomicfile"
 	"geovmp/internal/dc"
 	"geovmp/internal/metrics"
 	"geovmp/internal/sim"
@@ -43,7 +44,8 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// WriteCSV stores the figure's rows under dir as <id>.csv.
+// WriteCSV stores the figure's rows under dir as <id>.csv, through
+// atomicfile.Write.
 func (f *Figure) WriteCSV(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -53,7 +55,7 @@ func (f *Figure) WriteCSV(dir string) error {
 	for _, row := range f.Rows {
 		b.WriteString(strings.Join(row, ",") + "\n")
 	}
-	return os.WriteFile(filepath.Join(dir, f.ID+".csv"), []byte(b.String()), 0o644)
+	return atomicfile.Write(filepath.Join(dir, f.ID+".csv"), []byte(b.String()))
 }
 
 // Table renders an aligned text table.

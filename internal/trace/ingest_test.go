@@ -181,9 +181,9 @@ func TestFitTemplatesDeterministicAndNormalized(t *testing.T) {
 func TestTemplateDrivenGenerationDeterministic(t *testing.T) {
 	ts := []UsageTemplate{
 		{Name: "web", Class: ClassWebSearch, Weight: 0.7, Mean: 0.4, Amp: 0.2,
-			PeakHour: 14, FastAmp: 0.08, SlowAmp: 0.05, DayVar: 0.05, MeanLifeSlots: 20},
+			PeakHour: 14, FastAmp: 0.08, SlowAmp: 0.05, DayVar: 0.05},
 		{Name: "hpc", Class: ClassHPC, Weight: 0.3, Mean: 0.7, Amp: 0.02,
-			PeakHour: 2, FastAmp: 0.01, SlowAmp: 0.02, MeanLifeSlots: 40},
+			PeakHour: 2, FastAmp: 0.01, SlowAmp: 0.02},
 	}
 	cfg := Config{Seed: 8, Horizon: timeutil.Hours(12), InitialVMs: 30, Templates: ts}
 	a, b := New(cfg), New(cfg)

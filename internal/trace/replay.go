@@ -362,7 +362,6 @@ func LoadReplay(dir string) (*Replay, error) {
 	}
 
 	// segments.csv (optional) — explicit activity runs for gapped VMs.
-	segs := map[int][]slotSpan{}
 	err = forEachCSVRow(filepath.Join(dir, "segments.csv"), skipHeader(3), func(row []string) error {
 		id, err1 := strconv.Atoi(row[0])
 		start, err2 := strconv.ParseInt(row[1], 10, 64)
@@ -379,20 +378,21 @@ func LoadReplay(dir string) (*Replay, error) {
 			return fmt.Errorf("trace: segments.csv: segment %v outside VM %d's lifetime [%d,%d)",
 				row, id, v.arrival, v.depart)
 		}
-		segs[id] = append(segs[id], slotSpan{timeutil.Slot(start), timeutil.Slot(end)})
+		r.vms[id].segs = append(r.vms[id].segs, slotSpan{timeutil.Slot(start), timeutil.Slot(end)})
 		return nil
 	})
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	for id, rs := range segs {
+	// Ascending id order, so an overlap error always names the lowest id.
+	for id := range r.vms {
+		rs := r.vms[id].segs
 		sort.Slice(rs, func(i, j int) bool { return rs[i].start < rs[j].start })
 		for i := 1; i < len(rs); i++ {
 			if rs[i].start < rs[i-1].end {
 				return nil, fmt.Errorf("trace: segments.csv: overlapping segments for VM %d", id)
 			}
 		}
-		r.vms[id].segs = rs
 	}
 
 	// profiles.csv

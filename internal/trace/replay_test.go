@@ -408,3 +408,27 @@ func TestLoadReplayStrictness(t *testing.T) {
 		t.Fatalf("base replay rejected: %v", err)
 	}
 }
+
+// TestLoadReplayOverlapErrorDeterministic: with two VMs whose segments
+// overlap — the higher id listed first — every load fails with the same
+// message, naming the lower id.
+func TestLoadReplayOverlapErrorDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"vms.csv":      "id,arrival_slot,depart_slot,image_gb\n0,0,4,1.000\n1,0,4,1.000\n2,0,4,1.000\n3,0,4,1.000\n",
+		"profiles.csv": "id,slot,s0\n0,0,0.2000\n1,0,0.2000\n2,0,0.2000\n3,0,0.2000\n",
+		"volumes.csv":  "slot,from,to,bytes\n",
+		"segments.csv": "id,start_slot,end_slot\n3,0,2\n3,1,3\n1,0,2\n1,1,4\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "trace: segments.csv: overlapping segments for VM 1"
+	for i := 0; i < 50; i++ {
+		_, err := LoadReplay(dir)
+		if err == nil || err.Error() != want {
+			t.Fatalf("load %d: error %v, want %q", i, err, want)
+		}
+	}
+}

@@ -25,25 +25,22 @@ type UsageTemplate struct {
 	FastAmp  float64 `json:"fast_amp"`  // fast noise amplitude
 	SlowAmp  float64 `json:"slow_amp"`  // slow noise amplitude
 	DayVar   float64 `json:"day_var"`   // day-to-day variance
-
-	MeanLifeSlots float64 `json:"mean_life_slots"` // mean lifetime in slots
 }
 
 // vmFeatures are the per-VM statistics the fit clusters on.
 type vmFeatures struct {
-	mean      float64
-	amp       float64
-	peakCos   float64 // unit vector toward the diurnal peak
-	peakSin   float64
-	fastAmp   float64
-	slowAmp   float64
-	dayVar    float64
-	lifeSlots float64
+	mean    float64
+	amp     float64
+	peakCos float64 // unit vector toward the diurnal peak
+	peakSin float64
+	fastAmp float64
+	slowAmp float64
+	dayVar  float64
 }
 
 // FitTemplates fits k usage templates to src by clustering per-VM trace
 // statistics (mean level, diurnal amplitude and phase via first-harmonic
-// projection, within-slot variability, day-to-day variance, lifetime).
+// projection, within-slot variability, day-to-day variance).
 // The fit is deterministic: quantile-seeded k-means over sorted features,
 // a fixed iteration count, no randomness. samples is the per-slot profile
 // resolution read from src (<=0 selects 12). Returns at most k templates
@@ -110,7 +107,6 @@ func FitTemplates(src Source, k, samples int) []UsageTemplate {
 			next[c].fastAmp += f.fastAmp
 			next[c].slowAmp += f.slowAmp
 			next[c].dayVar += f.dayVar
-			next[c].lifeSlots += f.lifeSlots
 		}
 		for c := range cents {
 			if counts[c] == 0 {
@@ -122,7 +118,6 @@ func FitTemplates(src Source, k, samples int) []UsageTemplate {
 			next[c].fastAmp /= n
 			next[c].slowAmp /= n
 			next[c].dayVar /= n
-			next[c].lifeSlots /= n
 			// Renormalize the amp-weighted peak vector.
 			if h := math.Hypot(next[c].peakCos, next[c].peakSin); h > 0 {
 				next[c].peakCos /= h
@@ -152,14 +147,13 @@ func FitTemplates(src Source, k, samples int) []UsageTemplate {
 			peak += 24
 		}
 		t := UsageTemplate{
-			Weight:        float64(counts[c]) / float64(len(feats)),
-			Mean:          f.mean,
-			Amp:           f.amp,
-			PeakHour:      peak,
-			FastAmp:       f.fastAmp,
-			SlowAmp:       f.slowAmp,
-			DayVar:        f.dayVar,
-			MeanLifeSlots: f.lifeSlots,
+			Weight:   float64(counts[c]) / float64(len(feats)),
+			Mean:     f.mean,
+			Amp:      f.amp,
+			PeakHour: peak,
+			FastAmp:  f.fastAmp,
+			SlowAmp:  f.slowAmp,
+			DayVar:   f.dayVar,
 		}
 		t.Class = nearestClass(t)
 		out = append(out, t)
@@ -271,13 +265,12 @@ func extractFeatures(src Source, samples int) []vmFeatures {
 		// with the synthetic generator's typical 60/40 proportion.
 		half := a.halfRangeSum / ns
 		f := vmFeatures{
-			mean:      mean,
-			amp:       amp,
-			peakCos:   pc,
-			peakSin:   ps,
-			fastAmp:   0.6 * half,
-			slowAmp:   0.4 * half,
-			lifeSlots: ns,
+			mean:    mean,
+			amp:     amp,
+			peakCos: pc,
+			peakSin: ps,
+			fastAmp: 0.6 * half,
+			slowAmp: 0.4 * half,
 		}
 		if len(a.daySum) >= 2 && mean > 0 {
 			days := make([]int, 0, len(a.daySum))

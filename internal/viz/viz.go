@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 
+	"geovmp/internal/atomicfile"
 	"geovmp/internal/embed"
 	"geovmp/internal/metrics"
 )
@@ -254,10 +255,10 @@ func Plane(title string, pos map[int]embed.Point, groupOf func(id int) int, grou
 	return doc(title, body...)
 }
 
-// Save writes an SVG document to dir/name.svg.
+// Save writes an SVG document to dir/name.svg, through atomicfile.Write.
 func Save(dir, name, svg string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, name+".svg"), []byte(svg), 0o644)
+	return atomicfile.Write(filepath.Join(dir, name+".svg"), []byte(svg))
 }

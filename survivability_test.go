@@ -87,13 +87,13 @@ func TestSurvivabilityAcceptance(t *testing.T) {
 // resolved front.
 func TestSurvivabilityFrontier(t *testing.T) {
 	spec := faultySpec(t, "faulty-frontier", StorageConfig{Scheme: StorageErasure, K: 2, M: 2})
-	fr := NewFrontier(
-		FrontierScenarios(spec),
-		FrontierObjectives(CostObjective(), DataLossObjective(), RepairBandwidthObjective()),
-		FrontierPointBudget(3),
-		FrontierSeeds(1),
-		FrontierParallelism(2),
-	)
+	fr := Frontier{
+		Scenarios:   []Spec{spec},
+		Objectives:  []Objective{CostObjective(), DataLossObjective(), RepairBandwidthObjective()},
+		PointBudget: 3,
+		Seeds:       1,
+		Parallelism: 2,
+	}
 	fs, err := fr.Run(context.Background())
 	if err != nil {
 		t.Fatalf("frontier run: %v", err)
