@@ -66,7 +66,7 @@ var (
 	fineStep = flag.Float64("finestep", 60, "green controller step seconds (paper: 5)")
 	alpha    = flag.Float64("alpha", 0.9, "proposed method's energy-performance weight")
 	outDir   = flag.String("out", "results", "directory for CSV output")
-	seeds    = flag.Int("seeds", 1, "number of seeds for the multi-seed aggregate (figs only)")
+	seeds    = flag.Int("seeds", 1, "number of consecutive seeds: the figures sweep's multi-seed aggregate, and the seeds each frontier point is averaged over")
 	par      = flag.Int("par", 0, "max concurrent runs (0 = GOMAXPROCS)")
 	jsonOut  = flag.String("json", "", "write the figures sweep's ResultSet as JSON to this path")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this path")

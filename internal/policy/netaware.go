@@ -1,9 +1,6 @@
 package policy
 
 import (
-	"cmp"
-	"slices"
-
 	"geovmp/internal/alloc"
 	"geovmp/internal/correlation"
 	"geovmp/internal/dc"
@@ -56,16 +53,7 @@ func (NetAware) Place(in *Input) Placement {
 
 	// Heavy communicators first so they anchor their partners; ties by id.
 	order := append([]int(nil), in.ActiveVMs...)
-	slices.SortFunc(order, func(a, b int) int {
-		ta, tb := tot[a], tot[b]
-		switch {
-		case ta > tb:
-			return -1
-		case ta < tb:
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
+	sortByKeyDesc(order, func(id int) float64 { return tot[id] })
 
 	wish := make(map[int]int, len(order))
 	load := make([]float64, len(in.DCs))

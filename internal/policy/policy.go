@@ -131,22 +131,36 @@ func peakDemand(in *Input, id int) float64 {
 }
 
 // sortedByDemandDesc returns the active VMs ordered by descending CPU
-// demand (FFD order), ties by id. The comparator is a total order (the id
-// tiebreak), so the non-reflective sort produces the same permutation the
-// former sort.Slice did.
+// demand (FFD order), ties by ascending id.
 func sortedByDemandDesc(in *Input) []int {
 	ids := append([]int(nil), in.ActiveVMs...)
-	slices.SortFunc(ids, func(a, b int) int {
-		da, db := cpuDemand(in, a), cpuDemand(in, b)
+	sortByKeyDesc(ids, func(id int) float64 { return cpuDemand(in, id) })
+	return ids
+}
+
+// sortByKeyDesc orders ids by descending key, ties by ascending id,
+// computing each id's key once rather than at every comparison.
+func sortByKeyDesc(ids []int, key func(id int) float64) {
+	type keyed struct {
+		key float64
+		id  int
+	}
+	ks := make([]keyed, len(ids))
+	for i, id := range ids {
+		ks[i] = keyed{key(id), id}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
 		switch {
-		case da > db:
+		case a.key > b.key:
 			return -1
-		case da < db:
+		case a.key < b.key:
 			return 1
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(a.id, b.id)
 	})
-	return ids
+	for i, k := range ks {
+		ids[i] = k.id
+	}
 }
 
 // applyWishes turns a desired assignment into an executable placement under

@@ -97,11 +97,28 @@ func (m *ServerModel) MaxCapacity() float64 { return float64(m.Cores) }
 // Power returns the electrical power drawn at frequency level idx with load
 // reference cores in use. Load saturates at the level's capacity; negative
 // loads count as zero.
-func (m *ServerModel) Power(idx int, load float64) units.Power {
+func (m *ServerModel) Power(idx int, load float64) units.Power { return m.Curve(idx).Power(load) }
+
+// Curve is the power curve of one frequency level with its constants taken
+// once, for loops that evaluate many loads at one level:
+// m.Curve(idx).Power(load) == m.Power(idx, load), bit for bit.
+type Curve struct {
+	Capacity float64 // the level's capacity, Capacity(idx)
+	idle     units.Power
+	span     float64 // Full - Idle
+}
+
+// Curve returns the power curve of frequency level idx.
+func (m *ServerModel) Curve(idx int) Curve {
 	l := m.Levels[idx]
-	cap := m.Capacity(idx)
-	u := units.Clamp(load/cap, 0, 1)
-	return l.Idle + units.Power(u*float64(l.Full-l.Idle))
+	return Curve{Capacity: m.Capacity(idx), idle: l.Idle, span: float64(l.Full - l.Idle)}
+}
+
+// Power returns the power drawn with load reference cores in use (see
+// ServerModel.Power).
+func (c Curve) Power(load float64) units.Power {
+	u := units.Clamp(load/c.Capacity, 0, 1)
+	return c.idle + units.Power(u*c.span)
 }
 
 // LowestLevelFor returns the lowest frequency level whose capacity covers

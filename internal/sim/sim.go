@@ -739,8 +739,7 @@ func (p *finePlan) evaluate(rows *trace.FineCursor, c *trace.Compiled, fleet dc.
 		defer p.scratch.Put(buf)
 		for i := lo; i < hi; i++ {
 			d := fleet[i]
-			itp := p.itPower[i]
-			thr := p.throttled[i]
+			itp, thr := p.itPower[i][:len(load)], p.throttled[i][:len(load)]
 			clear(itp)
 			clear(thr)
 			for _, srv := range allocs[i].servers {
@@ -754,16 +753,17 @@ func (p *finePlan) evaluate(rows *trace.FineCursor, c *trace.Compiled, fleet dc.
 						row = buf.row
 						c.FillFineRow(row, id, sl)
 					}
+					row = row[:len(load)]
 					for k := range load {
 						load[k] += row[k]
 					}
 				}
-				capS := d.Model.Capacity(srv.level)
-				for k := range load {
-					if load[k] > capS {
-						thr[k] += load[k] - capS
+				curve := d.Model.Curve(srv.level)
+				for k, x := range load {
+					if x > curve.Capacity {
+						thr[k] += x - curve.Capacity
 					}
-					itp[k] += d.Model.Power(srv.level, load[k])
+					itp[k] += curve.Power(x)
 				}
 			}
 		}

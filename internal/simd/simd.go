@@ -1,20 +1,28 @@
-// Package simd holds the three hot loops of the global phase in a
-// vectorised form: the embedding's dense pair pass (one row of Eq. 6/7's
-// all-pairs sweep), the sampled mode's repulsion pass (one point's drawn
-// peers) and the packed CPU-load correlation scan. Each comes as a pure-Go
-// reference loop (ExactGo, SampledGo, PeakCorrGo), which is both the
+// Package simd holds the five hot loops of the simulator in a vectorised
+// form: the embedding's dense pair pass (one row of Eq. 6/7's all-pairs
+// sweep), the sampled mode's repulsion pass (one point's drawn peers), the
+// packed CPU-load correlation scan, and the two halves of the synthetic
+// workload's utilization rows — the diurnal cosine of a service's row and
+// one lattice segment of a VM's row. Each comes as a pure-Go reference loop
+// (ExactGo, SampledGo, PeakCorrGo, DiurnalGo, UtilRowGo), which is both the
 // portable fallback and the bit-for-bit oracle, and a dispatcher
-// (Row.Exact, Draw.Sampled, PeakCorr) that runs an AVX2 kernel on amd64
-// CPUs that support it.
+// (Row.Exact, Draw.Sampled, PeakCorr, Diurnal, UtilRow) that runs an AVX2
+// kernel on amd64 CPUs that support it.
 //
 // The kernels keep every scalar operation of the reference loops in the same
 // order — no FMA, no reassociated sums — so they agree with them bit for bit;
 // they only give back to the caller the cases the loops treat specially (a
-// coincident pair, a slow-row partner). The CPU is probed once at start-up;
-// building with the purego tag leaves the Go loops as the only path.
+// coincident pair, a slow-row partner, a cosine argument outside the
+// Cody–Waite range). The CPU is probed once at start-up; building with the
+// purego tag leaves the Go loops as the only path.
 package simd
 
-import "math"
+import (
+	"math"
+
+	"geovmp/internal/rng"
+	"geovmp/internal/units"
+)
 
 // Row is one row i of the exact embedding's pair pass: point i at (X, Y)
 // against its partners j > i, partner k of the row being point i+1+k. The
@@ -264,4 +272,77 @@ func PeakCorrGo(dst, a []float64, peakA float64, rec []float64, stride int, js [
 		dst[k] = math.Float64frombits(bits)
 	}
 	return len(js)
+}
+
+// Diurnal fills dst[k] with the diurnal cosine of a service peaking at hour
+// peak at hour of day hours[k], math.Cos((hours[k]-peak)/24*2*math.Pi), for
+// every k < len(dst); hours is at least len(dst) long. The AVX2 kernel
+// follows math.Cos operation for operation — the truncated octant, the odd
+// octant mapped to the origin, the three-part Cody–Waite reduction, both
+// polynomials blended by octant and the sign flip — so it agrees with it
+// bit for bit; a group of four whose arguments hold a NaN, an infinity or a
+// magnitude of at least 2^29 (math.Cos's Payne–Hanek range) runs on the Go
+// loop.
+func Diurnal(dst, hours []float64, peak float64) { diurnal(dst, hours[:len(dst)], peak) }
+
+// DiurnalGo is the reference loop of Diurnal.
+func DiurnalGo(dst, hours []float64, peak float64) {
+	hours = hours[:len(dst)]
+	for k, h := range hours {
+		dst[k] = math.Cos((h - peak) / 24 * 2 * math.Pi)
+	}
+}
+
+// Util is one segment of a VM's utilization row: a run of steps over which
+// the VM's day factor and the cells of both its smooth-noise lattices stay
+// fixed, so only the per-step columns vary. Step k of the segment reads
+// Diurnal[k] (the service's diurnal cosine), SlowEase[k] and BurstEase[k]
+// (the lattice ease weights) and Keys[k] (the step's pre-mixed noise key).
+// A BurstAmp that is not > 0 turns the burst term off, and BurstEase is
+// then not read.
+type Util struct {
+	Mean, Amp, DayF       float64 // diurnal base: (Mean + Amp*cos) * DayF
+	SlowA, SlowB, SlowAmp float64 // slow noise: the cell's lattice ends and amplitude
+	FastKey               uint64  // white noise: the VM's hash prefix
+	FastAmp               float64
+	BurstA, BurstB        float64 // bursts: the cell's lattice ends
+	BurstAmp              float64
+
+	Diurnal, SlowEase, BurstEase []float64
+	Keys                         []uint64
+}
+
+// UtilRow fills dst[k] with step k of the segment's utilization for every
+// k < len(dst), as UtilRowGo does; every column is at least len(dst) long,
+// and Diurnal may alias dst. The AVX2 kernel runs four steps at a time,
+// splitting the hash's 64-bit multiplies into 32-bit halves and its 53-bit
+// conversion into two exact halves, and takes the burst and the clamp by
+// compare and blend.
+func UtilRow(dst []float64, u *Util) { u.row(dst) }
+
+// UtilRowGo is the reference loop of UtilRow. Step k's utilization is the
+// diurnal base plus the slow and the white noise, both centred and scaled
+// to their amplitudes, plus BurstAmp when the burst noise exceeds 0.75,
+// clamped to [0.02, 1].
+func UtilRowGo(dst []float64, u *Util) { u.run(dst, 0) }
+
+// run is UtilRowGo from step k on.
+func (u *Util) run(dst []float64, k int) {
+	d, se, keys := u.Diurnal[:len(dst)], u.SlowEase[:len(dst)], u.Keys[:len(dst)]
+	burst := u.BurstAmp > 0
+	var be []float64
+	if burst {
+		be = u.BurstEase[:len(dst)]
+	}
+	for ; k < len(dst); k++ {
+		base := u.Mean + u.Amp*d[k]
+		base *= u.DayF
+		slow := (rng.Blend(u.SlowA, u.SlowB, se[k]) - 0.5) * 2 * u.SlowAmp
+		fast := (rng.Unit(rng.FoldKey(u.FastKey, keys[k])) - 0.5) * 2 * u.FastAmp
+		x := base + slow + fast
+		if burst && rng.Blend(u.BurstA, u.BurstB, be[k]) > 0.75 {
+			x += u.BurstAmp
+		}
+		dst[k] = units.Clamp(x, 0.02, 1)
+	}
 }

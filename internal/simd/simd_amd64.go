@@ -38,6 +38,12 @@ func sampledAVX2(d *Draw, k, m int) int
 //go:noescape
 func peakCorrAVX2(dst, a []float64, peakA float64, rec []float64, stride int, js []int32) int
 
+//go:noescape
+func diurnalAVX2(dst, hours []float64, peak float64, k int) int
+
+//go:noescape
+func utilRowAVX2(dst []float64, u *Util, burst bool) int
+
 func (r *Row) exact(k int) int {
 	if !AVX2 {
 		return r.ExactGo(k)
@@ -62,4 +68,34 @@ func peakCorr(dst, a []float64, peakA float64, rec []float64, stride int, js []i
 	}
 	k := peakCorrAVX2(dst, a, peakA, rec, stride, js)
 	return k + PeakCorrGo(dst[k:], a, peakA, rec, stride, js[k:])
+}
+
+// diurnal runs the kernel as far as it goes, each group it stops before on
+// the Go loop, and the tail of fewer than four on the Go loop.
+func diurnal(dst, hours []float64, peak float64) {
+	if !AVX2 {
+		DiurnalGo(dst, hours, peak)
+		return
+	}
+	for k := 0; k < len(dst); {
+		k = diurnalAVX2(dst, hours, peak, k)
+		end := min(k+4, len(dst))
+		DiurnalGo(dst[k:end], hours[k:end], peak)
+		k = end
+	}
+}
+
+// row runs the kernel over the whole groups of four and the Go loop over
+// the tail.
+func (u *Util) row(dst []float64) {
+	if !AVX2 {
+		u.run(dst, 0)
+		return
+	}
+	n := len(dst)
+	burst := u.BurstAmp > 0
+	if len(u.Diurnal) < n || len(u.SlowEase) < n || len(u.Keys) < n || burst && len(u.BurstEase) < n {
+		panic("simd: Util column shorter than dst")
+	}
+	u.run(dst, utilRowAVX2(dst, u, burst))
 }

@@ -374,3 +374,262 @@ pdone:
 	VZEROUPPER
 	MOVQ BX, ret+112(FP)
 	RET
+
+// SPLAT lays out a 32-byte constant holding v in each of its four lanes,
+// a memory operand for the Y-register kernels below.
+#define SPLAT(name, v) \
+	DATA name<>+0(SB)/8, v;  \
+	DATA name<>+8(SB)/8, v;  \
+	DATA name<>+16(SB)/8, v; \
+	DATA name<>+24(SB)/8, v; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+
+SPLAT(c24, $0x4038000000000000)        // 24
+SPLAT(cPi, $0x400921fb54442d18)        // math.Pi
+SPLAT(cAbs, $0x7fffffffffffffff)       // the magnitude bits
+SPLAT(cSign, $0x8000000000000000)      // the sign bit
+SPLAT(cReduce, $0x41c0000000000000)    // 2^29, math.Cos's reduceThreshold
+SPLAT(c4Pi, $0x3ff45f306dc9c883)       // 4/math.Pi
+SPLAT(cPI4A, $0x3fe921fb40000000)      // Pi/4 in three parts
+SPLAT(cPI4B, $0x3e64442d00000000)
+SPLAT(cPI4C, $0x3ce8469898cc5170)
+SPLAT(cSin0, $0x3de5d8fd1fd19ccd)      // math's sine coefficients
+SPLAT(cSin1, $0xbe5ae5e5a9291f5d)
+SPLAT(cSin2, $0x3ec71de3567d48a1)
+SPLAT(cSin3, $0xbf2a01a019bfdf03)
+SPLAT(cSin4, $0x3f8111111110f7d0)
+SPLAT(cSin5, $0xbfc5555555555548)
+SPLAT(cCos0, $0xbda8fa49a0861a9b)      // math's cosine coefficients
+SPLAT(cCos1, $0x3e21ee9d7b4e3f05)
+SPLAT(cCos2, $0xbe927e4f7eac4bc6)
+SPLAT(cCos3, $0x3efa01a019c844f5)
+SPLAT(cCos4, $0xbf56c16c16c14f91)
+SPLAT(cCos5, $0x3fa555555555554b)
+SPLAT(cOne, $0x3ff0000000000000)       // 1
+SPLAT(cHalf, $0x3fe0000000000000)      // 0.5
+SPLAT(cOdd, $0x0000000100000001)       // 1 in each int32 lane
+SPLAT(cMix1, $0xbf58476d1ce4e5b9)      // mix64's multipliers
+SPLAT(cMix1Hi, $0x00000000bf58476d)
+SPLAT(cMix2, $0x94d049bb133111eb)
+SPLAT(cMix2Hi, $0x0000000094d049bb)
+SPLAT(cLow32, $0x00000000ffffffff)
+SPLAT(c2p52, $0x4330000000000000)      // 2^52: its ulp is 1
+SPLAT(c2p84, $0x4530000000000000)      // 2^84: its ulp is 2^32
+SPLAT(c2m53, $0x3ca0000000000000)      // 2^-53
+SPLAT(cBurst, $0x3fe8000000000000)     // 0.75
+SPLAT(cFloor, $0x3f947ae147ae147b)     // 0.02
+
+// POLY evaluates ((((((c0*zz)+c1)*zz+c2)*zz+c3)*zz+c4)*zz+c5) into p from
+// zz, with c0..c5 the six constants of prefix c.
+#define POLY(c0, c1, c2, c3, c4, c5, zz, p) \
+	VMULPD c0<>(SB), zz, p; \
+	VADDPD c1<>(SB), p, p;  \
+	VMULPD zz, p, p;        \
+	VADDPD c2<>(SB), p, p;  \
+	VMULPD zz, p, p;        \
+	VADDPD c3<>(SB), p, p;  \
+	VMULPD zz, p, p;        \
+	VADDPD c4<>(SB), p, p;  \
+	VMULPD zz, p, p;        \
+	VADDPD c5<>(SB), p, p
+
+// func diurnalAVX2(dst, hours []float64, peak float64, k int) int
+//
+// Runs steps k, k+4, ... four at a time while four remain and none of the
+// four arguments is a NaN, an infinity or at least 2^29 in magnitude,
+// with math.Cos's operations in its order.
+TEXT ·diurnalAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R12
+	MOVQ hours_base+24(FP), SI
+	VBROADCASTSD peak+48(FP), Y15
+	MOVQ k+56(FP), R11
+
+dloop:
+	LEAQ 4(R11), R13
+	CMPQ R13, R12
+	JGT  ddone
+
+	// x = |(h - peak) / 24 * 2 * Pi|.
+	VMOVUPD (SI)(R11*8), Y0
+	VSUBPD  Y15, Y0, Y0
+	VDIVPD  c24<>(SB), Y0, Y0
+	VADDPD  Y0, Y0, Y0
+	VMULPD  cPi<>(SB), Y0, Y0
+	VANDPD  cAbs<>(SB), Y0, Y0
+
+	// A NaN, an infinity or |x| >= 2^29 takes math.Cos's other paths:
+	// leave the group to the caller.
+	VCMPPD    $0x15, cReduce<>(SB), Y0, Y1
+	VMOVMSKPD Y1, AX
+	TESTQ     AX, AX
+	JNE       ddone
+
+	// j = uint64(x * 4/Pi), odd j rounded up; y = float64(j).
+	VMULPD      c4Pi<>(SB), Y0, Y1
+	VCVTTPD2DQY Y1, X1
+	VPAND       cOdd<>(SB), X1, X2
+	VPADDD      X2, X1, X1
+	VCVTDQ2PD   X1, Y2
+
+	// Octant bit 1 picks the sine polynomial (into bit 63 of Y4), bit 1
+	// xor bit 2 flips the sign (into Y3's sign bits).
+	VPMOVZXDQ X1, Y3
+	VPSLLQ    $62, Y3, Y4
+	VPSLLQ    $61, Y3, Y3
+	VPXOR     Y4, Y3, Y3
+	VANDPD    cSign<>(SB), Y3, Y3
+
+	// z = ((x - y*PI4A) - y*PI4B) - y*PI4C; zz = z*z.
+	VMULPD cPI4A<>(SB), Y2, Y5
+	VSUBPD Y5, Y0, Y0
+	VMULPD cPI4B<>(SB), Y2, Y5
+	VSUBPD Y5, Y0, Y0
+	VMULPD cPI4C<>(SB), Y2, Y5
+	VSUBPD Y5, Y0, Y0
+	VMULPD Y0, Y0, Y1
+
+	// Sine: z + z*zz*P(zz).
+	POLY(cSin0, cSin1, cSin2, cSin3, cSin4, cSin5, Y1, Y5)
+	VMULPD Y1, Y0, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD Y6, Y0, Y6
+
+	// Cosine: 1 - 0.5*zz + zz*zz*Q(zz).
+	POLY(cCos0, cCos1, cCos2, cCos3, cCos4, cCos5, Y1, Y5)
+	VMULPD  Y1, Y1, Y7
+	VMULPD  Y5, Y7, Y7
+	VMULPD  cHalf<>(SB), Y1, Y8
+	VMOVUPD cOne<>(SB), Y9
+	VSUBPD  Y8, Y9, Y9
+	VADDPD  Y7, Y9, Y9
+
+	VBLENDVPD Y4, Y6, Y9, Y9
+	VXORPD    Y3, Y9, Y9
+	VMOVUPD   Y9, (DI)(R11*8)
+
+	ADDQ $4, R11
+	JMP  dloop
+
+ddone:
+	VZEROUPPER
+	MOVQ R11, ret+64(FP)
+	RET
+
+// MUL64 sets each 64-bit lane of z to its product with the constant lanes
+// c (c's low halves) and chi (c's high halves), modulo 2^64, from three
+// 32x32-bit products. It clobbers t and u.
+#define MUL64(c, chi, z, t, u) \
+	VPSRLQ   $32, z, t;       \
+	VPMULUDQ c<>(SB), t, t;   \
+	VPMULUDQ chi<>(SB), z, u; \
+	VPADDQ   u, t, t;         \
+	VPSLLQ   $32, t, t;       \
+	VPMULUDQ c<>(SB), z, z;   \
+	VPADDQ   t, z, z
+
+// func utilRowAVX2(dst []float64, u *Util, burst bool) int
+//
+// Runs steps 0, 4, ... four at a time while four remain, with UtilRowGo's
+// operations in its order, and returns the first step it did not run.
+TEXT ·utilRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), R12
+	MOVQ    u+24(FP), SI
+	MOVBQZX burst+32(FP), R10
+	MOVQ    Util_Diurnal(SI), AX
+	MOVQ    Util_SlowEase(SI), BX
+	MOVQ    Util_BurstEase(SI), CX
+	MOVQ    Util_Keys(SI), DX
+	VBROADCASTSD Util_Mean(SI), Y8
+	VBROADCASTSD Util_Amp(SI), Y9
+	VBROADCASTSD Util_DayF(SI), Y10
+	VBROADCASTSD Util_SlowA(SI), Y11
+	VBROADCASTSD Util_SlowB(SI), Y12
+	VBROADCASTSD Util_SlowAmp(SI), Y13
+	VPBROADCASTQ Util_FastKey(SI), Y14
+	VMOVUPD      cOne<>(SB), Y15
+	XORQ R11, R11
+
+uloop:
+	LEAQ 4(R11), R13
+	CMPQ R13, R12
+	JGT  udone
+
+	// base = (Mean + Amp*diurnal) * DayF.
+	VMULPD (AX)(R11*8), Y9, Y0
+	VADDPD Y0, Y8, Y0
+	VMULPD Y10, Y0, Y0
+
+	// slow = ((SlowA*(1-e) + SlowB*e) - 0.5) * 2 * SlowAmp.
+	VMOVUPD (BX)(R11*8), Y1
+	VSUBPD  Y1, Y15, Y2
+	VMULPD  Y11, Y2, Y2
+	VMULPD  Y12, Y1, Y1
+	VADDPD  Y1, Y2, Y2
+	VSUBPD  cHalf<>(SB), Y2, Y2
+	VADDPD  Y2, Y2, Y2
+	VMULPD  Y13, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+
+	// h = mix64(FastKey ^ key).
+	VMOVDQU (DX)(R11*8), Y1
+	VPXOR   Y14, Y1, Y1
+	VPSRLQ  $30, Y1, Y2
+	VPXOR   Y2, Y1, Y1
+	MUL64(cMix1, cMix1Hi, Y1, Y2, Y3)
+	VPSRLQ  $27, Y1, Y2
+	VPXOR   Y2, Y1, Y1
+	MUL64(cMix2, cMix2Hi, Y1, Y2, Y3)
+	VPSRLQ  $31, Y1, Y2
+	VPXOR   Y2, Y1, Y1
+
+	// Unit: float64(h>>11) as hi*2^32 + lo, each half exact through a
+	// magic-number bias, then / 2^53.
+	VPSRLQ $11, Y1, Y1
+	VPSRLQ $32, Y1, Y2
+	VPAND  cLow32<>(SB), Y1, Y1
+	VPOR   c2p52<>(SB), Y1, Y1
+	VSUBPD c2p52<>(SB), Y1, Y1
+	VPOR   c2p84<>(SB), Y2, Y2
+	VSUBPD c2p84<>(SB), Y2, Y2
+	VADDPD Y1, Y2, Y1
+	VMULPD c2m53<>(SB), Y1, Y1
+
+	// fast = (unit - 0.5) * 2 * FastAmp; u = base + slow + fast.
+	VSUBPD       cHalf<>(SB), Y1, Y1
+	VADDPD       Y1, Y1, Y1
+	VBROADCASTSD Util_FastAmp(SI), Y2
+	VMULPD       Y2, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+
+	// Burst: u + BurstAmp where BurstA*(1-e) + BurstB*e > 0.75.
+	TESTQ R10, R10
+	JEQ   uclamp
+	VMOVUPD      (CX)(R11*8), Y1
+	VSUBPD       Y1, Y15, Y2
+	VBROADCASTSD Util_BurstA(SI), Y3
+	VMULPD       Y3, Y2, Y2
+	VBROADCASTSD Util_BurstB(SI), Y3
+	VMULPD       Y3, Y1, Y1
+	VADDPD       Y1, Y2, Y2
+	VCMPPD       $0x1e, cBurst<>(SB), Y2, Y2
+	VBROADCASTSD Util_BurstAmp(SI), Y3
+	VADDPD       Y3, Y0, Y3
+	VBLENDVPD    Y2, Y3, Y0, Y0
+
+uclamp:
+	// units.Clamp(u, 0.02, 1).
+	VCMPPD    $0x11, cFloor<>(SB), Y0, Y1
+	VCMPPD    $0x1e, Y15, Y0, Y2
+	VBLENDVPD Y2, Y15, Y0, Y0
+	VBLENDVPD Y1, cFloor<>(SB), Y0, Y0
+	VMOVUPD   Y0, (DI)(R11*8)
+
+	ADDQ $4, R11
+	JMP  uloop
+
+udone:
+	VZEROUPPER
+	MOVQ R11, ret+40(FP)
+	RET

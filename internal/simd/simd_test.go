@@ -407,3 +407,174 @@ func FuzzSampledRow(f *testing.F) {
 		checkDraw(t, "fuzz", d)
 	})
 }
+
+// checkDiurnal runs Diurnal and the reference loop over the same hours and
+// compares them bit for bit (see sameBits), also against math.Cos itself.
+func checkDiurnal(t *testing.T, label string, hours []float64, peak float64) {
+	t.Helper()
+	got, want := make([]float64, len(hours)), make([]float64, len(hours))
+	Diurnal(got, hours, peak)
+	DiurnalGo(want, hours, peak)
+	for k, h := range hours {
+		ref := math.Cos((h - peak) / 24 * 2 * math.Pi)
+		if !sameBits(got[k], want[k]) || !sameBits(got[k], ref) {
+			t.Fatalf("%s: Diurnal(%v, peak %v) = %v (%#x), Go loop %v, math.Cos %v", label, h, peak, got[k], math.Float64bits(got[k]), want[k], ref)
+		}
+	}
+}
+
+// TestDiurnalMatchesCos holds the diurnal kernel to math.Cos bit for bit:
+// at the hour of every 5 s step of a week (the hours of every fine and
+// profile grid), for peaks inside and outside [0, 24); at random hours and
+// peaks over magnitudes up to past 2^29; and in groups whose lanes hold a
+// NaN, an infinity or an argument past 2^29, at every lane position and
+// every row tail.
+func TestDiurnalMatchesCos(t *testing.T) {
+	const stepSec, week = 5, 7 * 86400
+	hours := make([]float64, 0, week/stepSec)
+	for sec := 0.0; sec < week; sec += stepSec {
+		day := int(sec / 86400)
+		hours = append(hours, sec/3600-float64(day)*24)
+	}
+	for _, peak := range []float64{0, 2, 9.5, 14, 20.25, 23.999, -1.5, 24, 25.5, -300, 1e4} {
+		checkDiurnal(t, "week", hours, peak)
+	}
+
+	src := rng.New(3)
+	for n := 0; n < 200; n++ {
+		h := make([]float64, n%37)
+		scale := math.Pow(10, float64(n%12)) // past 2^29 radians from 1e8 on
+		for k := range h {
+			h[k] = src.Range(-scale, scale)
+		}
+		checkDiurnal(t, "random", h, src.Range(-scale, scale))
+	}
+
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1 << 33, -(1 << 33), 1e300, 2.05e9}
+	for _, s := range special {
+		for m := 1; m <= 13; m++ {
+			for at := 0; at < m; at++ {
+				h := make([]float64, m)
+				for k := range h {
+					h[k] = float64(k) * 1.7
+				}
+				h[at] = s
+				checkDiurnal(t, "special", h, 14)
+			}
+		}
+	}
+}
+
+// FuzzDiurnal holds Diurnal to its Go loop (and math.Cos) bit for bit over
+// row lengths 0-40 of arbitrary hours — special values included, see
+// fuzzVal — and an arbitrary peak.
+func FuzzDiurnal(f *testing.F) {
+	f.Add(uint8(9), 14.0, []byte{8, 9, 10, 11, 0, 0, 12, 13})
+	f.Add(uint8(4), -3.0, []byte{2, 3, 4, 5, 6, 7})
+	f.Add(uint8(0), 0.0, []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, peak float64, data []byte) {
+		h := make([]float64, int(n)%41)
+		for k := range h {
+			b := byte(k)
+			if k < len(data) {
+				b = data[k]
+			}
+			h[k] = fuzzVal(b, float64(k)*0.37)
+			if k+1 < len(data) && data[k+1]&1 == 1 {
+				h[k] *= 1e8 // arguments past 2^29
+			}
+		}
+		checkDiurnal(t, "fuzz", h, peak)
+	})
+}
+
+// randUtil returns a segment of m steps with random per-VM terms and
+// columns: amplitudes around the synthetic workload's, lattice ends in
+// [0, 1), and means that reach both clamp bounds.
+func randUtil(src *rng.Source, m int, burst bool) *Util {
+	u := &Util{
+		Mean: src.Range(-0.2, 1.2), Amp: src.Range(0, 0.5), DayF: src.Range(0.4, 1.6),
+		SlowA: src.Float64(), SlowB: src.Float64(), SlowAmp: src.Range(0, 0.2),
+		FastKey: src.Uint64(), FastAmp: src.Range(0, 0.2),
+		BurstA: src.Float64(), BurstB: src.Float64(),
+	}
+	if burst {
+		u.BurstAmp = src.Range(0.01, 0.6)
+	}
+	for range m {
+		u.Diurnal = append(u.Diurnal, src.Range(-1, 1))
+		u.SlowEase = append(u.SlowEase, src.Float64())
+		u.BurstEase = append(u.BurstEase, src.Float64())
+		u.Keys = append(u.Keys, src.Uint64())
+	}
+	return u
+}
+
+// checkUtil runs UtilRow and the reference loop over the same segment and
+// compares them bit for bit (see sameBits), also with Diurnal aliasing dst.
+func checkUtil(t *testing.T, label string, u *Util) {
+	t.Helper()
+	m := len(u.Keys)
+	got, want := make([]float64, m), make([]float64, m)
+	UtilRow(got, u)
+	UtilRowGo(want, u)
+	alias := *u
+	alias.Diurnal = append([]float64(nil), u.Diurnal...)
+	UtilRow(alias.Diurnal, &alias)
+	for k := range want {
+		if !sameBits(got[k], want[k]) || !sameBits(alias.Diurnal[k], want[k]) {
+			t.Fatalf("%s: step %d of %d = %v (%#x), aliased %v, Go loop %v (%#x)", label, k, m, got[k], math.Float64bits(got[k]), alias.Diurnal[k], want[k], math.Float64bits(want[k]))
+		}
+	}
+}
+
+// TestUtilRowMatchesGo holds the utilization segment kernel to its Go loop
+// bit for bit, with and without bursts, over every segment tail, and on
+// edge cases: ease weights of exactly 0 and 1, noise hashes at both ends
+// of [0, 1), and values at the clamp bounds.
+func TestUtilRowMatchesGo(t *testing.T) {
+	src := rng.New(4)
+	for n := 0; n < 400; n++ {
+		checkUtil(t, "random", randUtil(src, n%45, n%2 == 0))
+	}
+	u := randUtil(src, 16, true)
+	u.SlowEase[0], u.SlowEase[1], u.BurstEase[2], u.BurstEase[3] = 0, 1, 0, 1
+	u.Keys[4], u.Keys[5] = u.FastKey, ^u.FastKey
+	u.Diurnal[6], u.Diurnal[7] = math.Inf(1), math.NaN()
+	u.BurstA, u.BurstB = 0.75, 0.75
+	checkUtil(t, "edges", u)
+	u.Mean, u.Amp, u.SlowAmp, u.FastAmp, u.BurstAmp = 0.02, 0, 0, 0, 0
+	checkUtil(t, "at the floor", u)
+	u.Mean, u.BurstAmp = 1, math.NaN()
+	checkUtil(t, "at the cap, NaN burst amplitude", u)
+}
+
+// FuzzUtilRow holds UtilRow to its Go loop bit for bit (see sameBits) over
+// segment lengths 0-63 of arbitrary columns and per-VM terms, special
+// values included (see fuzzVal), with and without bursts.
+func FuzzUtilRow(f *testing.F) {
+	f.Add(uint8(9), uint64(42), []byte{8, 9, 10, 11, 0, 0, 12, 13, 20, 30})
+	f.Add(uint8(130), uint64(7), []byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(0), uint64(0), []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, seed uint64, data []byte) {
+		next := func(base float64) float64 {
+			if len(data) == 0 {
+				return base
+			}
+			b := data[0]
+			data = data[1:]
+			return fuzzVal(b, base)
+		}
+		src := rng.New(seed)
+		u := randUtil(src, int(n)%64, n >= 128)
+		for _, p := range []*float64{&u.Mean, &u.Amp, &u.DayF, &u.SlowA, &u.SlowB, &u.SlowAmp, &u.FastAmp, &u.BurstA, &u.BurstB} {
+			*p = next(*p)
+		}
+		for k := range u.Keys {
+			u.Diurnal[k] = next(u.Diurnal[k])
+			u.SlowEase[k] = next(u.SlowEase[k])
+			u.BurstEase[k] = next(u.BurstEase[k])
+		}
+		checkUtil(t, "fuzz", u)
+	})
+}

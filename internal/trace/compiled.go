@@ -26,9 +26,11 @@ type CompileOptions struct {
 	// skipped: it is compiled out-of-core, streamed through
 	// FineCursor/ProfileCursor in the widest slot windows whose peak bytes
 	// fit the budget (at least one slot), so the table holds at most one
-	// window per open cursor plus one spare — the cursors of concurrent
-	// runs share the windows they are on — while the values stay
-	// byte-identical to the resident table. Volumes always materialize.
+	// window per open cursor, plus one spare, plus one recycled buffer —
+	// the cursors of concurrent runs share the windows they are on, and an
+	// idle window's buffers are kept for the next layout rather than
+	// dropped — while the values stay byte-identical to the resident
+	// table. Volumes always materialize.
 	MaxFineTableBytes int64
 	// Workers optionally lends extra goroutines to the compilation: the
 	// fine and profile tables (by VM, or by service for the synthetic
@@ -123,17 +125,30 @@ func fineStepsPerSlot(dt float64) int {
 	return k
 }
 
-// slotGrids builds one step grid per slot, holding step(sl, k) for k < n,
-// over one shared backing array.
+// slotGrids builds one column grid per slot, holding step(sl, k) for
+// k < n, over one shared backing array per column.
 func slotGrids(slots timeutil.Slot, n int, step func(sl timeutil.Slot, k int) timeutil.Step) []StepGrid {
-	pts := make([]gridPoint, 0, int(slots)*n)
+	total := int(slots) * n
+	steps := make([]timeutil.Step, total)
+	f := make([]float64, 3*total)
+	hour, slowEase, burstEase := f[:total:total], f[total:2*total:2*total], f[2*total:]
+	key := make([]uint64, total)
+	cols := make([]gridCols, slots)
 	grids := make([]StepGrid, slots)
 	for sl := range grids {
-		lo := len(pts)
-		for k := 0; k < n; k++ {
-			pts = append(pts, newGridPoint(step(timeutil.Slot(sl), k), true))
+		lo, hi := sl*n, (sl+1)*n
+		c := &cols[sl]
+		*c = gridCols{step: steps[lo:hi:hi], hour: hour[lo:hi:hi], slowEase: slowEase[lo:hi:hi], burstEase: burstEase[lo:hi:hi], key: key[lo:hi:hi]}
+		for k := range n {
+			p := newGridPoint(step(timeutil.Slot(sl), k), true)
+			c.step[k], c.hour[k], c.slowEase[k], c.burstEase[k], c.key[k] = p.step, p.hour, p.slowEase, p.burstEase, p.key
+			seg := gridSeg{start: k, day: p.day, slowCell: p.slowCell, burstCell: p.burstCell}
+			if last := len(c.segs) - 1; last < 0 || seg.day != c.segs[last].day || seg.slowCell != c.segs[last].slowCell || seg.burstCell != c.segs[last].burstCell {
+				c.segs = append(c.segs, seg)
+			}
 		}
-		grids[sl] = StepGrid{pts[lo:len(pts):len(pts)]}
+		c.segs = append(c.segs, gridSeg{start: n})
+		grids[sl] = StepGrid{cols: c}
 	}
 	return grids
 }
@@ -161,7 +176,7 @@ func profileToFine(grids []StepGrid, samples int) [][]int {
 		out[sl] = make([]int, samples)
 		for i := range out[sl] {
 			want := profileStep(timeutil.Slot(sl), i, samples)
-			k := slices.IndexFunc(g.pts, func(p gridPoint) bool { return p.step == want })
+			k := slices.Index(g.cols.step, want)
 			if k < 0 {
 				return nil
 			}

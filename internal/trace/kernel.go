@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"geovmp/internal/rng"
+	"geovmp/internal/simd"
 	"geovmp/internal/timeutil"
 	"geovmp/internal/units"
 )
@@ -19,7 +20,11 @@ import (
 // service-slot. fillUtilRow carries the VM terms along one VM's row and
 // refreshes them only when the day or a lattice cell changes, leaving one
 // hash fold per step. Util is the one-step case, so the arithmetic has a
-// single definition.
+// single definition. The grids NewStepGrid builds and the compile shares
+// are column grids instead: their steps as columns, cut into segments over
+// which the day and both lattice cells stay fixed, whose diurnal rows and
+// utilization rows run on the simd kernels segment by segment, bit for bit
+// the scalar values.
 
 // Smooth-noise lattice periods in seconds, and the hash tags of the
 // per-VM noise streams.
@@ -63,22 +68,52 @@ func newGridPoint(st timeutil.Step, burst bool) gridPoint {
 
 // StepGrid is the VM-independent half of utilization synthesis over a list
 // of steps. It is read-only once built, so one grid serves any number of
-// VMs and goroutines.
+// VMs and goroutines. A grid is one of two forms: points, which the scalar
+// row kernel reads (the one-step grid of Util and the profile grid of
+// FillSlotProfile), or columns, which the simd kernels read segment by
+// segment (every grid NewStepGrid builds or a compile shares).
 type StepGrid struct {
-	pts []gridPoint
+	pts  []gridPoint
+	cols *gridCols // nil: a point grid
 }
 
-// NewStepGrid builds the grid of the given steps, in order.
+// gridCols is a column grid: its steps as columns, cut into segments over
+// which the day and both lattice cells stay fixed.
+type gridCols struct {
+	step                      []timeutil.Step
+	hour, slowEase, burstEase []float64
+	key                       []uint64
+	segs                      []gridSeg // in step order, then one ending at len(step)
+}
+
+// gridSeg is the start of a column grid's segment and the day and lattice
+// cells it holds.
+type gridSeg struct {
+	start               int
+	day                 int
+	slowCell, burstCell int64
+}
+
+// NewStepGrid builds the column grid of the given steps, in order.
 func NewStepGrid(steps []timeutil.Step) StepGrid {
-	pts := make([]gridPoint, len(steps))
-	for i, st := range steps {
-		pts[i] = newGridPoint(st, true)
-	}
-	return StepGrid{pts}
+	return slotGrids(1, len(steps), func(_ timeutil.Slot, k int) timeutil.Step { return steps[k] })[0]
 }
 
 // Len returns the number of steps in the grid.
-func (g StepGrid) Len() int { return len(g.pts) }
+func (g StepGrid) Len() int {
+	if g.cols != nil {
+		return len(g.cols.step)
+	}
+	return len(g.pts)
+}
+
+// step returns the grid's k-th step.
+func (g StepGrid) step(k int) timeutil.Step {
+	if g.cols != nil {
+		return g.cols.step[k]
+	}
+	return g.pts[k].step
+}
 
 // FillUtil writes src's utilization of VM id at every step of g into
 // dst[:g.Len()]: in one row-kernel pass when src is the synthetic
@@ -90,8 +125,8 @@ func FillUtil(dst []float64, src Source, id int, g StepGrid) {
 		w.fillUtilRow(dst, id, g, dst)
 		return
 	}
-	for k := range g.pts {
-		dst[k] = src.Util(id, g.pts[k].step)
+	for k := range g.Len() {
+		dst[k] = src.Util(id, g.step(k))
 	}
 }
 
@@ -99,6 +134,10 @@ func FillUtil(dst []float64, src Source, id int, g StepGrid) {
 // at every step of g into dst[:g.Len()] — the one term of Util that every
 // member VM of the service shares.
 func diurnalRow(dst []float64, peak float64, g StepGrid) {
+	if c := g.cols; c != nil {
+		simd.Diurnal(dst[:len(c.hour)], c.hour, peak)
+		return
+	}
 	for k := range g.pts {
 		dst[k] = math.Cos((g.pts[k].hour - peak) / 24 * 2 * math.Pi)
 	}
@@ -132,6 +171,10 @@ func (l *latticeRow) at(cell int64, ease float64) float64 {
 // for every step of g, bit for bit, given diurnal = diurnalRow over g for
 // the VM's service. diurnal may alias dst: step k reads it before writing.
 func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid, diurnal []float64) {
+	if g.cols != nil {
+		w.fillUtilSegs(dst, id, g.cols, diurnal)
+		return
+	}
 	pts := g.pts
 	if len(pts) == 0 {
 		return
@@ -164,5 +207,35 @@ func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid, diurnal []floa
 			u += v.burstAmp
 		}
 		dst[k] = units.Clamp(u, 0.02, 1)
+	}
+}
+
+// fillUtilSegs is fillUtilRow over a column grid: the VM's day factor and
+// lattice ends are taken once per segment, and simd.UtilRow runs the
+// segment's steps.
+func (w *Workload) fillUtilSegs(dst []float64, id int, c *gridCols, diurnal []float64) {
+	v := w.vms[id]
+	u := simd.Util{
+		Mean: v.mean, Amp: v.amp, SlowAmp: v.slowAmp,
+		FastKey: rng.Hash(v.seed, tagFast), FastAmp: v.fastAmp, BurstAmp: v.burstAmp,
+	}
+	slowKey, burstKey := rng.Hash(v.seed, tagSlow), rng.Hash(v.seed, tagBurst)
+	if len(c.step) == 0 {
+		return
+	}
+	day := c.segs[0].day
+	u.DayF = v.dayFactor(day)
+	for i, s := range c.segs[:len(c.segs)-1] {
+		lo, hi := s.start, c.segs[i+1].start
+		if s.day != day {
+			day = s.day
+			u.DayF = v.dayFactor(day)
+		}
+		u.SlowA, u.SlowB = rng.LatticeEnds(slowKey, s.slowCell)
+		if v.burstAmp > 0 {
+			u.BurstA, u.BurstB = rng.LatticeEnds(burstKey, s.burstCell)
+		}
+		u.Diurnal, u.SlowEase, u.BurstEase, u.Keys = diurnal[lo:hi], c.slowEase[lo:hi], c.burstEase[lo:hi], c.key[lo:hi]
+		simd.UtilRow(dst[lo:hi], &u)
 	}
 }

@@ -59,9 +59,9 @@ func kernelWorkloads(t *testing.T) map[string]*Workload {
 func checkRow(t *testing.T, name string, w *Workload, id int, g StepGrid, dst []float64) {
 	t.Helper()
 	for k := 0; k < g.Len(); k++ {
-		want := oracleUtil(w, id, g.pts[k].step)
+		want := oracleUtil(w, id, g.step(k))
 		if math.Float64bits(dst[k]) != math.Float64bits(want) {
-			t.Fatalf("%s: vm %d step %d = %v, oracle %v", name, id, g.pts[k].step, dst[k], want)
+			t.Fatalf("%s: vm %d step %d = %v, oracle %v", name, id, g.step(k), dst[k], want)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 					FillUtil(row, w, id, g)
 					checkRow(t, name, w, id, g, row)
 					for k := 0; k < g.Len(); k++ {
-						row[k] = w.Util(id, g.pts[k].step)
+						row[k] = w.Util(id, g.step(k))
 					}
 					checkRow(t, name+" Util", w, id, g, row)
 				}
@@ -314,8 +314,8 @@ func TestFillUtilFallsBackToUtil(t *testing.T) {
 	for _, id := range view.ActiveVMs(0) {
 		FillUtil(row, view, id, g)
 		for k := range row {
-			if want := view.Util(id, g.pts[k].step); math.Float64bits(row[k]) != math.Float64bits(want) {
-				t.Fatalf("window vm %d step %d = %v, Util %v", id, g.pts[k].step, row[k], want)
+			if want := view.Util(id, g.step(k)); math.Float64bits(row[k]) != math.Float64bits(want) {
+				t.Fatalf("window vm %d step %d = %v, Util %v", id, g.step(k), row[k], want)
 			}
 		}
 	}
@@ -331,21 +331,39 @@ func TestFillSlotProfileAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkFillUtil compares per-step Util, one row-kernel pass per VM
-// over a shared grid, and the service-major window fill that shares one
-// diurnal row per service and slot, per value, on a day of 400 initial
-// VMs at the paper's 5 s step.
+// pointGrid returns the point form of a column grid, which the scalar row
+// kernel reads.
+func pointGrid(g StepGrid) StepGrid {
+	pts := make([]gridPoint, g.Len())
+	for k := range pts {
+		pts[k] = newGridPoint(g.step(k), true)
+	}
+	return StepGrid{pts: pts}
+}
+
+// BenchmarkFillUtil compares per-step Util, one scalar row-kernel pass per
+// VM over a shared grid, the same pass on the grid's columns (the simd
+// kernels), and the service-major window fill that shares one diurnal row
+// per service and slot, per value, on a day of 400 initial VMs at the
+// paper's 5 s step. The scalar and column passes also run at a 300 s
+// step, where a slot's 12 steps fall into six lattice segments of two.
 func BenchmarkFillUtil(b *testing.B) {
 	w := New(Config{Seed: 42, Horizon: timeutil.Days(1), InitialVMs: 400})
-	steps := fineStepsPerSlot(timeutil.StepSeconds)
-	grids := fineGrids(w.Slots(), timeutil.StepSeconds, steps)
-	row := make([]float64, steps)
-	bench := func(b *testing.B, fill func(id int, g StepGrid)) {
+	bench := func(b *testing.B, dt float64, points bool, fill func(row []float64, id int, g StepGrid)) {
+		steps := fineStepsPerSlot(dt)
+		grids := fineGrids(w.Slots(), dt, steps)
+		if points {
+			for sl, g := range grids {
+				grids[sl] = pointGrid(g)
+			}
+		}
+		row := make([]float64, steps)
 		values := 0
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for sl, g := range grids {
 				for _, id := range w.ActiveVMs(timeutil.Slot(sl)) {
-					fill(id, g)
+					fill(row, id, g)
 					values += g.Len()
 				}
 			}
@@ -353,15 +371,20 @@ func BenchmarkFillUtil(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
 	}
 	b.Run("util", func(b *testing.B) {
-		bench(b, func(id int, g StepGrid) {
+		bench(b, timeutil.StepSeconds, false, func(row []float64, id int, g StepGrid) {
 			for k := range row {
-				row[k] = w.Util(id, g.pts[k].step)
+				row[k] = w.Util(id, g.step(k))
 			}
 		})
 	})
-	b.Run("kernel", func(b *testing.B) {
-		bench(b, func(id int, g StepGrid) { FillUtil(row, w, id, g) })
-	})
+	for _, dt := range []float64{timeutil.StepSeconds, 300} {
+		b.Run(fmt.Sprintf("scalar/dt=%v", dt), func(b *testing.B) {
+			bench(b, dt, true, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
+		})
+		b.Run(fmt.Sprintf("kernel/dt=%v", dt), func(b *testing.B) {
+			bench(b, dt, false, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
+		})
+	}
 	// The compiled path: the resident table's whole-horizon window, laid
 	// out again and refilled service-major each iteration.
 	b.Run("service-major", func(b *testing.B) {

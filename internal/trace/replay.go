@@ -161,8 +161,10 @@ func (r *Replay) aliveAt(id int, sl timeutil.Slot) bool {
 // CSV format with `samples` utilization samples per slot. VMs whose
 // activity is gapped within the window additionally get their runs written
 // to segments.csv, so LoadReplay reconstructs the exact active sets rather
-// than the inflated [first, last] span.
-func ExportReplay(src Source, dir string, slots timeutil.Slot, samples int) error {
+// than the inflated [first, last] span. The files replace the directory's
+// only once all of them are written: an export that fails leaves the
+// previous files as they were.
+func ExportReplay(src Source, dir string, slots timeutil.Slot, samples int) (err error) {
 	if slots > src.Slots() {
 		slots = src.Slots()
 	}
@@ -196,98 +198,121 @@ func ExportReplay(src Source, dir string, slots timeutil.Slot, samples int) erro
 	}
 	sort.Ints(ids)
 
-	vf, err := os.Create(filepath.Join(dir, "vms.csv"))
+	// Each file is written to name.tmp and renamed over name once every
+	// file has been flushed and closed. A failure removes the temp files it
+	// leaves; a removal that fails leaves one behind, which the next export
+	// truncates.
+	var written []string
+	defer func() {
+		if err != nil {
+			for _, name := range written {
+				_ = os.Remove(filepath.Join(dir, name+".tmp"))
+			}
+		}
+	}()
+	writeCSV := func(name string, rows func(w *csv.Writer)) error {
+		f, err := os.Create(filepath.Join(dir, name+".tmp"))
+		if err != nil {
+			return err
+		}
+		written = append(written, name)
+		w := csv.NewWriter(f)
+		rows(w)
+		w.Flush()
+		return firstErr(w.Error(), f.Close())
+	}
+
+	err = writeCSV("vms.csv", func(w *csv.Writer) {
+		_ = w.Write([]string{"id", "arrival_slot", "depart_slot", "image_gb"})
+		for _, id := range ids {
+			rs := runs[id]
+			_ = w.Write([]string{
+				strconv.Itoa(id),
+				strconv.FormatInt(int64(rs[0].start), 10),
+				strconv.FormatInt(int64(rs[len(rs)-1].end), 10),
+				strconv.FormatFloat(src.Image(id).GB(), 'f', 3, 64),
+			})
+		}
+	})
 	if err != nil {
-		return err
-	}
-	vw := csv.NewWriter(vf)
-	_ = vw.Write([]string{"id", "arrival_slot", "depart_slot", "image_gb"})
-	for _, id := range ids {
-		rs := runs[id]
-		_ = vw.Write([]string{
-			strconv.Itoa(id),
-			strconv.FormatInt(int64(rs[0].start), 10),
-			strconv.FormatInt(int64(rs[len(rs)-1].end), 10),
-			strconv.FormatFloat(src.Image(id).GB(), 'f', 3, 64),
-		})
-	}
-	vw.Flush()
-	if err := firstErr(vw.Error(), vf.Close()); err != nil {
 		return err
 	}
 
 	// segments.csv — only when some lifetime is gapped, so dirs exported
 	// from contiguous sources keep the three-file layout.
 	if gapped {
-		sf, err := os.Create(filepath.Join(dir, "segments.csv"))
+		err = writeCSV("segments.csv", func(w *csv.Writer) {
+			_ = w.Write([]string{"id", "start_slot", "end_slot"})
+			for _, id := range ids {
+				rs := runs[id]
+				if len(rs) < 2 {
+					continue
+				}
+				for _, s := range rs {
+					_ = w.Write([]string{
+						strconv.Itoa(id),
+						strconv.FormatInt(int64(s.start), 10),
+						strconv.FormatInt(int64(s.end), 10),
+					})
+				}
+			}
+		})
 		if err != nil {
 			return err
 		}
-		sw := csv.NewWriter(sf)
-		_ = sw.Write([]string{"id", "start_slot", "end_slot"})
-		for _, id := range ids {
-			rs := runs[id]
-			if len(rs) < 2 {
-				continue
+	}
+
+	err = writeCSV("profiles.csv", func(w *csv.Writer) {
+		header := []string{"id", "slot"}
+		for s := 0; s < samples; s++ {
+			header = append(header, fmt.Sprintf("s%d", s))
+		}
+		_ = w.Write(header)
+		for sl := timeutil.Slot(0); sl < slots; sl++ {
+			for _, id := range src.ActiveVMs(sl) {
+				row := []string{strconv.Itoa(id), strconv.FormatInt(int64(sl), 10)}
+				for _, u := range src.SlotProfile(id, sl, samples) {
+					row = append(row, strconv.FormatFloat(u, 'f', 4, 64))
+				}
+				_ = w.Write(row)
 			}
-			for _, s := range rs {
-				_ = sw.Write([]string{
-					strconv.Itoa(id),
-					strconv.FormatInt(int64(s.start), 10),
-					strconv.FormatInt(int64(s.end), 10),
+		}
+	})
+	if err != nil {
+		return err
+	}
+
+	err = writeCSV("volumes.csv", func(w *csv.Writer) {
+		_ = w.Write([]string{"slot", "from", "to", "bytes"})
+		for sl := timeutil.Slot(0); sl < slots; sl++ {
+			for _, e := range src.Volumes(sl) {
+				_ = w.Write([]string{
+					strconv.FormatInt(int64(sl), 10),
+					strconv.Itoa(e.From),
+					strconv.Itoa(e.To),
+					strconv.FormatFloat(e.Vol.Bytes(), 'f', 0, 64),
 				})
 			}
 		}
-		sw.Flush()
-		if err := firstErr(sw.Error(), sf.Close()); err != nil {
+	})
+	if err != nil {
+		return err
+	}
+
+	for _, name := range written {
+		path := filepath.Join(dir, name)
+		if err := os.Rename(path+".tmp", path); err != nil {
 			return err
 		}
 	}
-
-	// profiles.csv
-	pf, err := os.Create(filepath.Join(dir, "profiles.csv"))
-	if err != nil {
-		return err
-	}
-	pw := csv.NewWriter(pf)
-	header := []string{"id", "slot"}
-	for s := 0; s < samples; s++ {
-		header = append(header, fmt.Sprintf("s%d", s))
-	}
-	_ = pw.Write(header)
-	for sl := timeutil.Slot(0); sl < slots; sl++ {
-		for _, id := range src.ActiveVMs(sl) {
-			row := []string{strconv.Itoa(id), strconv.FormatInt(int64(sl), 10)}
-			for _, u := range src.SlotProfile(id, sl, samples) {
-				row = append(row, strconv.FormatFloat(u, 'f', 4, 64))
-			}
-			_ = pw.Write(row)
+	// A segments.csv left by an earlier, gapped export would re-gap these
+	// lifetimes on load.
+	if !gapped {
+		if err := os.Remove(filepath.Join(dir, "segments.csv")); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
-	pw.Flush()
-	if err := firstErr(pw.Error(), pf.Close()); err != nil {
-		return err
-	}
-
-	// volumes.csv
-	of, err := os.Create(filepath.Join(dir, "volumes.csv"))
-	if err != nil {
-		return err
-	}
-	ow := csv.NewWriter(of)
-	_ = ow.Write([]string{"slot", "from", "to", "bytes"})
-	for sl := timeutil.Slot(0); sl < slots; sl++ {
-		for _, e := range src.Volumes(sl) {
-			_ = ow.Write([]string{
-				strconv.FormatInt(int64(sl), 10),
-				strconv.Itoa(e.From),
-				strconv.Itoa(e.To),
-				strconv.FormatFloat(e.Vol.Bytes(), 'f', 0, 64),
-			})
-		}
-	}
-	ow.Flush()
-	return firstErr(ow.Error(), of.Close())
+	return nil
 }
 
 func firstErr(errs ...error) error {

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -336,6 +338,66 @@ func TestExportReplayWritesSegments(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(contiguous, "segments.csv")); !os.IsNotExist(err) {
 		t.Fatalf("contiguous export should not write segments.csv (stat err: %v)", err)
+	}
+}
+
+// TestExportReplayAtomic blocks the temp path of each file of an export in
+// turn with a directory: the export fails and leaves the previous export's
+// files byte for byte, with no temp file behind. Unblocked, it replaces
+// them and drops the earlier export's segments.csv, which would re-gap the
+// new, contiguous lifetimes.
+func TestExportReplayAtomic(t *testing.T) {
+	dir := t.TempDir()
+	if err := ExportReplay(gappedSource{}, dir, 6, 4); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"vms.csv", "segments.csv", "profiles.csv", "volumes.csv"}
+	before := map[string][]byte{}
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = b
+	}
+	w := New(Config{Seed: 3, Horizon: timeutil.Hours(3), InitialVMs: 10})
+	for _, blocked := range []string{"vms.csv", "profiles.csv", "volumes.csv"} {
+		tmp := filepath.Join(dir, blocked+".tmp")
+		if err := os.MkdirAll(filepath.Join(tmp, "keep"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := ExportReplay(w, dir, 3, 4); err == nil {
+			t.Fatalf("export with %s blocked succeeded", tmp)
+		}
+		for _, name := range names {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, before[name]) {
+				t.Fatalf("%s blocked: %s changed (err %v)", blocked, name, err)
+			}
+			if name == blocked {
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(dir, name+".tmp")); !os.IsNotExist(err) {
+				t.Fatalf("%s blocked: %s.tmp left behind (stat err %v)", blocked, name, err)
+			}
+		}
+		if err := os.RemoveAll(tmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ExportReplay(w, dir, 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "segments.csv")); !os.IsNotExist(err) {
+		t.Fatalf("a contiguous export over a gapped one kept segments.csv (stat err %v)", err)
+	}
+	r, err := LoadReplay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sl := timeutil.Slot(0); sl < 3; sl++ {
+		if got, want := r.ActiveVMs(sl), w.ActiveVMs(sl); !slices.Equal(got, want) {
+			t.Fatalf("slot %d: replay active %v, source %v", sl, got, want)
+		}
 	}
 }
 

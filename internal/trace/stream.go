@@ -60,13 +60,19 @@ type window struct {
 // cursor to reach a window lays it out and fills it; cursors that arrive
 // during the fill join it, and later ones read the finished rows. When the
 // last cursor leaves a window it becomes the table's one spare: a cursor
-// that comes back to it reads its rows again, and otherwise the next
-// layout reuses its buffers. So a streamed table holds at most one window
-// per open cursor, plus the spare, each within the budget.
+// that comes back to it reads its rows again. If another window was the
+// spare, that older one is kept as the recycled buffer, whose rows are
+// stale and never read. A layout takes the recycled buffer first, then the
+// spare, and allocates only when neither exists or the one it takes is too
+// small, so the runs that pass over a table again and again stop
+// allocating and dropping window buffers after the first pass. A streamed
+// table holds at most one window per open cursor, plus the spare, plus one
+// recycled buffer, each within the budget.
 type windows struct {
-	mu    sync.Mutex
-	live  map[timeutil.Slot]*window
-	spare *window
+	mu       sync.Mutex
+	live     map[timeutil.Slot]*window
+	spare    *window
+	recycled *window
 }
 
 // widthFor is the window width in slots for t under budget: the whole
@@ -210,7 +216,8 @@ func (w *window) serviceFill(wl *Workload, grids []StepGrid) *par.Shared {
 // move positions h on t's window containing sl, leaving h's current one,
 // and returns the window's fill for the caller to join. A window no cursor
 // is on is the spare when the spare still holds its rows, and is laid out
-// afresh over the spare's buffers otherwise.
+// afresh over the recycled buffer, the spare's buffers or new ones
+// otherwise.
 func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
 	s, lo := t.shared, t.align(sl)
 	s.mu.Lock()
@@ -218,10 +225,16 @@ func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
 	s.leave(h)
 	w := s.live[lo]
 	if w == nil {
-		if w = s.spare; w == nil || w.lo != lo {
+		switch w = s.spare; {
+		case w != nil && w.lo == lo:
+			s.spare = nil
+		case s.recycled != nil:
+			w = c.layout(t, s.recycled, sl)
+			s.recycled = nil
+		default:
 			w = c.layout(t, w, sl)
+			s.spare = nil
 		}
-		s.spare = nil
 		s.live[lo] = w
 	}
 	w.refs++
@@ -229,8 +242,10 @@ func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
 	return w.fill
 }
 
-// leave takes h off its window, if any; the window's buffers become the
-// spare when h was its last cursor. The caller holds s.mu.
+// leave takes h off its window, if any. When h was its last cursor the
+// window becomes the spare, and a spare it displaces becomes the recycled
+// buffer — the larger, when one is already recycled. The caller holds
+// s.mu.
 func (s *windows) leave(h *hold) {
 	w := h.w
 	if w == nil {
@@ -239,6 +254,9 @@ func (s *windows) leave(h *hold) {
 	h.w = nil
 	if w.refs--; w.refs == 0 {
 		delete(s.live, w.lo)
+		if old := s.spare; old != nil && (s.recycled == nil || cap(old.buf) > cap(s.recycled.buf)) {
+			s.recycled = old
+		}
 		s.spare = w
 	}
 }
@@ -306,8 +324,8 @@ func (cur *cursor) Advance(sl timeutil.Slot) {
 }
 
 // Close takes the cursor off its window; the window's buffers are reused
-// once no cursor is on it. Close is idempotent, and a cursor that is never
-// closed is closed when it becomes garbage.
+// once no cursor is on it (see windows). Close is idempotent, and a cursor
+// that is never closed is closed when it becomes garbage.
 func (cur *cursor) Close() {
 	cur.h.release()
 	cur.cleanup.Stop()

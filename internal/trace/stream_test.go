@@ -201,6 +201,61 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestWindowsRecycleBuffers runs repeated passes of two staggered fine
+// cursors over a two-window streamed table, as the runs of a cell column
+// do: the second cursor starts after the first, both end on the tail
+// window, and the next pass starts again from slot 0. After the first
+// pass no window or buffer is allocated, every row stays bit-equal to the
+// resident compile, no more windows are live than cursors are open, and
+// the table holds at most the open cursors' windows, the spare and the
+// recycled buffer.
+func TestWindowsRecycleBuffers(t *testing.T) {
+	w := New(Config{Seed: 21, Horizon: timeutil.Hours(12), InitialVMs: 30, MeanLifeSlots: 30})
+	res := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
+	width := int(w.Slots()) / 2
+	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: int64(width) * res.fine.slotPeak})
+	if got := c.FineChunkSlots(); got != width {
+		t.Fatalf("FineChunkSlots = %d, want %d", got, width)
+	}
+	counter := windowCounter{}
+	var seen, first int
+	const stagger = 3
+	for pass := range 4 {
+		a, b := c.NewFineCursor(nil), c.NewFineCursor(nil)
+		open := 2
+		for i := 0; i < int(c.slots)+stagger; i++ {
+			for _, step := range []struct {
+				cur *FineCursor
+				sl  timeutil.Slot
+			}{{a, timeutil.Slot(i)}, {b, timeutil.Slot(i - stagger)}} {
+				if step.sl < 0 || step.sl >= c.slots {
+					continue
+				}
+				step.cur.Advance(step.sl)
+				for id := range c.numVMs {
+					if got, want := step.cur.FineRow(id, step.sl), res.FineRow(id, step.sl); !sameBits(got, want) {
+						t.Fatalf("pass %d: fine row (%d,%d) = %v, want %v", pass, id, step.sl, got, want)
+					}
+				}
+				if step.sl == c.slots-1 {
+					step.cur.Close()
+					open--
+				}
+				var held int
+				held, seen = counter.observe(&c.fine)
+				if live := c.LiveWindows(); live > open || held > open+2 {
+					t.Fatalf("pass %d, slot %d: %d live and %d held windows with %d open cursors", pass, step.sl, live, held, open)
+				}
+			}
+		}
+		if pass == 0 {
+			first = seen
+		} else if seen != first {
+			t.Fatalf("pass %d allocated windows: %d distinct windows and buffers seen, %d after the first pass", pass, seen, first)
+		}
+	}
+}
+
 // sharedOrder is the slot order cursor g of a sharing test visits: forward
 // from 0, forward from a staggered start (wrapping round), or backward.
 func sharedOrder(g int, slots timeutil.Slot) []timeutil.Slot {
