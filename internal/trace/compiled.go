@@ -26,11 +26,11 @@ type CompileOptions struct {
 	// skipped: it is compiled out-of-core, streamed through
 	// FineCursor/ProfileCursor in the widest slot windows whose peak bytes
 	// fit the budget (at least one slot), so the table holds at most one
-	// window per open cursor, plus one spare, plus one recycled buffer —
-	// the cursors of concurrent runs share the windows they are on, and an
-	// idle window's buffers are kept for the next layout rather than
-	// dropped — while the values stay byte-identical to the resident
-	// table. Volumes always materialize.
+	// window per open cursor plus two idle windows — the cursors of
+	// concurrent runs share the windows they are on, and an idle window is
+	// kept, to be read again or laid out over, rather than dropped — while
+	// the values stay byte-identical to the resident table. Volumes always
+	// materialize.
 	MaxFineTableBytes int64
 	// Workers optionally lends extra goroutines to the compilation: the
 	// fine and profile tables (by VM, or by service for the synthetic
@@ -125,30 +125,21 @@ func fineStepsPerSlot(dt float64) int {
 	return k
 }
 
-// slotGrids builds one column grid per slot, holding step(sl, k) for
-// k < n, over one shared backing array per column.
+// slotGrids builds one grid per slot, holding step(sl, k) for k < n, its
+// columns over backing arrays shared by all slots.
 func slotGrids(slots timeutil.Slot, n int, step func(sl timeutil.Slot, k int) timeutil.Step) []StepGrid {
 	total := int(slots) * n
 	steps := make([]timeutil.Step, total)
 	f := make([]float64, 3*total)
-	hour, slowEase, burstEase := f[:total:total], f[total:2*total:2*total], f[2*total:]
 	key := make([]uint64, total)
-	cols := make([]gridCols, slots)
 	grids := make([]StepGrid, slots)
 	for sl := range grids {
 		lo, hi := sl*n, (sl+1)*n
-		c := &cols[sl]
-		*c = gridCols{step: steps[lo:hi:hi], hour: hour[lo:hi:hi], slowEase: slowEase[lo:hi:hi], burstEase: burstEase[lo:hi:hi], key: key[lo:hi:hi]}
+		g := emptyGrid(steps[lo:hi], f[3*lo:3*hi], key[lo:hi], nil)
 		for k := range n {
-			p := newGridPoint(step(timeutil.Slot(sl), k), true)
-			c.step[k], c.hour[k], c.slowEase[k], c.burstEase[k], c.key[k] = p.step, p.hour, p.slowEase, p.burstEase, p.key
-			seg := gridSeg{start: k, day: p.day, slowCell: p.slowCell, burstCell: p.burstCell}
-			if last := len(c.segs) - 1; last < 0 || seg.day != c.segs[last].day || seg.slowCell != c.segs[last].slowCell || seg.burstCell != c.segs[last].burstCell {
-				c.segs = append(c.segs, seg)
-			}
+			g = g.add(step(timeutil.Slot(sl), k), true)
 		}
-		c.segs = append(c.segs, gridSeg{start: n})
-		grids[sl] = StepGrid{cols: c}
+		grids[sl] = g
 	}
 	return grids
 }
@@ -176,7 +167,7 @@ func profileToFine(grids []StepGrid, samples int) [][]int {
 		out[sl] = make([]int, samples)
 		for i := range out[sl] {
 			want := profileStep(timeutil.Slot(sl), i, samples)
-			k := slices.Index(g.cols.step, want)
+			k := slices.Index(g.step, want)
 			if k < 0 {
 				return nil
 			}

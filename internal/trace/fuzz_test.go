@@ -137,9 +137,8 @@ func FuzzIngestCluster(f *testing.F) {
 
 // FuzzFillUtil fills two VMs of one service from one shared diurnal row —
 // the service-major fill's contract — over a strided grid at an arbitrary
-// start, in both its column form (the simd kernels) and its point form
-// (the scalar row kernel), and a FillSlotProfile of either length class,
-// and pins all of them to the per-point oracle bit for bit.
+// start, and a FillSlotProfile of either length class, and pins all of
+// them to the per-point oracle bit for bit.
 func FuzzFillUtil(f *testing.F) {
 	f.Add(uint64(42), uint16(0), uint16(1), int64(0), uint16(720), uint16(1))
 	f.Add(uint64(5), uint16(17), uint16(3), int64(16560), uint16(200), uint16(7))
@@ -159,15 +158,11 @@ func FuzzFillUtil(f *testing.F) {
 		}
 		g := NewStepGrid(steps)
 		diurnal := make([]float64, g.Len())
-		diurnalRow(diurnal, s.PeakHour, g)
+		diurnalRow(diurnal, s.PeakHour, &g)
 		row := make([]float64, g.Len())
-		pg := pointGrid(g)
 		for _, id := range ids {
-			w.fillUtilRow(row, id, g, diurnal)
+			w.fillUtilRow(row, id, &g, diurnal)
 			checkRow(t, "shared diurnal row", w, id, g, row)
-			diurnalRow(diurnal, s.PeakHour, pg)
-			w.fillUtilRow(row, id, pg, diurnal)
-			checkRow(t, "shared diurnal row, point grid", w, id, g, row)
 		}
 
 		sl := first.Slot()

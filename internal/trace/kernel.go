@@ -1,30 +1,25 @@
 package trace
 
 import (
-	"math"
-
 	"geovmp/internal/rng"
 	"geovmp/internal/simd"
 	"geovmp/internal/timeutil"
-	"geovmp/internal/units"
 )
 
 // The utilization kernel. Util(id, st) splits cleanly into terms the step
 // fixes — time of day, the smooth-noise lattice cells and their ease
 // weights, the step's white-noise key — and terms the VM fixes: its noise
 // hash prefixes, its day factor and the lattice values of the current
-// cells. A StepGrid holds the first half for a list of steps and is shared
-// by every VM. The diurnal cosine depends only on the step and the
-// service's peak hour, so the compiled fills take one diurnalRow per
-// service and slot for every member VM, leaving one cosine per
-// service-slot. fillUtilRow carries the VM terms along one VM's row and
-// refreshes them only when the day or a lattice cell changes, leaving one
-// hash fold per step. Util is the one-step case, so the arithmetic has a
-// single definition. The grids NewStepGrid builds and the compile shares
-// are column grids instead: their steps as columns, cut into segments over
-// which the day and both lattice cells stay fixed, whose diurnal rows and
-// utilization rows run on the simd kernels segment by segment, bit for bit
-// the scalar values.
+// cells. A StepGrid holds the first half for a list of steps, as columns
+// cut into segments over which the day and both lattice cells stay fixed,
+// and is shared by every VM. The diurnal cosine depends only on the step
+// and the service's peak hour, so the compiled fills take one diurnalRow
+// per service and slot for every member VM, leaving one cosine per
+// service-slot. fillUtilRow takes the VM terms once per segment and runs
+// the segment's steps on simd.UtilRow, leaving one hash fold per step.
+// Util and FillSlotProfile are the one-step and the profile grid of the
+// same kernel, so the arithmetic has a single definition (simd.UtilRowGo,
+// which the AVX2 kernel matches bit for bit).
 
 // Smooth-noise lattice periods in seconds, and the hash tags of the
 // per-VM noise streams.
@@ -37,83 +32,67 @@ const (
 	tagBurst = 0xB057
 )
 
-// gridPoint is the VM-independent part of Util at one step.
-type gridPoint struct {
-	step                timeutil.Step
-	key                 uint64 // rng.Key(step), folded into each VM's white-noise prefix
-	day                 int
-	hour                float64 // hour of day
-	slowCell, burstCell int64
-	slowEase, burstEase float64
-}
-
-// newGridPoint returns the grid point of step st. burst selects whether
-// the burst lattice is filled in: grids shared by all VMs need it, a
-// one-step grid for a VM without bursts does not.
-func newGridPoint(st timeutil.Step, burst bool) gridPoint {
-	sec := st.Seconds()
-	day := int(sec / 86400)
-	p := gridPoint{
-		step: st,
-		key:  rng.Key(uint64(st)),
-		day:  day,
-		hour: sec/3600 - float64(day)*24,
-	}
-	p.slowCell, p.slowEase = rng.Lattice(sec / slowCellSec)
-	if burst {
-		p.burstCell, p.burstEase = rng.Lattice(sec / burstCellSec)
-	}
-	return p
-}
-
 // StepGrid is the VM-independent half of utilization synthesis over a list
-// of steps. It is read-only once built, so one grid serves any number of
-// VMs and goroutines. A grid is one of two forms: points, which the scalar
-// row kernel reads (the one-step grid of Util and the profile grid of
-// FillSlotProfile), or columns, which the simd kernels read segment by
-// segment (every grid NewStepGrid builds or a compile shares).
+// of steps: per step its hour of day, both ease weights and white-noise
+// key, plus the segments over which the day and both lattice cells stay
+// fixed. It is read-only once built, so one grid serves any number of VMs
+// and goroutines.
 type StepGrid struct {
-	pts  []gridPoint
-	cols *gridCols // nil: a point grid
-}
-
-// gridCols is a column grid: its steps as columns, cut into segments over
-// which the day and both lattice cells stay fixed.
-type gridCols struct {
 	step                      []timeutil.Step
 	hour, slowEase, burstEase []float64
-	key                       []uint64
-	segs                      []gridSeg // in step order, then one ending at len(step)
+	key                       []uint64  // rng.Key(step), folded into each VM's white-noise prefix
+	segs                      []gridSeg // in step order; each ends where the next starts, the last at Len
 }
 
-// gridSeg is the start of a column grid's segment and the day and lattice
-// cells it holds.
+// gridSeg is the start of a grid's segment and the day and lattice cells
+// it holds.
 type gridSeg struct {
 	start               int
 	day                 int
 	slowCell, burstCell int64
 }
 
-// NewStepGrid builds the column grid of the given steps, in order.
+// emptyGrid returns an empty grid whose columns append into the given
+// backing arrays, up to len(step) steps without allocating; f holds the
+// three float columns, 3·len(step) values.
+func emptyGrid(step []timeutil.Step, f []float64, key []uint64, segs []gridSeg) StepGrid {
+	n := len(step)
+	return StepGrid{
+		step: step[:0:n], hour: f[:0:n], slowEase: f[n : n : 2*n], burstEase: f[2*n : 2*n : 3*n],
+		key: key[:0:n], segs: segs[:0],
+	}
+}
+
+// add returns the grid with step st appended, as append does. burst
+// selects whether the burst lattice is filled in: grids shared by all VMs
+// need it, a one-step grid for a VM without bursts does not.
+func (g StepGrid) add(st timeutil.Step, burst bool) StepGrid {
+	sec := st.Seconds()
+	day := int(sec / 86400)
+	seg := gridSeg{start: len(g.step), day: day}
+	var slowEase, burstEase float64
+	seg.slowCell, slowEase = rng.Lattice(sec / slowCellSec)
+	if burst {
+		seg.burstCell, burstEase = rng.Lattice(sec / burstCellSec)
+	}
+	g.step = append(g.step, st)
+	g.hour = append(g.hour, sec/3600-float64(day)*24)
+	g.slowEase = append(g.slowEase, slowEase)
+	g.burstEase = append(g.burstEase, burstEase)
+	g.key = append(g.key, rng.Key(uint64(st)))
+	if last := len(g.segs) - 1; last < 0 || seg.day != g.segs[last].day || seg.slowCell != g.segs[last].slowCell || seg.burstCell != g.segs[last].burstCell {
+		g.segs = append(g.segs, seg)
+	}
+	return g
+}
+
+// NewStepGrid builds the grid of the given steps, in order.
 func NewStepGrid(steps []timeutil.Step) StepGrid {
 	return slotGrids(1, len(steps), func(_ timeutil.Slot, k int) timeutil.Step { return steps[k] })[0]
 }
 
 // Len returns the number of steps in the grid.
-func (g StepGrid) Len() int {
-	if g.cols != nil {
-		return len(g.cols.step)
-	}
-	return len(g.pts)
-}
-
-// step returns the grid's k-th step.
-func (g StepGrid) step(k int) timeutil.Step {
-	if g.cols != nil {
-		return g.cols.step[k]
-	}
-	return g.pts[k].step
-}
+func (g StepGrid) Len() int { return len(g.step) }
 
 // FillUtil writes src's utilization of VM id at every step of g into
 // dst[:g.Len()]: in one row-kernel pass when src is the synthetic
@@ -121,112 +100,48 @@ func (g StepGrid) step(k int) timeutil.Step {
 // values are the same either way.
 func FillUtil(dst []float64, src Source, id int, g StepGrid) {
 	if w, ok := src.(*Workload); ok {
-		diurnalRow(dst, w.vms[id].peakHour, g) // overwritten in place
-		w.fillUtilRow(dst, id, g, dst)
+		diurnalRow(dst, w.vms[id].peakHour, &g) // overwritten in place
+		w.fillUtilRow(dst, id, &g, dst)
 		return
 	}
-	for k := range g.Len() {
-		dst[k] = src.Util(id, g.step(k))
+	for k, st := range g.step {
+		dst[k] = src.Util(id, st)
 	}
 }
 
 // diurnalRow writes the diurnal cosine of a service peaking at hour peak
 // at every step of g into dst[:g.Len()] — the one term of Util that every
 // member VM of the service shares.
-func diurnalRow(dst []float64, peak float64, g StepGrid) {
-	if c := g.cols; c != nil {
-		simd.Diurnal(dst[:len(c.hour)], c.hour, peak)
-		return
-	}
-	for k := range g.pts {
-		dst[k] = math.Cos((g.pts[k].hour - peak) / 24 * 2 * math.Pi)
-	}
-}
-
-// latticeRow caches one VM's smooth-noise lattice values for the current
-// cell.
-type latticeRow struct {
-	prefix uint64
-	cell   int64
-	a, b   float64
-}
-
-func newLatticeRow(prefix uint64, cell int64) latticeRow {
-	l := latticeRow{prefix: prefix, cell: cell}
-	l.a, l.b = rng.LatticeEnds(prefix, cell)
-	return l
-}
-
-// at returns rng.SmoothNoise at the grid position (cell, ease) for the
-// row's keys.
-func (l *latticeRow) at(cell int64, ease float64) float64 {
-	if cell != l.cell {
-		l.cell = cell
-		l.a, l.b = rng.LatticeEnds(l.prefix, cell)
-	}
-	return rng.Blend(l.a, l.b, ease)
+func diurnalRow(dst []float64, peak float64, g *StepGrid) {
+	simd.Diurnal(dst[:len(g.hour)], g.hour, peak)
 }
 
 // fillUtilRow is the Workload's row kernel: dst[k] = Util(id, step k of g)
 // for every step of g, bit for bit, given diurnal = diurnalRow over g for
 // the VM's service. diurnal may alias dst: step k reads it before writing.
-func (w *Workload) fillUtilRow(dst []float64, id int, g StepGrid, diurnal []float64) {
-	if g.cols != nil {
-		w.fillUtilSegs(dst, id, g.cols, diurnal)
+// The VM's day factor and lattice ends are taken once per segment, and
+// simd.UtilRow runs the segment's steps.
+func (w *Workload) fillUtilRow(dst []float64, id int, g *StepGrid, diurnal []float64) {
+	if len(g.segs) == 0 {
 		return
 	}
-	pts := g.pts
-	if len(pts) == 0 {
-		return
-	}
-	dst = dst[:len(pts)]
-	v := w.vms[id]
-	fastKey := rng.Hash(v.seed, tagFast)
-	slowNoise := newLatticeRow(rng.Hash(v.seed, tagSlow), pts[0].slowCell)
-	var burstNoise latticeRow
-	if v.burstAmp > 0 {
-		burstNoise = newLatticeRow(rng.Hash(v.seed, tagBurst), pts[0].burstCell)
-	}
-	day := pts[0].day
-	dayF := v.dayFactor(day)
-	for k := range pts {
-		p := &pts[k]
-		if p.day != day {
-			day = p.day
-			dayF = v.dayFactor(day)
-		}
-		base := v.mean + v.amp*diurnal[k]
-		base *= dayF
-
-		slow := (slowNoise.at(p.slowCell, p.slowEase) - 0.5) * 2 * v.slowAmp
-		fast := (rng.Unit(rng.FoldKey(fastKey, p.key)) - 0.5) * 2 * v.fastAmp
-
-		u := base + slow + fast
-		// Burst windows ~30 min wide covering ~1/4 of the time.
-		if v.burstAmp > 0 && burstNoise.at(p.burstCell, p.burstEase) > 0.75 {
-			u += v.burstAmp
-		}
-		dst[k] = units.Clamp(u, 0.02, 1)
-	}
-}
-
-// fillUtilSegs is fillUtilRow over a column grid: the VM's day factor and
-// lattice ends are taken once per segment, and simd.UtilRow runs the
-// segment's steps.
-func (w *Workload) fillUtilSegs(dst []float64, id int, c *gridCols, diurnal []float64) {
 	v := w.vms[id]
 	u := simd.Util{
 		Mean: v.mean, Amp: v.amp, SlowAmp: v.slowAmp,
 		FastKey: rng.Hash(v.seed, tagFast), FastAmp: v.fastAmp, BurstAmp: v.burstAmp,
 	}
-	slowKey, burstKey := rng.Hash(v.seed, tagSlow), rng.Hash(v.seed, tagBurst)
-	if len(c.step) == 0 {
-		return
+	slowKey := rng.Hash(v.seed, tagSlow)
+	var burstKey uint64
+	if v.burstAmp > 0 {
+		burstKey = rng.Hash(v.seed, tagBurst)
 	}
-	day := c.segs[0].day
+	day := g.segs[0].day
 	u.DayF = v.dayFactor(day)
-	for i, s := range c.segs[:len(c.segs)-1] {
-		lo, hi := s.start, c.segs[i+1].start
+	for i, s := range g.segs {
+		lo, hi := s.start, len(g.step)
+		if i+1 < len(g.segs) {
+			hi = g.segs[i+1].start
+		}
 		if s.day != day {
 			day = s.day
 			u.DayF = v.dayFactor(day)
@@ -235,7 +150,7 @@ func (w *Workload) fillUtilSegs(dst []float64, id int, c *gridCols, diurnal []fl
 		if v.burstAmp > 0 {
 			u.BurstA, u.BurstB = rng.LatticeEnds(burstKey, s.burstCell)
 		}
-		u.Diurnal, u.SlowEase, u.BurstEase, u.Keys = diurnal[lo:hi], c.slowEase[lo:hi], c.burstEase[lo:hi], c.key[lo:hi]
+		u.Diurnal, u.SlowEase, u.BurstEase, u.Keys = diurnal[lo:hi], g.slowEase[lo:hi], g.burstEase[lo:hi], g.key[lo:hi]
 		simd.UtilRow(dst[lo:hi], &u)
 	}
 }

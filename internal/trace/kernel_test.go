@@ -59,9 +59,9 @@ func kernelWorkloads(t *testing.T) map[string]*Workload {
 func checkRow(t *testing.T, name string, w *Workload, id int, g StepGrid, dst []float64) {
 	t.Helper()
 	for k := 0; k < g.Len(); k++ {
-		want := oracleUtil(w, id, g.step(k))
+		want := oracleUtil(w, id, g.step[k])
 		if math.Float64bits(dst[k]) != math.Float64bits(want) {
-			t.Fatalf("%s: vm %d step %d = %v, oracle %v", name, id, g.step(k), dst[k], want)
+			t.Fatalf("%s: vm %d step %d = %v, oracle %v", name, id, g.step[k], dst[k], want)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 					FillUtil(row, w, id, g)
 					checkRow(t, name, w, id, g, row)
 					for k := 0; k < g.Len(); k++ {
-						row[k] = w.Util(id, g.step(k))
+						row[k] = w.Util(id, g.step[k])
 					}
 					checkRow(t, name+" Util", w, id, g, row)
 				}
@@ -314,8 +314,8 @@ func TestFillUtilFallsBackToUtil(t *testing.T) {
 	for _, id := range view.ActiveVMs(0) {
 		FillUtil(row, view, id, g)
 		for k := range row {
-			if want := view.Util(id, g.step(k)); math.Float64bits(row[k]) != math.Float64bits(want) {
-				t.Fatalf("window vm %d step %d = %v, Util %v", id, g.step(k), row[k], want)
+			if want := view.Util(id, g.step[k]); math.Float64bits(row[k]) != math.Float64bits(want) {
+				t.Fatalf("window vm %d step %d = %v, Util %v", id, g.step[k], row[k], want)
 			}
 		}
 	}
@@ -331,32 +331,16 @@ func TestFillSlotProfileAllocFree(t *testing.T) {
 	}
 }
 
-// pointGrid returns the point form of a column grid, which the scalar row
-// kernel reads.
-func pointGrid(g StepGrid) StepGrid {
-	pts := make([]gridPoint, g.Len())
-	for k := range pts {
-		pts[k] = newGridPoint(g.step(k), true)
-	}
-	return StepGrid{pts: pts}
-}
-
-// BenchmarkFillUtil compares per-step Util, one scalar row-kernel pass per
-// VM over a shared grid, the same pass on the grid's columns (the simd
-// kernels), and the service-major window fill that shares one diurnal row
-// per service and slot, per value, on a day of 400 initial VMs at the
-// paper's 5 s step. The scalar and column passes also run at a 300 s
+// BenchmarkFillUtil compares per-step Util, one row-kernel pass per VM
+// over a shared grid, and the service-major window fill that shares one
+// diurnal row per service and slot, per value, on a day of 400 initial
+// VMs at the paper's 5 s step. The row-kernel pass also runs at a 300 s
 // step, where a slot's 12 steps fall into six lattice segments of two.
 func BenchmarkFillUtil(b *testing.B) {
 	w := New(Config{Seed: 42, Horizon: timeutil.Days(1), InitialVMs: 400})
-	bench := func(b *testing.B, dt float64, points bool, fill func(row []float64, id int, g StepGrid)) {
+	bench := func(b *testing.B, dt float64, fill func(row []float64, id int, g StepGrid)) {
 		steps := fineStepsPerSlot(dt)
 		grids := fineGrids(w.Slots(), dt, steps)
-		if points {
-			for sl, g := range grids {
-				grids[sl] = pointGrid(g)
-			}
-		}
 		row := make([]float64, steps)
 		values := 0
 		b.ResetTimer()
@@ -371,18 +355,15 @@ func BenchmarkFillUtil(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
 	}
 	b.Run("util", func(b *testing.B) {
-		bench(b, timeutil.StepSeconds, false, func(row []float64, id int, g StepGrid) {
+		bench(b, timeutil.StepSeconds, func(row []float64, id int, g StepGrid) {
 			for k := range row {
-				row[k] = w.Util(id, g.step(k))
+				row[k] = w.Util(id, g.step[k])
 			}
 		})
 	})
 	for _, dt := range []float64{timeutil.StepSeconds, 300} {
-		b.Run(fmt.Sprintf("scalar/dt=%v", dt), func(b *testing.B) {
-			bench(b, dt, true, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
-		})
 		b.Run(fmt.Sprintf("kernel/dt=%v", dt), func(b *testing.B) {
-			bench(b, dt, false, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
+			bench(b, dt, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
 		})
 	}
 	// The compiled path: the resident table's whole-horizon window, laid

@@ -161,9 +161,13 @@ func (r *Replay) aliveAt(id int, sl timeutil.Slot) bool {
 // CSV format with `samples` utilization samples per slot. VMs whose
 // activity is gapped within the window additionally get their runs written
 // to segments.csv, so LoadReplay reconstructs the exact active sets rather
-// than the inflated [first, last] span. The files replace the directory's
-// only once all of them are written: an export that fails leaves the
-// previous files as they were.
+// than the inflated [first, last] span. No file in dir changes until every
+// file has been written in full to a temp file beside it, so an export
+// that fails while writing leaves the previous files as they were. The
+// temp files then replace the previous ones by one rename each, and a
+// segments.csv of an earlier, gapped export is removed last: a rename that
+// fails, or a crash among these steps, can leave a mix of new and previous
+// files, which LoadReplay may accept.
 func ExportReplay(src Source, dir string, slots timeutil.Slot, samples int) (err error) {
 	if slots > src.Slots() {
 		slots = src.Slots()
@@ -199,9 +203,9 @@ func ExportReplay(src Source, dir string, slots timeutil.Slot, samples int) (err
 	sort.Ints(ids)
 
 	// Each file is written to name.tmp and renamed over name once every
-	// file has been flushed and closed. A failure removes the temp files it
-	// leaves; a removal that fails leaves one behind, which the next export
-	// truncates.
+	// file has been flushed and closed. A failure removes the temp files
+	// not yet renamed; a removal that fails leaves one behind, which the
+	// next export truncates.
 	var written []string
 	defer func() {
 		if err != nil {

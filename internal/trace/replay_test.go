@@ -401,6 +401,43 @@ func TestExportReplayAtomic(t *testing.T) {
 	}
 }
 
+// TestExportReplayRenameFailure pins what a failed rename leaves: the
+// export reports it, the files renamed before it are the new ones, the
+// ones after it are the previous ones, and no temp file is left behind.
+// profiles.csv is a non-empty directory, so its rename fails after
+// vms.csv's succeeded.
+func TestExportReplayRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	w := New(Config{Seed: 3, Horizon: timeutil.Hours(3), InitialVMs: 10})
+	want := t.TempDir()
+	if err := ExportReplay(w, want, 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "profiles.csv", "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	prev := []byte("slot,from,to,bytes\n")
+	if err := os.WriteFile(filepath.Join(dir, "volumes.csv"), prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ExportReplay(w, dir, 3, 4); err == nil {
+		t.Fatal("export over a profiles.csv directory succeeded")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "vms.csv")); err != nil {
+		t.Fatal(err)
+	} else if exp, _ := os.ReadFile(filepath.Join(want, "vms.csv")); !bytes.Equal(got, exp) {
+		t.Fatal("vms.csv, renamed before the failure, is not the new file")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "volumes.csv")); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("volumes.csv, after the failure, changed (err %v)", err)
+	}
+	for _, name := range []string{"vms.csv", "profiles.csv", "volumes.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name+".tmp")); !os.IsNotExist(err) {
+			t.Fatalf("%s.tmp left behind (stat err %v)", name, err)
+		}
+	}
+}
+
 // TestLoadReplayStrictness covers the loader's hard-error contract: rows
 // that the pre-fix loader silently dropped or last-win-overwrote are now
 // load failures.

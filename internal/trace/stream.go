@@ -2,6 +2,7 @@ package trace
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"geovmp/internal/par"
@@ -59,21 +60,23 @@ type window struct {
 // and reference-counted by the cursors positioned on them. The first
 // cursor to reach a window lays it out and fills it; cursors that arrive
 // during the fill join it, and later ones read the finished rows. When the
-// last cursor leaves a window it becomes the table's one spare: a cursor
-// that comes back to it reads its rows again. If another window was the
-// spare, that older one is kept as the recycled buffer, whose rows are
-// stale and never read. A layout takes the recycled buffer first, then the
-// spare, and allocates only when neither exists or the one it takes is too
-// small, so the runs that pass over a table again and again stop
-// allocating and dropping window buffers after the first pass. A streamed
-// table holds at most one window per open cursor, plus the spare, plus one
-// recycled buffer, each within the budget.
+// last cursor leaves a window it joins the idle windows, which keep their
+// rows: a cursor that comes back to one reads it again without a refill. A
+// layout takes the least recently left idle window's buffers, and
+// allocates only when no window is idle or the one it takes is too small.
+// At most maxIdle windows stay idle, so a table of up to maxIdle windows
+// is filled once and then held, and the runs that pass over a wider one
+// again and again stop allocating and dropping window buffers after the
+// first pass. A streamed table holds at most one window per open cursor
+// plus maxIdle idle ones, each within the budget.
 type windows struct {
-	mu       sync.Mutex
-	live     map[timeutil.Slot]*window
-	spare    *window
-	recycled *window
+	mu   sync.Mutex
+	live map[timeutil.Slot]*window
+	idle []*window // least recently left first
 }
+
+// maxIdle bounds a streamed table's idle windows.
+const maxIdle = 2
 
 // widthFor is the window width in slots for t under budget: the whole
 // horizon when the full table fits, else the widest window whose busiest
@@ -202,10 +205,10 @@ func (w *window) serviceFill(wl *Workload, grids []StepGrid) *par.Shared {
 				for _, id := range s.Members {
 					if row := w.row(id, sl); row != nil {
 						if !shared {
-							diurnalRow(diurnal, s.PeakHour, grids[sl])
+							diurnalRow(diurnal, s.PeakHour, &grids[sl])
 							shared = true
 						}
-						wl.fillUtilRow(row, id, grids[sl], diurnal)
+						wl.fillUtilRow(row, id, &grids[sl], diurnal)
 					}
 				}
 			}
@@ -215,9 +218,8 @@ func (w *window) serviceFill(wl *Workload, grids []StepGrid) *par.Shared {
 
 // move positions h on t's window containing sl, leaving h's current one,
 // and returns the window's fill for the caller to join. A window no cursor
-// is on is the spare when the spare still holds its rows, and is laid out
-// afresh over the recycled buffer, the spare's buffers or new ones
-// otherwise.
+// is on is taken from the idle ones when one holds its rows, and is laid
+// out afresh otherwise (see windows).
 func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
 	s, lo := t.shared, t.align(sl)
 	s.mu.Lock()
@@ -225,27 +227,29 @@ func (c *Compiled) move(t *table, h *hold, sl timeutil.Slot) *par.Shared {
 	s.leave(h)
 	w := s.live[lo]
 	if w == nil {
-		switch w = s.spare; {
-		case w != nil && w.lo == lo:
-			s.spare = nil
-		case s.recycled != nil:
-			w = c.layout(t, s.recycled, sl)
-			s.recycled = nil
+		i := slices.IndexFunc(s.idle, func(w *window) bool { return w.lo == lo })
+		switch {
+		case i >= 0:
+			w = s.idle[i]
+		case len(s.idle) > 0:
+			i, w = 0, c.layout(t, s.idle[0], sl)
 		default:
-			w = c.layout(t, w, sl)
-			s.spare = nil
+			w = c.layout(t, nil, sl)
+		}
+		if i >= 0 {
+			s.idle = slices.Delete(s.idle, i, i+1)
 		}
 		s.live[lo] = w
 	}
+	s.trim()
 	w.refs++
 	h.w = w
 	return w.fill
 }
 
-// leave takes h off its window, if any. When h was its last cursor the
-// window becomes the spare, and a spare it displaces becomes the recycled
-// buffer — the larger, when one is already recycled. The caller holds
-// s.mu.
+// leave takes h off its window, if any; when h was its last cursor the
+// window becomes the most recently left idle one. The caller holds s.mu
+// and trims the idle windows once it has taken what it needs of them.
 func (s *windows) leave(h *hold) {
 	w := h.w
 	if w == nil {
@@ -254,10 +258,15 @@ func (s *windows) leave(h *hold) {
 	h.w = nil
 	if w.refs--; w.refs == 0 {
 		delete(s.live, w.lo)
-		if old := s.spare; old != nil && (s.recycled == nil || cap(old.buf) > cap(s.recycled.buf)) {
-			s.recycled = old
-		}
-		s.spare = w
+		s.idle = append(s.idle, w)
+	}
+}
+
+// trim drops the least recently left idle windows beyond maxIdle. The
+// caller holds s.mu.
+func (s *windows) trim() {
+	if n := len(s.idle) - maxIdle; n > 0 {
+		s.idle = slices.Delete(s.idle, 0, n)
 	}
 }
 
@@ -274,6 +283,7 @@ func (h *hold) release() {
 	if s := h.shared; s != nil {
 		s.mu.Lock()
 		s.leave(h)
+		s.trim()
 		s.mu.Unlock()
 	}
 }

@@ -202,56 +202,61 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 }
 
 // TestWindowsRecycleBuffers runs repeated passes of two staggered fine
-// cursors over a two-window streamed table, as the runs of a cell column
-// do: the second cursor starts after the first, both end on the tail
-// window, and the next pass starts again from slot 0. After the first
-// pass no window or buffer is allocated, every row stays bit-equal to the
-// resident compile, no more windows are live than cursors are open, and
-// the table holds at most the open cursors' windows, the spare and the
-// recycled buffer.
+// cursors over a streamed table of two and of four windows, as the runs of
+// a cell column do: the second cursor starts a window after the first,
+// both end on the tail window, and the next pass starts again from slot 0.
+// After the first pass no window or buffer is allocated, and over two
+// windows, which stay held live or idle, none is laid out again. Every row
+// stays bit-equal to the resident compile, no more windows are live than
+// cursors are open, and the table holds at most the open cursors' windows
+// plus maxIdle idle ones.
 func TestWindowsRecycleBuffers(t *testing.T) {
 	w := New(Config{Seed: 21, Horizon: timeutil.Hours(12), InitialVMs: 30, MeanLifeSlots: 30})
 	res := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
-	width := int(w.Slots()) / 2
-	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: int64(width) * res.fine.slotPeak})
-	if got := c.FineChunkSlots(); got != width {
-		t.Fatalf("FineChunkSlots = %d, want %d", got, width)
-	}
-	counter := windowCounter{}
-	var seen, first int
-	const stagger = 3
-	for pass := range 4 {
-		a, b := c.NewFineCursor(nil), c.NewFineCursor(nil)
-		open := 2
-		for i := 0; i < int(c.slots)+stagger; i++ {
-			for _, step := range []struct {
-				cur *FineCursor
-				sl  timeutil.Slot
-			}{{a, timeutil.Slot(i)}, {b, timeutil.Slot(i - stagger)}} {
-				if step.sl < 0 || step.sl >= c.slots {
-					continue
-				}
-				step.cur.Advance(step.sl)
-				for id := range c.numVMs {
-					if got, want := step.cur.FineRow(id, step.sl), res.FineRow(id, step.sl); !sameBits(got, want) {
-						t.Fatalf("pass %d: fine row (%d,%d) = %v, want %v", pass, id, step.sl, got, want)
+	for _, wins := range []int{2, 4} {
+		width := int(w.Slots()) / wins
+		c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: int64(width) * res.fine.slotPeak})
+		if got := c.FineChunkSlots(); got != width {
+			t.Fatalf("%d windows: FineChunkSlots = %d, want %d", wins, got, width)
+		}
+		counter := newWindowCounter()
+		var allocs, layouts, firstAllocs, firstLayouts int
+		for pass := range 4 {
+			a, b := c.NewFineCursor(nil), c.NewFineCursor(nil)
+			open := 2
+			for i := 0; i < int(c.slots)+width; i++ {
+				for _, step := range []struct {
+					cur *FineCursor
+					sl  timeutil.Slot
+				}{{a, timeutil.Slot(i)}, {b, timeutil.Slot(i - width)}} {
+					if step.sl < 0 || step.sl >= c.slots {
+						continue
+					}
+					step.cur.Advance(step.sl)
+					for id := range c.numVMs {
+						if got, want := step.cur.FineRow(id, step.sl), res.FineRow(id, step.sl); !sameBits(got, want) {
+							t.Fatalf("%d windows, pass %d: fine row (%d,%d) = %v, want %v", wins, pass, id, step.sl, got, want)
+						}
+					}
+					if step.sl == c.slots-1 {
+						step.cur.Close()
+						open--
+					}
+					var held int
+					held, allocs, layouts = counter.observe(&c.fine)
+					if live := c.LiveWindows(); live > open || held > open+maxIdle {
+						t.Fatalf("%d windows, pass %d, slot %d: %d live and %d held windows with %d open cursors", wins, pass, step.sl, live, held, open)
 					}
 				}
-				if step.sl == c.slots-1 {
-					step.cur.Close()
-					open--
-				}
-				var held int
-				held, seen = counter.observe(&c.fine)
-				if live := c.LiveWindows(); live > open || held > open+2 {
-					t.Fatalf("pass %d, slot %d: %d live and %d held windows with %d open cursors", pass, step.sl, live, held, open)
-				}
 			}
-		}
-		if pass == 0 {
-			first = seen
-		} else if seen != first {
-			t.Fatalf("pass %d allocated windows: %d distinct windows and buffers seen, %d after the first pass", pass, seen, first)
+			switch {
+			case pass == 0:
+				firstAllocs, firstLayouts = allocs, layouts
+			case allocs != firstAllocs:
+				t.Fatalf("%d windows, pass %d allocated windows: %d distinct windows and buffers seen, %d after the first pass", wins, pass, allocs, firstAllocs)
+			case wins <= maxIdle && layouts != firstLayouts:
+				t.Fatalf("%d windows, pass %d laid windows out again: %d layouts, %d after the first pass", wins, pass, layouts, firstLayouts)
+			}
 		}
 	}
 }
@@ -389,6 +394,11 @@ func sharedRun(t *testing.T, name string, c, res *Compiled, n int, workers *par.
 	if live := c.LiveWindows(); live != 0 {
 		t.Fatalf("%s: %d live windows after every cursor closed", name, live)
 	}
+	for _, tb := range []*table{&c.fine, &c.prof} {
+		if s := tb.shared; s != nil && len(s.idle) > maxIdle {
+			t.Fatalf("%s: %d idle windows after every cursor closed, want at most %d", name, len(s.idle), maxIdle)
+		}
+	}
 
 	// Two cursors on one slot read one window; a cursor that is never
 	// closed gives its window up once it is garbage.
@@ -401,13 +411,14 @@ func sharedRun(t *testing.T, name string, c, res *Compiled, n int, workers *par.
 	}
 	a.Close()
 	b.Close()
-	// A cursor that comes back to the window the last one left reads the
-	// spare's rows again, without a refill.
-	spare := c.fine.shared.spare
-	fill := spare.fill
+	// A cursor that comes back to the window the last one left reads its
+	// idle rows again, without a refill.
+	idle := c.fine.shared.idle
+	left := idle[len(idle)-1]
+	fill := left.fill
 	a = c.NewFineCursor(workers)
 	a.Advance(1)
-	if a.h.w != spare || spare.fill != fill {
+	if a.h.w != left || left.fill != fill {
 		t.Fatalf("%s: the window the last cursor left was laid out again", name)
 	}
 	a.Close()

@@ -436,9 +436,16 @@ func (v *VM) dayFactor(day int) float64 {
 // fine step st. It is a pure function of the workload seed: the one-step
 // case of the row kernel (see FillUtil).
 func (w *Workload) Util(id int, st timeutil.Step) float64 {
-	pt := [1]gridPoint{newGridPoint(st, w.vms[id].burstAmp > 0)}
-	var u [1]float64
-	FillUtil(u[:], w, id, StepGrid{pts: pt[:]})
+	var (
+		step [1]timeutil.Step
+		f    [3]float64
+		key  [1]uint64
+		seg  [1]gridSeg
+		u    [1]float64
+	)
+	g := emptyGrid(step[:], f[:], key[:], seg[:])
+	g = g.add(st, w.vms[id].burstAmp > 0)
+	FillUtil(u[:], w, id, g)
 	return u[0]
 }
 
@@ -461,18 +468,21 @@ func profileStep(sl timeutil.Slot, i, n int) timeutil.Step {
 }
 
 // FillSlotProfile is the allocation-free variant of SlotProfile: one
-// row-kernel pass over the profile's strided step grid.
+// row-kernel pass over the profile's strided step grid, which lives on the
+// stack up to 16 samples.
 func (w *Workload) FillSlotProfile(dst []float64, id int, sl timeutil.Slot) {
 	n := len(dst)
-	var buf [16]gridPoint
-	pts := buf[:0]
-	if n > len(buf) {
-		pts = make([]gridPoint, 0, n)
-	}
+	var (
+		step [16]timeutil.Step
+		f    [48]float64
+		key  [16]uint64
+		segs [16]gridSeg
+	)
+	g := emptyGrid(step[:], f[:], key[:], segs[:]) // longer profiles grow it on the heap
 	for i := 0; i < n; i++ {
-		pts = append(pts, newGridPoint(profileStep(sl, i, n), true))
+		g = g.add(profileStep(sl, i, n), true)
 	}
-	FillUtil(dst, w, id, StepGrid{pts: pts})
+	FillUtil(dst, w, id, g)
 }
 
 // serviceActivity is the unit-mean time-varying modulation of a service's
