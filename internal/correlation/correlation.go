@@ -17,6 +17,8 @@ package correlation
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 
 	"geovmp/internal/units"
@@ -210,6 +212,20 @@ func (ps *ProfileSet) Remove(id int) {
 	ps.ids = ps.ids[:len(ps.ids)-1]
 }
 
+// Clone returns an independent copy of the set: every query answers as the
+// source's, and later changes to either leave the other as it was.
+func (ps *ProfileSet) Clone() *ProfileSet {
+	return &ProfileSet{
+		samples: ps.samples,
+		arena:   slices.Clone(ps.arena),
+		off:     slices.Clone(ps.off),
+		peaks:   slices.Clone(ps.peaks),
+		ids:     slices.Clone(ps.ids),
+		idPos:   slices.Clone(ps.idPos),
+		freeStd: slices.Clone(ps.freeStd),
+	}
+}
+
 func (ps *ProfileSet) grow(n int) {
 	// Geometric growth: ids arrive in ascending order across a run, so
 	// exact-fit growth would copy the tables O(V) times.
@@ -299,11 +315,13 @@ func (ps *ProfileSet) Mean(id int) float64 {
 // inter-VM traffic. Rows are indexed by the workload's compact sender id and
 // each row holds that sender's few receivers (communication degree is
 // bounded by the service graph), so lookups are a short linear scan instead
-// of a map probe and iteration order is deterministic.
+// of a map probe and iteration order is deterministic. A bitset of the
+// registered senders lets the ascending walks (Mean, Each) skip empty rows.
 type DataMatrix struct {
 	rows   [][]volCell // indexed by from
 	froms  []int       // the non-empty rows
 	fromAt []int32     // indexed by from: its index in froms, where registered
+	live   []uint64    // bit from is set while from is in froms
 	pairs  int
 }
 
@@ -324,6 +342,7 @@ func (m *DataMatrix) Reset() {
 		m.rows[from] = m.rows[from][:0]
 	}
 	m.froms = m.froms[:0]
+	clear(m.live)
 	m.pairs = 0
 }
 
@@ -335,6 +354,7 @@ func (m *DataMatrix) Clone() *DataMatrix {
 		rows:   make([][]volCell, len(m.rows)),
 		froms:  slices.Clone(m.froms),
 		fromAt: slices.Clone(m.fromAt),
+		live:   slices.Clone(m.live),
 		pairs:  m.pairs,
 	}
 	cells := make([]volCell, 0, m.pairs)
@@ -362,8 +382,7 @@ func (m *DataMatrix) Add(from, to int, vol units.DataSize) {
 	}
 	row := m.rows[from]
 	if len(row) == 0 {
-		m.fromAt[from] = int32(len(m.froms))
-		m.froms = append(m.froms, from)
+		m.register(from)
 	}
 	for i := range row {
 		if row[i].to == to {
@@ -387,6 +406,14 @@ func (m *DataMatrix) growRows(from int) {
 	fromAt := make([]int32, n)
 	copy(fromAt, m.fromAt)
 	m.fromAt = fromAt
+	m.live = append(m.live, make([]uint64, (n+63)/64-len(m.live))...)
+}
+
+// register appends from to froms and sets its live bit.
+func (m *DataMatrix) register(from int) {
+	m.fromAt[from] = int32(len(m.froms))
+	m.froms = append(m.froms, from)
+	m.live[from>>6] |= 1 << (from & 63)
 }
 
 // RemoveVM deletes every directed pair involving id — the departure
@@ -438,6 +465,7 @@ func (m *DataMatrix) RemoveVM(id int, partners []int) {
 // sender exactly once. froms order is not observable, so the swap removal
 // is fine.
 func (m *DataMatrix) unregister(from int) {
+	m.live[from>>6] &^= 1 << (from & 63)
 	i := m.fromAt[from]
 	last := m.froms[len(m.froms)-1]
 	m.froms[i] = last
@@ -467,7 +495,7 @@ func (m *DataMatrix) Mean() units.DataSize {
 		return 0
 	}
 	var sum units.DataSize
-	for _, row := range m.rows {
+	for _, row := range m.liveRows() {
 		for _, c := range row {
 			sum += c.vol
 		}
@@ -478,9 +506,24 @@ func (m *DataMatrix) Mean() units.DataSize {
 // Each calls fn for every non-zero directed pair, in deterministic order:
 // ascending sender id, receivers in insertion order.
 func (m *DataMatrix) Each(fn func(from, to int, vol units.DataSize)) {
-	for from, row := range m.rows {
+	for from, row := range m.liveRows() {
 		for _, c := range row {
 			fn(from, c.to, c.vol)
+		}
+	}
+}
+
+// liveRows yields the registered senders' rows in ascending sender order.
+// An unregistered row is empty, so the walk visits every pair.
+func (m *DataMatrix) liveRows() iter.Seq2[int, []volCell] {
+	return func(yield func(int, []volCell) bool) {
+		for w, word := range m.live {
+			for ; word != 0; word &= word - 1 {
+				from := w<<6 | bits.TrailingZeros64(word)
+				if !yield(from, m.rows[from]) {
+					return
+				}
+			}
 		}
 	}
 }

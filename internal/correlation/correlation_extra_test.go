@@ -2,6 +2,7 @@ package correlation
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"geovmp/internal/units"
@@ -80,4 +81,47 @@ func TestProfileSetOwnership(t *testing.T) {
 			t.Fatalf("refused %d-sample row was registered", n)
 		}
 	}
+}
+
+// TestProfileSetCloneIsIndependent holds a clone to its source on every
+// query, and each to its own rows after the other is amended.
+func TestProfileSetCloneIsIndependent(t *testing.T) {
+	ps := NewProfileSet(3)
+	for id := 0; id < 6; id++ {
+		ps.Add(id, []float64{float64(id), 0.5, float64(6 - id)})
+	}
+	ps.Remove(2) // leaves a free row the clone must keep too
+	c := ps.Clone()
+	same := func(what string, a, b *ProfileSet) {
+		t.Helper()
+		if a.Len() != b.Len() {
+			t.Fatalf("%s: Len %d, want %d", what, a.Len(), b.Len())
+		}
+		for i := 0; i < 8; i++ {
+			if a.Has(i) != b.Has(i) || a.Peak(i) != b.Peak(i) || !slices.Equal(a.Profile(i), b.Profile(i)) {
+				t.Fatalf("%s: id %d differs", what, i)
+			}
+			for j := 0; j < 8; j++ {
+				if a.CPUCorr(i, j) != b.CPUCorr(i, j) {
+					t.Fatalf("%s: CPUCorr(%d, %d) differs", what, i, j)
+				}
+			}
+		}
+	}
+	same("clone", c, ps)
+	ps.Add(7, []float64{1, 1, 1})
+	ps.Add(1, []float64{9, 9, 9})
+	ps.Remove(4)
+	if c.Has(7) || c.Profile(1)[0] != 1 || !c.Has(4) || c.Has(2) {
+		t.Fatal("amending the source changed the clone")
+	}
+	c.Add(2, []float64{3, 3, 3})
+	if ps.Has(2) {
+		t.Fatal("amending the clone changed the source")
+	}
+	ps.Add(2, []float64{3, 3, 3})
+	ps.Add(1, []float64{1, 0.5, 5})
+	ps.Add(4, []float64{4, 0.5, 2})
+	ps.Remove(7)
+	same("after matching amendments", c, ps)
 }

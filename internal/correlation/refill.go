@@ -77,8 +77,7 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 			continue
 		}
 		if len(row) == 0 && !m.registered(from) {
-			m.fromAt[from] = int32(len(m.froms))
-			m.froms = append(m.froms, from)
+			m.register(from)
 		}
 		m.rows[from] = append(row, volCell{to: to, vol: vol})
 		m.pairs++
@@ -123,8 +122,7 @@ func (m *DataMatrix) Refill(n int, at func(k int) (from, to int, vol units.DataS
 
 // registered reports whether from is in froms.
 func (m *DataMatrix) registered(from int) bool {
-	i := int(m.fromAt[from])
-	return i < len(m.froms) && m.froms[i] == from
+	return m.live[from>>6]&(1<<(from&63)) != 0
 }
 
 // saveRow records that from's row diverged, with its former receivers.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -17,29 +18,34 @@ import (
 // the daemon snapshots the correlation state under the lock, re-runs the
 // batch global embedding in the background for reconcileIters iterations,
 // and atomically swaps the result in at a *fixed landing point* in the
-// operation sequence (trigger + reconcileLag): decisions between trigger
-// and landing use the old layout, decisions after use the new one, at any
-// parallelism and any background duration. If the embedding is still
-// running when the landing operation arrives, that operation cannot commit
-// until it finishes, and no other operation can either; rather than idle,
-// the landing turn lends its core to the job, whose remaining sharded
-// passes then run on one more goroutine. Shard boundaries are fixed, so the
-// positions are bit-identical however many goroutines ran them. The SLO
-// bound holds for the steady state, not the (rare, ~per-512-ops) landing
-// turn, whose stall serve_reconcile_wait records.
+// operation sequence: the job lands at the next trigger, before that
+// turn's operation, and the next job launches after it. Decisions between
+// trigger and landing use the old layout, decisions after use the new one,
+// at any parallelism and any background duration, and the job has a whole
+// window of ReconcileEvery turns to run on a spare core. If the embedding
+// is still running when the landing operation arrives, that operation
+// cannot commit until it finishes, and no other operation can either;
+// rather than idle, the landing turn lends its core to the job, whose
+// remaining sharded passes then run on one more goroutine. Shard
+// boundaries are fixed, so the positions are bit-identical however many
+// goroutines ran them. The SLO bound holds for the steady state, not a
+// landing turn that finds its job still running: serve_reconcile_wait
+// records every landing's stall, and serve_reconcile_late_total counts the
+// landings that had to wait.
 
 // reconcileJob is one in-flight background re-embedding.
 type reconcileJob struct {
 	landSeq uint64
-	ids     []int              // the snapshot's point order
+	snap    *reconSnap         // the job fills snap.ids: read them only after ch
 	workers *par.Budget        // extra goroutines the job's sharded passes may take
-	ch      chan []embed.Point // the re-embedded positions, in that order
+	ch      chan []embed.Point // the re-embedded positions, in snap.ids order
 }
 
 // maybeTrigger launches a background reconciliation when the operation
-// sequence crosses a ReconcileEvery boundary. Caller holds d.mu; the
-// trigger condition depends only on seq and whether a job is pending —
-// both pure functions of the sequence — so triggering is deterministic.
+// sequence crosses a ReconcileEvery boundary, to land at the next one.
+// Caller holds d.mu; the trigger condition depends only on seq and whether
+// a job is pending — both pure functions of the sequence — so triggering
+// is deterministic.
 func (d *Daemon) maybeTrigger(seq uint64) {
 	every := d.opt.ReconcileEvery
 	if every == 0 || d.recon != nil || seq == 0 || seq%uint64(every) != 0 {
@@ -48,16 +54,15 @@ func (d *Daemon) maybeTrigger(seq uint64) {
 	if len(d.st.active) < 2 {
 		return
 	}
-	snap := d.st.snapshot()
 	job := &reconcileJob{
-		landSeq: seq + reconcileLag,
-		ids:     snap.ids,
+		landSeq: seq + uint64(every),
+		snap:    d.st.snapshot(),
 		workers: par.NewBudget(d.opt.Workers - 1),
 		ch:      make(chan []embed.Point, 1),
 	}
 	d.recon = job
 	opt := &d.opt
-	go func() { job.ch <- snap.run(opt, job.workers) }()
+	go func() { job.ch <- job.snap.run(opt, job.workers) }()
 }
 
 // landDue swaps in a finished reconciliation at the first operation whose
@@ -73,49 +78,56 @@ func (d *Daemon) landDue(seq uint64) {
 	select {
 	case pos = <-job.ch:
 	default:
+		d.mReconLate.Inc()
 		job.workers.Release(1)
 		pos = <-job.ch
 	}
 	d.mReconWait.Observe(time.Since(start))
-	d.st.adoptPositions(job.ids, pos)
+	d.st.adoptPositions(job.snap.ids, pos)
 	d.recon = nil
 	d.mReconciles.Inc()
 }
 
 // reconSnap is an isolated copy of everything the global embedding reads,
 // taken under the write lock so the background run shares nothing with the
-// live state.
+// live state. seats come in active order; run sorts them and fills ids.
 type reconSnap struct {
-	ids  []int
-	init []embed.Point // init[k] is ids[k]'s live position
-	ps   *correlation.ProfileSet
-	dm   *correlation.DataMatrix
-	ref  units.DataSize
+	seats []seat
+	ids   []int // the sorted seats' ids, the embedding's point order
+	ps    *correlation.ProfileSet
+	dm    *correlation.DataMatrix
+	ref   units.DataSize
+}
+
+// seat is one resident's id and live position.
+type seat struct {
+	id int
+	p  embed.Point
 }
 
 func (s *state) snapshot() *reconSnap {
-	ids := append([]int(nil), s.active...)
-	slices.Sort(ids)
-	ps := correlation.NewProfileSet(s.opt.Samples)
-	for _, id := range ids {
-		ps.Add(id, s.ps.Profile(id)) // rows are copied
+	seats := make([]seat, len(s.active))
+	for k, id := range s.active {
+		seats[k] = seat{id, s.pos[id]}
 	}
-	dm := s.dm.Clone()
-	init := make([]embed.Point, len(ids))
-	for k, id := range ids {
-		init[k] = s.pos[id]
-	}
-	return &reconSnap{ids: ids, init: init, ps: ps, dm: dm, ref: s.ref}
+	return &reconSnap{seats: seats, ps: s.ps.Clone(), dm: s.dm.Clone(), ref: s.ref}
 }
 
-// run executes the batch global embedding over the snapshot — the same
-// field and tuning (embed's constants) the batch controller uses, at the
-// reconciler's budget reconcileIters, warm-started from the live layout —
-// with its sharded passes taking extra goroutines from workers.
+// run sorts the snapshot's seats by id and executes the batch global
+// embedding over them — the same field and tuning (embed's constants) the
+// batch controller uses, at the reconciler's budget reconcileIters,
+// warm-started from the live layout — with its sharded passes taking extra
+// goroutines from workers.
 func (r *reconSnap) run(opt *Options, workers *par.Budget) []embed.Point {
+	slices.SortFunc(r.seats, func(a, b seat) int { return cmp.Compare(a.id, b.id) })
+	r.ids = make([]int, len(r.seats))
+	init := make([]embed.Point, len(r.seats))
+	for k, st := range r.seats {
+		r.ids[k], init[k] = st.id, st.p
+	}
 	f := core.NewField(opt.Alpha, r.ps, r.dm, r.ref)
 	cfg := embed.Config{Seed: opt.Seed, MaxIters: reconcileIters, Workers: workers}
-	return embed.Run(r.ids, r.init, nil, f, cfg).Pos
+	return embed.Run(r.ids, init, nil, f, cfg).Pos
 }
 
 // adoptPositions merges a reconciled layout: VMs still resident take their

@@ -42,9 +42,10 @@
 // Commits are totally ordered by arrival sequence number, so the decision
 // stream is a pure function of the event log: the same log replayed at any
 // Parallelism yields bit-identical placements (the determinism test holds
-// the daemon to that). A turn that reaches a reconciliation still running
-// lends its core to the reconciler's sharded passes while it waits (see
-// reconcile.go).
+// the daemon to that). Each background reconciliation lands at the next
+// trigger, ReconcileEvery operations after its own; a turn that reaches a
+// reconciliation still running lends its core to the reconciler's sharded
+// passes while it waits (see reconcile.go).
 package serve
 
 import (
@@ -130,8 +131,9 @@ type Options struct {
 	QueueCap int
 	// ReconcileEvery launches a background full re-embedding every that
 	// many sequenced operations (default 512; <0 disables). The result
-	// lands atomically reconcileLag operations later — a fixed landing
-	// point in the sequence, so reconciliation cannot perturb determinism.
+	// lands atomically at the next trigger, before that turn's operation —
+	// a fixed landing point in the sequence, so reconciliation cannot
+	// perturb determinism.
 	ReconcileEvery int
 	// Workers are goroutines lent to the background reconciler's sharded
 	// passes (default 1; decisions themselves are never sharded). A
@@ -155,9 +157,6 @@ const (
 	// refineIters is the per-arrival local embedding refinement budget
 	// (embed.RefineOne's iterations).
 	refineIters = 4
-	// reconcileLag is how many sequenced operations after its trigger a
-	// background re-embedding lands.
-	reconcileLag = 64
 	// reconcileIters is the reconciler's embedding iteration budget.
 	reconcileIters = 12
 )
@@ -226,12 +225,12 @@ type Daemon struct {
 	// mRebuilds; guarded by mu.
 	rebuilt int
 
-	mPlacements, mDepartures, mOverflows *metrics.Counter
-	mObservations, mReconciles           *metrics.Counter
-	mRejections, mFaults, mDeadlines     *metrics.Counter
-	mRebuilds, mObserveLists             *metrics.Counter
-	mQueue                               *metrics.Gauge
-	mLat, mReconWait                     *metrics.LatencyHist
+	mPlacements, mDepartures, mOverflows   *metrics.Counter
+	mObservations, mReconciles, mReconLate *metrics.Counter
+	mRejections, mFaults, mDeadlines       *metrics.Counter
+	mRebuilds, mObserveLists               *metrics.Counter
+	mQueue                                 *metrics.Gauge
+	mLat, mReconWait                       *metrics.LatencyHist
 }
 
 // New validates opt and returns a ready daemon.
@@ -252,6 +251,7 @@ func New(opt Options) (*Daemon, error) {
 	d.mOverflows = b.Counter("serve_overflows_total")
 	d.mObservations = b.Counter("serve_observations_total")
 	d.mReconciles = b.Counter("serve_reconciles_total")
+	d.mReconLate = b.Counter("serve_reconcile_late_total")
 	d.mRejections = b.Counter("serve_rejections_total")
 	d.mFaults = b.Counter("serve_faults_total")
 	d.mDeadlines = b.Counter("serve_deadline_total")

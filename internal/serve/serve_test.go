@@ -500,6 +500,72 @@ func TestReplayDigest(t *testing.T) {
 	}
 }
 
+// TestReplayDigestDefaultCadence pins the decision stream and final layout
+// at the default cadence (ReconcileEvery 512), where each reconciliation
+// lands at the next trigger — ReconcileEvery 64 cannot tell that from a
+// fixed 64-operation lag. A three-day log holds four triggers, so three
+// jobs land, each after a whole window in the background. The digest must
+// read the same at Workers 1 and 4, and under -tags purego.
+func TestReplayDigestDefaultCadence(t *testing.T) {
+	sc := testScenario(t, 0.02)
+	events := EventsFromTrace(sc.Workload, 72, sim.DefaultProfileSamples)
+	if len(events) != 2511 {
+		t.Fatalf("log has %d events, want 2511", len(events))
+	}
+	for _, workers := range []int{1, 4} {
+		d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs := d.Replay(events, 1)
+		d.Drain()
+
+		snap := d.Board().Snapshot()
+		landed := snap.Counters["serve_reconciles_total"]
+		if landed != 3 {
+			t.Fatalf("Workers %d: %d reconciles landed, want 3", workers, landed)
+		}
+		if late := snap.Counters["serve_reconcile_late_total"]; late > landed {
+			t.Fatalf("Workers %d: %d late landings of %d", workers, late, landed)
+		}
+		if !strings.Contains(snap.Text(), "serve_reconcile_late_total") {
+			t.Fatalf("Workers %d: serve_reconcile_late_total missing from the board's text", workers)
+		}
+		const want = "d48ffb50d6af2842d15ba07cb10d65c35f430e688e130754f0b8d52c93f75336"
+		if got := replayDigest(d, decs); got != want {
+			t.Fatalf("Workers %d: replay digest %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// TestReconcileLandsAtNextTrigger pins the landing points: a replay of
+// exactly k·E + r sequenced operations (1 <= r < E) triggers at E, 2E, ...,
+// kE and lands each job at the next trigger, so k-1 jobs land and the one
+// triggered at kE is still pending when the log ends.
+func TestReconcileLandsAtNextTrigger(t *testing.T) {
+	sc := testScenario(t, 0.02)
+	events := EventsFromTrace(sc.Workload, 72, sim.DefaultProfileSamples)
+	for _, tc := range []struct{ every, k, r int }{
+		{0, 1, 1}, {0, 2, 511}, {0, 4, 100},
+		{64, 1, 63}, {64, 5, 1}, {100, 7, 33},
+	} {
+		e := tc.every
+		if e == 0 {
+			e = 512 // the default cadence
+		}
+		n := tc.k*e + tc.r
+		d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: tc.every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Replay(events[:n], 2)
+		d.Drain()
+		if landed := d.Board().Counter("serve_reconciles_total").Value(); landed != int64(tc.k-1) {
+			t.Fatalf("%+v: %d operations landed %d reconciles, want %d", tc, n, landed, tc.k-1)
+		}
+	}
+}
+
 // TestLeastLoadedUp pins the overflow seat: the least-loaded healthy DC,
 // the lowest index on ties, the least-loaded DC overall when every DC is
 // down, and a NaN load that never compares less (it keeps the seat only
