@@ -27,7 +27,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"geovmp/internal/alloc"
@@ -78,14 +80,19 @@ type Controller struct {
 	// time.
 	reoptimize bool
 
-	// LastEmbedIters and LastEmbedCost record the most recent embedding
-	// run's iteration count and cost trace (diagnostics).
+	ahead      *aheadJob // the next slot's embedding, started by the last Place
+	aheadSlots int       // slots that took their embedding from a run-ahead
+
+	// LastEmbedIters and LastEmbedCost record the embedding of the slot
+	// the most recent Place decided (diagnostics).
 	LastEmbedIters int
 	LastEmbedCost  []float64
 	// EmbedNS accumulates wall time (ns) spent inside embed.Run across the
 	// simulation; BoundaryEmbedNS the subset spent on epoch-boundary
 	// re-optimization slots. Benchmarks read these to isolate the
-	// embedding's share of a slot.
+	// embedding's share of a slot; a run-ahead counts its full wall time,
+	// mostly overlapped with the previous slot's other phases. All four
+	// are written only by Place, on its caller's goroutine.
 	EmbedNS         int64
 	BoundaryEmbedNS int64
 }
@@ -335,7 +342,6 @@ func (c *Controller) caps(in *policy.Input) []float64 {
 // step is in.ActiveVMs[k]: the adjacency, the embedding, the clustering and
 // the revision all address VMs by that index.
 func (c *Controller) Place(in *policy.Input) policy.Placement {
-	ids := append(make([]int, 0, len(in.ActiveVMs)), in.ActiveVMs...)
 	n := len(in.DCs)
 
 	reopt := c.reoptimize
@@ -346,86 +352,33 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 		c.prevCaps = nil
 	}
 
-	// Step 1: embedding. Inherited positions persist (one merge walk of the
-	// last slot's and this slot's ascending ids); a VM seen for the first
-	// time starts at the centroid of its data-correlated peers that carry
-	// a position (its service lives there already — scattering it across
-	// the plane would fragment the service until enough migration budget
-	// accrues to fix it), falling back to the deterministic scatter.
-	// Departed VMs drop out with the last slot's layout. Attraction is
-	// normalized by the mean pair volume: volumes are heavy-tailed
-	// (log-normal), so the maximum would flatten typical pairs to nothing,
-	// while the mean clamps heavy hitters at -1 and keeps ordinary service
-	// chatter strongly attractive.
-	f := &Field{alpha: c.Alpha, ps: in.Profiles, vols: in.Volumes, ref: in.Volumes.Mean(), fast: in.FastMath}
-	f.bindAdjacency(ids)
-	init := make([]embed.Point, len(ids))
-	inherited := make([]bool, len(ids))
-	for k, p := 0, 0; k < len(ids); k++ {
-		for p < len(c.ids) && c.ids[p] < ids[k] {
-			p++
-		}
-		if p < len(c.ids) && c.ids[p] == ids[k] {
-			init[k], inherited[k] = c.pos[p], true
-		}
-	}
-	known := append([]bool(nil), inherited...)
-	for k, id := range ids {
-		if known[k] {
-			continue
-		}
-		var cx, cy float64
-		seen := 0
-		js, _, _ := f.AttractionRow(k)
-		for _, j := range js {
-			if inherited[j] {
-				cx += init[j].X
-				cy += init[j].Y
-				seen++
-			}
-		}
-		if seen > 0 {
-			jit := embed.InitialPosition(id, 0.5, c.Embed.Seed)
-			init[k] = embed.Point{X: cx/float64(seen) + jit.X, Y: cy/float64(seen) + jit.Y}
-			known[k] = true
-		}
-	}
-	pos := init
-	if c.NoEmbedding {
-		for k, id := range ids {
-			if !known[k] {
-				pos[k] = embed.InitialPosition(id, embed.InitRadius, c.Embed.Seed)
-			}
-		}
+	// Step 1: embedding, taken from the previous Place's run-ahead when it
+	// embedded this very slot, run here otherwise.
+	s := c.stepFor(in, in.Slot, in.ActiveVMs, in.Profiles, in.Volumes, reopt)
+	res, ahead := c.ahead.take(&s)
+	c.ahead = nil
+	if ahead {
+		c.aheadSlots++
 	} else {
-		cfg := c.Embed
-		cfg.Workers = in.Workers
-		if in.FastMath {
-			cfg.FastMath = true
-		}
-		if c.ids == nil {
-			// Cold start: "initially, at time slot 0, all the points are
-			// distributed in the 2D plane" — give the layout room to
-			// converge before the first clustering; later slots only
-			// refine.
-			cfg.MaxIters = 5 * cfg.MaxIters
-		} else if reopt {
-			// Epoch boundary: warm-started re-optimization toward the new
-			// regime's correlation geometry.
-			cfg.MaxIters = reoptBoost * cfg.MaxIters
-		}
-		start := time.Now()
-		res := embed.Run(ids, init, known, f, cfg)
-		ns := time.Since(start).Nanoseconds()
-		c.EmbedNS += ns
+		res = s.run()
+	}
+	if !c.NoEmbedding {
+		c.EmbedNS += res.ns
 		if reopt {
-			c.BoundaryEmbedNS += ns
+			c.BoundaryEmbedNS += res.ns
 		}
 		c.LastEmbedIters = res.Iterations
 		c.LastEmbedCost = res.Cost
-		pos = res.Pos
 	}
+	ids, pos := s.ids, res.Pos
 	c.ids, c.pos = ids, pos
+	// The next slot's embedding reads only the trace and this layout, so
+	// it can run on a spare worker while this slot goes on.
+	if nx := in.Next; nx != nil && !c.NoEmbedding && in.Workers.Acquire(1) == 1 {
+		job := &aheadJob{step: c.stepFor(in, nx.Slot, nx.ActiveVMs, nx.Profiles, nx.Volumes, nx.EpochStart), done: make(chan layout, 1)}
+		c.ahead = job
+		nx.Go(func() { res := job.step.run(); job.release(); job.done <- res })
+	}
 
 	// Step 2+3: caps and capacity-capped k-means.
 	caps := c.caps(in)
@@ -474,6 +427,133 @@ func (c *Controller) Place(in *policy.Input) policy.Placement {
 	c.centroids = cluster.CentroidsOf(items, mres.DC, n, kres.Centroids)
 
 	return policy.Placement{DCOf: mres.Placement, Moves: mres.Moves, Rejected: mres.Rejected}
+}
+
+// layoutStep is step 1 of the global phase for one slot, holding every
+// input it reads, so it runs the same inline or one slot ahead (aheadJob);
+// a run-ahead is taken for the slot whose trace inputs, epoch boundary and
+// mode it embedded, the tuning being fixed for a simulation.
+// Inherited positions persist (one merge walk of the last slot's and this
+// slot's ascending ids); a VM seen for the first time starts at the
+// centroid of its data-correlated peers that carry a position (its
+// service lives there already — scattering it across the plane would
+// fragment the service until enough migration budget accrues to fix it),
+// falling back to the deterministic scatter. Departed VMs drop out with
+// the last slot's layout. Attraction is normalized by the mean pair
+// volume: volumes are heavy-tailed (log-normal), so the maximum would
+// flatten typical pairs to nothing, while the mean clamps heavy hitters at
+// -1 and keeps ordinary service chatter strongly attractive.
+type layoutStep struct {
+	slot                 timeutil.Slot
+	ps                   *correlation.ProfileSet
+	vols                 *correlation.DataMatrix
+	alpha                float64
+	cfg                  embed.Config
+	fast, reopt, noEmbed bool
+	ids, prevIDs         []int
+	prevPos              []embed.Point
+}
+
+// layout is a layoutStep's outcome and the embedding's wall time.
+type layout struct {
+	embed.Result
+	ns int64
+}
+
+func (c *Controller) stepFor(in *policy.Input, sl timeutil.Slot, ids []int, ps *correlation.ProfileSet, vols *correlation.DataMatrix, reopt bool) layoutStep {
+	cfg := c.Embed
+	cfg.Workers = in.Workers
+	cfg.FastMath = cfg.FastMath || in.FastMath
+	return layoutStep{slot: sl, ps: ps, vols: vols, alpha: c.Alpha, cfg: cfg, fast: in.FastMath, reopt: reopt, noEmbed: c.NoEmbedding,
+		ids: append(make([]int, 0, len(ids)), ids...), prevIDs: c.ids, prevPos: c.pos}
+}
+
+func (s *layoutStep) run() layout {
+	ids := s.ids
+	f := &Field{alpha: s.alpha, ps: s.ps, vols: s.vols, ref: s.vols.Mean(), fast: s.fast}
+	f.bindAdjacency(ids)
+	init := make([]embed.Point, len(ids))
+	inherited := make([]bool, len(ids))
+	for i, p := 0, 0; i < len(ids); i++ {
+		for p < len(s.prevIDs) && s.prevIDs[p] < ids[i] {
+			p++
+		}
+		if p < len(s.prevIDs) && s.prevIDs[p] == ids[i] {
+			init[i], inherited[i] = s.prevPos[p], true
+		}
+	}
+	known := append([]bool(nil), inherited...)
+	for i, id := range ids {
+		if known[i] {
+			continue
+		}
+		var cx, cy float64
+		seen := 0
+		js, _, _ := f.AttractionRow(i)
+		for _, j := range js {
+			if inherited[j] {
+				cx += init[j].X
+				cy += init[j].Y
+				seen++
+			}
+		}
+		if seen > 0 {
+			jit := embed.InitialPosition(id, 0.5, s.cfg.Seed)
+			init[i] = embed.Point{X: cx/float64(seen) + jit.X, Y: cy/float64(seen) + jit.Y}
+			known[i] = true
+		}
+	}
+	if s.noEmbed {
+		for i, id := range ids {
+			if !known[i] {
+				init[i] = embed.InitialPosition(id, embed.InitRadius, s.cfg.Seed)
+			}
+		}
+		return layout{Result: embed.Result{Pos: init}}
+	}
+	cfg := s.cfg
+	if s.prevIDs == nil {
+		// Cold start: "initially, at time slot 0, all the points are
+		// distributed in the 2D plane" — give the layout room to converge
+		// before the first clustering; later slots only refine.
+		cfg.MaxIters = 5 * cfg.MaxIters
+	} else if s.reopt {
+		// Epoch boundary: warm-started re-optimization toward the new
+		// regime's correlation geometry.
+		cfg.MaxIters = reoptBoost * cfg.MaxIters
+	}
+	start := time.Now()
+	res := embed.Run(ids, init, known, f, cfg)
+	return layout{res, time.Since(start).Nanoseconds()}
+}
+
+// aheadJob is a layoutStep running one slot ahead on a budget worker.
+// Exactly one side gives the worker back: the job when it finishes, or the
+// next Place when it lends its own core to the job first (take).
+type aheadJob struct {
+	step     layoutStep
+	released atomic.Bool
+	done     chan layout
+}
+
+func (j *aheadJob) release() {
+	if !j.released.Swap(true) {
+		j.step.cfg.Workers.Release(1)
+	}
+}
+
+// take waits for the job, if any, and returns its layout when it embedded
+// exactly s. Like the daemon's landing turn, a caller that finds the job
+// still running would only wait, so it gives the job's worker back to the
+// budget, where the job's remaining sharded passes take it.
+func (j *aheadJob) take(s *layoutStep) (layout, bool) {
+	if j == nil {
+		return layout{}, false
+	}
+	j.release()
+	res := <-j.done
+	t := &j.step
+	return res, t.slot == s.slot && t.ps == s.ps && t.vols == s.vols && t.reopt == s.reopt && t.noEmbed == s.noEmbed && slices.Equal(t.ids, s.ids)
 }
 
 // Allocate implements policy.Policy: the correlation-aware local phase.

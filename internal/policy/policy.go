@@ -18,6 +18,7 @@ package policy
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"geovmp/internal/alloc"
 	"geovmp/internal/correlation"
@@ -79,7 +80,38 @@ type Input struct {
 	// controller must be bit-identical to prior releases when unset. See
 	// correlation.FastEps for the per-pair error budget.
 	FastMath bool
+
+	// Next, when non-nil, previews the next slot's trace-derived inputs:
+	// the next Input carries these very values, unchanged until the next
+	// Place returns. A controller may start work on them early (the
+	// proposed controller embeds the next slot on a spare worker) if its
+	// decisions stay those it makes without the preview, and it must run
+	// that work through Next.Go, so the caller can join it. Nil on the
+	// last slot and for callers that build one slot at a time.
+	Next *Lookahead
 }
+
+// Lookahead is one slot's trace-derived inputs and the join point of the
+// work started on them ahead of the slot's Place.
+type Lookahead struct {
+	Slot      timeutil.Slot
+	ActiveVMs []int
+	Profiles  *correlation.ProfileSet
+	Volumes   *correlation.DataMatrix
+	// EpochStart reports that StartEpoch precedes the slot's Place.
+	EpochStart bool
+
+	wg sync.WaitGroup
+}
+
+// Go runs fn on a new goroutine that Wait joins.
+func (l *Lookahead) Go(fn func()) {
+	l.wg.Add(1)
+	go func() { defer l.wg.Done(); fn() }()
+}
+
+// Wait returns once every function started with Go has returned.
+func (l *Lookahead) Wait() { l.wg.Wait() }
 
 // Placement is a global controller's decision: a DC for every active VM and
 // the migrations actually executed to get there.

@@ -379,7 +379,9 @@ func (d *Daemon) Fault(dcI int, down bool) ([]int, error) {
 }
 
 // Drain stops admitting new operations and blocks until every in-flight
-// operation has committed. Safe to call more than once.
+// operation has committed and the pending background reconciliation, if
+// any, has finished; its result is dropped, as no later operation could
+// land it. Safe to call more than once.
 func (d *Daemon) Drain() {
 	d.draining.Store(true)
 	d.seqMu.Lock()
@@ -387,6 +389,13 @@ func (d *Daemon) Drain() {
 		d.cond.Wait()
 	}
 	d.seqMu.Unlock()
+	d.mu.Lock()
+	if job := d.recon; job != nil {
+		job.workers.Release(1) // Drain would only wait: lend its core
+		<-job.ch
+		d.recon = nil
+	}
+	d.mu.Unlock()
 }
 
 // --- sequenced internals ---

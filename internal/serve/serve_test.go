@@ -566,6 +566,36 @@ func TestReconcileLandsAtNextTrigger(t *testing.T) {
 	}
 }
 
+// TestDrainJoinsReconciler holds that no reconciliation outlives Drain:
+// the log ends on a trigger, so the job that trigger launched has barely
+// started when the last operation commits, and once Drain returns no
+// goroutine may still be inside the reconciler's embedding, nor any job be
+// pending. The decisions are TestReplayDigest's to pin.
+func TestDrainJoinsReconciler(t *testing.T) {
+	sc := testScenario(t, 0.02)
+	events := EventsFromTrace(sc.Workload, 72, sim.DefaultProfileSamples)
+	d, err := New(Options{Fleet: sc.Fleet, Topo: sc.Topo, Seed: 7, ReconcileEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Replay(events[:2*64+1], 2)
+	d.mu.Lock()
+	pending := d.recon != nil
+	d.mu.Unlock()
+	if !pending {
+		t.Fatal("no reconciliation pending after the log's last trigger")
+	}
+	d.Drain()
+	if d.recon != nil {
+		t.Fatal("a reconciliation is still pending after Drain")
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := buf[:runtime.Stack(buf, true)]; bytes.Contains(stacks, []byte("(*reconSnap).run")) {
+		t.Fatalf("a reconciler goroutine outlived Drain:\n%s", stacks)
+	}
+	d.Drain() // a second Drain finds nothing to join
+}
+
 // TestLeastLoadedUp pins the overflow seat: the least-loaded healthy DC,
 // the lowest index on ties, the least-loaded DC overall when every DC is
 // down, and a NaN load that never compares less (it keeps the seat only

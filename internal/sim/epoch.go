@@ -186,7 +186,7 @@ func newEpochRun(sc *Scenario, n int) *epochRun {
 // startSlot advances the engine to sl's epoch, resetting the move budget
 // and signalling EpochAware policies at each interior boundary crossed.
 func (r *epochRun) startSlot(sl timeutil.Slot, pol policy.Policy) {
-	for r.current+1 < r.plan.Epochs() && sl >= r.plan.Start(r.current+1) {
+	for r.opens(sl) {
 		r.current++
 		r.moves = 0
 		if ea, ok := pol.(policy.EpochAware); ok {
@@ -194,6 +194,12 @@ func (r *epochRun) startSlot(sl timeutil.Slot, pol policy.Policy) {
 		}
 	}
 	clear(r.downtime)
+}
+
+// opens reports whether startSlot(sl), called next, crosses an interior
+// boundary; false on the static path.
+func (r *epochRun) opens(sl timeutil.Slot) bool {
+	return r != nil && r.current+1 < r.plan.Epochs() && sl >= r.plan.Start(r.current+1)
 }
 
 // revise feeds the policy's executed moves through migrate.Run under the

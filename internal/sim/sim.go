@@ -324,11 +324,19 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	lastEnergy := make([]units.Energy, n)
 	var activeServerSum float64
 
-	// Per-slot containers, allocated once and reused across slots.
+	// Per-slot containers, allocated once and reused across slots. The
+	// observed information alternates between two buffers: slot sl+1's is
+	// built before slot sl's Place and previewed in in.Next, so the policy
+	// can start on it while slot sl's phases still read sl's. What it
+	// starts is joined before any return, so no goroutine or borrowed
+	// worker outlives the run.
 	var prevIDs []int
 	activeSet := make([]bool, numVMs)
-	ps := correlation.NewProfileSet(sc.ProfileSamples)
-	dm := correlation.NewDataMatrix()
+	var obs [2]policy.Lookahead
+	for i := range obs {
+		obs[i].Profiles, obs[i].Volumes = correlation.NewProfileSet(sc.ProfileSamples), correlation.NewDataMatrix()
+		defer obs[i].Wait()
+	}
 	vmEnergy := make([]float64, numVMs)
 	images := make([]units.DataSize, numVMs)
 	for id := range images {
@@ -337,8 +345,6 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	perCore := float64(fleet[0].Model.MarginalPower() + fleet[0].Model.IdleShare())
 	in := &policy.Input{
 		Current:       current,
-		Profiles:      ps,
-		Volumes:       dm,
 		VMEnergy:      vmEnergy,
 		Image:         images,
 		DCs:           fleet,
@@ -376,6 +382,11 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 		}()
 	}
 
+	if sc.Horizon.Slots > 0 {
+		if err := observe(&obs[0], w, profCur, 0); err != nil {
+			return nil, err
+		}
+	}
 	for sl := timeutil.Slot(0); sl < sc.Horizon.Slots; sl++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -387,18 +398,23 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			fr.startSlot(sl, fleet, net)
 			in.Health = fr.health
 		}
-		ids := w.ActiveVMs(sl)
+		cur := &obs[sl%2]
+		ids, ps := cur.ActiveVMs, cur.Profiles
+		in.Next = nil
+		if sl+1 < sc.Horizon.Slots {
+			in.Next = &obs[(sl+1)%2]
+			if err := observe(in.Next, w, profCur, sl+1); err != nil {
+				return nil, err
+			}
+			in.Next.EpochStart = epoch.opens(sl + 1)
+		}
 		// Swap the active set to this slot's ids and clear the previous
-		// slot's per-VM tables. Ids index dense numVMs-sized tables, so an
-		// out-of-contract source surfaces as an error, not a panic.
+		// slot's per-VM tables.
 		for _, id := range prevIDs {
 			activeSet[id] = false
 			vmEnergy[id] = 0
 		}
 		for _, id := range ids {
-			if id < 0 || id >= numVMs {
-				return nil, fmt.Errorf("sim: workload ActiveVMs(%d) returned id %d outside [0, %d)", sl, id, numVMs)
-			}
 			activeSet[id] = true
 		}
 		prevIDs = ids
@@ -407,24 +423,6 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			if !activeSet[id] {
 				delete(current, id)
 			}
-		}
-
-		// Observed information: the previous interval's loads and volumes
-		// (slot 0 bootstraps from itself).
-		obsSlot := sl
-		if sl > 0 {
-			obsSlot = sl - 1
-		}
-		ps.Reset()
-		profCur.Advance(obsSlot)
-		for _, id := range ids {
-			// The row is nil only in a run without a profile table
-			// (ProfileSamples < 0), whose controllers get empty profiles.
-			ps.Add(id, profCur.ProfileRow(id, obsSlot))
-		}
-		dm.Reset()
-		for _, e := range w.PlannedVolumes(obsSlot, sl) {
-			dm.Add(e.From, e.To, e.Vol)
 		}
 
 		// Per-VM energy prediction for the coming slot: mean utilization
@@ -441,6 +439,7 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 
 		in.Slot = sl
 		in.ActiveVMs = ids
+		in.Profiles, in.Volumes = ps, cur.Volumes
 		for i, d := range fleet {
 			in.Prices[i] = d.Tariff.AtSlot(sl)
 			in.RenewForecast[i] = d.Forecast.Forecast(sl)
@@ -626,6 +625,33 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 		res.FinalPlacement[id] = d
 	}
 	return res, nil
+}
+
+// observe fills o with slot sl's observed information: its active VMs,
+// and the previous interval's loads and volumes (slot 0 bootstraps from
+// itself). Ids index dense NumVMs-sized tables, so an out-of-contract
+// source surfaces as an error, not a panic.
+func observe(o *policy.Lookahead, w *trace.Compiled, profCur *trace.ProfileCursor, sl timeutil.Slot) error {
+	ids := w.ActiveVMs(sl)
+	for _, id := range ids {
+		if id < 0 || id >= w.NumVMs() {
+			return fmt.Errorf("sim: workload ActiveVMs(%d) returned id %d outside [0, %d)", sl, id, w.NumVMs())
+		}
+	}
+	obsSlot := max(sl-1, 0)
+	o.Slot, o.ActiveVMs = sl, ids
+	o.Profiles.Reset()
+	profCur.Advance(obsSlot)
+	for _, id := range ids {
+		// The row is nil only in a run without a profile table
+		// (ProfileSamples < 0), whose controllers get empty profiles.
+		o.Profiles.Add(id, profCur.ProfileRow(id, obsSlot))
+	}
+	o.Volumes.Reset()
+	for _, e := range w.PlannedVolumes(obsSlot, sl) {
+		o.Volumes.Add(e.From, e.To, e.Vol)
+	}
+	return nil
 }
 
 // CompileOptions returns the compile options whose tables a run reads as

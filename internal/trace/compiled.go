@@ -135,11 +135,10 @@ func slotGrids(slots timeutil.Slot, n int, step func(sl timeutil.Slot, k int) ti
 	grids := make([]StepGrid, slots)
 	for sl := range grids {
 		lo, hi := sl*n, (sl+1)*n
-		g := emptyGrid(steps[lo:hi], f[3*lo:3*hi], key[lo:hi], nil)
 		for k := range n {
-			g = g.add(step(timeutil.Slot(sl), k), true)
+			steps[lo+k] = step(timeutil.Slot(sl), k)
 		}
-		grids[sl] = g
+		grids[sl] = gridOf(steps[lo:hi], f[3*lo:3*hi], key[lo:hi], nil, true)
 	}
 	return grids
 }

@@ -52,36 +52,33 @@ type gridSeg struct {
 	slowCell, burstCell int64
 }
 
-// emptyGrid returns an empty grid whose columns append into the given
-// backing arrays, up to len(step) steps without allocating; f holds the
-// three float columns, 3·len(step) values.
-func emptyGrid(step []timeutil.Step, f []float64, key []uint64, segs []gridSeg) StepGrid {
+// gridOf builds the grid of the given steps over the given backing arrays:
+// f holds the three float columns, 3·len(step) values, and segs grows from
+// its start (on the heap once full). burst selects whether the burst
+// lattice is filled in: grids shared by all VMs need it, a one-step grid
+// for a VM without bursts does not. The grid is built in a local and
+// returned once, so a caller's stack arrays stay on the stack.
+func gridOf(step []timeutil.Step, f []float64, key []uint64, segs []gridSeg, burst bool) StepGrid {
 	n := len(step)
-	return StepGrid{
-		step: step[:0:n], hour: f[:0:n], slowEase: f[n : n : 2*n], burstEase: f[2*n : 2*n : 3*n],
-		key: key[:0:n], segs: segs[:0],
+	g := StepGrid{
+		step: step, hour: f[:n:n], slowEase: f[n : 2*n : 2*n], burstEase: f[2*n : 3*n : 3*n],
+		key: key[:n:n], segs: segs[:0],
 	}
-}
-
-// add returns the grid with step st appended, as append does. burst
-// selects whether the burst lattice is filled in: grids shared by all VMs
-// need it, a one-step grid for a VM without bursts does not.
-func (g StepGrid) add(st timeutil.Step, burst bool) StepGrid {
-	sec := st.Seconds()
-	day := int(sec / 86400)
-	seg := gridSeg{start: len(g.step), day: day}
-	var slowEase, burstEase float64
-	seg.slowCell, slowEase = rng.Lattice(sec / slowCellSec)
-	if burst {
-		seg.burstCell, burstEase = rng.Lattice(sec / burstCellSec)
-	}
-	g.step = append(g.step, st)
-	g.hour = append(g.hour, sec/3600-float64(day)*24)
-	g.slowEase = append(g.slowEase, slowEase)
-	g.burstEase = append(g.burstEase, burstEase)
-	g.key = append(g.key, rng.Key(uint64(st)))
-	if last := len(g.segs) - 1; last < 0 || seg.day != g.segs[last].day || seg.slowCell != g.segs[last].slowCell || seg.burstCell != g.segs[last].burstCell {
-		g.segs = append(g.segs, seg)
+	for k, st := range step {
+		sec := st.Seconds()
+		day := int(sec / 86400)
+		seg := gridSeg{start: k, day: day}
+		seg.slowCell, g.slowEase[k] = rng.Lattice(sec / slowCellSec)
+		if burst {
+			seg.burstCell, g.burstEase[k] = rng.Lattice(sec / burstCellSec)
+		} else {
+			g.burstEase[k] = 0
+		}
+		g.hour[k] = sec/3600 - float64(day)*24
+		g.key[k] = rng.Key(uint64(st))
+		if last := len(g.segs) - 1; last < 0 || seg.day != g.segs[last].day || seg.slowCell != g.segs[last].slowCell || seg.burstCell != g.segs[last].burstCell {
+			g.segs = append(g.segs, seg)
+		}
 	}
 	return g
 }
@@ -100,13 +97,19 @@ func (g StepGrid) Len() int { return len(g.step) }
 // values are the same either way.
 func FillUtil(dst []float64, src Source, id int, g StepGrid) {
 	if w, ok := src.(*Workload); ok {
-		diurnalRow(dst, w.vms[id].peakHour, &g) // overwritten in place
-		w.fillUtilRow(dst, id, &g, dst)
+		w.fillRow(dst, id, &g)
 		return
 	}
 	for k, st := range g.step {
 		dst[k] = src.Util(id, st)
 	}
+}
+
+// fillRow is FillUtil over the Workload, with the grid passed by
+// reference: Util and FillSlotProfile build theirs on the stack per call.
+func (w *Workload) fillRow(dst []float64, id int, g *StepGrid) {
+	diurnalRow(dst, w.vms[id].peakHour, g) // overwritten in place
+	w.fillUtilRow(dst, id, g, dst)
 }
 
 // diurnalRow writes the diurnal cosine of a service peaking at hour peak

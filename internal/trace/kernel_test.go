@@ -335,7 +335,8 @@ func TestFillSlotProfileAllocFree(t *testing.T) {
 // over a shared grid, and the service-major window fill that shares one
 // diurnal row per service and slot, per value, on a day of 400 initial
 // VMs at the paper's 5 s step. The row-kernel pass also runs at a 300 s
-// step, where a slot's 12 steps fall into six lattice segments of two.
+// step, where a slot's 12 steps fall into six lattice segments of two, and
+// "profile" times the 12-sample slot profile fill per call.
 func BenchmarkFillUtil(b *testing.B) {
 	w := New(Config{Seed: 42, Horizon: timeutil.Days(1), InitialVMs: 400})
 	bench := func(b *testing.B, dt float64, fill func(row []float64, id int, g StepGrid)) {
@@ -366,6 +367,21 @@ func BenchmarkFillUtil(b *testing.B) {
 			bench(b, dt, func(row []float64, id int, g StepGrid) { FillUtil(row, w, id, g) })
 		})
 	}
+	// The controllers' 12-sample slot profiles, one FillSlotProfile per
+	// VM and slot over its stack-resident grid.
+	b.Run("profile", func(b *testing.B) {
+		var prof [12]float64
+		fills := 0
+		for i := 0; i < b.N; i++ {
+			for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
+				for _, id := range w.ActiveVMs(sl) {
+					w.FillSlotProfile(prof[:], id, sl)
+					fills++
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fills), "ns/fill")
+	})
 	// The compiled path: the resident table's whole-horizon window, laid
 	// out again and refilled service-major each iteration.
 	b.Run("service-major", func(b *testing.B) {

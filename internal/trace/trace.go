@@ -437,15 +437,14 @@ func (v *VM) dayFactor(day int) float64 {
 // case of the row kernel (see FillUtil).
 func (w *Workload) Util(id int, st timeutil.Step) float64 {
 	var (
-		step [1]timeutil.Step
+		step = [1]timeutil.Step{st}
 		f    [3]float64
 		key  [1]uint64
 		seg  [1]gridSeg
 		u    [1]float64
 	)
-	g := emptyGrid(step[:], f[:], key[:], seg[:])
-	g = g.add(st, w.vms[id].burstAmp > 0)
-	FillUtil(u[:], w, id, g)
+	g := gridOf(step[:], f[:], key[:], seg[:], w.vms[id].burstAmp > 0)
+	w.fillRow(u[:], id, &g)
 	return u[0]
 }
 
@@ -478,11 +477,16 @@ func (w *Workload) FillSlotProfile(dst []float64, id int, sl timeutil.Slot) {
 		key  [16]uint64
 		segs [16]gridSeg
 	)
-	g := emptyGrid(step[:], f[:], key[:], segs[:]) // longer profiles grow it on the heap
-	for i := 0; i < n; i++ {
-		g = g.add(profileStep(sl, i, n), true)
+	steps, fs, keys := step[:], f[:], key[:]
+	if n > len(step) { // longer profiles take their grid from the heap
+		steps, fs, keys = make([]timeutil.Step, n), make([]float64, 3*n), make([]uint64, n)
 	}
-	FillUtil(dst, w, id, g)
+	steps = steps[:n]
+	for i := range steps {
+		steps[i] = profileStep(sl, i, n)
+	}
+	g := gridOf(steps, fs, keys, segs[:], true)
+	w.fillRow(dst, id, &g)
 }
 
 // serviceActivity is the unit-mean time-varying modulation of a service's
